@@ -14,11 +14,17 @@
 // prediction error. Between refits it applies plain Vivaldi steps so the
 // system bootstraps as quickly as Vivaldi does. DESIGN.md documents this as
 // a substitution for the (unavailable) original RNP code.
+//
+// The window is a fixed-capacity ring of flat arrays sized once at
+// construction, and the refit runs on member scratch buffers, so a node
+// never allocates after it is built (docs/performance.md, "Coordinate
+// embedding").
 #pragma once
 
 #include <cstdint>
-#include <deque>
+#include <vector>
 
+#include "common/point_set.h"
 #include "netcoord/vivaldi.h"
 
 namespace geored::coord {
@@ -39,20 +45,44 @@ class RnpNode : public VivaldiNode {
 
   /// Records the sample, applies an online Vivaldi step, and every
   /// `refit_every` observations re-fits the coordinate against the window.
+  /// `remote` must have this node's dimensionality.
   void observe(const NetworkCoordinate& remote, double rtt_ms);
 
  private:
-  struct Sample {
-    NetworkCoordinate remote;
-    double rtt_ms;
-    std::uint64_t seq;  ///< observation index, for recency weighting
-  };
-
   void refit();
 
+  /// Weighted mean squared relative error of predicting the window from
+  /// (`position`, `height`), given the sum of `weight_`. Leaves each
+  /// sample's spatial distance to `position` in `distance_` for the next
+  /// gradient step to reuse.
+  double objective(const double* position, double height, double weight_sum);
+
+  /// Calls fn(slot, age) for every retained sample, oldest first — the
+  /// order every sum over the window runs in.
+  template <typename Fn>
+  void for_each_sample(Fn&& fn) const;
+
   RnpConfig rnp_config_;
-  std::deque<Sample> window_;
   std::uint64_t observation_count_ = 0;
+
+  // Sample window: a ring of up to `window_size` slots, the next write at
+  // `window_next_`. Row s of `window_positions_` (one row per filled slot)
+  // and element s of the other arrays describe the sample in slot s.
+  PointSet window_positions_;
+  std::vector<double> window_heights_;
+  std::vector<double> window_errors_;
+  std::vector<double> window_rtts_;
+  std::size_t window_next_ = 0;
+
+  /// recency_decay^age for every age the window can hold.
+  std::vector<double> decay_by_age_;
+
+  // Refit scratch; `weight_` and `distance_` are indexed by slot.
+  std::vector<double> weight_;
+  std::vector<double> distance_;
+  std::vector<double> position_;
+  std::vector<double> best_position_;
+  std::vector<double> gradient_;
 };
 
 }  // namespace geored::coord

@@ -21,13 +21,23 @@ VivaldiNode::VivaldiNode(const VivaldiConfig& config, std::uint32_t node_id)
 }
 
 void VivaldiNode::observe(const NetworkCoordinate& remote, double rtt_ms) {
+  GEORED_ENSURE(remote.position.dim() == coord_.position.dim(),
+                "remote coordinate has the wrong dimension");
   if (!(rtt_ms > 0.0)) return;  // drop non-positive / NaN samples
   vivaldi_step(remote, rtt_ms);
   ++samples_;
 }
 
 void VivaldiNode::vivaldi_step(const NetworkCoordinate& remote, double rtt_ms) {
-  const double spatial_dist = coord_.position.distance_to(remote.position);
+  const std::size_t dim = coord_.position.dim();
+  double* position = &coord_.position[0];
+  const double* remote_position = remote.position.values().data();
+  double squared = 0.0;
+  for (std::size_t i = 0; i < dim; ++i) {
+    const double d = position[i] - remote_position[i];
+    squared += d * d;
+  }
+  const double spatial_dist = std::sqrt(squared);
   const double predicted = spatial_dist + (config_.use_height ? coord_.height + remote.height : 0.0);
 
   // Confidence weight: how much of the blame for the prediction error this
@@ -45,22 +55,28 @@ void VivaldiNode::vivaldi_step(const NetworkCoordinate& remote, double rtt_ms) {
   const double delta = config_.cc * w;
   const double force = delta * (rtt_ms - predicted);
 
-  // Direction away from the remote node; the height axis always participates
-  // with the combined-height share of the augmented norm (Vivaldi §5.4).
-  const Point unit = coord_.position.unit_vector_from(remote.position, node_id_);
+  // Move along the direction away from the remote node; the height axis
+  // always participates with the combined-height share of the augmented
+  // norm (Vivaldi §5.4).
+  double move = force;
   if (config_.use_height) {
     const double combined_height = coord_.height + remote.height;
     const double augmented_norm = spatial_dist + combined_height;
     if (augmented_norm > 1e-9) {
       const double spatial_share = spatial_dist / augmented_norm;
       const double height_share = combined_height / augmented_norm;
-      coord_.position += unit * (force * spatial_share);
+      move = force * spatial_share;
       coord_.height = std::max(0.0, coord_.height + force * height_share);
-    } else {
-      coord_.position += unit * force;
+    }
+  }
+  if (spatial_dist > 1e-12) {
+    // The unit vector is (position - remote) / spatial_dist, applied in place.
+    for (std::size_t i = 0; i < dim; ++i) {
+      position[i] += ((position[i] - remote_position[i]) / spatial_dist) * move;
     }
   } else {
-    coord_.position += unit * force;
+    // Coincident points: a deterministic pseudo-random direction.
+    coord_.position += coord_.position.unit_vector_from(remote.position, node_id_) * move;
   }
   // A single bad sample (or a degenerate unit vector) must never corrupt the
   // coordinate: every component, the height, and the error stay finite.

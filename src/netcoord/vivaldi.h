@@ -35,7 +35,9 @@ class VivaldiNode {
 
   /// Processes one RTT measurement against a peer whose current coordinate is
   /// `remote`. Updates this node's coordinate and error estimate.
-  /// `rtt_ms` must be positive; non-positive samples are ignored.
+  /// `rtt_ms` must be positive; non-positive samples are ignored. `remote`
+  /// must have this node's dimensionality (std::invalid_argument otherwise,
+  /// with the node unchanged).
   void observe(const NetworkCoordinate& remote, double rtt_ms);
 
   const NetworkCoordinate& coordinate() const { return coord_; }
@@ -45,6 +47,8 @@ class VivaldiNode {
 
  protected:
   /// Core spring-relaxation step, shared with the RNP bootstrap phase.
+  /// Allocation-free except when the two positions coincide. `remote` must
+  /// have this node's dimensionality (checked by the observe() callers).
   void vivaldi_step(const NetworkCoordinate& remote, double rtt_ms);
 
   VivaldiConfig config_;

@@ -1,5 +1,7 @@
 #include "netcoord/rnp.h"
 
+#include <limits>
+
 #include <gtest/gtest.h>
 
 #include "common/random.h"
@@ -19,6 +21,40 @@ TEST(Rnp, RejectsInvalidConfig) {
   config = {};
   config.recency_decay = 0.0;
   EXPECT_THROW(RnpNode(config, 0), std::invalid_argument);
+  for (const double bad_rate : {0.0, -0.05, std::numeric_limits<double>::quiet_NaN(),
+                                std::numeric_limits<double>::infinity()}) {
+    config = {};
+    config.learning_rate = bad_rate;
+    EXPECT_THROW(RnpNode(config, 0), std::invalid_argument) << "learning_rate " << bad_rate;
+  }
+}
+
+TEST(Rnp, RejectsRemoteOfWrongDimension) {
+  RnpConfig config;
+  config.vivaldi.dimensions = 3;
+  config.refit_every = 1;
+  RnpNode node(config, 0);
+  const NetworkCoordinate good(Point{10.0, 0.0, 0.0}, 0.0);
+  for (int i = 0; i < 4; ++i) node.observe(good, 40.0);
+  const NetworkCoordinate before = node.coordinate();
+  const std::uint64_t samples = node.samples();
+
+  for (const std::size_t dim : {2u, 4u}) {
+    EXPECT_THROW(node.observe(NetworkCoordinate(Point(dim), 0.0), 40.0),
+                 std::invalid_argument);
+  }
+  EXPECT_EQ(node.coordinate().position, before.position);
+  EXPECT_EQ(node.coordinate().height, before.height);
+  EXPECT_EQ(node.coordinate().error, before.error);
+  EXPECT_EQ(node.samples(), samples);
+  // The rejected samples never entered the window: the node continues
+  // exactly like a twin that never saw them.
+  RnpNode twin(config, 0);
+  for (int i = 0; i < 4; ++i) twin.observe(good, 40.0);
+  node.observe(good, 55.0);
+  twin.observe(good, 55.0);
+  EXPECT_EQ(node.coordinate().position, twin.coordinate().position);
+  EXPECT_EQ(node.coordinate().error, twin.coordinate().error);
 }
 
 TEST(Rnp, ConvergesBetweenTwoNodes) {

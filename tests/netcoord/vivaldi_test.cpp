@@ -56,6 +56,20 @@ TEST(Vivaldi, IgnoresNonPositiveSamples) {
   EXPECT_EQ(node.coordinate().position, Point(2));
 }
 
+TEST(Vivaldi, RejectsRemoteOfWrongDimension) {
+  VivaldiNode node(flat_config(), 0);
+  node.observe(NetworkCoordinate(Point{5.0, 0.0}, 0.0), 30.0);
+  const NetworkCoordinate before = node.coordinate();
+
+  EXPECT_THROW(node.observe(NetworkCoordinate(Point{1.0}, 0.0), 30.0), std::invalid_argument);
+  EXPECT_THROW(node.observe(NetworkCoordinate(Point{1.0, 2.0, 3.0}, 0.0), 30.0),
+               std::invalid_argument);
+  EXPECT_EQ(node.coordinate().position, before.position);
+  EXPECT_EQ(node.coordinate().height, before.height);
+  EXPECT_EQ(node.coordinate().error, before.error);
+  EXPECT_EQ(node.samples(), 1u);
+}
+
 TEST(Vivaldi, TwoNodesConvergeToTheirRtt) {
   VivaldiConfig config = flat_config();
   VivaldiNode a(config, 0), b(config, 1);

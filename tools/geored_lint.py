@@ -41,7 +41,8 @@ contract rest on. Checks, over src/:
                        `// lint: run-chunks-ok`.
   6. hot-alloc         No std::vector construction inside the hot kernel
                        files (the distance kernels, k-means, the evaluators,
-                       the summarizer ingest path): per-call scratch there
+                       the summarizer ingest path, the RNP/Vivaldi gossip
+                       step): per-call scratch there
                        goes through the epoch arena (common/arena.h) or a
                        reused buffer, so allocation regressions cannot sneak
                        back into the million-client paths. Deliberate sites
@@ -126,6 +127,8 @@ HOT_ALLOC_FILES = (
     "src/cluster/kmeans.cpp",
     "src/cluster/moment_store.cpp",
     "src/cluster/summarizer.cpp",
+    "src/netcoord/rnp.cpp",
+    "src/netcoord/vivaldi.cpp",
     "src/placement/evaluate.cpp",
     "src/core/epoch_pipeline.cpp",
     "src/core/epoch_trace.h",
