@@ -37,6 +37,8 @@ void Network::send(topo::NodeId from, topo::NodeId to, std::size_t bytes,
                    TrafficClass traffic_class, std::function<void()> on_delivery) {
   const auto cls = static_cast<std::size_t>(traffic_class);
   GEORED_ENSURE(cls < kTrafficClassCount, "invalid traffic class");
+  GEORED_ENSURE(from < topology_.size() && to < topology_.size(),
+                "message endpoint is not a topology node");
   stats_.bytes[cls] += bytes;
   stats_.messages[cls] += 1;
 

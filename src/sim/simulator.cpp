@@ -1,6 +1,7 @@
 #include "sim/simulator.h"
 
 #include <algorithm>
+#include <cmath>
 #include <utility>
 
 #include "common/ensure.h"
@@ -8,28 +9,41 @@
 namespace geored::sim {
 
 void Simulator::schedule_at(SimTime t, std::function<void()> fn) {
+  GEORED_ENSURE(std::isfinite(t), "event time must be finite");
   GEORED_ENSURE(t >= now_, "cannot schedule an event in the past");
   GEORED_ENSURE(static_cast<bool>(fn), "cannot schedule a null event");
-  queue_.push_back({t, next_seq_++, std::move(fn)});
-  std::push_heap(queue_.begin(), queue_.end(), Later{});
+  std::uint32_t slot = 0;
+  if (free_slots_.empty()) {
+    slot = static_cast<std::uint32_t>(slots_.size());
+    // The table grows only until it covers the peak queue length.
+    slots_.push_back(std::move(fn));
+  } else {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+    slots_[slot] = std::move(fn);
+  }
+  heap_.push_back({t, next_seq_++, slot});
+  std::push_heap(heap_.begin(), heap_.end(), Later{});
 }
 
 void Simulator::schedule_after(SimTime delay, std::function<void()> fn) {
+  GEORED_ENSURE(std::isfinite(delay), "event delay must be finite");
   GEORED_ENSURE(delay >= 0.0, "event delay must be non-negative");
   schedule_at(now_ + delay, std::move(fn));
 }
 
 bool Simulator::step() {
-  if (queue_.empty()) return false;
-  // pop_heap shifts the winning event to the back, from where it is *moved*
-  // out before erasure — per-event std::function copies (heap-allocating for
-  // any capturing callback) were the queue's dominant cost. The event must
-  // leave the queue before it runs so the callback may schedule freely.
-  std::pop_heap(queue_.begin(), queue_.end(), Later{});
-  Event event = std::move(queue_.back());
-  queue_.pop_back();
-  now_ = event.time;
-  event.fn();
+  if (heap_.empty()) return false;
+  std::pop_heap(heap_.begin(), heap_.end(), Later{});
+  const Key key = heap_.back();
+  heap_.pop_back();
+  // The callback leaves its slot before it runs, so it may schedule freely
+  // (even into the slot it just vacated, or growing the table).
+  std::function<void()> fn = std::move(slots_[key.slot]);
+  slots_[key.slot] = nullptr;
+  free_slots_.push_back(key.slot);
+  now_ = key.time;
+  fn();
   return true;
 }
 
@@ -41,10 +55,11 @@ std::size_t Simulator::run() {
 }
 
 std::size_t Simulator::run_until(SimTime t) {
+  GEORED_ENSURE(std::isfinite(t), "run_until time must be finite");
   GEORED_ENSURE(t >= now_, "cannot run to a time in the past");
   stopped_ = false;
   std::size_t processed = 0;
-  while (!stopped_ && !queue_.empty() && queue_.front().time <= t) {
+  while (!stopped_ && !heap_.empty() && heap_.front().time <= t) {
     step();
     ++processed;
   }

@@ -5,6 +5,13 @@
 // whole simulations deterministic. The engine is single-threaded by design:
 // wall-clock parallelism across *runs* (different seeds) is how experiments
 // scale, not parallelism within a run.
+//
+// The queue is allocation-free in steady state. The binary heap orders
+// 24-byte {time, seq, slot} keys; each callback waits in a slot of a table
+// whose freed slots are reused. A std::function keeps callables of up to 16
+// trivially copyable bytes (e.g. a `this` pointer plus two 32-bit ids)
+// inline, so scheduling such a callback touches no heap once the heap and
+// the slot table have grown to the simulation's peak queue length.
 #pragma once
 
 #include <cstdint>
@@ -20,10 +27,10 @@ class Simulator {
  public:
   SimTime now() const { return now_; }
 
-  /// Schedules `fn` at absolute time `t` (>= now).
+  /// Schedules `fn` at absolute time `t` (finite, >= now).
   void schedule_at(SimTime t, std::function<void()> fn);
 
-  /// Schedules `fn` after `delay` (>= 0) milliseconds.
+  /// Schedules `fn` after `delay` (finite, >= 0) milliseconds.
   void schedule_after(SimTime delay, std::function<void()> fn);
 
   /// Executes the next event. Returns false when the queue is empty.
@@ -33,33 +40,35 @@ class Simulator {
   /// events processed.
   std::size_t run();
 
-  /// Processes all events with time <= `t`, then advances the clock to `t`.
+  /// Processes all events with time <= `t` (finite), then advances the clock
+  /// to `t`.
   std::size_t run_until(SimTime t);
 
   /// Makes run()/run_until() return after the current event completes.
   void stop() { stopped_ = true; }
 
-  std::size_t pending_events() const { return queue_.size(); }
+  std::size_t pending_events() const { return heap_.size(); }
 
  private:
-  struct Event {
+  struct Key {
     SimTime time;
     std::uint64_t seq;
-    std::function<void()> fn;
+    std::uint32_t slot;  ///< index into slots_
   };
   struct Later {
-    bool operator()(const Event& a, const Event& b) const {
+    bool operator()(const Key& a, const Key& b) const {
       if (a.time != b.time) return a.time > b.time;
       return a.seq > b.seq;
     }
   };
 
-  /// Binary heap managed with std::push_heap/pop_heap rather than
-  /// std::priority_queue: pop_heap moves the winning event to the back, so
-  /// step() can move its std::function out instead of copying it (top() only
-  /// offers const access). The (time, seq) comparator makes heap order
-  /// deterministic regardless of internal layout.
-  std::vector<Event> queue_;
+  /// Binary heap of keys (std::push_heap/pop_heap). (time, seq) is a total
+  /// order, so the pop sequence does not depend on the heap's layout.
+  std::vector<Key> heap_;
+  /// Callbacks of pending events, indexed by Key::slot; free_slots_ lists
+  /// the empty ones for reuse.
+  std::vector<std::function<void()>> slots_;
+  std::vector<std::uint32_t> free_slots_;
   SimTime now_ = 0.0;
   std::uint64_t next_seq_ = 0;
   bool stopped_ = false;

@@ -1,7 +1,6 @@
 #include "store/kvstore.h"
 
 #include <algorithm>
-#include <limits>
 
 #include "common/ensure.h"
 
@@ -34,9 +33,43 @@ ReplicatedKvStore::ReplicatedKvStore(sim::Simulator& simulator, sim::Network& ne
   fleet_config.manager = config_.manager;
   // The quorum system owns the degree; no fleet-wide replica budget here.
   fleet_ = std::make_unique<core::FleetManager>(candidates_, fleet_config, seed_);
-  for (const auto& candidate : candidates_) {
-    storage_.emplace(candidate.node, StorageNode{});
+
+  const std::size_t nodes = network_.topology().size();
+  candidate_of_node_.assign(nodes, kNoCandidate);
+  for (std::uint32_t c = 0; c < candidates_.size(); ++c) {
+    const topo::NodeId node = candidates_[c].node;
+    GEORED_ENSURE(node < nodes, "candidate is not a node of the network's topology");
+    // A duplicated candidate shares the first entry's storage.
+    if (candidate_of_node_[node] == kNoCandidate) candidate_of_node_[node] = c;
   }
+  storage_.resize(candidates_.size());
+  dim_ = candidates_.front().coords.dim();
+  candidate_coords_.reserve(candidates_.size() * dim_);
+  for (const auto& candidate : candidates_) {
+    GEORED_ENSURE(candidate.coords.dim() == dim_, "candidates differ in coordinate dimension");
+    for (std::size_t i = 0; i < dim_; ++i) candidate_coords_.push_back(candidate.coords[i]);
+  }
+  clocks_.reserve(nodes);
+  for (std::size_t node = 0; node < nodes; ++node) {
+    clocks_.emplace_back(static_cast<std::uint32_t>(node));
+  }
+}
+
+template <typename Op>
+std::uint32_t ReplicatedKvStore::OpSlab<Op>::acquire() {
+  if (free.empty()) {
+    // Grows to the peak number of ops in flight, then only recycles.
+    ops.emplace_back();
+    return static_cast<std::uint32_t>(ops.size() - 1);
+  }
+  const std::uint32_t slot = free.back();
+  free.pop_back();
+  return slot;
+}
+
+template <typename Op>
+void ReplicatedKvStore::OpSlab<Op>::release(std::uint32_t slot) {
+  free.push_back(slot);
 }
 
 std::uint32_t ReplicatedKvStore::group_of(ObjectId id) const {
@@ -54,38 +87,42 @@ const core::ReplicationManager& ReplicatedKvStore::manager_of_group(
   return fleet_->group(group);
 }
 
-const place::CandidateInfo& ReplicatedKvStore::candidate_info(topo::NodeId node) const {
-  const auto it = std::find_if(candidates_.begin(), candidates_.end(),
-                               [node](const place::CandidateInfo& c) { return c.node == node; });
-  GEORED_CHECK(it != candidates_.end(), "placement node missing from candidates");
-  return *it;
+void ReplicatedKvStore::validate_client(topo::NodeId client,
+                                        const Point& client_coords) const {
+  GEORED_ENSURE(client < clocks_.size(), "client is not a node of the network's topology");
+  GEORED_ENSURE(client_coords.dim() == dim_,
+                "client coordinates have the wrong dimension");
 }
 
-std::vector<topo::NodeId> ReplicatedKvStore::closest_replicas(  // lint: no-ensure (total)
-    const place::Placement& placement, const Point& coords, std::size_t count) const {
-  std::vector<std::pair<double, topo::NodeId>> ranked;
-  ranked.reserve(placement.size());
+StorageNode& ReplicatedKvStore::storage_of(topo::NodeId node) {
+  GEORED_CHECK(node < candidate_of_node_.size() && candidate_of_node_[node] != kNoCandidate,
+               "placement node missing from candidates");
+  return storage_[candidate_of_node_[node]];
+}
+
+const std::vector<std::pair<double, topo::NodeId>>& ReplicatedKvStore::rank_replicas(
+    const place::Placement& placement, const Point& coords) {
+  ranked_.clear();
   for (const auto node : placement) {
-    ranked.emplace_back(coords.distance_squared_to(candidate_info(node).coords), node);
+    GEORED_CHECK(node < candidate_of_node_.size() && candidate_of_node_[node] != kNoCandidate,
+                 "placement node missing from candidates");
+    // Point::distance_squared_to's arithmetic, on the flat copy.
+    const double* replica = &candidate_coords_[candidate_of_node_[node] * dim_];
+    double total = 0.0;
+    for (std::size_t i = 0; i < dim_; ++i) {
+      const double d = coords[i] - replica[i];
+      total += d * d;
+    }
+    ranked_.emplace_back(total, node);
   }
-  std::sort(ranked.begin(), ranked.end());
-  std::vector<topo::NodeId> result;
-  result.reserve(std::min(count, ranked.size()));
-  for (std::size_t i = 0; i < std::min(count, ranked.size()); ++i) {
-    result.push_back(ranked[i].second);
-  }
-  return result;
-}
-
-LamportClock& ReplicatedKvStore::clock_of(topo::NodeId client) {  // lint: no-ensure (total)
-  const auto it = clocks_.find(client);
-  if (it != clocks_.end()) return it->second;
-  return clocks_.emplace(client, LamportClock(client)).first->second;
+  std::sort(ranked_.begin(), ranked_.end());
+  return ranked_;
 }
 
 void ReplicatedKvStore::put(topo::NodeId client, const Point& client_coords, ObjectId id,
                             std::string data, std::function<void(const PutResult&)> done) {
   GEORED_ENSURE(static_cast<bool>(done), "put requires a completion callback");
+  validate_client(client, client_coords);
   const std::uint32_t group = group_of(id);
   auto& manager = fleet_->group(group);
   const place::Placement& placement = manager.placement();
@@ -96,128 +133,181 @@ void ReplicatedKvStore::put(topo::NodeId client, const Point& client_coords, Obj
   // last-writer-wins against a later write by a different client that never
   // observed it; folding in physical time gives LWW the real-time order
   // that sequential consistency needs (writer id still breaks true ties).
-  auto& clock = clock_of(client);
+  auto& clock = clocks_[client];
   clock.observe({static_cast<std::uint64_t>(simulator_.now() * 1000.0), 0});
-  VersionedValue value;
-  value.version = clock.next();
-  value.data = std::move(data);
+  const Version version = clock.next();
 
   // The user population summary sees the write once, at the replica the
   // client would naturally be served by. The manager stages recorded
   // accesses and ingests them in batches at epoch/read boundaries, so the
   // per-put cost here is one append, not a summarizer update.
-  const auto nearest = closest_replicas(placement, client_coords, 1);
-  if (!nearest.empty()) {
-    manager.record_access(nearest.front(), client_coords,
-                          static_cast<double>(value.data.size()));
+  const auto& ranked = rank_replicas(placement, client_coords);
+  if (!ranked.empty()) {
+    manager.record_access(ranked.front().second, client_coords,
+                          static_cast<double>(data.size()));
   }
 
-  const double started_at = simulator_.now();
-  auto acks = std::make_shared<std::size_t>(0);
-  auto reported = std::make_shared<bool>(false);
-  const std::size_t need = config_.quorum.w;
-  const std::size_t payload = value.data.size() + config_.request_overhead_bytes;
+  const std::uint32_t slot = put_ops_.acquire();
+  PutOp& op = put_ops_.ops[slot];
+  op.id = id;
+  op.group = group;
+  op.client = client;
+  op.acks = 0;
+  op.outstanding = 2 * placement.size();
+  op.started_at = simulator_.now();
+  // The one allocation of a put: its bytes, shared from here on.
+  op.value = {Payload(std::move(data)), version};
+  op.done = std::move(done);
 
+  const std::size_t payload = op.value.data.size() + config_.request_overhead_bytes;
   for (const auto replica : placement) {
     network_.send(client, replica, payload, sim::TrafficClass::kAccess,
-                  [this, replica, id, value, client, started_at, acks, reported, need,
-                   done] {
-                    storage_.at(replica).apply_write(id, value);
-                    // Ack back to the client.
-                    network_.send(replica, client, config_.request_overhead_bytes,
-                                  sim::TrafficClass::kAccess,
-                                  [this, id, value, started_at, acks, reported, need,
-                                   done] {
-                                    if (++*acks != need || *reported) return;
-                                    *reported = true;
-                                    // Commit point for the staleness oracle.
-                                    auto& committed = committed_[id];
-                                    committed = std::max(committed, value.version);
-                                    PutResult result;
-                                    result.version = value.version;
-                                    result.latency_ms = simulator_.now() - started_at;
-                                    put_latency_.add(result.latency_ms);
-                                    put_latency_histogram_.record(result.latency_ms);
-                                    ++writes_;
-                                    done(result);
-                                  });
-                  });
+                  [this, slot, replica] { deliver_put(slot, replica); });
   }
+}
+
+void ReplicatedKvStore::deliver_put(  // lint: no-ensure (private)
+    std::uint32_t slot, topo::NodeId replica) {
+  PutOp& op = put_ops_.ops[slot];
+  storage_of(replica).apply_write(op.group, op.id, op.value);
+  --op.outstanding;
+  // Ack back to the client.
+  network_.send(replica, op.client, config_.request_overhead_bytes, sim::TrafficClass::kAccess,
+                [this, slot] { ack_put(slot); });
+}
+
+void ReplicatedKvStore::ack_put(std::uint32_t slot) {
+  PutOp& op = put_ops_.ops[slot];
+  --op.outstanding;
+  const bool commit = ++op.acks == config_.quorum.w;
+  std::function<void(const PutResult&)> done;
+  PutResult result;
+  if (commit) {
+    // Commit point for the staleness oracle.
+    auto& committed = committed_[op.id];
+    committed = std::max(committed, op.value.version);
+    result.version = op.value.version;
+    result.latency_ms = simulator_.now() - op.started_at;
+    put_latency_.add(result.latency_ms);
+    put_latency_histogram_.record(result.latency_ms);
+    ++writes_;
+    done = std::move(op.done);
+  }
+  if (op.outstanding == 0) {
+    op.value = {};  // drop this op's share of the payload
+    op.done = nullptr;
+    put_ops_.release(slot);
+  }
+  // Last: the callback may start ops that reuse the slot.
+  if (commit) done(result);
 }
 
 void ReplicatedKvStore::get(topo::NodeId client, const Point& client_coords, ObjectId id,
                             std::function<void(const GetResult&)> done) {
   GEORED_ENSURE(static_cast<bool>(done), "get requires a completion callback");
+  validate_client(client, client_coords);
   const std::uint32_t group = group_of(id);
   auto& manager = fleet_->group(group);
   const place::Placement& placement = manager.placement();
-  const auto targets = closest_replicas(placement, client_coords, config_.quorum.r);
-  GEORED_CHECK(!targets.empty(), "group has no replicas");
+  const auto& ranked = rank_replicas(placement, client_coords);
+  GEORED_CHECK(!ranked.empty(), "group has no replicas");
 
-  manager.record_access(targets.front(), client_coords, 1.0);
+  manager.record_access(ranked.front().second, client_coords, 1.0);
 
-  const double started_at = simulator_.now();
+  const std::uint32_t slot = get_ops_.acquire();
+  GetOp& op = get_ops_.ops[slot];
+  op.id = id;
+  op.group = group;
+  op.client = client;
+  op.started_at = simulator_.now();
   // Freshness oracle: what was already committed when the read began.
   const auto committed_it = committed_.find(id);
-  const Version committed_at_start =
+  op.committed_at_start =
       committed_it == committed_.end() ? Version::zero() : committed_it->second;
+  op.targets.clear();
+  for (std::size_t i = 0; i < std::min(config_.quorum.r, ranked.size()); ++i) {
+    op.targets.push_back(ranked[i].second);
+  }
+  op.read.resize(op.targets.size());
+  op.replies.clear();
+  op.best = {};
+  op.done = std::move(done);
+  op.outstanding = 2 * op.targets.size();
 
-  auto replies = std::make_shared<std::vector<std::pair<topo::NodeId, Version>>>();
-  auto best = std::make_shared<VersionedValue>();
-  auto reported = std::make_shared<bool>(false);
-  const std::size_t need = targets.size();
+  for (std::uint32_t i = 0; i < op.targets.size(); ++i) {
+    network_.send(client, op.targets[i], config_.request_overhead_bytes,
+                  sim::TrafficClass::kAccess, [this, slot, i] { serve_get(slot, i); });
+  }
+}
 
-  for (const auto replica : targets) {
-    network_.send(
-        client, replica, config_.request_overhead_bytes, sim::TrafficClass::kAccess,
-        [this, replica, id, client, started_at, committed_at_start, replies, best,
-         reported, need, done] {
-          const VersionedValue value = storage_.at(replica).read(id);
-          const std::size_t payload = value.data.size() + config_.request_overhead_bytes;
-          network_.send(replica, client, payload, sim::TrafficClass::kAccess,
-                        [this, replica, id, client, value, started_at, committed_at_start,
-                         replies, best, reported, need, done] {
-                          if (value.version > best->version) *best = value;
-                          replies->emplace_back(replica, value.version);
-                          if (replies->size() != need || *reported) return;
-                          *reported = true;
-                          clock_of(client).observe(best->version);
-                          GetResult result;
-                          result.value = *best;
-                          result.latency_ms = simulator_.now() - started_at;
-                          result.stale = best->version < committed_at_start;
-                          get_latency_.add(result.latency_ms);
-                          get_latency_histogram_.record(result.latency_ms);
-                          ++reads_;
-                          if (result.stale) ++stale_reads_;
-                          if (!result.value.exists()) ++not_found_reads_;
-                          // Read repair: push the winning version back to
-                          // every contacted replica that returned less.
-                          if (config_.read_repair && best->exists()) {
-                            const VersionedValue winner = *best;
-                            for (const auto& [node, version] : *replies) {
-                              if (version >= winner.version) continue;
-                              ++read_repairs_;
-                              const std::size_t repair_bytes =
-                                  winner.data.size() + config_.request_overhead_bytes;
-                              network_.send(client, node, repair_bytes,
-                                            sim::TrafficClass::kAccess,
-                                            [this, node, id, winner] {
-                                              storage_.at(node).apply_write(id, winner);
-                                            });
-                            }
-                          }
-                          done(result);
-                        });
-        });
+void ReplicatedKvStore::serve_get(  // lint: no-ensure (private)
+    std::uint32_t slot, std::uint32_t index) {
+  GetOp& op = get_ops_.ops[slot];
+  const topo::NodeId replica = op.targets[index];
+  op.read[index] = storage_of(replica).read(op.group, op.id);
+  --op.outstanding;
+  const std::size_t payload = op.read[index].data.size() + config_.request_overhead_bytes;
+  network_.send(replica, op.client, payload, sim::TrafficClass::kAccess,
+                [this, slot, index] { reply_get(slot, index); });
+}
+
+void ReplicatedKvStore::reply_get(  // lint: no-ensure (private)
+    std::uint32_t slot, std::uint32_t index) {
+  GetOp& op = get_ops_.ops[slot];
+  --op.outstanding;
+  VersionedValue& value = op.read[index];
+  op.replies.emplace_back(op.targets[index], value.version);
+  if (value.version > op.best.version) op.best = std::move(value);
+  if (op.replies.size() != op.targets.size()) return;
+
+  clocks_[op.client].observe(op.best.version);
+  GetResult result;
+  result.latency_ms = simulator_.now() - op.started_at;
+  result.stale = op.best.version < op.committed_at_start;
+  get_latency_.add(result.latency_ms);
+  get_latency_histogram_.record(result.latency_ms);
+  ++reads_;
+  if (result.stale) ++stale_reads_;
+  if (!op.best.exists()) ++not_found_reads_;
+  // Read repair: push the winning version back to every contacted replica
+  // that returned less.
+  if (config_.read_repair && op.best.exists()) {
+    for (const auto& [node, version] : op.replies) {
+      if (version >= op.best.version) continue;
+      ++read_repairs_;
+      ++op.outstanding;
+      const std::size_t repair_bytes = op.best.data.size() + config_.request_overhead_bytes;
+      network_.send(op.client, node, repair_bytes, sim::TrafficClass::kAccess,
+                    [this, slot, node = node] { repair(slot, node); });
+    }
+  }
+  std::function<void(const GetResult&)> done = std::move(op.done);
+  op.done = nullptr;
+  if (op.outstanding == 0) {
+    result.value = std::move(op.best);
+    op.read.clear();  // drop this op's shares of the payloads
+    get_ops_.release(slot);
+  } else {
+    result.value = op.best;  // the repairs in flight still write it
+  }
+  // Last: the callback may start ops that reuse the slot.
+  done(result);
+}
+
+void ReplicatedKvStore::repair(  // lint: no-ensure (private)
+    std::uint32_t slot, topo::NodeId replica) {
+  GetOp& op = get_ops_.ops[slot];
+  storage_of(replica).apply_write(op.group, op.id, op.best);
+  if (--op.outstanding == 0) {
+    op.read.clear();
+    op.best = {};
+    get_ops_.release(slot);
   }
 }
 
 void ReplicatedKvStore::migrate_group(std::uint32_t group,
                                       const place::Placement& old_placement,
                                       const place::Placement& new_placement) {
-  const auto group_fn = [this](ObjectId id) { return group_of(id); };
-
   for (const auto node : new_placement) {
     if (std::find(old_placement.begin(), old_placement.end(), node) !=
         old_placement.end()) {
@@ -230,14 +320,13 @@ void ReplicatedKvStore::migrate_group(std::uint32_t group,
         source = old_node;
       }
     }
-    auto snapshot = storage_.at(source).export_group(group, group_fn);
-    const std::size_t bytes = storage_.at(source).group_bytes(group, group_fn);
-    network_.send(source, node, std::max<std::size_t>(bytes, 1),
-                  sim::TrafficClass::kMigration,
-                  [this, node, snapshot = std::move(snapshot)] {
-                    auto& target = storage_.at(node);
-                    for (const auto& [id, value] : snapshot) {
-                      target.apply_write(id, value);
+    GroupSnapshot snapshot = storage_of(source).export_group(group);
+    const std::size_t bytes = std::max<std::size_t>(snapshot.bytes, 1);
+    network_.send(source, node, bytes, sim::TrafficClass::kMigration,
+                  [this, node, group, objects = std::move(snapshot.objects)] {
+                    auto& target = storage_of(node);
+                    for (const auto& [id, value] : objects) {
+                      target.apply_write(group, id, value);
                     }
                   });
   }
@@ -245,7 +334,7 @@ void ReplicatedKvStore::migrate_group(std::uint32_t group,
   for (const auto node : old_placement) {
     if (std::find(new_placement.begin(), new_placement.end(), node) ==
         new_placement.end()) {
-      storage_.at(node).drop_group(group, group_fn);
+      storage_of(node).drop_group(group);
     }
   }
 }
@@ -266,9 +355,9 @@ std::vector<core::EpochReport> ReplicatedKvStore::run_placement_epochs() {
 }
 
 const StorageNode& ReplicatedKvStore::storage_at(topo::NodeId node) const {
-  const auto it = storage_.find(node);
-  GEORED_ENSURE(it != storage_.end(), "node is not a data center of this store");
-  return it->second;
+  GEORED_ENSURE(node < candidate_of_node_.size() && candidate_of_node_[node] != kNoCandidate,
+                "node is not a data center of this store");
+  return storage_[candidate_of_node_[node]];
 }
 
 }  // namespace geored::store

@@ -21,9 +21,11 @@
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <functional>
-#include <map>
 #include <memory>
+#include <unordered_map>
+#include <vector>
 
 #include "common/stats.h"
 #include "core/fleet_manager.h"
@@ -82,6 +84,10 @@ class ReplicatedKvStore {
   const core::ReplicationManager& manager_of_group(std::uint32_t group) const;
 
   /// Asynchronous write: completes (calls `done`) after w replica acks.
+  /// `data` becomes the value's shared Payload; no replica, message or
+  /// later read copies the bytes again. Throws std::invalid_argument, with
+  /// no state changed, for a client that is not a topology node or
+  /// coordinates of the wrong dimension (get() likewise).
   void put(topo::NodeId client, const Point& client_coords, ObjectId id, std::string data,
            std::function<void(const PutResult&)> done);
 
@@ -116,11 +122,58 @@ class ReplicatedKvStore {
   const StorageNode& storage_at(topo::NodeId node) const;
 
  private:
-  const place::CandidateInfo& candidate_info(topo::NodeId node) const;
-  /// The `count` placement members closest to `coords` (predicted).
-  std::vector<topo::NodeId> closest_replicas(const place::Placement& placement,
-                                             const Point& coords, std::size_t count) const;
-  LamportClock& clock_of(topo::NodeId client);
+  /// An in-flight put. It lives in put_ops_ from put() until the last of
+  /// its n acks arrives; every network callback of the op captures only
+  /// {this, op slot, replica}, which std::function stores inline.
+  struct PutOp {
+    ObjectId id = 0;
+    std::uint32_t group = 0;
+    topo::NodeId client = 0;
+    std::size_t acks = 0;         ///< acks received
+    std::size_t outstanding = 0;  ///< deliveries and acks still in flight
+    double started_at = 0.0;
+    VersionedValue value;         ///< shared by every replica's write
+    std::function<void(const PutResult&)> done;
+  };
+  /// An in-flight get, alive until its last reply (and any read repair it
+  /// sends) has arrived. Its vectors keep their capacity across reuse.
+  struct GetOp {
+    ObjectId id = 0;
+    std::uint32_t group = 0;
+    topo::NodeId client = 0;
+    std::size_t outstanding = 0;  ///< requests, replies and repairs in flight
+    double started_at = 0.0;
+    Version committed_at_start;
+    std::vector<topo::NodeId> targets;  ///< replica per request index
+    std::vector<VersionedValue> read;   ///< what targets[i] returned
+    std::vector<std::pair<topo::NodeId, Version>> replies;  ///< arrival order
+    VersionedValue best;
+    std::function<void(const GetResult&)> done;
+  };
+  /// Reused per-op state plus a free list of released slots. A deque, so
+  /// growing it never moves the records of ops in flight.
+  template <typename Op>
+  struct OpSlab {
+    std::deque<Op> ops;
+    std::vector<std::uint32_t> free;
+    std::uint32_t acquire();
+    void release(std::uint32_t slot);
+  };
+
+  /// Rejects a call whose client is not a topology node or whose
+  /// coordinates do not match the candidates' dimension, before any state
+  /// (access counts, clocks, stats) changes.
+  void validate_client(topo::NodeId client, const Point& client_coords) const;
+  StorageNode& storage_of(topo::NodeId node);
+  /// The placement members sorted by predicted distance to `coords`
+  /// (ties by node id), in a reused buffer.
+  const std::vector<std::pair<double, topo::NodeId>>& rank_replicas(
+      const place::Placement& placement, const Point& coords);
+  void deliver_put(std::uint32_t slot, topo::NodeId replica);
+  void ack_put(std::uint32_t slot);
+  void serve_get(std::uint32_t slot, std::uint32_t index);
+  void reply_get(std::uint32_t slot, std::uint32_t index);
+  void repair(std::uint32_t slot, topo::NodeId replica);
   void migrate_group(std::uint32_t group, const place::Placement& old_placement,
                      const place::Placement& new_placement);
 
@@ -132,8 +185,21 @@ class ReplicatedKvStore {
 
   /// Per-group placement pipelines; the store's groups are the fleet's.
   std::unique_ptr<core::FleetManager> fleet_;
-  std::map<topo::NodeId, StorageNode> storage_;
-  std::map<topo::NodeId, LamportClock> clocks_;
+  /// Candidate index of each topology node (kNoCandidate for clients);
+  /// storage_ is indexed by candidate.
+  static constexpr std::uint32_t kNoCandidate = 0xffffffffU;
+  std::vector<std::uint32_t> candidate_of_node_;
+  std::vector<StorageNode> storage_;
+  /// Candidate coordinates, row-major by candidate index, so ranking a
+  /// placement reads one cached array.
+  std::size_t dim_ = 0;
+  std::vector<double> candidate_coords_;
+  /// One writer clock per topology node; an unused clock is a fresh one.
+  std::vector<LamportClock> clocks_;
+
+  OpSlab<PutOp> put_ops_;
+  OpSlab<GetOp> get_ops_;
+  std::vector<std::pair<double, topo::NodeId>> ranked_;
 
   /// Oracle commit log for staleness accounting: newest version whose put
   /// has completed, per object.

@@ -1,9 +1,9 @@
 // Per-data-center storage state of the replicated key-value store: a
 // last-writer-wins versioned map plus the bookkeeping needed to hand a
-// whole object group to a new replica during migration.
+// whole object group to a new replica during migration. Stored values share
+// their bytes with the write that produced them (store/version.h Payload).
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 #include <unordered_map>
 #include <vector>
@@ -12,57 +12,44 @@
 
 namespace geored::store {
 
+/// All objects of one group on one node, for a migration transfer.
+struct GroupSnapshot {
+  /// Sorted by object id. Built once per migration and moved into its
+  /// message.
+  std::vector<std::pair<ObjectId, VersionedValue>> objects;  // lint: alloc-ok (escapes)
+  /// Transfer size: value bytes plus per-object version and id metadata.
+  std::size_t bytes = 0;
+};
+
+/// A data center's replicas of object groups. Objects are kept per group,
+/// so migrating or dropping a group touches that group's objects only.
 class StorageNode {
  public:
-  /// Applies a write if it is newer than what is stored (LWW merge).
-  /// Returns true when the write advanced the stored version.
-  bool apply_write(ObjectId id, const VersionedValue& value);
+  /// Applies a write to `id` of `group` if it is newer than what is stored
+  /// (LWW merge). Returns true when the write advanced the stored version.
+  bool apply_write(std::uint32_t group, ObjectId id, const VersionedValue& value);
 
   /// Current value (exists() == false when the key is unknown here).
-  VersionedValue read(ObjectId id) const;
+  VersionedValue read(std::uint32_t group, ObjectId id) const;
 
-  /// All objects of one group, for migration transfers, sorted by object id.
-  /// `group_of` maps an object to its group id. The sort matters: data_ is
-  /// an unordered map, and a migration snapshot in hash-table order would
-  /// make transfer event sequences (and anything serialized from them)
-  /// depend on the allocator — the determinism lint flags exactly this
-  /// pattern (unordered iteration feeding an output path).
-  template <typename GroupFn>
-  std::vector<std::pair<ObjectId, VersionedValue>> export_group(std::uint32_t group,
-                                                                const GroupFn& group_of) const {
-    std::vector<std::pair<ObjectId, VersionedValue>> out;
-    for (const auto& [id, value] : data_) {  // lint: unordered-iter-ok (sorted below)
-      if (group_of(id) == group) out.emplace_back(id, value);
-    }
-    std::sort(out.begin(), out.end(),
-              [](const auto& a, const auto& b) { return a.first < b.first; });
-    return out;
-  }
+  /// Snapshot of one group for a migration transfer, with its byte count.
+  /// The sort matters: a group is an unordered map, and a snapshot in
+  /// hash-table order would make transfer event sequences (and anything
+  /// serialized from them) depend on the allocator — the determinism lint
+  /// flags exactly this pattern (unordered iteration feeding an output
+  /// path). The byte count is an order-insensitive sum.
+  GroupSnapshot export_group(std::uint32_t group) const;
 
   /// Drops every object of one group (called when this node stops holding
   /// the group's replica).
-  template <typename GroupFn>
-  void drop_group(std::uint32_t group, const GroupFn& group_of) {
-    for (auto it = data_.begin(); it != data_.end();) {
-      it = group_of(it->first) == group ? data_.erase(it) : std::next(it);
-    }
-  }
+  void drop_group(std::uint32_t group);
 
-  /// Total bytes of stored values in one group (migration transfer size).
-  template <typename GroupFn>
-  std::size_t group_bytes(std::uint32_t group, const GroupFn& group_of) const {
-    std::size_t total = 0;
-    // Order-insensitive reduction (a sum), so hash order cannot leak out.
-    for (const auto& [id, value] : data_) {  // lint: unordered-iter-ok
-      if (group_of(id) == group) total += value.data.size() + sizeof(Version) + sizeof(ObjectId);
-    }
-    return total;
-  }
-
-  std::size_t object_count() const { return data_.size(); }
+  std::size_t object_count() const;
 
  private:
-  std::unordered_map<ObjectId, VersionedValue> data_;
+  using GroupData = std::unordered_map<ObjectId, VersionedValue>;
+  /// Indexed by group id; grows to the highest group written here.
+  std::vector<GroupData> groups_;  // lint: alloc-ok (warm-up sizing)
 };
 
 }  // namespace geored::store

@@ -13,11 +13,49 @@
 
 #include <compare>
 #include <cstdint>
+#include <memory>
+#include <ostream>
 #include <string>
+#include <string_view>
 
 namespace geored::store {
 
 using ObjectId = std::uint64_t;
+
+/// The immutable bytes of one written value, shared by reference.
+///
+/// A put materializes its bytes once; every replica that stores the value,
+/// every message carrying it, every read result, read repair and migration
+/// snapshot holds a handle to those same bytes. Copying a Payload costs a
+/// reference-count increment, never a byte copy, and the bytes are freed
+/// with the last handle. The empty payload holds no allocation.
+class Payload {
+ public:
+  Payload() = default;
+  // Implicit, so values can be written as strings: {"bytes", version}.
+  Payload(std::string bytes)  // NOLINT(google-explicit-constructor)
+      : bytes_(bytes.empty() ? nullptr
+                             : std::make_shared<const std::string>(std::move(bytes))) {}
+  Payload(const char* bytes)  // NOLINT(google-explicit-constructor)
+      : Payload(std::string(bytes)) {}
+
+  std::string_view view() const {
+    return bytes_ ? std::string_view(*bytes_) : std::string_view();
+  }
+  // Implicit, so a payload reads like the string it holds.
+  operator std::string_view() const { return view(); }  // NOLINT(google-explicit-constructor)
+  std::size_t size() const { return bytes_ ? bytes_->size() : 0; }
+
+  /// Compares bytes, not identity (a Payload converts to string_view, so
+  /// this also compares two payloads).
+  friend bool operator==(const Payload& a, std::string_view b) { return a.view() == b; }
+  friend std::ostream& operator<<(std::ostream& os, const Payload& p) {
+    return os << p.view();
+  }
+
+ private:
+  std::shared_ptr<const std::string> bytes_;
+};
 
 struct Version {
   std::uint64_t logical = 0;  ///< Lamport counter
@@ -35,7 +73,7 @@ struct Version {
 
 /// A value with its version. Empty data + zero version = "not found".
 struct VersionedValue {
-  std::string data;
+  Payload data;
   Version version;
 
   bool exists() const { return version != Version::zero(); }

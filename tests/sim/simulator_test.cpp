@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 namespace geored::sim {
@@ -100,6 +103,52 @@ TEST(Simulator, RejectsSchedulingInThePast) {
   EXPECT_THROW(simulator.schedule_after(-1.0, [] {}), std::invalid_argument);
   EXPECT_THROW(simulator.run_until(5.0), std::invalid_argument);
   EXPECT_THROW(simulator.schedule_at(20.0, nullptr), std::invalid_argument);
+}
+
+/// True when `fn` throws std::invalid_argument whose message contains `text`.
+template <typename Fn>
+bool rejects_with(Fn&& fn, const std::string& text) {
+  try {
+    fn();
+  } catch (const std::invalid_argument& e) {
+    return std::string(e.what()).find(text) != std::string::npos;
+  }
+  return false;
+}
+
+TEST(Simulator, RejectsNonFiniteTimesWithTheirOwnMessage) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  Simulator simulator;
+  simulator.schedule_at(10.0, [] {});
+  simulator.run();
+  for (const double t : {kInf, -kInf, nan}) {
+    EXPECT_TRUE(rejects_with([&] { simulator.schedule_at(t, [] {}); }, "must be finite")) << t;
+    EXPECT_TRUE(rejects_with([&] { simulator.schedule_after(t, [] {}); }, "must be finite"))
+        << t;
+    EXPECT_TRUE(rejects_with([&] { simulator.run_until(t); }, "must be finite")) << t;
+  }
+  // Nothing was queued and the clock did not move.
+  EXPECT_EQ(simulator.pending_events(), 0u);
+  EXPECT_EQ(simulator.now(), 10.0);
+  // The past is still rejected as the past.
+  EXPECT_TRUE(rejects_with([&] { simulator.schedule_at(5.0, [] {}); }, "in the past"));
+}
+
+TEST(Simulator, ReusesCallbackSlotsAcrossNestedScheduling) {
+  // Callbacks that schedule while running land in slots the queue just
+  // freed; each must still run exactly once, with its own captures.
+  Simulator simulator;
+  std::vector<int> order;
+  for (int i = 0; i < 4; ++i) {
+    simulator.schedule_at(1.0, [&simulator, &order, i] {
+      order.push_back(i);
+      simulator.schedule_after(0.0, [&order, i] { order.push_back(10 + i); });
+    });
+  }
+  EXPECT_EQ(simulator.run(), 8u);
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 10, 11, 12, 13}));
+  EXPECT_EQ(simulator.pending_events(), 0u);
 }
 
 TEST(Simulator, ScheduleAfterIsRelative) {

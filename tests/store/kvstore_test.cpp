@@ -184,11 +184,12 @@ TEST(KvStore, LastWriterWinsConvergesAllReplicas) {
   store.put(4, world.positions[4], kId, "from-east", [](const PutResult&) {});
   simulator.run();
 
-  const auto& placement = store.placement_of_group(store.group_of(kId));
-  const VersionedValue reference = store.storage_at(placement.front()).read(kId);
+  const std::uint32_t group = store.group_of(kId);
+  const auto& placement = store.placement_of_group(group);
+  const VersionedValue reference = store.storage_at(placement.front()).read(group, kId);
   ASSERT_TRUE(reference.exists());
   for (const auto node : placement) {
-    const VersionedValue value = store.storage_at(node).read(kId);
+    const VersionedValue value = store.storage_at(node).read(group, kId);
     EXPECT_EQ(value.version, reference.version);
     EXPECT_EQ(value.data, reference.data);
   }
@@ -230,11 +231,11 @@ TEST(KvStore, PlacementEpochMigratesGroupData) {
     // Every current replica can serve every object that was written.
     bool was_written = false;
     for (const auto node : placement) {
-      if (store.storage_at(node).read(id).exists()) was_written = true;
+      if (store.storage_at(node).read(group, id).exists()) was_written = true;
     }
     if (was_written) {
       for (const auto node : placement) {
-        EXPECT_TRUE(store.storage_at(node).read(id).exists())
+        EXPECT_TRUE(store.storage_at(node).read(group, id).exists())
             << "object " << id << " missing at dc" << node;
       }
     }
@@ -275,7 +276,7 @@ TEST(KvStore, ReadRepairConvergesStaleReplicas) {
   // After the dust settles every replica holds the repaired value.
   const auto& placement = store.placement_of_group(store.group_of(42));
   for (const auto node : placement) {
-    EXPECT_EQ(store.storage_at(node).read(42).data, "fresher");
+    EXPECT_EQ(store.storage_at(node).read(store.group_of(42), 42).data, "fresher");
   }
 }
 
@@ -289,6 +290,47 @@ TEST(KvStore, ReadRepairOffByDefault) {
   store.get(3, world.positions[3], 1, [](const GetResult&) {});
   simulator.run();
   EXPECT_EQ(store.read_repairs(), 0u);
+}
+
+TEST(KvStore, RejectedCallsLeaveNoTrace) {
+  // A put/get with a client outside the topology or coordinates of the
+  // wrong dimension is rejected before it records an access, mints a
+  // version, sends a message or touches storage.
+  StoreWorld world({0, 100, 200, 50}, 3);
+  const auto fresh_version = [&] {
+    sim::Simulator simulator;
+    sim::Network network(simulator, world.topology);
+    ReplicatedKvStore store(simulator, network, world.candidates, config_with(3, 1, 1, 1), 1);
+    Version version;
+    store.put(3, world.positions[3], 1, "x", [&](const PutResult& r) { version = r.version; });
+    simulator.run();
+    return version;
+  };
+
+  sim::Simulator simulator;
+  sim::Network network(simulator, world.topology);
+  ReplicatedKvStore store(simulator, network, world.candidates, config_with(3, 1, 1, 1), 1);
+  const Point wrong_dim{50.0, 0.0};
+  const auto put_cb = [](const PutResult&) {};
+  const auto get_cb = [](const GetResult&) {};
+  EXPECT_THROW(store.put(99, world.positions[3], 1, "x", put_cb), std::invalid_argument);
+  EXPECT_THROW(store.get(99, world.positions[3], 1, get_cb), std::invalid_argument);
+  EXPECT_THROW(store.put(3, wrong_dim, 1, "x", put_cb), std::invalid_argument);
+  EXPECT_THROW(store.get(3, wrong_dim, 1, get_cb), std::invalid_argument);
+
+  EXPECT_EQ(simulator.pending_events(), 0u);
+  EXPECT_EQ(store.manager_of_group(0).epoch_accesses(), 0u);
+  EXPECT_EQ(network.stats().total_bytes(), 0u);
+  EXPECT_EQ(store.reads() + store.writes(), 0u);
+  for (const auto& candidate : world.candidates) {
+    EXPECT_EQ(store.storage_at(candidate.node).object_count(), 0u);
+  }
+  // Client 3's clock minted nothing: its next put gets a fresh store's version.
+  Version version;
+  store.put(3, world.positions[3], 1, "x", [&](const PutResult& r) { version = r.version; });
+  simulator.run();
+  EXPECT_EQ(version, fresh_version());
+  EXPECT_EQ(store.manager_of_group(0).epoch_accesses(), 1u);
 }
 
 TEST(KvStore, LatencyReflectsQuorumSize) {

@@ -42,7 +42,8 @@ contract rest on. Checks, over src/:
   6. hot-alloc         No std::vector construction inside the hot kernel
                        files (the distance kernels, k-means, the evaluators,
                        the summarizer ingest path, the RNP/Vivaldi gossip
-                       step): per-call scratch there
+                       step, the simulator and the kv store's data path):
+                       per-call scratch there
                        goes through the epoch arena (common/arena.h) or a
                        reused buffer, so allocation regressions cannot sneak
                        back into the million-client paths. Deliberate sites
@@ -134,6 +135,11 @@ HOT_ALLOC_FILES = (
     "src/core/epoch_trace.h",
     "src/serve/request_router.cpp",
     "src/serve/latency_histogram.h",
+    "src/sim/simulator.cpp",
+    "src/sim/network.cpp",
+    "src/store/kvstore.cpp",
+    "src/store/storage_node.h",
+    "src/store/storage_node.cpp",
 )
 
 SUPPRESSIONS = {
