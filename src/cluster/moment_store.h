@@ -23,120 +23,20 @@
 // equivalence suites serialize both and compare bytes.
 #pragma once
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <limits>
 #include <utility>
 #include <vector>
 
 #include "cluster/microcluster.h"
 #include "common/ensure.h"
 #include "common/point_set.h"
-
-#if defined(__x86_64__)
-#include <immintrin.h>
-#endif
+#include "common/point_set_simd.h"
 
 namespace geored::cluster {
 
 namespace detail {
-
-#if defined(__x86_64__)
-
-/// Stack bound for the SIMD scan's distance buffer; stores larger than this
-/// (far beyond any summarizer budget) take the scalar fallback.
-inline constexpr std::size_t kMaxSimdScanRows = 64;
-
-/// Squared distance from `q` to each of the n transposed centroid columns,
-/// four micro-clusters per 256-bit lane group. Each lane executes the exact
-/// scalar sequence diff = c[d] - q[d]; total += diff * diff in ascending d,
-/// so every per-row result is bit-identical to PointSet::distance_squared
-/// (the target attribute enables AVX2 only — no FMA, so the multiply and
-/// add cannot be contracted).
-__attribute__((target("avx2"))) inline void distances_avx2(const double* tcols,
-                                                           std::size_t stride, std::size_t n,
-                                                           std::size_t d_n, const double* q,
-                                                           double* dists) {
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    __m256d acc = _mm256_setzero_pd();
-    for (std::size_t d = 0; d < d_n; ++d) {
-      const __m256d c = _mm256_loadu_pd(tcols + d * stride + i);
-      const __m256d diff = _mm256_sub_pd(c, _mm256_set1_pd(q[d]));
-      acc = _mm256_add_pd(acc, _mm256_mul_pd(diff, diff));
-    }
-    _mm256_storeu_pd(dists + i, acc);
-  }
-  for (; i < n; ++i) {
-    double total = 0.0;
-    for (std::size_t d = 0; d < d_n; ++d) {
-      const double diff = tcols[d * stride + i] - q[d];
-      total += diff * diff;
-    }
-    dists[i] = total;
-  }
-}
-
-/// Sentinel returned by nearest8_avx2 when the in-register argmin cannot
-/// prove it matched the scalar scan (a NaN distance); the caller falls back
-/// to PointSet::nearest_of for those rows.
-inline constexpr std::size_t kScanFallback = static_cast<std::size_t>(-1);
-
-/// Fused nearest scan for stores of at most 8 rows — one micro-cluster per
-/// lane across two 256-bit groups, with the argmin kept in registers: a
-/// horizontal min reduction followed by an equality mask, whose first set
-/// bit is exactly the strict-`<` first winner of the scalar scan (a later
-/// row equal to the running best never replaces it, so the winner is the
-/// lowest index achieving the minimum). Per-lane distances use the same
-/// correctly-rounded subtract/multiply/add sequence as distances_avx2, so
-/// both the winning index and the returned squared distance are
-/// bit-identical to the scalar scan. NaN distances (only possible from
-/// non-finite coordinates) would not survive the min reduction faithfully,
-/// so any NaN defers to the scalar scan via kScanFallback.
-__attribute__((target("avx2"))) inline std::size_t nearest8_avx2(const double* tcols,
-                                                                 std::size_t stride,
-                                                                 std::size_t n, std::size_t d_n,
-                                                                 const double* q,
-                                                                 double* out_dist) {
-  __m256d acc0 = _mm256_setzero_pd();
-  __m256d acc1 = _mm256_setzero_pd();
-  for (std::size_t d = 0; d < d_n; ++d) {
-    const __m256d qd = _mm256_set1_pd(q[d]);
-    const double* col = tcols + d * stride;
-    const __m256d diff0 = _mm256_sub_pd(_mm256_loadu_pd(col), qd);
-    acc0 = _mm256_add_pd(acc0, _mm256_mul_pd(diff0, diff0));
-    const __m256d diff1 = _mm256_sub_pd(_mm256_loadu_pd(col + 4), qd);
-    acc1 = _mm256_add_pd(acc1, _mm256_mul_pd(diff1, diff1));
-  }
-  // Lanes >= n hold garbage (the shadow's stride is always >= 8); force
-  // them to +inf so they can never win the min. Done before the NaN check
-  // so NaN garbage cannot trigger the fallback.
-  const __m256d nv = _mm256_set1_pd(static_cast<double>(n));
-  const __m256d inf = _mm256_set1_pd(std::numeric_limits<double>::infinity());
-  acc0 = _mm256_blendv_pd(inf, acc0,
-                          _mm256_cmp_pd(_mm256_setr_pd(0.0, 1.0, 2.0, 3.0), nv, _CMP_LT_OQ));
-  acc1 = _mm256_blendv_pd(inf, acc1,
-                          _mm256_cmp_pd(_mm256_setr_pd(4.0, 5.0, 6.0, 7.0), nv, _CMP_LT_OQ));
-  const int nan_mask = _mm256_movemask_pd(_mm256_cmp_pd(acc0, acc0, _CMP_UNORD_Q)) |
-                       _mm256_movemask_pd(_mm256_cmp_pd(acc1, acc1, _CMP_UNORD_Q));
-  if (nan_mask != 0) return kScanFallback;
-  // Horizontal min, broadcast to every lane of m.
-  __m256d m = _mm256_min_pd(acc0, acc1);
-  m = _mm256_min_pd(m, _mm256_permute2f128_pd(m, m, 1));
-  m = _mm256_min_pd(m, _mm256_shuffle_pd(m, m, 0b0101));
-  const int eq = _mm256_movemask_pd(_mm256_cmp_pd(acc0, m, _CMP_EQ_OQ)) |
-                 (_mm256_movemask_pd(_mm256_cmp_pd(acc1, m, _CMP_EQ_OQ)) << 4);
-  // NaN-free, so some lane equals the min. A padding lane can only match
-  // when the min itself is +inf, and lane 0 is real and +inf in that case,
-  // so the first set bit is always a real row — matching the scalar scan's
-  // best = 0 when nothing beats infinity.
-  *out_dist = _mm256_cvtsd_f64(m);
-  return static_cast<std::size_t>(__builtin_ctz(static_cast<unsigned>(eq)));
-}
-
-inline const bool kHasAvx2 = __builtin_cpu_supports("avx2");
-
-#endif  // defined(__x86_64__)
 
 /// Debug mirror of the MicroCluster moments_consistent check, over raw rows.
 inline bool moment_row_consistent(std::uint64_t count, double weight, const double* sum,
@@ -186,9 +86,11 @@ class MomentStore {
   /// order) and true is returned; on failure the store is untouched.
   /// Requires a non-empty store and `dim()` components at `coords`.
   ///
-  /// Defined inline (like radius below) so the per-access ingest loop in the
-  /// summarizer compiles to one flat kernel with no cross-TU calls.
-  bool try_absorb(const double* coords, double weight) {
+  /// Forced inline so the summarizer's per-access loops make one call per
+  /// access, into the nearest scan: at -O2 GCC leaves this body out of
+  /// line, and the call plus reloading the store's fields costs about 3 ns
+  /// of an access's ~50 (ingest_stream, docs/performance.md).
+  [[gnu::always_inline]] bool try_absorb(const double* coords, double weight) {
     GEORED_CHECK(!empty(), "try_absorb on an empty store");
     double dist_sq = 0.0;
     const std::size_t nearest = nearest_centroid(coords, &dist_sq);
@@ -273,58 +175,24 @@ class MomentStore {
 
   /// Index of the centroid nearest to `coords` plus its squared distance —
   /// the scan inside try_absorb, exposed so tests can compare it against
-  /// PointSet::nearest_of directly. Bit-identical to that scan: on AVX2
-  /// hardware it runs one micro-cluster per SIMD lane over the transposed
-  /// centroid shadow (each lane executes the exact per-dimension subtract /
-  /// multiply / accumulate sequence of the scalar kernel, and the argmin
-  /// over the finished distances is the same strict-`<` first-winner loop),
-  /// elsewhere it falls back to the scalar scan.
+  /// PointSet::nearest_of directly. Runs simd::nearest_column over the
+  /// transposed centroid shadow at simd::active_level(), one micro-cluster
+  /// per SIMD lane; that kernel is bit-identical to the scalar scan at every
+  /// level.
   std::size_t nearest_centroid(const double* coords, double* dist_sq) const {
-#if defined(__x86_64__)
-    const std::size_t n = size();
-    if (detail::kHasAvx2 && n >= 4 && n <= 8) {
-      // Typical summarizer budgets fit one lane pair: the whole scan —
-      // distances and argmin — stays in registers.
-      double best_dist = 0.0;
-      const std::size_t best =
-          detail::nearest8_avx2(centroids_t_.data(), t_stride_, n, dim(), coords, &best_dist);
-      if (best != detail::kScanFallback) {
-        GEORED_DCHECK(
-            [&] {
-              double ref_dist = 0.0;
-              const std::size_t ref = centroids_.nearest_of(coords, &ref_dist);
-              return ref == best && ref_dist == best_dist;
-            }(),
-            "in-register SIMD nearest scan diverged from PointSet::nearest_of");
-        if (dist_sq != nullptr) *dist_sq = best_dist;
-        return best;
-      }
-      return centroids_.nearest_of(coords, dist_sq);
-    }
-    if (detail::kHasAvx2 && n > 8 && n <= detail::kMaxSimdScanRows) {
-      double dists[detail::kMaxSimdScanRows];
-      detail::distances_avx2(centroids_t_.data(), t_stride_, n, dim(), coords, dists);
-      // The same strict-`<` first-winner argmin as PointSet::nearest_of,
-      // over bit-identical distances.
-      std::size_t best = 0;
-      double best_dist = std::numeric_limits<double>::infinity();
-      for (std::size_t i = 0; i < n; ++i) {
-        const bool better = dists[i] < best_dist;
-        best = better ? i : best;
-        best_dist = better ? dists[i] : best_dist;
-      }
-      GEORED_DCHECK(
-          [&] {
-            double ref_dist = 0.0;
-            const std::size_t ref = centroids_.nearest_of(coords, &ref_dist);
-            return ref == best && ref_dist == best_dist;
-          }(),
-          "transposed SIMD nearest scan diverged from PointSet::nearest_of");
-      if (dist_sq != nullptr) *dist_sq = best_dist;
-      return best;
-    }
-#endif
-    return centroids_.nearest_of(coords, dist_sq);
+    const simd::Level level = simd::active_level();
+    double best_dist = 0.0;
+    const std::size_t best = simd::nearest_column(centroids_t_.data(), t_stride_, size(),
+                                                  dim(), coords, &best_dist, level);
+    GEORED_DCHECK(
+        [&] {
+          double ref_dist = 0.0;
+          const std::size_t ref = centroids_.nearest_of(coords, &ref_dist);
+          return ref == best && ref_dist == best_dist;
+        }(),
+        "column nearest scan diverged from PointSet::nearest_of");
+    if (dist_sq != nullptr) *dist_sq = best_dist;
+    return best;
   }
 
   /// Materializes row i back into the wire/API representation; moments are
@@ -333,70 +201,26 @@ class MomentStore {
 
  private:
   /// MicroCluster::absorb on the flat rows — the shared tail of both
-  /// try_absorb accept paths. On AVX2 hardware the moment updates and the
-  /// centroid refresh run fused, four dimensions per lane group; every lane
-  /// op (vaddpd / vmulpd / vdivpd) is the correctly-rounded IEEE operation
-  /// the scalar loop performs on that component, so the stored moments are
-  /// bit-identical either way.
+  /// try_absorb accept paths. One pass per component: sum += c, sum2 +=
+  /// c*c, then refresh_centroid's centroid = sum / n into both layouts.
+  /// Components are independent, so fusing the passes changes no result,
+  /// but it matters for speed: the next access's nearest scan reads the new
+  /// centroid, so these divisions sit on the per-access dependency chain
+  /// and should issue as early as possible.
   void absorb_into(std::size_t i, const double* coords, double weight) {
-#if defined(__x86_64__)
-    if (detail::kHasAvx2) {
-      absorb_into_avx2(i, coords, weight);
-      return;
-    }
-#endif
     const std::size_t d_n = dim();
-    ++counts_[i];
-    weights_[i] += weight;
-    double* sum = sums_.mutable_row(i);
-    double* sum2 = sum2s_.mutable_row(i);
-    for (std::size_t d = 0; d < d_n; ++d) sum[d] += coords[d];
-    for (std::size_t d = 0; d < d_n; ++d) sum2[d] += coords[d] * coords[d];
-    refresh_centroid(i);
-    radii_[i] = -1.0;
-    GEORED_DCHECK(detail::moment_row_consistent(counts_[i], weights_[i], sums_.row(i),
-                                                sum2s_.row(i), d_n),
-                  "moment row inconsistent after absorb");
-  }
-
-#if defined(__x86_64__)
-  /// AVX2 body of absorb_into: same per-component operations in the same
-  /// per-component order (sum += c, then sum2 += c*c, then centroid =
-  /// sum / n — components are independent, so lane grouping cannot change
-  /// any result). The target attribute enables AVX2 only, keeping FMA
-  /// contraction impossible.
-  __attribute__((target("avx2"))) void absorb_into_avx2(std::size_t i, const double* coords,
-                                                        double weight) {
-    const std::size_t d_n = dim();
-    ++counts_[i];
+    const auto n = static_cast<double>(++counts_[i]);
     weights_[i] += weight;
     double* sum = sums_.mutable_row(i);
     double* sum2 = sum2s_.mutable_row(i);
     double* centroid = centroids_.mutable_row(i);
     double* tcol = centroids_t_.data() + i;
-    const __m256d vn = _mm256_set1_pd(static_cast<double>(counts_[i]));
-    std::size_t d = 0;
-    for (; d + 4 <= d_n; d += 4) {
-      const __m256d c = _mm256_loadu_pd(coords + d);
-      const __m256d s = _mm256_add_pd(_mm256_loadu_pd(sum + d), c);
-      _mm256_storeu_pd(sum + d, s);
-      const __m256d s2 = _mm256_add_pd(_mm256_loadu_pd(sum2 + d), _mm256_mul_pd(c, c));
-      _mm256_storeu_pd(sum2 + d, s2);
-      const __m256d cent = _mm256_div_pd(s, vn);
-      _mm256_storeu_pd(centroid + d, cent);
-      alignas(32) double lanes[4];
-      _mm256_store_pd(lanes, cent);
-      tcol[(d + 0) * t_stride_] = lanes[0];
-      tcol[(d + 1) * t_stride_] = lanes[1];
-      tcol[(d + 2) * t_stride_] = lanes[2];
-      tcol[(d + 3) * t_stride_] = lanes[3];
-    }
-    const double n = static_cast<double>(counts_[i]);
-    for (; d < d_n; ++d) {
+    for (std::size_t d = 0; d < d_n; ++d) {
       const double c = coords[d];
-      sum[d] += c;
+      const double s = sum[d] + c;
+      sum[d] = s;
       sum2[d] += c * c;
-      const double value = sum[d] / n;
+      const double value = s / n;
       centroid[d] = value;
       tcol[d * t_stride_] = value;
     }
@@ -405,7 +229,6 @@ class MomentStore {
                                                 sum2s_.row(i), d_n),
                   "moment row inconsistent after absorb");
   }
-#endif
 
   /// Rewrites centroid row i as sums[i] / count[i] (the exact division
   /// sequence of MicroCluster::centroid). Every mutation ends here, which
@@ -449,8 +272,8 @@ class MomentStore {
   mutable std::vector<double> radii_;
   /// Column-major (dimension-major) shadow of centroids_: component d of
   /// row i lives at [d * t_stride_ + i]. This is the layout the lane-per-
-  /// cluster SIMD nearest scan consumes; kept in sync by refresh_centroid
-  /// and the append/erase paths. t_stride_ >= size() always.
+  /// cluster simd::nearest_column scan consumes; kept in sync by
+  /// refresh_centroid and the append/erase paths. t_stride_ >= size() always.
   std::vector<double> centroids_t_;
   std::size_t t_stride_ = 0;
   std::vector<double> scratch_;

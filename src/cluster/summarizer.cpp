@@ -35,6 +35,7 @@ void MicroClusterSummarizer::add_batch(const PointSet& coords, std::span<const d
                   "access weight must be finite and non-negative");
   }
   const std::size_t dim = coords.dim();
+  GEORED_ENSURE(store_.empty() || dim == store_.dim(), "dimension mismatch in add");
   cache_valid_ = false;
   total_count_ += n;
   std::size_t i = 0;
@@ -42,13 +43,6 @@ void MicroClusterSummarizer::add_batch(const PointSet& coords, std::span<const d
     store_.append_singleton(coords.row(0), dim, weights.empty() ? 1.0 : weights[0]);
     i = 1;
   }
-  GEORED_ENSURE(dim == store_.dim(), "dimension mismatch in add");
-#if defined(__x86_64__)
-  if (detail::kHasAvx2) {
-    ingest_batch_avx2(coords, weights, i);
-    return;
-  }
-#endif
   // Batch-only advantage over the per-access API: upcoming rows are known,
   // so their cache lines can be requested while the current row is being
   // ingested. Distance 8 covers the ingest latency of one row at typical
@@ -58,60 +52,25 @@ void MicroClusterSummarizer::add_batch(const PointSet& coords, std::span<const d
     if (i + kPrefetchAhead < n) {
       __builtin_prefetch(coords.row(i + kPrefetchAhead));
     }
-    ingest_row(coords.row(i), dim, weights.empty() ? 1.0 : weights[i]);
-  }
-}
-
-#if defined(__x86_64__)
-__attribute__((target("avx2"), flatten)) void MicroClusterSummarizer::ingest_batch_avx2(
-    const PointSet& coords, std::span<const double> weights, std::size_t begin) {
-  // Same operations as the baseline add_batch loop; the target attribute is
-  // the only semantic difference (see the header comment), and `flatten`
-  // forces the fused absorb kernel to inline here — the inliner's cost
-  // model otherwise leaves ingest_row as an opaque per-access call. The
-  // scalar arithmetic inside merely picks up VEX encodings — the attribute
-  // enables AVX2 only, never FMA, so no contraction can change a result.
-  const std::size_t n = coords.size();
-  const std::size_t dim = coords.dim();
-  constexpr std::size_t kPrefetchAhead = 8;
-  for (std::size_t i = begin; i < n; ++i) {
-    if (i + kPrefetchAhead < n) {
-      __builtin_prefetch(coords.row(i + kPrefetchAhead));
-    }
     const double weight = weights.empty() ? 1.0 : weights[i];
-    // ingest_row's body, spelled out so every callee is an inline candidate
-    // in this AVX2 context.
-    if (store_.try_absorb(coords.row(i), weight)) continue;
-    store_.append_singleton(coords.row(i), dim, weight);
-    if (store_.size() > config_.max_clusters) {
-      const auto [best_a, best_b] = store_.closest_pair();
-      store_.merge_rows(best_a, best_b);
-    }
-    GEORED_DCHECK(store_.size() <= config_.max_clusters,
-                  "summarizer exceeded its micro-cluster budget after add");
+    if (!store_.try_absorb(coords.row(i), weight)) spawn_row(coords.row(i), dim, weight);
   }
 }
-#endif
 
 void MicroClusterSummarizer::add_row(const double* coords, std::size_t dim, double weight) {
   GEORED_ENSURE(std::isfinite(weight) && weight >= 0.0,
                 "access weight must be finite and non-negative");
+  GEORED_ENSURE(store_.empty() || dim == store_.dim(), "dimension mismatch in add");
   cache_valid_ = false;
   ++total_count_;
   if (store_.empty()) {
     store_.append_singleton(coords, dim, weight);
     return;
   }
-  GEORED_ENSURE(dim == store_.dim(), "dimension mismatch in add");
-  ingest_row(coords, dim, weight);
+  if (!store_.try_absorb(coords, weight)) spawn_row(coords, dim, weight);
 }
 
-void MicroClusterSummarizer::ingest_row(const double* coords, std::size_t dim, double weight) {
-  // The paper's rule, fused: absorb when the client is within the nearest
-  // cluster's cached radius (max of the configured floor and the scaled
-  // stddev), otherwise spawn and merge the closest pair over budget.
-  if (store_.try_absorb(coords, weight)) return;
-
+void MicroClusterSummarizer::spawn_row(const double* coords, std::size_t dim, double weight) {
   store_.append_singleton(coords, dim, weight);
   if (store_.size() > config_.max_clusters) {
     const auto [best_a, best_b] = store_.closest_pair();

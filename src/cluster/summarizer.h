@@ -57,14 +57,17 @@ class MicroClusterSummarizer {
 
   /// Records one access by a client at `coords` transferring `weight` units
   /// of data (e.g. bytes, normalized). Weights must be finite and
-  /// non-negative.
+  /// non-negative, and `coords` must match the dimension of the clusters
+  /// already held; a rejected access changes nothing, not even
+  /// total_count().
   void add(const Point& coords, double weight = 1.0);
 
   /// Records a batch of accesses: row i of `coords` with weights[i] (or 1.0
   /// for every row when `weights` is empty). Equivalent to calling add()
   /// per row in order — batching only amortizes the call overhead, it never
-  /// changes the result. Weights are validated before any row is ingested,
-  /// so a non-finite or negative weight rejects the whole batch.
+  /// changes the result. Weights and the dimension are validated before any
+  /// row is ingested, so a non-finite or negative weight or a dimension
+  /// mismatch rejects the whole batch and leaves the summarizer untouched.
   void add_batch(const PointSet& coords, std::span<const double> weights = {});
 
   /// Inserts a whole micro-cluster (e.g. one inherited from a replica that
@@ -102,20 +105,10 @@ class MicroClusterSummarizer {
 
  private:
   void add_row(const double* coords, std::size_t dim, double weight);
-  /// The absorb-or-spawn core shared by add_row and add_batch, after the
-  /// caller has validated the weight and handled the empty-store bootstrap.
-  void ingest_row(const double* coords, std::size_t dim, double weight);
-#if defined(__x86_64__)
-  /// ingest_row over rows [begin, n) of a batch, compiled as one AVX2
-  /// function. GCC cannot inline a target("avx2") callee into a baseline
-  /// caller, so dispatching per access would pay two opaque calls (nearest
-  /// scan + absorb tail) per row; hoisting the target attribute to the
-  /// whole batch loop lets the fused kernel inline flat. Same operations,
-  /// same results — the equivalence suites cover this path on AVX2 hosts.
-  __attribute__((target("avx2"))) void ingest_batch_avx2(const PointSet& coords,
-                                                         std::span<const double> weights,
-                                                         std::size_t begin);
-#endif
+  /// The paper's rule for an access that MomentStore::try_absorb rejected:
+  /// spawn a singleton cluster, then merge the closest pair over budget.
+  /// Shared by add_row and add_batch, which run try_absorb inline first.
+  void spawn_row(const double* coords, std::size_t dim, double weight);
 
   SummarizerConfig config_;
   MomentStore store_;

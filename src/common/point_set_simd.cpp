@@ -97,6 +97,26 @@ void assigned_distance_tail(const double* points, std::size_t dim, const std::si
   }
 }
 
+/// kScalar backend of nearest_column: nearest_tail's scan with each row
+/// read down its column of the dimension-major panel.
+std::size_t nearest_column_scalar(const double* tcols, std::size_t stride, std::size_t n,
+                                  std::size_t dim, const double* query, double* best_dist_sq) {
+  std::size_t best = 0;
+  double best_dist = std::numeric_limits<double>::infinity();
+  for (std::size_t i = 0; i < n; ++i) {
+    double total = 0.0;
+    for (std::size_t d = 0; d < dim; ++d) {
+      const double diff = tcols[d * stride + i] - query[d];
+      total += diff * diff;
+    }
+    const bool better = total < best_dist;
+    best = better ? i : best;
+    best_dist = better ? total : best_dist;
+  }
+  *best_dist_sq = best_dist;
+  return best;
+}
+
 void distance_tail(const double* data, std::size_t n, std::size_t dim, const double* query,
                    double* out, std::size_t begin) {
   for (std::size_t i = begin; i < n; ++i) {
@@ -363,6 +383,85 @@ __attribute__((target("avx2"))) void distances_avx2(const double* data, std::siz
   distance_tail(data, n, dim, query, out, i);
 }
 
+/// nearest_column at kAvx2 and kAvx512 (the panel is a few L1-resident
+/// columns, so the 256-bit body is the whole story — see nearest2_batch for
+/// the frequency argument). One row per lane, 8-row blocks: a column of the
+/// panel is contiguous, so a block is two plain loads per dimension, no
+/// gather. Each block is reduced in registers — horizontal min, then the
+/// first lane holding it, which is the block's strict-`<` first winner — and
+/// replaces the running best only when strictly smaller, so the result is
+/// the scalar scan's. A NaN distance can never win that scan, and neither
+/// can +inf, so NaN lanes are pinned to +inf before the reduction (behind a
+/// branch finite inputs never take, keeping it off the per-access
+/// dependency chain): that changes no result and keeps the min reduction
+/// exact. A block whose minimum is +inf leaves the scan in its initial
+/// state (row 0, +inf), as in the scalar scan.
+__attribute__((target("avx2"))) std::size_t nearest_column_avx2(const double* tcols,
+                                                                std::size_t stride,
+                                                                std::size_t n, std::size_t dim,
+                                                                const double* query,
+                                                                double* best_dist_sq) {
+  const __m256d inf = _mm256_set1_pd(std::numeric_limits<double>::infinity());
+  std::size_t best = 0;
+  double best_dist = std::numeric_limits<double>::infinity();
+  for (std::size_t i = 0; i < n; i += 8) {
+    __m256d acc0 = _mm256_setzero_pd();
+    __m256d acc1 = _mm256_setzero_pd();
+    if (n - i >= 8) {
+      for (std::size_t d = 0; d < dim; ++d) {
+        const double* col = tcols + d * stride + i;
+        const __m256d qd = _mm256_set1_pd(query[d]);
+        const __m256d f0 = _mm256_sub_pd(_mm256_loadu_pd(col), qd);
+        const __m256d f1 = _mm256_sub_pd(_mm256_loadu_pd(col + 4), qd);
+        acc0 = _mm256_add_pd(acc0, _mm256_mul_pd(f0, f0));
+        acc1 = _mm256_add_pd(acc1, _mm256_mul_pd(f1, f1));
+      }
+    } else {
+      // The partial last block: masked loads read nothing at or past row n
+      // (the panel only promises stride >= n), and the dead lanes are
+      // pinned to +inf so they never win.
+      const __m256d left = _mm256_set1_pd(static_cast<double>(n - i));
+      const __m256d lanes0 = _mm256_setr_pd(0.0, 1.0, 2.0, 3.0);
+      const __m256d lanes1 = _mm256_setr_pd(4.0, 5.0, 6.0, 7.0);
+      const __m256d live0 = _mm256_cmp_pd(lanes0, left, _CMP_LT_OQ);
+      const __m256d live1 = _mm256_cmp_pd(lanes1, left, _CMP_LT_OQ);
+      const __m256i mask0 = _mm256_castpd_si256(live0);
+      const __m256i mask1 = _mm256_castpd_si256(live1);
+      for (std::size_t d = 0; d < dim; ++d) {
+        const double* col = tcols + d * stride + i;
+        const __m256d qd = _mm256_set1_pd(query[d]);
+        const __m256d f0 = _mm256_sub_pd(_mm256_maskload_pd(col, mask0), qd);
+        const __m256d f1 = _mm256_sub_pd(_mm256_maskload_pd(col + 4, mask1), qd);
+        acc0 = _mm256_add_pd(acc0, _mm256_mul_pd(f0, f0));
+        acc1 = _mm256_add_pd(acc1, _mm256_mul_pd(f1, f1));
+      }
+      acc0 = _mm256_blendv_pd(inf, acc0, live0);
+      acc1 = _mm256_blendv_pd(inf, acc1, live1);
+    }
+    const __m256d nan0 = _mm256_cmp_pd(acc0, acc0, _CMP_UNORD_Q);
+    const __m256d nan1 = _mm256_cmp_pd(acc1, acc1, _CMP_UNORD_Q);
+    if (_mm256_movemask_pd(_mm256_or_pd(nan0, nan1)) != 0) {
+      acc0 = _mm256_blendv_pd(acc0, inf, nan0);
+      acc1 = _mm256_blendv_pd(acc1, inf, nan1);
+    }
+    // Block minimum, broadcast to every lane.
+    __m256d m = _mm256_min_pd(acc0, acc1);
+    m = _mm256_min_pd(m, _mm256_permute2f128_pd(m, m, 1));
+    m = _mm256_min_pd(m, _mm256_shuffle_pd(m, m, 0b0101));
+    const double block_min = _mm256_cvtsd_f64(m);
+    if (block_min < best_dist) {
+      // NaN-free lanes, so some lane equals the minimum: the first set bit
+      // is the lowest row achieving it.
+      const int eq = _mm256_movemask_pd(_mm256_cmp_pd(acc0, m, _CMP_EQ_OQ)) |
+                     (_mm256_movemask_pd(_mm256_cmp_pd(acc1, m, _CMP_EQ_OQ)) << 4);
+      best = i + static_cast<std::size_t>(__builtin_ctz(static_cast<unsigned>(eq)));
+      best_dist = block_min;
+    }
+  }
+  *best_dist_sq = best_dist;
+  return best;
+}
+
 // --- Batched query-side backends (lane-per-query, see point_set_simd.h) ---
 //
 // Query coordinates are transposed once per 4-point block into one register
@@ -544,7 +643,7 @@ __attribute__((target("avx2"))) void weighted_scatter_add_avx2(
   }
 }
 
-Level probe_detected_level() {
+Level probe_cpu() {
   if (__builtin_cpu_supports("avx512f")) return Level::kAvx512;
   if (__builtin_cpu_supports("avx2")) return Level::kAvx2;
   return Level::kScalar;
@@ -552,37 +651,33 @@ Level probe_detected_level() {
 
 #else  // !defined(__x86_64__)
 
-Level probe_detected_level() { return Level::kScalar; }
+Level probe_cpu() { return Level::kScalar; }
 
 #endif
 
 Level parse_level_override(Level detected) {
   const char* env = std::getenv("GEORED_SIMD");
   if (env == nullptr || *env == '\0') return detected;
-  Level requested = detected;
-  if (std::strcmp(env, "scalar") == 0) {
-    requested = Level::kScalar;
-  } else if (std::strcmp(env, "avx2") == 0) {
+  Level requested = Level::kScalar;
+  if (std::strcmp(env, "avx2") == 0) {
     requested = Level::kAvx2;
   } else if (std::strcmp(env, "avx512") == 0) {
     requested = Level::kAvx512;
+  } else if (std::strcmp(env, "scalar") != 0) {
+    throw std::invalid_argument(std::string("GEORED_SIMD='") + env +
+                                "' is not a SIMD level; accepted values: empty, "
+                                "'scalar', 'avx2', 'avx512'");
   }
-  // Unknown values keep the detected level; a request above it clamps down
-  // (the hardware decides what can run, the variable can only forbid).
+  // A request above the detected level clamps down (the hardware decides
+  // what can run, the variable can only forbid).
   return requested < detected ? requested : detected;
 }
 
 }  // namespace
 
-Level detected_level() {
-  static const Level level = probe_detected_level();
-  return level;
-}
+Level detail::probe_detected_level() { return probe_cpu(); }
 
-Level active_level() {
-  static const Level level = parse_level_override(detected_level());
-  return level;
-}
+Level detail::resolve_active_level() { return parse_level_override(detected_level()); }
 
 const char* level_name(Level level) {
   switch (level) {
@@ -612,6 +707,21 @@ std::size_t nearest_row(const double* data, std::size_t n, std::size_t dim,
 #endif
   return nearest_tail(data, n, dim, query, 0, 0, std::numeric_limits<double>::infinity(),
                       best_dist_sq);
+}
+
+std::size_t nearest_column(const double* tcols, std::size_t stride, std::size_t n,
+                           std::size_t dim, const double* query, double* best_dist_sq,
+                           Level level) {
+  GEORED_ENSURE(n >= 1 && stride >= n && best_dist_sq != nullptr,
+                "nearest_column requires at least one row, stride >= n, and a result slot");
+#if defined(__x86_64__)
+  if (level >= Level::kAvx2 && detected_level() >= Level::kAvx2) {
+    return nearest_column_avx2(tcols, stride, n, dim, query, best_dist_sq);
+  }
+#else
+  (void)level;
+#endif
+  return nearest_column_scalar(tcols, stride, n, dim, query, best_dist_sq);
 }
 
 void distance_row(const double* data, std::size_t n, std::size_t dim, const double* query,

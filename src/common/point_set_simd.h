@@ -1,6 +1,10 @@
-// Runtime-dispatched SIMD backends for the PointSet distance kernels.
+// Runtime-dispatched SIMD backends for geored's distance kernels. This is
+// the only code that decides which instruction set runs: every other module
+// calls these kernels with active_level() (tools/geored_lint.py's
+// simd-dispatch rule keeps target attributes, intrinsics headers and CPU
+// probes out of the rest of the tree).
 //
-// The kernels here are the large-n code paths behind PointSet::nearest_of,
+// The row kernels are the large-n code paths behind PointSet::nearest_of,
 // PointSet::distance_row, and PointSet::pairwise_min_distance. Each backend
 // processes rows in fixed register blocks (16 rows per iteration on
 // AVX-512, 8 on AVX2) with one lane per row: every lane accumulates the
@@ -19,9 +23,10 @@
 // tile transpose costs more than it saves (the panel is streamed once per
 // query, so there is no reuse to block for), while the gathered form with
 // look-ahead prefetch measures ~2.3x over the scalar scan at 100k rows
-// (see docs/performance.md). The centroid-panel case (k-means, summarizer
-// budgets) stays on the small-n scalar/in-register paths, where the panel
-// is L1-resident by construction.
+// (see docs/performance.md). The small centroid panels are served by their
+// own shapes: nearest_column scans a summarizer's dimension-major centroid
+// shadow with plain column loads, and the batched kernels run k-means
+// assignment one query per lane.
 //
 // FP contraction: this header's implementations live in point_set_simd.cpp,
 // which is compiled with -ffp-contract=off (see src/common/CMakeLists.txt).
@@ -40,22 +45,39 @@ namespace geored::simd {
 /// capability order. Dispatch never selects a level the CPU lacks.
 enum class Level { kScalar = 0, kAvx2 = 1, kAvx512 = 2 };
 
-/// Highest level the running CPU supports (cached cpuid probe).
-Level detected_level();
+namespace detail {
+/// The out-of-line halves of detected_level() and active_level(): the CPU
+/// probe and the GEORED_SIMD parse, each run once per process.
+Level probe_detected_level();
+Level resolve_active_level();
+}  // namespace detail
 
-/// The level the PointSet kernels dispatch to: detected_level(), optionally
-/// lowered by the GEORED_SIMD environment variable ("scalar", "avx2",
-/// "avx512" — values above the detected level are clamped down). Read once;
-/// cached for the process lifetime.
-Level active_level();
+/// Highest level the running CPU supports (cached cpuid probe).
+inline Level detected_level() {
+  static const Level level = detail::probe_detected_level();
+  return level;
+}
+
+/// The level every SIMD kernel in geored dispatches to, micro-cluster ingest
+/// included: detected_level(), optionally lowered by the GEORED_SIMD
+/// environment variable ("scalar", "avx2", "avx512" — values above the
+/// detected level are clamped down). Read once; cached for the process
+/// lifetime. Any other non-empty value throws std::invalid_argument naming
+/// the accepted set, so a misspelled override cannot silently run the
+/// detected level. Inline, like detected_level(), because micro-cluster
+/// ingest asks once per access: the cached read must not cost a call.
+inline Level active_level() {
+  static const Level level = detail::resolve_active_level();
+  return level;
+}
 
 /// Stable lowercase name ("scalar" / "avx2" / "avx512") for reports.
 const char* level_name(Level level);
 
 /// Below this many rows a scan stays on PointSet's inline scalar loop: the
 /// kernel-call and horizontal-reduction overhead would dominate, and the
-/// small-n consumers (summarizer budgets, k-means centroid panels) are the
-/// latency-critical per-access paths.
+/// small-n consumers (k-means centroid panels, the summarizer's merge scan)
+/// are latency-critical paths.
 inline constexpr std::size_t kMinSimdRows = 32;
 
 /// Strict-`<` first-winner argmin of squared distances from `query` to the
@@ -64,6 +86,19 @@ inline constexpr std::size_t kMinSimdRows = 32;
 /// scalar PointSet::nearest_of scan at every level.
 std::size_t nearest_row(const double* data, std::size_t n, std::size_t dim,
                         const double* query, double* best_dist_sq, Level level);
+
+/// nearest_row over a dimension-major panel: component d of row i sits at
+/// tcols[d * stride + i] (each row is a column of the panel). This is the
+/// micro-cluster ingest scan (cluster/MomentStore keeps its centroids in
+/// this layout), so it has no small-n cutoff: the vector body runs one row
+/// per lane in 8-row blocks from n = 1, and masked loads keep it from
+/// reading rows at or past n. Same contract as nearest_row — per-row
+/// squared distances summed in ascending d, strict-`<` first winner, a NaN
+/// distance never wins — and bit-identical to the scalar scan at every
+/// level. Requires n >= 1 and stride >= n.
+std::size_t nearest_column(const double* tcols, std::size_t stride, std::size_t n,
+                           std::size_t dim, const double* query, double* best_dist_sq,
+                           Level level);
 
 /// Euclidean distance from `query` to every row, written to out[0..n).
 /// vsqrtpd is correctly rounded, so results are bit-identical to

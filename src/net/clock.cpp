@@ -1,5 +1,5 @@
 // The single src/net/ translation unit allowed to read the real clock
-// (tools/lint_conventions.py: net-injected-clock). Everything else in the
+// (tools/geored_lint.py: wall-clock). Everything else in the
 // transport spends time exclusively through the Clock interface.
 #include "net/clock.h"
 

@@ -6,7 +6,8 @@
 // run the whole retry/backoff state machine instantaneously and
 // deterministically. SystemClock (implemented in clock.cpp, the one net/
 // translation unit allowed to call the real clock — enforced by
-// tools/lint_conventions.py) is what production transports run on.
+// tools/geored_lint.py's wall-clock rule) is what production transports run
+// on.
 #pragma once
 
 #include <atomic>

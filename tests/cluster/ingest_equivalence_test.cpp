@@ -4,9 +4,9 @@
 // match to the last bit — "close" is a failure. The suite also pins the
 // supporting contracts the fast path relies on: the SIMD nearest-centroid
 // scan against PointSet::nearest_of, radius-cache invalidation across
-// absorb / merge / decay, whole-batch weight validation, and byte-stable
-// ReplicationManager output across thread counts. Runs under release,
-// asan-ubsan, and the tsan preset (see .github/workflows/ci.yml).
+// absorb / merge / decay, whole-batch weight and dimension validation, and
+// byte-stable ReplicationManager output across thread counts. Runs under
+// release, asan-ubsan, and the tsan preset (see .github/workflows/ci.yml).
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -138,8 +138,10 @@ TEST_P(IngestEquivalence, BatchedPathMatchesScalarBytes) {
 INSTANTIATE_TEST_SUITE_P(Seeds, IngestEquivalence, ::testing::Range<std::uint64_t>(1, 13));
 
 TEST(IngestEquivalence, NearestCentroidMatchesPointSetScan) {
-  // Store sizes 1..20 cover the scalar fallback (< 4 rows), the in-register
-  // lane pair (4..8), and the buffered multi-group scan (9+).
+  // Store sizes 1..20 cover partial, single and multiple 8-row blocks of the
+  // column scan, whose input is the transposed shadow the store keeps in
+  // sync through add, merge and decay (tests/common/point_set_simd_test.cpp
+  // pins the kernel itself at every level).
   for (std::size_t target_rows : {1u, 2u, 3u, 4u, 5u, 7u, 8u, 9u, 12u, 20u}) {
     SummarizerConfig config;
     config.max_clusters = target_rows;
@@ -268,6 +270,13 @@ TEST(IngestEquivalence, RejectsNonFiniteAndNegativeWeights) {
     EXPECT_THROW(scalar.add(Point{0.0, 0.0}, bad), std::invalid_argument);
     EXPECT_EQ(fast.total_count(), 1u) << "failed add must not be recorded";
   }
+  // A dimension mismatch is rejected before any state changes, too.
+  MicroClusterSummarizer fast;
+  fast.add(Point{1.0, 2.0}, 1.0);
+  const auto before = summary_bytes(fast);
+  EXPECT_THROW(fast.add(Point{1.0, 2.0, 3.0}, 1.0), std::invalid_argument);
+  EXPECT_EQ(fast.total_count(), 1u) << "a rejected 3-D add must not be recorded";
+  EXPECT_EQ(summary_bytes(fast), before);
 }
 
 TEST(IngestEquivalence, BadBatchWeightRejectsTheWholeBatch) {
@@ -287,6 +296,14 @@ TEST(IngestEquivalence, BadBatchWeightRejectsTheWholeBatch) {
 
   EXPECT_THROW(summarizer.add_batch(batch, {weights.data(), 2}), std::invalid_argument)
       << "weight count must match row count";
+  EXPECT_EQ(summary_bytes(summarizer), before);
+
+  PointSet wrong_dim(3);
+  wrong_dim.push_back(Point{1.0, 1.0, 1.0});
+  wrong_dim.push_back(Point{2.0, 2.0, 2.0});
+  EXPECT_THROW(summarizer.add_batch(wrong_dim), std::invalid_argument)
+      << "a dimension mismatch must reject the whole batch";
+  EXPECT_EQ(summarizer.total_count(), 1u) << "a rejected batch must not be recorded";
   EXPECT_EQ(summary_bytes(summarizer), before);
 }
 

@@ -2,7 +2,9 @@
 // (common/point_set_simd.h): every available level must reproduce the
 // scalar strict-`<` first-winner scan bit for bit — including ties, NaN
 // rows, infinite coordinates, and sizes straddling the register-block
-// boundaries (16 rows per AVX-512 iteration, 8 per AVX2).
+// boundaries (16 rows per AVX-512 iteration, 8 per AVX2). The row kernels
+// and the column kernel (nearest_column, over the same rows laid out
+// dimension-major) run through one harness, so every case pins both.
 #include "common/point_set_simd.h"
 
 #include <gtest/gtest.h>
@@ -61,10 +63,30 @@ std::vector<simd::Level> available_levels() {
   return levels;
 }
 
+/// The n×dim rows of `data` as a dimension-major panel for nearest_column:
+/// component d of row i at [d * stride + i], stride = n + pad. The padding
+/// lanes hold values that would win the scan if a kernel ever read them —
+/// the query itself (distance 0), then NaN, -inf and a huge value — so a
+/// kernel reading past row n shows up as a wrong index or distance.
+std::vector<double> column_panel(const std::vector<double>& data, std::size_t n,
+                                 std::size_t dim, const double* query, std::size_t pad) {
+  const std::size_t stride = n + pad;
+  std::vector<double> panel(dim * stride);
+  for (std::size_t d = 0; d < dim; ++d) {
+    for (std::size_t i = 0; i < n; ++i) panel[d * stride + i] = data[i * dim + d];
+    const double garbage[] = {query[d], kNaN, -kInf, 1e300};
+    for (std::size_t i = n; i < stride; ++i) panel[d * stride + i] = garbage[(i - n) % 4];
+  }
+  return panel;
+}
+
 void expect_all_levels_match(const std::vector<double>& data, std::size_t n, std::size_t dim,
                              const double* query, const char* label) {
   double want_dist = 0.0;
   const std::size_t want = reference_nearest(data, n, dim, query, &want_dist);
+  // Padding from 1 to 9 lanes: the garbage straddles the 8-row block edge.
+  const std::size_t pad = 1 + (n + dim) % 9;
+  const std::vector<double> panel = column_panel(data, n, dim, query, pad);
   std::vector<double> want_row(n);
   for (std::size_t i = 0; i < n; ++i) {
     double dist = 0.0;
@@ -82,6 +104,14 @@ void expect_all_levels_match(const std::vector<double>& data, std::size_t n, std
     EXPECT_EQ(bits_of(got_dist), bits_of(want_dist))
         << label << ": best distance not bit-identical at level " << simd::level_name(level)
         << " (n=" << n << ", dim=" << dim << ")";
+    double col_dist = 0.0;
+    const std::size_t col =
+        simd::nearest_column(panel.data(), n + pad, n, dim, query, &col_dist, level);
+    EXPECT_EQ(col, want) << label << ": column argmin diverged at level "
+                         << simd::level_name(level) << " (n=" << n << ", dim=" << dim << ")";
+    EXPECT_EQ(bits_of(col_dist), bits_of(want_dist))
+        << label << ": column best distance not bit-identical at level "
+        << simd::level_name(level) << " (n=" << n << ", dim=" << dim << ")";
     std::vector<double> got_row(n, -1.0);
     simd::distance_row(data.data(), n, dim, query, got_row.data(), level);
     for (std::size_t i = 0; i < n; ++i) {
@@ -190,6 +220,80 @@ TEST(PointSetSimd, InfiniteCoordinatesMatchScalar) {
   expect_all_levels_match(data, kN, kDim, query_finite, "inf-rows");
   const double query_inf[kDim] = {kInf, -0.5, 2.0};  // inf - inf => NaN on row 4? no: dim 0
   expect_all_levels_match(data, kN, kDim, query_inf, "inf-query");
+}
+
+TEST(PointSetSimd, ColumnKernelMatchesScalarAtEdgeSizesAndDims) {
+  // The micro-cluster ingest shapes: every store size from 1 to 20 (partial
+  // 8-row blocks, one and two full blocks, a full block plus a partial
+  // one) and 63..65 around the 64-row mark, dimensions 1..9. Each case
+  // also plants exact ties: the winner duplicated later, in its own block
+  // and in others. The harness pads every panel with garbage lanes.
+  std::vector<std::size_t> sizes;
+  for (std::size_t n = 1; n <= 20; ++n) sizes.push_back(n);
+  for (std::size_t n = 63; n <= 65; ++n) sizes.push_back(n);
+  for (std::size_t dim = 1; dim <= 9; ++dim) {
+    Rng rng(0xC01 + dim);
+    for (const std::size_t n : sizes) {
+      std::vector<double> data(n * dim);
+      for (double& v : data) v = rng.uniform(-100.0, 100.0);
+      std::vector<double> query(dim);
+      for (double& v : query) v = rng.uniform(-100.0, 100.0);
+      expect_all_levels_match(data, n, dim, query.data(), "column-random");
+      // Exact ties: copies of row a at a + 1, a + 4, a + 7, ... — the next
+      // row, then rows in this block and later ones.
+      const std::size_t a = rng.below(n);
+      for (std::size_t b = a + 1; b < n; b += 3) {
+        for (std::size_t d = 0; d < dim; ++d) data[b * dim + d] = data[a * dim + d];
+      }
+      std::vector<double> tie_query(data.begin() + static_cast<std::ptrdiff_t>(a * dim),
+                                    data.begin() + static_cast<std::ptrdiff_t>((a + 1) * dim));
+      tie_query[0] += 1e-3;  // equidistant from every copy
+      double tie_dist = 0.0;
+      ASSERT_EQ(reference_nearest(data, n, dim, tie_query.data(), &tie_dist), a)
+          << "the planted copies must be the nearest rows (n=" << n << ", dim=" << dim << ")";
+      expect_all_levels_match(data, n, dim, tie_query.data(), "column-ties");
+    }
+  }
+}
+
+TEST(PointSetSimd, ColumnKernelMatchesScalarOnNaNAndInfinityBitPatterns) {
+  // Quiet, signaling, negative and payload-carrying NaNs and both
+  // infinities, planted in rows and in the query. The pin is "whatever the
+  // scalar scan does", bit for bit: NaN distances never win, inf - inf is
+  // NaN, and a scan nothing wins returns (0, +inf).
+  const std::uint64_t patterns[] = {
+      0x7ff8000000000000ULL,  // quiet NaN
+      0x7ff8000000000001ULL,  // quiet NaN with a payload
+      0xfff8000000000000ULL,  // negative quiet NaN
+      0x7ff0000000000001ULL,  // signaling NaN
+      0x7ff0000000000000ULL,  // +inf
+      0xfff0000000000000ULL,  // -inf
+  };
+  for (const std::uint64_t bits : patterns) {
+    double special = 0.0;
+    std::memcpy(&special, &bits, sizeof(special));
+    for (const std::size_t dim : {std::size_t{1}, std::size_t{3}, std::size_t{5}}) {
+      for (const std::size_t n : {std::size_t{1}, std::size_t{4}, std::size_t{8},
+                                  std::size_t{9}, std::size_t{17}, std::size_t{64}}) {
+        Rng rng(0x5EC + n * 16 + dim);
+        std::vector<double> data(n * dim);
+        for (double& v : data) v = rng.uniform(-10.0, 10.0);
+        std::vector<double> query(dim);
+        for (double& v : query) v = rng.uniform(-10.0, 10.0);
+        // Specials in the first, a middle and the last row.
+        for (const std::size_t i : {std::size_t{0}, n / 2, n - 1}) {
+          data[i * dim + rng.below(dim)] = special;
+        }
+        expect_all_levels_match(data, n, dim, query.data(), "column-special-rows");
+        // Every component special: every distance NaN or +inf.
+        const std::vector<double> all(n * dim, special);
+        expect_all_levels_match(all, n, dim, query.data(), "column-special-all");
+        // A special query component reaches every row at once.
+        query[rng.below(dim)] = special;
+        expect_all_levels_match(data, n, dim, query.data(), "column-special-query");
+      }
+    }
+  }
 }
 
 TEST(PointSetSimd, LevelNamesAndOrdering) {
