@@ -2,100 +2,69 @@
 //
 // "Our approach carries out data migration only when the gain ... compared
 // to the migration cost is higher than a certain threshold." This harness
-// runs the full event-driven system under a follow-the-sun workload (the
-// client population's center of gravity moves over the day) and sweeps the
-// relative-gain threshold. It reports how many migrations each setting
-// performs, the bytes they moved, and the achieved mean access delay —
-// the cost/quality trade-off the threshold tunes.
+// runs scenarios/follow_the_sun.json on the scenario engine — every region's
+// demand peaks at its local noon, so the client population's center of
+// gravity circles the globe — and sweeps the relative-gain threshold. It
+// reports how many migrations each setting performs, the bytes they moved,
+// and the achieved mean access delay: the cost/quality trade-off the
+// threshold tunes.
+#include <cstdint>
 #include <cstdio>
 
-#include <memory>
-
 #include "bench_util.h"
-#include "core/system.h"
-#include "netcoord/embedding.h"
-#include "topology/planetlab_model.h"
+#include "scenario/runner.h"
 
 using namespace geored;
 
+namespace {
+
+/// The replicated object: every new replica site copies it once.
+constexpr double kObjectMb = 256.0;
+
+/// Sweep value standing for "never migrate" (both gain gates unreachable).
+constexpr double kNever = 1e9;
+
+}  // namespace
+
 int main() {
-  bench::print_header(
-      "Ablation: migration threshold vs churn and delay",
-      "100-node topology, 12 DCs, k=2, diurnal workload (period 200 s), 600 s horizon");
+  const auto base = scenario::load_scenario_file(GEORED_SCENARIO_DIR "/follow_the_sun.json");
+  bench::print_header("Ablation: migration threshold vs churn and delay",
+                      "scenarios/follow_the_sun.json: 100-node topology, 12 DCs, k=2, m=4, "
+                      "diurnal period 200 s, 30 epochs x 20 s");
 
-  topo::PlanetLabModelConfig topo_config;
-  topo_config.node_count = 100;
-  const auto topology = topo::generate_planetlab_like(topo_config, 42);
-  const auto coords = coord::run_rnp(topology, coord::RnpConfig{}, coord::GossipConfig{}, 7);
-
-  constexpr std::size_t kDcs = 12;
-  std::vector<place::CandidateInfo> candidates;
-  for (std::size_t i = 0; i < kDcs; ++i) {
-    candidates.push_back({static_cast<topo::NodeId>(i), coords[i].position,
-                          std::numeric_limits<double>::infinity()});
-  }
-  std::vector<topo::NodeId> clients;
-  std::vector<Point> client_coords;
-  std::vector<double> phases;
-  for (topo::NodeId i = kDcs; i < topology.size(); ++i) {
-    clients.push_back(i);
-    client_coords.push_back(coords[i].position);
-    // Peak activity follows local time: phase from longitude.
-    phases.push_back((topology.node(i).location.lon_deg + 180.0) / 360.0);
-  }
-
-  std::printf("%-22s %12s %16s %18s %14s\n", "relative threshold", "migrations",
-              "migration MB", "summary bytes", "mean delay");
+  std::printf("%-22s %12s %16s %14s\n", "relative threshold", "migrations", "migration MB",
+              "mean delay");
 
   double delay_loose = 0.0, delay_strict = 0.0;
   std::size_t migrations_loose = 0, migrations_strict = 0;
-  for (const double threshold : {0.0, 0.05, 0.20, 0.50, 1e9}) {
-    sim::Simulator simulator;
-    sim::Network network(simulator, topology);
-    auto base = std::make_unique<wl::StaticWorkload>(
-        std::vector<double>(clients.size(), 0.002));
-    wl::DiurnalWorkload workload(std::move(base), phases, /*period_ms=*/200'000.0,
-                                 /*floor_fraction=*/0.05);
-
-    core::SystemConfig config;
-    config.manager.replication_degree = 2;
-    config.manager.summarizer.max_clusters = 4;
+  for (const double threshold : {0.0, 0.05, 0.20, 0.50, kNever}) {
+    scenario::ScenarioConfig config = base;
     config.manager.migration.min_relative_gain = threshold;
-    config.manager.migration.min_absolute_gain_ms = threshold >= 1e9 ? 1e18 : 1.0;
-    config.epoch_ms = 20'000.0;
-    config.object_bytes = 1u << 28;  // 256 MB object
-    config.selection = core::ReplicaSelection::kByCoordinates;
+    if (threshold == kNever) config.manager.migration.min_absolute_gain_ms = 1e18;
+    const auto result = scenario::run_scenario(config);
 
-    core::ReplicationSystem system(simulator, network, candidates, clients, client_coords,
-                                   workload, candidates[0].node, config, 1);
-    system.run(600'000.0);
+    std::size_t migrations = 0, replicas_moved = 0;
+    std::uint64_t accesses = 0;
+    double delay_sum = 0.0;
+    for (const auto& row : result.epochs) {
+      migrations += row.groups_migrated;
+      replicas_moved += row.replicas_moved;
+      accesses += row.accesses;
+      delay_sum += row.mean_delay_ms * static_cast<double>(row.accesses);
+    }
+    const double mean_delay = accesses > 0 ? delay_sum / static_cast<double>(accesses) : 0.0;
+    const double migration_mb = static_cast<double>(replicas_moved) * kObjectMb;
 
-    std::size_t migrations = 0;
-    for (const auto& report : system.epoch_reports()) {
-      migrations += report.decision.migrate ? 1 : 0;
-    }
-    const auto& stats = network.stats();
-    const double migration_mb =
-        static_cast<double>(
-            stats.bytes[static_cast<std::size_t>(sim::TrafficClass::kMigration)]) /
-        (1024.0 * 1024.0);
-    const char* label = threshold >= 1e9 ? "never migrate" : nullptr;
-    char buffer[32];
-    if (!label) {
-      std::snprintf(buffer, sizeof buffer, "%.2f", threshold);
-      label = buffer;
-    }
-    std::printf("%-22s %12zu %16.0f %18llu %12.2fms\n", label, migrations, migration_mb,
-                static_cast<unsigned long long>(
-                    stats.bytes[static_cast<std::size_t>(sim::TrafficClass::kSummary)]),
-                system.overall_delay().mean());
+    char label[32] = "never migrate";
+    if (threshold != kNever) std::snprintf(label, sizeof label, "%.2f", threshold);
+    std::printf("%-22s %12zu %16.0f %12.2fms\n", label, migrations, migration_mb, mean_delay);
 
     if (threshold == 0.0) {
-      delay_loose = system.overall_delay().mean();
+      delay_loose = mean_delay;
       migrations_loose = migrations;
     }
-    if (threshold >= 1e9) {
-      delay_strict = system.overall_delay().mean();
+    if (threshold == kNever) {
+      delay_strict = mean_delay;
       migrations_strict = migrations;
     }
   }

@@ -1,84 +1,39 @@
-// geo_cdn: a follow-the-sun content service on the event-driven simulator.
+// geo_cdn: a follow-the-sun content service on the scenario engine.
 //
-// A popular object is read from three continents whose activity peaks at
-// local daytime. The full distributed system runs: clients pick replicas by
-// network coordinates, replica servers summarize their user populations
-// into micro-clusters, and a coordinator runs Algorithm 1 every epoch,
-// migrating replicas when the latency gain clears the $-cost threshold.
-// Watch the placement chase the sun and the per-epoch delay stay low.
+// A popular object is read from every continent, and each region's demand
+// peaks at its local noon of a compressed day, so the client population's
+// center of gravity circles the globe. Clients pick replicas by network
+// coordinates, replica servers summarize their user populations into
+// micro-clusters, and every epoch Algorithm 1 proposes a placement that is
+// adopted when the latency gain clears the migration threshold. Watch the
+// placement chase the sun in the "migr" column while the delay stays low.
+//
+// The whole experiment lives in scenarios/follow_the_sun.json (the same
+// world the migration-threshold ablation sweeps); this example is a thin
+// wrapper that loads it, runs the scenario engine, and prints the per-epoch
+// table. Edit the json (day length, floor, k, threshold) and re-run — no
+// recompilation needed.
 //
 // Build & run:  ./build/examples/geo_cdn
 #include <cstdio>
 
-#include <memory>
-
-#include "core/system.h"
-#include "netcoord/embedding.h"
-#include "topology/planetlab_model.h"
+#include "scenario/runner.h"
 
 using namespace geored;
 
 int main() {
-  topo::PlanetLabModelConfig topo_config;
-  topo_config.node_count = 120;
-  const auto topology = topo::generate_planetlab_like(topo_config, 2026);
-  const auto coords =
-      coord::run_rnp(topology, coord::RnpConfig{}, coord::GossipConfig{}, 7);
+  const auto config =
+      scenario::load_scenario_file(GEORED_SCENARIO_DIR "/follow_the_sun.json");
+  std::printf("scenario %s: %s\n", config.name.c_str(), config.description.c_str());
+  std::printf("seed %llu, %zu epochs x %.0f ms\n\n",
+              static_cast<unsigned long long>(config.seed), config.epochs,
+              config.epoch_ms);
 
-  // First 15 nodes are data centers; the rest are clients whose demand
-  // peaks at local daytime (phase from longitude).
-  constexpr std::size_t kDcs = 15;
-  std::vector<place::CandidateInfo> candidates;
-  for (std::size_t i = 0; i < kDcs; ++i) {
-    candidates.push_back({static_cast<topo::NodeId>(i), coords[i].position,
-                          std::numeric_limits<double>::infinity()});
-  }
-  std::vector<topo::NodeId> clients;
-  std::vector<Point> client_coords;
-  std::vector<double> phases;
-  for (topo::NodeId i = kDcs; i < topology.size(); ++i) {
-    clients.push_back(i);
-    client_coords.push_back(coords[i].position);
-    phases.push_back((topology.node(i).location.lon_deg + 180.0) / 360.0);
-  }
+  const auto result = scenario::run_scenario(config);
+  std::fputs(result.table().c_str(), stdout);
 
-  constexpr double kDayMs = 240'000.0;  // a compressed 4-minute "day"
-  auto base =
-      std::make_unique<wl::StaticWorkload>(std::vector<double>(clients.size(), 0.003));
-  wl::DiurnalWorkload workload(std::move(base), phases, kDayMs, /*floor=*/0.05);
-
-  sim::Simulator simulator;
-  sim::Network network(simulator, topology);
-  core::SystemConfig config;
-  config.manager.replication_degree = 3;
-  config.manager.summarizer.max_clusters = 4;
-  config.manager.migration.min_relative_gain = 0.05;
-  config.manager.migration.object_size_gb = 5.0;  // a 5 GB content bundle
-  config.epoch_ms = kDayMs / 8.0;                 // re-place 8x per day
-  config.object_bytes = 5u << 30;
-  config.selection = core::ReplicaSelection::kByCoordinates;
-
-  core::ReplicationSystem system(simulator, network, candidates, clients, client_coords,
-                                 workload, candidates[0].node, config, 1);
-  system.run(3 * kDayMs);  // three days
-
-  std::printf("epoch  time-of-day  accesses  mean-delay  placement (MIGRATED when moved)\n");
-  for (const auto& epoch : system.epoch_history()) {
-    const double day_fraction =
-        (static_cast<double>(epoch.epoch + 1) * config.epoch_ms) / kDayMs;
-    std::printf("%5zu  %10.2f  %8llu  %8.1fms  ", epoch.epoch, day_fraction,
-                static_cast<unsigned long long>(epoch.accesses), epoch.mean_delay_ms);
-    for (const auto node : epoch.placement) std::printf("dc%-3u ", node);
-    std::printf("%s\n", epoch.migrated ? " MIGRATED" : "");
-  }
-
-  const auto& stats = network.stats();
-  std::printf("\noverall: %zu accesses, mean delay %.1f ms (p~ %.1f max)\n",
-              system.overall_delay().count(), system.overall_delay().mean(),
-              system.overall_delay().max());
-  std::printf("traffic: %s\n", stats.to_string().c_str());
   std::size_t migrations = 0;
-  for (const auto& report : system.epoch_reports()) migrations += report.decision.migrate;
-  std::printf("migrations over three days: %zu\n", migrations);
+  for (const auto& row : result.epochs) migrations += row.groups_migrated;
+  std::printf("\nmigrations over %zu epochs: %zu\n", result.epochs.size(), migrations);
   return 0;
 }

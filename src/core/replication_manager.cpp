@@ -15,6 +15,22 @@
 
 namespace geored::core {
 
+namespace {
+
+/// Client coordinates must live in the candidates' space: a non-finite
+/// component would poison the recording replica's centroids, and a foreign
+/// dimension would wedge every later epoch. Checked before anything is
+/// staged or counted.
+void ensure_client_coords(const double* values, std::size_t rows, std::size_t dim,
+                          std::size_t expected_dim) {
+  GEORED_ENSURE(dim == expected_dim, "client coordinates must have the candidates' dimension");
+  const bool finite =
+      std::all_of(values, values + rows * dim, [](double v) { return std::isfinite(v); });
+  GEORED_ENSURE(finite, "client coordinates must be finite");
+}
+
+}  // namespace
+
 EpochPipeline standard_pipeline(const ManagerConfig& config) {
   EpochPipeline pipeline;
   pipeline.collector = std::make_unique<DirectCollector>();
@@ -38,6 +54,11 @@ ReplicationManager::ReplicationManager(std::vector<place::CandidateInfo> candida
       degree_(config.replication_degree),
       pipeline_(std::move(pipeline)) {
   GEORED_ENSURE(!candidates_.empty(), "manager needs at least one candidate data center");
+  coord_dim_ = candidates_.front().coords.dim();
+  for (const auto& candidate : candidates_) {
+    GEORED_ENSURE(candidate.coords.dim() == coord_dim_,
+                  "candidate coordinates must share one dimension");
+  }
   GEORED_ENSURE(config_.replication_degree >= 1, "replication degree must be >= 1");
   GEORED_ENSURE(config_.min_degree >= 1 && config_.min_degree <= config_.max_degree,
                 "degree bounds must satisfy 1 <= min <= max");
@@ -71,12 +92,14 @@ const place::CandidateInfo& ReplicationManager::candidate_info(topo::NodeId node
 topo::NodeId ReplicationManager::serve(const Point& client_coords, double data_weight) {
   GEORED_CHECK(!placement_.empty(), "manager has no replicas");
   const auto best = route(client_coords);
+  GEORED_ENSURE(best.has_value(), "no replica is at a finite distance from the client");
   record_access(*best, client_coords, data_weight);
   return *best;
 }
 
 std::optional<topo::NodeId> ReplicationManager::route(const Point& client_coords,
                                                       const std::set<topo::NodeId>& down) const {
+  ensure_client_coords(client_coords.values().data(), 1, client_coords.dim(), coord_dim_);
   std::optional<topo::NodeId> best;
   double best_dist = std::numeric_limits<double>::infinity();
   for (const auto node : placement_) {
@@ -96,6 +119,7 @@ void ReplicationManager::record_access(topo::NodeId replica, const Point& client
   GEORED_ENSURE(it != summarizers_.end(), "node does not currently hold a replica");
   GEORED_ENSURE(std::isfinite(data_weight) && data_weight >= 0.0,
                 "access weight must be finite and non-negative");
+  ensure_client_coords(client_coords.values().data(), 1, client_coords.dim(), coord_dim_);
   IngestShard& shard = shard_of(replica);
   const MutexLock lock(shard.mutex);
   PendingBatch& batch = shard.pending[replica];
@@ -124,6 +148,7 @@ void ReplicationManager::record_access_batch(topo::NodeId replica, const PointSe
   }
   const std::size_t n = client_coords.size();
   if (n == 0) return;
+  ensure_client_coords(client_coords.row(0), n, client_coords.dim(), coord_dim_);
   IngestShard& shard = shard_of(replica);
   const MutexLock lock(shard.mutex);
   PendingBatch& batch = shard.pending[replica];

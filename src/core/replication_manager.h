@@ -11,8 +11,9 @@
 //
 // The manager is deliberately transport-agnostic: callers route client
 // accesses to it (serve / record_access) and invoke run_epoch() on whatever
-// schedule they like. `core/system.h` wires it into the discrete-event
-// simulator; a real deployment would wire it to RPC handlers the same way.
+// schedule they like. The scenario engine (`scenario/runner.h`) wires it
+// into the discrete-event simulator; a real deployment would wire it to RPC
+// handlers the same way.
 //
 // Concurrency contract (capability-annotated, see common/sync.h): the
 // *record* paths — serve / record_access / record_access_batch — may be
@@ -156,13 +157,20 @@ class ReplicationManager {
 
   /// Chooses the replica that can serve a client at `client_coords` with the
   /// lowest estimated latency, records the access, and returns the replica.
+  /// Throws std::invalid_argument, recording nothing, when no replica is at
+  /// a finite distance (squared distances of extreme coordinates overflow).
+  ///
+  /// Every entry point that routes or records (serve, route, record_access,
+  /// record_access_batch) requires client coordinates of the candidates'
+  /// dimension with every component finite, and throws
+  /// std::invalid_argument before staging or counting anything otherwise.
   topo::NodeId serve(const Point& client_coords, double data_weight = 1.0);
 
   /// Pure routing: the replica nearest `client_coords` in coordinate space,
   /// skipping any replica in `down` (e.g. data centers currently failed).
-  /// Returns nullopt when every replica is down. Records nothing — callers
-  /// that serve the access follow up with record_access. serve() is
-  /// route({}) + record_access.
+  /// Returns nullopt when every replica is down or every squared distance
+  /// overflows to infinity. Records nothing — callers that serve the access
+  /// follow up with record_access. serve() is route({}) + record_access.
   std::optional<topo::NodeId> route(const Point& client_coords,
                                     const std::set<topo::NodeId>& down = {}) const;
 
@@ -177,7 +185,8 @@ class ReplicationManager {
   /// Records a whole chunk of accesses served by `replica`: row i of
   /// `client_coords` with data_weights[i] (or 1.0 per row when
   /// `data_weights` is empty). Equivalent to record_access per row in
-  /// order; the batch form skips the per-access staging overhead.
+  /// order; the batch form skips the per-access staging overhead. A bad
+  /// row rejects the whole chunk.
   void record_access_batch(topo::NodeId replica, const PointSet& client_coords,
                            std::span<const double> data_weights = {});
 
@@ -277,6 +286,7 @@ class ReplicationManager {
   }
 
   std::vector<place::CandidateInfo> candidates_;
+  std::size_t coord_dim_ = 0;  ///< the candidates' (and so the clients') dimension
   ManagerConfig config_;
   std::uint64_t seed_;
   std::uint64_t epoch_index_ = 0;

@@ -4,7 +4,7 @@
 //
 // Pulls in the topology substrate, network coordinates, clustering,
 // placement strategies, the discrete-event simulator, workloads, the
-// ReplicationManager/ReplicationSystem core, the serving data plane
+// ReplicationManager/FleetManager core, the serving data plane
 // (request router + latency histogram), the scenario engine, and the
 // replicated KV store.
 // Individual headers remain the preferred include for library-internal use;
@@ -27,7 +27,6 @@
 #include "core/fleet_manager.h"
 #include "core/migration.h"
 #include "core/replication_manager.h"
-#include "core/system.h"
 #include "net/clock.h"
 #include "net/fault_injector.h"
 #include "net/frame.h"

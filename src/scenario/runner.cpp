@@ -60,6 +60,7 @@ struct OutageWindow {
   topo::NodeId node = 0;
   double start_ms = 0.0;
   double end_ms = 0.0;
+  std::size_t event = 0;  ///< index of the outage event in ScenarioConfig::events
 };
 
 struct PopulationChange {
@@ -153,6 +154,7 @@ class Engine {
       : config_(config), root_rng_(config.seed) {
     build_world();
     compile_events();
+    check_outage_coverage();
     build_workload();
     build_fleet();
     build_routers();
@@ -227,7 +229,7 @@ class Engine {
         }
         case Event::Kind::kOutage: {
           if (event.node.has_value()) {
-            outages_.push_back({*event.node, event.start_ms, event.end_ms});
+            outages_.push_back({*event.node, event.start_ms, event.end_ms, i});
           } else {
             bool any = false;
             for (std::size_t i_dc = 0; i_dc < dcs_; ++i_dc) {
@@ -235,7 +237,7 @@ class Engine {
               if (region < topology_.region_names().size() &&
                   region_matches(topology_.region_names()[region], event.region)) {
                 outages_.push_back(
-                    {static_cast<topo::NodeId>(i_dc), event.start_ms, event.end_ms});
+                    {static_cast<topo::NodeId>(i_dc), event.start_ms, event.end_ms, i});
                 any = true;
               }
             }
@@ -256,6 +258,24 @@ class Engine {
           weight_changes_.push_back({event.at_ms, event.group, event.weight});
           break;
       }
+    }
+  }
+
+  /// A placement round needs at least one usable data center. An epoch
+  /// whose intersecting outages exclude them all would fail at its tick, so
+  /// the schedule is rejected before anything is simulated, naming the
+  /// epoch and one of its outage events.
+  void check_outage_coverage() const {
+    for (std::size_t epoch = 0; epoch < config_.epochs; ++epoch) {
+      const auto excluded = excluded_for_epoch(epoch);
+      if (excluded.empty() || excluded.size() < dcs_) continue;
+      const auto outage = std::find_if(outages_.begin(), outages_.end(),
+                                       [&](const auto& o) { return in_epoch(o, epoch); });
+      throw ScenarioError(ScenarioError::Kind::kBadSchedule,
+                          "events[" + std::to_string(outage->event) + "]",
+                          "outages exclude every data center during epoch " +
+                              std::to_string(epoch) + ", leaving its placement round no "
+                              "candidate");
     }
   }
 
@@ -378,13 +398,17 @@ class Engine {
   /// point of the epoch has unreliable state and may not host replicas in
   /// the next placement.
   std::set<topo::NodeId> excluded_for_epoch(std::size_t epoch) const {
-    const double start = static_cast<double>(epoch) * config_.epoch_ms;
-    const double end = start + config_.epoch_ms;
     std::set<topo::NodeId> excluded;
     for (const auto& outage : outages_) {
-      if (outage.start_ms < end && start < outage.end_ms) excluded.insert(outage.node);
+      if (in_epoch(outage, epoch)) excluded.insert(outage.node);
     }
     return excluded;
+  }
+
+  /// Whether `outage`'s window intersects epoch `epoch`'s window.
+  bool in_epoch(const OutageWindow& outage, std::size_t epoch) const {
+    const double start = static_cast<double>(epoch) * config_.epoch_ms;
+    return outage.start_ms < start + config_.epoch_ms && start < outage.end_ms;
   }
 
   void begin_epoch(std::size_t epoch) {

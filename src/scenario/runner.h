@@ -86,9 +86,11 @@ struct ScenarioResult {
   std::string timings_jsonl() const;
 };
 
-/// Runs the scenario to completion. Throws ScenarioError (kBadReference)
-/// when an event's region pattern matches nothing in the generated
-/// topology. The result is a pure function of `config`.
+/// Runs the scenario to completion. Throws ScenarioError before simulating
+/// anything: kBadReference when an event's region pattern matches nothing in
+/// the generated topology, kBadSchedule when the outages intersecting some
+/// epoch exclude every data center. The result is a pure function of
+/// `config`.
 ScenarioResult run_scenario(const ScenarioConfig& config);
 
 /// Writes <out_dir>/runs/<name>-seed<seed>.jsonl and

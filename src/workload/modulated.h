@@ -5,11 +5,10 @@
 // is the execution form: a decorator that multiplies the base rate of each
 // client by the product of every profile that covers it at that instant.
 // Because rate() stays an exact closed form and max_rate() stays a true
-// upper bound (the product of per-profile maxima), the decorator is exact
-// under both existing sampling contracts: thinning accepts with probability
-// rate/bound, and Poisson counting integrates rate by quadrature. Nothing
+// upper bound (the product of per-profile maxima), thinning — which accepts
+// with probability rate/bound — samples the modulated rate exactly. Nothing
 // about the base workload is assumed beyond the Workload interface, so
-// profiles stack over static, Zipf, diurnal, or already-modulated bases.
+// profiles stack over static, Zipf, or already-modulated bases.
 #pragma once
 
 #include <memory>
@@ -65,7 +64,6 @@ class ModulatedWorkload final : public Workload {
   std::size_t client_count() const override { return base_->client_count(); }
   double rate(std::size_t i, double time_ms) const override;
   double max_rate(std::size_t i) const override;
-  double data_per_access(std::size_t i) const override { return base_->data_per_access(i); }
 
   const std::vector<RateProfile>& profiles() const { return profiles_; }
 

@@ -7,29 +7,6 @@
 
 namespace geored::wl {
 
-namespace {
-constexpr double kTwoPi = 2.0 * 3.14159265358979323846;
-}
-
-double Workload::data_per_access(std::size_t) const { return 1.0; }
-
-double Workload::expected_accesses(std::size_t i, double t0, double t1,
-                                   std::size_t quadrature_steps) const {
-  GEORED_ENSURE(t1 >= t0, "interval must be ordered");
-  GEORED_ENSURE(quadrature_steps >= 1, "need at least one quadrature step");
-  const double h = (t1 - t0) / static_cast<double>(quadrature_steps);
-  double total = 0.0;
-  for (std::size_t s = 0; s < quadrature_steps; ++s) {
-    total += rate(i, t0 + (static_cast<double>(s) + 0.5) * h) * h;
-  }
-  return total;
-}
-
-std::uint64_t Workload::sample_access_count(std::size_t i, double t0, double t1,
-                                            Rng& rng) const {
-  return rng.poisson(expected_accesses(i, t0, t1));
-}
-
 std::vector<double> Workload::sample_arrival_times(std::size_t i, double t0, double t1,
                                                    Rng& rng) const {
   GEORED_ENSURE(t1 >= t0, "interval must be ordered");
@@ -46,19 +23,13 @@ std::vector<double> Workload::sample_arrival_times(std::size_t i, double t0, dou
   return arrivals;
 }
 
-StaticWorkload::StaticWorkload(std::vector<double> rates, std::vector<double> data_per_access)
-    : rates_(std::move(rates)), data_(std::move(data_per_access)) {
+StaticWorkload::StaticWorkload(std::vector<double> rates) : rates_(std::move(rates)) {
   GEORED_ENSURE(!rates_.empty(), "workload needs at least one client");
   for (double r : rates_) GEORED_ENSURE(r >= 0.0, "rates must be non-negative");
-  GEORED_ENSURE(data_.empty() || data_.size() == rates_.size(),
-                "data volumes must match client count when provided");
 }
 
 double StaticWorkload::rate(std::size_t i, double) const { return rates_.at(i); }
 double StaticWorkload::max_rate(std::size_t i) const { return rates_.at(i); }
-double StaticWorkload::data_per_access(std::size_t i) const {
-  return data_.empty() ? 1.0 : data_.at(i);
-}
 
 std::unique_ptr<StaticWorkload> make_uniform_workload(std::size_t clients, double mean_rate,
                                                       double lognormal_sigma,
@@ -95,69 +66,6 @@ std::unique_ptr<StaticWorkload> make_zipf_workload(std::size_t clients, double t
         total_rate / std::pow(static_cast<double>(rank + 1), exponent) / norm;
   }
   return std::make_unique<StaticWorkload>(std::move(rates));
-}
-
-DiurnalWorkload::DiurnalWorkload(std::unique_ptr<Workload> base, std::vector<double> phases,
-                                 double period_ms, double floor_fraction)
-    : base_(std::move(base)),
-      phases_(std::move(phases)),
-      period_ms_(period_ms),
-      floor_fraction_(floor_fraction) {
-  GEORED_ENSURE(base_ != nullptr, "diurnal workload needs a base workload");
-  GEORED_ENSURE(phases_.size() == base_->client_count(), "one phase per client required");
-  GEORED_ENSURE(period_ms_ > 0.0, "period must be positive");
-  GEORED_ENSURE(floor_fraction_ >= 0.0 && floor_fraction_ <= 1.0,
-                "floor_fraction must be in [0,1]");
-}
-
-double DiurnalWorkload::rate(std::size_t i, double time_ms) const {
-  // Sinusoid in [0,1] peaking at phase: 0.5*(1+cos(2pi*(t/T - phase))).
-  const double angle = kTwoPi * (time_ms / period_ms_ - phases_.at(i));
-  const double envelope = 0.5 * (1.0 + std::cos(angle));
-  return base_->rate(i, time_ms) * std::max(floor_fraction_, envelope);
-}
-
-double DiurnalWorkload::max_rate(std::size_t i) const { return base_->max_rate(i); }
-
-ActiveWindowWorkload::ActiveWindowWorkload(std::unique_ptr<Workload> base,
-                                           std::vector<Window> windows)
-    : base_(std::move(base)), windows_(std::move(windows)) {
-  GEORED_ENSURE(base_ != nullptr, "active-window workload needs a base workload");
-  GEORED_ENSURE(windows_.size() == base_->client_count(), "one window per client required");
-  for (const auto& window : windows_) {
-    GEORED_ENSURE(window.end_ms >= window.start_ms, "windows must be ordered");
-  }
-}
-
-double ActiveWindowWorkload::rate(std::size_t i, double time_ms) const {
-  const auto& window = windows_.at(i);
-  if (time_ms < window.start_ms || time_ms >= window.end_ms) return 0.0;
-  return base_->rate(i, time_ms);
-}
-
-FlashCrowdWorkload::FlashCrowdWorkload(std::unique_ptr<Workload> base,
-                                       std::vector<bool> affected, double start_ms,
-                                       double end_ms, double boost)
-    : base_(std::move(base)),
-      affected_(std::move(affected)),
-      start_ms_(start_ms),
-      end_ms_(end_ms),
-      boost_(boost) {
-  GEORED_ENSURE(base_ != nullptr, "flash crowd needs a base workload");
-  GEORED_ENSURE(affected_.size() == base_->client_count(),
-                "one affected flag per client required");
-  GEORED_ENSURE(end_ms_ >= start_ms_, "flash crowd interval must be ordered");
-  GEORED_ENSURE(boost_ >= 1.0, "boost must be >= 1");
-}
-
-double FlashCrowdWorkload::rate(std::size_t i, double time_ms) const {
-  const double base = base_->rate(i, time_ms);
-  if (affected_.at(i) && time_ms >= start_ms_ && time_ms < end_ms_) return base * boost_;
-  return base;
-}
-
-double FlashCrowdWorkload::max_rate(std::size_t i) const {
-  return base_->max_rate(i) * (affected_.at(i) ? boost_ : 1.0);
 }
 
 std::vector<Arrival> sample_fleet_arrivals(const Workload& workload, double t0, double t1,

@@ -183,5 +183,25 @@ TEST(FleetManager, GroupHashIsStableAndServeRoutesToTheGroup) {
   }
 }
 
+TEST(FleetManager, ServeRejectsBadClientCoordinates) {
+  FleetConfig config;
+  config.groups = 4;
+  config.manager = small_config();
+  FleetManager fleet(line_candidates(), config, 3);
+  const std::uint64_t object = 7;
+  const ReplicationManager& group = fleet.group(fleet.group_of(object));
+
+  EXPECT_THROW(fleet.serve(object, Point{std::numeric_limits<double>::quiet_NaN()}),
+               std::invalid_argument);
+  EXPECT_THROW(fleet.serve(object, Point{-std::numeric_limits<double>::infinity()}),
+               std::invalid_argument);
+  EXPECT_THROW(fleet.serve(object, Point{450.0, 0.0}), std::invalid_argument);
+  EXPECT_EQ(group.epoch_accesses(), 0u);
+
+  fleet.serve(object, Point{450.0});
+  EXPECT_EQ(group.epoch_accesses(), 1u);
+  EXPECT_NO_THROW(fleet.run_epochs());
+}
+
 }  // namespace
 }  // namespace geored::core

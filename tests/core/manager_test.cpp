@@ -77,6 +77,53 @@ TEST(Manager, RecordAccessRejectsNonReplica) {
   EXPECT_THROW(manager.summary_of(not_a_replica), std::invalid_argument);
 }
 
+TEST(Manager, RejectsBadClientCoordinatesWithoutSideEffects) {
+  // A non-finite component would poison a replica's centroids, and a
+  // foreign dimension would wedge every later epoch, so every entry point
+  // that routes or records throws before staging or counting anything.
+  ReplicationManager manager(line_candidates(), small_config(2), 7);
+  const auto placement = manager.placement();
+  for (int i = 0; i < 10; ++i) manager.record_access(placement[0], Point{10.0 * i});
+  const std::uint64_t accesses = manager.epoch_accesses();
+  const auto checkpoint = [&manager] {
+    ByteWriter writer;
+    manager.save(writer);  // carries the counters and the serialized summaries
+    return writer.bytes();
+  };
+  const auto before = checkpoint();
+
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const Point& bad : {Point{nan}, Point{inf}, Point{-inf}, Point{1.0, 2.0}}) {
+    SCOPED_TRACE(bad);
+    EXPECT_THROW(manager.serve(bad), std::invalid_argument);
+    EXPECT_THROW(manager.route(bad), std::invalid_argument);
+    // placement[0] has staged rows; placement[1] has none, so nothing but
+    // the entry check stops a foreign dimension from becoming its staging
+    // dimension.
+    for (const auto replica : placement) {
+      EXPECT_THROW(manager.record_access(replica, bad), std::invalid_argument);
+      // A good row ahead of the bad one: the whole batch is rejected.
+      PointSet batch(bad.dim());
+      if (bad.dim() == 1) batch.push_back(Point{50.0});
+      batch.push_back(bad);
+      EXPECT_THROW(manager.record_access_batch(replica, batch), std::invalid_argument);
+    }
+    EXPECT_EQ(manager.epoch_accesses(), accesses);
+  }
+  EXPECT_EQ(checkpoint(), before);
+
+  // Finite coordinates whose squared distance to every replica overflows
+  // leave route nothing to choose; serve throws instead of dereferencing.
+  EXPECT_FALSE(manager.route(Point{1e300}).has_value());
+  EXPECT_THROW(manager.serve(Point{1e300}), std::invalid_argument);
+  EXPECT_EQ(manager.epoch_accesses(), accesses);
+  EXPECT_EQ(checkpoint(), before);
+
+  // Not wedged: the next epoch runs on exactly the good accesses.
+  EXPECT_EQ(manager.run_epoch().epoch_accesses, accesses);
+}
+
 // Named apart from `Manager` so the tsan CI tier (which runs suites by
 // name) picks it up: the whole point of this suite is what the sanitizer
 // sees when many threads hit the staging paths at once.

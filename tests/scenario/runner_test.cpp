@@ -117,6 +117,100 @@ TEST(ScenarioRunner, OutageExcludesNodeAndAccountsLostSources) {
   }
 }
 
+TEST(ScenarioRunner, TotalBlackoutIsRejectedBeforeSimulating) {
+  // One outage takes down all six data centers inside epoch 1, so that
+  // epoch's placement round would have no candidate. The schedule is
+  // rejected before epoch 0 runs, with a typed error naming the epoch and
+  // pointing at the outage.
+  std::ostringstream text;
+  text << R"({"name": "blackout", "seed": 4, "epochs": 4, "epoch_ms": 20000,)"
+       << kSmallWorld << R"(, "events": [
+            {"kind": "outage", "region": "*", "start_ms": 25000, "end_ms": 30000}]})";
+  const auto config = parse_scenario(text.str());  // schema-valid
+  try {
+    run_scenario(config);
+    FAIL() << "expected ScenarioError";
+  } catch (const ScenarioError& error) {
+    EXPECT_EQ(error.kind(), ScenarioError::Kind::kBadSchedule);
+    EXPECT_EQ(error.path(), "events[0]");
+    EXPECT_NE(std::string(error.what()).find("epoch 1"), std::string::npos) << error.what();
+  }
+}
+
+TEST(ScenarioRunner, OutagesLeavingOneDataCenterUpStillRun) {
+  // Five of the six data centers go down inside epoch 1; the sixth keeps
+  // the placement round alive, so every epoch completes.
+  std::ostringstream text;
+  text << R"({"name": "brownout", "seed": 4, "epochs": 4, "epoch_ms": 20000,)"
+       << kSmallWorld << R"(, "events": [)";
+  for (int node = 0; node < 5; ++node) {
+    text << (node > 0 ? "," : "") << R"({"kind": "outage", "node": )" << node
+         << R"(, "start_ms": 25000, "end_ms": 30000})";
+  }
+  text << "]}";
+  const auto result = run_scenario(parse_scenario(text.str()));
+  ASSERT_EQ(result.epochs.size(), 4u);
+  EXPECT_EQ(result.epochs[1].excluded, (std::vector<topo::NodeId>{0, 1, 2, 3, 4}));
+  EXPECT_TRUE(result.epochs[2].excluded.empty());
+}
+
+TEST(ScenarioRunner, TrueRttRoutingNeverSlowerThanCoordsAtEqualPlacement) {
+  // Arrivals and the initial placement do not depend on routing, so both
+  // runs serve the same epoch-0 accesses from the same replicas; the true-RTT
+  // oracle picks each access's fastest replica, coordinates only estimate it.
+  const auto run = [](const char* routing) {
+    std::ostringstream text;
+    text << R"({"name": "routing", "seed": 2, "epochs": 2, "epoch_ms": 20000,
+              "topology": {"nodes": 60, "dcs": 8, "seed": 5},
+              "coords": {"system": "rnp", "rounds": 32, "seed": 7},
+              "workload": {"kind": "uniform", "mean_rate": 0.001, "seed": 3},
+              "manager": {"replication_degree": 3, "micro_clusters": 6},
+              "routing": ")"
+         << routing << R"("})";
+    return run_scenario(parse_scenario(text.str()));
+  };
+  const auto coords = run("coords");
+  const auto oracle = run("true_rtt");
+  const EpochRow& by_coords = coords.epochs.at(0);
+  const EpochRow& by_rtt = oracle.epochs.at(0);
+  ASSERT_GT(by_coords.accesses, 0u);
+  EXPECT_EQ(by_rtt.accesses, by_coords.accesses);
+  EXPECT_EQ(by_rtt.lost_accesses, 0u);
+  EXPECT_LE(by_rtt.mean_delay_ms, by_coords.mean_delay_ms);
+}
+
+TEST(ScenarioRunner, AccessesWithEveryReplicaDownAreLost) {
+  // Two data centers, one replica: taking down the replica's node for 5 s
+  // of epoch 0 loses the accesses of that window; taking down the other
+  // node loses none. The epoch-0 round then re-places away from the failed
+  // node, so no later epoch loses anything.
+  const auto run = [](int node) {
+    std::ostringstream text;
+    text << R"({"name": "lost", "seed": 4, "epochs": 3, "epoch_ms": 20000,
+              "topology": {"nodes": 40, "dcs": 2, "seed": 5},
+              "coords": {"system": "rnp", "rounds": 32, "seed": 7},
+              "workload": {"kind": "uniform", "mean_rate": 0.001, "seed": 3},
+              "manager": {"replication_degree": 1, "micro_clusters": 4},
+              "events": [{"kind": "outage", "node": )"
+         << node << R"(, "start_ms": 5000, "end_ms": 10000}]})";
+    return run_scenario(parse_scenario(text.str()));
+  };
+  std::size_t runs_with_losses = 0;
+  for (int node = 0; node < 2; ++node) {
+    const auto result = run(node);
+    ASSERT_EQ(result.epochs.size(), 3u) << "node " << node;
+    const EpochRow& first = result.epochs[0];
+    if (first.lost_accesses > 0) {
+      ++runs_with_losses;
+      EXPECT_LT(first.lost_accesses, first.accesses) << "node " << node;
+    }
+    for (std::size_t e = 1; e < result.epochs.size(); ++e) {
+      EXPECT_EQ(result.epochs[e].lost_accesses, 0u) << "node " << node << " epoch " << e;
+    }
+  }
+  EXPECT_EQ(runs_with_losses, 1u);
+}
+
 TEST(ScenarioRunner, PopulationDriftChangesActiveClients) {
   std::ostringstream text;
   text << R"({"name": "drift", "seed": 4, "epochs": 4, "epoch_ms": 20000,)"

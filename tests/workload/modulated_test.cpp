@@ -133,5 +133,28 @@ TEST(ModulatedWorkload, NoProfilesIsIdentity) {
   EXPECT_EQ(workload.client_count(), 2u);
 }
 
+TEST(Workload, ThinningMatchesTimeVaryingRate) {
+  // Diurnal arrivals: more arrivals near the peak than near the trough.
+  RateProfile envelope;
+  envelope.kind = RateProfile::Kind::kDiurnal;
+  envelope.period_ms = 1000.0;
+  envelope.phase = 0.0;
+  envelope.floor_fraction = 0.0;
+  ModulatedWorkload workload(flat(1, 0.02), {envelope});
+  Rng rng(17);
+  std::size_t near_peak = 0, near_trough = 0;
+  for (int trial = 0; trial < 300; ++trial) {
+    for (const double t : workload.sample_arrival_times(0, 0.0, 1000.0, rng)) {
+      const double phase = t / 1000.0;
+      if (phase < 0.25 || phase > 0.75) {
+        ++near_peak;
+      } else {
+        ++near_trough;
+      }
+    }
+  }
+  EXPECT_GT(near_peak, 3 * near_trough);
+}
+
 }  // namespace
 }  // namespace geored::wl

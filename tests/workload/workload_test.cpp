@@ -8,40 +8,16 @@ namespace geored::wl {
 namespace {
 
 TEST(StaticWorkload, ConstantRates) {
-  StaticWorkload workload({0.5, 2.0}, {1.0, 3.0});
+  StaticWorkload workload({0.5, 2.0});
   EXPECT_EQ(workload.client_count(), 2u);
   EXPECT_DOUBLE_EQ(workload.rate(0, 0.0), 0.5);
   EXPECT_DOUBLE_EQ(workload.rate(0, 1e9), 0.5);
   EXPECT_DOUBLE_EQ(workload.max_rate(1), 2.0);
-  EXPECT_DOUBLE_EQ(workload.data_per_access(1), 3.0);
-}
-
-TEST(StaticWorkload, DefaultsDataToOne) {
-  StaticWorkload workload({1.0});
-  EXPECT_DOUBLE_EQ(workload.data_per_access(0), 1.0);
 }
 
 TEST(StaticWorkload, RejectsBadArguments) {
   EXPECT_THROW(StaticWorkload({}), std::invalid_argument);
   EXPECT_THROW(StaticWorkload({-1.0}), std::invalid_argument);
-  EXPECT_THROW(StaticWorkload({1.0}, {1.0, 2.0}), std::invalid_argument);
-}
-
-TEST(Workload, ExpectedAccessesIsRateTimesDurationForConstantRate) {
-  StaticWorkload workload({0.02});
-  EXPECT_NEAR(workload.expected_accesses(0, 0.0, 1000.0), 20.0, 1e-9);
-  EXPECT_DOUBLE_EQ(workload.expected_accesses(0, 5.0, 5.0), 0.0);
-  EXPECT_THROW(workload.expected_accesses(0, 10.0, 5.0), std::invalid_argument);
-}
-
-TEST(Workload, SampleAccessCountHasPoissonMean) {
-  StaticWorkload workload({0.05});
-  Rng rng(3);
-  double total = 0.0;
-  for (int i = 0; i < 2000; ++i) {
-    total += static_cast<double>(workload.sample_access_count(0, 0.0, 1000.0, rng));
-  }
-  EXPECT_NEAR(total / 2000.0, 50.0, 1.0);
 }
 
 TEST(Workload, ArrivalTimesWithinIntervalWithCorrectMean) {
@@ -66,7 +42,6 @@ TEST(Workload, ZeroRateProducesNoArrivals) {
   StaticWorkload workload({0.0});
   Rng rng(7);
   EXPECT_TRUE(workload.sample_arrival_times(0, 0.0, 1e6, rng).empty());
-  EXPECT_EQ(workload.sample_access_count(0, 0.0, 1e6, rng), 0u);
 }
 
 TEST(UniformWorkload, PreservesPopulationMeanRate) {
@@ -92,106 +67,6 @@ TEST(ZipfWorkload, RatesSumToTotalAndFollowZipf) {
   EXPECT_NEAR(total, 10.0, 1e-9);
   // Zipf(1) head holds ~1/H(100) ~ 19% of the mass.
   EXPECT_NEAR(max_rate, 10.0 * 0.1928, 0.01);
-}
-
-TEST(DiurnalWorkload, ModulatesWithPhaseAndFloor) {
-  auto base = std::make_unique<StaticWorkload>(std::vector<double>{1.0, 1.0});
-  // Client 0 peaks at t=0; client 1 peaks half a period later.
-  DiurnalWorkload workload(std::move(base), {0.0, 0.5}, 1000.0, 0.1);
-  EXPECT_NEAR(workload.rate(0, 0.0), 1.0, 1e-9);       // at its peak
-  EXPECT_NEAR(workload.rate(0, 500.0), 0.1, 1e-9);     // trough clamps to floor
-  EXPECT_NEAR(workload.rate(1, 500.0), 1.0, 1e-9);     // opposite phase
-  EXPECT_NEAR(workload.rate(0, 1000.0), 1.0, 1e-9);    // periodic
-  EXPECT_DOUBLE_EQ(workload.max_rate(0), 1.0);
-}
-
-TEST(DiurnalWorkload, RejectsBadArguments) {
-  auto base = std::make_unique<StaticWorkload>(std::vector<double>{1.0});
-  EXPECT_THROW(DiurnalWorkload(std::move(base), {0.0, 0.5}, 1000.0),
-               std::invalid_argument);
-  auto base2 = std::make_unique<StaticWorkload>(std::vector<double>{1.0});
-  EXPECT_THROW(DiurnalWorkload(std::move(base2), {0.0}, 0.0), std::invalid_argument);
-}
-
-TEST(ActiveWindowWorkload, ClientsOnlyActiveInTheirWindow) {
-  auto base = std::make_unique<StaticWorkload>(std::vector<double>{1.0, 2.0});
-  ActiveWindowWorkload workload(std::move(base),
-                                {{0.0, 100.0}, {50.0, 200.0}});
-  EXPECT_DOUBLE_EQ(workload.rate(0, 50.0), 1.0);
-  EXPECT_DOUBLE_EQ(workload.rate(0, 100.0), 0.0);  // end-exclusive
-  EXPECT_DOUBLE_EQ(workload.rate(1, 25.0), 0.0);   // before its window
-  EXPECT_DOUBLE_EQ(workload.rate(1, 150.0), 2.0);
-  EXPECT_DOUBLE_EQ(workload.max_rate(1), 2.0);
-  // Expected accesses integrate only the active window.
-  EXPECT_NEAR(workload.expected_accesses(0, 0.0, 1000.0, 1000), 100.0, 1.0);
-}
-
-TEST(ActiveWindowWorkload, NoArrivalsOutsideWindow) {
-  auto base = std::make_unique<StaticWorkload>(std::vector<double>{0.1});
-  ActiveWindowWorkload workload(std::move(base), {{100.0, 200.0}});
-  Rng rng(3);
-  for (int trial = 0; trial < 50; ++trial) {
-    for (const double t : workload.sample_arrival_times(0, 0.0, 1000.0, rng)) {
-      ASSERT_GE(t, 100.0);
-      ASSERT_LT(t, 200.0);
-    }
-  }
-}
-
-TEST(ActiveWindowWorkload, RejectsBadArguments) {
-  auto base = std::make_unique<StaticWorkload>(std::vector<double>{1.0});
-  EXPECT_THROW(
-      ActiveWindowWorkload(std::move(base), {{0.0, 1.0}, {0.0, 1.0}}),
-      std::invalid_argument);
-  auto base2 = std::make_unique<StaticWorkload>(std::vector<double>{1.0});
-  EXPECT_THROW(ActiveWindowWorkload(std::move(base2), {{10.0, 5.0}}),
-               std::invalid_argument);
-}
-
-TEST(FlashCrowdWorkload, BoostsOnlyAffectedClientsDuringWindow) {
-  auto base = std::make_unique<StaticWorkload>(std::vector<double>{1.0, 1.0});
-  FlashCrowdWorkload workload(std::move(base), {true, false}, 100.0, 200.0, 5.0);
-  EXPECT_DOUBLE_EQ(workload.rate(0, 50.0), 1.0);    // before
-  EXPECT_DOUBLE_EQ(workload.rate(0, 150.0), 5.0);   // during
-  EXPECT_DOUBLE_EQ(workload.rate(0, 200.0), 1.0);   // end-exclusive
-  EXPECT_DOUBLE_EQ(workload.rate(1, 150.0), 1.0);   // unaffected client
-  EXPECT_DOUBLE_EQ(workload.max_rate(0), 5.0);
-  EXPECT_DOUBLE_EQ(workload.max_rate(1), 1.0);
-}
-
-TEST(FlashCrowdWorkload, ExpectedAccessesIntegratesTheSpike) {
-  auto base = std::make_unique<StaticWorkload>(std::vector<double>{0.01});
-  FlashCrowdWorkload workload(std::move(base), {true}, 0.0, 500.0, 3.0);
-  // 500 ms at 0.03 + 500 ms at 0.01 = 15 + 5 = 20 expected accesses.
-  EXPECT_NEAR(workload.expected_accesses(0, 0.0, 1000.0, 200), 20.0, 0.2);
-}
-
-TEST(FlashCrowdWorkload, RejectsBadArguments) {
-  auto base = std::make_unique<StaticWorkload>(std::vector<double>{1.0});
-  EXPECT_THROW(FlashCrowdWorkload(std::move(base), {true}, 200.0, 100.0, 2.0),
-               std::invalid_argument);
-  auto base2 = std::make_unique<StaticWorkload>(std::vector<double>{1.0});
-  EXPECT_THROW(FlashCrowdWorkload(std::move(base2), {true}, 0.0, 100.0, 0.5),
-               std::invalid_argument);
-}
-
-TEST(Workload, ThinningMatchesTimeVaryingRate) {
-  // Diurnal arrivals: more arrivals near the peak than near the trough.
-  auto base = std::make_unique<StaticWorkload>(std::vector<double>{0.02});
-  DiurnalWorkload workload(std::move(base), {0.0}, 1000.0, 0.0);
-  Rng rng(17);
-  std::size_t near_peak = 0, near_trough = 0;
-  for (int trial = 0; trial < 300; ++trial) {
-    for (const double t : workload.sample_arrival_times(0, 0.0, 1000.0, rng)) {
-      const double phase = t / 1000.0;
-      if (phase < 0.25 || phase > 0.75) {
-        ++near_peak;
-      } else {
-        ++near_trough;
-      }
-    }
-  }
-  EXPECT_GT(near_peak, 3 * near_trough);
 }
 
 }  // namespace
