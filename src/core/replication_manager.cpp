@@ -29,6 +29,18 @@ void ensure_client_coords(const double* values, std::size_t rows, std::size_t di
   GEORED_ENSURE(finite, "client coordinates must be finite");
 }
 
+/// A checkpoint count must fit the bytes left at `min_bytes` per entry
+/// before it sizes an allocation: a corrupt count throws, never asks for
+/// gigabytes.
+void ensure_count_fits(std::uint32_t count, std::size_t min_bytes, const ByteReader& reader,
+                       const char* what) {
+  if (static_cast<std::size_t>(count) * min_bytes > reader.remaining()) {
+    throw WireFormatError(std::string("corrupt checkpoint: ") + what + " " +
+                          std::to_string(count) + " cannot fit in the " +
+                          std::to_string(reader.remaining()) + " bytes remaining");
+  }
+}
+
 }  // namespace
 
 EpochPipeline standard_pipeline(const ManagerConfig& config) {
@@ -80,6 +92,18 @@ ReplicationManager::ReplicationManager(std::vector<place::CandidateInfo> candida
   for (const auto node : placement_) {
     summarizers_.emplace(node, cluster::MicroClusterSummarizer(config_.summarizer));
   }
+}
+
+void ReplicationManager::drop_retired_staging(
+    std::map<topo::NodeId, PendingBatch>& pending) const {
+  // Staging lives only as long as its replica. Callers run after the flush,
+  // so every batch dropped here is already empty.
+  std::erase_if(pending, [this](const auto& entry) {
+    const bool retired = !summarizers_.contains(entry.first);
+    GEORED_DCHECK(!retired || entry.second.coords.empty(),
+                  "a retired replica's staging must be flushed before it is dropped");
+    return retired;
+  });
 }
 
 const place::CandidateInfo& ReplicationManager::candidate_info(topo::NodeId node) const {
@@ -151,21 +175,32 @@ void ReplicationManager::record_access_batch(topo::NodeId replica, const PointSe
   ensure_client_coords(client_coords.row(0), n, client_coords.dim(), coord_dim_);
   IngestShard& shard = shard_of(replica);
   const MutexLock lock(shard.mutex);
-  PendingBatch& batch = shard.pending[replica];
-  batch.coords.append_rows(client_coords.row(0), n, client_coords.dim());
-  if (data_weights.empty()) {
-    batch.weights.insert(batch.weights.end(), n, 1.0);
-  } else {
-    batch.weights.insert(batch.weights.end(), data_weights.begin(), data_weights.end());
-  }
   shard.accesses += n;
-  if (batch.coords.size() >= config_.ingest_batch_grain) {
-    // Same single-writer argument as record_access: the shard mutex is the
-    // one lock this replica's summarizer is ever written under.
-    it->second.add_batch(batch.coords, batch.weights);
-    batch.coords.clear();
-    batch.weights.clear();
+  const auto staged = shard.pending.find(replica);
+  const std::size_t staged_rows =
+      staged == shard.pending.end() ? 0 : staged->second.coords.size();
+  if (staged_rows + n < config_.ingest_batch_grain) {
+    PendingBatch& batch = shard.pending[replica];
+    batch.coords.append_rows(client_coords.row(0), n, client_coords.dim());
+    if (data_weights.empty()) {
+      batch.weights.insert(batch.weights.end(), n, 1.0);
+    } else {
+      batch.weights.insert(batch.weights.end(), data_weights.begin(), data_weights.end());
+    }
+    return;
   }
+  // The grain is reached: ingest the staged tail, then the caller's rows in
+  // place, with no copy. add_batch(A); add_batch(B) equals add_batch(A ++ B)
+  // (both are per-row add in order), so the summary does not depend on
+  // where the split falls. Same single-writer argument as record_access:
+  // the shard mutex is the one lock this replica's summarizer is ever
+  // written under.
+  if (staged_rows > 0) {
+    it->second.add_batch(staged->second.coords, staged->second.weights);
+    staged->second.coords.clear();
+    staged->second.weights.clear();
+  }
+  it->second.add_batch(client_coords, data_weights);
 }
 
 // Thread-safety analysis is disabled here because the flush acquires a
@@ -368,7 +403,10 @@ void ReplicationManager::restore(ByteReader& reader) {
     GEORED_ENSURE(std::isfinite(budget_weight) && budget_weight > 0.0,
                   "corrupt checkpoint: budget weight must be positive and finite");
   }
+  // Counts are bounded by the bytes left before they size anything: 4 bytes
+  // per node id, and at least a 4-byte length prefix per warm centroid.
   const std::uint32_t placement_size = reader.read_u32();
+  ensure_count_fits(placement_size, sizeof(std::uint32_t), reader, "placement size");
   place::Placement placement;
   placement.reserve(placement_size);
   for (std::uint32_t i = 0; i < placement_size; ++i) {
@@ -385,6 +423,7 @@ void ReplicationManager::restore(ByteReader& reader) {
     summarizers.emplace(node, std::move(summarizer));
   }
   const std::uint32_t centroid_count = reader.read_u32();
+  ensure_count_fits(centroid_count, sizeof(std::uint32_t), reader, "warm centroid count");
   std::vector<Point> centroids;
   centroids.reserve(centroid_count);
   for (std::uint32_t i = 0; i < centroid_count; ++i) {
@@ -394,15 +433,16 @@ void ReplicationManager::restore(ByteReader& reader) {
   // shard 0 (the sum across shards is the observable value; its split is
   // staging layout, not state).
   epoch_index_ = epoch_index;
-  for (std::size_t s = 0; s < ingest_shards_.size(); ++s) {
-    const MutexLock lock(ingest_shards_[s]->mutex);
-    ingest_shards_[s]->accesses = s == 0 ? epoch_accesses : 0;
-  }
   degree_ = degree;
   budget_granted_ = budget_granted;
   budget_weight_ = budget_weight;
   placement_ = std::move(placement);
   summarizers_ = std::move(summarizers);
+  for (std::size_t s = 0; s < ingest_shards_.size(); ++s) {
+    const MutexLock lock(ingest_shards_[s]->mutex);
+    ingest_shards_[s]->accesses = s == 0 ? epoch_accesses : 0;
+    drop_retired_staging(ingest_shards_[s]->pending);
+  }
   pipeline_.proposer->set_warm_centroids(std::move(centroids));
 }
 
@@ -509,6 +549,7 @@ EpochReport ReplicationManager::run_epoch(const std::set<topo::NodeId>& excluded
   for (const auto& shard : ingest_shards_) {
     const MutexLock lock(shard->mutex);
     shard->accesses = 0;
+    drop_retired_staging(shard->pending);
   }
   ++epoch_index_;
   return report;

@@ -97,7 +97,10 @@ struct ManagerConfig {
   std::size_t max_degree = 7;
 
   /// Accesses staged per replica before the summarizer ingests them as one
-  /// contiguous batch. Staging is invisible to callers — every read path
+  /// contiguous batch. It also bounds staging memory: a replica never
+  /// stages a full grain, because a record that reaches it is ingested at
+  /// once, and a batched record that reaches it is ingested in place from
+  /// the caller's rows. Staging is invisible to callers — every read path
   /// (run_epoch, summary_of, save, the degree curve) flushes first, so
   /// observable summaries are independent of the grain. 1 = unbatched.
   std::size_t ingest_batch_grain = 256;
@@ -186,7 +189,12 @@ class ReplicationManager {
   /// `client_coords` with data_weights[i] (or 1.0 per row when
   /// `data_weights` is empty). Equivalent to record_access per row in
   /// order; the batch form skips the per-access staging overhead. A bad
-  /// row rejects the whole chunk.
+  /// row rejects the whole chunk before anything is staged or counted.
+  /// A chunk that keeps the replica's staged rows below
+  /// ManagerConfig::ingest_batch_grain is staged; a chunk that reaches the
+  /// grain is ingested together with the staged rows, straight from
+  /// `client_coords` and `data_weights` (no copy), so the call's extra
+  /// memory never exceeds one grain whatever the chunk size.
   void record_access_batch(topo::NodeId replica, const PointSet& client_coords,
                            std::span<const double> data_weights = {});
 
@@ -249,16 +257,20 @@ class ReplicationManager {
 
   /// Restores state saved by save(). The manager must have been constructed
   /// with the same candidates and configuration; blobs with a wrong magic
-  /// or an unknown format version, and placements referencing unknown
-  /// candidates, throw and leave the manager unchanged.
+  /// or an unknown format version, placements referencing unknown
+  /// candidates, and counts larger than the bytes left could hold, throw
+  /// and leave the manager unchanged (a truncated or oversized count is a
+  /// WireFormatError, raised before anything is allocated for it).
   void restore(ByteReader& reader);
 
  private:
-  /// Staged accesses awaiting ingestion into one replica's summarizer. The
-  /// drained form keeps its buffers (PointSet::clear preserves dimension
-  /// and capacity), so steady-state staging is allocation-free; a
-  /// mid-stream dimension change therefore throws at the record call that
-  /// introduces it rather than at the flush — both are caller errors.
+  /// Staged accesses awaiting ingestion into one replica's summarizer:
+  /// always fewer rows than ingest_batch_grain, so its buffers are
+  /// O(grain), never O(batch). The drained form keeps its buffers
+  /// (PointSet::clear preserves dimension and capacity), so steady-state
+  /// staging is allocation-free. An entry lives only as long as its replica
+  /// is in the placement in force: run_epoch (after adoption) and restore
+  /// drop the entries of other nodes, which the flush has already emptied.
   struct PendingBatch {
     PointSet coords;
     std::vector<double> weights;
@@ -281,6 +293,9 @@ class ReplicationManager {
                                 const std::vector<cluster::MicroCluster>& summaries) const;
   const place::CandidateInfo& candidate_info(topo::NodeId node) const;
   void maybe_adjust_degree(std::uint64_t epoch_accesses);
+  /// Erases the staging of nodes that no longer hold a replica. The caller
+  /// holds the shard's mutex, runs exclusively and after a flush.
+  void drop_retired_staging(std::map<topo::NodeId, PendingBatch>& pending) const;
   IngestShard& shard_of(topo::NodeId replica) const {
     return *ingest_shards_[replica % ingest_shards_.size()];
   }

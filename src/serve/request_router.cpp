@@ -160,21 +160,30 @@ void RequestRouter::route_batch(const PointSet& points, const std::size_t* indic
   }
   GEORED_ENSURE(points.dim() == up_panel_.dim(),
                 "query dimension mismatch in route_batch");
-  assign_.resize(count);
-  best_sq_.resize(count);
-  second_sq_.resize(count);
-  // One batched nearest-two scan for the whole chunk (one query per SIMD
-  // lane, bit-identical to the scalar nearest2_of at every level), then the
+  const std::size_t tile = std::min(count, kRouteTile);
+  assign_.resize(tile);
+  best_sq_.resize(tile);
+  second_sq_.resize(tile);
+  const simd::Level level = simd::active_level();
+  // Per tile: one batched nearest-two scan (one query per SIMD lane,
+  // bit-identical to the scalar nearest2_of at every level), then the
   // sequential admission pass in arrival order — queue decisions depend on
-  // earlier admissions, so that part is inherently ordered.
-  simd::nearest2_batch(points.row(0), points.dim(), indices, count, up_panel_.row(0),
-                       up_panel_.size(), assign_.data(), best_sq_.data(),
-                       second_sq_.data(), simd::active_level());
-  for (std::size_t j = 0; j < count; ++j) {
-    const double* query = points.row(indices != nullptr ? indices[j] : j);
-    ++stats_.requests;
-    out[j] = RouteDecision{};
-    admit(assign_[j], best_sq_[j], query, nows_ms[j], out[j]);
+  // earlier admissions, so that part is inherently ordered. The kernel
+  // treats every query on its own, so the tiling never changes a decision.
+  for (std::size_t begin = 0; begin < count; begin += kRouteTile) {
+    const std::size_t rows = std::min(kRouteTile, count - begin);
+    const std::size_t* tile_indices = indices != nullptr ? indices + begin : nullptr;
+    const double* tile_points = indices != nullptr ? points.row(0) : points.row(begin);
+    simd::nearest2_batch(tile_points, points.dim(), tile_indices, rows, up_panel_.row(0),
+                         up_panel_.size(), assign_.data(), best_sq_.data(),
+                         second_sq_.data(), level);
+    for (std::size_t t = 0; t < rows; ++t) {
+      const std::size_t j = begin + t;
+      const double* query = points.row(indices != nullptr ? indices[j] : j);
+      ++stats_.requests;
+      out[j] = RouteDecision{};
+      admit(assign_[t], best_sq_[t], query, nows_ms[j], out[j]);
+    }
   }
 }
 

@@ -123,11 +123,16 @@ class RequestRouter {
     return route(query.values().data(), now_ms);
   }
 
+  /// Requests per nearest-two kernel call in route_batch, and so the bound
+  /// on its scratch: route_batch works through a batch one tile at a time.
+  static constexpr std::size_t kRouteTile = 1024;
+
   /// Routes `count` requests in one call: queries are rows of `points`
   /// (row indices[j], or row j when indices is null), arriving at
   /// non-decreasing nows_ms[j]. The nearest-up scan runs through the
-  /// batched SIMD kernel; decisions are written to out[j] and are
-  /// bit-identical to calling route() per query in order.
+  /// batched SIMD kernel, kRouteTile requests at a time; decisions are
+  /// written to out[j] and are bit-identical to calling route() per query
+  /// in order, at any batch size.
   void route_batch(const PointSet& points, const std::size_t* indices, std::size_t count,
                    const double* nows_ms, RouteDecision* out);
 
@@ -182,8 +187,9 @@ class RequestRouter {
   LatencyHistogram histogram_;
   Stats stats_;
 
-  // route_batch scratch, reused across calls (hot path: no per-batch
-  // allocation once warmed).
+  // route_batch scratch, one tile long at most (kRouteTile), whatever the
+  // batch size, and reused across calls (hot path: no per-batch allocation
+  // once warmed).
   std::vector<std::size_t> assign_;
   std::vector<double> best_sq_;
   std::vector<double> second_sq_;

@@ -1,0 +1,270 @@
+// Memory bounds of the batch data path: a batched record stages at most one
+// grain whatever the batch size, a batched route keeps at most one tile of
+// scratch, a retired replica's staging is freed with it, and a checkpoint
+// count never sizes an allocation before it is checked against the bytes
+// left. Global operator new is replaced with a version that counts the
+// bytes requested, the largest single request and the bytes still live,
+// which is why this suite is its own test binary.
+#include <atomic>
+#include <cstddef>
+#include <cstdint>
+#include <cstdlib>
+#include <cstring>
+#include <limits>
+#include <new>
+#include <set>
+#include <vector>
+
+#include <gtest/gtest.h>
+
+#include "common/point.h"
+#include "common/point_set.h"
+#include "common/random.h"
+#include "common/serialize.h"
+#include "core/replication_manager.h"
+#include "serve/request_router.h"
+
+namespace {
+/// Every block carries its size in a header, so a delete can take it off the
+/// live total.
+constexpr std::size_t kHeader = alignof(std::max_align_t);
+/// Larger requests are counted and then refused with std::bad_alloc instead
+/// of reaching malloc, so a hostile count fails the test rather than
+/// exhausting the machine.
+constexpr std::size_t kRefuseAbove = std::size_t{1} << 30;
+
+std::atomic<std::size_t> g_requested_bytes{0};
+std::atomic<std::size_t> g_largest_request{0};
+std::atomic<std::size_t> g_live_bytes{0};
+}  // namespace
+
+void* operator new(std::size_t size) {
+  g_requested_bytes.fetch_add(size, std::memory_order_relaxed);
+  std::size_t largest = g_largest_request.load(std::memory_order_relaxed);
+  while (size > largest && !g_largest_request.compare_exchange_weak(largest, size)) {
+  }
+  if (size > kRefuseAbove) throw std::bad_alloc();
+  void* block = std::malloc(size + kHeader);
+  if (block == nullptr) throw std::bad_alloc();
+  std::memcpy(block, &size, sizeof size);
+  g_live_bytes.fetch_add(size, std::memory_order_relaxed);
+  return static_cast<char*>(block) + kHeader;
+}
+// The array and nothrow forms route through the counting one, so every
+// block a delete sees carries the header. (A sanitizer runtime otherwise
+// supplies its own nothrow form, which std::stable_sort's buffer uses.)
+void* operator new[](std::size_t size) { return operator new(size); }
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  try {
+    return operator new(size);
+  } catch (const std::bad_alloc&) {
+    return nullptr;
+  }
+}
+void* operator new[](std::size_t size, const std::nothrow_t& tag) noexcept {
+  return operator new(size, tag);
+}
+// Not inlined: GCC's -Wmismatched-new-delete otherwise sees the free() of
+// operator new's memory at every inlined delete site.
+[[gnu::noinline]] void operator delete(void* p) noexcept {
+  if (p == nullptr) return;
+  char* block = static_cast<char*>(p) - kHeader;
+  std::size_t size = 0;
+  std::memcpy(&size, block, sizeof size);
+  g_live_bytes.fetch_sub(size, std::memory_order_relaxed);
+  std::free(block);
+}
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept { operator delete(p); }
+[[gnu::noinline]] void operator delete(void* p, const std::nothrow_t&) noexcept {
+  operator delete(p);
+}
+[[gnu::noinline]] void operator delete[](void* p) noexcept { operator delete(p); }
+[[gnu::noinline]] void operator delete[](void* p, std::size_t) noexcept { operator delete(p); }
+[[gnu::noinline]] void operator delete[](void* p, const std::nothrow_t&) noexcept {
+  operator delete(p);
+}
+
+namespace geored {
+namespace {
+
+constexpr std::size_t kDim = 5;
+constexpr std::size_t kRows = 100000;
+
+/// `count` data centers 10 units apart along the first axis.
+std::vector<place::CandidateInfo> line_candidates(std::size_t count) {
+  std::vector<place::CandidateInfo> candidates;
+  for (std::size_t i = 0; i < count; ++i) {
+    Point coords(kDim);
+    coords[0] = 10.0 * static_cast<double>(i);
+    candidates.push_back({static_cast<topo::NodeId>(i), coords,
+                          std::numeric_limits<double>::infinity()});
+  }
+  return candidates;
+}
+
+Point client_near(Rng& rng, double x) {
+  Point coords(kDim);
+  coords[0] = x + rng.uniform(-15.0, 15.0);
+  for (std::size_t d = 1; d < kDim; ++d) coords[d] = rng.uniform(-5.0, 5.0);
+  return coords;
+}
+
+PointSet clients_near(Rng& rng, double x, std::size_t rows) {
+  PointSet set(kDim);
+  set.reserve(rows);
+  for (std::size_t i = 0; i < rows; ++i) set.push_back(client_near(rng, x));
+  return set;
+}
+
+/// Bytes requested from operator new while `fn` runs.
+template <typename Fn>
+std::size_t bytes_requested(Fn&& fn) {
+  const std::size_t before = g_requested_bytes.load();
+  fn();
+  return g_requested_bytes.load() - before;
+}
+
+core::ManagerConfig manager_config() {
+  core::ManagerConfig config;
+  config.replication_degree = 3;
+  config.summarizer.max_clusters = 8;
+  return config;
+}
+
+TEST(BatchMemory, CountingAllocatorSeesAllocations) {
+  // Guards the guard: an operator new that never counted would make every
+  // bound below pass vacuously.
+  const std::size_t live_before = g_live_bytes.load();
+  std::size_t requested = 0;
+  {
+    std::vector<double> data;
+    requested = bytes_requested([&] { data.assign(1000, 1.0); });
+    EXPECT_GE(g_live_bytes.load(), live_before + 1000 * sizeof(double));
+  }
+  EXPECT_GE(requested, 1000 * sizeof(double));
+  EXPECT_EQ(g_live_bytes.load(), live_before);
+}
+
+TEST(BatchMemory, LargeRecordBatchStagesAtMostOneGrain) {
+  const core::ManagerConfig config = manager_config();
+  core::ReplicationManager manager(line_candidates(20), config, 7);
+  const topo::NodeId replica = manager.placement().front();
+  Rng rng(11);
+  // Warm-up through the per-access path: the summarizer reaches its
+  // m-cluster budget and the replica's staging its one-grain size.
+  for (std::size_t i = 0; i < 1000; ++i) manager.record_access(replica, client_near(rng, 50.0));
+  manager.flush_ingest();
+
+  const PointSet batch = clients_near(rng, 100.0, kRows);
+  const std::vector<double> weights(kRows, 2.0);
+  const std::size_t one_grain = config.ingest_batch_grain * (kDim + 1) * sizeof(double);
+  // Nothing staged, unweighted and weighted.
+  EXPECT_LE(bytes_requested([&] { manager.record_access_batch(replica, batch); }), one_grain);
+  EXPECT_LE(bytes_requested([&] { manager.record_access_batch(replica, batch, weights); }),
+            one_grain);
+  // Rows already staged: the batch still lands in place.
+  for (std::size_t i = 0; i < 10; ++i) manager.record_access(replica, client_near(rng, 0.0));
+  EXPECT_LE(bytes_requested([&] { manager.record_access_batch(replica, batch); }), one_grain);
+  EXPECT_EQ(manager.epoch_accesses(), 1000 + 3 * kRows + 10);
+}
+
+TEST(BatchMemory, LargeRouteBatchKeepsOneTileOfScratch) {
+  serve::ServeConfig config;
+  config.service_ms = 0.001;
+  serve::RequestRouter router(config);
+  std::vector<serve::ReplicaSpec> replicas;
+  for (const auto& candidate : line_candidates(8)) {
+    replicas.push_back({candidate.node, candidate.coords});
+  }
+  router.set_replicas(replicas);
+  Rng rng(3);
+  const PointSet queries = clients_near(rng, 35.0, kRows);
+  std::vector<double> nows(kRows);
+  for (std::size_t j = 0; j < kRows; ++j) nows[j] = 0.01 * static_cast<double>(j);
+  std::vector<std::size_t> reversed(kRows);
+  for (std::size_t j = 0; j < kRows; ++j) reversed[j] = kRows - 1 - j;
+  std::vector<serve::RouteDecision> out(kRows);
+
+  const std::size_t one_tile =
+      serve::RequestRouter::kRouteTile * (sizeof(std::size_t) + 2 * sizeof(double));
+  EXPECT_LE(bytes_requested([&] {
+              router.route_batch(queries, nullptr, kRows, nows.data(), out.data());
+            }),
+            one_tile);
+  EXPECT_LE(bytes_requested([&] {
+              router.route_batch(queries, reversed.data(), kRows, nows.data(), out.data());
+            }),
+            one_tile);
+  EXPECT_EQ(router.stats().requests, 2 * kRows);
+}
+
+TEST(BatchMemory, RetiredReplicasReleaseTheirStaging) {
+  core::ReplicationManager manager(line_candidates(200), manager_config(), 5);
+  Rng rng(9);
+  std::set<topo::NodeId> ever_held(manager.placement().begin(), manager.placement().end());
+  std::size_t held_after_warmup = 0;
+  std::size_t live_after_warmup = 0;
+  for (std::size_t epoch = 0; epoch < 40; ++epoch) {
+    // The population jumps to another stretch of the line every epoch, so
+    // the placement follows it onto nodes that never held a replica. Each
+    // replica stages fewer accesses than a grain until the epoch's flush.
+    const double x = 10.0 * static_cast<double>((epoch * 53) % 200);
+    for (const auto replica : manager.placement()) {
+      for (std::size_t i = 0; i < 100; ++i) manager.record_access(replica, client_near(rng, x));
+    }
+    manager.run_epoch();
+    ever_held.insert(manager.placement().begin(), manager.placement().end());
+    if (epoch == 9) {
+      held_after_warmup = ever_held.size();
+      live_after_warmup = g_live_bytes.load();
+    }
+  }
+  ASSERT_GE(ever_held.size(), held_after_warmup + 30)
+      << "the scenario must keep moving replicas onto new nodes";
+  // One retired replica's staging is about 6 KiB here; 30 of them would
+  // add 180 KiB.
+  EXPECT_LE(g_live_bytes.load(), live_after_warmup + 1024)
+      << "live heap grew with the number of nodes that ever held a replica";
+}
+
+TEST(BatchMemory, HostileCheckpointCountsNeverSizeAnAllocation) {
+  const core::ManagerConfig config = manager_config();
+  core::ReplicationManager source(line_candidates(20), config, 13);
+  ByteWriter writer;
+  source.save(writer);
+  const std::vector<std::uint8_t> valid = writer.bytes();
+  const auto with_count = [&](std::size_t offset) {
+    std::vector<std::uint8_t> blob = valid;
+    const std::uint32_t count = 0x7fffffff;
+    std::memcpy(blob.data() + offset, &count, sizeof count);
+    return blob;
+  };
+  // The placement count follows magic, version, epoch index, access count,
+  // degree, budget flag and budget weight. The warm-centroid count is the
+  // last field; a manager that has run no epoch has none.
+  constexpr std::size_t kPlacementCountOffset = 4 + 4 + 8 + 8 + 8 + 4 + 8;
+  std::uint32_t centroid_count = 1;
+  std::memcpy(&centroid_count, valid.data() + valid.size() - 4, sizeof centroid_count);
+  ASSERT_EQ(centroid_count, 0u);
+
+  for (const auto& blob : {with_count(kPlacementCountOffset), with_count(valid.size() - 4)}) {
+    core::ReplicationManager target(line_candidates(20), config, 29);
+    Rng rng(17);
+    for (std::size_t i = 0; i < 50; ++i) {
+      target.record_access(target.placement().front(), client_near(rng, 30.0));
+    }
+    ByteWriter before;
+    target.save(before);
+    g_largest_request.store(0);
+    ByteReader reader(blob);
+    EXPECT_THROW(target.restore(reader), WireFormatError);
+    EXPECT_LE(g_largest_request.load(), std::size_t{64} << 10)
+        << "restore sized an allocation from an unchecked count";
+    ByteWriter after;
+    target.save(after);
+    EXPECT_EQ(after.bytes(), before.bytes()) << "a rejected restore changed the manager";
+  }
+}
+
+}  // namespace
+}  // namespace geored

@@ -92,6 +92,61 @@ TEST(IngestSharding, BytesIdenticalAcrossShardCounts) {
   EXPECT_EQ(one, eight);
 }
 
+/// Drives one access mix through two epochs at the given staging grain and
+/// returns the serialized manager state. Per replica, in order: single
+/// records, batches of 3 and 9 rows, then batches of 20, 40, 300 and 3000
+/// rows, alternately weighted and unweighted. Against the grains below,
+/// that covers records below the grain, a batch that reaches it while rows
+/// are already staged, and batches far above it.
+std::vector<std::uint8_t> drive_grain_mix(std::size_t grain) {
+  ManagerConfig config = sharded_config(5, 4);
+  config.ingest_batch_grain = grain;
+  ReplicationManager manager(line_candidates(), config, 41);
+  Rng rng(0x6a11);
+  for (std::size_t epoch = 0; epoch < 2; ++epoch) {
+    // Shift the population between epochs so the second epoch also stages
+    // into replicas adopted by a migration.
+    const double lo = epoch == 0 ? 0.0 : 600.0;
+    const auto placement = manager.placement();
+    for (std::size_t r = 0; r < placement.size(); ++r) {
+      const topo::NodeId replica = placement[r];
+      for (std::size_t i = 0; i < 5; ++i) {
+        manager.record_access(replica, Point{rng.uniform(lo, lo + 500.0)},
+                              rng.uniform(0.1, 3.0));
+      }
+      for (const std::size_t rows : {3, 9, 20, 40, 300, 3000}) {
+        PointSet batch(1);
+        std::vector<double> weights;
+        for (std::size_t i = 0; i < rows; ++i) {
+          batch.push_back(Point{rng.uniform(lo, lo + 500.0)});
+          weights.push_back(rng.uniform(0.1, 3.0));
+        }
+        if ((rows + r) % 2 == 0) {
+          manager.record_access_batch(replica, batch, weights);
+        } else {
+          manager.record_access_batch(replica, batch);
+        }
+      }
+    }
+    manager.run_epoch();
+  }
+  ByteWriter writer;
+  manager.save(writer);
+  return writer.bytes();
+}
+
+TEST(IngestSharding, BytesIdenticalAcrossGrains) {
+  // The grain only decides when staged rows reach the summarizer and
+  // whether a batch is ingested in place; summaries must not depend on it.
+  // Grain 1 ingests every record at once; 1 << 20 stages everything until
+  // the flush.
+  const auto reference = drive_grain_mix(32);
+  for (const std::size_t grain : {std::size_t{1}, std::size_t{7}, std::size_t{256},
+                                  std::size_t{1} << 20}) {
+    EXPECT_EQ(drive_grain_mix(grain), reference) << "grain " << grain;
+  }
+}
+
 TEST(IngestSharding, RejectsZeroShards) {
   EXPECT_THROW(ReplicationManager(line_candidates(), sharded_config(2, 0), 1),
                std::invalid_argument);

@@ -9,14 +9,18 @@
 //      never routed to a down replica.
 //   3. RequestRouter (SoA + SIMD batch kernels) and the frozen ScalarRouter
 //      produce byte-identical decisions, counters, and histogram buckets,
-//      and route_batch reproduces a route() loop bit for bit.
+//      and route_batch reproduces a route() loop bit for bit, at batch
+//      sizes on both sides of its tile boundaries and in both the in-order
+//      and the indices form.
 //   4. Histogram merge across shards equals a single-pass histogram.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdlib>
 #include <cstring>
+#include <iterator>
 #include <set>
+#include <utility>
 #include <vector>
 
 #include "common/point.h"
@@ -185,9 +189,17 @@ void run_router_sweep(std::uint64_t seed) {
   RequestRouter loop_router(world.config);
   batch_router.set_replicas(world.replicas);
   loop_router.set_replicas(world.replicas);
+  // Four short batches of rows in order come first. Then each size around
+  // the kernel tile (route_batch scans kRouteTile requests at a time) runs
+  // twice: as rows in order (indices == nullptr), and in the indices form
+  // as a permuted subset of a pool twice as large.
+  constexpr std::size_t kTile = RequestRouter::kRouteTile;
+  const std::size_t tile_sizes[] = {kTile - 1, kTile, kTile + 1, 3 * kTile + 5};
+  constexpr std::size_t kShortSegments = 4;
   Rng replay = rng.fork(1);
   double batch_now = 0.0;
-  for (std::size_t segment = 0; segment < 4; ++segment) {
+  for (std::size_t segment = 0; segment < kShortSegments + 2 * std::size(tile_sizes);
+       ++segment) {
     std::set<topo::NodeId> segment_down;
     for (const auto& replica : world.replicas) {
       if (replay.uniform() < 0.3) segment_down.insert(replica.node);
@@ -195,20 +207,34 @@ void run_router_sweep(std::uint64_t seed) {
     batch_router.set_down(segment_down);
     loop_router.set_down(segment_down);
 
-    const std::size_t batch_size = 1 + static_cast<std::size_t>(replay.uniform(0.0, 96.0));
+    const bool tiled = segment >= kShortSegments;
+    const bool indexed = tiled && (segment - kShortSegments) % 2 == 1;
+    const std::size_t batch_size =
+        tiled ? tile_sizes[(segment - kShortSegments) / 2]
+              : 1 + static_cast<std::size_t>(replay.uniform(0.0, 96.0));
+    const std::size_t pool = indexed ? 2 * batch_size : batch_size;
     PointSet queries(world.dim);
-    std::vector<double> nows;
-    for (std::size_t j = 0; j < batch_size; ++j) {
-      batch_now += replay.exponential(2.0 / world.config.service_ms);
-      nows.push_back(batch_now);
+    for (std::size_t j = 0; j < pool; ++j) {
       Point query(world.dim);
       for (std::size_t d = 0; d < world.dim; ++d) query[d] = replay.uniform(-60.0, 60.0);
       queries.push_back(query);
     }
-    std::vector<RouteDecision> batch_decisions(batch_size);
-    batch_router.route_batch(queries, nullptr, batch_size, nows.data(), batch_decisions.data());
+    std::vector<std::size_t> rows(pool);
+    for (std::size_t j = 0; j < pool; ++j) rows[j] = j;
+    if (indexed) {
+      for (std::size_t j = pool - 1; j > 0; --j) std::swap(rows[j], rows[replay.below(j + 1)]);
+      rows.resize(batch_size);
+    }
+    std::vector<double> nows;
     for (std::size_t j = 0; j < batch_size; ++j) {
-      const RouteDecision looped = loop_router.route(queries.row(j), nows[j]);
+      batch_now += replay.exponential(2.0 / world.config.service_ms);
+      nows.push_back(batch_now);
+    }
+    std::vector<RouteDecision> batch_decisions(batch_size);
+    batch_router.route_batch(queries, indexed ? rows.data() : nullptr, batch_size, nows.data(),
+                             batch_decisions.data());
+    for (std::size_t j = 0; j < batch_size; ++j) {
+      const RouteDecision looped = loop_router.route(queries.row(rows[j]), nows[j]);
       expect_same_decision(batch_decisions[j], looped, j);
       if (::testing::Test::HasFatalFailure()) return;
       if (looped.admitted()) {
@@ -218,7 +244,11 @@ void run_router_sweep(std::uint64_t seed) {
       }
     }
   }
+  ASSERT_EQ(batch_router.stats().requests, loop_router.stats().requests);
   ASSERT_EQ(batch_router.stats().admitted, loop_router.stats().admitted);
+  ASSERT_EQ(batch_router.stats().spilled, loop_router.stats().spilled);
+  ASSERT_EQ(batch_router.stats().rejected, loop_router.stats().rejected);
+  ASSERT_EQ(batch_router.stats().lost, loop_router.stats().lost);
   ASSERT_EQ(batch_router.histogram().total(), loop_router.histogram().total());
   for (std::size_t b = 0; b < LatencyHistogram::kBuckets; ++b) {
     ASSERT_EQ(batch_router.histogram().bucket_count(b),
