@@ -6,8 +6,11 @@
 // local search vs full re-evaluation, and the full epoch pipeline against
 // its unbatched form) at four scales up to a million clients, checks that
 // the outputs agree, and writes machine-readable results to a JSON file
-// (BENCH_perf.json by default; see docs/performance.md).
+// (BENCH_perf.json by default; see docs/performance.md). The world_setup
+// case instead times the end-to-end benchmark's world build at one thread
+// against the run's thread count.
 #include <algorithm>
+#include <bit>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
@@ -29,11 +32,13 @@
 #include "common/serialize.h"
 #include "common/thread_pool.h"
 #include "core/replication_manager.h"
+#include "netcoord/embedding.h"
 #include "placement/evaluate.h"
 #include "placement/greedy.h"
 #include "placement/local_search.h"
 #include "serve/request_router.h"
 #include "serve/router_scalar.h"
+#include "topology/planetlab_model.h"
 #include "topology/topology.h"
 
 using namespace geored;
@@ -128,6 +133,10 @@ struct CaseResult {
   bool has_stages = false;
   core::EpochStageTrace stages_baseline;
   core::EpochStageTrace stages_optimized;
+  /// Set-up split of both arms (world_setup only), ms of the best repeat.
+  bool has_world_split = false;
+  double generate_ms_baseline = 0.0, generate_ms_optimized = 0.0;
+  double embed_ms_baseline = 0.0, embed_ms_optimized = 0.0;
 
   double speedup() const {
     return ms_optimized > 0.0 ? ms_baseline / ms_optimized : 0.0;
@@ -266,6 +275,45 @@ Placement naive_local_search(const place::PlacementInput& input,
   Placement result;
   for (const std::size_t c : chosen) result.push_back(input.candidates[c].node);
   return result;
+}
+
+/// One build of the end-to-end benchmark's world: 1000 PlanetLab-like nodes
+/// from topology seed 2011, embedded by 5-D RNP with gossip seed 2012.
+struct WorldBuild {
+  double generate_ms = 0.0;
+  double embed_ms = 0.0;
+  std::uint64_t digest = 0;  ///< FNV-1a over the RTT triangle and coordinates
+};
+
+WorldBuild build_benchmark_world() {
+  WorldBuild build;
+  topo::PlanetLabModelConfig topo_config;
+  topo_config.node_count = 1000;
+  coord::RnpConfig rnp;
+  rnp.vivaldi.dimensions = kDim;
+  const auto start = std::chrono::steady_clock::now();
+  const topo::Topology topology = topo::generate_planetlab_like(topo_config, 2011);
+  const auto generated = std::chrono::steady_clock::now();
+  const auto coords = coord::run_rnp(topology, rnp, coord::GossipConfig{}, 2012);
+  const auto embedded = std::chrono::steady_clock::now();
+  build.generate_ms = std::chrono::duration<double, std::milli>(generated - start).count();
+  build.embed_ms = std::chrono::duration<double, std::milli>(embedded - generated).count();
+  std::uint64_t state = 0xcbf29ce484222325ULL;
+  const auto add = [&](double value) {
+    const auto bits = std::bit_cast<std::uint64_t>(value);
+    for (int i = 0; i < 8; ++i) {
+      state ^= (bits >> (8 * i)) & 0xffU;
+      state *= 0x100000001b3ULL;
+    }
+  };
+  for (const double rtt : topology.rtt_matrix().raw()) add(rtt);
+  for (const auto& c : coords) {
+    for (const double v : c.position.values()) add(v);
+    add(c.height);
+    add(c.error);
+  }
+  build.digest = state;
+  return build;
 }
 
 std::vector<CaseResult> run_scale(const Scale& scale, std::size_t repeats,
@@ -947,6 +995,43 @@ std::vector<CaseResult> run_scale(const Scale& scale, std::size_t repeats,
         base_stages.gate_ms, fast_stages.gate_ms, base_stages.adopt_ms,
         fast_stages.adopt_ms);
   }
+
+  // --- World set-up: topology generation + RNP embedding -------------------
+  // The end-to-end benchmark's world, independent of the scale. The baseline
+  // arm builds it with the global pool at one thread, the optimized arm at
+  // the run's thread count; both builds must be bit-identical (match
+  // compares the digests, and the printed value is the digest's top 53
+  // bits, exact as a double).
+  if (want("world_setup")) {
+    const std::size_t threads = ThreadPool::global().thread_count();
+    const auto best_build = [&](std::size_t pool_threads) {
+      ThreadPool::set_global_thread_count(pool_threads);
+      WorldBuild best;
+      double best_ms = std::numeric_limits<double>::infinity();
+      for (std::size_t rep = 0; rep < repeats; ++rep) {
+        const WorldBuild build = build_benchmark_world();
+        if (build.generate_ms + build.embed_ms < best_ms) {
+          best_ms = build.generate_ms + build.embed_ms;
+          best = build;
+        }
+      }
+      return best;
+    };
+    const WorldBuild base = best_build(1);
+    const WorldBuild fast = best_build(threads);
+    add_case("world_setup", base.generate_ms + base.embed_ms, fast.generate_ms + fast.embed_ms,
+             static_cast<double>(base.digest >> 11), static_cast<double>(fast.digest >> 11),
+             base.digest == fast.digest);
+    CaseResult& row = results.back();
+    row.has_world_split = true;
+    row.generate_ms_baseline = base.generate_ms;
+    row.generate_ms_optimized = fast.generate_ms;
+    row.embed_ms_baseline = base.embed_ms;
+    row.embed_ms_optimized = fast.embed_ms;
+    std::printf(
+        "      split (ms, 1 -> %zu threads): generate %.2f -> %.2f, embed %.2f -> %.2f\n",
+        threads, base.generate_ms, fast.generate_ms, base.embed_ms, fast.embed_ms);
+  }
   return results;
 }
 
@@ -975,6 +1060,12 @@ void write_json(const std::string& path, std::size_t threads,
     if (r.has_stages) {
       write_stage_trace(out, "stages_baseline", r.stages_baseline);
       write_stage_trace(out, "stages_optimized", r.stages_optimized);
+    }
+    if (r.has_world_split) {
+      out << ", \"generate_ms_baseline\": " << r.generate_ms_baseline
+          << ", \"generate_ms_optimized\": " << r.generate_ms_optimized
+          << ", \"embed_ms_baseline\": " << r.embed_ms_baseline
+          << ", \"embed_ms_optimized\": " << r.embed_ms_optimized;
     }
     out << "}" << (i + 1 < results.size() ? "," : "") << "\n";
   }

@@ -5,6 +5,7 @@
 #pragma once
 
 #include <cstddef>
+#include <utility>
 #include <vector>
 
 #include "common/ensure.h"
@@ -16,7 +17,14 @@ class SymMatrix {
   SymMatrix() = default;
 
   /// n x n symmetric matrix, all entries (and the diagonal) zero.
-  explicit SymMatrix(std::size_t n) : n_(n), data_(n * (n - (n > 0 ? 1 : 0)) / 2, 0.0) {}
+  explicit SymMatrix(std::size_t n) : n_(n), data_(triangle_size(n), 0.0) {}
+
+  /// n x n matrix adopting `upper`, the strict upper triangle in raw()
+  /// order (row-major, n*(n-1)/2 entries).
+  SymMatrix(std::size_t n, std::vector<double> upper) : n_(n), data_(std::move(upper)) {
+    GEORED_ENSURE(data_.size() == triangle_size(n),
+                  "SymMatrix triangle must hold n*(n-1)/2 entries");
+  }
 
   std::size_t size() const { return n_; }
 
@@ -39,6 +47,8 @@ class SymMatrix {
   std::vector<double>& raw() { return data_; }
 
  private:
+  static std::size_t triangle_size(std::size_t n) { return n * (n - (n > 0 ? 1 : 0)) / 2; }
+
   std::size_t index(std::size_t i, std::size_t j) const {
     if (i > j) std::swap(i, j);
     // Offset of row i's strict upper triangle, then column displacement.

@@ -1,6 +1,7 @@
 #include "common/thread_pool.h"
 
 #include <cstdlib>
+#include <functional>
 #include <memory>
 #include <string>
 
@@ -162,11 +163,13 @@ void parallel_for(std::size_t n, const std::function<void(std::size_t, std::size
     body(0, n);
     return;
   }
-  pool.run_chunks(chunks, [&](std::size_t c) {
+  const auto run_chunk = [&](std::size_t c) {
     const std::size_t begin = c * n / chunks;
     const std::size_t end = (c + 1) * n / chunks;
     if (begin < end) body(begin, end);
-  });
+  };
+  // A std::function built from a reference_wrapper never allocates.
+  pool.run_chunks(chunks, std::ref(run_chunk));
 }
 
 double parallel_reduce_sum(std::size_t n,

@@ -111,7 +111,11 @@ class ThreadPool {
 
 /// Runs body(begin, end) over contiguous chunks covering [0, n), one chunk
 /// per global-pool thread. Runs inline (one chunk) when n < min_parallel or
-/// the pool has a single thread. Deterministic as described above.
+/// the pool has a single thread. Deterministic as described above. The call
+/// itself allocates nothing when `body` is passed as std::ref(callable);
+/// a closure too large for std::function's small buffer (two pointers in
+/// libstdc++) is copied to the heap instead, and such short-lived blocks
+/// can fragment the heap enough to raise a caller's peak RSS.
 void parallel_for(std::size_t n, const std::function<void(std::size_t, std::size_t)>& body,
                   std::size_t min_parallel = 1);
 

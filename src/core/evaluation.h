@@ -34,6 +34,9 @@ std::string coord_system_name(CoordSystem system);
 
 /// Shared, immutable per-experiment state: ground-truth topology plus the
 /// coordinate embedding every node would carry in the running system.
+/// Building one runs the world build on the global thread pool, so build
+/// it before any raw-thread fan-out (as run_experiment does), never from
+/// several raw threads at once.
 class Environment {
  public:
   Environment(const topo::PlanetLabModelConfig& topology_config, std::uint64_t topology_seed,

@@ -27,11 +27,18 @@ struct GossipConfig {
 };
 
 /// Runs Vivaldi for all nodes of the topology; deterministic in `seed`.
+/// Shares run_rnp's gossip driver, but Vivaldi nodes never refit, so every
+/// round runs on the calling thread; bit-identical at any GEORED_THREADS.
 std::vector<NetworkCoordinate> run_vivaldi(const topo::Topology& topology,
                                            const VivaldiConfig& config,
                                            const GossipConfig& gossip, std::uint64_t seed);
 
 /// Runs the RNP retrospective protocol for all nodes; deterministic in `seed`.
+/// The rounds in which nodes refit run on the global thread pool (sized by
+/// GEORED_THREADS), scheduled so that the coordinates are bit-identical at
+/// any thread count and SIMD level (netcoord/gossip_detail.h). Called from
+/// inside parallel work it runs inline; it must not be entered from two
+/// raw threads at once, which the pool rejects as concurrent run_chunks.
 std::vector<NetworkCoordinate> run_rnp(const topo::Topology& topology, const RnpConfig& config,
                                        const GossipConfig& gossip, std::uint64_t seed);
 

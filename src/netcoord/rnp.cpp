@@ -7,6 +7,12 @@
 
 namespace geored::coord {
 
+namespace {
+/// Lower clamp of a peer's error estimate when it is turned into a sample's
+/// reliability weight.
+constexpr double kReliabilityErrorFloor = 0.05;
+}  // namespace
+
 RnpNode::RnpNode(const RnpConfig& config, std::uint32_t node_id)
     : VivaldiNode(config.vivaldi, node_id),
       rnp_config_(config),
@@ -17,6 +23,8 @@ RnpNode::RnpNode(const RnpConfig& config, std::uint32_t node_id)
                 "recency_decay must be in (0,1]");
   GEORED_ENSURE(std::isfinite(config.learning_rate) && config.learning_rate > 0.0,
                 "learning_rate must be positive and finite");
+  GEORED_ENSURE(config.vivaldi.max_error >= kReliabilityErrorFloor,
+                "RNP needs max_error of at least 0.05");
   // The only allocations a node makes: everything below is reused for the
   // node's lifetime.
   const std::size_t window = config.window_size;
@@ -40,6 +48,7 @@ void RnpNode::observe(const NetworkCoordinate& remote, double rtt_ms) {
   const std::size_t dim = window_positions_.dim();
   GEORED_ENSURE(remote.position.dim() == dim, "remote coordinate has the wrong dimension");
   if (!(rtt_ms > 0.0)) return;
+  const bool refit_after_step = refit_due();
   const double* remote_position = remote.position.values().data();
   if (window_positions_.size() < rnp_config_.window_size) {
     window_positions_.push_back_row(remote_position, dim);  // within the reserve
@@ -63,9 +72,14 @@ void RnpNode::observe(const NetworkCoordinate& remote, double rtt_ms) {
   config_.cc = base_cc;
   ++samples_;
 
-  if (observation_count_ % rnp_config_.refit_every == 0 && window_positions_.size() >= 4) {
-    refit();
-  }
+  if (refit_after_step) refit();
+}
+
+bool RnpNode::refit_due() const {
+  // Every refit_every-th sample, once the window holds at least four
+  // samples (counting the one about to be stored).
+  return (observation_count_ + 1) % rnp_config_.refit_every == 0 &&
+         std::min(window_positions_.size() + 1, rnp_config_.window_size) >= 4;
 }
 
 template <typename Fn>
@@ -102,7 +116,8 @@ void RnpNode::refit() {
   double mean_rtt = 0.0;
   double weight_sum = 0.0;
   for_each_sample([&](std::size_t slot, std::size_t age) {
-    const double reliability = 1.0 / std::clamp(window_errors_[slot], 0.05, config_.max_error);
+    const double reliability =
+        1.0 / std::clamp(window_errors_[slot], kReliabilityErrorFloor, config_.max_error);
     weight_[slot] = decay_by_age_[age] * reliability;
     weight_sum += weight_[slot];
     mean_rtt += window_rtts_[slot];

@@ -48,6 +48,11 @@ class RnpNode : public VivaldiNode {
   /// `remote` must have this node's dimensionality.
   void observe(const NetworkCoordinate& remote, double rtt_ms);
 
+  /// True when the next observation of a positive RTT re-fits the
+  /// coordinate. The gossip driver spreads the rounds in which nodes refit
+  /// across the thread pool.
+  bool refit_due() const;
+
  private:
   void refit();
 

@@ -38,7 +38,9 @@ struct StabilityConfig {
 
 /// Runs `protocol` over the topology and measures displacement per round.
 /// Deterministic in `seed`; both protocols see identical gossip schedules
-/// for a given seed, so reports are directly comparable.
+/// for a given seed, so reports are directly comparable. Uses the global
+/// thread pool like run_rnp, with the same bit-identity and threading
+/// contract.
 StabilityReport measure_stability(const topo::Topology& topology, Protocol protocol,
                                   const StabilityConfig& config, std::uint64_t seed);
 

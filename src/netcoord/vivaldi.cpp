@@ -7,11 +7,19 @@
 
 namespace geored::coord {
 
+namespace {
+/// Lower clamp of both error estimates in the confidence weight.
+constexpr double kErrorFloor = 1e-6;
+}  // namespace
+
 VivaldiNode::VivaldiNode(const VivaldiConfig& config, std::uint32_t node_id)
     : config_(config), coord_(config.dimensions), node_id_(node_id) {
   GEORED_ENSURE(config.dimensions >= 1, "Vivaldi needs at least one dimension");
   GEORED_ENSURE(config.ce > 0 && config.ce <= 1, "ce must be in (0,1]");
   GEORED_ENSURE(config.cc > 0 && config.cc <= 1, "cc must be in (0,1]");
+  GEORED_ENSURE(std::isfinite(config.initial_error), "initial_error must be finite");
+  GEORED_ENSURE(std::isfinite(config.max_error) && config.max_error >= kErrorFloor,
+                "max_error must be finite and at least 1e-6");
   coord_.error = config.initial_error;
   if (config.use_height) {
     GEORED_ENSURE(config.initial_height > 0.0,
@@ -42,8 +50,8 @@ void VivaldiNode::vivaldi_step(const NetworkCoordinate& remote, double rtt_ms) {
 
   // Confidence weight: how much of the blame for the prediction error this
   // node takes, based on the two error estimates.
-  const double remote_error = std::clamp(remote.error, 1e-6, config_.max_error);
-  const double local_error = std::clamp(coord_.error, 1e-6, config_.max_error);
+  const double remote_error = std::clamp(remote.error, kErrorFloor, config_.max_error);
+  const double local_error = std::clamp(coord_.error, kErrorFloor, config_.max_error);
   const double w = local_error / (local_error + remote_error);
 
   // Update the moving relative-error estimate.

@@ -18,7 +18,7 @@ MetricProperties analyze(const Topology& topology, std::size_t max_triangles,
       all.push_back(rtt);
       const auto ri = topology.node(static_cast<NodeId>(i)).region;
       const auto rj = topology.node(static_cast<NodeId>(j)).region;
-      if (ri != 0xffffffffu && rj != 0xffffffffu) {
+      if (ri != kUnknownRegion && rj != kUnknownRegion) {
         (ri == rj ? intra : inter).push_back(rtt);
       }
     }

@@ -2,9 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 
 #include "common/ensure.h"
 #include "common/random.h"
+#include "common/sym_matrix.h"
+#include "common/thread_pool.h"
 
 namespace geored::topo {
 
@@ -27,6 +30,9 @@ std::vector<RegionSpec> default_planetlab_regions() {
 }
 
 namespace {
+
+/// Below this many pairs the geometry pass runs inline on the caller.
+constexpr std::size_t kMinParallelPairs = 4096;
 
 /// Scatters a node around a region centre with a Gaussian spread expressed in
 /// kilometres, converted to degrees at the centre's latitude.
@@ -81,20 +87,45 @@ Topology generate_planetlab_like(const PlanetLabModelConfig& config, std::uint64
     node_inflation[i] = rng.uniform(factor_lo, factor_hi);
   }
 
-  SymMatrix rtt(config.node_count);
-  for (std::size_t i = 0; i < config.node_count; ++i) {
-    for (std::size_t j = i + 1; j < config.node_count; ++j) {
+  // Pass 1, sequential: every pair's random draws, in the (i, j > i) order
+  // of the upper triangle. A pair's jitter exponent waits in the matrix slot
+  // the pair will own (the triangle is stored row-major in the same order).
+  const std::size_t n = config.node_count;
+  SymMatrix rtt(n);
+  std::vector<double>& values = rtt.raw();
+  std::vector<bool> tiv(values.size());
+  for (std::size_t pair = 0; pair < values.size(); ++pair) {
+    tiv[pair] = rng.bernoulli(config.tiv_pair_fraction);
+    values[pair] = rng.normal(0.0, config.lognormal_jitter_sigma);
+  }
+
+  // Pass 2, parallel: the geometry of each pair from its draws, in the same
+  // expression as ever. Rows shrink with i, so the work splits over flat
+  // pair indices, not rows; a chunk reads the shared per-node arrays and
+  // rewrites only its own slots.
+  const auto fill_pairs = [&](std::size_t begin, std::size_t end) {
+    std::size_t i = 0;
+    std::size_t row_begin = 0;
+    while (row_begin + (n - 1 - i) <= begin) {
+      row_begin += n - 1 - i;
+      ++i;
+    }
+    std::size_t j = i + 1 + (begin - row_begin);
+    for (std::size_t pair = begin; pair < end; ++pair) {
       const double floor_ms = geodesic_rtt_floor_ms(nodes[i].location, nodes[j].location);
       double inflation = node_inflation[i] * node_inflation[j];
-      if (rng.bernoulli(config.tiv_pair_fraction)) {
-        inflation *= config.tiv_extra_inflation;
-      }
+      if (tiv[pair]) inflation *= config.tiv_extra_inflation;
       const double access = 2.0 * (nodes[i].access_ms + nodes[j].access_ms);
       double value = floor_ms * inflation + access;
-      value *= std::exp(rng.normal(0.0, config.lognormal_jitter_sigma));
-      rtt.set(i, j, std::max(config.min_rtt_ms, value));
+      value *= std::exp(values[pair]);
+      values[pair] = std::max(config.min_rtt_ms, value);
+      if (++j == n) {
+        ++i;
+        j = i + 1;
+      }
     }
-  }
+  };
+  parallel_for(values.size(), std::ref(fill_pairs), kMinParallelPairs);
 
   return Topology(std::move(nodes), std::move(rtt), std::move(region_names));
 }

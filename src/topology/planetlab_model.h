@@ -67,6 +67,11 @@ struct PlanetLabModelConfig {
 };
 
 /// Generates a topology; the result is a pure function of (config, seed).
+/// The random draws run sequentially; the per-pair geometry runs on the
+/// global thread pool (sized by GEORED_THREADS), and the result is
+/// bit-identical at any thread count. Called from inside parallel work it
+/// runs inline; it must not be entered from two raw threads at once, which
+/// the pool rejects as concurrent run_chunks.
 Topology generate_planetlab_like(const PlanetLabModelConfig& config, std::uint64_t seed);
 
 }  // namespace geored::topo

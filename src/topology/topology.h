@@ -16,11 +16,14 @@ namespace geored::topo {
 
 using NodeId = std::uint32_t;
 
+/// NodeInfo::region of a node with no known region.
+inline constexpr std::uint32_t kUnknownRegion = 0xffffffffu;
+
 struct NodeInfo {
   GeoLocation location;
-  /// Index into Topology::region_names (0xffffffff when unknown, e.g. for
+  /// Index into Topology::region_names, or kUnknownRegion (e.g. for
   /// matrices loaded from disk without geography).
-  std::uint32_t region = 0xffffffffu;
+  std::uint32_t region = kUnknownRegion;
   /// Per-node access-link latency contribution (one way, ms).
   double access_ms = 0.0;
 };
@@ -45,12 +48,17 @@ class Topology {
   void save(std::ostream& os) const;
 
   /// Parses the format written by save(). Throws std::invalid_argument on a
-  /// malformed stream.
+  /// malformed stream, including a node whose region is neither an index
+  /// into the region list nor kUnknownRegion. Storage grows with the
+  /// entries actually parsed, so a header's counts alone never size an
+  /// allocation.
   static Topology load(std::istream& is);
 
   /// Builds a topology from a bare RTT matrix (no geography), e.g. a real
   /// PlanetLab measurement file: first token n, then n*n row-major entries in
   /// milliseconds (diagonal ignored; asymmetric entries are averaged).
+  /// Throws std::invalid_argument on a malformed stream; like load(), it
+  /// never sizes storage from the header alone.
   static Topology from_rtt_matrix_stream(std::istream& is);
 
   /// New topology containing only `nodes` (reindexed in the given order,

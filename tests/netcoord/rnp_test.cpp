@@ -27,6 +27,20 @@ TEST(Rnp, RejectsInvalidConfig) {
     config.learning_rate = bad_rate;
     EXPECT_THROW(RnpNode(config, 0), std::invalid_argument) << "learning_rate " << bad_rate;
   }
+  // RNP clamps a peer's error to [0.05, max_error] to weight its samples, so
+  // it needs a larger ceiling than Vivaldi's 1e-6 floor.
+  for (const double bad_max : {0.04, 1e-6, std::numeric_limits<double>::quiet_NaN(),
+                               std::numeric_limits<double>::infinity()}) {
+    config = {};
+    config.vivaldi.max_error = bad_max;
+    EXPECT_THROW(RnpNode(config, 0), std::invalid_argument) << "max_error " << bad_max;
+  }
+  config = {};
+  config.vivaldi.initial_error = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(RnpNode(config, 0), std::invalid_argument);
+  config = {};
+  config.vivaldi.max_error = 0.05;
+  EXPECT_NO_THROW(RnpNode(config, 0));
 }
 
 TEST(Rnp, RejectsRemoteOfWrongDimension) {

@@ -1,5 +1,7 @@
 #include "netcoord/vivaldi.h"
 
+#include <limits>
+
 #include <gtest/gtest.h>
 
 #include "netcoord/coordinate.h"
@@ -147,6 +149,24 @@ TEST(Vivaldi, RejectsInvalidConfig) {
   config = {};
   config.cc = 1.5;
   EXPECT_THROW(VivaldiNode(config, 0), std::invalid_argument);
+  // max_error is the upper bound of a clamp whose lower bound is 1e-6, and a
+  // NaN error estimate would poison every later update.
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  for (const double bad_max : {0.0, 1e-7, -1.0, kNan, kInf}) {
+    config = {};
+    config.max_error = bad_max;
+    EXPECT_THROW(VivaldiNode(config, 0), std::invalid_argument) << "max_error " << bad_max;
+  }
+  for (const double bad_initial : {kNan, kInf, -kInf}) {
+    config = {};
+    config.initial_error = bad_initial;
+    EXPECT_THROW(VivaldiNode(config, 0), std::invalid_argument)
+        << "initial_error " << bad_initial;
+  }
+  config = {};
+  config.max_error = 1e-6;  // the floor itself is a valid ceiling
+  EXPECT_NO_THROW(VivaldiNode(config, 0));
 }
 
 }  // namespace

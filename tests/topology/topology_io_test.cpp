@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <stdexcept>
+#include <string>
 
 #include "topology/planetlab_model.h"
 #include "topology/topology.h"
@@ -36,6 +38,26 @@ TEST(TopologyIo, LoadRejectsMalformedStream) {
   EXPECT_THROW(Topology::load(garbage), std::invalid_argument);
 }
 
+TEST(TopologyIo, LoadRejectsRegionPastTheRegionList) {
+  // One region listed, but node 1 names region 7: code that indexes
+  // region_names() by it would read past the list.
+  std::stringstream past("2 1\nonly\n10 20 0 1.5\n30 40 7 2.5\n12.5\n");
+  try {
+    (void)Topology::load(past);
+    ADD_FAILURE() << "a region past the region list was accepted";
+  } catch (const std::invalid_argument& error) {
+    EXPECT_NE(std::string(error.what()).find("node 1"), std::string::npos) << error.what();
+  }
+  std::stringstream no_regions("2 0\n10 20 0 1.5\n30 40 0 2.5\n12.5\n");
+  EXPECT_THROW(Topology::load(no_regions), std::invalid_argument);
+  // The unknown-region marker is not an index and stays accepted.
+  std::stringstream unknown("2 1\nonly\n10 20 0 1.5\n30 40 4294967295 2.5\n12.5\n");
+  const Topology loaded = Topology::load(unknown);
+  EXPECT_EQ(loaded.node(0).region, 0u);
+  EXPECT_EQ(loaded.node(1).region, kUnknownRegion);
+  EXPECT_EQ(loaded.rtt_ms(0, 1), 12.5);
+}
+
 TEST(TopologyIo, FromRttMatrixAveragesAsymmetry) {
   std::stringstream stream("3\n0 10 20\n30 0 40\n60 80 0\n");
   const Topology t = Topology::from_rtt_matrix_stream(stream);
@@ -45,6 +67,28 @@ TEST(TopologyIo, FromRttMatrixAveragesAsymmetry) {
   EXPECT_DOUBLE_EQ(t.rtt_ms(1, 2), 60.0);  // (40+80)/2
   // Nodes carry no geography.
   EXPECT_EQ(t.node(0).region, 0xffffffffu);
+}
+
+TEST(TopologyIo, FromRttMatrixAveragesEveryPair) {
+  constexpr std::size_t kN = 7;
+  double entries[kN][kN];
+  std::stringstream stream;
+  stream << kN << '\n';
+  for (std::size_t i = 0; i < kN; ++i) {
+    for (std::size_t j = 0; j < kN; ++j) {
+      entries[i][j] = i == j ? 0.0 : 1.0 + 0.37 * static_cast<double>(i * kN + j * j);
+      stream << entries[i][j] << ' ';
+    }
+    stream << '\n';
+  }
+  const Topology t = Topology::from_rtt_matrix_stream(stream);
+  for (std::size_t i = 0; i < kN; ++i) {
+    for (std::size_t j = i + 1; j < kN; ++j) {
+      EXPECT_EQ(t.rtt_ms(static_cast<NodeId>(i), static_cast<NodeId>(j)),
+                0.5 * (entries[i][j] + entries[j][i]))
+          << i << "," << j;
+    }
+  }
 }
 
 TEST(TopologyIo, FromRttMatrixRejectsBadInput) {
