@@ -8,7 +8,9 @@
 // the outputs agree, and writes machine-readable results to a JSON file
 // (BENCH_perf.json by default; see docs/performance.md). The world_setup
 // case instead times the end-to-end benchmark's world build at one thread
-// against the run's thread count.
+// against the run's thread count. The frozen references come from the
+// test-only geored_reference library (reference/), which this is the only
+// driver to link.
 #include <algorithm>
 #include <bit>
 #include <chrono>
@@ -24,7 +26,6 @@
 
 #include "cluster/kmeans.h"
 #include "cluster/summarizer.h"
-#include "cluster/summarizer_scalar.h"
 #include "common/flags.h"
 #include "common/point_set.h"
 #include "common/point_set_simd.h"
@@ -36,8 +37,11 @@
 #include "placement/evaluate.h"
 #include "placement/greedy.h"
 #include "placement/local_search.h"
+#include "placement/online_clustering.h"
+#include "reference/router_scalar.h"
+#include "reference/scalar.h"
+#include "reference/summarizer_scalar.h"
 #include "serve/request_router.h"
-#include "serve/router_scalar.h"
 #include "topology/planetlab_model.h"
 #include "topology/topology.h"
 
@@ -775,8 +779,8 @@ std::vector<CaseResult> run_scale(const Scale& scale, std::size_t repeats,
   // row. The baseline is the historical pipeline hand-rolled from the
   // frozen scalar references: per-access ScalarMicroClusterSummarizer
   // ingest in stream order, direct collection, the scalar k-means solver
-  // behind the proposal, Point-loop delay estimates at the gate, and
-  // ScalarNearestRedistributionAdopter redistribution. The optimized arm is
+  // behind the proposal, Point-loop delay estimates at the gate, and the
+  // redistribute_to_nearest_scalar redistribution. The optimized arm is
   // the production ReplicationManager (batched sharded ingest, SIMD-bounded
   // solver, kernelized adoption). Every stage is bit-identical by contract,
   // so both arms must adopt the same placement, serialize byte-identical
@@ -797,8 +801,8 @@ std::vector<CaseResult> run_scale(const Scale& scale, std::size_t repeats,
     mconfig.summarizer.max_clusters = 8;
     mconfig.summarizer.min_absorb_radius = 25.0;
     const std::uint64_t epoch_seed = 0xe90c0000 + scale.n_clients;
-    // The derived seed run_epoch hands its collector/proposer on epoch 0;
-    // the hand-rolled baseline must consume the identical stream.
+    // The derived seed run_epoch hands its collector and proposal on epoch
+    // 0; the hand-rolled baseline must consume the identical stream.
     const std::uint64_t derived_seed = epoch_seed ^ 0x9e3779b97f4a7c15ULL;
 
     // The access stream and its replica routing are workload, not pipeline:
@@ -881,21 +885,19 @@ std::vector<CaseResult> run_scale(const Scale& scale, std::size_t repeats,
         core::DirectCollector collector;
         collected = collector.collect(sources, {world.candidates, scale.k, derived_seed});
       }
-      // (3) Macro-clustering proposal through the frozen scalar solver (via
-      // the pipeline proposer stage; its warm-start cache is empty on a
-      // fresh epoch, exactly like the manager's own epoch 0).
+      // (3) Macro-clustering proposal through the frozen scalar solver
+      // pair (no warm start, exactly like the manager's own epoch 0).
       Placement proposed;
       {
         const core::StageTimer timer(tr.propose_ms);
-        place::OnlineClusteringConfig pconfig = mconfig.strategy;
-        pconfig.use_scalar_solver = true;
         place::PlacementInput input;
         input.candidates = world.candidates;
         input.k = scale.k;
         input.summaries = collected.summaries;
         input.seed = derived_seed;
-        core::ClusteringProposer proposer(pconfig);
-        proposed = proposer.propose(input);
+        const place::detail::KMeansSolvers scalar{&cluster::weighted_kmeans_scalar,
+                                                  &cluster::weighted_kmeans_from_scalar};
+        proposed = place::detail::place_online_with(mconfig.strategy, input, scalar).placement;
       }
       // (4) Migration gate on the scalar delay estimates.
       core::MigrationDecision decision;
@@ -908,7 +910,7 @@ std::vector<CaseResult> run_scale(const Scale& scale, std::size_t repeats,
         for (const auto node : proposed) {
           if (std::find(routed.begin(), routed.end(), node) == routed.end()) ++moved;
         }
-        decision = core::PolicyGate(mconfig.migration).evaluate(old_delay, new_delay, moved);
+        decision = core::decide_migration(mconfig.migration, old_delay, new_delay, moved);
       }
       // (5) Adopt via the frozen scalar redistribution, or retain (decay).
       Placement adopted_placement = routed;
@@ -917,10 +919,9 @@ std::vector<CaseResult> run_scale(const Scale& scale, std::size_t repeats,
         const core::StageTimer timer(tr.adopt_ms);
         if (decision.migrate || proposed.size() != routed.size()) {
           adopted_placement = proposed;
-          std::map<topo::NodeId, cluster::MicroClusterSummarizer> adopted;
-          core::ScalarNearestRedistributionAdopter adopter;
-          adopter.adopt(proposed, collected.summaries, world.candidates, mconfig.summarizer,
-                        adopted);
+          const std::map<topo::NodeId, cluster::MicroClusterSummarizer> adopted =
+              core::redistribute_to_nearest_scalar(proposed, collected.summaries,
+                                                   world.candidates, mconfig.summarizer);
           for (const auto node : adopted_placement) {
             cluster::write_clusters(writer, adopted.at(node).clusters());
           }

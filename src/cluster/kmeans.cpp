@@ -5,6 +5,7 @@
 #include <limits>
 #include <utility>
 
+#include "cluster/kmeans_detail.h"
 #include "common/arena.h"
 #include "common/ensure.h"
 #include "common/point_set.h"
@@ -13,16 +14,9 @@
 
 namespace geored::cluster {
 
-namespace {
+namespace detail {
 
-/// Below this many points the Lloyd passes stay sequential (pool dispatch
-/// would dominate). Per-point results are written independently, so the
-/// parallel passes are bitwise identical to the sequential ones at any
-/// thread count — the threshold is purely a performance gate.
-constexpr std::size_t kMinParallelPoints = 2048;
-
-/// Debug check: every centroid is finite with the expected dimensionality.
-bool centroids_finite(const PointSet& centroids, std::size_t dim) {
+bool centroids_finite(const PointSet& centroids, std::size_t dim) {  // lint: no-ensure
   if (centroids.dim() != dim) return false;
   for (std::size_t c = 0; c < centroids.size(); ++c) {
     const double* row = centroids.row(c);
@@ -32,13 +26,6 @@ bool centroids_finite(const PointSet& centroids, std::size_t dim) {
   }
   return true;
 }
-
-/// Contiguous (structure-of-arrays) view of the weighted input, built once
-/// per solve so the hot loops never chase per-Point heap allocations.
-struct FlatPoints {
-  PointSet positions;
-  std::vector<double> weights;  // lint: alloc-ok (SoA built once per solve)
-};
 
 FlatPoints flatten(const std::vector<WeightedPoint>& points) {
   FlatPoints flat;
@@ -52,11 +39,8 @@ FlatPoints flatten(const std::vector<WeightedPoint>& points) {
   return flat;
 }
 
-/// Per-point squared distance to the nearest centroid (parallel, per-point
-/// writes) followed by a sequential weighted sum in point order — the exact
-/// accumulation order of the scalar kmeans_objective.
 double objective_of(const FlatPoints& points, const PointSet& centroids, double* best_dist_sq,
-                    std::size_t* assignment = nullptr) {
+                    std::size_t* assignment) {
   const std::size_t n = points.positions.size();
   parallel_for(
       n,
@@ -73,10 +57,7 @@ double objective_of(const FlatPoints& points, const PointSet& centroids, double*
   return total;
 }
 
-/// k-means++ seeding over weighted points: the first centroid is drawn with
-/// probability proportional to weight, subsequent ones proportional to
-/// weight * D^2 (distance to the nearest already-chosen centroid).
-PointSet kmeanspp_seed(const FlatPoints& points, std::size_t k, Rng& rng) {
+PointSet kmeanspp_seed(const FlatPoints& points, std::size_t k, Rng& rng) {  // lint: no-ensure
   const std::size_t n = points.positions.size();
   PointSet centroids(points.positions.dim());
   centroids.reserve(k);
@@ -109,96 +90,14 @@ PointSet kmeanspp_seed(const FlatPoints& points, std::size_t k, Rng& rng) {
   return centroids;
 }
 
-/// Plain Lloyd's algorithm from given centroids: full nearest-centroid scan
-/// for every point in every iteration. The scalar reference for the
-/// bound-accelerated lloyd() below.
-KMeansResult lloyd_scalar(const FlatPoints& points, PointSet centroids,
-                          const KMeansConfig& config) {
-  const std::size_t n = points.positions.size();
-  const std::size_t dim = points.positions.dim();
-  const std::size_t k = centroids.size();
-  double total_weight = 0.0;
-  for (const double w : points.weights) total_weight += w;
-  std::vector<std::size_t> assignment(n, 0);  // lint: alloc-ok (frozen scalar reference)
-  // Accumulators reused across iterations instead of reallocating each one.
-  std::vector<double> sums(k * dim);              // lint: alloc-ok (frozen scalar reference)
-  std::vector<double> cluster_weight(k);          // lint: alloc-ok (frozen scalar reference)
-  std::vector<double> best_dist_sq(n);            // lint: alloc-ok (frozen scalar reference)
-  double prev_objective = std::numeric_limits<double>::infinity();
-  std::size_t iterations = 0;
-  // The convergence objective at the end of each iteration already assigns
-  // every point to its nearest (post-update) centroid, which is exactly the
-  // assignment the next iteration needs — so the explicit assignment scan
-  // only runs once, before the first update.
-  bool assignment_current = false;
-  for (; iterations < config.max_iterations; ++iterations) {
-    // Assignment step: independent per-point nearest-centroid scans.
-    if (!assignment_current) {
-      parallel_for(
-          n,
-          [&](std::size_t begin, std::size_t end) {
-            for (std::size_t i = begin; i < end; ++i) {
-              assignment[i] = centroids.nearest_of(points.positions.row(i));
-            }
-          },
-          kMinParallelPoints);
-    }
-    // Update step: sequential accumulation in point order (deterministic).
-    std::fill(sums.begin(), sums.end(), 0.0);
-    std::fill(cluster_weight.begin(), cluster_weight.end(), 0.0);
-    for (std::size_t i = 0; i < n; ++i) {
-      const std::size_t c = assignment[i];
-      const double w = points.weights[i];
-      const double* p = points.positions.row(i);
-      double* sum = sums.data() + c * dim;
-      for (std::size_t d = 0; d < dim; ++d) sum[d] += p[d] * w;
-      cluster_weight[c] += w;
-    }
-    for (std::size_t c = 0; c < k; ++c) {
-      if (cluster_weight[c] > 0.0) {
-        double* row = centroids.mutable_row(c);
-        const double* sum = sums.data() + c * dim;
-        for (std::size_t d = 0; d < dim; ++d) row[d] = sum[d] / cluster_weight[c];
-      }
-      // Empty clusters keep their previous centroid; with good seeding this
-      // is rare and self-corrects on the next assignment.
-    }
-    // Weight conservation: per-cluster accumulation must redistribute the
-    // input mass exactly (up to summation order), and the centroid update
-    // must never produce a non-finite coordinate.
-    GEORED_DCHECK(
-        [&] {
-          double redistributed = 0.0;
-          for (const double w : cluster_weight) redistributed += w;
-          return std::abs(redistributed - total_weight) <=
-                 1e-9 * std::max(1.0, total_weight);
-        }(),
-        "k-means iteration lost or invented point weight");
-    GEORED_DCHECK(centroids_finite(centroids, dim),
-                  "k-means produced a non-finite centroid");
-    const double objective = objective_of(points, centroids, best_dist_sq.data(), assignment.data());
-    assignment_current = true;  // now reflects the post-update centroids
-    // The isfinite guard keeps the first iteration from "converging" against
-    // the infinite sentinel (inf - obj <= tol * inf holds in IEEE arithmetic).
-    if (std::isfinite(prev_objective) &&
-        prev_objective - objective <= config.tolerance * std::max(1.0, prev_objective)) {
-      prev_objective = objective;
-      ++iterations;
-      break;
-    }
-    prev_objective = objective;
-  }
-  KMeansResult result;
-  if (!assignment_current) {  // max_iterations == 0: no pass has run yet
-    prev_objective = objective_of(points, centroids, best_dist_sq.data(), assignment.data());
-  }
-  result.objective = prev_objective;
-  result.assignment = std::move(assignment);
-  result.iterations = iterations;
-  result.centroids.reserve(k);
-  for (std::size_t c = 0; c < k; ++c) result.centroids.push_back(centroids.point(c));
-  return result;
-}
+}  // namespace detail
+
+namespace {
+
+using detail::centroids_finite;
+using detail::FlatPoints;
+using detail::kMinParallelPoints;
+using detail::objective_of;
 
 /// Downward floating-point guard for the Hamerly bounds: a relative shave
 /// plus an absolute one, orders of magnitude wider than the rounding error
@@ -390,10 +289,11 @@ void accumulate_clusters_parallel(const FlatPoints& points, const std::size_t* a
 }
 
 /// Lloyd's algorithm with Hamerly-style bound acceleration; shared by the
-/// seeded and warm-start entry points. Exactly reproduces lloyd_scalar —
-/// the bounds only decide *whether* a scan can be skipped, never what any
-/// retained value is, so centroids, assignment, objective, and iteration
-/// count are bit-identical (the KMeansEquivalence suite pins this).
+/// seeded and warm-start entry points. Exactly reproduces the frozen
+/// lloyd_scalar (reference/kmeans_scalar.cpp) — the bounds only decide
+/// *whether* a scan can be skipped, never what any retained value is, so
+/// centroids, assignment, objective, and iteration count are bit-identical
+/// (the KMeansEquivalence suite pins this).
 KMeansResult lloyd(const FlatPoints& points, PointSet centroids, const KMeansConfig& config) {
   const std::size_t n = points.positions.size();
   const std::size_t dim = points.positions.dim();
@@ -551,11 +451,7 @@ double kmeans_objective(const std::vector<WeightedPoint>& points,
   return total;
 }
 
-namespace {
-
-/// Lloyd variant selector shared by the accelerated and scalar entry points
-/// so validation and restart logic cannot drift between them.
-using LloydFn = KMeansResult (*)(const FlatPoints&, PointSet, const KMeansConfig&);
+namespace detail {
 
 KMeansResult weighted_kmeans_impl(const std::vector<WeightedPoint>& points,
                                   const KMeansConfig& config, Rng& rng, LloydFn solve) {
@@ -597,29 +493,18 @@ KMeansResult weighted_kmeans_from_impl(const std::vector<WeightedPoint>& points,
   return solve(flatten(points), PointSet::from_points(initial_centroids), config);
 }
 
-}  // namespace
+}  // namespace detail
 
 KMeansResult weighted_kmeans(const std::vector<WeightedPoint>& points,
                              const KMeansConfig& config, Rng& rng) {
-  return weighted_kmeans_impl(points, config, rng, &lloyd);
-}
-
-KMeansResult weighted_kmeans_scalar(const std::vector<WeightedPoint>& points,
-                                    const KMeansConfig& config, Rng& rng) {
-  return weighted_kmeans_impl(points, config, rng, &lloyd_scalar);
+  return detail::weighted_kmeans_impl(points, config, rng, &lloyd);
 }
 
 KMeansResult weighted_kmeans_from(const std::vector<WeightedPoint>& points,
                                   std::vector<Point> initial_centroids,
                                   const KMeansConfig& config) {
-  return weighted_kmeans_from_impl(points, std::move(initial_centroids), config, &lloyd);
-}
-
-KMeansResult weighted_kmeans_from_scalar(const std::vector<WeightedPoint>& points,
-                                         std::vector<Point> initial_centroids,
-                                         const KMeansConfig& config) {
-  return weighted_kmeans_from_impl(points, std::move(initial_centroids), config,
-                                   &lloyd_scalar);
+  return detail::weighted_kmeans_from_impl(points, std::move(initial_centroids), config,
+                                           &lloyd);
 }
 
 KMeansResult kmeans(const std::vector<Point>& points, const KMeansConfig& config, Rng& rng) {

@@ -40,16 +40,9 @@ struct KMeansResult {
 /// distance bounds to skip full centroid scans for points that provably
 /// kept their assignment; the acceleration is exact — centroids,
 /// assignments, objective, and iteration counts are bit-identical to the
-/// scalar reference below.
+/// frozen scalar reference weighted_kmeans_scalar (reference/scalar.h).
 KMeansResult weighted_kmeans(const std::vector<WeightedPoint>& points,
                              const KMeansConfig& config, Rng& rng);
-
-/// Scalar reference solver: identical seeding (same rng consumption) and
-/// plain full-scan Lloyd iterations. Retained for the KMeansEquivalence
-/// suites and the macro-clustering benchmark baseline; must stay untouched
-/// by future optimization.
-KMeansResult weighted_kmeans_scalar(const std::vector<WeightedPoint>& points,
-                                    const KMeansConfig& config, Rng& rng);
 
 /// Unweighted convenience wrapper (all weights 1).
 KMeansResult kmeans(const std::vector<Point>& points, const KMeansConfig& config, Rng& rng);
@@ -61,11 +54,6 @@ KMeansResult kmeans(const std::vector<Point>& points, const KMeansConfig& config
 KMeansResult weighted_kmeans_from(const std::vector<WeightedPoint>& points,
                                   std::vector<Point> initial_centroids,
                                   const KMeansConfig& config);
-
-/// Scalar reference warm-start solver (see weighted_kmeans_scalar).
-KMeansResult weighted_kmeans_from_scalar(const std::vector<WeightedPoint>& points,
-                                         std::vector<Point> initial_centroids,
-                                         const KMeansConfig& config);
 
 /// Weighted sum of squared distances from each point to its nearest centroid
 /// (the k-means objective; exposed for tests and monotonicity checks).

@@ -1,11 +1,11 @@
 // Flat structure-of-arrays storage for micro-cluster moments.
 //
-// The scalar summarizer (summarizer_scalar.h) keeps one MicroCluster object
-// per cluster: every absorb allocates two temporary Points (the component
-// squares and the refreshed centroid) and every absorb test recomputes the
-// rms stddev — two sqrt-free passes over the moments — from scratch. At
-// ingest rates of millions of accesses that is the dominant cost of the
-// whole pipeline (paper §III-B runs once per access).
+// The scalar summarizer (reference/summarizer_scalar.h) keeps one
+// MicroCluster object per cluster: every absorb allocates two temporary
+// Points (the component squares and the refreshed centroid) and every absorb
+// test recomputes the rms stddev — two sqrt-free passes over the moments —
+// from scratch. At ingest rates of millions of accesses that is the
+// dominant cost of the whole pipeline (paper §III-B runs once per access).
 //
 // MomentStore keeps the same four moments in contiguous per-field buffers
 // (counts / weights / sums / sum2s) beside the centroid PointSet, plus a

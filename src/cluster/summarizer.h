@@ -10,9 +10,9 @@
 // Storage is the flat MomentStore (cluster/moment_store.h): moments live in
 // contiguous per-field buffers with a cached absorb radius per cluster, so
 // the per-access hot path is one fused nearest+radius kernel with no
-// allocation. Results are bit-identical to the retained scalar reference
-// (cluster/summarizer_scalar.h); the IngestEquivalence suite compares
-// serialized bytes.
+// allocation. Results are bit-identical to the frozen scalar reference
+// (reference/summarizer_scalar.h, test-only); the IngestEquivalence suite
+// compares serialized bytes.
 #pragma once
 
 #include <cstdint>

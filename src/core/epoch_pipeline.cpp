@@ -1,7 +1,6 @@
 #include "core/epoch_pipeline.h"
 
 #include <algorithm>
-#include <limits>
 #include <utility>
 
 #include "common/arena.h"
@@ -11,6 +10,7 @@
 #include "common/thread_pool.h"
 #include "core/decentralized.h"
 #include "net/rpc_collector.h"
+#include "placement/online_clustering.h"
 
 namespace geored::core {
 
@@ -93,34 +93,6 @@ CollectedSummaries DecentralizedCollector::collect(const std::vector<SummarySour
   return collected;
 }
 
-ClusteringProposer::ClusteringProposer(place::OnlineClusteringConfig config, bool warm_start)
-    : config_(std::move(config)), warm_start_(warm_start) {}
-
-place::Placement ClusteringProposer::propose(const place::PlacementInput& input) {
-  place::OnlineClusteringConfig config = config_;
-  if (warm_start_) config.warm_start_centroids = last_macro_centroids_;
-  const place::OnlineClusteringPlacement strategy(config);
-  place::OnlineClusteringDetails details = strategy.place_detailed(input);
-  // The cache always tracks the latest macro-clustering, even when warm
-  // starts are disabled — checkpoints then capture it either way.
-  last_macro_centroids_ = std::move(details.macro_centroids);
-  return std::move(details.placement);
-}
-
-StrategyProposer::StrategyProposer(std::unique_ptr<place::PlacementStrategy> strategy)
-    : strategy_(std::move(strategy)) {
-  GEORED_ENSURE(strategy_ != nullptr, "StrategyProposer needs a strategy");
-}
-
-place::Placement StrategyProposer::propose(const place::PlacementInput& input) {
-  return strategy_->place(input);
-}
-
-MigrationDecision PolicyGate::evaluate(double old_delay_ms, double new_delay_ms,
-                                       std::size_t replicas_moved) const {
-  return decide_migration(policy_, old_delay_ms, new_delay_ms, replicas_moved);
-}
-
 namespace {
 
 /// Below this many summaries the nearest-placement resolution stays
@@ -132,22 +104,20 @@ constexpr std::size_t kMinParallelSummaries = 2048;
 
 }  // namespace
 
-void NearestRedistributionAdopter::adopt(
+std::map<topo::NodeId, cluster::MicroClusterSummarizer> redistribute_to_nearest(
     const place::Placement& next, const std::vector<cluster::MicroCluster>& summaries,
     const std::vector<place::CandidateInfo>& candidates,
-    const cluster::SummarizerConfig& summarizer_config,
-    std::map<topo::NodeId, cluster::MicroClusterSummarizer>& summarizers) {
+    const cluster::SummarizerConfig& summarizer_config) {
   GEORED_ENSURE(!next.empty(), "cannot adopt an empty placement");
   // Rebuild the per-replica summarizers, handing each existing micro-cluster
   // to the new replica closest to its centroid so usage knowledge survives
   // the move.
-  std::map<topo::NodeId, cluster::MicroClusterSummarizer> fresh;
+  std::map<topo::NodeId, cluster::MicroClusterSummarizer> summarizers;
   for (const auto node : next) {
-    fresh.emplace(node, cluster::MicroClusterSummarizer(summarizer_config));
+    summarizers.emplace(node, cluster::MicroClusterSummarizer(summarizer_config));
   }
-  summarizers = std::move(fresh);
   const std::size_t n = summaries.size();
-  if (n == 0) return;
+  if (n == 0) return summarizers;
   // Resolve each placement node's coordinates once — the historical loop
   // re-ran a linear candidate scan per (summary x node) pair — and stage
   // them as a PointSet so each centroid resolves via one nearest_of scan
@@ -180,44 +150,7 @@ void NearestRedistributionAdopter::adopt(
     if (summaries[i].count() == 0) continue;
     summarizers.at(next[nearest[i]]).merge_cluster(summaries[i]);
   }
-}
-
-void NearestRedistributionAdopter::retain(
-    std::map<topo::NodeId, cluster::MicroClusterSummarizer>& summarizers) {
-  // Age the retained summaries so stale populations fade (recency).
-  for (auto& [node, summarizer] : summarizers) summarizer.decay();
-}
-
-void ScalarNearestRedistributionAdopter::adopt(
-    const place::Placement& next, const std::vector<cluster::MicroCluster>& summaries,
-    const std::vector<place::CandidateInfo>& candidates,
-    const cluster::SummarizerConfig& summarizer_config,
-    std::map<topo::NodeId, cluster::MicroClusterSummarizer>& summarizers) {
-  GEORED_ENSURE(!next.empty(), "cannot adopt an empty placement");
-  std::map<topo::NodeId, cluster::MicroClusterSummarizer> fresh;
-  for (const auto node : next) {
-    fresh.emplace(node, cluster::MicroClusterSummarizer(summarizer_config));
-  }
-  summarizers = std::move(fresh);
-  for (const auto& micro : summaries) {
-    if (micro.count() == 0) continue;
-    const Point centroid = micro.centroid();
-    topo::NodeId best = next.front();
-    double best_dist = std::numeric_limits<double>::infinity();
-    for (const auto node : next) {
-      const double dist = centroid.distance_squared_to(find_candidate(candidates, node).coords);
-      if (dist < best_dist) {
-        best_dist = dist;
-        best = node;
-      }
-    }
-    summarizers.at(best).merge_cluster(micro);
-  }
-}
-
-void ScalarNearestRedistributionAdopter::retain(
-    std::map<topo::NodeId, cluster::MicroClusterSummarizer>& summarizers) {
-  for (auto& [node, summarizer] : summarizers) summarizer.decay();
+  return summarizers;
 }
 
 std::unique_ptr<SummaryCollector> make_collector(const std::string& name,

@@ -1,25 +1,21 @@
-// The placement epoch as a pipeline of replaceable stages.
+// The placement epoch: one fixed loop with one pluggable stage.
 //
 // Algorithm 1 is one fixed loop — collect summaries, macro-cluster them,
 // map centroids to data centers, gate the migration — and the library used
 // to reproduce it three separate times (ReplicationManager::run_epoch, the
 // decentralized all-to-all variant, and the hierarchical aggregation tree).
-// This header factors the loop into four stage interfaces so the variants
-// become plugins behind one canonical composition:
+// What deployments vary is how the micro-cluster summaries reach the
+// decision point, so that is the one seam:
 //
-//   SummaryCollector   how micro-cluster summaries reach the decision point
-//                      (direct in-process, two-level aggregation tree, or
-//                      all-to-all decentralized agreement)
-//   PlacementProposer  how the collected summaries become a proposed
-//                      placement (any place::PlacementStrategy, plus the
-//                      warm-start centroid cache for online clustering)
-//   MigrationGate      whether the proposal is worth the move (§III-C)
-//   Adopter            how replica state follows an adopted placement and
-//                      how retained summaries age
+//   SummaryCollector   direct in-process, two-level aggregation tree,
+//                      all-to-all decentralized agreement, or real sockets
+//                      ("rpc", net/rpc_collector.h)
 //
-// ReplicationManager::run_epoch composes the four stages; the default
-// composition (standard_pipeline in replication_manager.h) is byte-identical
-// to the historical hand-inlined loop.
+// ReplicationManager::run_epoch runs the fixed steps after it: propose
+// (online clustering with the warm-start centroid cache), gate
+// (decide_migration, §III-C), and adopt (redistribute_to_nearest below) or
+// age the kept summaries. A collector that already agreed on a proposal
+// in-protocol (decentralized) returns it, and the propose step is skipped.
 #pragma once
 
 #include <cstdint>
@@ -31,10 +27,8 @@
 
 #include "cluster/summarizer.h"
 #include "core/aggregation.h"
-#include "core/migration.h"
 #include "net/clock.h"
 #include "net/rpc_config.h"
-#include "placement/online_clustering.h"
 #include "placement/strategy.h"
 #include "placement/types.h"
 
@@ -55,7 +49,7 @@ struct CollectedSummaries {
   /// Wire bytes the decision point received (the O(km) cost of Table II).
   std::size_t summary_bytes = 0;
   /// Set when the collection protocol itself already agreed on a proposal
-  /// (the decentralized collector); the pipeline then skips the proposer.
+  /// (the decentralized collector); run_epoch then skips its propose step.
   std::optional<place::Placement> agreed_proposal;
   /// Sources whose summary could not be collected this round and was served
   /// from the collector's last-epoch cache instead ("rpc" degradation).
@@ -65,7 +59,8 @@ struct CollectedSummaries {
   std::vector<topo::NodeId> lost_sources;
 };
 
-/// Stage 1: ships per-replica summaries to the placement decision point.
+/// The epoch's one pluggable stage: ships per-replica summaries to the
+/// placement decision point.
 class SummaryCollector {
  public:
   virtual ~SummaryCollector() = default;
@@ -113,8 +108,8 @@ class HierarchicalCollector final : public SummaryCollector {
 
 /// All-to-all decentralized agreement (core/decentralized): every replica
 /// receives every summary, computes the placement locally with the shared
-/// epoch seed, and the agreed proposal is returned — the proposer stage is
-/// skipped. `strategy` is the per-replica decision rule.
+/// epoch seed, and the agreed proposal is returned — run_epoch's propose
+/// step is skipped. `strategy` is the per-replica decision rule.
 class DecentralizedCollector final : public SummaryCollector {
  public:
   DecentralizedCollector(sim::Simulator& simulator, sim::Network& network,
@@ -130,137 +125,18 @@ class DecentralizedCollector final : public SummaryCollector {
   std::shared_ptr<const place::PlacementStrategy> strategy_;
 };
 
-/// Stage 2: turns collected summaries into a proposed placement.
-class PlacementProposer {
- public:
-  virtual ~PlacementProposer() = default;
-
-  /// Human-readable name used in reports.
-  virtual std::string name() const = 0;
-
-  /// Proposes min(input.k, #candidates) distinct candidates. May update
-  /// internal caches (e.g. warm-start centroids); deterministic in the
-  /// input, input.seed, and prior propose() history.
-  virtual place::Placement propose(const place::PlacementInput& input) = 0;
-
-  /// Warm-start centroid cache, persisted by ReplicationManager::save so a
-  /// restored stand-by proposes exactly what the failed coordinator would
-  /// have. Proposers without a cache report empty and ignore restores.
-  virtual std::vector<Point> warm_centroids() const { return {}; }
-  virtual void set_warm_centroids(std::vector<Point> centroids) { (void)centroids; }
-};
-
-/// The paper's Algorithm 1 proposer: weighted k-means macro-clustering with
-/// the warm-start centroid cache threaded between epochs.
-class ClusteringProposer final : public PlacementProposer {
- public:
-  explicit ClusteringProposer(place::OnlineClusteringConfig config = {}, bool warm_start = true);
-
-  std::string name() const override { return "online clustering"; }
-  place::Placement propose(const place::PlacementInput& input) override;
-  std::vector<Point> warm_centroids() const override { return last_macro_centroids_; }
-  void set_warm_centroids(std::vector<Point> centroids) override {
-    last_macro_centroids_ = std::move(centroids);
-  }
-
- private:
-  place::OnlineClusteringConfig config_;
-  bool warm_start_;
-  std::vector<Point> last_macro_centroids_;
-};
-
-/// Adapts any registry strategy (random, offline k-means, greedy, ...) to
-/// the proposer stage. No warm-start cache.
-class StrategyProposer final : public PlacementProposer {
- public:
-  explicit StrategyProposer(std::unique_ptr<place::PlacementStrategy> strategy);
-
-  std::string name() const override { return strategy_->name(); }
-  place::Placement propose(const place::PlacementInput& input) override;
-
- private:
-  std::unique_ptr<place::PlacementStrategy> strategy_;
-};
-
-/// Stage 3: the migration cost/benefit gate.
-class MigrationGate {
- public:
-  virtual ~MigrationGate() = default;
-
-  /// Decides whether moving `replicas_moved` replicas is worth the delay
-  /// improvement. Must not mutate state (the gate may be consulted
-  /// speculatively).
-  virtual MigrationDecision evaluate(double old_delay_ms, double new_delay_ms,
-                                     std::size_t replicas_moved) const = 0;
-};
-
-/// decide_migration over a fixed MigrationPolicy (§III-C).
-class PolicyGate final : public MigrationGate {
- public:
-  explicit PolicyGate(MigrationPolicy policy) : policy_(policy) {}
-
-  MigrationDecision evaluate(double old_delay_ms, double new_delay_ms,
-                             std::size_t replicas_moved) const override;
-
- private:
-  MigrationPolicy policy_;
-};
-
-/// Stage 4: applies an adopted placement to the per-replica summarizers, or
-/// ages them when the epoch keeps the old placement.
-class Adopter {
- public:
-  virtual ~Adopter() = default;
-
-  /// Rebuilds `summarizers` for the replicas of `next`, redistributing the
-  /// collected micro-clusters so usage knowledge survives the move.
-  virtual void adopt(const place::Placement& next,
-                     const std::vector<cluster::MicroCluster>& summaries,
-                     const std::vector<place::CandidateInfo>& candidates,
-                     const cluster::SummarizerConfig& summarizer_config,
-                     std::map<topo::NodeId, cluster::MicroClusterSummarizer>& summarizers) = 0;
-
-  /// Ages retained summaries so stale populations fade (recency).
-  virtual void retain(
-      std::map<topo::NodeId, cluster::MicroClusterSummarizer>& summarizers) = 0;
-};
-
-/// The historical behavior: each micro-cluster goes to the new replica
-/// nearest its centroid; retained summaries decay exponentially. The
+/// The adopt step of run_epoch: fresh summarizers for the replicas of
+/// `next`, with each collected micro-cluster handed to the new replica
+/// nearest its centroid so usage knowledge survives the move. The
 /// nearest-replica resolution is kernelized — placement coordinates staged
 /// once as a PointSet, per-summary nearest_of scans parallelized over the
 /// pool with arena scratch — and byte-identical to the frozen scalar
-/// reference below (pinned by EpochPipelineTest.AdopterMatchesScalar).
-class NearestRedistributionAdopter final : public Adopter {
- public:
-  void adopt(const place::Placement& next, const std::vector<cluster::MicroCluster>& summaries,
-             const std::vector<place::CandidateInfo>& candidates,
-             const cluster::SummarizerConfig& summarizer_config,
-             std::map<topo::NodeId, cluster::MicroClusterSummarizer>& summarizers) override;
-  void retain(std::map<topo::NodeId, cluster::MicroClusterSummarizer>& summarizers) override;
-};
-
-/// Frozen scalar reference for NearestRedistributionAdopter: the historical
-/// per-summary linear scans (O(summaries x k x candidates)), kept verbatim
-/// as the equivalence baseline and the re-armed epoch_end_to_end bench arm.
-/// Never optimize this class.
-class ScalarNearestRedistributionAdopter final : public Adopter {
- public:
-  void adopt(const place::Placement& next, const std::vector<cluster::MicroCluster>& summaries,
-             const std::vector<place::CandidateInfo>& candidates,
-             const cluster::SummarizerConfig& summarizer_config,
-             std::map<topo::NodeId, cluster::MicroClusterSummarizer>& summarizers) override;
-  void retain(std::map<topo::NodeId, cluster::MicroClusterSummarizer>& summarizers) override;
-};
-
-/// One epoch's worth of stages. ReplicationManager owns one pipeline and
-/// composes the stages in run_epoch; every stage must be non-null.
-struct EpochPipeline {
-  std::unique_ptr<SummaryCollector> collector;
-  std::unique_ptr<PlacementProposer> proposer;
-  std::unique_ptr<MigrationGate> gate;
-  std::unique_ptr<Adopter> adopter;
-};
+/// reference redistribute_to_nearest_scalar (reference/scalar.h), pinned by
+/// EpochPipeline.AdopterMatchesScalar.
+std::map<topo::NodeId, cluster::MicroClusterSummarizer> redistribute_to_nearest(
+    const place::Placement& next, const std::vector<cluster::MicroCluster>& summaries,
+    const std::vector<place::CandidateInfo>& candidates,
+    const cluster::SummarizerConfig& summarizer_config);
 
 /// Dependencies a collector implementation may need. "direct" needs none;
 /// the protocol collectors run over the simulated network.

@@ -1,15 +1,15 @@
 // Per-stage wall-clock attribution for the placement epoch.
 //
 // The epoch's cost story lives in BENCH_perf.json as end-to-end ratios, but
-// a ratio cannot say *where* the milliseconds went — and the pipeline's
-// four stages (collect / propose / gate / adopt) plus the ingest flush have
-// wildly different scaling in clients, k, and summarizer budget. This layer
-// records each stage's wall time into the EpochReport the stage ran under,
-// so bench runs, the scenario engine, and operators all attribute the
-// critical path the same way. The trace is observational only: no retained
-// value, decision, or serialized byte depends on it, so the determinism
-// contracts (bit-identical epochs at any GEORED_THREADS, golden scenario
-// transcripts) are untouched.
+// a ratio cannot say *where* the milliseconds went — and the epoch's four
+// steps (the pluggable collect, then the fixed propose / gate / adopt) plus
+// the ingest flush have wildly different scaling in clients, k, and
+// summarizer budget. This layer records each step's wall time into the
+// EpochReport the step ran under, so bench runs, the scenario engine, and
+// operators all attribute the critical path the same way. The trace is
+// observational only: no retained value, decision, or serialized byte
+// depends on it, so the determinism contracts (bit-identical epochs at any
+// GEORED_THREADS, golden scenario transcripts) are untouched.
 //
 // Timing comes from the real monotonic clock at sub-millisecond resolution
 // (net::Clock's now_ms() is integer milliseconds — too coarse for stages
@@ -26,9 +26,9 @@ namespace geored::core {
 struct EpochStageTrace {
   double ingest_flush_ms = 0.0;  ///< draining the staged access batches
   double collect_ms = 0.0;       ///< SummaryCollector::collect
-  double propose_ms = 0.0;       ///< PlacementProposer::propose
-  double gate_ms = 0.0;          ///< delay estimates + MigrationGate
-  double adopt_ms = 0.0;         ///< Adopter::adopt or ::retain
+  double propose_ms = 0.0;       ///< online clustering (0 on an agreed proposal)
+  double gate_ms = 0.0;          ///< delay estimates + decide_migration
+  double adopt_ms = 0.0;         ///< redistribute_to_nearest, or aging kept summaries
 
   double total_ms() const {
     return ingest_flush_ms + collect_ms + propose_ms + gate_ms + adopt_ms;

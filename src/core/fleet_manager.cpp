@@ -30,10 +30,9 @@ FleetManager::FleetManager(std::vector<place::CandidateInfo> candidates, FleetCo
   groups_.reserve(config_.groups);
   for (std::size_t g = 0; g < config_.groups; ++g) {
     const std::uint64_t group_seed = seed ^ (0x9e3779b97f4a7c15ULL * (g + 1));
-    if (config_.pipeline_factory) {
+    if (config_.collector_factory) {
       groups_.push_back(std::make_unique<ReplicationManager>(
-          candidates, config_.manager, group_seed,
-          config_.pipeline_factory(config_.manager, g)));
+          candidates, config_.manager, group_seed, config_.collector_factory(g)));
     } else {
       groups_.push_back(
           std::make_unique<ReplicationManager>(candidates, config_.manager, group_seed));

@@ -2,7 +2,7 @@
 //
 // A production store does not place one object — it places thousands of
 // object groups, each with its own access population (Section II-A treats a
-// group as one virtual object). FleetManager owns one epoch pipeline per
+// group as one virtual object). FleetManager owns one ReplicationManager per
 // group, runs all group epochs in parallel over the deterministic global
 // ThreadPool (one group per task, seeded per group, so results are
 // bit-identical at any GEORED_THREADS), and — when a fleet-wide replica
@@ -33,7 +33,7 @@ inline constexpr std::uint32_t kFleetCheckpointMagic = 0x47524643;  // "GRFC"
 inline constexpr std::uint32_t kFleetCheckpointVersion = 1;
 
 struct FleetConfig {
-  /// Number of object groups (each governed by its own manager/pipeline).
+  /// Number of object groups (each governed by its own manager).
   std::size_t groups = 1;
 
   /// Per-group manager configuration. When a replica budget is set, the
@@ -48,13 +48,12 @@ struct FleetConfig {
   std::size_t min_degree = 1;
   std::size_t max_degree = 7;
 
-  /// Optional per-group stage composition: when set, group g's manager runs
-  /// on pipeline_factory(manager_config, g) instead of standard_pipeline —
-  /// how the scenario engine swaps in e.g. the RPC-backed collector without
-  /// the caller constructing managers itself. The factory must return a
-  /// fully-populated pipeline; it is invoked once per group at
-  /// construction.
-  std::function<EpochPipeline(const ManagerConfig&, std::size_t)> pipeline_factory;
+  /// Optional per-group summary collector: when set, group g's manager
+  /// collects through collector_factory(g) instead of in-process — how the
+  /// scenario engine swaps in e.g. the RPC-backed collector without the
+  /// caller constructing managers itself. The factory must return a
+  /// non-null collector; it is invoked once per group at construction.
+  std::function<std::unique_ptr<SummaryCollector>(std::size_t group)> collector_factory;
 };
 
 /// One fleet-wide epoch round: every group's report, plus the budget

@@ -43,28 +43,19 @@ void ensure_count_fits(std::uint32_t count, std::size_t min_bytes, const ByteRea
 
 }  // namespace
 
-EpochPipeline standard_pipeline(const ManagerConfig& config) {
-  EpochPipeline pipeline;
-  pipeline.collector = std::make_unique<DirectCollector>();
-  pipeline.proposer =
-      std::make_unique<ClusteringProposer>(config.strategy, config.warm_start_macro_clusters);
-  pipeline.gate = std::make_unique<PolicyGate>(config.migration);
-  pipeline.adopter = std::make_unique<NearestRedistributionAdopter>();
-  return pipeline;
-}
-
 ReplicationManager::ReplicationManager(std::vector<place::CandidateInfo> candidates,
                                        ManagerConfig config, std::uint64_t seed)
-    : ReplicationManager(std::move(candidates), config, seed, standard_pipeline(config)) {}
+    : ReplicationManager(std::move(candidates), config, seed,
+                         std::make_unique<DirectCollector>()) {}
 
 ReplicationManager::ReplicationManager(std::vector<place::CandidateInfo> candidates,
                                        ManagerConfig config, std::uint64_t seed,
-                                       EpochPipeline pipeline)
+                                       std::unique_ptr<SummaryCollector> collector)
     : candidates_(std::move(candidates)),
       config_(config),
       seed_(seed),
       degree_(config.replication_degree),
-      pipeline_(std::move(pipeline)) {
+      collector_(std::move(collector)) {
   GEORED_ENSURE(!candidates_.empty(), "manager needs at least one candidate data center");
   coord_dim_ = candidates_.front().coords.dim();
   for (const auto& candidate : candidates_) {
@@ -74,8 +65,7 @@ ReplicationManager::ReplicationManager(std::vector<place::CandidateInfo> candida
   GEORED_ENSURE(config_.replication_degree >= 1, "replication degree must be >= 1");
   GEORED_ENSURE(config_.min_degree >= 1 && config_.min_degree <= config_.max_degree,
                 "degree bounds must satisfy 1 <= min <= max");
-  GEORED_ENSURE(pipeline_.collector && pipeline_.proposer && pipeline_.gate && pipeline_.adopter,
-                "every epoch pipeline stage must be set");
+  GEORED_ENSURE(collector_ != nullptr, "the summary collector must be set");
   GEORED_ENSURE(config_.ingest_batch_grain >= 1, "ingest_batch_grain must be >= 1");
   GEORED_ENSURE(config_.ingest_shards >= 1, "ingest_shards must be >= 1");
   degree_ = std::clamp(degree_, config_.min_degree, config_.max_degree);
@@ -210,9 +200,20 @@ void ReplicationManager::record_access_batch(topo::NodeId replica, const PointSe
 // every shard mutex is acquired in ascending index order (the single global
 // acquisition order, so flushes never deadlock each other or the record
 // paths, which take exactly one shard), all staged state is read only while
-// every lock is held, and every lock is released on exit.
+// every lock is held, and every lock is released on every exit — a throwing
+// ingest included, or every later record, epoch and checkpoint call would
+// wait on the held shards forever.
 void ReplicationManager::flush_ingest() const GEORED_NO_THREAD_SAFETY_ANALYSIS {
-  for (auto& shard : ingest_shards_) shard->mutex.lock();
+  struct HeldShards {
+    const std::vector<std::unique_ptr<IngestShard>>& shards;
+    std::size_t held = 0;
+    ~HeldShards() GEORED_NO_THREAD_SAFETY_ANALYSIS {
+      while (held > 0) shards[--held]->mutex.unlock();
+    }
+  } locks{ingest_shards_};
+  for (; locks.held < ingest_shards_.size(); ++locks.held) {
+    ingest_shards_[locks.held]->mutex.lock();
+  }
   // Gather the replicas with staged accesses across all shards, sorted by
   // node id, so the work list — and thus which summarizer each parallel
   // chunk touches — is deterministic and independent of the shard count
@@ -247,9 +248,6 @@ void ReplicationManager::flush_ingest() const GEORED_NO_THREAD_SAFETY_ANALYSIS {
           }
         },
         /*min_parallel=*/2);
-  }
-  for (auto it = ingest_shards_.rbegin(); it != ingest_shards_.rend(); ++it) {
-    (*it)->mutex.unlock();
   }
 }
 
@@ -329,7 +327,7 @@ std::vector<double> ReplicationManager::delay_by_degree_curve(std::size_t min_de
     }
   }
   // A cold-start probe of the registry's online-clustering strategy; the
-  // epoch proposer is left untouched so probing cannot perturb warm starts.
+  // warm-start centroids are left untouched so probing cannot perturb them.
   const auto probe = place::make_strategy("online");
   std::vector<double> curve;
   curve.reserve(max_degree - min_degree + 1);
@@ -370,9 +368,8 @@ void ReplicationManager::save(ByteWriter& writer) const {
   for (const auto node : placement_) {
     summarizers_.at(node).serialize(writer);
   }
-  const std::vector<Point> centroids = pipeline_.proposer->warm_centroids();
-  writer.write_u32(static_cast<std::uint32_t>(centroids.size()));
-  for (const auto& centroid : centroids) {
+  writer.write_u32(static_cast<std::uint32_t>(warm_centroids_.size()));
+  for (const auto& centroid : warm_centroids_) {
     writer.write_f64_vector(centroid.values());
   }
 }
@@ -407,17 +404,28 @@ void ReplicationManager::restore(ByteReader& reader) {
   // per node id, and at least a 4-byte length prefix per warm centroid.
   const std::uint32_t placement_size = reader.read_u32();
   ensure_count_fits(placement_size, sizeof(std::uint32_t), reader, "placement size");
+  // A placement must name at least one replica, each once: an empty one
+  // cannot serve, and a repeated node would drop the second copy's
+  // summaries. Its size may differ from the degree — a checkpoint taken
+  // before a set_degree took effect holds the old size.
+  GEORED_ENSURE(placement_size >= 1, "corrupt checkpoint: empty placement");
   place::Placement placement;
   placement.reserve(placement_size);
   for (std::uint32_t i = 0; i < placement_size; ++i) {
     const topo::NodeId node = reader.read_u32();
     candidate_info(node);  // throws for unknown candidates
+    GEORED_ENSURE(std::find(placement.begin(), placement.end(), node) == placement.end(),
+                  "corrupt checkpoint: placement repeats node " + std::to_string(node));
     placement.push_back(node);
   }
+  // Summaries and warm centroids of another dimension would wedge the next
+  // flush or epoch, so they are rejected here, before anything is committed.
   std::map<topo::NodeId, cluster::MicroClusterSummarizer> summarizers;
   for (const auto node : placement) {
     cluster::MicroClusterSummarizer summarizer(config_.summarizer);
     for (const auto& micro : cluster::MicroClusterSummarizer::deserialize_clusters(reader)) {
+      GEORED_ENSURE(micro.sum().dim() == coord_dim_,
+                    "checkpoint summaries must have the candidates' dimension");
       summarizer.merge_cluster(micro);
     }
     summarizers.emplace(node, std::move(summarizer));
@@ -428,6 +436,8 @@ void ReplicationManager::restore(ByteReader& reader) {
   centroids.reserve(centroid_count);
   for (std::uint32_t i = 0; i < centroid_count; ++i) {
     centroids.emplace_back(reader.read_f64_vector());
+    GEORED_ENSURE(centroids.back().dim() == coord_dim_,
+                  "checkpoint warm centroids must have the candidates' dimension");
   }
   // All parsed and validated: commit. The restored access count lands in
   // shard 0 (the sum across shards is the observable value; its split is
@@ -443,7 +453,7 @@ void ReplicationManager::restore(ByteReader& reader) {
     ingest_shards_[s]->accesses = s == 0 ? epoch_accesses : 0;
     drop_retired_staging(ingest_shards_[s]->pending);
   }
-  pipeline_.proposer->set_warm_centroids(std::move(centroids));
+  warm_centroids_ = std::move(centroids);
 }
 
 EpochReport ReplicationManager::run_epoch(const std::set<topo::NodeId>& excluded) {
@@ -492,15 +502,17 @@ EpochReport ReplicationManager::run_epoch(const std::set<topo::NodeId>& excluded
   const std::uint64_t epoch_seed = seed_ ^ (0x9e3779b97f4a7c15ULL + epoch_index_);
   CollectedSummaries collected = [&] {
     const StageTimer timer(report.stages.collect_ms);
-    return pipeline_.collector->collect(sources, {usable, degree_, epoch_seed});
+    return collector_->collect(sources, {usable, degree_, epoch_seed});
   }();
   report.summary_bytes = collected.summary_bytes;
   report.stale_sources = collected.stale_sources.size();
   report.lost_sources = collected.lost_sources.size() + excluded_sources;
 
-  // 3. Propose a placement via the proposer stage over the usable
-  //    candidates — unless the collection protocol already agreed on one
-  //    (decentralized collection decides in-protocol).
+  // 3. Propose a placement by online clustering (Algorithm 1) over the
+  //    usable candidates — unless the collection protocol already agreed on
+  //    one (decentralized collection decides in-protocol). The macro
+  //    centroids are kept even when warm starts are off, so checkpoints
+  //    capture them either way.
   if (collected.agreed_proposal.has_value()) {
     report.proposed_placement = std::move(*collected.agreed_proposal);
   } else {
@@ -510,7 +522,12 @@ EpochReport ReplicationManager::run_epoch(const std::set<topo::NodeId>& excluded
     input.k = degree_;
     input.summaries = collected.summaries;
     input.seed = epoch_seed;
-    report.proposed_placement = pipeline_.proposer->propose(input);
+    place::OnlineClusteringConfig strategy = config_.strategy;
+    if (config_.warm_start_macro_clusters) strategy.warm_start_centroids = warm_centroids_;
+    place::OnlineClusteringDetails details =
+        place::OnlineClusteringPlacement(strategy).place_detailed(input);
+    warm_centroids_ = std::move(details.macro_centroids);
+    report.proposed_placement = std::move(details.placement);
   }
 
   // 4. Migration gate.
@@ -524,8 +541,8 @@ EpochReport ReplicationManager::run_epoch(const std::set<topo::NodeId>& excluded
       if (std::find(placement_.begin(), placement_.end(), node) == placement_.end()) ++moved;
     }
     report.replicas_moved = moved;
-    report.decision = pipeline_.gate->evaluate(report.old_estimated_delay_ms,
-                                               report.new_estimated_delay_ms, moved);
+    report.decision = decide_migration(config_.migration, report.old_estimated_delay_ms,
+                                       report.new_estimated_delay_ms, moved);
   }
 
   // 5. Adopt or retain. A degree change must be applied even if the gate
@@ -533,15 +550,16 @@ EpochReport ReplicationManager::run_epoch(const std::set<topo::NodeId>& excluded
   // anyway (capacity change dominates cost considerations here, as in the
   // paper's discussion). Likewise when a current replica sits on an
   // excluded (failed) data center: availability overrides the cost gate.
+  // Retained summaries age instead, so stale populations fade (recency).
   const bool degree_changed = report.proposed_placement.size() != placement_.size();
   {
     const StageTimer timer(report.stages.adopt_ms);
     if (report.decision.migrate || degree_changed || current_placement_impaired) {
       placement_ = report.proposed_placement;
-      pipeline_.adopter->adopt(placement_, collected.summaries, candidates_,
-                               config_.summarizer, summarizers_);
+      summarizers_ = redistribute_to_nearest(placement_, collected.summaries, candidates_,
+                                             config_.summarizer);
     } else {
-      pipeline_.adopter->retain(summarizers_);
+      for (auto& [node, summarizer] : summarizers_) summarizer.decay();
     }
   }
   report.adopted_placement = placement_;

@@ -133,27 +133,21 @@ struct EpochReport {
   EpochStageTrace stages;
 };
 
-/// The canonical stage composition for a ManagerConfig: direct in-process
-/// collection, the paper's online-clustering proposer (with warm starts per
-/// the config), the configured migration policy gate, and nearest-centroid
-/// summary redistribution. A manager built on this pipeline behaves
-/// byte-identically to the historical hand-inlined run_epoch.
-EpochPipeline standard_pipeline(const ManagerConfig& config);
-
 class ReplicationManager {
  public:
   /// `candidates` are the usable data centers (with coordinates); the
   /// initial placement is a seeded random choice of k of them, exactly like
-  /// a location-oblivious system would start. Runs epochs on
-  /// standard_pipeline(config).
+  /// a location-oblivious system would start. Collects summaries in-process
+  /// (DirectCollector).
   ReplicationManager(std::vector<place::CandidateInfo> candidates, ManagerConfig config,
                      std::uint64_t seed);
 
-  /// As above, but with an explicit stage composition — swap any stage for
-  /// a protocol variant (hierarchical/decentralized collection, a different
-  /// proposer) without touching the epoch loop. Every stage must be set.
+  /// As above, but summaries reach the decision point through `collector` —
+  /// the epoch's one pluggable stage (hierarchical, decentralized or rpc
+  /// collection; see core/epoch_pipeline.h). Throws std::invalid_argument
+  /// when `collector` is null.
   ReplicationManager(std::vector<place::CandidateInfo> candidates, ManagerConfig config,
-                     std::uint64_t seed, EpochPipeline pipeline);
+                     std::uint64_t seed, std::unique_ptr<SummaryCollector> collector);
 
   const place::Placement& placement() const { return placement_; }
   std::size_t degree() const { return degree_; }
@@ -207,10 +201,12 @@ class ReplicationManager {
   /// Micro-clusters currently held for `replica` (observability / tests).
   const std::vector<cluster::MicroCluster>& summary_of(topo::NodeId replica) const;
 
-  /// Runs one placement epoch: collect summaries, propose a placement,
-  /// apply the migration gate, adopt + redistribute summaries on success,
-  /// then age all summaries. Deterministic in construction seed and the
-  /// sequence of recorded accesses.
+  /// Runs one placement epoch: collect summaries through the collector,
+  /// propose a placement by online clustering (warm-started from the last
+  /// epoch's macro centroids when configured), apply the migration gate,
+  /// then either adopt the proposal and redistribute the summaries or age
+  /// the kept ones. Deterministic in construction seed and the sequence of
+  /// recorded accesses.
   ///
   /// `excluded` lists candidates that must not host replicas this epoch
   /// (e.g. data centers currently failed). If the *current* placement
@@ -256,11 +252,16 @@ class ReplicationManager {
   void save(ByteWriter& writer) const;
 
   /// Restores state saved by save(). The manager must have been constructed
-  /// with the same candidates and configuration; blobs with a wrong magic
-  /// or an unknown format version, placements referencing unknown
-  /// candidates, and counts larger than the bytes left could hold, throw
-  /// and leave the manager unchanged (a truncated or oversized count is a
-  /// WireFormatError, raised before anything is allocated for it).
+  /// with the same candidates and configuration. Everything is validated
+  /// before anything is committed: blobs with a wrong magic or an unknown
+  /// format version, an empty placement, a placement that repeats a node or
+  /// references an unknown candidate, micro-clusters or warm centroids of
+  /// another dimension than the candidates', and counts larger than the
+  /// bytes left could hold, throw std::invalid_argument and leave the
+  /// manager unchanged (a truncated or oversized count is a WireFormatError,
+  /// raised before anything is allocated for it). The placement may differ
+  /// in size from the configured degree: a checkpoint taken before a
+  /// set_degree took effect holds the old size.
   void restore(ByteReader& reader);
 
  private:
@@ -321,7 +322,11 @@ class ReplicationManager {
   /// ingest — pool chunks never take shard mutexes — so records observe
   /// either pre- or post-flush staging, never a torn one.
   mutable std::vector<std::unique_ptr<IngestShard>> ingest_shards_;
-  EpochPipeline pipeline_;
+  std::unique_ptr<SummaryCollector> collector_;
+  /// The latest epoch's macro-cluster centroids: the next proposal's warm
+  /// start when ManagerConfig::warm_start_macro_clusters is set, and saved
+  /// by every checkpoint either way.
+  std::vector<Point> warm_centroids_;
 };
 
 }  // namespace geored::core

@@ -9,17 +9,12 @@
 #include "common/ensure.h"
 #include "common/point_set.h"
 #include "common/thread_pool.h"
+#include "placement/evaluate_detail.h"
 
 namespace geored::place {
 
-namespace {
+namespace detail {
 
-/// Below this many clients the evaluators stay on the sequential path: the
-/// pool dispatch would cost more than the loop, and small inputs keep the
-/// exact operation order of the scalar reference implementations.
-constexpr std::size_t kMinParallelClients = 2048;
-
-/// q-th smallest of `latencies` (1-based q). Small vectors: partial sort.
 double quorum_latency(std::vector<double>& latencies, std::size_t quorum) {
   GEORED_ENSURE(quorum >= 1 && quorum <= latencies.size(),
                 "quorum must be within [1, #replicas]");
@@ -27,6 +22,17 @@ double quorum_latency(std::vector<double>& latencies, std::size_t quorum) {
                    latencies.end());
   return latencies[quorum - 1];
 }
+
+}  // namespace detail
+
+namespace {
+
+using detail::quorum_latency;
+
+/// Below this many clients the evaluators stay on the sequential path: the
+/// pool dispatch would cost more than the loop, and small inputs keep the
+/// exact operation order of the scalar reference implementations.
+constexpr std::size_t kMinParallelClients = 2048;
 
 /// Per-node quorum delay for a fixed placement: entry `node` is exactly the
 /// delay any client at that node would be charged — the same min (or q-th
@@ -205,61 +211,6 @@ void validate_placement(const Placement& placement, const PlacementInput& input)
     GEORED_ENSURE(seen.insert(id).second, "placement contains a duplicate data center");
     GEORED_ENSURE(candidate_ids.contains(id), "placement contains a non-candidate node");
   }
-}
-
-// --- Pre-optimization reference paths -------------------------------------
-//
-// Verbatim copies of the evaluators as they stood before the performance
-// layer (heap-allocating, pointer-chasing, sequential). They define the
-// ground truth the fast paths are tested against and the baseline
-// bench/micro_perf.cpp reports speedups over. Do not "optimize" these.
-
-double true_total_delay_scalar(const topo::Topology& topology, const Placement& placement,
-                               const std::vector<ClientRecord>& clients, std::size_t quorum) {
-  GEORED_ENSURE(!placement.empty(), "cannot evaluate an empty placement");
-  double total = 0.0;
-  std::vector<double> latencies(placement.size());  // lint: alloc-ok (frozen reference)
-  for (const auto& client : clients) {
-    if (quorum == 1) {
-      double best = topology.rtt_ms(client.client, placement.front());
-      for (std::size_t r = 1; r < placement.size(); ++r) {
-        best = std::min(best, topology.rtt_ms(client.client, placement[r]));
-      }
-      total += best * static_cast<double>(client.access_count);
-    } else {
-      for (std::size_t r = 0; r < placement.size(); ++r) {
-        latencies[r] = topology.rtt_ms(client.client, placement[r]);
-      }
-      total += quorum_latency(latencies, quorum) * static_cast<double>(client.access_count);
-    }
-  }
-  return total;
-}
-
-double estimated_total_delay_scalar(const Placement& placement,
-                                    const std::vector<CandidateInfo>& candidates,
-                                    const std::vector<ClientRecord>& clients,
-                                    std::size_t quorum) {
-  GEORED_ENSURE(!placement.empty(), "cannot evaluate an empty placement");
-  std::vector<const Point*> replica_coords;  // lint: alloc-ok (frozen reference)
-  replica_coords.reserve(placement.size());
-  for (const auto id : placement) {
-    const auto it = std::find_if(candidates.begin(), candidates.end(),
-                                 [id](const CandidateInfo& c) { return c.node == id; });
-    GEORED_ENSURE(it != candidates.end(), "placement references a non-candidate node");
-    replica_coords.push_back(&it->coords);
-  }
-  double total = 0.0;
-  std::vector<double> latencies(placement.size());  // lint: alloc-ok (frozen reference)
-  for (const auto& client : clients) {
-    for (std::size_t r = 0; r < replica_coords.size(); ++r) {
-      latencies[r] = client.coords.distance_to(*replica_coords[r]);
-    }
-    std::vector<double> scratch = latencies;  // lint: alloc-ok (frozen reference)
-    total += quorum_latency(scratch, std::min(quorum, scratch.size())) *
-             static_cast<double>(client.access_count);
-  }
-  return total;
 }
 
 }  // namespace geored::place

@@ -28,18 +28,6 @@ double estimated_total_delay(const Placement& placement,
                              const std::vector<CandidateInfo>& candidates,
                              const std::vector<ClientRecord>& clients, std::size_t quorum = 1);
 
-/// Pre-optimization scalar reference implementations of the two evaluators,
-/// kept verbatim so the equivalence tests and bench/micro_perf.cpp can pin
-/// the fast paths against them (byte-identical totals at one thread, 1e-9
-/// relative agreement across thread counts). Same contracts as above.
-double true_total_delay_scalar(const topo::Topology& topology, const Placement& placement,
-                               const std::vector<ClientRecord>& clients,
-                               std::size_t quorum = 1);
-double estimated_total_delay_scalar(const Placement& placement,
-                                    const std::vector<CandidateInfo>& candidates,
-                                    const std::vector<ClientRecord>& clients,
-                                    std::size_t quorum = 1);
-
 /// Validates that a placement consists of distinct ids drawn from the
 /// candidate set and has size min(k, #candidates). Throws on violation.
 void validate_placement(const Placement& placement, const PlacementInput& input);

@@ -13,6 +13,13 @@ Placement OnlineClusteringPlacement::place(const PlacementInput& input) const {
 
 OnlineClusteringDetails OnlineClusteringPlacement::place_detailed(
     const PlacementInput& input) const {
+  return detail::place_online_with(
+      config_, input, {&cluster::weighted_kmeans, &cluster::weighted_kmeans_from});
+}
+
+OnlineClusteringDetails detail::place_online_with(const OnlineClusteringConfig& online,
+                                                  const PlacementInput& input,
+                                                  KMeansSolvers solvers) {
   GEORED_ENSURE(!input.candidates.empty(), "no candidate data centers");
 
   // Micro-clusters become weighted pseudo-points (Algorithm 1, line 2).
@@ -20,7 +27,7 @@ OnlineClusteringDetails OnlineClusteringPlacement::place_detailed(
   pseudo_points.reserve(input.summaries.size());
   for (const auto& micro : input.summaries) {
     if (micro.count() == 0) continue;
-    const double weight = config_.weigh_by_data_volume
+    const double weight = online.weigh_by_data_volume
                               ? micro.weight()
                               : static_cast<double>(micro.count());
     if (weight <= 0.0) continue;
@@ -31,25 +38,19 @@ OnlineClusteringDetails OnlineClusteringPlacement::place_detailed(
     return {RandomPlacement().place(input), {}};
   }
 
-  cluster::KMeansConfig config = config_.kmeans;
+  cluster::KMeansConfig config = online.kmeans;
   config.k = std::min(input.k, input.candidates.size());
   Rng rng(input.seed);
-  auto result = config_.use_scalar_solver
-                    ? cluster::weighted_kmeans_scalar(pseudo_points, config, rng)
-                    : cluster::weighted_kmeans(pseudo_points, config, rng);
+  auto result = solvers.cold(pseudo_points, config, rng);
 
   // Warm start: if the previous epoch's centroids explain today's data
   // nearly as well (within the tolerance), prefer them — placements stay
   // put unless the population actually moved.
-  if (config_.warm_start_centroids.size() == config.k &&
-      config_.warm_start_centroids.front().dim() ==
+  if (online.warm_start_centroids.size() == config.k &&
+      online.warm_start_centroids.front().dim() ==
           pseudo_points.front().position.dim()) {
-    auto warm = config_.use_scalar_solver
-                    ? cluster::weighted_kmeans_from_scalar(
-                          pseudo_points, config_.warm_start_centroids, config)
-                    : cluster::weighted_kmeans_from(pseudo_points,
-                                                    config_.warm_start_centroids, config);
-    if (warm.objective <= result.objective * (1.0 + config_.warm_start_tolerance)) {
+    auto warm = solvers.warm(pseudo_points, online.warm_start_centroids, config);
+    if (warm.objective <= result.objective * (1.0 + online.warm_start_tolerance)) {
       result = std::move(warm);
     }
   }
@@ -61,7 +62,7 @@ OnlineClusteringDetails OnlineClusteringPlacement::place_detailed(
   OnlineClusteringDetails details;
   details.placement = assign_centroids_to_candidates(result.centroids, mass,
                                                      input.candidates, config.k, input.seed,
-                                                     config_.load_aware ? &mass : nullptr);
+                                                     online.load_aware ? &mass : nullptr);
   details.macro_centroids = std::move(result.centroids);
   return details;
 }

@@ -6,7 +6,9 @@
 // by its access count (optionally by data volume); weighted k-means merges
 // them into k macro-clusters, and each macro centroid is mapped to the
 // nearest distinct candidate data center. Bandwidth and compute are
-// independent of the number of clients (Table II).
+// independent of the number of clients (Table II). ReplicationManager::
+// run_epoch runs this as its fixed propose step, feeding each epoch's macro
+// centroids back as the next epoch's warm start.
 #pragma once
 
 #include "cluster/kmeans.h"
@@ -32,14 +34,6 @@ struct OnlineClusteringConfig {
   /// the seeding randomness, while real population shifts still win.
   std::vector<Point> warm_start_centroids;
   double warm_start_tolerance = 0.02;
-
-  /// Route the solves through the frozen scalar k-means references
-  /// (weighted_kmeans_scalar / weighted_kmeans_from_scalar) instead of the
-  /// accelerated solvers. The references are bit-identical by contract, so
-  /// this changes wall time only — it exists for the re-armed
-  /// epoch_end_to_end bench baseline and equivalence tests, never for
-  /// production configs.
-  bool use_scalar_solver = false;
 };
 
 /// place() plus the macro-cluster centroids behind the decision (callers
@@ -62,5 +56,25 @@ class OnlineClusteringPlacement final : public PlacementStrategy {
  private:
   OnlineClusteringConfig config_;
 };
+
+namespace detail {
+
+/// The k-means solver pair behind one macro-clustering: the seeded cold
+/// solve and the warm start from given centroids.
+struct KMeansSolvers {
+  cluster::KMeansResult (*cold)(const std::vector<cluster::WeightedPoint>&,
+                                const cluster::KMeansConfig&, Rng&);
+  cluster::KMeansResult (*warm)(const std::vector<cluster::WeightedPoint>&,
+                                std::vector<Point>, const cluster::KMeansConfig&);
+};
+
+/// place_detailed over an explicit solver pair. place_detailed passes
+/// {weighted_kmeans, weighted_kmeans_from}; bench/micro_perf's epoch
+/// baseline passes the frozen scalar pair (reference/scalar.h), which is
+/// bit-identical by contract, so the pair changes wall time only.
+OnlineClusteringDetails place_online_with(const OnlineClusteringConfig& online,
+                                          const PlacementInput& input, KMeansSolvers solvers);
+
+}  // namespace detail
 
 }  // namespace geored::place

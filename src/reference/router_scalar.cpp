@@ -1,4 +1,4 @@
-#include "serve/router_scalar.h"
+#include "reference/router_scalar.h"
 
 #include <algorithm>
 #include <limits>

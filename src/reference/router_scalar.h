@@ -5,10 +5,11 @@
 // and the property tests drive both routers through identical request
 // streams and require byte-identical decisions, counters, and histogram
 // buckets. Do not optimize this file — its value is being the slow,
-// obviously correct arbiter. Semantics match request_router.h exactly:
+// obviously correct arbiter. Semantics match serve/request_router.h exactly:
 // nearest up replica by squared coordinate distance with strict-`<`
 // first-winner ties over an ascending-NodeId scan, bounded virtual-time
-// FIFO queues, spill-to-second-nearest or reject on a full queue.
+// FIFO queues, spill-to-second-nearest or reject on a full queue. Part of
+// the test-only geored_reference library: no production library links it.
 #pragma once
 
 #include <cstddef>

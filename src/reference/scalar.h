@@ -1,0 +1,61 @@
+// Frozen scalar references for the free functions the production paths
+// replaced: the full-scan k-means solvers, the Point-loop delay evaluators
+// and the linear-scan summary redistribution. Each is the slow, obviously
+// correct arbiter its production counterpart is pinned against (bit-identical
+// results in the equivalence suites, the baselines of bench/micro_perf); do
+// not optimize them. Part of the test-only geored_reference library (see
+// reference/CMakeLists.txt).
+#pragma once
+
+#include <cstddef>
+#include <map>
+#include <vector>
+
+#include "cluster/kmeans.h"
+#include "cluster/microcluster.h"
+#include "cluster/summarizer.h"
+#include "common/point.h"
+#include "common/random.h"
+#include "placement/types.h"
+#include "topology/topology.h"
+
+namespace geored::cluster {
+
+/// Scalar reference solver for weighted_kmeans: identical validation and
+/// seeding (same rng consumption) and plain full-scan Lloyd iterations.
+KMeansResult weighted_kmeans_scalar(const std::vector<WeightedPoint>& points,
+                                    const KMeansConfig& config, Rng& rng);
+
+/// Scalar reference warm-start solver for weighted_kmeans_from.
+KMeansResult weighted_kmeans_from_scalar(const std::vector<WeightedPoint>& points,
+                                         std::vector<Point> initial_centroids,
+                                         const KMeansConfig& config);
+
+}  // namespace geored::cluster
+
+namespace geored::place {
+
+/// Pre-optimization scalar references for true_total_delay and
+/// estimated_total_delay (byte-identical totals at one thread, 1e-9
+/// relative agreement across thread counts). Same contracts as the
+/// evaluators in placement/evaluate.h.
+double true_total_delay_scalar(const topo::Topology& topology, const Placement& placement,
+                               const std::vector<ClientRecord>& clients,
+                               std::size_t quorum = 1);
+double estimated_total_delay_scalar(const Placement& placement,
+                                    const std::vector<CandidateInfo>& candidates,
+                                    const std::vector<ClientRecord>& clients,
+                                    std::size_t quorum = 1);
+
+}  // namespace geored::place
+
+namespace geored::core {
+
+/// Scalar reference for redistribute_to_nearest (core/epoch_pipeline.h):
+/// the historical per-summary linear scans, O(summaries x k x candidates).
+std::map<topo::NodeId, cluster::MicroClusterSummarizer> redistribute_to_nearest_scalar(
+    const place::Placement& next, const std::vector<cluster::MicroCluster>& summaries,
+    const std::vector<place::CandidateInfo>& candidates,
+    const cluster::SummarizerConfig& summarizer_config);
+
+}  // namespace geored::core

@@ -1,4 +1,4 @@
-#include "cluster/summarizer_scalar.h"
+#include "reference/summarizer_scalar.h"
 
 #include <cmath>
 #include <limits>

@@ -2,12 +2,14 @@
 // verbatim (one MicroCluster object per cluster, nearest-then-sqrt absorb
 // test with the radius recomputed from moments on every access).
 //
-// MicroClusterSummarizer in summarizer.h replaced this implementation with
-// flat structure-of-arrays moment storage and a cached absorb radius; the
-// equivalence suites (tests/cluster/ingest_equivalence_test.cpp) and
-// bench/micro_perf feed both the same streams and require bit-identical
-// summaries, so the reference must stay untouched by future optimization —
-// the same discipline as the *_scalar evaluators in placement/evaluate.h.
+// MicroClusterSummarizer in cluster/summarizer.h replaced this
+// implementation with flat structure-of-arrays moment storage and a cached
+// absorb radius; the equivalence suites
+// (tests/cluster/ingest_equivalence_test.cpp) and bench/micro_perf feed both
+// the same streams and require bit-identical summaries, so the reference
+// must stay untouched by future optimization — the same discipline as the
+// other frozen references in reference/scalar.h. Part of the test-only
+// geored_reference library: no production library links it.
 #pragma once
 
 #include <cstdint>

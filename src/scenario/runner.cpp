@@ -305,14 +305,11 @@ class Engine {
       // faults cost no wall time (and no wall-clock nondeterminism).
       const net::RpcCollectorConfig rpc = config_.rpc;
       auto clock = std::make_shared<net::VirtualClock>();
-      fleet.pipeline_factory = [rpc, clock](const core::ManagerConfig& manager,
-                                            std::size_t /*group*/) {
-        core::EpochPipeline pipeline = core::standard_pipeline(manager);
+      fleet.collector_factory = [rpc, clock](std::size_t /*group*/) {
         core::CollectorConfig collector;
         collector.rpc = rpc;
         collector.rpc_clock = clock;
-        pipeline.collector = core::make_collector("rpc", collector);
-        return pipeline;
+        return core::make_collector("rpc", collector);
       };
     }
     fleet_ = std::make_unique<core::FleetManager>(candidates_, fleet, config_.seed);

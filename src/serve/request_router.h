@@ -27,7 +27,7 @@
 // go to the lowest NodeId (the up panel is sorted ascending by node and the
 // scan takes the first strict-`<` winner). route_batch reproduces a route()
 // loop bit for bit; tests/serve pins both against the frozen Point-loop
-// reference in router_scalar.h.
+// reference in reference/router_scalar.h (test-only).
 //
 // The router is single-threaded like every geored component; `now_ms` must
 // be non-decreasing across calls (simulator event order provides this).

@@ -16,12 +16,13 @@
 #include <vector>
 
 #include "cluster/summarizer.h"
-#include "cluster/summarizer_scalar.h"
 #include "common/point_set.h"
 #include "common/random.h"
 #include "common/serialize.h"
 #include "common/thread_pool.h"
 #include "core/replication_manager.h"
+#include "reference/scalar.h"
+#include "reference/summarizer_scalar.h"
 
 namespace geored::cluster {
 namespace {

@@ -11,6 +11,7 @@
 #include "cluster/kmeans.h"
 #include "common/point.h"
 #include "common/random.h"
+#include "reference/scalar.h"
 
 namespace geored::cluster {
 namespace {

@@ -2,11 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <limits>
 #include <map>
 #include <memory>
+#include <optional>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -14,8 +17,14 @@
 #include "cluster/summarizer.h"
 #include "common/random.h"
 #include "common/serialize.h"
+#include "common/sym_matrix.h"
 #include "core/replication_manager.h"
+#include "net/clock.h"
 #include "placement/strategy.h"
+#include "reference/scalar.h"
+#include "sim/network.h"
+#include "sim/simulator.h"
+#include "topology/topology.h"
 
 namespace geored::core {
 namespace {
@@ -113,58 +122,27 @@ TEST(EpochPipeline, DefaultCompositionMatchesPreRefactorGolden) {
   }
 }
 
-TEST(EpochPipeline, ExplicitCompositionMatchesLegacyConstructor) {
-  // Building the stages by hand must be indistinguishable from the
-  // config-driven constructor — same reports, bit for bit, every epoch.
+TEST(EpochPipeline, ExplicitCollectorMatchesDefaultConstructor) {
+  // Handing the manager the registry's direct collector must be
+  // indistinguishable from the three-argument constructor — same reports,
+  // bit for bit, every epoch.
   const ManagerConfig config = golden_config();
-  ReplicationManager legacy(line_candidates(), config, 7);
-  EpochPipeline pipeline;
-  pipeline.collector = make_collector("direct");
-  pipeline.proposer = std::make_unique<ClusteringProposer>(config.strategy,
-                                                           config.warm_start_macro_clusters);
-  pipeline.gate = std::make_unique<PolicyGate>(config.migration);
-  pipeline.adopter = std::make_unique<NearestRedistributionAdopter>();
-  ReplicationManager explicit_stages(line_candidates(), config, 7, std::move(pipeline));
+  ReplicationManager implicit(line_candidates(), config, 7);
+  ReplicationManager direct(line_candidates(), config, 7, make_collector("direct"));
 
-  Rng legacy_rng(5);
-  Rng explicit_rng(5);
+  Rng implicit_rng(5);
+  Rng direct_rng(5);
   for (int epoch = 0; epoch < 6; ++epoch) {
-    feed_golden_epoch(legacy, legacy_rng);
-    feed_golden_epoch(explicit_stages, explicit_rng);
-    EXPECT_EQ(format_report(explicit_stages.run_epoch()), format_report(legacy.run_epoch()))
+    feed_golden_epoch(implicit, implicit_rng);
+    feed_golden_epoch(direct, direct_rng);
+    EXPECT_EQ(format_report(direct.run_epoch()), format_report(implicit.run_epoch()))
         << "epoch " << epoch;
   }
 }
 
-TEST(EpochPipeline, StrategyProposerMatchesLegacyForStatelessStrategies) {
-  // A registry strategy without a warm-start cache still composes: offline
-  // k-means through StrategyProposer proposes exactly what the bare
-  // strategy would.
-  const auto candidates = line_candidates();
-  place::PlacementInput input;
-  input.candidates = candidates;
-  input.k = 3;
-  input.seed = 11;
-  Rng rng(2);
-  for (int i = 0; i < 300; ++i) {
-    place::ClientRecord record;
-    record.client = 0;
-    record.coords = Point{rng.uniform(0.0, 900.0)};
-    record.access_count = 1;
-    input.clients.push_back(record);
-  }
-
-  StrategyProposer proposer(place::make_strategy("offline_kmeans"));
-  EXPECT_EQ(proposer.name(), place::make_strategy("offline_kmeans")->name());
-  EXPECT_EQ(proposer.propose(input), place::make_strategy("offline_kmeans")->place(input));
-  EXPECT_TRUE(proposer.warm_centroids().empty());  // no cache to persist
-}
-
-TEST(EpochPipeline, RejectsIncompletePipelines) {
-  EpochPipeline pipeline;  // all stages null
-  EXPECT_THROW(
-      ReplicationManager(line_candidates(), golden_config(), 7, std::move(pipeline)),
-      std::invalid_argument);
+TEST(EpochPipeline, RejectsNullCollector) {
+  EXPECT_THROW(ReplicationManager(line_candidates(), golden_config(), 7, nullptr),
+               std::invalid_argument);
 }
 
 TEST(EpochPipeline, CollectorRegistryKnowsItsNames) {
@@ -201,8 +179,8 @@ TEST(EpochPipeline, StrategyRegistryKnowsItsNames) {
   EXPECT_THROW(place::make_strategy("simulated-annealing"), std::invalid_argument);
 }
 
-/// Serialized per-replica bytes after an adopt, keyed by node in map order —
-/// the byte-equality currency for the adopter equivalence pin.
+/// Serialized per-replica bytes after a redistribution, keyed by node in map
+/// order — the byte-equality currency for the adopter equivalence pin.
 std::vector<std::pair<topo::NodeId, std::vector<std::uint8_t>>> serialized_summarizers(
     const std::map<topo::NodeId, cluster::MicroClusterSummarizer>& summarizers) {
   std::vector<std::pair<topo::NodeId, std::vector<std::uint8_t>>> out;
@@ -214,12 +192,11 @@ std::vector<std::pair<topo::NodeId, std::vector<std::uint8_t>>> serialized_summa
   return out;
 }
 
-// The kernelized NearestRedistributionAdopter is byte-identical to the frozen
+// The kernelized redistribute_to_nearest is byte-identical to the frozen
 // scalar reference (the doc contract in epoch_pipeline.h): same summarizer
-// map keys, same serialized cluster bytes per replica, after both adopt()
-// (nearest-replica redistribution) and retain() (decay aging). Large enough
-// summary counts to cross the parallel-dispatch threshold, plus degenerate
-// shapes: empty summaries, a single replica, and coincident candidates.
+// map keys, same serialized cluster bytes per replica. Large enough summary
+// counts to cross the parallel-dispatch threshold, plus degenerate shapes:
+// empty summaries, a single replica, and coincident candidates.
 TEST(EpochPipeline, AdopterMatchesScalar) {
   cluster::SummarizerConfig config;
   config.max_clusters = 6;
@@ -241,18 +218,9 @@ TEST(EpochPipeline, AdopterMatchesScalar) {
       summaries.push_back(micro);
     }
 
-    NearestRedistributionAdopter fast;
-    ScalarNearestRedistributionAdopter scalar;
-    std::map<topo::NodeId, cluster::MicroClusterSummarizer> fast_map, scalar_map;
-    fast.adopt(next, summaries, candidates, config, fast_map);
-    scalar.adopt(next, summaries, candidates, config, scalar_map);
-    EXPECT_EQ(serialized_summarizers(fast_map), serialized_summarizers(scalar_map))
-        << label << ": adopt() diverged";
-
-    fast.retain(fast_map);
-    scalar.retain(scalar_map);
-    EXPECT_EQ(serialized_summarizers(fast_map), serialized_summarizers(scalar_map))
-        << label << ": retain() diverged";
+    const auto fast = redistribute_to_nearest(next, summaries, candidates, config);
+    const auto scalar = redistribute_to_nearest_scalar(next, summaries, candidates, config);
+    EXPECT_EQ(serialized_summarizers(fast), serialized_summarizers(scalar)) << label;
   };
 
   const auto candidates = line_candidates();
@@ -266,6 +234,69 @@ TEST(EpochPipeline, AdopterMatchesScalar) {
   auto coincident = line_candidates(6);
   for (auto& c : coincident) c.coords = Point{250.0};
   run_case(coincident, {3, 1, 5}, 150, 0x77, "coincident");
+}
+
+/// Passes collection through and keeps the proposal the collector agreed.
+struct RecordingCollector final : SummaryCollector {
+  RecordingCollector(std::unique_ptr<SummaryCollector> wrapped,
+                     std::optional<place::Placement>& out)
+      : inner(std::move(wrapped)), agreed(out) {}
+  std::string name() const override { return inner->name(); }
+  CollectedSummaries collect(const std::vector<SummarySource>& sources,
+                             const CollectionContext& context) override {
+    CollectedSummaries collected = inner->collect(sources, context);
+    agreed = collected.agreed_proposal;
+    return collected;
+  }
+  std::unique_ptr<SummaryCollector> inner;
+  std::optional<place::Placement>& agreed;
+};
+
+// Every registry collector drives a manager through whole epochs, one with a
+// failed data center. The decentralized collector's agreed proposal is what
+// the manager proposes (its propose step is skipped).
+TEST(EpochPipeline, EveryRegistryCollectorDrivesAManager) {
+  const auto candidates = line_candidates();
+  SymMatrix rtt(candidates.size());
+  for (std::size_t i = 0; i < candidates.size(); ++i) {
+    for (std::size_t j = i + 1; j < candidates.size(); ++j) {
+      rtt.set(i, j, 100.0 * static_cast<double>(j - i));
+    }
+  }
+  const topo::Topology topology(std::vector<topo::NodeInfo>(candidates.size()), rtt, {});
+  for (const auto& name : collector_names()) {
+    sim::Simulator simulator;
+    sim::Network network(simulator, topology);
+    CollectorConfig config;
+    config.simulator = &simulator;
+    config.network = &network;
+    config.rpc_clock = std::make_shared<net::VirtualClock>();
+    std::optional<place::Placement> agreed;
+    ReplicationManager manager(
+        candidates, golden_config(), 7,
+        std::make_unique<RecordingCollector>(make_collector(name, config), agreed));
+    Rng rng(5);
+    for (int epoch = 0; epoch < 4; ++epoch) {
+      std::set<topo::NodeId> excluded;
+      if (epoch == 2) excluded.insert(manager.placement().front());
+      feed_golden_epoch(manager, rng);
+      const EpochReport report = manager.run_epoch(excluded);
+      SCOPED_TRACE(name + " epoch " + std::to_string(epoch));
+      const place::Placement& adopted = report.adopted_placement;
+      EXPECT_EQ(adopted.size(), std::min(report.degree, candidates.size() - excluded.size()));
+      EXPECT_EQ(std::set<topo::NodeId>(adopted.begin(), adopted.end()).size(), adopted.size());
+      for (const auto node : adopted) {
+        EXPECT_LT(node, candidates.size());
+        EXPECT_FALSE(excluded.contains(node));
+      }
+      EXPECT_EQ(report.lost_sources, excluded.size());
+      EXPECT_GT(report.summary_bytes, 0u);
+      EXPECT_EQ(agreed.has_value(), name == "decentralized");
+      if (agreed.has_value()) {
+        EXPECT_EQ(report.proposed_placement, *agreed);
+      }
+    }
+  }
 }
 
 TEST(EpochPipeline, DirectCollectorFlattensInSourceOrder) {

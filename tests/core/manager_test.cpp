@@ -4,12 +4,15 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstdint>
 #include <cstring>
 #include <limits>
 #include <set>
 #include <thread>
+#include <vector>
 
 #include "common/random.h"
+#include "common/serialize.h"
 
 namespace geored::core {
 namespace {
@@ -454,6 +457,75 @@ TEST(Manager, RestoreRejectsFutureFormatVersion) {
   ByteReader reader(future);
   EXPECT_THROW(standby.restore(reader), std::invalid_argument);
   EXPECT_EQ(standby.placement(), before);
+}
+
+/// The manager's checkpoint bytes: unchanged by a call iff its state is.
+std::vector<std::uint8_t> checkpoint_of(const ReplicationManager& manager) {
+  ByteWriter writer;
+  manager.save(writer);
+  return writer.bytes();
+}
+
+/// A v2 checkpoint in save()'s layout with empty summaries: magic, version,
+/// epoch index, accesses, degree, budget flag and weight, placement,
+/// per-replica cluster lists, warm centroids.
+std::vector<std::uint8_t> handmade_checkpoint(const place::Placement& placement,
+                                              const std::vector<Point>& warm_centroids) {
+  ByteWriter writer;
+  writer.write_u32(kCheckpointMagic);
+  writer.write_u32(2);
+  for (const std::uint64_t field : {0, 0, 3}) writer.write_u64(field);
+  writer.write_u32(0);
+  writer.write_f64(1.0);
+  writer.write_u32(static_cast<std::uint32_t>(placement.size()));
+  for (const auto node : placement) writer.write_u32(node);
+  for (std::size_t i = 0; i < placement.size(); ++i) writer.write_u32(0);
+  writer.write_u32(static_cast<std::uint32_t>(warm_centroids.size()));
+  for (const auto& centroid : warm_centroids) writer.write_f64_vector(centroid.values());
+  return writer.bytes();
+}
+
+/// Restoring `blob` must throw std::invalid_argument and change nothing.
+void expect_rejected(ReplicationManager& manager, const std::vector<std::uint8_t>& blob) {
+  const std::vector<std::uint8_t> before = checkpoint_of(manager);
+  ByteReader reader(blob);
+  EXPECT_THROW(manager.restore(reader), std::invalid_argument);
+  EXPECT_EQ(checkpoint_of(manager), before);
+}
+
+TEST(Manager, RestoreRejectsCheckpointOfAnotherDimension) {
+  // line_candidates() lifted into the plane and into 3-D space.
+  auto lifted = [](std::size_t dim) {
+    auto candidates = line_candidates();
+    for (auto& c : candidates) {
+      std::vector<double> coords(dim, 0.0);
+      coords[0] = c.coords[0];
+      c.coords = Point(coords);
+    }
+    return candidates;
+  };
+  ReplicationManager planar(lifted(2), small_config(3), 7);
+  Rng rng(5);
+  for (int i = 0; i < 300; ++i) planar.serve(Point{rng.normal(300.0, 40.0), 0.0});
+  planar.run_epoch();  // 2-D warm centroids
+  for (int i = 0; i < 300; ++i) planar.serve(Point{rng.normal(300.0, 40.0), 0.0});
+
+  ReplicationManager manager(lifted(3), small_config(3), 7);
+  expect_rejected(manager, checkpoint_of(planar));
+  expect_rejected(manager, handmade_checkpoint({0, 4, 8}, {Point{0.0, 0.0}}));
+  for (int i = 0; i < 100; ++i) manager.serve(Point{rng.normal(300.0, 40.0), 0.0, 0.0});
+  EXPECT_EQ(manager.run_epoch().epoch_accesses, 100u);
+}
+
+TEST(Manager, RestoreRejectsPlacementThatRepeatsANode) {
+  ReplicationManager manager(line_candidates(), small_config(3), 7);
+  expect_rejected(manager, handmade_checkpoint({0, 0, 2}, {}));
+}
+
+TEST(Manager, RestoreRejectsEmptyPlacement) {
+  ReplicationManager manager(line_candidates(), small_config(3), 7);
+  expect_rejected(manager, handmade_checkpoint({}, {}));
+  EXPECT_NO_THROW(manager.serve(Point{250.0}));
 }
 
 TEST(Manager, EpochWithNoAccessesIsSafe) {

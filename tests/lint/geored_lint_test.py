@@ -66,6 +66,15 @@ FIXTURE = {
         "}  // namespace",
         "}  // namespace geored",
     ],
+    "src/core/uses_reference.cpp": [
+        '#include "reference/scalar.h"  // expect: reference-only',
+        '  #  include "reference/router_scalar.h"  // expect: reference-only',
+        '// #include "reference/scalar.h" in a comment does not count',
+        "/*",
+        '#include "reference/scalar.h" inside a block comment does not count either',
+        "*/",
+        '#include "placement/evaluate.h"',
+    ],
     "src/core/no_pragma.h": [
         "// expect: pragma-once",
         "int declared();",
@@ -107,8 +116,12 @@ FIXTURE = {
     ],
     "src/placement/online.cpp": ["auto p = new OnlineClusteringPlacement(config);"],
     "src/core/epoch_pipeline.cpp": ["OnlineClusteringPlacement strategy(config);"],
-    # Driver trees get exactly no-raw-assert, unseeded-rng, pragma-once and
-    # registry-only: the clock, sync, dispatch and allocation rules stay off.
+    "src/core/replication_manager.cpp": ["OnlineClusteringPlacement(strategy).place(input);"],
+    "src/reference/kmeans_scalar.cpp": ['#include "reference/scalar.h"'],
+    "bench/micro_perf.cpp": ['#include "reference/scalar.h"'],
+    # Driver trees get exactly no-raw-assert, unseeded-rng, pragma-once,
+    # registry-only and reference-only: the clock, sync, dispatch and
+    # allocation rules stay off.
     "bench/driver.cpp": [
         "#include <chrono>",
         "#include <immintrin.h>",
@@ -118,6 +131,7 @@ FIXTURE = {
         "void f(int x) { assert(x); }  // expect: no-raw-assert",
         "int r = rand();  // expect: unseeded-rng",
         "std::size_t pick(std::size_t n) { return n; }",
+        '#include "reference/scalar.h"  // expect: reference-only',
     ],
     "bench/driver.h": ["// expect: pragma-once"],
     "examples/demo.cpp": [

@@ -394,19 +394,17 @@ core::ManagerConfig golden_config() {
   return config;
 }
 
-core::EpochPipeline rpc_pipeline(const core::ManagerConfig& config) {
-  core::EpochPipeline pipeline = core::standard_pipeline(config);
+std::unique_ptr<core::SummaryCollector> rpc_collector() {
   core::CollectorConfig collector_config;
   collector_config.rpc.timeout_ms = 60;
   collector_config.rpc_clock = std::make_shared<VirtualClock>();
-  pipeline.collector = core::make_collector("rpc", collector_config);
-  return pipeline;
+  return core::make_collector("rpc", collector_config);
 }
 
 TEST(RpcEquivalence, ManagerEpochReportsMatchDirectBitForBit) {
   const core::ManagerConfig config = golden_config();
   core::ReplicationManager direct(line_candidates(), config, 7);
-  core::ReplicationManager rpc(line_candidates(), config, 7, rpc_pipeline(config));
+  core::ReplicationManager rpc(line_candidates(), config, 7, rpc_collector());
 
   Rng direct_rng(5);
   Rng rpc_rng(5);
@@ -429,15 +427,14 @@ TEST(RpcEquivalence, FaultyEpochsAreReproducibleGivenTheSeed) {
   // way, twice in a row. This pins the determinism half of the tentpole.
   const core::ManagerConfig config = golden_config();
   auto run = [&] {
-    core::EpochPipeline pipeline = core::standard_pipeline(config);
     core::CollectorConfig collector_config;
     collector_config.rpc.timeout_ms = 60;
     collector_config.rpc.max_attempts = 2;
     collector_config.rpc.faults.disconnect = 0.4;
     collector_config.rpc.faults.seed = 3;
     collector_config.rpc_clock = std::make_shared<VirtualClock>();
-    pipeline.collector = core::make_collector("rpc", collector_config);
-    core::ReplicationManager manager(line_candidates(), config, 7, std::move(pipeline));
+    core::ReplicationManager manager(line_candidates(), config, 7,
+                                     core::make_collector("rpc", collector_config));
     Rng rng(5);
     std::string transcript;
     for (int epoch = 0; epoch < 4; ++epoch) {

@@ -23,6 +23,7 @@
 #include "placement/evaluate.h"
 #include "placement/greedy.h"
 #include "placement/local_search.h"
+#include "reference/scalar.h"
 #include "topology/topology.h"
 
 namespace geored::place {

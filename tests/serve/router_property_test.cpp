@@ -26,8 +26,8 @@
 #include "common/point.h"
 #include "common/point_set.h"
 #include "common/random.h"
+#include "reference/router_scalar.h"
 #include "serve/request_router.h"
-#include "serve/router_scalar.h"
 
 namespace geored::serve {
 namespace {

@@ -4,11 +4,11 @@
 One rule table (RULES below), one file walk, one comment/string stripper.
 Library sources (src/) get every rule. The driver trees (bench/, examples/
 and the CLI, tools/geored.cpp) ship beside the library and must model its
-idioms, so they get exactly four rules: no-raw-assert, unseeded-rng,
-pragma-once and registry-only. The other rules stay library-only on
-purpose: entry-point validation is a library-API contract, and bench timing
-loops (bench/e2e) legitimately read the real clock. Tests have their own
-idioms and are not linted.
+idioms, so they get exactly five rules: no-raw-assert, unseeded-rng,
+pragma-once, registry-only and reference-only. The other rules stay
+library-only on purpose: entry-point validation is a library-API contract,
+and bench timing loops (bench/e2e) legitimately read the real clock. Tests
+have their own idioms and are not linted.
 
 Rules:
 
@@ -28,10 +28,18 @@ Rules:
                    Suppress a deliberate exception with a trailing
                    `// lint: no-ensure` on the signature line.
   registry-only    No direct OnlineClusteringPlacement construction outside
-                   the placement layer and the pipeline factory
-                   (src/core/epoch_pipeline.cpp): callers go through
-                   place::make_strategy("online") or make_collector so every
-                   decision rule stays registry-addressable.
+                   the placement layer, the epoch loop's proposal
+                   (src/core/replication_manager.cpp) and the decentralized
+                   collector's default rule (src/core/epoch_pipeline.cpp):
+                   callers go through place::make_strategy("online") or
+                   make_collector so every decision rule stays
+                   registry-addressable.
+  reference-only   No #include "reference/..." outside src/reference/ and
+                   bench/micro_perf.cpp: the frozen scalar references are a
+                   test-only library (geored_reference) that no production
+                   library or other driver may depend on. Reads the raw
+                   text, since the stripper blanks the include path. No
+                   suppression.
   naked-sync       No raw std::mutex / std::condition_variable (or the std
                    lock adapters) outside src/common/sync.h. Every lock is a
                    capability-annotated geored::Mutex so Clang's
@@ -71,8 +79,9 @@ Rules:
                    kernels with simd::active_level(). No suppression.
 
 Every rule scans the comment- and string-stripped text, whose line numbers
-match the file's, except pragma-once and ensure-on-entry, which read the raw
-text (they look for a directive and for comment markers respectively).
+match the file's, except pragma-once, ensure-on-entry and reference-only,
+which read the raw text (they look for a directive, for comment markers and
+for an include path respectively).
 
 The pass is AST-aware for the library when libclang's Python bindings are
 importable (it then classifies tokens by cursor kind, so declarations in
@@ -134,6 +143,9 @@ WALL_CLOCK = re.compile(
 )
 
 RUN_CHUNKS = re.compile(r"\brun_chunks\s*\(")
+
+INCLUDE = re.compile(r"^\s*#\s*include\b")
+REFERENCE_INCLUDE = re.compile(r'^\s*#\s*include\s*"reference/')
 
 # A std::vector variable declaration (with or without constructor args) or a
 # vector temporary. References and qualified-name function definitions do
@@ -261,6 +273,15 @@ def unvalidated_entry_points(lint: FileLint) -> Iterator[int]:
             yield text.count("\n", 0, match.start()) + 1
 
 
+def reference_includes(lint: FileLint) -> Iterator[int]:
+    """Lines including a frozen reference header. The path is read from the
+    raw line; the stripped line must still be an include, so a commented-out
+    include does not count."""
+    for lineno, raw in enumerate(lint.raw_lines, 1):
+        if REFERENCE_INCLUDE.match(raw) and INCLUDE.match(lint.lines[lineno - 1]):
+            yield lineno
+
+
 def unordered_iteration(lint: FileLint) -> Iterator[int]:
     for lineno, line in enumerate(lint.lines, 1):
         match = RANGE_FOR.search(line)
@@ -328,9 +349,16 @@ RULES = (
     ),
     Rule(
         "registry-only", DIRECT_CONSTRUCTION, LIBRARY + DRIVERS,
-        ("src/placement/", "src/core/epoch_pipeline.cpp"), None,
+        ("src/placement/", "src/core/replication_manager.cpp", "src/core/epoch_pipeline.cpp"),
+        None,
         "construct OnlineClusteringPlacement through place::make_strategy(\"online\") or "
-        "the epoch-pipeline factories, not directly",
+        "make_collector, not directly",
+    ),
+    Rule(
+        "reference-only", reference_includes, LIBRARY + DRIVERS,
+        ("src/reference/", "bench/micro_perf.cpp"), None,
+        "frozen scalar reference included outside src/reference/ and bench/micro_perf.cpp; "
+        "the test-only geored_reference library must stay out of production code",
     ),
     Rule(
         "naked-sync", NAKED_SYNC, LIBRARY, ("src/common/sync.h",), "lint: naked-sync-ok",
