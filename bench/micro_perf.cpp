@@ -8,7 +8,8 @@
 // the outputs agree, and writes machine-readable results to a JSON file
 // (BENCH_perf.json by default; see docs/performance.md). The world_setup
 // case instead times the end-to-end benchmark's world build at one thread
-// against the run's thread count. The frozen references come from the
+// against the run's thread count, and the rnp_refit case times one refit
+// round of that world's RNP embedding. The frozen references come from the
 // test-only geored_reference library (reference/), which this is the only
 // driver to link.
 #include <algorithm>
@@ -34,6 +35,7 @@
 #include "common/thread_pool.h"
 #include "core/replication_manager.h"
 #include "netcoord/embedding.h"
+#include "netcoord/rnp.h"
 #include "placement/evaluate.h"
 #include "placement/greedy.h"
 #include "placement/local_search.h"
@@ -281,6 +283,26 @@ Placement naive_local_search(const place::PlacementInput& input,
   return result;
 }
 
+/// FNV-1a over the bit patterns of doubles.
+struct Fnv1a {
+  std::uint64_t state = 0xcbf29ce484222325ULL;
+  void add(double value) {
+    const auto bits = std::bit_cast<std::uint64_t>(value);
+    for (int i = 0; i < 8; ++i) {
+      state ^= (bits >> (8 * i)) & 0xffU;
+      state *= 0x100000001b3ULL;
+    }
+  }
+  /// Every position component, height and error, in order.
+  void add(const std::vector<coord::NetworkCoordinate>& coords) {
+    for (const auto& c : coords) {
+      for (const double v : c.position.values()) add(v);
+      add(c.height);
+      add(c.error);
+    }
+  }
+};
+
 /// One build of the end-to-end benchmark's world: 1000 PlanetLab-like nodes
 /// from topology seed 2011, embedded by 5-D RNP with gossip seed 2012.
 struct WorldBuild {
@@ -302,23 +324,70 @@ WorldBuild build_benchmark_world() {
   const auto embedded = std::chrono::steady_clock::now();
   build.generate_ms = std::chrono::duration<double, std::milli>(generated - start).count();
   build.embed_ms = std::chrono::duration<double, std::milli>(embedded - generated).count();
-  std::uint64_t state = 0xcbf29ce484222325ULL;
-  const auto add = [&](double value) {
-    const auto bits = std::bit_cast<std::uint64_t>(value);
-    for (int i = 0; i < 8; ++i) {
-      state ^= (bits >> (8 * i)) & 0xffU;
-      state *= 0x100000001b3ULL;
-    }
-  };
-  for (const double rtt : topology.rtt_matrix().raw()) add(rtt);
-  for (const auto& c : coords) {
-    for (const double v : c.position.values()) add(v);
-    add(c.height);
-    add(c.error);
-  }
-  build.digest = state;
+  Fnv1a fnv;
+  for (const double rtt : topology.rtt_matrix().raw()) fnv.add(rtt);
+  fnv.add(coords);
+  build.digest = fnv.state;
   return build;
 }
+
+/// One refit round of the end-to-end benchmark's world: a full 64-sample
+/// window in 5-D for each of its 1 000 nodes, the ring's next write at a
+/// random slot, peers and RTTs drawn around the node's true position, and
+/// the node's current coordinate a little off that position.
+struct RefitRound {
+  static constexpr std::size_t kWindows = 1000;
+  coord::RnpConfig config;
+  std::vector<double> decay_by_age;
+  // Window w's slot s sits at [w * window_size + s] (positions: times kDim).
+  std::vector<double> positions, heights, errors, rtts;
+  std::vector<std::size_t> next;
+  std::vector<coord::NetworkCoordinate> starts;
+
+  RefitRound() {
+    config.vivaldi.dimensions = kDim;
+    const std::size_t window = config.window_size;
+    for (std::size_t age = 0; age < window; ++age) {
+      decay_by_age.push_back(std::pow(config.recency_decay, static_cast<double>(age)));
+    }
+    Rng rng(0x7e417);
+    for (std::size_t w = 0; w < kWindows; ++w) {
+      Point truth(kDim);
+      coord::NetworkCoordinate start(kDim);
+      for (std::size_t d = 0; d < kDim; ++d) {
+        truth[d] = rng.uniform(-150.0, 150.0);
+        start.position[d] = truth[d] + rng.uniform(-15.0, 15.0);
+      }
+      start.error = rng.uniform(0.2, 1.0);
+      starts.push_back(start);
+      for (std::size_t s = 0; s < window; ++s) {
+        Point peer(kDim);
+        for (std::size_t d = 0; d < kDim; ++d) peer[d] = rng.uniform(-150.0, 150.0);
+        positions.insert(positions.end(), peer.values().begin(), peer.values().end());
+        heights.push_back(rng.uniform(0.0, 5.0));
+        errors.push_back(rng.uniform(0.05, 1.5));
+        rtts.push_back(truth.distance_to(peer) * rng.uniform(1.0, 1.4) +
+                       rng.uniform(1.0, 15.0));
+      }
+      next.push_back(rng.below(window));
+    }
+  }
+
+  coord::RnpWindow window(std::size_t w) const {
+    const std::size_t size = config.window_size;
+    coord::RnpWindow view;
+    view.positions = positions.data() + w * size * kDim;
+    view.heights = heights.data() + w * size;
+    view.errors = errors.data() + w * size;
+    view.rtts = rtts.data() + w * size;
+    view.decay_by_age = decay_by_age.data();
+    view.dim = kDim;
+    view.size = size;
+    view.capacity = size;
+    view.next = next[w];
+    return view;
+  }
+};
 
 std::vector<CaseResult> run_scale(const Scale& scale, std::size_t repeats,
                                   const std::string& only) {
@@ -995,6 +1064,35 @@ std::vector<CaseResult> run_scale(const Scale& scale, std::size_t repeats,
         fast_stages.collect_ms, base_stages.propose_ms, fast_stages.propose_ms,
         base_stages.gate_ms, fast_stages.gate_ms, base_stages.adopt_ms,
         fast_stages.adopt_ms);
+  }
+
+  // --- RNP refit: one fused pass per descent step vs the two-walk refit ----
+  // One refit round of the benchmark world, so a round's milliseconds read
+  // as microseconds per refit. Each arm refits every window from the same
+  // starting coordinates; match compares the digests of every output bit
+  // (the printed value is the digest's top 53 bits, exact as a double).
+  if (want("rnp_refit")) {
+    const RefitRound round;
+    std::vector<coord::NetworkCoordinate> base_coords = round.starts;
+    std::vector<coord::NetworkCoordinate> fast_coords = round.starts;
+    ms_base = time_ms(repeats, [&] {
+      for (std::size_t w = 0; w < RefitRound::kWindows; ++w) {
+        base_coords[w] = round.starts[w];
+        coord::rnp_refit_scalar(round.config, round.window(w), base_coords[w]);
+      }
+    });
+    ms_opt = time_ms(repeats, [&] {
+      for (std::size_t w = 0; w < RefitRound::kWindows; ++w) {
+        fast_coords[w] = round.starts[w];
+        coord::rnp_refit(round.config, round.window(w), fast_coords[w], simd::active_level());
+      }
+    });
+    Fnv1a base_digest, fast_digest;
+    base_digest.add(base_coords);
+    fast_digest.add(fast_coords);
+    add_case("rnp_refit", ms_base, ms_opt, static_cast<double>(base_digest.state >> 11),
+             static_cast<double>(fast_digest.state >> 11),
+             base_digest.state == fast_digest.state);
   }
 
   // --- World set-up: topology generation + RNP embedding -------------------

@@ -26,7 +26,9 @@
 // (see docs/performance.md). The small centroid panels are served by their
 // own shapes: nearest_column scans a summarizer's dimension-major centroid
 // shadow with plain column loads, and the batched kernels run k-means
-// assignment one query per lane.
+// assignment one query per lane. rnp_refit_pass, the RNP embedding's
+// descent step, reads a window the refit has already copied into columns,
+// so it needs no gathers either.
 //
 // FP contraction: this header's implementations live in point_set_simd.cpp,
 // which is compiled with -ffp-contract=off (see src/common/CMakeLists.txt).
@@ -183,5 +185,47 @@ void weighted_scatter_add(const double* points, std::size_t dim, const std::size
                           std::size_t count, const double* weights,
                           const std::size_t* assign, double* sums, double* cluster_weight,
                           Level level);
+
+/// An RNP refit window in the layout rnp_refit_pass reads: n samples,
+/// oldest first, copied once per refit so that no pass needs a gather.
+/// Sample s is the peer position at columns[d * n + s] (one contiguous
+/// column per dimension, read one sample per lane) and, again, at
+/// rows[s * dim + d] (one row per sample, read one dimension per lane);
+/// its peer height, RTT, RTT squared (rtts[s] * rtts[s]) and weight sit at
+/// index s of the other arrays.
+struct RefitWindow {
+  std::size_t n = 0;
+  std::size_t dim = 0;
+  const double* columns = nullptr;
+  const double* rows = nullptr;
+  const double* heights = nullptr;
+  const double* rtts = nullptr;
+  const double* rtt_squared = nullptr;
+  const double* weights = nullptr;
+};
+
+/// Widest dimensionality the vector arm of rnp_refit_pass keeps the
+/// gradient of in registers (one lane per component); wider windows run the
+/// scalar arm, which is bit-identical. The vector arm is AVX2, at both
+/// kAvx2 and kAvx512.
+inline constexpr std::size_t kMaxRefitDim = 8;
+
+/// One fused evaluation of the RNP refit objective, and optionally its
+/// gradient, at (position, height). Per sample s, with
+///   spatial = sqrt(sum_d (x_s[d] - position[d])^2)      (ascending d)
+///   pred    = spatial + (use_height ? height + heights[s] : 0.0)
+///   rel     = (pred - rtt) / rtt
+///   coeff   = weights[s] * 2.0 * (pred - rtt) / rtt_squared[s]
+/// it returns the sum of weights[s] * rel * rel. When `grad` is non-null it
+/// also writes grad[i] = sum of (position[i] - x_s[i]) * (coeff / spatial)
+/// over the samples with spatial > 1e-9, and *grad_h = sum of coeff when
+/// use_height (else 0.0). Every product and quotient keeps that operand
+/// order, and every sum runs oldest sample first in its own scalar
+/// accumulator or vector lane (vectors run across samples for the
+/// per-sample values and across dimensions for the gradient, never across
+/// the terms of one sum), so the results are bit-identical at every level.
+/// Requires n >= 1.
+double rnp_refit_pass(const RefitWindow& window, const double* position, double height,
+                      bool use_height, double* grad, double* grad_h, Level level);
 
 }  // namespace geored::simd

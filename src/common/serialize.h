@@ -25,6 +25,13 @@ class WireFormatError : public std::invalid_argument {
   using std::invalid_argument::invalid_argument;
 };
 
+/// Most entries a stream loader reserves from a count read from its input
+/// (Topology::load, Topology::from_rtt_matrix_stream, wl::Trace::load).
+/// Storage beyond it grows as entries are parsed, so a hostile count fails
+/// on its first missing entry instead of sizing an allocation for entries
+/// that are not there.
+inline constexpr std::size_t kMaxHeaderReserve = std::size_t{1} << 16;
+
 /// Append-only binary writer.
 class ByteWriter {
  public:

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "common/arena.h"
 #include "common/ensure.h"
 
 namespace geored::coord {
@@ -11,6 +12,14 @@ namespace {
 /// Lower clamp of a peer's error estimate when it is turned into a sample's
 /// reliability weight.
 constexpr double kReliabilityErrorFloor = 0.05;
+
+/// Doubles of arena scratch a refit of `samples` samples in `dim`
+/// dimensions takes: the window as columns and as rows, its heights, RTTs,
+/// squared RTTs and weights, and the current point, the best point and the
+/// gradient.
+std::size_t refit_scratch_doubles(std::size_t samples, std::size_t dim) {
+  return 2 * samples * dim + 4 * samples + 3 * dim;
+}
 }  // namespace
 
 RnpNode::RnpNode(const RnpConfig& config, std::uint32_t node_id)
@@ -28,20 +37,19 @@ RnpNode::RnpNode(const RnpConfig& config, std::uint32_t node_id)
   // The only allocations a node makes: everything below is reused for the
   // node's lifetime.
   const std::size_t window = config.window_size;
-  const std::size_t dim = config.vivaldi.dimensions;
   window_positions_.reserve(window);  // lint: alloc-ok
   window_heights_.resize(window);     // lint: alloc-ok
   window_errors_.resize(window);      // lint: alloc-ok
   window_rtts_.resize(window);        // lint: alloc-ok
   decay_by_age_.resize(window);       // lint: alloc-ok
-  weight_.resize(window);             // lint: alloc-ok
-  distance_.resize(window);           // lint: alloc-ok
-  position_.resize(dim);              // lint: alloc-ok
-  best_position_.resize(dim);         // lint: alloc-ok
-  gradient_.resize(dim);              // lint: alloc-ok
   for (std::size_t age = 0; age < window; ++age) {
     decay_by_age_[age] = std::pow(config.recency_decay, static_cast<double>(age));
   }
+  // Sizes this thread's epoch arena for the largest refit the node can run
+  // (a no-op once the arena holds that much), so observing on this thread
+  // never allocates.
+  ArenaScope scope;
+  scope.span<double>(refit_scratch_doubles(window, config.vivaldi.dimensions));
 }
 
 void RnpNode::observe(const NetworkCoordinate& remote, double rtt_ms) {
@@ -72,7 +80,7 @@ void RnpNode::observe(const NetworkCoordinate& remote, double rtt_ms) {
   config_.cc = base_cc;
   ++samples_;
 
-  if (refit_after_step) refit();
+  if (refit_after_step) rnp_refit(rnp_config_, window(), coord_, simd::active_level());
 }
 
 bool RnpNode::refit_due() const {
@@ -82,76 +90,91 @@ bool RnpNode::refit_due() const {
          std::min(window_positions_.size() + 1, rnp_config_.window_size) >= 4;
 }
 
-template <typename Fn>
-void RnpNode::for_each_sample(Fn&& fn) const {
-  const std::size_t n = window_positions_.size();
-  // Until the ring first wraps, slot 0 holds the oldest sample.
-  std::size_t slot = n < rnp_config_.window_size ? 0 : window_next_;
-  for (std::size_t s = 0; s < n; ++s) {
-    fn(slot, n - 1 - s);
-    if (++slot == rnp_config_.window_size) slot = 0;
-  }
+RnpWindow RnpNode::window() const {
+  RnpWindow view;
+  view.positions = window_positions_.row(0);
+  view.heights = window_heights_.data();
+  view.errors = window_errors_.data();
+  view.rtts = window_rtts_.data();
+  view.decay_by_age = decay_by_age_.data();
+  view.dim = window_positions_.dim();
+  view.size = window_positions_.size();
+  view.capacity = rnp_config_.window_size;
+  view.next = window_next_;
+  return view;
 }
 
-double RnpNode::objective(const double* position, double height, double weight_sum) {
-  window_positions_.distance_row(position, distance_.data());
-  const bool use_height = config_.use_height;
-  double total = 0.0;
-  for_each_sample([&](std::size_t slot, std::size_t) {
-    const double rtt = window_rtts_[slot];
-    const double pred = distance_[slot] + (use_height ? height + window_heights_[slot] : 0.0);
-    const double rel = (pred - rtt) / rtt;
-    total += weight_[slot] * rel * rel;
-  });
-  return weight_sum > 0 ? total / weight_sum : 0.0;
-}
+void rnp_refit(const RnpConfig& config, const RnpWindow& window, NetworkCoordinate& coord,
+               simd::Level level) {
+  const bool use_height = config.vivaldi.use_height;
+  const std::size_t n = window.size;
+  const std::size_t dim = window.dim;
+  GEORED_ENSURE(n >= 1 && n <= window.capacity && window.next < window.capacity,
+                "RNP refit needs a non-empty window within its capacity");
+  GEORED_ENSURE(coord.position.dim() == dim, "RNP refit coordinate has the wrong dimension");
 
-void RnpNode::refit() {
-  const bool use_height = config_.use_height;
-  const std::size_t dim = window_positions_.dim();
+  ArenaScope scope;
+  double* const columns = scope.span<double>(refit_scratch_doubles(n, dim));
+  double* const rows = columns + n * dim;
+  double* const heights = rows + n * dim;
+  double* const rtts = heights + n;
+  double* const rtt_squared = rtts + n;
+  double* const weights = rtt_squared + n;
+  double* const position = weights + n;
+  double* const best_position = position + dim;
+  double* const grad = best_position + dim;
 
-  // Reliability x recency weight per retained sample. Reliability is the
-  // inverse of the peer's own error estimate at observation time — samples
-  // from well-converged peers steer the fit more.
+  // Copy the window oldest sample first, with each sample's reliability x
+  // recency weight. Reliability is the inverse of the peer's own error
+  // estimate at observation time — samples from well-converged peers steer
+  // the fit more. Until the ring first wraps, slot 0 holds the oldest sample.
   double mean_rtt = 0.0;
   double weight_sum = 0.0;
-  for_each_sample([&](std::size_t slot, std::size_t age) {
-    const double reliability =
-        1.0 / std::clamp(window_errors_[slot], kReliabilityErrorFloor, config_.max_error);
-    weight_[slot] = decay_by_age_[age] * reliability;
-    weight_sum += weight_[slot];
-    mean_rtt += window_rtts_[slot];
-  });
-  mean_rtt /= static_cast<double>(window_positions_.size());
+  std::size_t slot = n < window.capacity ? 0 : window.next;
+  for (std::size_t s = 0; s < n; ++s) {
+    const double reliability = 1.0 / std::clamp(window.errors[slot], kReliabilityErrorFloor,
+                                                config.vivaldi.max_error);
+    weights[s] = window.decay_by_age[n - 1 - s] * reliability;
+    weight_sum += weights[s];
+    mean_rtt += window.rtts[slot];
+    const double* remote = window.positions + slot * dim;
+    std::copy_n(remote, dim, rows + s * dim);
+    for (std::size_t d = 0; d < dim; ++d) columns[d * n + s] = remote[d];
+    heights[s] = window.heights[slot];
+    rtts[s] = window.rtts[slot];
+    rtt_squared[s] = rtts[s] * rtts[s];
+    if (++slot == window.capacity) slot = 0;
+  }
+  mean_rtt /= static_cast<double>(n);
 
-  double* position = position_.data();
-  double* best_position = best_position_.data();
-  double* grad = gradient_.data();
-  std::copy_n(coord_.position.values().data(), dim, position);
-  double height = coord_.height;
+  simd::RefitWindow samples;
+  samples.n = n;
+  samples.dim = dim;
+  samples.columns = columns;
+  samples.rows = rows;
+  samples.heights = heights;
+  samples.rtts = rtts;
+  samples.rtt_squared = rtt_squared;
+  samples.weights = weights;
+  // The weighted mean squared relative error at (position, height); every
+  // pass but the last also leaves the (unnormalized) gradient there in
+  // grad and grad_h, for the step that follows.
+  const std::size_t steps = config.descent_steps;
+  double grad_h = 0.0;
+  const auto evaluate = [&](double at_height, bool gradient) {
+    const double total = simd::rnp_refit_pass(samples, position, at_height, use_height,
+                                              gradient ? grad : nullptr, &grad_h, level);
+    return weight_sum > 0 ? total / weight_sum : 0.0;
+  };
 
-  double best_obj = objective(position, height, weight_sum);
+  std::copy_n(coord.position.values().data(), dim, position);
+  double height = coord.height;
+  double best_obj = evaluate(height, steps > 0);
   std::copy_n(position, dim, best_position);
   double best_height = height;
 
-  for (std::size_t step = 0; step < rnp_config_.descent_steps; ++step) {
+  for (std::size_t step = 0; step < steps; ++step) {
     if (weight_sum <= 0.0) break;
-    // Weighted gradient of the relative squared error at `position`, whose
-    // per-sample distances the last objective() call left in distance_.
-    std::fill_n(grad, dim, 0.0);
-    double grad_h = 0.0;
-    for_each_sample([&](std::size_t slot, std::size_t) {
-      const double spatial = distance_[slot];
-      const double rtt = window_rtts_[slot];
-      const double pred = spatial + (use_height ? height + window_heights_[slot] : 0.0);
-      const double coeff = weight_[slot] * 2.0 * (pred - rtt) / (rtt * rtt);
-      if (spatial > 1e-9) {
-        const double* remote = window_positions_.row(slot);
-        const double scale = coeff / spatial;
-        for (std::size_t i = 0; i < dim; ++i) grad[i] += (position[i] - remote[i]) * scale;
-      }
-      if (use_height) grad_h += coeff;
-    });
     double grad_norm_squared = 0.0;
     for (std::size_t i = 0; i < dim; ++i) {
       grad[i] /= weight_sum;
@@ -163,12 +186,12 @@ void RnpNode::refit() {
     if (grad_norm < 1e-12) break;
 
     // Diminishing normalized step, scaled to the window's RTT magnitude.
-    const double step_size = rnp_config_.learning_rate * mean_rtt /
-                             (1.0 + static_cast<double>(step)) / grad_norm;
+    const double step_size =
+        config.learning_rate * mean_rtt / (1.0 + static_cast<double>(step)) / grad_norm;
     for (std::size_t i = 0; i < dim; ++i) position[i] -= grad[i] * step_size;
     if (use_height) height = std::max(0.0, height - grad_h * step_size);
 
-    const double obj = objective(position, height, weight_sum);
+    const double obj = evaluate(height, step + 1 < steps);
     if (obj < best_obj) {
       best_obj = obj;
       std::copy_n(position, dim, best_position);
@@ -176,16 +199,15 @@ void RnpNode::refit() {
     }
   }
 
-  std::copy_n(best_position, dim, &coord_.position[0]);
-  coord_.height = best_height;
+  std::copy_n(best_position, dim, &coord.position[0]);
+  coord.height = best_height;
   // The refit objective is the weighted mean squared relative error; its
   // square root is the natural successor of Vivaldi's error estimate.
-  coord_.error = std::min(config_.max_error, std::sqrt(best_obj));
-  GEORED_DCHECK(coord_.position.is_finite(),
-                "RNP refit produced a non-finite coordinate");
-  GEORED_DCHECK(std::isfinite(coord_.height) && coord_.height >= 0.0,
+  coord.error = std::min(config.vivaldi.max_error, std::sqrt(best_obj));
+  GEORED_DCHECK(coord.position.is_finite(), "RNP refit produced a non-finite coordinate");
+  GEORED_DCHECK(std::isfinite(coord.height) && coord.height >= 0.0,
                 "RNP refit produced an invalid height");
-  GEORED_DCHECK(std::isfinite(coord_.error) && coord_.error >= 0.0,
+  GEORED_DCHECK(std::isfinite(coord.error) && coord.error >= 0.0,
                 "RNP refit produced an invalid error estimate");
 }
 

@@ -16,8 +16,12 @@
 // a substitution for the (unavailable) original RNP code.
 //
 // The window is a fixed-capacity ring of flat arrays sized once at
-// construction, and the refit runs on member scratch buffers, so a node
-// never allocates after it is built (docs/performance.md, "Coordinate
+// construction. A refit copies it, oldest sample first, into scratch taken
+// from the calling thread's epoch arena, and evaluates each descent step in
+// one fused SIMD pass (simd::rnp_refit_pass). Construction sizes the
+// constructing thread's arena for that scratch, so a node observed on the
+// thread that built it never allocates; another thread's arena grows once,
+// to the largest refit that thread runs (docs/performance.md, "Coordinate
 // embedding").
 #pragma once
 
@@ -25,6 +29,7 @@
 #include <vector>
 
 #include "common/point_set.h"
+#include "common/point_set_simd.h"
 #include "netcoord/vivaldi.h"
 
 namespace geored::coord {
@@ -37,6 +42,34 @@ struct RnpConfig {
   double learning_rate = 0.05;    ///< initial step size (fraction of avg RTT)
   double recency_decay = 0.97;    ///< weight multiplier per sample of age
 };
+
+/// Read-only view of an RNP sample window: a ring of `capacity` slots whose
+/// first `size` are filled. Until the ring first wraps (size < capacity)
+/// slot 0 holds the oldest sample; after that the oldest sits at `next`,
+/// the slot the next sample overwrites. Slot s holds the peer position
+/// positions[s * dim .. s * dim + dim), and element s of `heights`,
+/// `errors` and `rtts`. decay_by_age[a] is recency_decay^a for every age
+/// a < capacity.
+struct RnpWindow {
+  const double* positions = nullptr;
+  const double* heights = nullptr;
+  const double* errors = nullptr;
+  const double* rtts = nullptr;
+  const double* decay_by_age = nullptr;
+  std::size_t dim = 0;
+  std::size_t size = 0;
+  std::size_t capacity = 0;
+  std::size_t next = 0;
+};
+
+/// RNP's retrospective refit: re-fits `coord` (position, height and error
+/// estimate) against every sample of `window` by reliability- and
+/// recency-weighted gradient descent on the relative prediction error, as
+/// configured by `config`. Each descent step is one simd::rnp_refit_pass at
+/// `level`; the result is bit-identical at every level. Requires
+/// window.size >= 1 and coord of the window's dimension.
+void rnp_refit(const RnpConfig& config, const RnpWindow& window, NetworkCoordinate& coord,
+               simd::Level level);
 
 /// Per-node state machine of the retrospective positioning protocol.
 class RnpNode : public VivaldiNode {
@@ -54,18 +87,7 @@ class RnpNode : public VivaldiNode {
   bool refit_due() const;
 
  private:
-  void refit();
-
-  /// Weighted mean squared relative error of predicting the window from
-  /// (`position`, `height`), given the sum of `weight_`. Leaves each
-  /// sample's spatial distance to `position` in `distance_` for the next
-  /// gradient step to reuse.
-  double objective(const double* position, double height, double weight_sum);
-
-  /// Calls fn(slot, age) for every retained sample, oldest first — the
-  /// order every sum over the window runs in.
-  template <typename Fn>
-  void for_each_sample(Fn&& fn) const;
+  RnpWindow window() const;
 
   RnpConfig rnp_config_;
   std::uint64_t observation_count_ = 0;
@@ -81,13 +103,6 @@ class RnpNode : public VivaldiNode {
 
   /// recency_decay^age for every age the window can hold.
   std::vector<double> decay_by_age_;
-
-  // Refit scratch; `weight_` and `distance_` are indexed by slot.
-  std::vector<double> weight_;
-  std::vector<double> distance_;
-  std::vector<double> position_;
-  std::vector<double> best_position_;
-  std::vector<double> gradient_;
 };
 
 }  // namespace geored::coord

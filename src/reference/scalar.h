@@ -1,10 +1,10 @@
 // Frozen scalar references for the free functions the production paths
-// replaced: the full-scan k-means solvers, the Point-loop delay evaluators
-// and the linear-scan summary redistribution. Each is the slow, obviously
-// correct arbiter its production counterpart is pinned against (bit-identical
-// results in the equivalence suites, the baselines of bench/micro_perf); do
-// not optimize them. Part of the test-only geored_reference library (see
-// reference/CMakeLists.txt).
+// replaced: the full-scan k-means solvers, the Point-loop delay evaluators,
+// the linear-scan summary redistribution and the two-walk RNP refit. Each
+// is the slow, obviously correct arbiter its production counterpart is
+// pinned against (bit-identical results in the equivalence suites, the
+// baselines of bench/micro_perf); do not optimize them. Part of the
+// test-only geored_reference library (see reference/CMakeLists.txt).
 #pragma once
 
 #include <cstddef>
@@ -16,6 +16,7 @@
 #include "cluster/summarizer.h"
 #include "common/point.h"
 #include "common/random.h"
+#include "netcoord/rnp.h"
 #include "placement/types.h"
 #include "topology/topology.h"
 
@@ -59,3 +60,14 @@ std::map<topo::NodeId, cluster::MicroClusterSummarizer> redistribute_to_nearest_
     const cluster::SummarizerConfig& summarizer_config);
 
 }  // namespace geored::core
+
+namespace geored::coord {
+
+/// Scalar reference for rnp_refit (netcoord/rnp.h): RnpNode's refit before
+/// the fused pass, an objective walk and a separate gradient walk per
+/// descent step. Same contract as rnp_refit, and bit-identical to it at
+/// every SIMD level. Requires window.capacity == config.window_size.
+void rnp_refit_scalar(const RnpConfig& config, const RnpWindow& window,
+                      NetworkCoordinate& coord);
+
+}  // namespace geored::coord

@@ -390,6 +390,10 @@ TopologySpec read_topology(const Json& json, const std::string& path) {
   spec.seed = reader.unsigned_integer("seed", spec.seed);
   reader.finish();
   if (spec.nodes < 2) bad_value(path + ".nodes", "need at least 2 nodes");
+  if (spec.nodes > TopologySpec::kMaxNodes) {
+    bad_value(path + ".nodes",
+              "at most " + std::to_string(TopologySpec::kMaxNodes) + " nodes are supported");
+  }
   if (spec.dcs < 1) bad_value(path + ".dcs", "need at least 1 data center");
   if (spec.dcs >= spec.nodes) {
     bad_value(path + ".dcs", "every node is a data center; no clients remain");

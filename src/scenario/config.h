@@ -54,6 +54,11 @@ class ScenarioError : public std::invalid_argument {
 /// the candidate data centers and whose remaining nodes are the client
 /// universe (activated/retired by population events).
 struct TopologySpec {
+  /// Largest accepted `nodes`. The runner builds an RTT matrix of
+  /// n(n-1)/2 doubles, about 400 MB at this size; the shipped scenarios use
+  /// at most 120 nodes. Since dcs < nodes, it bounds `dcs` too.
+  static constexpr std::size_t kMaxNodes = 10000;
+
   std::size_t nodes = 100;
   std::size_t dcs = 12;
   std::uint64_t seed = 99;

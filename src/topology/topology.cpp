@@ -6,15 +6,11 @@
 #include <string>
 
 #include "common/ensure.h"
+#include "common/serialize.h"
 
 namespace geored::topo {
 
 namespace {
-/// Most entries the loaders reserve from a header count. Storage beyond it
-/// grows as entries are parsed, so a hostile header fails on its first
-/// missing entry instead of allocating for entries that are not there.
-constexpr std::size_t kMaxHeaderReserve = std::size_t{1} << 16;
-
 /// Slots to reserve for the strict upper triangle of an n-node matrix:
 /// n*(n-1)/2, capped at kMaxHeaderReserve (tested first, so the product
 /// cannot overflow).

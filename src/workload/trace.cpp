@@ -6,6 +6,7 @@
 #include <set>
 
 #include "common/ensure.h"
+#include "common/serialize.h"
 
 namespace geored::wl {
 
@@ -36,7 +37,7 @@ Trace Trace::load(std::istream& is) {
   GEORED_ENSURE(static_cast<bool>(is >> magic >> count), "malformed trace header");
   GEORED_ENSURE(magic == "geored-trace-v1", "unknown trace format: " + magic);
   std::vector<TraceEvent> events;
-  events.reserve(count);
+  events.reserve(std::min(count, kMaxHeaderReserve));
   for (std::size_t i = 0; i < count; ++i) {
     TraceEvent event;
     char kind = 0;

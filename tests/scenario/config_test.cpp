@@ -81,6 +81,18 @@ TEST(ScenarioConfig, ZeroEpochsIsBadValue) {
                "epochs");
 }
 
+TEST(ScenarioConfig, NodesAboveTheCapAreBadValue) {
+  // The runner would build an n(n-1)/2 RTT matrix from this number.
+  for (const char* nodes : {"10001", "4000000000", "18446744073709551615"}) {
+    const std::string text =
+        std::string(R"({"name": "t", "topology": {"nodes": )") + nodes + R"(, "dcs": 4}})";
+    expect_error(text, ScenarioError::Kind::kBadValue, "topology.nodes");
+  }
+  const auto config =
+      parse_scenario(R"({"name": "t", "topology": {"nodes": 10000, "dcs": 9999}})");
+  EXPECT_EQ(config.topology.nodes, TopologySpec::kMaxNodes);
+}
+
 TEST(ScenarioConfig, UnknownCollectorIsBadValue) {
   expect_error(R"({"name": "t", "collector": "carrier-pigeon"})",
                ScenarioError::Kind::kBadValue, "collector");

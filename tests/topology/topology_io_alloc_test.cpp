@@ -1,6 +1,6 @@
-// The topology loaders never size an allocation from a header count: a
-// hostile header fails with std::invalid_argument on its first missing
-// entry, having allocated only a small fixed reserve. Global operator new is
+// The topology and trace loaders never size an allocation from a header
+// count: a hostile header fails with std::invalid_argument on its first
+// missing entry, having allocated only a small fixed reserve. Global operator new is
 // replaced with a version that records the largest request and refuses any
 // request that would take the live total past a cap, which is why this
 // suite is its own test binary.
@@ -15,6 +15,7 @@
 #include <gtest/gtest.h>
 
 #include "topology/topology.h"
+#include "workload/trace.h"
 
 namespace {
 /// Every block carries its size in a header, so a delete can take it off the
@@ -77,7 +78,7 @@ namespace geored::topo {
 namespace {
 
 /// The loaders reserve at most 2^16 entries from a header; the largest
-/// entry type, NodeInfo or std::string, is 32 bytes.
+/// entry type, NodeInfo, std::string or wl::TraceEvent, is 32 bytes.
 constexpr std::size_t kLargestReserve = std::size_t{2} << 20;
 
 template <typename Load>
@@ -103,6 +104,11 @@ TEST(TopologyIo, HostileMatrixHeaderNeverSizesAnAllocation) {
   // Small enough to zero-fill (3.2 GB as a full matrix), still rejected on
   // the first missing entry without allocating for the rest.
   expect_rejected_without_sizing("20000\n0 1 2\n", Topology::from_rtt_matrix_stream);
+}
+
+TEST(Trace, HostileEventCountNeverSizesAnAllocation) {
+  expect_rejected_without_sizing("geored-trace-v1 4000000000\n1 2 3 4 r\n", wl::Trace::load);
+  expect_rejected_without_sizing("geored-trace-v1 400000000\n1 2 3 4 r\n", wl::Trace::load);
 }
 
 TEST(TopologyIo, CountingAllocatorSeesAllocations) {
