@@ -14,18 +14,6 @@
 
 namespace geored::core {
 
-namespace {
-
-const place::CandidateInfo& find_candidate(const std::vector<place::CandidateInfo>& candidates,
-                                           topo::NodeId node) {
-  const auto it = std::find_if(candidates.begin(), candidates.end(),
-                               [node](const place::CandidateInfo& c) { return c.node == node; });
-  GEORED_ENSURE(it != candidates.end(), "node is not a candidate data center");
-  return *it;
-}
-
-}  // namespace
-
 CollectedSummaries DirectCollector::collect(const std::vector<SummarySource>& sources,
                                             const CollectionContext& context) {
   (void)context;
@@ -106,8 +94,7 @@ constexpr std::size_t kMinParallelSummaries = 2048;
 
 std::map<topo::NodeId, cluster::MicroClusterSummarizer> redistribute_to_nearest(
     const place::Placement& next, const std::vector<cluster::MicroCluster>& summaries,
-    const std::vector<place::CandidateInfo>& candidates,
-    const cluster::SummarizerConfig& summarizer_config) {
+    const place::CandidateTable& candidates, const cluster::SummarizerConfig& summarizer_config) {
   GEORED_ENSURE(!next.empty(), "cannot adopt an empty placement");
   // Rebuild the per-replica summarizers, handing each existing micro-cluster
   // to the new replica closest to its centroid so usage knowledge survives
@@ -126,10 +113,11 @@ std::map<topo::NodeId, cluster::MicroClusterSummarizer> redistribute_to_nearest(
   // per-dimension subtract/square sequence as the historical scan (the
   // operands are swapped, but an IEEE negation squares to the same bits),
   // so the chosen replica is identical.
-  PointSet placement_coords(find_candidate(candidates, next.front()).coords.dim());
+  PointSet placement_coords(candidates.dim());
   placement_coords.reserve(next.size());
   for (const auto node : next) {
-    placement_coords.push_back(find_candidate(candidates, node).coords);
+    placement_coords.push_back_row(candidates.coords().row(candidates.position_of(node)),
+                                   candidates.dim());
   }
   ArenaScope scope;
   std::size_t* nearest = scope.span<std::size_t>(n);

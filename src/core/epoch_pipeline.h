@@ -29,6 +29,7 @@
 #include "core/aggregation.h"
 #include "net/clock.h"
 #include "net/rpc_config.h"
+#include "placement/candidate_table.h"
 #include "placement/strategy.h"
 #include "placement/types.h"
 
@@ -135,8 +136,7 @@ class DecentralizedCollector final : public SummaryCollector {
 /// EpochPipeline.AdopterMatchesScalar.
 std::map<topo::NodeId, cluster::MicroClusterSummarizer> redistribute_to_nearest(
     const place::Placement& next, const std::vector<cluster::MicroCluster>& summaries,
-    const std::vector<place::CandidateInfo>& candidates,
-    const cluster::SummarizerConfig& summarizer_config);
+    const place::CandidateTable& candidates, const cluster::SummarizerConfig& summarizer_config);
 
 /// Dependencies a collector implementation may need. "direct" needs none;
 /// the protocol collectors run over the simulated network.

@@ -11,7 +11,8 @@ namespace geored::core {
 
 FleetManager::FleetManager(std::vector<place::CandidateInfo> candidates, FleetConfig config,
                            std::uint64_t seed)
-    : config_(std::move(config)) {
+    : config_(std::move(config)),
+      candidates_(std::make_shared<const place::CandidateTable>(std::move(candidates))) {
   GEORED_ENSURE(config_.groups >= 1, "fleet needs at least one group");
   GEORED_ENSURE(config_.min_degree >= 1 && config_.min_degree <= config_.max_degree,
                 "degree bounds must satisfy 1 <= min <= max");
@@ -30,13 +31,11 @@ FleetManager::FleetManager(std::vector<place::CandidateInfo> candidates, FleetCo
   groups_.reserve(config_.groups);
   for (std::size_t g = 0; g < config_.groups; ++g) {
     const std::uint64_t group_seed = seed ^ (0x9e3779b97f4a7c15ULL * (g + 1));
-    if (config_.collector_factory) {
-      groups_.push_back(std::make_unique<ReplicationManager>(
-          candidates, config_.manager, group_seed, config_.collector_factory(g)));
-    } else {
-      groups_.push_back(
-          std::make_unique<ReplicationManager>(candidates, config_.manager, group_seed));
-    }
+    std::unique_ptr<SummaryCollector> collector = config_.collector_factory
+                                                      ? config_.collector_factory(g)
+                                                      : std::make_unique<DirectCollector>();
+    groups_.push_back(std::make_unique<ReplicationManager>(candidates_, config_.manager,
+                                                           group_seed, std::move(collector)));
   }
 }
 

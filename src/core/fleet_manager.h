@@ -21,6 +21,7 @@
 
 #include "core/degree_allocator.h"
 #include "core/replication_manager.h"
+#include "placement/candidate_table.h"
 #include "placement/types.h"
 
 namespace geored::core {
@@ -67,14 +68,18 @@ struct FleetEpochReport {
 
 class FleetManager {
  public:
-  /// Every group sees the same candidate data centers; group g's manager is
-  /// seeded with seed ^ (0x9e3779b97f4a7c15 * (g + 1)), the store layer's
-  /// historical per-group stream split, so single-group fleets reproduce a
-  /// bare ReplicationManager exactly.
+  /// Every group sees the same candidate data centers: the fleet builds one
+  /// CandidateTable and every group's manager shares it. Group g's manager
+  /// is seeded with seed ^ (0x9e3779b97f4a7c15 * (g + 1)), the store
+  /// layer's historical per-group stream split, so single-group fleets
+  /// reproduce a bare ReplicationManager exactly.
   FleetManager(std::vector<place::CandidateInfo> candidates, FleetConfig config,
                std::uint64_t seed);
 
   std::size_t group_count() const { return groups_.size(); }
+
+  /// The one candidate table every group reads.
+  const place::CandidateTable& candidates() const { return *candidates_; }
 
   /// The group an object id hashes to (splitmix64, stable across runs).
   std::size_t group_of(std::uint64_t object_id) const;
@@ -127,6 +132,7 @@ class FleetManager {
 
  private:
   FleetConfig config_;
+  std::shared_ptr<const place::CandidateTable> candidates_;
   std::vector<std::unique_ptr<ReplicationManager>> groups_;
 };
 

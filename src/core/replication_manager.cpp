@@ -10,6 +10,7 @@
 #include "common/random.h"
 #include "common/serialize.h"
 #include "common/thread_pool.h"
+#include "cluster/moment_store.h"
 #include "placement/evaluate.h"
 #include "placement/random_placement.h"
 
@@ -41,6 +42,35 @@ void ensure_count_fits(std::uint32_t count, std::size_t min_bytes, const ByteRea
   }
 }
 
+/// A restored micro-cluster must describe a set of points (per dimension
+/// count·sum2 >= sum², the invariant the moment debug checks assert) and
+/// keep what an epoch derives from it finite: its centroid, its variance,
+/// and its squared distance to every candidate. The wire checks already
+/// hold each stored moment finite, but a sum with a flipped exponent bit
+/// puts the centroid so far out that every squared distance overflows, and
+/// the next epoch runs out of candidates to assign.
+void ensure_moments_usable(const cluster::MicroCluster& micro,
+                           const place::CandidateTable& candidates) {
+  if (micro.count() == 0) return;  // merge_cluster drops it
+  GEORED_ENSURE(cluster::detail::moment_row_consistent(
+                    micro.count(), micro.weight(), micro.sum().values().data(),
+                    micro.sum2().values().data(), micro.sum().dim()),
+                "corrupt checkpoint: a summary's moments describe no set of points");
+  const Point centroid = micro.centroid();
+  const auto n = static_cast<double>(micro.count());
+  double variance = 0.0;
+  for (std::size_t d = 0; d < centroid.dim(); ++d) {
+    variance += micro.sum2()[d] / n - centroid[d] * centroid[d];
+  }
+  GEORED_ENSURE(centroid.is_finite() && std::isfinite(variance),
+                "corrupt checkpoint: a summary's centroid or variance is not finite");
+  for (std::size_t c = 0; c < candidates.size(); ++c) {
+    GEORED_ENSURE(
+        std::isfinite(candidates.coords().distance_squared(c, centroid.values().data())),
+        "corrupt checkpoint: a summary's squared distance to a candidate is not finite");
+  }
+}
+
 }  // namespace
 
 ReplicationManager::ReplicationManager(std::vector<place::CandidateInfo> candidates,
@@ -51,17 +81,18 @@ ReplicationManager::ReplicationManager(std::vector<place::CandidateInfo> candida
 ReplicationManager::ReplicationManager(std::vector<place::CandidateInfo> candidates,
                                        ManagerConfig config, std::uint64_t seed,
                                        std::unique_ptr<SummaryCollector> collector)
+    : ReplicationManager(std::make_shared<const place::CandidateTable>(std::move(candidates)),
+                         config, seed, std::move(collector)) {}
+
+ReplicationManager::ReplicationManager(std::shared_ptr<const place::CandidateTable> candidates,
+                                       ManagerConfig config, std::uint64_t seed,
+                                       std::unique_ptr<SummaryCollector> collector)
     : candidates_(std::move(candidates)),
       config_(config),
       seed_(seed),
       degree_(config.replication_degree),
       collector_(std::move(collector)) {
-  GEORED_ENSURE(!candidates_.empty(), "manager needs at least one candidate data center");
-  coord_dim_ = candidates_.front().coords.dim();
-  for (const auto& candidate : candidates_) {
-    GEORED_ENSURE(candidate.coords.dim() == coord_dim_,
-                  "candidate coordinates must share one dimension");
-  }
+  GEORED_ENSURE(candidates_ != nullptr, "the candidate table must be set");
   GEORED_ENSURE(config_.replication_degree >= 1, "replication degree must be >= 1");
   GEORED_ENSURE(config_.min_degree >= 1 && config_.min_degree <= config_.max_degree,
                 "degree bounds must satisfy 1 <= min <= max");
@@ -75,7 +106,7 @@ ReplicationManager::ReplicationManager(std::vector<place::CandidateInfo> candida
   }
 
   place::PlacementInput input;
-  input.candidates = candidates_;
+  input.candidates = candidates_->candidates();
   input.k = degree_;
   input.seed = seed_;
   placement_ = place::RandomPlacement().place(input);
@@ -96,11 +127,22 @@ void ReplicationManager::drop_retired_staging(
   });
 }
 
-const place::CandidateInfo& ReplicationManager::candidate_info(topo::NodeId node) const {
-  const auto it = std::find_if(candidates_.begin(), candidates_.end(),
-                               [node](const place::CandidateInfo& c) { return c.node == node; });
-  GEORED_ENSURE(it != candidates_.end(), "node is not a candidate data center");
-  return *it;
+void ReplicationManager::PendingBatch::append(  // lint: no-ensure (private)
+    const double* values, std::size_t rows, std::size_t dim,
+    std::span<const double> row_weights) {
+  const std::size_t staged = coords.size();
+  coords.append_rows(values, rows, dim);
+  if (weights.empty()) {
+    const bool unit = std::all_of(row_weights.begin(), row_weights.end(),
+                                  [](double w) { return w == 1.0; });
+    if (unit) return;
+    weights.assign(staged, 1.0);
+  }
+  if (row_weights.empty()) {
+    weights.insert(weights.end(), rows, 1.0);
+  } else {
+    weights.insert(weights.end(), row_weights.begin(), row_weights.end());
+  }
 }
 
 topo::NodeId ReplicationManager::serve(const Point& client_coords, double data_weight) {
@@ -113,12 +155,15 @@ topo::NodeId ReplicationManager::serve(const Point& client_coords, double data_w
 
 std::optional<topo::NodeId> ReplicationManager::route(const Point& client_coords,
                                                       const std::set<topo::NodeId>& down) const {
-  ensure_client_coords(client_coords.values().data(), 1, client_coords.dim(), coord_dim_);
+  const double* client = client_coords.values().data();
+  ensure_client_coords(client, 1, client_coords.dim(), candidates_->dim());
   std::optional<topo::NodeId> best;
   double best_dist = std::numeric_limits<double>::infinity();
   for (const auto node : placement_) {
     if (down.contains(node)) continue;
-    const double dist = client_coords.distance_squared_to(candidate_info(node).coords);
+    // Row minus client, where Point::distance_squared_to takes client minus
+    // row: a negated difference squares to the same bits.
+    const double dist = candidates_->distance_squared(node, client);
     if (dist < best_dist) {
       best_dist = dist;
       best = node;
@@ -133,20 +178,19 @@ void ReplicationManager::record_access(topo::NodeId replica, const Point& client
   GEORED_ENSURE(it != summarizers_.end(), "node does not currently hold a replica");
   GEORED_ENSURE(std::isfinite(data_weight) && data_weight >= 0.0,
                 "access weight must be finite and non-negative");
-  ensure_client_coords(client_coords.values().data(), 1, client_coords.dim(), coord_dim_);
+  const double* client = client_coords.values().data();
+  ensure_client_coords(client, 1, client_coords.dim(), candidates_->dim());
   IngestShard& shard = shard_of(replica);
   const MutexLock lock(shard.mutex);
   PendingBatch& batch = shard.pending[replica];
-  batch.coords.push_back(client_coords);
-  batch.weights.push_back(data_weight);
+  batch.append(client, 1, client_coords.dim(), {&data_weight, 1});
   ++shard.accesses;
   if (batch.coords.size() >= config_.ingest_batch_grain) {
     // Grain-triggered ingestion under the shard lock is race-free: this
     // replica's summarizer is only ever written under this same shard's
     // mutex (replica -> shard is a fixed mapping) or with every shard held.
     it->second.add_batch(batch.coords, batch.weights);
-    batch.coords.clear();
-    batch.weights.clear();
+    batch.clear();
   }
 }
 
@@ -162,7 +206,7 @@ void ReplicationManager::record_access_batch(topo::NodeId replica, const PointSe
   }
   const std::size_t n = client_coords.size();
   if (n == 0) return;
-  ensure_client_coords(client_coords.row(0), n, client_coords.dim(), coord_dim_);
+  ensure_client_coords(client_coords.row(0), n, client_coords.dim(), candidates_->dim());
   IngestShard& shard = shard_of(replica);
   const MutexLock lock(shard.mutex);
   shard.accesses += n;
@@ -170,13 +214,7 @@ void ReplicationManager::record_access_batch(topo::NodeId replica, const PointSe
   const std::size_t staged_rows =
       staged == shard.pending.end() ? 0 : staged->second.coords.size();
   if (staged_rows + n < config_.ingest_batch_grain) {
-    PendingBatch& batch = shard.pending[replica];
-    batch.coords.append_rows(client_coords.row(0), n, client_coords.dim());
-    if (data_weights.empty()) {
-      batch.weights.insert(batch.weights.end(), n, 1.0);
-    } else {
-      batch.weights.insert(batch.weights.end(), data_weights.begin(), data_weights.end());
-    }
+    shard.pending[replica].append(client_coords.row(0), n, client_coords.dim(), data_weights);
     return;
   }
   // The grain is reached: ingest the staged tail, then the caller's rows in
@@ -187,8 +225,7 @@ void ReplicationManager::record_access_batch(topo::NodeId replica, const PointSe
   // written under.
   if (staged_rows > 0) {
     it->second.add_batch(staged->second.coords, staged->second.weights);
-    staged->second.coords.clear();
-    staged->second.weights.clear();
+    staged->second.clear();
   }
   it->second.add_batch(client_coords, data_weights);
 }
@@ -243,8 +280,7 @@ void ReplicationManager::flush_ingest() const GEORED_NO_THREAD_SAFETY_ANALYSIS {
         [&](std::size_t begin, std::size_t end) {
           for (std::size_t i = begin; i < end; ++i) {
             work[i].summarizer->add_batch(work[i].batch->coords, work[i].batch->weights);
-            work[i].batch->coords.clear();
-            work[i].batch->weights.clear();
+            work[i].batch->clear();
           }
         },
         /*min_parallel=*/2);
@@ -280,7 +316,9 @@ double ReplicationManager::estimate_average_delay(
     const Point centroid = micro.centroid();
     double best = std::numeric_limits<double>::infinity();
     for (const auto node : placement) {
-      best = std::min(best, centroid.distance_to(candidate_info(node).coords));
+      // Point::distance_to's sqrt of the squared distance (see route).
+      best = std::min(best,
+                      std::sqrt(candidates_->distance_squared(node, centroid.values().data())));
     }
     total += best * static_cast<double>(micro.count());
     accesses += static_cast<double>(micro.count());
@@ -318,7 +356,14 @@ std::vector<double> ReplicationManager::delay_by_degree_curve(std::size_t min_de
   GEORED_ENSURE(min_degree >= 1 && min_degree <= max_degree,
                 "degree bounds must satisfy 1 <= min <= max");
   flush_ingest();
-  std::vector<cluster::MicroCluster> summaries;
+  // One input for every level: place() reads it by const reference and the
+  // seed does not depend on the level, so only k changes between probes.
+  place::PlacementInput input;
+  input.candidates = candidates_->candidates();
+  // A seed stream distinct from the epoch proposals', so the probe and the
+  // next run_epoch never correlate.
+  input.seed = seed_ ^ (0xd1b54a32d192ed03ULL + epoch_index_);
+  std::vector<cluster::MicroCluster>& summaries = input.summaries;
   double weight = 0.0;
   for (const auto& [node, summarizer] : summarizers_) {
     for (const auto& micro : summarizer.clusters()) {
@@ -333,13 +378,7 @@ std::vector<double> ReplicationManager::delay_by_degree_curve(std::size_t min_de
   curve.reserve(max_degree - min_degree + 1);
   double best = std::numeric_limits<double>::infinity();
   for (std::size_t k = min_degree; k <= max_degree; ++k) {
-    place::PlacementInput input;
-    input.candidates = candidates_;
     input.k = k;
-    input.summaries = summaries;
-    // A seed stream distinct from the epoch proposals', so the probe and
-    // the next run_epoch never correlate.
-    input.seed = seed_ ^ (0xd1b54a32d192ed03ULL + epoch_index_);
     const double per_access = estimate_average_delay(probe->place(input), summaries);
     // More replicas can only help; clustering noise may say otherwise, so
     // each level is floored by its predecessors — the allocator requires a
@@ -413,19 +452,21 @@ void ReplicationManager::restore(ByteReader& reader) {
   placement.reserve(placement_size);
   for (std::uint32_t i = 0; i < placement_size; ++i) {
     const topo::NodeId node = reader.read_u32();
-    candidate_info(node);  // throws for unknown candidates
+    candidates_->position_of(node);  // throws for unknown candidates
     GEORED_ENSURE(std::find(placement.begin(), placement.end(), node) == placement.end(),
                   "corrupt checkpoint: placement repeats node " + std::to_string(node));
     placement.push_back(node);
   }
-  // Summaries and warm centroids of another dimension would wedge the next
-  // flush or epoch, so they are rejected here, before anything is committed.
+  // Summaries and warm centroids of another dimension, and summaries whose
+  // moments overflow, would wedge the next flush or epoch, so they are
+  // rejected here, before anything is committed.
   std::map<topo::NodeId, cluster::MicroClusterSummarizer> summarizers;
   for (const auto node : placement) {
     cluster::MicroClusterSummarizer summarizer(config_.summarizer);
     for (const auto& micro : cluster::MicroClusterSummarizer::deserialize_clusters(reader)) {
-      GEORED_ENSURE(micro.sum().dim() == coord_dim_,
+      GEORED_ENSURE(micro.sum().dim() == candidates_->dim(),
                     "checkpoint summaries must have the candidates' dimension");
+      ensure_moments_usable(micro, *candidates_);
       summarizer.merge_cluster(micro);
     }
     summarizers.emplace(node, std::move(summarizer));
@@ -436,7 +477,7 @@ void ReplicationManager::restore(ByteReader& reader) {
   centroids.reserve(centroid_count);
   for (std::uint32_t i = 0; i < centroid_count; ++i) {
     centroids.emplace_back(reader.read_f64_vector());
-    GEORED_ENSURE(centroids.back().dim() == coord_dim_,
+    GEORED_ENSURE(centroids.back().dim() == candidates_->dim(),
                   "checkpoint warm centroids must have the candidates' dimension");
   }
   // All parsed and validated: commit. The restored access count lands in
@@ -467,8 +508,8 @@ EpochReport ReplicationManager::run_epoch(const std::set<topo::NodeId>& excluded
 
   // Candidates usable this epoch.
   std::vector<place::CandidateInfo> usable;
-  usable.reserve(candidates_.size());
-  for (const auto& candidate : candidates_) {
+  usable.reserve(candidates_->size());
+  for (const auto& candidate : candidates_->candidates()) {
     if (!excluded.contains(candidate.node)) usable.push_back(candidate);
   }
   GEORED_ENSURE(!usable.empty(), "every candidate data center is excluded");
@@ -518,7 +559,7 @@ EpochReport ReplicationManager::run_epoch(const std::set<topo::NodeId>& excluded
   } else {
     const StageTimer timer(report.stages.propose_ms);
     place::PlacementInput input;
-    input.candidates = usable;
+    input.candidates = std::move(usable);  // collection, its one other reader, is done
     input.k = degree_;
     input.summaries = collected.summaries;
     input.seed = epoch_seed;
@@ -556,7 +597,7 @@ EpochReport ReplicationManager::run_epoch(const std::set<topo::NodeId>& excluded
     const StageTimer timer(report.stages.adopt_ms);
     if (report.decision.migrate || degree_changed || current_placement_impaired) {
       placement_ = report.proposed_placement;
-      summarizers_ = redistribute_to_nearest(placement_, collected.summaries, candidates_,
+      summarizers_ = redistribute_to_nearest(placement_, collected.summaries, *candidates_,
                                              config_.summarizer);
     } else {
       for (auto& [node, summarizer] : summarizers_) summarizer.decay();

@@ -47,6 +47,7 @@
 #include "core/epoch_pipeline.h"
 #include "core/epoch_trace.h"
 #include "core/migration.h"
+#include "placement/candidate_table.h"
 #include "placement/online_clustering.h"
 #include "placement/types.h"
 
@@ -148,6 +149,13 @@ class ReplicationManager {
   /// when `collector` is null.
   ReplicationManager(std::vector<place::CandidateInfo> candidates, ManagerConfig config,
                      std::uint64_t seed, std::unique_ptr<SummaryCollector> collector);
+
+  /// As above, over a candidate table that other managers may share: a
+  /// fleet builds one table and hands it to every group. Throws
+  /// std::invalid_argument when `candidates` or `collector` is null.
+  ReplicationManager(std::shared_ptr<const place::CandidateTable> candidates,
+                     ManagerConfig config, std::uint64_t seed,
+                     std::unique_ptr<SummaryCollector> collector);
 
   const place::Placement& placement() const { return placement_; }
   std::size_t degree() const { return degree_; }
@@ -274,7 +282,20 @@ class ReplicationManager {
   /// drop the entries of other nodes, which the flush has already emptied.
   struct PendingBatch {
     PointSet coords;
+    /// Empty while every staged row has weight 1.0 (add_batch's rule for
+    /// an empty span), else one weight per row: a unit-weight stream
+    /// stages no weights, and the first other weight fills in the 1.0s of
+    /// the rows before it.
     std::vector<double> weights;
+
+    /// Stages `rows` rows from `values`, weighted by `row_weights` (one per
+    /// row) or 1.0 each when `row_weights` is empty.
+    void append(const double* values, std::size_t rows, std::size_t dim,
+                std::span<const double> row_weights);
+    void clear() {
+      coords.clear();
+      weights.clear();
+    }
   };
 
   /// One staging shard: a slice of the per-replica pending batches plus its
@@ -292,7 +313,6 @@ class ReplicationManager {
 
   double estimate_average_delay(const place::Placement& placement,
                                 const std::vector<cluster::MicroCluster>& summaries) const;
-  const place::CandidateInfo& candidate_info(topo::NodeId node) const;
   void maybe_adjust_degree(std::uint64_t epoch_accesses);
   /// Erases the staging of nodes that no longer hold a replica. The caller
   /// holds the shard's mutex, runs exclusively and after a flush.
@@ -301,8 +321,8 @@ class ReplicationManager {
     return *ingest_shards_[replica % ingest_shards_.size()];
   }
 
-  std::vector<place::CandidateInfo> candidates_;
-  std::size_t coord_dim_ = 0;  ///< the candidates' (and so the clients') dimension
+  /// Immutable and possibly shared with the other groups of a fleet.
+  std::shared_ptr<const place::CandidateTable> candidates_;
   ManagerConfig config_;
   std::uint64_t seed_;
   std::uint64_t epoch_index_ = 0;

@@ -188,10 +188,6 @@ class Engine {
                   : coord::run_rnp(topology_, coord::RnpConfig{}, gossip, config_.coords.seed);
 
     dcs_ = config_.topology.dcs;
-    for (std::size_t i = 0; i < dcs_; ++i) {
-      candidates_.push_back({static_cast<topo::NodeId>(i), coords_[i].position,
-                             std::numeric_limits<double>::infinity()});
-    }
     client_count_ = topology_.size() - dcs_;
 
     // The initial active population: the first ceil(fraction * n) clients
@@ -312,7 +308,14 @@ class Engine {
         return core::make_collector("rpc", collector);
       };
     }
-    fleet_ = std::make_unique<core::FleetManager>(candidates_, fleet, config_.seed);
+    // The first dcs nodes are the candidates; the fleet keeps the one table.
+    std::vector<place::CandidateInfo> candidates;
+    candidates.reserve(dcs_);
+    for (std::size_t i = 0; i < dcs_; ++i) {
+      candidates.push_back({static_cast<topo::NodeId>(i), coords_[i].position,
+                            std::numeric_limits<double>::infinity()});
+    }
+    fleet_ = std::make_unique<core::FleetManager>(std::move(candidates), fleet, config_.seed);
     group_weights_.assign(config_.fleet.groups, 1.0);
     if (!config_.fleet.weights.empty()) {
       group_weights_ = config_.fleet.weights;
@@ -581,7 +584,6 @@ class Engine {
 
   topo::Topology topology_;
   std::vector<coord::NetworkCoordinate> coords_;
-  std::vector<place::CandidateInfo> candidates_;
   std::size_t dcs_ = 0;
   std::size_t client_count_ = 0;
 

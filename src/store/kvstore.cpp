@@ -9,15 +9,11 @@ namespace geored::store {
 ReplicatedKvStore::ReplicatedKvStore(sim::Simulator& simulator, sim::Network& network,
                                      std::vector<place::CandidateInfo> candidates,
                                      StoreConfig config, std::uint64_t seed)
-    : simulator_(simulator),
-      network_(network),
-      candidates_(std::move(candidates)),
-      config_(config),
-      seed_(seed) {
-  GEORED_ENSURE(!candidates_.empty(), "store needs at least one data center");
+    : simulator_(simulator), network_(network), config_(config), seed_(seed) {
+  GEORED_ENSURE(!candidates.empty(), "store needs at least one data center");
   GEORED_ENSURE(config_.groups >= 1, "store needs at least one object group");
   GEORED_ENSURE(config_.quorum.n >= 1, "replication factor must be >= 1");
-  GEORED_ENSURE(config_.quorum.n <= candidates_.size(),
+  GEORED_ENSURE(config_.quorum.n <= candidates.size(),
                 "replication factor exceeds the candidate pool");
   GEORED_ENSURE(config_.quorum.r >= 1 && config_.quorum.r <= config_.quorum.n,
                 "read quorum must be in [1, n]");
@@ -31,24 +27,13 @@ ReplicatedKvStore::ReplicatedKvStore(sim::Simulator& simulator, sim::Network& ne
   core::FleetConfig fleet_config;
   fleet_config.groups = config_.groups;
   fleet_config.manager = config_.manager;
-  // The quorum system owns the degree; no fleet-wide replica budget here.
-  fleet_ = std::make_unique<core::FleetManager>(candidates_, fleet_config, seed_);
-
   const std::size_t nodes = network_.topology().size();
-  candidate_of_node_.assign(nodes, kNoCandidate);
-  for (std::uint32_t c = 0; c < candidates_.size(); ++c) {
-    const topo::NodeId node = candidates_[c].node;
-    GEORED_ENSURE(node < nodes, "candidate is not a node of the network's topology");
-    // A duplicated candidate shares the first entry's storage.
-    if (candidate_of_node_[node] == kNoCandidate) candidate_of_node_[node] = c;
+  for (const auto& candidate : candidates) {
+    GEORED_ENSURE(candidate.node < nodes, "candidate is not a node of the network's topology");
   }
-  storage_.resize(candidates_.size());
-  dim_ = candidates_.front().coords.dim();
-  candidate_coords_.reserve(candidates_.size() * dim_);
-  for (const auto& candidate : candidates_) {
-    GEORED_ENSURE(candidate.coords.dim() == dim_, "candidates differ in coordinate dimension");
-    for (std::size_t i = 0; i < dim_; ++i) candidate_coords_.push_back(candidate.coords[i]);
-  }
+  // The quorum system owns the degree; no fleet-wide replica budget here.
+  fleet_ = std::make_unique<core::FleetManager>(std::move(candidates), fleet_config, seed_);
+  storage_.resize(fleet_->candidates().size());
   clocks_.reserve(nodes);
   for (std::size_t node = 0; node < nodes; ++node) {
     clocks_.emplace_back(static_cast<std::uint32_t>(node));
@@ -90,30 +75,28 @@ const core::ReplicationManager& ReplicatedKvStore::manager_of_group(
 void ReplicatedKvStore::validate_client(topo::NodeId client,
                                         const Point& client_coords) const {
   GEORED_ENSURE(client < clocks_.size(), "client is not a node of the network's topology");
-  GEORED_ENSURE(client_coords.dim() == dim_,
+  GEORED_ENSURE(client_coords.dim() == fleet_->candidates().dim(),
                 "client coordinates have the wrong dimension");
 }
 
 StorageNode& ReplicatedKvStore::storage_of(topo::NodeId node) {
-  GEORED_CHECK(node < candidate_of_node_.size() && candidate_of_node_[node] != kNoCandidate,
-               "placement node missing from candidates");
-  return storage_[candidate_of_node_[node]];
+  const std::size_t position = fleet_->candidates().find(node);
+  GEORED_CHECK(position != place::CandidateTable::npos, "placement node missing from candidates");
+  return storage_[position];
 }
 
 const std::vector<std::pair<double, topo::NodeId>>& ReplicatedKvStore::rank_replicas(
     const place::Placement& placement, const Point& coords) {
   ranked_.clear();
+  const place::CandidateTable& candidates = fleet_->candidates();
   for (const auto node : placement) {
-    GEORED_CHECK(node < candidate_of_node_.size() && candidate_of_node_[node] != kNoCandidate,
+    const std::size_t position = candidates.find(node);
+    GEORED_CHECK(position != place::CandidateTable::npos,
                  "placement node missing from candidates");
-    // Point::distance_squared_to's arithmetic, on the flat copy.
-    const double* replica = &candidate_coords_[candidate_of_node_[node] * dim_];
-    double total = 0.0;
-    for (std::size_t i = 0; i < dim_; ++i) {
-      const double d = coords[i] - replica[i];
-      total += d * d;
-    }
-    ranked_.emplace_back(total, node);
+    // Point::distance_squared_to's arithmetic with the operands swapped: a
+    // negated difference squares to the same bits.
+    ranked_.emplace_back(candidates.coords().distance_squared(position, coords.values().data()),
+                         node);
   }
   std::sort(ranked_.begin(), ranked_.end());
   return ranked_;
@@ -355,9 +338,9 @@ std::vector<core::EpochReport> ReplicatedKvStore::run_placement_epochs() {
 }
 
 const StorageNode& ReplicatedKvStore::storage_at(topo::NodeId node) const {
-  GEORED_ENSURE(node < candidate_of_node_.size() && candidate_of_node_[node] != kNoCandidate,
-                "node is not a data center of this store");
-  return storage_[candidate_of_node_[node]];
+  const std::size_t position = fleet_->candidates().find(node);
+  GEORED_ENSURE(position != place::CandidateTable::npos, "node is not a data center of this store");
+  return storage_[position];
 }
 
 }  // namespace geored::store

@@ -179,21 +179,15 @@ class ReplicatedKvStore {
 
   sim::Simulator& simulator_;
   sim::Network& network_;
-  std::vector<place::CandidateInfo> candidates_;
   StoreConfig config_;
   std::uint64_t seed_;
 
-  /// Per-group placement pipelines; the store's groups are the fleet's.
+  /// Per-group placement pipelines; the store's groups are the fleet's, and
+  /// so is the candidate table (fleet_->candidates()).
   std::unique_ptr<core::FleetManager> fleet_;
-  /// Candidate index of each topology node (kNoCandidate for clients);
-  /// storage_ is indexed by candidate.
-  static constexpr std::uint32_t kNoCandidate = 0xffffffffU;
-  std::vector<std::uint32_t> candidate_of_node_;
+  /// One storage replica per candidate, indexed by the candidate table's
+  /// position (a repeated candidate shares its first entry's storage).
   std::vector<StorageNode> storage_;
-  /// Candidate coordinates, row-major by candidate index, so ranking a
-  /// placement reads one cached array.
-  std::size_t dim_ = 0;
-  std::vector<double> candidate_coords_;
   /// One writer clock per topology node; an unused clock is a fresh one.
   std::vector<LamportClock> clocks_;
 

@@ -1,10 +1,11 @@
 // Memory bounds of the batch data path: a batched record stages at most one
-// grain whatever the batch size, a batched route keeps at most one tile of
-// scratch, a retired replica's staging is freed with it, and a checkpoint
-// count never sizes an allocation before it is checked against the bytes
-// left. Global operator new is replaced with a version that counts the
-// bytes requested, the largest single request and the bytes still live,
-// which is why this suite is its own test binary.
+// grain whatever the batch size, unit-weight staging stores no weights, a
+// batched route keeps at most one tile of scratch, a retired replica's
+// staging is freed with it, a checkpoint count never sizes an allocation
+// before it is checked against the bytes left, and a fleet pays for its
+// candidates once, not once per group. Global operator new is replaced with
+// a version that counts the bytes requested, the largest single request
+// and the bytes still live, which is why this suite is its own test binary.
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
@@ -13,6 +14,7 @@
 #include <limits>
 #include <new>
 #include <set>
+#include <span>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -21,7 +23,9 @@
 #include "common/point_set.h"
 #include "common/random.h"
 #include "common/serialize.h"
+#include "core/fleet_manager.h"
 #include "core/replication_manager.h"
+#include "placement/candidate_table.h"
 #include "serve/request_router.h"
 
 namespace {
@@ -166,6 +170,135 @@ TEST(BatchMemory, LargeRecordBatchStagesAtMostOneGrain) {
   for (std::size_t i = 0; i < 10; ++i) manager.record_access(replica, client_near(rng, 0.0));
   EXPECT_LE(bytes_requested([&] { manager.record_access_batch(replica, batch); }), one_grain);
   EXPECT_EQ(manager.epoch_accesses(), 1000 + 3 * kRows + 10);
+}
+
+TEST(BatchMemory, UnitWeightStagingStoresNoWeights) {
+  // Two managers with the same seed and candidates hold the same placement;
+  // one stages unit-weight accesses, the other weight 2.0, each through the
+  // per-access form, the batch form, and (unit only) explicit 1.0 weights.
+  const core::ManagerConfig config = manager_config();
+  core::ReplicationManager unit(line_candidates(20), config, 7);
+  core::ReplicationManager weighted(line_candidates(20), config, 7);
+  ASSERT_EQ(unit.placement(), weighted.placement());
+  ASSERT_EQ(unit.placement().size(), 3u);
+  constexpr std::size_t kStaged = 200;  // under the grain: everything stays staged
+  ASSERT_LT(kStaged, config.ingest_batch_grain);
+  Rng rng(21);
+  std::vector<Point> clients;
+  for (std::size_t i = 0; i < kStaged; ++i) clients.push_back(client_near(rng, 50.0));
+  const PointSet batch = clients_near(rng, 50.0, kStaged);
+  const std::vector<double> ones(kStaged, 1.0);
+  const std::vector<double> twos(kStaged, 2.0);
+  const topo::NodeId first = unit.placement()[0];
+  const topo::NodeId second = unit.placement()[1];
+  const topo::NodeId third = unit.placement()[2];
+
+  const std::size_t unit_records = bytes_requested([&] {
+    for (const auto& client : clients) unit.record_access(first, client);
+  });
+  const std::size_t weighted_records = bytes_requested([&] {
+    for (const auto& client : clients) weighted.record_access(first, client, 2.0);
+  });
+  const std::size_t unit_batch =
+      bytes_requested([&] { unit.record_access_batch(second, batch); });
+  const std::size_t weighted_batch =
+      bytes_requested([&] { weighted.record_access_batch(second, batch, twos); });
+  const std::size_t explicit_ones =
+      bytes_requested([&] { unit.record_access_batch(third, batch, ones); });
+  // A weight costs one double per staged row, so unit staging stored none.
+  EXPECT_GE(weighted_records, unit_records + kStaged * sizeof(double));
+  EXPECT_GE(weighted_batch, unit_batch + kStaged * sizeof(double));
+  EXPECT_EQ(explicit_ones, unit_batch);
+  EXPECT_EQ(unit.epoch_accesses(), 3 * kStaged);
+}
+
+TEST(BatchMemory, WeightSwitchMidStreamMatchesExplicitWeights) {
+  // The same 320 accesses to one replica: unit weights first, then 2.0.
+  // Staged implicitly, the switch fills in the earlier rows' 1.0s, and the
+  // last chunk reaches the grain with staged rows of both kinds.
+  const core::ManagerConfig config = manager_config();
+  Rng rng(23);
+  const PointSet rows = clients_near(rng, 70.0, 320);
+  std::vector<double> weights(rows.size(), 1.0);
+  for (std::size_t i = 100; i < rows.size(); ++i) weights[i] = 2.0;
+  const auto slice = [&](std::size_t begin, std::size_t end) {
+    PointSet part(kDim);
+    part.append_rows(rows.row(begin), end - begin, kDim);
+    return part;
+  };
+  const auto checkpoint_of = [](const core::ReplicationManager& manager) {
+    ByteWriter writer;
+    manager.save(writer);
+    return writer.bytes();
+  };
+
+  core::ReplicationManager implicit(line_candidates(20), config, 7);
+  const topo::NodeId replica = implicit.placement().front();
+  for (std::size_t i = 0; i < 60; ++i) implicit.record_access(replica, rows.point(i));
+  implicit.record_access_batch(replica, slice(60, 100));
+  for (std::size_t i = 100; i < 150; ++i) implicit.record_access(replica, rows.point(i), 2.0);
+  implicit.record_access_batch(replica, slice(150, 320),
+                               std::span<const double>(weights).subspan(150));
+
+  core::ReplicationManager per_access(line_candidates(20), config, 7);
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    per_access.record_access(replica, rows.point(i), weights[i]);
+  }
+  core::ReplicationManager one_batch(line_candidates(20), config, 7);
+  one_batch.record_access_batch(replica, rows, weights);
+
+  const std::vector<std::uint8_t> expected = checkpoint_of(per_access);
+  EXPECT_EQ(checkpoint_of(implicit), expected);
+  EXPECT_EQ(checkpoint_of(one_batch), expected);
+  // The same epoch follows from each.
+  EXPECT_EQ(implicit.run_epoch().adopted_placement, per_access.run_epoch().adopted_placement);
+  EXPECT_EQ(checkpoint_of(implicit), checkpoint_of(per_access));
+}
+
+/// Live bytes a fleet of `groups` groups over `candidates` line candidates
+/// holds once built.
+std::size_t fleet_footprint(std::size_t groups, std::size_t candidates) {
+  core::FleetConfig config;
+  config.groups = groups;
+  config.manager = manager_config();
+  const std::size_t before = g_live_bytes.load();
+  const core::FleetManager fleet(line_candidates(candidates), config, 3);
+  EXPECT_EQ(fleet.group_count(), groups);
+  return g_live_bytes.load() - before;
+}
+
+TEST(BatchMemory, FleetPaysForItsCandidatesOnce) {
+  // What 92 more candidates cost a fleet: the shared table's rows, once.
+  // Per-group copies would cost about 7 KiB more per group.
+  const std::size_t extra_at_16 = fleet_footprint(16, 100) - fleet_footprint(16, 8);
+  const std::size_t extra_at_64 = fleet_footprint(64, 100) - fleet_footprint(64, 8);
+  EXPECT_GT(extra_at_16, 92 * kDim * sizeof(double)) << "the candidates were not counted";
+  EXPECT_LE(extra_at_64, extra_at_16 + 1024)
+      << "the candidate-dependent bytes grow with the group count";
+}
+
+TEST(CandidateTable, HugeNodeIdAllocatesNothingProportionalToIt) {
+  std::vector<place::CandidateInfo> candidates = line_candidates(3);
+  constexpr topo::NodeId kHuge = 4'000'000'000U;
+  candidates[1].node = kHuge;
+  g_largest_request.store(0);
+  const std::size_t requested = bytes_requested([&] {
+    const place::CandidateTable table(candidates);
+    EXPECT_EQ(table.position_of(kHuge), 1u);
+    EXPECT_EQ(table.find(kHuge - 1), place::CandidateTable::npos);
+  });
+  EXPECT_LE(requested, std::size_t{1} << 10);
+  // A manager over it, which builds its own table, routes through it.
+  Point near_huge(kDim);
+  near_huge[0] = candidates[1].coords[0] + 1.0;
+  const std::size_t manager_bytes = bytes_requested([&] {
+    const core::ReplicationManager manager(candidates, manager_config(), 3);
+    ASSERT_EQ(manager.placement().size(), 3u);
+    EXPECT_EQ(manager.route(near_huge), kHuge);
+  });
+  EXPECT_LE(manager_bytes, std::size_t{16} << 10);
+  EXPECT_LE(g_largest_request.load(), std::size_t{1} << 10)
+      << "an allocation was sized by the node id";
 }
 
 TEST(BatchMemory, LargeRouteBatchKeepsOneTileOfScratch) {

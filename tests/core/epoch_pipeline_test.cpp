@@ -218,7 +218,8 @@ TEST(EpochPipeline, AdopterMatchesScalar) {
       summaries.push_back(micro);
     }
 
-    const auto fast = redistribute_to_nearest(next, summaries, candidates, config);
+    const auto fast =
+        redistribute_to_nearest(next, summaries, place::CandidateTable(candidates), config);
     const auto scalar = redistribute_to_nearest_scalar(next, summaries, candidates, config);
     EXPECT_EQ(serialized_summarizers(fast), serialized_summarizers(scalar)) << label;
   };

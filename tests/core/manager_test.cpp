@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <limits>
@@ -526,6 +527,48 @@ TEST(Manager, RestoreRejectsEmptyPlacement) {
   ReplicationManager manager(line_candidates(), small_config(3), 7);
   expect_rejected(manager, handmade_checkpoint({}, {}));
   EXPECT_NO_THROW(manager.serve(Point{250.0}));
+}
+
+TEST(Manager, RestoreRejectsMomentsAnEpochCannotUse) {
+  // Checkpoints that differ from a valid one in one exponent bit of the
+  // first stored cluster. Each moment stays finite, so the wire decoder
+  // accepts them, but the restored manager could not run an epoch.
+  ReplicationManager source(line_candidates(12), small_config(3), 7);
+  Rng rng(5);
+  for (int epoch = 0; epoch < 2; ++epoch) {
+    for (int i = 0; i < 400; ++i) source.serve(Point{rng.normal(300.0 + 200.0 * epoch, 80.0)});
+    source.run_epoch();
+  }
+  std::vector<std::uint8_t> blob = checkpoint_of(source);
+  // save()'s layout: a 44-byte header, the placement (u32 count, u32 ids),
+  // then the first replica's cluster count, and its first cluster's count,
+  // weight and sum (u32 length, then the components).
+  const std::size_t replicas = source.placement().size();
+  const std::size_t sum_offset = 44 + 4 + 4 * replicas + 4 + 8 + 8 + 4;
+  double sum = 0.0;
+  std::memcpy(&sum, blob.data() + sum_offset, sizeof sum);
+  ASSERT_EQ(sum, source.summary_of(source.placement().front()).front().sum()[0]);
+  const std::vector<std::uint8_t> valid = blob;
+  // Exponent bit 9 of sum[0]: the centroid moves 2^512 times further out,
+  // every squared distance overflows, and the next epoch used to throw
+  // InternalError "ran out of candidates before reaching k".
+  blob[sum_offset + 7] ^= 0x20;
+  std::memcpy(&sum, blob.data() + sum_offset, sizeof sum);
+  ASSERT_TRUE(std::isfinite(sum));
+  ASSERT_FALSE(std::isfinite(sum * sum));
+  // Exponent bit 10 of sum2[0], which follows sum: sum2 shrinks by 2^1024,
+  // count·sum2 < sum² describes no set of points, and a build with debug
+  // checks used to throw InternalError from the moment check next epoch.
+  std::vector<std::uint8_t> unrealizable = valid;
+  const std::size_t sum2_offset = sum_offset + sizeof(double) + 4;
+  ASSERT_NE(unrealizable[sum2_offset + 7] & 0x40, 0);
+  unrealizable[sum2_offset + 7] ^= 0x40;
+
+  ReplicationManager target(line_candidates(12), small_config(3), 7);
+  expect_rejected(target, blob);
+  expect_rejected(target, unrealizable);
+  for (int i = 0; i < 100; ++i) target.serve(Point{rng.normal(300.0, 80.0)});
+  EXPECT_EQ(target.run_epoch().epoch_accesses, 100u);
 }
 
 TEST(Manager, EpochWithNoAccessesIsSafe) {
