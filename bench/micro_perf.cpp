@@ -134,8 +134,8 @@ struct CaseResult {
   double optimized_value = 0.0;
   /// Per-stage attribution of both arms (epoch_end_to_end only): the
   /// EpochStageTrace of the best-timed repeat, with the record-path ingest
-  /// folded into ingest_flush_ms so staged and per-access ingestion are
-  /// attributed to the same stage.
+  /// folded into ingest_flush_ms so both arms attribute ingestion to the
+  /// same stage.
   bool has_stages = false;
   core::EpochStageTrace stages_baseline;
   core::EpochStageTrace stages_optimized;
@@ -1019,7 +1019,7 @@ std::vector<CaseResult> run_scale(const Scale& scale, std::size_t repeats,
       const auto start = std::chrono::steady_clock::now();
       core::ReplicationManager manager(world.candidates, mconfig, epoch_seed);
       {
-        // Record-path ingest (staging copy + grain-triggered summarization)
+        // Record-path ingest (each batch summarized as it is recorded)
         // attributed to the same slot the baseline's per-access loop uses.
         const core::StageTimer timer(tr.ingest_flush_ms);
         for (const auto& [id, batch] : replica_batches) {

@@ -3,10 +3,10 @@
 // The epoch's cost story lives in BENCH_perf.json as end-to-end ratios, but
 // a ratio cannot say *where* the milliseconds went — and the epoch's four
 // steps (the pluggable collect, then the fixed propose / gate / adopt) plus
-// the ingest flush have wildly different scaling in clients, k, and
-// summarizer budget. This layer records each step's wall time into the
-// EpochReport the step ran under, so bench runs, the scenario engine, and
-// operators all attribute the critical path the same way. The trace is
+// ingest have wildly different scaling in clients, k, and summarizer
+// budget. This layer records each step's wall time into the EpochReport
+// the step ran under, so bench runs, the scenario engine, and operators
+// all attribute the critical path the same way. The trace is
 // observational only: no retained value, decision, or serialized byte
 // depends on it, so the determinism contracts (bit-identical epochs at any
 // GEORED_THREADS, golden scenario transcripts) are untouched.
@@ -24,7 +24,11 @@ namespace geored::core {
 /// Purely observational: values vary run to run, and nothing downstream of
 /// a report may branch on them.
 struct EpochStageTrace {
-  double ingest_flush_ms = 0.0;  ///< draining the staged access batches
+  /// Ingest. run_epoch leaves it at 0: each record is ingested into its
+  /// replica's summarizer when it arrives, so an epoch has nothing to
+  /// drain. A caller that times its own record calls (micro_perf's
+  /// epoch_end_to_end) folds that time in here.
+  double ingest_flush_ms = 0.0;
   double collect_ms = 0.0;       ///< SummaryCollector::collect
   double propose_ms = 0.0;       ///< online clustering (0 on an agreed proposal)
   double gate_ms = 0.0;          ///< delay estimates + decide_migration

@@ -9,7 +9,6 @@
 #include "common/ensure.h"
 #include "common/random.h"
 #include "common/serialize.h"
-#include "common/thread_pool.h"
 #include "cluster/moment_store.h"
 #include "placement/evaluate.h"
 #include "placement/random_placement.h"
@@ -21,7 +20,7 @@ namespace {
 /// Client coordinates must live in the candidates' space: a non-finite
 /// component would poison the recording replica's centroids, and a foreign
 /// dimension would wedge every later epoch. Checked before anything is
-/// staged or counted.
+/// ingested or counted.
 void ensure_client_coords(const double* values, std::size_t rows, std::size_t dim,
                           std::size_t expected_dim) {
   GEORED_ENSURE(dim == expected_dim, "client coordinates must have the candidates' dimension");
@@ -97,13 +96,7 @@ ReplicationManager::ReplicationManager(std::shared_ptr<const place::CandidateTab
   GEORED_ENSURE(config_.min_degree >= 1 && config_.min_degree <= config_.max_degree,
                 "degree bounds must satisfy 1 <= min <= max");
   GEORED_ENSURE(collector_ != nullptr, "the summary collector must be set");
-  GEORED_ENSURE(config_.ingest_batch_grain >= 1, "ingest_batch_grain must be >= 1");
-  GEORED_ENSURE(config_.ingest_shards >= 1, "ingest_shards must be >= 1");
   degree_ = std::clamp(degree_, config_.min_degree, config_.max_degree);
-  ingest_shards_.reserve(config_.ingest_shards);
-  for (std::size_t s = 0; s < config_.ingest_shards; ++s) {
-    ingest_shards_.push_back(std::make_unique<IngestShard>());
-  }
 
   place::PlacementInput input;
   input.candidates = candidates_->candidates();
@@ -112,36 +105,6 @@ ReplicationManager::ReplicationManager(std::shared_ptr<const place::CandidateTab
   placement_ = place::RandomPlacement().place(input);
   for (const auto node : placement_) {
     summarizers_.emplace(node, cluster::MicroClusterSummarizer(config_.summarizer));
-  }
-}
-
-void ReplicationManager::drop_retired_staging(
-    std::map<topo::NodeId, PendingBatch>& pending) const {
-  // Staging lives only as long as its replica. Callers run after the flush,
-  // so every batch dropped here is already empty.
-  std::erase_if(pending, [this](const auto& entry) {
-    const bool retired = !summarizers_.contains(entry.first);
-    GEORED_DCHECK(!retired || entry.second.coords.empty(),
-                  "a retired replica's staging must be flushed before it is dropped");
-    return retired;
-  });
-}
-
-void ReplicationManager::PendingBatch::append(  // lint: no-ensure (private)
-    const double* values, std::size_t rows, std::size_t dim,
-    std::span<const double> row_weights) {
-  const std::size_t staged = coords.size();
-  coords.append_rows(values, rows, dim);
-  if (weights.empty()) {
-    const bool unit = std::all_of(row_weights.begin(), row_weights.end(),
-                                  [](double w) { return w == 1.0; });
-    if (unit) return;
-    weights.assign(staged, 1.0);
-  }
-  if (row_weights.empty()) {
-    weights.insert(weights.end(), rows, 1.0);
-  } else {
-    weights.insert(weights.end(), row_weights.begin(), row_weights.end());
   }
 }
 
@@ -178,20 +141,11 @@ void ReplicationManager::record_access(topo::NodeId replica, const Point& client
   GEORED_ENSURE(it != summarizers_.end(), "node does not currently hold a replica");
   GEORED_ENSURE(std::isfinite(data_weight) && data_weight >= 0.0,
                 "access weight must be finite and non-negative");
-  const double* client = client_coords.values().data();
-  ensure_client_coords(client, 1, client_coords.dim(), candidates_->dim());
-  IngestShard& shard = shard_of(replica);
-  const MutexLock lock(shard.mutex);
-  PendingBatch& batch = shard.pending[replica];
-  batch.append(client, 1, client_coords.dim(), {&data_weight, 1});
-  ++shard.accesses;
-  if (batch.coords.size() >= config_.ingest_batch_grain) {
-    // Grain-triggered ingestion under the shard lock is race-free: this
-    // replica's summarizer is only ever written under this same shard's
-    // mutex (replica -> shard is a fixed mapping) or with every shard held.
-    it->second.add_batch(batch.coords, batch.weights);
-    batch.clear();
-  }
+  ensure_client_coords(client_coords.values().data(), 1, client_coords.dim(),
+                       candidates_->dim());
+  const MutexLock lock(ingest_->mutex);
+  it->second.add(client_coords, data_weight);
+  ++ingest_->accesses;
 }
 
 void ReplicationManager::record_access_batch(topo::NodeId replica, const PointSet& client_coords,
@@ -207,98 +161,18 @@ void ReplicationManager::record_access_batch(topo::NodeId replica, const PointSe
   const std::size_t n = client_coords.size();
   if (n == 0) return;
   ensure_client_coords(client_coords.row(0), n, client_coords.dim(), candidates_->dim());
-  IngestShard& shard = shard_of(replica);
-  const MutexLock lock(shard.mutex);
-  shard.accesses += n;
-  const auto staged = shard.pending.find(replica);
-  const std::size_t staged_rows =
-      staged == shard.pending.end() ? 0 : staged->second.coords.size();
-  if (staged_rows + n < config_.ingest_batch_grain) {
-    shard.pending[replica].append(client_coords.row(0), n, client_coords.dim(), data_weights);
-    return;
-  }
-  // The grain is reached: ingest the staged tail, then the caller's rows in
-  // place, with no copy. add_batch(A); add_batch(B) equals add_batch(A ++ B)
-  // (both are per-row add in order), so the summary does not depend on
-  // where the split falls. Same single-writer argument as record_access:
-  // the shard mutex is the one lock this replica's summarizer is ever
-  // written under.
-  if (staged_rows > 0) {
-    it->second.add_batch(staged->second.coords, staged->second.weights);
-    staged->second.clear();
-  }
+  const MutexLock lock(ingest_->mutex);
   it->second.add_batch(client_coords, data_weights);
-}
-
-// Thread-safety analysis is disabled here because the flush acquires a
-// runtime-sized family of shard mutexes in a loop — a pattern TSA cannot
-// verify (it reasons about lexical capability expressions, not loop-carried
-// lock sets). The discipline it would otherwise check is simple and local:
-// every shard mutex is acquired in ascending index order (the single global
-// acquisition order, so flushes never deadlock each other or the record
-// paths, which take exactly one shard), all staged state is read only while
-// every lock is held, and every lock is released on every exit — a throwing
-// ingest included, or every later record, epoch and checkpoint call would
-// wait on the held shards forever.
-void ReplicationManager::flush_ingest() const GEORED_NO_THREAD_SAFETY_ANALYSIS {
-  struct HeldShards {
-    const std::vector<std::unique_ptr<IngestShard>>& shards;
-    std::size_t held = 0;
-    ~HeldShards() GEORED_NO_THREAD_SAFETY_ANALYSIS {
-      while (held > 0) shards[--held]->mutex.unlock();
-    }
-  } locks{ingest_shards_};
-  for (; locks.held < ingest_shards_.size(); ++locks.held) {
-    ingest_shards_[locks.held]->mutex.lock();
-  }
-  // Gather the replicas with staged accesses across all shards, sorted by
-  // node id, so the work list — and thus which summarizer each parallel
-  // chunk touches — is deterministic and independent of the shard count
-  // (each replica lives in exactly one shard, so the merge is a disjoint
-  // union). Each replica's stream ingests sequentially in recorded order;
-  // replicas are independent, so any thread count yields bytewise the same
-  // summaries. Every shard mutex stays held across the parallel ingest
-  // (chunks never take them), so concurrent record calls wait for the
-  // flush instead of staging into batches mid-drain.
-  struct WorkItem {
-    topo::NodeId node;
-    PendingBatch* batch;
-    cluster::MicroClusterSummarizer* summarizer;
-  };
-  std::vector<WorkItem> work;
-  for (auto& shard : ingest_shards_) {
-    for (auto& [node, batch] : shard->pending) {
-      if (batch.coords.empty()) continue;
-      work.push_back({node, &batch, &summarizers_.at(node)});
-    }
-  }
-  std::sort(work.begin(), work.end(),
-            [](const WorkItem& a, const WorkItem& b) { return a.node < b.node; });
-  if (!work.empty()) {
-    parallel_for(
-        work.size(),
-        [&](std::size_t begin, std::size_t end) {
-          for (std::size_t i = begin; i < end; ++i) {
-            work[i].summarizer->add_batch(work[i].batch->coords, work[i].batch->weights);
-            work[i].batch->clear();
-          }
-        },
-        /*min_parallel=*/2);
-  }
+  ingest_->accesses += n;
 }
 
 std::uint64_t ReplicationManager::epoch_accesses() const {
-  std::uint64_t total = 0;
-  for (const auto& shard : ingest_shards_) {
-    const MutexLock lock(shard->mutex);
-    total += shard->accesses;
-  }
-  return total;
+  const MutexLock lock(ingest_->mutex);
+  return ingest_->accesses;
 }
 
 const std::vector<cluster::MicroCluster>& ReplicationManager::summary_of(
     topo::NodeId replica) const {
-  flush_ingest();
   const auto it = summarizers_.find(replica);
   GEORED_ENSURE(it != summarizers_.end(), "node does not currently hold a replica");
   return it->second.clusters();
@@ -355,7 +229,6 @@ std::vector<double> ReplicationManager::delay_by_degree_curve(std::size_t min_de
                                                               std::size_t max_degree) const {
   GEORED_ENSURE(min_degree >= 1 && min_degree <= max_degree,
                 "degree bounds must satisfy 1 <= min <= max");
-  flush_ingest();
   // One input for every level: place() reads it by const reference and the
   // seed does not depend on the level, so only k changes between probes.
   place::PlacementInput input;
@@ -392,7 +265,6 @@ std::vector<double> ReplicationManager::delay_by_degree_curve(std::size_t min_de
 }
 
 void ReplicationManager::save(ByteWriter& writer) const {
-  flush_ingest();
   writer.write_u32(kCheckpointMagic);
   writer.write_u32(kCheckpointVersion);
   writer.write_u64(epoch_index_);
@@ -414,10 +286,6 @@ void ReplicationManager::save(ByteWriter& writer) const {
 }
 
 void ReplicationManager::restore(ByteReader& reader) {
-  // Drain staged accesses into the summarizers being replaced, matching the
-  // unbatched semantics where every recorded access had been ingested by
-  // the time restore ran.
-  flush_ingest();
   const std::uint32_t magic = reader.read_u32();
   GEORED_ENSURE(magic == kCheckpointMagic,
                 "not a replication-manager checkpoint (bad magic)");
@@ -458,7 +326,8 @@ void ReplicationManager::restore(ByteReader& reader) {
     placement.push_back(node);
   }
   // Summaries and warm centroids of another dimension, and summaries whose
-  // moments overflow, would wedge the next flush or epoch, so they are
+  // moments overflow, would wedge the next epoch, and a non-finite warm
+  // centroid would seed its k-means with a non-finite centroid, so they are
   // rejected here, before anything is committed.
   std::map<topo::NodeId, cluster::MicroClusterSummarizer> summarizers;
   for (const auto node : placement) {
@@ -479,30 +348,25 @@ void ReplicationManager::restore(ByteReader& reader) {
     centroids.emplace_back(reader.read_f64_vector());
     GEORED_ENSURE(centroids.back().dim() == candidates_->dim(),
                   "checkpoint warm centroids must have the candidates' dimension");
+    GEORED_ENSURE(centroids.back().is_finite(),
+                  "corrupt checkpoint: a warm centroid is not finite");
   }
-  // All parsed and validated: commit. The restored access count lands in
-  // shard 0 (the sum across shards is the observable value; its split is
-  // staging layout, not state).
+  // All parsed and validated: commit.
   epoch_index_ = epoch_index;
   degree_ = degree;
   budget_granted_ = budget_granted;
   budget_weight_ = budget_weight;
   placement_ = std::move(placement);
   summarizers_ = std::move(summarizers);
-  for (std::size_t s = 0; s < ingest_shards_.size(); ++s) {
-    const MutexLock lock(ingest_shards_[s]->mutex);
-    ingest_shards_[s]->accesses = s == 0 ? epoch_accesses : 0;
-    drop_retired_staging(ingest_shards_[s]->pending);
+  {
+    const MutexLock lock(ingest_->mutex);
+    ingest_->accesses = epoch_accesses;
   }
   warm_centroids_ = std::move(centroids);
 }
 
 EpochReport ReplicationManager::run_epoch(const std::set<topo::NodeId>& excluded) {
   EpochReport report;
-  {
-    const StageTimer timer(report.stages.ingest_flush_ms);
-    flush_ingest();
-  }
   report.old_placement = placement_;
   report.epoch_accesses = epoch_accesses();
 
@@ -605,10 +469,9 @@ EpochReport ReplicationManager::run_epoch(const std::set<topo::NodeId>& excluded
   }
   report.adopted_placement = placement_;
 
-  for (const auto& shard : ingest_shards_) {
-    const MutexLock lock(shard->mutex);
-    shard->accesses = 0;
-    drop_retired_staging(shard->pending);
+  {
+    const MutexLock lock(ingest_->mutex);
+    ingest_->accesses = 0;
   }
   ++epoch_index_;
   return report;

@@ -17,18 +17,16 @@
 //
 // Concurrency contract (capability-annotated, see common/sync.h): the
 // *record* paths — serve / record_access / record_access_batch — may be
-// called concurrently from any number of threads. Staging is sharded by
-// replica (shard = replica id mod ManagerConfig::ingest_shards), each shard
-// behind its own mutex, so records to different replicas rarely contend; a
-// record only serializes against records to replicas in the same shard and
-// against a flush (which holds every shard). No accesses are lost or
-// corrupted (the interleaving order across threads is the scheduler's, so
-// bit-reproducibility holds only for externally ordered streams); flushes
-// merge shards in node-id order, so observable summaries are byte-identical
-// at any thread count and any shard count. The *epoch and checkpoint* paths
-// — run_epoch / save / restore / summary_of / delay_by_degree_curve —
-// require exclusive access to the manager: they read and replace the
-// summarizers the record paths feed.
+// called concurrently from any number of threads. Each record ingests its
+// rows straight into the replica's summarizer under the manager's one
+// ingest mutex, which also guards the epoch access counter, so records to
+// one manager are serialized; the groups of a fleet each have their own
+// manager and ingest independently. No accesses are lost or corrupted (the
+// interleaving order across threads is the scheduler's, so
+// bit-reproducibility holds only for externally ordered streams). The
+// *epoch and checkpoint* paths — run_epoch / save / restore / summary_of /
+// delay_by_degree_curve — require exclusive access to the manager: they
+// read and replace the summarizers the record paths feed.
 #pragma once
 
 #include <cstdint>
@@ -96,23 +94,6 @@ struct ManagerConfig {
   double shrink_accesses_per_replica = 1000.0;
   std::size_t min_degree = 1;
   std::size_t max_degree = 7;
-
-  /// Accesses staged per replica before the summarizer ingests them as one
-  /// contiguous batch. It also bounds staging memory: a replica never
-  /// stages a full grain, because a record that reaches it is ingested at
-  /// once, and a batched record that reaches it is ingested in place from
-  /// the caller's rows. Staging is invisible to callers — every read path
-  /// (run_epoch, summary_of, save, the degree curve) flushes first, so
-  /// observable summaries are independent of the grain. 1 = unbatched.
-  std::size_t ingest_batch_grain = 256;
-
-  /// Number of staging shards the record paths spread over (replica id mod
-  /// shards). A fixed count — deliberately independent of the thread count —
-  /// so the staging layout never depends on GEORED_THREADS; flushes merge
-  /// shards in node-id order, making summaries byte-identical at any value
-  /// here too. More shards = less record-path contention; 1 restores a
-  /// single global staging lock.
-  std::size_t ingest_shards = 8;
 };
 
 /// Outcome of one placement epoch.
@@ -168,7 +149,7 @@ class ReplicationManager {
   /// Every entry point that routes or records (serve, route, record_access,
   /// record_access_batch) requires client coordinates of the candidates'
   /// dimension with every component finite, and throws
-  /// std::invalid_argument before staging or counting anything otherwise.
+  /// std::invalid_argument before ingesting or counting anything otherwise.
   topo::NodeId serve(const Point& client_coords, double data_weight = 1.0);
 
   /// Pure routing: the replica nearest `client_coords` in coordinate space,
@@ -180,31 +161,23 @@ class ReplicationManager {
                                     const std::set<topo::NodeId>& down = {}) const;
 
   /// Records an access served by `replica` (which must currently hold a
-  /// replica) for a client at `client_coords`. Use this form when the caller
-  /// did its own replica selection (e.g. the event-driven simulator).
-  /// Accesses are staged and ingested in batches of
-  /// ManagerConfig::ingest_batch_grain; results are identical to immediate
-  /// ingestion (see flush_ingest).
+  /// replica) for a client at `client_coords`, ingesting it into the
+  /// replica's summarizer at once. Use this form when the caller did its
+  /// own replica selection (e.g. the event-driven simulator).
   void record_access(topo::NodeId replica, const Point& client_coords, double data_weight = 1.0);
 
   /// Records a whole chunk of accesses served by `replica`: row i of
   /// `client_coords` with data_weights[i] (or 1.0 per row when
   /// `data_weights` is empty). Equivalent to record_access per row in
-  /// order; the batch form skips the per-access staging overhead. A bad
-  /// row rejects the whole chunk before anything is staged or counted.
-  /// A chunk that keeps the replica's staged rows below
-  /// ManagerConfig::ingest_batch_grain is staged; a chunk that reaches the
-  /// grain is ingested together with the staged rows, straight from
-  /// `client_coords` and `data_weights` (no copy), so the call's extra
-  /// memory never exceeds one grain whatever the chunk size.
+  /// order; the chunk is ingested straight from `client_coords` and
+  /// `data_weights`, with no copy. A bad row rejects the whole chunk before
+  /// anything is ingested or counted.
   void record_access_batch(topo::NodeId replica, const PointSet& client_coords,
                            std::span<const double> data_weights = {});
 
-  /// Ingests every staged access into its replica's summarizer (in recorded
-  /// order per replica; replicas in parallel on the deterministic thread
-  /// pool). Called automatically by every state-reading entry point, so it
-  /// only needs to be called directly when benchmarking ingestion itself.
-  void flush_ingest() const;
+  /// No-op, kept for existing callers: every record is ingested when it
+  /// arrives, so there is nothing to flush.
+  void flush_ingest() const {}
 
   /// Micro-clusters currently held for `replica` (observability / tests).
   const std::vector<cluster::MicroCluster>& summary_of(topo::NodeId replica) const;
@@ -222,8 +195,7 @@ class ReplicationManager {
   /// availability overrides the migration cost gate.
   EpochReport run_epoch(const std::set<topo::NodeId>& excluded = {});
 
-  /// Accesses recorded since the last epoch (sum of per-shard counters,
-  /// read shard by shard in index order).
+  /// Accesses recorded since the last epoch.
   std::uint64_t epoch_accesses() const;
 
   /// Sets the degree an external allocator (e.g. FleetManager's replica
@@ -264,62 +236,27 @@ class ReplicationManager {
   /// before anything is committed: blobs with a wrong magic or an unknown
   /// format version, an empty placement, a placement that repeats a node or
   /// references an unknown candidate, micro-clusters or warm centroids of
-  /// another dimension than the candidates', and counts larger than the
-  /// bytes left could hold, throw std::invalid_argument and leave the
-  /// manager unchanged (a truncated or oversized count is a WireFormatError,
-  /// raised before anything is allocated for it). The placement may differ
-  /// in size from the configured degree: a checkpoint taken before a
-  /// set_degree took effect holds the old size.
+  /// another dimension than the candidates', a warm centroid with a
+  /// non-finite component, and counts larger than the bytes left could
+  /// hold, throw std::invalid_argument and leave the manager unchanged (a
+  /// truncated or oversized count is a WireFormatError, raised before
+  /// anything is allocated for it). The placement may differ in size from
+  /// the configured degree: a checkpoint taken before a set_degree took
+  /// effect holds the old size.
   void restore(ByteReader& reader);
 
  private:
-  /// Staged accesses awaiting ingestion into one replica's summarizer:
-  /// always fewer rows than ingest_batch_grain, so its buffers are
-  /// O(grain), never O(batch). The drained form keeps its buffers
-  /// (PointSet::clear preserves dimension and capacity), so steady-state
-  /// staging is allocation-free. An entry lives only as long as its replica
-  /// is in the placement in force: run_epoch (after adoption) and restore
-  /// drop the entries of other nodes, which the flush has already emptied.
-  struct PendingBatch {
-    PointSet coords;
-    /// Empty while every staged row has weight 1.0 (add_batch's rule for
-    /// an empty span), else one weight per row: a unit-weight stream
-    /// stages no weights, and the first other weight fills in the 1.0s of
-    /// the rows before it.
-    std::vector<double> weights;
-
-    /// Stages `rows` rows from `values`, weighted by `row_weights` (one per
-    /// row) or 1.0 each when `row_weights` is empty.
-    void append(const double* values, std::size_t rows, std::size_t dim,
-                std::span<const double> row_weights);
-    void clear() {
-      coords.clear();
-      weights.clear();
-    }
-  };
-
-  /// One staging shard: a slice of the per-replica pending batches plus its
-  /// share of the epoch access counter, behind its own mutex. A replica
-  /// always maps to the same shard (node id mod shard count), so a
-  /// replica's staged stream — and any grain-triggered ingestion into its
-  /// summarizer — is serialized by exactly one mutex. Held by unique_ptr:
-  /// a Mutex is a capability identity and cannot move when the vector is
-  /// built.
-  struct IngestShard {
-    mutable Mutex mutex;
-    std::map<topo::NodeId, PendingBatch> pending GEORED_GUARDED_BY(mutex);
+  /// The record paths' lock and the epoch access counter it guards. Held by
+  /// unique_ptr so the manager stays movable: a Mutex is a capability
+  /// identity and cannot move.
+  struct IngestState {
+    Mutex mutex;
     std::uint64_t accesses GEORED_GUARDED_BY(mutex) = 0;
   };
 
   double estimate_average_delay(const place::Placement& placement,
                                 const std::vector<cluster::MicroCluster>& summaries) const;
   void maybe_adjust_degree(std::uint64_t epoch_accesses);
-  /// Erases the staging of nodes that no longer hold a replica. The caller
-  /// holds the shard's mutex, runs exclusively and after a flush.
-  void drop_retired_staging(std::map<topo::NodeId, PendingBatch>& pending) const;
-  IngestShard& shard_of(topo::NodeId replica) const {
-    return *ingest_shards_[replica % ingest_shards_.size()];
-  }
 
   /// Immutable and possibly shared with the other groups of a fleet.
   std::shared_ptr<const place::CandidateTable> candidates_;
@@ -330,18 +267,11 @@ class ReplicationManager {
   bool budget_granted_ = false;
   double budget_weight_ = 1.0;
   place::Placement placement_;
-  /// mutable with the shards: staging is a cache layout, not observable
-  /// state — const readers flush it so summaries never depend on the grain.
   /// Not guarded: the map's structure is mutated only by the epoch and
   /// checkpoint paths (exclusive by contract); a summarizer's contents are
-  /// only mutated under its replica's shard mutex (grain ingestion) or with
-  /// every shard held (flush).
-  mutable std::map<topo::NodeId, cluster::MicroClusterSummarizer> summarizers_;
-  /// Fixed-count staging shards (see ManagerConfig::ingest_shards). A flush
-  /// acquires every shard in index order and holds them across its parallel
-  /// ingest — pool chunks never take shard mutexes — so records observe
-  /// either pre- or post-flush staging, never a torn one.
-  mutable std::vector<std::unique_ptr<IngestShard>> ingest_shards_;
+  /// mutated by the record paths only under the ingest mutex.
+  std::map<topo::NodeId, cluster::MicroClusterSummarizer> summarizers_;
+  std::unique_ptr<IngestState> ingest_ = std::make_unique<IngestState>();
   std::unique_ptr<SummaryCollector> collector_;
   /// The latest epoch's macro-cluster centroids: the next proposal's warm
   /// start when ManagerConfig::warm_start_macro_clusters is set, and saved

@@ -121,9 +121,7 @@ void ReplicatedKvStore::put(topo::NodeId client, const Point& client_coords, Obj
   const Version version = clock.next();
 
   // The user population summary sees the write once, at the replica the
-  // client would naturally be served by. The manager stages recorded
-  // accesses and ingests them in batches at epoch/read boundaries, so the
-  // per-put cost here is one append, not a summarizer update.
+  // client would naturally be served by.
   const auto& ranked = rank_replicas(placement, client_coords);
   if (!ranked.empty()) {
     manager.record_access(ranked.front().second, client_coords,

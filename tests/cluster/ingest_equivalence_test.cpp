@@ -337,7 +337,6 @@ TEST(IngestEquivalence, ManagerBytesAreIdenticalAcrossThreadCounts) {
   core::ManagerConfig config;
   config.replication_degree = 3;
   config.summarizer.max_clusters = 4;
-  config.ingest_batch_grain = 64;
 
   const auto drive = [&](std::size_t threads) {
     ThreadPool::set_global_thread_count(threads);
@@ -350,7 +349,7 @@ TEST(IngestEquivalence, ManagerBytesAreIdenticalAcrossThreadCounts) {
                             rng.uniform(0.0, 4.0));
     }
     // A chunked batch on top, then an epoch so collection, placement, and
-    // decay all run downstream of the parallel flush.
+    // decay all run downstream of the ingest.
     PointSet chunk(2);
     for (std::size_t i = 0; i < 40; ++i) {
       chunk.push_back(Point{rng.uniform(0.0, 900.0), rng.uniform(-50.0, 50.0)});
@@ -365,7 +364,7 @@ TEST(IngestEquivalence, ManagerBytesAreIdenticalAcrossThreadCounts) {
   const auto bytes_one = drive(1);
   const auto bytes_four = drive(4);
   EXPECT_EQ(bytes_one, bytes_four)
-      << "parallel per-replica ingest must be byte-identical at any thread count";
+      << "manager state must be byte-identical at any thread count";
 }
 
 }  // namespace

@@ -1,8 +1,8 @@
-// Sharded ingest staging (core/replication_manager.{h,cpp}): determinism
-// and concurrency pins for the per-shard staging that replaced the single
-// ingest mutex. Named apart from `Manager` so the tsan CI tier (which runs
-// suites by name) exercises the shard locks, the all-shards flush, and the
-// per-shard counters under real thread interleavings.
+// Ingest on record (core/replication_manager.{h,cpp}): determinism and
+// concurrency pins for the record paths, which ingest each record into its
+// replica's summarizer under the manager's one ingest mutex. Named apart
+// from `Manager` so the tsan CI tier (which runs suites by name) exercises
+// the ingest mutex and the access counter under real thread interleavings.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -29,12 +29,10 @@ std::vector<place::CandidateInfo> line_candidates(std::size_t count = 12) {
   return candidates;
 }
 
-ManagerConfig sharded_config(std::size_t k, std::size_t shards) {
+ManagerConfig ingest_config(std::size_t k) {
   ManagerConfig config;
   config.replication_degree = k;
   config.summarizer.max_clusters = 4;
-  config.ingest_batch_grain = 32;
-  config.ingest_shards = shards;
   return config;
 }
 
@@ -46,9 +44,9 @@ struct GlobalPoolGuard {
 /// Drives a fixed externally-ordered access mix — batches and single
 /// records against every replica — through one epoch and returns the full
 /// serialized manager state.
-std::vector<std::uint8_t> drive_epoch(std::size_t threads, std::size_t shards) {
+std::vector<std::uint8_t> drive_epoch(std::size_t threads) {
   ThreadPool::set_global_thread_count(threads);
-  ReplicationManager manager(line_candidates(), sharded_config(5, shards), 97);
+  ReplicationManager manager(line_candidates(), ingest_config(5), 97);
   const auto placement = manager.placement();
   Rng rng(0x5a4d);
   for (std::size_t i = 0; i < 400; ++i) {
@@ -71,40 +69,24 @@ std::vector<std::uint8_t> drive_epoch(std::size_t threads, std::size_t shards) {
 }
 
 TEST(IngestSharding, BytesIdenticalAtThreadCounts1And4) {
-  // The acceptance pin: sharded record_access_batch output is byte-identical
-  // at GEORED_THREADS 1 vs 4 (the pool count is what GEORED_THREADS sets).
+  // record_access_batch output is byte-identical at GEORED_THREADS 1 vs 4
+  // (the pool count is what GEORED_THREADS sets).
   GlobalPoolGuard guard;
-  const auto bytes_one = drive_epoch(1, 8);
-  const auto bytes_four = drive_epoch(4, 8);
-  EXPECT_EQ(bytes_one, bytes_four)
-      << "sharded staging must be byte-identical at any thread count";
+  const auto bytes_one = drive_epoch(1);
+  const auto bytes_four = drive_epoch(4);
+  EXPECT_EQ(bytes_one, bytes_four) << "ingest must be byte-identical at any thread count";
 }
 
-TEST(IngestSharding, BytesIdenticalAcrossShardCounts) {
-  // The shard count is a contention knob, never an observable one: flushes
-  // merge shards in node-id order, so 1, 3, and 8 shards must serialize the
-  // same bytes (1 shard = the historical single staging lock).
-  GlobalPoolGuard guard;
-  const auto one = drive_epoch(2, 1);
-  const auto three = drive_epoch(2, 3);
-  const auto eight = drive_epoch(2, 8);
-  EXPECT_EQ(one, three);
-  EXPECT_EQ(one, eight);
-}
-
-/// Drives one access mix through two epochs at the given staging grain and
-/// returns the serialized manager state. Per replica, in order: single
-/// records, batches of 3 and 9 rows, then batches of 20, 40, 300 and 3000
-/// rows, alternately weighted and unweighted. Against the grains below,
-/// that covers records below the grain, a batch that reaches it while rows
-/// are already staged, and batches far above it.
-std::vector<std::uint8_t> drive_grain_mix(std::size_t grain) {
-  ManagerConfig config = sharded_config(5, 4);
-  config.ingest_batch_grain = grain;
-  ReplicationManager manager(line_candidates(), config, 41);
+/// Drives one access mix through two epochs and returns the serialized
+/// manager state. Per replica, in order: single records, then batches of 3,
+/// 9, 20, 40, 300 and 3000 rows, alternately weighted and unweighted. With
+/// `one_row_per_call`, every batch row goes through its own record_access
+/// instead (weight 1.0 for an unweighted batch).
+std::vector<std::uint8_t> drive_call_mix(bool one_row_per_call) {
+  ReplicationManager manager(line_candidates(), ingest_config(5), 41);
   Rng rng(0x6a11);
   for (std::size_t epoch = 0; epoch < 2; ++epoch) {
-    // Shift the population between epochs so the second epoch also stages
+    // Shift the population between epochs so the second epoch also records
     // into replicas adopted by a migration.
     const double lo = epoch == 0 ? 0.0 : 600.0;
     const auto placement = manager.placement();
@@ -121,7 +103,12 @@ std::vector<std::uint8_t> drive_grain_mix(std::size_t grain) {
           batch.push_back(Point{rng.uniform(lo, lo + 500.0)});
           weights.push_back(rng.uniform(0.1, 3.0));
         }
-        if ((rows + r) % 2 == 0) {
+        const bool weighted = (rows + r) % 2 == 0;
+        if (one_row_per_call) {
+          for (std::size_t i = 0; i < rows; ++i) {
+            manager.record_access(replica, batch.point(i), weighted ? weights[i] : 1.0);
+          }
+        } else if (weighted) {
           manager.record_access_batch(replica, batch, weights);
         } else {
           manager.record_access_batch(replica, batch);
@@ -136,26 +123,16 @@ std::vector<std::uint8_t> drive_grain_mix(std::size_t grain) {
 }
 
 TEST(IngestSharding, BytesIdenticalAcrossGrains) {
-  // The grain only decides when staged rows reach the summarizer and
-  // whether a batch is ingested in place; summaries must not depend on it.
-  // Grain 1 ingests every record at once; 1 << 20 stages everything until
-  // the flush.
-  const auto reference = drive_grain_mix(32);
-  for (const std::size_t grain : {std::size_t{1}, std::size_t{7}, std::size_t{256},
-                                  std::size_t{1} << 20}) {
-    EXPECT_EQ(drive_grain_mix(grain), reference) << "grain " << grain;
-  }
-}
-
-TEST(IngestSharding, RejectsZeroShards) {
-  EXPECT_THROW(ReplicationManager(line_candidates(), sharded_config(2, 0), 1),
-               std::invalid_argument);
+  // How many rows one record call carries never shows in the summaries:
+  // the mixed single records and batches serialize the bytes of the same
+  // rows recorded one record_access at a time.
+  EXPECT_EQ(drive_call_mix(false), drive_call_mix(true));
 }
 
 TEST(IngestSharding, ConcurrentRecordsAcrossManyShardsLoseNothing) {
-  // More replicas than shards, hammered from several threads: every access
-  // must land exactly once in a per-shard counter and reach a summarizer.
-  ReplicationManager manager(line_candidates(), sharded_config(7, 4), 31);
+  // Seven replicas hammered from several threads: every access must land
+  // exactly once in the access counter and reach a summarizer.
+  ReplicationManager manager(line_candidates(), ingest_config(7), 31);
   const auto placement = manager.placement();
   constexpr std::size_t kThreads = 4;
   constexpr std::size_t kBatchesPerThread = 24;
@@ -178,26 +155,31 @@ TEST(IngestSharding, ConcurrentRecordsAcrossManyShardsLoseNothing) {
   for (auto& thread : threads) thread.join();
   const std::uint64_t expected = kThreads * kBatchesPerThread * (kRowsPerBatch + 1);
   EXPECT_EQ(manager.epoch_accesses(), expected)
-      << "per-shard counters must sum to the exact access total";
+      << "the access counter must hold the exact access total";
   const EpochReport report = manager.run_epoch();
   EXPECT_EQ(report.epoch_accesses, expected);
-  EXPECT_EQ(manager.epoch_accesses(), 0u) << "run_epoch must zero every shard";
+  EXPECT_EQ(manager.epoch_accesses(), 0u) << "run_epoch must zero the access counter";
 }
 
 TEST(IngestSharding, FlushesDuringConcurrentRecordsAreNotTorn) {
-  // A reader repeatedly forcing the all-shards flush while a writer records
-  // across shards: under tsan this is the schedule that catches a shard
-  // mutex missing from the flush's lock-all set.
-  ReplicationManager manager(line_candidates(), sharded_config(5, 4), 19);
+  // A reader polling the access counter while a writer records across the
+  // replicas: under tsan this is the schedule that catches the counter, or
+  // a summarizer, written outside the ingest mutex. The count a reader sees
+  // never falls and never passes the total.
+  ReplicationManager manager(line_candidates(), ingest_config(5), 19);
   const auto placement = manager.placement();
+  constexpr std::size_t kAccesses = 600;
   std::atomic<bool> stop{false};
   std::thread reader([&] {
+    std::uint64_t last = 0;
     while (!stop.load()) {
-      manager.flush_ingest();
+      const std::uint64_t seen = manager.epoch_accesses();
+      EXPECT_GE(seen, last);
+      EXPECT_LE(seen, kAccesses);
+      last = seen;
       std::this_thread::yield();
     }
   });
-  constexpr std::size_t kAccesses = 600;
   for (std::size_t i = 0; i < kAccesses; ++i) {
     manager.record_access(placement[i % placement.size()],
                           Point{100.0 * static_cast<double>(i % 12)});
@@ -208,9 +190,8 @@ TEST(IngestSharding, FlushesDuringConcurrentRecordsAreNotTorn) {
 }
 
 TEST(IngestSharding, CheckpointRoundTripPreservesAccessCounter) {
-  // restore() commits the staged counter into shard 0; the observable sum
-  // must survive a save/restore round trip exactly.
-  ReplicationManager manager(line_candidates(), sharded_config(5, 8), 55);
+  // The access counter must survive a save/restore round trip exactly.
+  ReplicationManager manager(line_candidates(), ingest_config(5), 55);
   const auto placement = manager.placement();
   for (std::size_t i = 0; i < 123; ++i) {
     manager.record_access(placement[i % placement.size()],
@@ -219,7 +200,7 @@ TEST(IngestSharding, CheckpointRoundTripPreservesAccessCounter) {
   ByteWriter writer;
   manager.save(writer);
 
-  ReplicationManager restored(line_candidates(), sharded_config(5, 8), 55);
+  ReplicationManager restored(line_candidates(), ingest_config(5), 55);
   ByteReader reader(writer.bytes());
   restored.restore(reader);
   EXPECT_EQ(restored.epoch_accesses(), manager.epoch_accesses());

@@ -10,6 +10,8 @@
 #include <limits>
 #include <set>
 #include <thread>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "common/random.h"
@@ -60,6 +62,22 @@ TEST(Manager, RejectsBadConfig) {
   EXPECT_THROW(ReplicationManager(line_candidates(), config, 1), std::invalid_argument);
 }
 
+TEST(Manager, MovedManagerKeepsItsAccessesAndIngestLock) {
+  // The ingest lock is heap-held so a manager stays movable: the moved-to
+  // manager keeps the recorded accesses and records on.
+  static_assert(std::is_move_constructible_v<ReplicationManager>);
+  static_assert(std::is_move_assignable_v<ReplicationManager>);
+  ReplicationManager source(line_candidates(), small_config(2), 7);
+  for (int i = 0; i < 50; ++i) source.serve(Point{100.0 * (i % 10)});
+  ReplicationManager moved(std::move(source));
+  moved.serve(Point{250.0});
+  EXPECT_EQ(moved.epoch_accesses(), 51u);
+  ReplicationManager assigned(line_candidates(), small_config(2), 8);
+  assigned = std::move(moved);
+  assigned.serve(Point{250.0});
+  EXPECT_EQ(assigned.run_epoch().epoch_accesses, 52u);
+}
+
 TEST(Manager, ServeRoutesToNearestReplica) {
   ReplicationManager manager(line_candidates(), small_config(2), 7);
   const auto& placement = manager.placement();
@@ -84,7 +102,7 @@ TEST(Manager, RecordAccessRejectsNonReplica) {
 TEST(Manager, RejectsBadClientCoordinatesWithoutSideEffects) {
   // A non-finite component would poison a replica's centroids, and a
   // foreign dimension would wedge every later epoch, so every entry point
-  // that routes or records throws before staging or counting anything.
+  // that routes or records throws before ingesting or counting anything.
   ReplicationManager manager(line_candidates(), small_config(2), 7);
   const auto placement = manager.placement();
   for (int i = 0; i < 10; ++i) manager.record_access(placement[0], Point{10.0 * i});
@@ -102,9 +120,9 @@ TEST(Manager, RejectsBadClientCoordinatesWithoutSideEffects) {
     SCOPED_TRACE(bad);
     EXPECT_THROW(manager.serve(bad), std::invalid_argument);
     EXPECT_THROW(manager.route(bad), std::invalid_argument);
-    // placement[0] has staged rows; placement[1] has none, so nothing but
-    // the entry check stops a foreign dimension from becoming its staging
-    // dimension.
+    // placement[0] has ingested rows; placement[1] has none, so nothing but
+    // the entry check stops a foreign dimension from becoming its
+    // summarizer's dimension.
     for (const auto replica : placement) {
       EXPECT_THROW(manager.record_access(replica, bad), std::invalid_argument);
       // A good row ahead of the bad one: the whole batch is rejected.
@@ -130,7 +148,7 @@ TEST(Manager, RejectsBadClientCoordinatesWithoutSideEffects) {
 
 // Named apart from `Manager` so the tsan CI tier (which runs suites by
 // name) picks it up: the whole point of this suite is what the sanitizer
-// sees when many threads hit the staging paths at once.
+// sees when many threads hit the record paths at once.
 TEST(IngestConcurrency, ConcurrentRecordPathsLoseNothing) {
   ReplicationManager manager(line_candidates(), small_config(2), 7);
   const auto placement = manager.placement();  // copy: threads use it freely
@@ -138,7 +156,7 @@ TEST(IngestConcurrency, ConcurrentRecordPathsLoseNothing) {
   constexpr std::size_t kBatchesPerThread = 32;
   constexpr std::size_t kRowsPerBatch = 16;
   // Every thread records batches and single accesses against both replicas
-  // concurrently — the manager's ingest mutex must serialize the staging so
+  // concurrently — the manager's ingest mutex must serialize the ingest so
   // the total is exact (no torn batch, no lost bump).
   std::vector<std::thread> threads;
   for (std::size_t t = 0; t < kThreads; ++t) {
@@ -158,7 +176,7 @@ TEST(IngestConcurrency, ConcurrentRecordPathsLoseNothing) {
   for (auto& thread : threads) thread.join();
   EXPECT_EQ(manager.epoch_accesses(),
             kThreads * kBatchesPerThread * (kRowsPerBatch + 1));
-  // The staged accesses must all reach summarizers and the epoch must run
+  // The recorded accesses must all reach summarizers and the epoch must run
   // cleanly on them.
   const EpochReport report = manager.run_epoch();
   EXPECT_EQ(report.epoch_accesses, kThreads * kBatchesPerThread * (kRowsPerBatch + 1));
@@ -166,19 +184,23 @@ TEST(IngestConcurrency, ConcurrentRecordPathsLoseNothing) {
 }
 
 TEST(IngestConcurrency, RecordsDuringFlushAreNotTorn) {
-  // Readers (flush_ingest via epoch_accesses/summary_of) interleave with
-  // writers; under tsan this is the schedule that catches a forgotten lock
-  // on the flush path.
+  // A reader polling epoch_accesses() interleaves with a writer; under tsan
+  // this is the schedule that catches a record path touching the counter
+  // or a summarizer outside the ingest mutex.
   ReplicationManager manager(line_candidates(), small_config(2), 11);
   const auto placement = manager.placement();
+  constexpr std::size_t kAccesses = 512;
   std::atomic<bool> stop{false};
   std::thread reader([&] {
+    std::uint64_t last = 0;
     while (!stop.load()) {
-      manager.flush_ingest();
+      const std::uint64_t seen = manager.epoch_accesses();
+      EXPECT_GE(seen, last);
+      EXPECT_LE(seen, kAccesses);
+      last = seen;
       std::this_thread::yield();
     }
   });
-  constexpr std::size_t kAccesses = 512;
   for (std::size_t i = 0; i < kAccesses; ++i) {
     manager.record_access(placement[i % placement.size()],
                           Point{100.0 * static_cast<double>(i % 10)});
@@ -569,6 +591,25 @@ TEST(Manager, RestoreRejectsMomentsAnEpochCannotUse) {
   expect_rejected(target, unrealizable);
   for (int i = 0; i < 100; ++i) target.serve(Point{rng.normal(300.0, 80.0)});
   EXPECT_EQ(target.run_epoch().epoch_accesses, 100u);
+}
+
+TEST(Manager, RestoreRejectsNonFiniteWarmCentroids) {
+  // A warm centroid is the next epoch's k-means seed: a non-finite one used
+  // to restore, and a build with debug checks then threw InternalError
+  // "k-means produced a non-finite centroid" from the epoch.
+  ReplicationManager manager(line_candidates(), small_config(3), 7);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  expect_rejected(manager, handmade_checkpoint({0, 4, 8}, {Point{250.0}, Point{nan}}));
+  expect_rejected(manager, handmade_checkpoint({0, 4, 8}, {Point{inf}}));
+  expect_rejected(manager, handmade_checkpoint({0, 4, 8}, {Point{-inf}}));
+  // Finite warm centroids, however far out, still restore.
+  const std::vector<std::uint8_t> far = handmade_checkpoint({0, 4, 8}, {Point{1e300}});
+  ByteReader reader(far);
+  manager.restore(reader);
+  Rng rng(3);
+  for (int i = 0; i < 100; ++i) manager.serve(Point{rng.normal(300.0, 40.0)});
+  EXPECT_EQ(manager.run_epoch().epoch_accesses, 100u);
 }
 
 TEST(Manager, EpochWithNoAccessesIsSafe) {
