@@ -9,7 +9,9 @@ namespace geored::cluster {
 
 void MomentStore::ensure_transposed(std::size_t rows) {
   if (rows > t_stride_) {
-    t_stride_ = std::max<std::size_t>(8, 2 * rows);
+    // The reserved row count is the stride's floor; past it the stride
+    // doubles.
+    t_stride_ = rows <= reserved_rows_ ? reserved_rows_ : std::max<std::size_t>(8, 2 * rows);
     rebuild_transposed();
     return;
   }
@@ -36,6 +38,7 @@ MomentStore::MomentStore(double min_absorb_radius, double radius_factor)
 }
 
 void MomentStore::reserve(std::size_t clusters) {
+  reserved_rows_ = std::max(reserved_rows_, clusters);
   counts_.reserve(clusters);
   weights_.reserve(clusters);
   sums_.reserve(clusters);

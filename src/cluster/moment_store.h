@@ -68,8 +68,12 @@ class MomentStore {
   double weight(std::size_t i) const { return weights_[i]; }
   const PointSet& centroids() const { return centroids_; }
 
+  /// Reserves room for `clusters` rows. The transposed centroid panel is
+  /// then sized for exactly that many columns when its first row arrives,
+  /// and grows past them only if the rows do.
   void reserve(std::size_t clusters);
-  /// Full reset, including the adopted dimension.
+  /// Full reset, including the adopted dimension; the reserved row count is
+  /// kept.
   void clear();
 
   /// Appends a singleton cluster (count 1) from one access at `coords`.
@@ -276,6 +280,8 @@ class MomentStore {
   /// refresh_centroid and the append/erase paths. t_stride_ >= size() always.
   std::vector<double> centroids_t_;
   std::size_t t_stride_ = 0;
+  /// The largest row count passed to reserve(): the panel stride's floor.
+  std::size_t reserved_rows_ = 0;
   std::vector<double> scratch_;
 };
 

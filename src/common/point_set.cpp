@@ -42,20 +42,6 @@ void PointSet::push_back_row(const double* values, std::size_t dim) {
   ++n_;
 }
 
-void PointSet::append_rows(const double* values, std::size_t rows, std::size_t dim) {
-  if (rows == 0) return;
-  if (n_ == 0 && dim_ == 0) {
-    dim_ = dim;
-    if (pending_reserve_rows_ > 0 && dim_ > 0) {
-      data_.reserve(pending_reserve_rows_ * dim_);
-    }
-    pending_reserve_rows_ = 0;
-  }
-  GEORED_ENSURE(dim == dim_, "PointSet rows must share one dimension");
-  data_.insert(data_.end(), values, values + rows * dim);
-  n_ += rows;
-}
-
 void PointSet::truncate(std::size_t n) {
   GEORED_ENSURE(n <= size(), "PointSet truncate may only shrink");
   data_.resize(n * dim_);

@@ -68,12 +68,6 @@ class PointSet {
   /// push_back(Point).
   void push_back_row(const double* values, std::size_t dim);
 
-  /// Appends `rows` contiguous row-major rows at once — one bulk insert
-  /// instead of a per-row loop, the form the staging paths use to splice a
-  /// whole recorded batch. Equivalent to push_back_row per row in order;
-  /// same dimension-adoption rules.
-  void append_rows(const double* values, std::size_t rows, std::size_t dim);
-
   /// Drops every row past the first `n` (n <= size()); capacity is kept so
   /// compaction passes can rewrite in place.
   void truncate(std::size_t n);

@@ -140,7 +140,14 @@ void FleetManager::restore(ByteReader& reader) {
   GEORED_ENSURE(groups == groups_.size(),
                 "fleet checkpoint holds " + std::to_string(groups) +
                     " groups but this fleet has " + std::to_string(groups_.size()));
-  for (auto& group : groups_) group->restore(reader);
+  // Every group is parsed and validated before any is committed, so a
+  // rejected blob leaves the whole fleet unchanged.
+  std::vector<ReplicationManager::Checkpoint> parsed;
+  parsed.reserve(groups_.size());
+  for (const auto& group : groups_) parsed.push_back(group->parse_checkpoint(reader));
+  for (std::size_t g = 0; g < groups_.size(); ++g) {
+    groups_[g]->commit_checkpoint(std::move(parsed[g]));
+  }
 }
 
 }  // namespace geored::core

@@ -125,9 +125,12 @@ class FleetManager {
   void save(ByteWriter& writer) const;
 
   /// Restores a blob written by save(). The fleet must have been built with
-  /// the same candidates and configuration (the group count is validated);
-  /// bad magic, unknown versions, and mismatched group counts throw before
-  /// any group is touched.
+  /// the same candidates and configuration (the group count is validated).
+  /// Every group's checkpoint is parsed and validated before any group is
+  /// committed, so a rejected blob (bad magic, an unknown version, a
+  /// mismatched group count, or any group's checkpoint that
+  /// ReplicationManager::parse_checkpoint rejects) leaves every group
+  /// unchanged.
   void restore(ByteReader& reader);
 
  private:

@@ -286,6 +286,11 @@ void ReplicationManager::save(ByteWriter& writer) const {
 }
 
 void ReplicationManager::restore(ByteReader& reader) {
+  commit_checkpoint(parse_checkpoint(reader));
+}
+
+ReplicationManager::Checkpoint ReplicationManager::parse_checkpoint(ByteReader& reader) const {
+  Checkpoint checkpoint;
   const std::uint32_t magic = reader.read_u32();
   GEORED_ENSURE(magic == kCheckpointMagic,
                 "not a replication-manager checkpoint (bad magic)");
@@ -293,18 +298,16 @@ void ReplicationManager::restore(ByteReader& reader) {
   GEORED_ENSURE(version >= 1 && version <= kCheckpointVersion,
                 "unsupported checkpoint format version " + std::to_string(version) +
                     " (this build reads versions 1.." + std::to_string(kCheckpointVersion) + ")");
-  const std::uint64_t epoch_index = reader.read_u64();
-  const std::uint64_t epoch_accesses = reader.read_u64();
-  const auto degree = static_cast<std::size_t>(reader.read_u64());
-  GEORED_ENSURE(degree >= 1, "corrupt checkpoint: zero degree");
+  checkpoint.epoch_index = reader.read_u64();
+  checkpoint.epoch_accesses = reader.read_u64();
+  checkpoint.degree = static_cast<std::size_t>(reader.read_u64());
+  GEORED_ENSURE(checkpoint.degree >= 1, "corrupt checkpoint: zero degree");
   // v1 predates external budget state; restore the documented defaults
   // (no grant recorded, neutral weight).
-  bool budget_granted = false;
-  double budget_weight = 1.0;
   if (version >= 2) {
-    budget_granted = reader.read_u32() != 0;
-    budget_weight = reader.read_f64();
-    GEORED_ENSURE(std::isfinite(budget_weight) && budget_weight > 0.0,
+    checkpoint.budget_granted = reader.read_u32() != 0;
+    checkpoint.budget_weight = reader.read_f64();
+    GEORED_ENSURE(std::isfinite(checkpoint.budget_weight) && checkpoint.budget_weight > 0.0,
                   "corrupt checkpoint: budget weight must be positive and finite");
   }
   // Counts are bounded by the bytes left before they size anything: 4 bytes
@@ -316,7 +319,7 @@ void ReplicationManager::restore(ByteReader& reader) {
   // summaries. Its size may differ from the degree — a checkpoint taken
   // before a set_degree took effect holds the old size.
   GEORED_ENSURE(placement_size >= 1, "corrupt checkpoint: empty placement");
-  place::Placement placement;
+  place::Placement& placement = checkpoint.placement;
   placement.reserve(placement_size);
   for (std::uint32_t i = 0; i < placement_size; ++i) {
     const topo::NodeId node = reader.read_u32();
@@ -329,7 +332,6 @@ void ReplicationManager::restore(ByteReader& reader) {
   // moments overflow, would wedge the next epoch, and a non-finite warm
   // centroid would seed its k-means with a non-finite centroid, so they are
   // rejected here, before anything is committed.
-  std::map<topo::NodeId, cluster::MicroClusterSummarizer> summarizers;
   for (const auto node : placement) {
     cluster::MicroClusterSummarizer summarizer(config_.summarizer);
     for (const auto& micro : cluster::MicroClusterSummarizer::deserialize_clusters(reader)) {
@@ -338,11 +340,11 @@ void ReplicationManager::restore(ByteReader& reader) {
       ensure_moments_usable(micro, *candidates_);
       summarizer.merge_cluster(micro);
     }
-    summarizers.emplace(node, std::move(summarizer));
+    checkpoint.summarizers.emplace(node, std::move(summarizer));
   }
   const std::uint32_t centroid_count = reader.read_u32();
   ensure_count_fits(centroid_count, sizeof(std::uint32_t), reader, "warm centroid count");
-  std::vector<Point> centroids;
+  std::vector<Point>& centroids = checkpoint.warm_centroids;
   centroids.reserve(centroid_count);
   for (std::uint32_t i = 0; i < centroid_count; ++i) {
     centroids.emplace_back(reader.read_f64_vector());
@@ -351,18 +353,21 @@ void ReplicationManager::restore(ByteReader& reader) {
     GEORED_ENSURE(centroids.back().is_finite(),
                   "corrupt checkpoint: a warm centroid is not finite");
   }
-  // All parsed and validated: commit.
-  epoch_index_ = epoch_index;
-  degree_ = degree;
-  budget_granted_ = budget_granted;
-  budget_weight_ = budget_weight;
-  placement_ = std::move(placement);
-  summarizers_ = std::move(summarizers);
+  return checkpoint;
+}
+
+void ReplicationManager::commit_checkpoint(Checkpoint checkpoint) noexcept {
+  epoch_index_ = checkpoint.epoch_index;
+  degree_ = checkpoint.degree;
+  budget_granted_ = checkpoint.budget_granted;
+  budget_weight_ = checkpoint.budget_weight;
+  placement_ = std::move(checkpoint.placement);
+  summarizers_ = std::move(checkpoint.summarizers);
   {
     const MutexLock lock(ingest_->mutex);
-    ingest_->accesses = epoch_accesses;
+    ingest_->accesses = checkpoint.epoch_accesses;
   }
-  warm_centroids_ = std::move(centroids);
+  warm_centroids_ = std::move(checkpoint.warm_centroids);
 }
 
 EpochReport ReplicationManager::run_epoch(const std::set<topo::NodeId>& excluded) {

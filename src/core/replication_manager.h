@@ -231,19 +231,41 @@ class ReplicationManager {
   /// the learned usage knowledge.
   void save(ByteWriter& writer) const;
 
-  /// Restores state saved by save(). The manager must have been constructed
-  /// with the same candidates and configuration. Everything is validated
-  /// before anything is committed: blobs with a wrong magic or an unknown
-  /// format version, an empty placement, a placement that repeats a node or
-  /// references an unknown candidate, micro-clusters or warm centroids of
-  /// another dimension than the candidates', a warm centroid with a
-  /// non-finite component, and counts larger than the bytes left could
-  /// hold, throw std::invalid_argument and leave the manager unchanged (a
-  /// truncated or oversized count is a WireFormatError, raised before
-  /// anything is allocated for it). The placement may differ in size from
-  /// the configured degree: a checkpoint taken before a set_degree took
-  /// effect holds the old size.
+  /// A checkpoint that parse_checkpoint() has read and validated, ready for
+  /// commit_checkpoint(). Opaque outside the manager.
+  class Checkpoint {
+    friend class ReplicationManager;
+    std::uint64_t epoch_index = 0;
+    std::uint64_t epoch_accesses = 0;
+    std::size_t degree = 0;
+    bool budget_granted = false;
+    double budget_weight = 1.0;
+    place::Placement placement;
+    std::map<topo::NodeId, cluster::MicroClusterSummarizer> summarizers;
+    std::vector<Point> warm_centroids;
+  };
+
+  /// Restores state saved by save(): commit_checkpoint(parse_checkpoint()).
+  /// The manager must have been constructed with the same candidates and
+  /// configuration. A rejected blob leaves the manager unchanged.
   void restore(ByteReader& reader);
+
+  /// Reads one checkpoint written by save() and validates everything this
+  /// manager would commit, changing nothing. Blobs with a wrong magic or an
+  /// unknown format version, an empty placement, a placement that repeats a
+  /// node or references an unknown candidate, micro-clusters or warm
+  /// centroids of another dimension than the candidates', a warm centroid
+  /// with a non-finite component, and counts larger than the bytes left
+  /// could hold, throw std::invalid_argument (a truncated or oversized
+  /// count is a WireFormatError, raised before anything is allocated for
+  /// it). The placement may differ in size from the configured degree: a
+  /// checkpoint taken before a set_degree took effect holds the old size.
+  Checkpoint parse_checkpoint(ByteReader& reader) const;
+
+  /// Installs a checkpoint parsed by this manager (or by one built with the
+  /// same candidates and configuration). Cannot throw, so a caller that
+  /// parses several checkpoints first can commit them all or none.
+  void commit_checkpoint(Checkpoint checkpoint) noexcept;
 
  private:
   /// The record paths' lock and the epoch access counter it guards. Held by

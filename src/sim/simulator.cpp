@@ -8,6 +8,18 @@
 
 namespace geored::sim {
 
+namespace {
+
+/// Empties `table` and sets its capacity to `capacity`.
+template <typename T>
+void refit(std::vector<T>& table, std::size_t capacity) {
+  table.clear();
+  table.shrink_to_fit();
+  table.reserve(capacity);
+}
+
+}  // namespace
+
 void Simulator::schedule_at(SimTime t, std::function<void()> fn) {
   GEORED_ENSURE(std::isfinite(t), "event time must be finite");
   GEORED_ENSURE(t >= now_, "cannot schedule an event in the past");
@@ -24,6 +36,7 @@ void Simulator::schedule_at(SimTime t, std::function<void()> fn) {
   }
   heap_.push_back({t, next_seq_++, slot});
   std::push_heap(heap_.begin(), heap_.end(), Later{});
+  peak_pending_ = std::max(peak_pending_, heap_.size());
 }
 
 void Simulator::schedule_after(SimTime delay, std::function<void()> fn) {
@@ -51,7 +64,22 @@ std::size_t Simulator::run() {
   stopped_ = false;
   std::size_t processed = 0;
   while (!stopped_ && step()) ++processed;
+  if (heap_.empty()) give_back();
   return processed;
+}
+
+void Simulator::give_back() {
+  // A run() that found nothing scheduled since the previous drain ends no
+  // load.
+  if (peak_pending_ == 0) return;
+  if (heap_.capacity() > 2 * peak_pending_) refit(heap_, peak_pending_);
+  // The slot table and its free list shrink together: slots are renumbered
+  // from 0.
+  if (slots_.capacity() > 2 * peak_pending_) {
+    refit(slots_, peak_pending_);
+    refit(free_slots_, peak_pending_);
+  }
+  peak_pending_ = 0;
 }
 
 std::size_t Simulator::run_until(SimTime t) {

@@ -12,6 +12,12 @@
 // trivially copyable bytes (e.g. a `this` pointer plus two 32-bit ids)
 // inline, so scheduling such a callback touches no heap once the heap and
 // the slot table have grown to the simulation's peak queue length.
+//
+// A burst gives its memory back. When run() ends with nothing pending (the
+// load has drained), a table whose capacity is more than twice the peak
+// queue length since the previous drain shrinks to that peak. A load whose
+// peak repeats therefore keeps its tables and never reallocates, while the
+// tables a bulk load grew are freed once a smaller load has drained.
 #pragma once
 
 #include <cstdint>
@@ -37,7 +43,7 @@ class Simulator {
   bool step();
 
   /// Runs until the queue empties or stop() is called; returns the number of
-  /// events processed.
+  /// events processed. Ending with nothing pending is a drain (see above).
   std::size_t run();
 
   /// Processes all events with time <= `t` (finite), then advances the clock
@@ -62,6 +68,10 @@ class Simulator {
     }
   };
 
+  /// The drain rule, run with nothing pending: every slot is free, and a
+  /// running callback has already left its slot, so no table is referenced.
+  void give_back();
+
   /// Binary heap of keys (std::push_heap/pop_heap). (time, seq) is a total
   /// order, so the pop sequence does not depend on the heap's layout.
   std::vector<Key> heap_;
@@ -69,6 +79,8 @@ class Simulator {
   /// the empty ones for reuse.
   std::vector<std::function<void()>> slots_;
   std::vector<std::uint32_t> free_slots_;
+  /// Longest queue since the previous drain.
+  std::size_t peak_pending_ = 0;
   SimTime now_ = 0.0;
   std::uint64_t next_seq_ = 0;
   bool stopped_ = false;

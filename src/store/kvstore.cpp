@@ -1,6 +1,7 @@
 #include "store/kvstore.h"
 
 #include <algorithm>
+#include <iterator>
 
 #include "common/ensure.h"
 
@@ -42,19 +43,36 @@ ReplicatedKvStore::ReplicatedKvStore(sim::Simulator& simulator, sim::Network& ne
 
 template <typename Op>
 std::uint32_t ReplicatedKvStore::OpSlab<Op>::acquire() {
+  std::uint32_t slot = 0;
   if (free.empty()) {
     // Grows to the peak number of ops in flight, then only recycles.
     ops.emplace_back();
-    return static_cast<std::uint32_t>(ops.size() - 1);
+    slot = static_cast<std::uint32_t>(ops.size() - 1);
+  } else {
+    slot = free.back();
+    free.pop_back();
   }
-  const std::uint32_t slot = free.back();
-  free.pop_back();
+  peak = std::max(peak, ops.size() - free.size());
   return slot;
 }
 
 template <typename Op>
 void ReplicatedKvStore::OpSlab<Op>::release(std::uint32_t slot) {
   free.push_back(slot);
+  if (free.size() < ops.size()) return;
+  // Drained: no op is in flight, so no record is referenced. Keep the
+  // first `peak` records (a get record keeps its vectors' capacity) in a
+  // deque sized for them.
+  if (ops.size() > 2 * peak) {
+    const auto kept_end = ops.begin() + static_cast<std::ptrdiff_t>(peak);
+    std::deque<Op>(std::make_move_iterator(ops.begin()), std::make_move_iterator(kept_end))
+        .swap(ops);
+    free.clear();
+    free.shrink_to_fit();
+    free.reserve(peak);
+    for (std::size_t i = peak; i-- > 0;) free.push_back(static_cast<std::uint32_t>(i));
+  }
+  peak = 0;
 }
 
 std::uint32_t ReplicatedKvStore::group_of(ObjectId id) const {
@@ -103,7 +121,7 @@ const std::vector<std::pair<double, topo::NodeId>>& ReplicatedKvStore::rank_repl
 }
 
 void ReplicatedKvStore::put(topo::NodeId client, const Point& client_coords, ObjectId id,
-                            std::string data, std::function<void(const PutResult&)> done) {
+                            Payload data, std::function<void(const PutResult&)> done) {
   GEORED_ENSURE(static_cast<bool>(done), "put requires a completion callback");
   validate_client(client, client_coords);
   const std::uint32_t group = group_of(id);
@@ -136,8 +154,8 @@ void ReplicatedKvStore::put(topo::NodeId client, const Point& client_coords, Obj
   op.acks = 0;
   op.outstanding = 2 * placement.size();
   op.started_at = simulator_.now();
-  // The one allocation of a put: its bytes, shared from here on.
-  op.value = {Payload(std::move(data)), version};
+  // The put's bytes, shared from here on.
+  op.value = {std::move(data), version};
   op.done = std::move(done);
 
   const std::size_t payload = op.value.data.size() + config_.request_overhead_bytes;
@@ -165,8 +183,7 @@ void ReplicatedKvStore::ack_put(std::uint32_t slot) {
   PutResult result;
   if (commit) {
     // Commit point for the staleness oracle.
-    auto& committed = committed_[op.id];
-    committed = std::max(committed, op.value.version);
+    committed_.merge(op.id, op.value.version);
     result.version = op.value.version;
     result.latency_ms = simulator_.now() - op.started_at;
     put_latency_.add(result.latency_ms);
@@ -202,9 +219,8 @@ void ReplicatedKvStore::get(topo::NodeId client, const Point& client_coords, Obj
   op.client = client;
   op.started_at = simulator_.now();
   // Freshness oracle: what was already committed when the read began.
-  const auto committed_it = committed_.find(id);
-  op.committed_at_start =
-      committed_it == committed_.end() ? Version::zero() : committed_it->second;
+  const Version* committed = committed_.find(id);
+  op.committed_at_start = committed == nullptr ? Version::zero() : *committed;
   op.targets.clear();
   for (std::size_t i = 0; i < std::min(config_.quorum.r, ranked.size()); ++i) {
     op.targets.push_back(ranked[i].second);

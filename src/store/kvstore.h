@@ -24,7 +24,6 @@
 #include <deque>
 #include <functional>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "common/stats.h"
@@ -33,6 +32,7 @@
 #include "core/replication_manager.h"
 #include "sim/network.h"
 #include "sim/simulator.h"
+#include "store/object_table.h"
 #include "store/storage_node.h"
 #include "store/version.h"
 
@@ -84,11 +84,12 @@ class ReplicatedKvStore {
   const core::ReplicationManager& manager_of_group(std::uint32_t group) const;
 
   /// Asynchronous write: completes (calls `done`) after w replica acks.
-  /// `data` becomes the value's shared Payload; no replica, message or
-  /// later read copies the bytes again. Throws std::invalid_argument, with
-  /// no state changed, for a client that is not a topology node or
-  /// coordinates of the wrong dimension (get() likewise).
-  void put(topo::NodeId client, const Point& client_coords, ObjectId id, std::string data,
+  /// `data` is the value's shared Payload (a string converts into one,
+  /// copying its bytes once); no replica, message or later read copies the
+  /// bytes again. Throws std::invalid_argument, with no state changed, for a
+  /// client that is not a topology node or coordinates of the wrong
+  /// dimension (get() likewise).
+  void put(topo::NodeId client, const Point& client_coords, ObjectId id, Payload data,
            std::function<void(const PutResult&)> done);
 
   /// Asynchronous read: completes after r replica replies with the newest
@@ -151,12 +152,20 @@ class ReplicatedKvStore {
     std::function<void(const GetResult&)> done;
   };
   /// Reused per-op state plus a free list of released slots. A deque, so
-  /// growing it never moves the records of ops in flight.
+  /// growing it never moves the records of ops in flight. When the last op
+  /// in flight is released, a slab holding more than twice the records in
+  /// flight at its peak since the previous drain shrinks to that peak, so a
+  /// burst (a bulk load) gives its records back, and a load whose peak
+  /// repeats keeps its records and never reallocates.
   template <typename Op>
   struct OpSlab {
     std::deque<Op> ops;
     std::vector<std::uint32_t> free;
+    /// Most ops in flight at once since the previous drain.
+    std::size_t peak = 0;
     std::uint32_t acquire();
+    /// Frees `slot`; may shrink the slab, so the caller must hold no
+    /// reference into it afterwards.
     void release(std::uint32_t slot);
   };
 
@@ -197,7 +206,7 @@ class ReplicatedKvStore {
 
   /// Oracle commit log for staleness accounting: newest version whose put
   /// has completed, per object.
-  std::unordered_map<ObjectId, Version> committed_;
+  ObjectTable<Version> committed_;
 
   OnlineStats get_latency_;
   OnlineStats put_latency_;

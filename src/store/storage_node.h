@@ -5,9 +5,9 @@
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
+#include "store/object_table.h"
 #include "store/version.h"
 
 namespace geored::store {
@@ -22,34 +22,35 @@ struct GroupSnapshot {
 };
 
 /// A data center's replicas of object groups. Objects are kept per group,
-/// so migrating or dropping a group touches that group's objects only.
+/// one flat ObjectTable each, so migrating or dropping a group touches that
+/// group's objects only.
 class StorageNode {
  public:
   /// Applies a write to `id` of `group` if it is newer than what is stored
   /// (LWW merge). Returns true when the write advanced the stored version.
+  /// A zero-version write is ignored (returns false): it would read as not
+  /// found anyway.
   bool apply_write(std::uint32_t group, ObjectId id, const VersionedValue& value);
 
   /// Current value (exists() == false when the key is unknown here).
   VersionedValue read(std::uint32_t group, ObjectId id) const;
 
   /// Snapshot of one group for a migration transfer, with its byte count.
-  /// The sort matters: a group is an unordered map, and a snapshot in
-  /// hash-table order would make transfer event sequences (and anything
-  /// serialized from them) depend on the allocator — the determinism lint
-  /// flags exactly this pattern (unordered iteration feeding an output
-  /// path). The byte count is an order-insensitive sum.
+  /// The sort matters: a table's slot order depends on its hash and growth
+  /// history, and a snapshot in that order would make transfer event
+  /// sequences (and anything serialized from them) depend on it. The byte
+  /// count is an order-insensitive sum.
   GroupSnapshot export_group(std::uint32_t group) const;
 
-  /// Drops every object of one group (called when this node stops holding
-  /// the group's replica).
+  /// Drops every object of one group and frees its table (called when this
+  /// node stops holding the group's replica).
   void drop_group(std::uint32_t group);
 
   std::size_t object_count() const;
 
  private:
-  using GroupData = std::unordered_map<ObjectId, VersionedValue>;
   /// Indexed by group id; grows to the highest group written here.
-  std::vector<GroupData> groups_;  // lint: alloc-ok (warm-up sizing)
+  std::vector<ObjectTable<VersionedValue>> groups_;  // lint: alloc-ok (warm-up sizing)
 };
 
 }  // namespace geored::store

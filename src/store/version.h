@@ -11,12 +11,14 @@
 // never observed.
 #pragma once
 
+#include <atomic>
 #include <compare>
+#include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <ostream>
 #include <string>
 #include <string_view>
+#include <utility>
 
 namespace geored::store {
 
@@ -26,25 +28,48 @@ using ObjectId = std::uint64_t;
 ///
 /// A put materializes its bytes once; every replica that stores the value,
 /// every message carrying it, every read result, read repair and migration
-/// snapshot holds a handle to those same bytes. Copying a Payload costs a
-/// reference-count increment, never a byte copy, and the bytes are freed
-/// with the last handle. The empty payload holds no allocation.
+/// snapshot holds a handle to those same bytes. The handle is one pointer
+/// to a single heap block: a 16-byte header (a thread-safe reference count
+/// and the size) followed by the bytes. Copying a Payload increments the
+/// count, never copies a byte, and the block is freed with the last handle.
+/// The empty payload holds no block.
 class Payload {
  public:
   Payload() = default;
   // Implicit, so values can be written as strings: {"bytes", version}.
-  Payload(std::string bytes)  // NOLINT(google-explicit-constructor)
-      : bytes_(bytes.empty() ? nullptr
-                             : std::make_shared<const std::string>(std::move(bytes))) {}
-  Payload(const char* bytes)  // NOLINT(google-explicit-constructor)
-      : Payload(std::string(bytes)) {}
+  Payload(std::string_view bytes);           // NOLINT(google-explicit-constructor)
+  Payload(const std::string& bytes)          // NOLINT(google-explicit-constructor)
+      : Payload(std::string_view(bytes)) {}
+  Payload(const char* bytes)                 // NOLINT(google-explicit-constructor)
+      : Payload(std::string_view(bytes)) {}
+
+  Payload(const Payload& other) noexcept : block_(other.block_) {
+    if (block_ != nullptr) block_->refs.fetch_add(1, std::memory_order_relaxed);
+  }
+  Payload(Payload&& other) noexcept : block_(std::exchange(other.block_, nullptr)) {}
+  Payload& operator=(const Payload& other) noexcept {
+    Payload(other).swap(*this);
+    return *this;
+  }
+  Payload& operator=(Payload&& other) noexcept {
+    Payload(std::move(other)).swap(*this);
+    return *this;
+  }
+  ~Payload() {
+    if (block_ != nullptr && block_->refs.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+      destroy(block_);
+    }
+  }
+
+  void swap(Payload& other) noexcept { std::swap(block_, other.block_); }
 
   std::string_view view() const {
-    return bytes_ ? std::string_view(*bytes_) : std::string_view();
+    return block_ != nullptr ? std::string_view(block_->bytes(), block_->size)
+                             : std::string_view();
   }
   // Implicit, so a payload reads like the string it holds.
   operator std::string_view() const { return view(); }  // NOLINT(google-explicit-constructor)
-  std::size_t size() const { return bytes_ ? bytes_->size() : 0; }
+  std::size_t size() const { return block_ != nullptr ? block_->size : 0; }
 
   /// Compares bytes, not identity (a Payload converts to string_view, so
   /// this also compares two payloads).
@@ -54,8 +79,22 @@ class Payload {
   }
 
  private:
-  std::shared_ptr<const std::string> bytes_;
+  /// The block's header; the bytes follow it in the same allocation.
+  struct Block {
+    std::atomic<std::size_t> refs;
+    std::size_t size;
+
+    const char* bytes() const { return reinterpret_cast<const char*>(this + 1); }
+    char* bytes() { return reinterpret_cast<char*>(this + 1); }
+  };
+  static_assert(sizeof(Block) <= 16 && alignof(Block) <= alignof(std::max_align_t));
+
+  /// Frees a block whose last handle went away.
+  static void destroy(Block* block) noexcept;
+
+  Block* block_ = nullptr;
 };
+static_assert(sizeof(Payload) == sizeof(void*), "a payload handle is one pointer");
 
 struct Version {
   std::uint64_t logical = 0;  ///< Lamport counter

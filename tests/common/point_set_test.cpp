@@ -100,38 +100,6 @@ TEST(PointSet, FromPointsMatchesPushBack) {
   for (std::size_t i = 0; i < points.size(); ++i) EXPECT_EQ(set.point(i), points[i]);
 }
 
-TEST(PointSet, AppendRowsMatchesPushBackRowPerRow) {
-  Rng rng(13);
-  const auto points = random_points(rng, 23, 4);
-  std::vector<double> flat;
-  for (const auto& p : points) {
-    flat.insert(flat.end(), p.values().begin(), p.values().end());
-  }
-
-  PointSet one_by_one;
-  for (const auto& p : points) one_by_one.push_back_row(p.values().data(), p.dim());
-  PointSet bulk;
-  bulk.append_rows(flat.data(), points.size(), 4);
-  ASSERT_EQ(bulk.size(), one_by_one.size());
-  ASSERT_EQ(bulk.dim(), one_by_one.dim());
-  for (std::size_t i = 0; i < points.size(); ++i) EXPECT_EQ(bulk.point(i), points[i]);
-
-  // Same dimension-adoption rules as push_back_row: appending again with a
-  // different dimension is rejected, appending zero rows is a no-op.
-  bulk.append_rows(flat.data(), 0, 4);
-  EXPECT_EQ(bulk.size(), points.size());
-  EXPECT_THROW(bulk.append_rows(flat.data(), 1, 3), std::invalid_argument);
-
-  // reserve() before the dimension is adopted is honored on the first append.
-  PointSet reserved;
-  reserved.reserve(points.size());
-  reserved.append_rows(flat.data(), 2, 4);
-  const double* first_row = reserved.row(0);
-  reserved.append_rows(flat.data() + 2 * 4, points.size() - 2, 4);
-  EXPECT_EQ(reserved.row(0), first_row) << "reallocated despite reserve";
-  EXPECT_EQ(reserved.size(), points.size());
-}
-
 TEST(PointSet, ZeroDimensionPointsAreCounted) {
   // Point() sentinels are legal inputs elsewhere in the codebase; a set of
   // them must still track its row count.

@@ -4,16 +4,21 @@
 // scratch, a manager's live heap does not grow with the nodes that ever
 // held a replica, a checkpoint count never sizes an allocation before it is
 // checked against the bytes left, and a fleet pays for its candidates once,
-// not once per group. Global operator new is replaced with a version that
-// counts the bytes requested, the largest single request and the bytes
-// still live, which is why this suite is its own test binary.
+// not once per group. On the replicated store (KvMemory): a stored object
+// costs a bounded number of bytes, and the simulator and the store's op
+// slabs give a burst's memory back once it drains. Global operator new is
+// replaced with a version that counts the bytes requested, the largest
+// single request and the bytes still live, which is why this suite is its
+// own test binary.
 #include <algorithm>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <cstdlib>
+#include <cmath>
 #include <cstring>
 #include <limits>
+#include <string>
 #include <new>
 #include <span>
 #include <vector>
@@ -24,10 +29,15 @@
 #include "common/point_set.h"
 #include "common/random.h"
 #include "common/serialize.h"
+#include "common/sym_matrix.h"
 #include "core/fleet_manager.h"
 #include "core/replication_manager.h"
 #include "placement/candidate_table.h"
 #include "serve/request_router.h"
+#include "sim/network.h"
+#include "sim/simulator.h"
+#include "store/kvstore.h"
+#include "topology/topology.h"
 
 namespace {
 /// Every block carries its size in a header, so a delete can take it off the
@@ -166,10 +176,12 @@ TEST(BatchMemory, RecordsIntoAWarmReplicaAllocateNothing) {
       manager.record_access(replica, client_near(rng, 50.0));
     }
   }
-  // A summarizer filling its m clusters may grow its transposed centroid
-  // panel once (400 B per replica here); a buffer of 256 records per
-  // replica would hold 10 KiB each.
-  EXPECT_LE(g_live_bytes.load(), live_after_one + placement.size() * 1024)
+  // Not a byte more: a summarizer's transposed centroid panel is sized for
+  // its m + 1 reserved clusters when the first record arrives, so filling
+  // and overflowing its m clusters regrows nothing (the panel used to
+  // double to 2(m + 1) columns, 400 B per replica here); a buffer of 256
+  // records per replica would hold 10 KiB each.
+  EXPECT_LE(g_live_bytes.load(), live_after_one)
       << "the manager's live heap grew with the number of records";
 
   const topo::NodeId replica = placement.front();
@@ -256,7 +268,7 @@ TEST(BatchMemory, WeightSwitchMidStreamMatchesExplicitWeights) {
   for (std::size_t i = 100; i < rows.size(); ++i) weights[i] = 2.0;
   const auto slice = [&](std::size_t begin, std::size_t end) {
     PointSet part(kDim);
-    part.append_rows(rows.row(begin), end - begin, kDim);
+    for (std::size_t i = begin; i < end; ++i) part.push_back_row(rows.row(i), kDim);
     return part;
   };
   const auto checkpoint_of = [](const core::ReplicationManager& manager) {
@@ -439,6 +451,116 @@ TEST(BatchMemory, HostileCheckpointCountsNeverSizeAnAllocation) {
     target.save(after);
     EXPECT_EQ(after.bytes(), before.bytes()) << "a rejected restore changed the manager";
   }
+}
+
+// --- The replicated store ------------------------------------------------
+
+/// A store on 10 nodes along a line (RTT = distance, at least 1 ms): data
+/// centers 0..4, clients 5..9; n = 3, r = 1, w = 2.
+class KvMemory : public ::testing::Test {
+ protected:
+  static constexpr std::size_t kNodes = 10;
+  static constexpr std::size_t kValueBytes = 256;
+
+  KvMemory()
+      : topology_(line_topology()),
+        network_(simulator_, topology_),
+        store_(simulator_, network_, data_centers(), config(), 9),
+        value_(kValueBytes, 'v') {}
+
+  static double position(std::size_t node) {
+    return static_cast<double>(node % 5) * 40.0 + (node >= 5 ? 7.0 : 0.0);
+  }
+  static topo::Topology line_topology() {
+    SymMatrix rtt(kNodes);
+    for (std::size_t i = 0; i < kNodes; ++i) {
+      for (std::size_t j = i + 1; j < kNodes; ++j) {
+        rtt.set(i, j, std::max(1.0, std::abs(position(i) - position(j))));
+      }
+    }
+    return topo::Topology(std::vector<topo::NodeInfo>(kNodes), std::move(rtt), {});
+  }
+  static std::vector<place::CandidateInfo> data_centers() {
+    std::vector<place::CandidateInfo> candidates;
+    for (topo::NodeId i = 0; i < 5; ++i) {
+      candidates.push_back({i, Point{position(i)}, std::numeric_limits<double>::infinity()});
+    }
+    return candidates;
+  }
+  static store::StoreConfig config() {
+    store::StoreConfig config;
+    config.quorum = {3, 1, 2};
+    config.groups = 16;
+    config.manager.summarizer.max_clusters = 4;
+    return config;
+  }
+
+  /// Issues `ops` ops on keys [first, first + keys), one every `spacing_ms`
+  /// of virtual time from rotating clients (every `put_every`-th op a put,
+  /// the rest gets), and runs them to completion.
+  void cycle(std::size_t ops, store::ObjectId first, std::size_t keys, double spacing_ms,
+             std::size_t put_every) {
+    for (std::size_t i = 0; i < ops; ++i) {
+      const auto client = static_cast<topo::NodeId>(5 + i % 5);
+      const Point coords{position(client)};
+      const store::ObjectId id = first + i % keys;
+      if (spacing_ms > 0.0) simulator_.run_until(simulator_.now() + spacing_ms);
+      if (i % put_every == 0) {
+        store_.put(client, coords, id, value_, [this](const store::PutResult&) { ++completed_; });
+      } else {
+        store_.get(client, coords, id, [this](const store::GetResult&) { ++completed_; });
+      }
+    }
+    simulator_.run();
+  }
+
+  sim::Simulator simulator_;
+  topo::Topology topology_;
+  sim::Network network_;
+  store::ReplicatedKvStore store_;
+  /// Each put copies it into a payload of its own.
+  std::string value_;
+  std::size_t completed_ = 0;
+};
+
+TEST_F(KvMemory, LiveHeapPerStoredObjectIsBounded) {
+  // 5,000 objects of 256 bytes over 16 groups (about 312 per group, the
+  // shape of the e2e kv_quorum pre-seed), each stored on 3 data centers,
+  // written at a steady pace and then quiesced by one small op, so the
+  // burst-sized simulator and slab tables do not count. An object costs its
+  // one payload block (16 + 256 bytes), three 32-byte table slots and a
+  // 24-byte commit-log slot, at the tables' load: 464 bytes requested here.
+  // Two allocations per value and node-based hash maps requested 553.
+  constexpr std::size_t kObjects = 5000;
+  cycle(64, 1'000'000, 64, 0.5, 2);  // warm the summarizers, slabs and tables
+  const std::size_t live_before = g_live_bytes.load();
+  cycle(kObjects, 0, kObjects, 0.2, 1);
+  cycle(1, 1'000'000, 1, 0.0, 2);
+  const std::size_t per_object = (g_live_bytes.load() - live_before) / kObjects;
+  EXPECT_EQ(completed_, 64 + kObjects + 1);
+  std::size_t stored = 0;
+  for (topo::NodeId dc = 0; dc < 5; ++dc) stored += store_.storage_at(dc).object_count();
+  EXPECT_EQ(stored, 3 * (kObjects + 32));
+  EXPECT_LE(per_object, 480u) << "live heap per stored object";
+}
+
+TEST_F(KvMemory, BurstMemoryIsGivenBackOnceItDrains) {
+  // Every key is written first, so later puts only replace values and the
+  // storage keeps its size. A steady cycle then sizes the simulator and the
+  // op slabs; a 20,000-put bulk load grows them for 60,000 pending events
+  // and 20,000 put records; once it has drained and the steady cycle has
+  // run again, they are back to the cycle's size.
+  constexpr std::size_t kKeys = 64;
+  cycle(kKeys, 0, kKeys, 0.25, 1);
+  cycle(400, 0, kKeys, 0.25, 4);
+  cycle(400, 0, kKeys, 0.25, 4);
+  const std::size_t live_steady = g_live_bytes.load();
+  cycle(20'000, 0, kKeys, 0.0, 1);
+  EXPECT_GT(g_live_bytes.load(), live_steady + (std::size_t{2} << 20)) << "the burst grew nothing";
+  cycle(400, 0, kKeys, 0.25, 4);
+  EXPECT_EQ(completed_, kKeys + 3 * 400 + 20'000);
+  EXPECT_LE(g_live_bytes.load(), live_steady + 4096)
+      << "the simulator or the slabs kept the burst's memory";
 }
 
 }  // namespace

@@ -179,5 +179,49 @@ TEST(FleetCheckpoint, RejectsGroupCountMismatch) {
   EXPECT_EQ(three_groups.group(0).placement(), before);
 }
 
+TEST(FleetCheckpoint, RejectedRestoreLeavesEveryGroupUnchanged) {
+  // A fleet checkpoint whose last group is cut short: the earlier groups'
+  // checkpoints are valid, but the fleet must not commit them alone.
+  FleetConfig config;
+  config.groups = 3;
+  config.manager = small_config(2);
+  FleetManager primary(line_candidates(), config, 11);
+  for (std::size_t g = 0; g < primary.group_count(); ++g) {
+    Rng rng(100 * (g + 1));
+    for (int i = 0; i < 200; ++i) {
+      primary.group(g).serve(Point{rng.normal(200.0 * static_cast<double>(g), 30.0)});
+    }
+  }
+  primary.run_epochs();
+  ByteWriter writer;
+  primary.save(writer);
+  std::vector<std::uint8_t> truncated = writer.bytes();
+  truncated.resize(truncated.size() - 4);
+
+  const auto group_bytes = [](const FleetManager& fleet) {
+    std::vector<std::vector<std::uint8_t>> bytes;
+    for (std::size_t g = 0; g < fleet.group_count(); ++g) {
+      ByteWriter group_writer;
+      fleet.group(g).save(group_writer);
+      bytes.push_back(group_writer.bytes());
+    }
+    return bytes;
+  };
+  FleetManager standby(line_candidates(), config, 5);
+  const auto before = group_bytes(standby);
+  const auto saved = group_bytes(primary);
+  for (std::size_t g = 0; g < saved.size(); ++g) {
+    ASSERT_NE(before[g], saved[g]) << "group " << g << " already holds its checkpoint";
+  }
+  ByteReader reader(truncated);
+  EXPECT_THROW(standby.restore(reader), WireFormatError);
+  EXPECT_EQ(group_bytes(standby), before) << "a rejected fleet restore committed some groups";
+
+  // The intact blob still restores every group.
+  ByteReader intact(writer.bytes());
+  standby.restore(intact);
+  EXPECT_EQ(group_bytes(standby), saved);
+}
+
 }  // namespace
 }  // namespace geored::core

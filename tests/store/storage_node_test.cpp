@@ -1,6 +1,12 @@
 #include "store/storage_node.h"
 
+#include <map>
+#include <string>
+#include <utility>
+
 #include <gtest/gtest.h>
+
+#include "common/random.h"
 
 namespace geored::store {
 namespace {
@@ -69,6 +75,83 @@ TEST(StorageNode, GroupExportDropAndBytes) {
   EXPECT_TRUE(node.read(1, 1).exists());
   node.drop_group(7);  // dropping a group never held is a no-op
   EXPECT_EQ(node.object_count(), 1u);
+}
+
+TEST(StorageNode, ZeroVersionWriteIsIgnored) {
+  // The zero version reads as "not found", so a write carrying it stores
+  // nothing: it neither counts as an object nor travels in a snapshot.
+  StorageNode node;
+  EXPECT_FALSE(node.apply_write(0, 5, {"ghost", Version::zero()}));
+  EXPECT_FALSE(node.read(0, 5).exists());
+  EXPECT_EQ(node.object_count(), 0u);
+  EXPECT_TRUE(node.export_group(0).objects.empty());
+  EXPECT_TRUE(node.apply_write(0, 5, {"real", {1, 0}}));
+  EXPECT_FALSE(node.apply_write(0, 5, {"ghost", Version::zero()}));
+  EXPECT_EQ(node.read(0, 5).data, "real");
+}
+
+/// Seeded random writes (older, equal, newer and zero versions), reads,
+/// snapshots and drops over several groups, checked step by step against a
+/// std::map model. Drops are rare, so a group's table collects hundreds of
+/// keys between them and doubles many times; a few ids use the high 32
+/// bits.
+TEST(StorageNode, MatchesAMapModelUnderRandomOperations) {
+  constexpr std::uint32_t kGroups = 5;
+  constexpr std::uint64_t kKeys = 3000;
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    Rng rng(seed);
+    StorageNode node;
+    std::map<std::pair<std::uint32_t, ObjectId>, VersionedValue> model;
+    for (std::size_t step = 0; step < 60000; ++step) {
+      const auto group = static_cast<std::uint32_t>(rng.below(kGroups));
+      ObjectId id = rng.below(kKeys);
+      if (rng.below(16) == 0) id |= rng() << 32;
+      const auto key = std::make_pair(group, id);
+      const std::uint64_t op = rng.below(10000);
+      if (op < 7000) {
+        // Small version ranges make older and equal versions common.
+        Version version{rng.below(40), static_cast<std::uint32_t>(rng.below(3))};
+        if (rng.below(50) == 0) version = Version::zero();
+        const VersionedValue value{std::string(rng.below(20), static_cast<char>('a' + step % 26)),
+                                   version};
+        const auto it = model.find(key);
+        bool expected = false;
+        if (value.exists() && (it == model.end() || it->second.version < version)) {
+          model[key] = value;
+          expected = true;
+        }
+        ASSERT_EQ(node.apply_write(group, id, value), expected) << "seed " << seed << " step " << step;
+      } else if (op < 9890) {
+        const VersionedValue read = node.read(group, id);
+        const auto it = model.find(key);
+        ASSERT_EQ(read.exists(), it != model.end()) << "seed " << seed << " step " << step;
+        if (it != model.end()) {
+          ASSERT_EQ(read.version, it->second.version);
+          ASSERT_EQ(read.data.view(), it->second.data.view());
+          // A read hands out the stored bytes, not a copy.
+          ASSERT_EQ(read.data.view().data(), it->second.data.view().data());
+        }
+      } else if (op < 9990) {
+        const GroupSnapshot snapshot = node.export_group(group);
+        std::size_t index = 0;
+        std::size_t bytes = 0;
+        for (auto it = model.lower_bound({group, 0}); it != model.end() && it->first.first == group;
+             ++it, ++index) {
+          ASSERT_LT(index, snapshot.objects.size()) << "seed " << seed << " step " << step;
+          ASSERT_EQ(snapshot.objects[index].first, it->first.second);
+          ASSERT_EQ(snapshot.objects[index].second.version, it->second.version);
+          ASSERT_EQ(snapshot.objects[index].second.data.view(), it->second.data.view());
+          bytes += it->second.data.size() + sizeof(Version) + sizeof(ObjectId);
+        }
+        ASSERT_EQ(snapshot.objects.size(), index);
+        ASSERT_EQ(snapshot.bytes, bytes);
+      } else {
+        node.drop_group(group);
+        model.erase(model.lower_bound({group, 0}), model.lower_bound({group + 1, 0}));
+      }
+      ASSERT_EQ(node.object_count(), model.size()) << "seed " << seed << " step " << step;
+    }
+  }
 }
 
 }  // namespace

@@ -170,6 +170,7 @@ HOT_ALLOC_FILES = (
     "src/sim/simulator.cpp",
     "src/sim/network.cpp",
     "src/store/kvstore.cpp",
+    "src/store/object_table.h",
     "src/store/storage_node.h",
     "src/store/storage_node.cpp",
 )
