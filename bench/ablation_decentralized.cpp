@@ -9,8 +9,8 @@
 #include <cstdio>
 
 #include "bench_util.h"
+#include "cluster/summary_frame.h"
 #include "common/random.h"
-#include "common/serialize.h"
 #include "core/decentralized.h"
 #include "netcoord/embedding.h"
 #include "placement/strategy.h"
@@ -57,10 +57,8 @@ int main() {
     std::uint64_t central_bytes = 0;
     double central_ms = 0.0;
     for (const auto& [node, clusters] : summaries) {
-      ByteWriter writer;
-      for (const auto& micro : clusters) micro.serialize(writer);
       if (node != 0) {
-        central_bytes += writer.size();
+        central_bytes += cluster::serialized_size(clusters);
         central_ms = std::max(central_ms, topology.rtt_ms(node, 0) / 2.0);
       }
     }

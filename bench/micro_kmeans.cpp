@@ -37,12 +37,15 @@ void BM_MicroClusterAbsorb(benchmark::State& state) {
 BENCHMARK(BM_MicroClusterAbsorb);
 
 void BM_MicroClusterSerialize(benchmark::State& state) {
+  // One cluster's summary frame, as a replica holding a single cluster
+  // ships it.
   cluster::MicroCluster cluster(Point(kDim), 1.0);
   Rng rng(2);
   for (int i = 0; i < 100; ++i) cluster.absorb(random_point(rng), 1.0);
+  const std::vector<cluster::MicroCluster> frame{cluster};
   for (auto _ : state) {
     ByteWriter writer;
-    cluster.serialize(writer);
+    cluster::write_clusters(writer, frame);
     benchmark::DoNotOptimize(writer);
   }
 }

@@ -120,44 +120,4 @@ double MicroCluster::rms_stddev() const {
   return std::sqrt(total_variance);
 }
 
-void MicroCluster::serialize(ByteWriter& writer) const {
-  writer.write_u64(count_);
-  writer.write_f64(weight_);
-  writer.write_f64_vector(sum_.values());
-  writer.write_f64_vector(sum2_.values());
-}
-
-MicroCluster MicroCluster::deserialize(ByteReader& reader) {
-  MicroCluster cluster;
-  cluster.count_ = reader.read_u64();
-  cluster.weight_ = reader.read_f64();
-  cluster.sum_ = Point(reader.read_f64_vector());
-  cluster.sum2_ = Point(reader.read_f64_vector());
-  // Frames arriving over a real transport can carry arbitrary bit patterns;
-  // reject anything no serialize() call could have produced so corrupt bytes
-  // surface as a typed error here instead of NaNs (or worse) downstream.
-  if (cluster.sum_.dim() != cluster.sum2_.dim()) {
-    throw WireFormatError("corrupt micro-cluster encoding: moment dimension mismatch");
-  }
-  if (!std::isfinite(cluster.weight_) || cluster.weight_ < 0.0) {
-    throw WireFormatError("corrupt micro-cluster encoding: non-finite or negative weight");
-  }
-  if (!cluster.sum_.is_finite() || !cluster.sum2_.is_finite()) {
-    throw WireFormatError("corrupt micro-cluster encoding: non-finite moments");
-  }
-  for (std::size_t d = 0; d < cluster.sum2_.dim(); ++d) {
-    if (cluster.sum2_[d] < 0.0) {
-      throw WireFormatError(
-          "corrupt micro-cluster encoding: negative second moment in dimension " +
-          std::to_string(d));
-    }
-  }
-  return cluster;
-}
-
-std::size_t MicroCluster::serialized_size(std::size_t dim) {  // lint: no-ensure (total)
-  return sizeof(std::uint64_t) + sizeof(double)            // count, weight
-         + 2 * (sizeof(std::uint32_t) + dim * sizeof(double));  // sum, sum2
-}
-
 }  // namespace geored::cluster

@@ -13,9 +13,12 @@
 #include <cstdint>
 
 #include "common/point.h"
-#include "common/serialize.h"
 
 namespace geored::cluster {
+
+namespace detail {
+struct FrameAccess;
+}  // namespace detail
 
 class MicroCluster {
  public:
@@ -54,16 +57,14 @@ class MicroCluster {
   /// radius used by the paper's absorb-or-spawn test. Zero for singletons.
   double rms_stddev() const;
 
-  /// Wire encoding: count, weight, dim, sum[], sum2[]. This is what replica
-  /// servers ship to the coordinator; its size (see serialized_size) is the
-  /// unit of the Table II bandwidth accounting.
-  void serialize(ByteWriter& writer) const;
-  static MicroCluster deserialize(ByteReader& reader);
-
-  /// Exact size in bytes of the wire encoding for a given dimensionality.
-  static std::size_t serialized_size(std::size_t dim);
+  // The wire encoding is the summary frame (cluster/summary_frame.h).
 
  private:
+  /// The frame decoders rebuild clusters from moments they validated one by
+  /// one. Whether the moments together describe a set of points is left to
+  /// the caller that keeps them (ReplicationManager::restore checks it).
+  friend struct detail::FrameAccess;
+
   std::uint64_t count_ = 0;
   double weight_ = 0.0;
   Point sum_;

@@ -115,36 +115,8 @@ void MicroClusterSummarizer::clear() {
   total_count_ = 0;
 }
 
-void write_clusters(ByteWriter& writer, const std::vector<MicroCluster>& clusters) {
-  writer.write_u32(static_cast<std::uint32_t>(clusters.size()));
-  for (const auto& cluster : clusters) cluster.serialize(writer);
-}
-
-std::size_t serialized_size(const std::vector<MicroCluster>& clusters) {
-  ByteWriter writer;
-  write_clusters(writer, clusters);
-  return writer.size();
-}
-
 void MicroClusterSummarizer::serialize(ByteWriter& writer) const {
   write_clusters(writer, clusters());
-}
-
-std::vector<MicroCluster> MicroClusterSummarizer::deserialize_clusters(ByteReader& reader) {
-  const std::uint32_t n = reader.read_u32();
-  // Bound the count by the smallest possible cluster encoding before
-  // reserving: a corrupt or truncated frame must throw WireFormatError, not
-  // attempt a multi-gigabyte allocation.
-  const std::size_t min_cluster_bytes = MicroCluster::serialized_size(0);
-  if (static_cast<std::size_t>(n) * min_cluster_bytes > reader.remaining()) {
-    throw WireFormatError("corrupt summary frame: cluster count " + std::to_string(n) +
-                          " cannot fit in the " + std::to_string(reader.remaining()) +
-                          " bytes remaining");
-  }
-  std::vector<MicroCluster> clusters;  // lint: alloc-ok (cold wire-deserialize path)
-  clusters.reserve(n);
-  for (std::uint32_t i = 0; i < n; ++i) clusters.push_back(MicroCluster::deserialize(reader));
-  return clusters;
 }
 
 }  // namespace geored::cluster

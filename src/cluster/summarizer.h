@@ -21,19 +21,12 @@
 
 #include "cluster/microcluster.h"
 #include "cluster/moment_store.h"
+#include "cluster/summary_frame.h"
 #include "common/point.h"
 #include "common/point_set.h"
 #include "common/serialize.h"
 
 namespace geored::cluster {
-
-/// Serializes a bare micro-cluster set in the summarizer wire format (u32
-/// count + clusters) — the per-source message of Algorithm 1. Shared by
-/// every collection path so the formats cannot drift apart.
-void write_clusters(ByteWriter& writer, const std::vector<MicroCluster>& clusters);
-
-/// Wire size of write_clusters(clusters) in bytes.
-std::size_t serialized_size(const std::vector<MicroCluster>& clusters);
 
 struct SummarizerConfig {
   /// Maximum number of micro-clusters retained (the paper's m).
@@ -89,15 +82,9 @@ class MicroClusterSummarizer {
 
   void clear();
 
-  /// Serializes all clusters (the per-replica message of Algorithm 1).
+  /// Writes all clusters as one summary frame (cluster/summary_frame.h):
+  /// the per-replica message of Algorithm 1.
   void serialize(ByteWriter& writer) const;
-
-  /// Decodes a write_clusters frame. Hardened against hostile bytes: a
-  /// truncated buffer, a cluster count that cannot fit in the remaining
-  /// bytes, or moment values no serialize() could emit all throw
-  /// geored::WireFormatError — real-transport collectors (src/net/) rely on
-  /// corrupt frames failing typed here rather than propagating garbage.
-  static std::vector<MicroCluster> deserialize_clusters(ByteReader& reader);
 
   /// The underlying flat moment store — exposed so tests can pin the radius
   /// cache invalidation contract.

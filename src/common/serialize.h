@@ -1,13 +1,17 @@
 // Minimal binary serialization used to ship clustering summaries between
 // simulated data centers and to account for network bandwidth (Table II).
 //
-// The format is little-endian, fixed-width, and self-contained; it is not a
-// general-purpose wire format but is sufficient to measure realistic message
-// sizes for the paper's overhead comparison.
+// Fixed-width fields are little-endian; counts that are usually small travel
+// as LEB128 varints (seven bits per byte, least significant group first, the
+// high bit set on every byte but the last). It is not a general-purpose wire
+// format: it carries the summary frames (cluster/summary_frame.h) and the
+// checkpoints.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <cstring>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -32,12 +36,33 @@ class WireFormatError : public std::invalid_argument {
 /// that are not there.
 inline constexpr std::size_t kMaxHeaderReserve = std::size_t{1} << 16;
 
+/// Longest LEB128 encoding of a 64-bit value.
+inline constexpr std::size_t kMaxVarintBytes = 10;
+
+/// Bytes ByteWriter::write_varint(value) appends: one per started 7-bit
+/// group, 1 to kMaxVarintBytes.
+constexpr std::size_t varint_size(std::uint64_t value) noexcept {
+  return (static_cast<std::size_t>(std::bit_width(value | 1)) + 6) / 7;
+}
+
 /// Append-only binary writer.
 class ByteWriter {
  public:
   void write_u32(std::uint32_t v) { write_raw(&v, sizeof v); }
   void write_u64(std::uint64_t v) { write_raw(&v, sizeof v); }
   void write_f64(double v) { write_raw(&v, sizeof v); }
+  /// The values back to back, with no length prefix.
+  void write_f64s(std::span<const double> values) {
+    write_raw(values.data(), values.size_bytes());
+  }
+
+  void write_varint(std::uint64_t v) {
+    std::uint8_t encoded[kMaxVarintBytes];
+    std::size_t length = 0;
+    for (; v >= 0x80; v >>= 7) encoded[length++] = static_cast<std::uint8_t>(v | 0x80);
+    encoded[length++] = static_cast<std::uint8_t>(v);
+    write_raw(encoded, length);
+  }
 
   void write_f64_vector(const std::vector<double>& values) {
     write_u32(static_cast<std::uint32_t>(values.size()));
@@ -49,6 +74,7 @@ class ByteWriter {
 
  private:
   void write_raw(const void* data, std::size_t len) {
+    if (len == 0) return;
     const std::size_t offset = bytes_.size();
     bytes_.resize(offset + len);
     std::memcpy(bytes_.data() + offset, data, len);
@@ -65,6 +91,41 @@ class ByteReader {
   std::uint32_t read_u32() { return read_raw<std::uint32_t>(); }
   std::uint64_t read_u64() { return read_raw<std::uint64_t>(); }
   double read_f64() { return read_raw<double>(); }
+  /// Fills `values` from the next values.size() doubles.
+  void read_f64s(std::span<double> values) {
+    if (values.size_bytes() > remaining()) {
+      throw WireFormatError("ByteReader: read past end of buffer (truncated frame)");
+    }
+    if (values.empty()) return;
+    std::memcpy(values.data(), bytes_.data() + offset_, values.size_bytes());
+    offset_ += values.size_bytes();
+  }
+
+  /// A canonical LEB128 varint: at most kMaxVarintBytes bytes, no bit past
+  /// the 64th, and no redundant final zero group, so every value has exactly
+  /// one accepted encoding. Anything else throws WireFormatError.
+  std::uint64_t read_varint() {
+    std::uint64_t value = 0;
+    for (std::size_t i = 0; i < kMaxVarintBytes; ++i) {
+      if (offset_ == bytes_.size()) {
+        throw WireFormatError("ByteReader: read past end of buffer (truncated varint)");
+      }
+      const std::uint8_t byte = bytes_[offset_++];
+      const std::uint64_t group = byte & 0x7fu;
+      if (i == kMaxVarintBytes - 1 && group > 1) {
+        throw WireFormatError("ByteReader: varint overflows 64 bits");
+      }
+      value |= group << (7 * i);
+      if ((byte & 0x80u) == 0) {
+        if (group == 0 && i > 0) {
+          throw WireFormatError("ByteReader: non-canonical varint (redundant final group)");
+        }
+        return value;
+      }
+    }
+    throw WireFormatError("ByteReader: varint longer than " +
+                          std::to_string(kMaxVarintBytes) + " bytes");
+  }
 
   std::vector<double> read_f64_vector() {
     const std::uint32_t n = read_u32();

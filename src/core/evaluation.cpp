@@ -8,7 +8,7 @@
 
 #include "common/ensure.h"
 #include "common/random.h"
-#include "core/epoch_pipeline.h"
+#include "core/collector.h"
 #include "placement/evaluate.h"
 #include "sim/network.h"
 #include "sim/simulator.h"

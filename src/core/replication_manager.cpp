@@ -276,6 +276,7 @@ void ReplicationManager::save(ByteWriter& writer) const {
   writer.write_f64(budget_weight_);
   writer.write_u32(static_cast<std::uint32_t>(placement_.size()));
   for (const auto node : placement_) writer.write_u32(node);
+  // v3: one summary frame per replica.
   for (const auto node : placement_) {
     summarizers_.at(node).serialize(writer);
   }
@@ -334,7 +335,9 @@ ReplicationManager::Checkpoint ReplicationManager::parse_checkpoint(ByteReader& 
   // rejected here, before anything is committed.
   for (const auto node : placement) {
     cluster::MicroClusterSummarizer summarizer(config_.summarizer);
-    for (const auto& micro : cluster::MicroClusterSummarizer::deserialize_clusters(reader)) {
+    const std::vector<cluster::MicroCluster> clusters =
+        version >= 3 ? cluster::read_clusters(reader) : cluster::read_fixed_width_clusters(reader);
+    for (const auto& micro : clusters) {
       GEORED_ENSURE(micro.sum().dim() == candidates_->dim(),
                     "checkpoint summaries must have the candidates' dimension");
       ensure_moments_usable(micro, *candidates_);

@@ -42,7 +42,7 @@
 #include "common/point_set.h"
 #include "common/serialize.h"
 #include "common/sync.h"
-#include "core/epoch_pipeline.h"
+#include "core/collector.h"
 #include "core/epoch_trace.h"
 #include "core/migration.h"
 #include "placement/candidate_table.h"
@@ -63,8 +63,12 @@ namespace geored::core {
 ///      appended after the degree field, so a restored coordinator resumes
 ///      a fleet allocator's decisions. v1 blobs still load; they restore
 ///      the documented defaults budget_granted = false, budget_weight = 1.
+///   3  v2 with each replica's summaries as one summary frame
+///      (cluster/summary_frame.h) instead of the fixed-width per-cluster
+///      layout; every other field is unchanged. v1 and v2 blobs still load,
+///      their summaries through cluster::read_fixed_width_clusters.
 inline constexpr std::uint32_t kCheckpointMagic = 0x47524D43;  // "GRMC"
-inline constexpr std::uint32_t kCheckpointVersion = 2;
+inline constexpr std::uint32_t kCheckpointVersion = 3;
 
 struct ManagerConfig {
   /// Target degree of replication (the paper's k).
@@ -126,7 +130,7 @@ class ReplicationManager {
 
   /// As above, but summaries reach the decision point through `collector` —
   /// the epoch's one pluggable stage (hierarchical, decentralized or rpc
-  /// collection; see core/epoch_pipeline.h). Throws std::invalid_argument
+  /// collection; see core/collector.h). Throws std::invalid_argument
   /// when `collector` is null.
   ReplicationManager(std::vector<place::CandidateInfo> candidates, ManagerConfig config,
                      std::uint64_t seed, std::unique_ptr<SummaryCollector> collector);

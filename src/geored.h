@@ -14,6 +14,7 @@
 #include "cluster/kmeans.h"
 #include "cluster/microcluster.h"
 #include "cluster/summarizer.h"
+#include "cluster/summary_frame.h"
 #include "common/flags.h"
 #include "common/point.h"
 #include "common/random.h"
@@ -22,7 +23,7 @@
 #include "core/aggregation.h"
 #include "core/decentralized.h"
 #include "core/degree_allocator.h"
-#include "core/epoch_pipeline.h"
+#include "core/collector.h"
 #include "core/evaluation.h"
 #include "core/fleet_manager.h"
 #include "core/migration.h"

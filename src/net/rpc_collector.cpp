@@ -189,8 +189,7 @@ FetchResult fetch_source(std::uint16_t port, std::uint32_t source,
         // Hardened decode: anything a zero-fault server could not have sent
         // throws WireFormatError and burns this attempt like any other fault.
         ByteReader reader(response);
-        std::vector<cluster::MicroCluster> clusters =
-            cluster::MicroClusterSummarizer::deserialize_clusters(reader);
+        std::vector<cluster::MicroCluster> clusters = cluster::read_clusters(reader);
         if (!reader.exhausted()) {
           throw WireFormatError("summary response carries trailing bytes");
         }
@@ -289,7 +288,7 @@ core::CollectedSummaries RpcCollector::collect(const std::vector<core::SummarySo
       // when it was cached, so this decode cannot fail. The bytes are not
       // added to summary_bytes — nothing crossed the wire this round.
       ByteReader reader(cached->second);
-      for (auto& micro : cluster::MicroClusterSummarizer::deserialize_clusters(reader)) {
+      for (auto& micro : cluster::read_clusters(reader)) {
         collected.summaries.push_back(std::move(micro));
       }
       collected.stale_sources.push_back(sources[i].node);

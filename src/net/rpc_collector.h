@@ -24,7 +24,7 @@
 #include <vector>
 
 #include "common/sync.h"
-#include "core/epoch_pipeline.h"
+#include "core/collector.h"
 #include "net/clock.h"
 #include "net/fault_injector.h"
 #include "net/rpc_config.h"

@@ -1,6 +1,6 @@
 // Configuration and counters for the RPC-backed summary collector.
 //
-// This header is deliberately free of core/ includes: core/epoch_pipeline.h
+// This header is deliberately free of core/ includes: core/collector.h
 // embeds RpcCollectorConfig inside CollectorConfig, and the dependency
 // arrow must stay net -> (cluster, common) so geored_core can link
 // geored_net without a cycle.

@@ -52,7 +52,7 @@ double estimated_total_delay_scalar(const Placement& placement,
 
 namespace geored::core {
 
-/// Scalar reference for redistribute_to_nearest (core/epoch_pipeline.h):
+/// Scalar reference for redistribute_to_nearest (core/collector.h):
 /// the historical per-summary linear scans, O(summaries x k x candidates).
 std::map<topo::NodeId, cluster::MicroClusterSummarizer> redistribute_to_nearest_scalar(
     const place::Placement& next, const std::vector<cluster::MicroCluster>& summaries,

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
+#include "cluster/summary_frame.h"
 #include "common/random.h"
 #include "common/stats.h"
 
@@ -126,24 +128,34 @@ TEST(MicroCluster, SerializationRoundTrip) {
                          rng.uniform(0, 100), rng.uniform(0, 100)},
                    rng.uniform(0.5, 3.0));
   }
+  // A cluster travels in a summary frame: here a frame of one.
   ByteWriter writer;
-  cluster.serialize(writer);
-  EXPECT_EQ(writer.size(), MicroCluster::serialized_size(5));
+  write_clusters(writer, {cluster});
+  EXPECT_EQ(writer.size(), serialized_size({cluster}));
 
   ByteReader reader(writer.bytes());
-  const MicroCluster restored = MicroCluster::deserialize(reader);
+  const std::vector<MicroCluster> restored = read_clusters(reader);
   EXPECT_TRUE(reader.exhausted());
-  EXPECT_EQ(restored.count(), cluster.count());
-  EXPECT_DOUBLE_EQ(restored.weight(), cluster.weight());
-  EXPECT_EQ(restored.sum(), cluster.sum());
-  EXPECT_EQ(restored.sum2(), cluster.sum2());
+  ASSERT_EQ(restored.size(), 1u);
+  EXPECT_EQ(restored[0].count(), cluster.count());
+  EXPECT_EQ(restored[0].weight(), cluster.weight());
+  EXPECT_EQ(restored[0].sum(), cluster.sum());
+  EXPECT_EQ(restored[0].sum2(), cluster.sum2());
 }
 
 TEST(MicroCluster, SerializedSizeIsSmall) {
-  // The paper: "the size of each micro-cluster is less than 1KB" — ours is
-  // under 100 bytes for a 5-dimensional space.
-  EXPECT_LT(MicroCluster::serialized_size(5), 110u);
-  EXPECT_EQ(MicroCluster::serialized_size(5), 8u + 8u + 2u * (4u + 40u));
+  // The paper: "the size of each micro-cluster is less than 1KB". In a
+  // 5-dimensional frame a cluster takes a varint header ((count << 1) | w,
+  // two bytes for counts 64..8191), the weight unless it equals the count,
+  // and 10 doubles; the frame adds its cluster count and dimension once.
+  MicroCluster weighted(Point(5), 1.0);
+  for (int i = 0; i < 99; ++i) weighted.absorb(Point(5), 2.0);
+  MicroCluster unit(Point(5), 1.0);
+  for (int i = 0; i < 99; ++i) unit.absorb(Point(5), 1.0);
+  EXPECT_EQ(serialized_size({weighted}), 1u + 1u + 2u + 8u + 80u);
+  EXPECT_EQ(serialized_size({unit}), 1u + 1u + 2u + 80u);
+  EXPECT_EQ(serialized_size({weighted, unit}), 1u + 1u + 90u + 82u);
+  EXPECT_LT(serialized_size({weighted}), 100u);
 }
 
 TEST(MicroCluster, AbsorbRejectsNegativeWeight) {

@@ -35,8 +35,13 @@ void expect_roundtrip(const MicroClusterSummarizer& summarizer, std::uint64_t se
   ASSERT_EQ(writer.size(), serialized_size(clusters))
       << "wire-size prediction diverged at seed " << seed << " step " << step;
   ByteReader reader(writer.bytes());
-  const auto decoded = MicroClusterSummarizer::deserialize_clusters(reader);
+  const auto decoded = read_clusters(reader);
+  ASSERT_TRUE(reader.exhausted()) << "seed " << seed << " step " << step;
   ASSERT_EQ(decoded.size(), clusters.size()) << "seed " << seed << " step " << step;
+  ByteWriter again;
+  write_clusters(again, decoded);
+  ASSERT_EQ(again.bytes(), writer.bytes())
+      << "decoded frame re-encodes differently at seed " << seed << " step " << step;
   for (std::size_t i = 0; i < clusters.size(); ++i) {
     ASSERT_EQ(decoded[i].count(), clusters[i].count());
     ASSERT_EQ(decoded[i].weight(), clusters[i].weight());

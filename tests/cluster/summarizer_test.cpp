@@ -185,7 +185,7 @@ TEST(Summarizer, SerializationRoundTrip) {
   ByteWriter writer;
   summarizer.serialize(writer);
   ByteReader reader(writer.bytes());
-  const auto clusters = MicroClusterSummarizer::deserialize_clusters(reader);
+  const auto clusters = read_clusters(reader);
   EXPECT_TRUE(reader.exhausted());
   ASSERT_EQ(clusters.size(), summarizer.clusters().size());
   for (std::size_t i = 0; i < clusters.size(); ++i) {

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
+#include <limits>
+#include <vector>
+
 namespace geored {
 namespace {
 
@@ -56,6 +61,61 @@ TEST(Serialize, RemainingTracksOffset) {
   EXPECT_EQ(reader.remaining(), 12u);
   reader.read_u64();
   EXPECT_EQ(reader.remaining(), 4u);
+}
+
+TEST(Serialize, VarintRoundTripsAtEveryLength) {
+  // The largest value of each length, and the smallest of the next.
+  std::vector<std::uint64_t> values{0};
+  for (unsigned bits = 7; bits < 64; bits += 7) {
+    values.push_back((std::uint64_t{1} << bits) - 1);
+    values.push_back(std::uint64_t{1} << bits);
+  }
+  values.push_back(std::numeric_limits<std::uint64_t>::max());
+  for (const std::uint64_t value : values) {
+    ByteWriter writer;
+    writer.write_varint(value);
+    EXPECT_EQ(writer.size(), varint_size(value)) << value;
+    ByteReader reader(writer.bytes());
+    EXPECT_EQ(reader.read_varint(), value);
+    EXPECT_TRUE(reader.exhausted());
+  }
+  EXPECT_EQ(varint_size(127), 1u);
+  EXPECT_EQ(varint_size(128), 2u);
+  EXPECT_EQ(varint_size(std::numeric_limits<std::uint64_t>::max()), kMaxVarintBytes);
+}
+
+TEST(Serialize, VarintRejectsTruncatedOverlongAndPaddedEncodings) {
+  const auto read = [](std::vector<std::uint8_t> bytes) {
+    ByteReader reader(bytes);
+    return reader.read_varint();
+  };
+  EXPECT_THROW(read({}), WireFormatError);
+  EXPECT_THROW(read({0x80}), WireFormatError);              // truncated
+  EXPECT_THROW(read({0x80, 0x00}), WireFormatError);        // redundant final group
+  EXPECT_THROW(read({0xff, 0x80, 0x00}), WireFormatError);  // the same, longer
+  std::vector<std::uint8_t> eleven(10, 0x80);
+  eleven.push_back(0x01);
+  EXPECT_THROW(read(eleven), WireFormatError);  // longer than 10 bytes
+  std::vector<std::uint8_t> overflow(9, 0xff);
+  overflow.push_back(0x02);
+  EXPECT_THROW(read(overflow), WireFormatError);  // bit 64 set
+  EXPECT_EQ(read({0x7f}), 127u);
+  EXPECT_EQ(read({0x80, 0x01}), 128u);
+}
+
+TEST(Serialize, F64SpansCarryNoLengthPrefix) {
+  const std::vector<double> values{1.5, -0.0, 1e300};
+  ByteWriter writer;
+  writer.write_f64s(values);
+  writer.write_f64s({});
+  EXPECT_EQ(writer.size(), 3 * sizeof(double));
+  std::vector<double> back(3);
+  ByteReader reader(writer.bytes());
+  reader.read_f64s(back);
+  EXPECT_EQ(back, values);
+  EXPECT_TRUE(std::signbit(back[1]));
+  std::vector<double> past(1);
+  EXPECT_THROW(reader.read_f64s(past), WireFormatError);
 }
 
 }  // namespace

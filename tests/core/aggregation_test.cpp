@@ -5,7 +5,9 @@
 #include <limits>
 #include <set>
 
+#include "cluster/summary_frame.h"
 #include "common/random.h"
+#include "common/serialize.h"
 #include "topology/topology.h"
 
 namespace geored::core {
@@ -129,6 +131,41 @@ TEST(Aggregation, RootBandwidthIsBoundedUnlikeFlat) {
   for (const auto& micro : tree.merged) tree_count += micro.count();
   for (const auto& micro : flat.merged) flat_count += micro.count();
   EXPECT_EQ(tree_count, flat_count);
+}
+
+/// Bytes of the summary frame that carries `clusters`.
+std::uint64_t frame_bytes(const std::vector<cluster::MicroCluster>& clusters) {
+  ByteWriter writer;
+  cluster::write_clusters(writer, clusters);
+  return writer.size();
+}
+
+TEST(Aggregation, SummaryTrafficIsTheFramesSent) {
+  const AggWorld world(6, 12, 9);
+  std::uint64_t source_frames = 0;
+  for (const auto& source : world.sources) source_frames += frame_bytes(source.clusters);
+
+  // Flat: every source's frame goes straight to the root.
+  sim::Simulator flat_sim;
+  sim::Network flat_net(flat_sim, world.topology);
+  const auto flat = run_flat_collection(flat_sim, flat_net, world.sources, 0);
+  EXPECT_EQ(flat.bytes_into_root, source_frames);
+  EXPECT_EQ(flat.bytes_total, source_frames);
+
+  // A one-aggregator tree: the sources' frames, then the aggregator's one
+  // frame of its merged summary to the root.
+  AggregationConfig config;
+  config.aggregator_count = 1;
+  config.max_clusters_per_aggregator = 8;
+  sim::Simulator tree_sim;
+  sim::Network tree_net(tree_sim, world.topology);
+  const auto plan = plan_aggregation(world.candidates, world.sources, config, 7);
+  ASSERT_EQ(plan.aggregators.size(), 1u);
+  const auto tree = run_aggregation(tree_sim, tree_net, plan, world.sources, 0, config);
+  EXPECT_EQ(tree.bytes_into_root, frame_bytes(tree.merged));
+  EXPECT_EQ(tree.bytes_total, source_frames + tree.bytes_into_root);
+  EXPECT_EQ(tree_net.stats().bytes[static_cast<std::size_t>(sim::TrafficClass::kSummary)],
+            tree.bytes_total);
 }
 
 TEST(Aggregation, MergedSummaryPreservesPopulationGeometry) {

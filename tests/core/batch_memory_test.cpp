@@ -25,6 +25,7 @@
 
 #include <gtest/gtest.h>
 
+#include "cluster/summarizer.h"
 #include "common/point.h"
 #include "common/point_set.h"
 #include "common/random.h"
@@ -451,6 +452,25 @@ TEST(BatchMemory, HostileCheckpointCountsNeverSizeAnAllocation) {
     target.save(after);
     EXPECT_EQ(after.bytes(), before.bytes()) << "a rejected restore changed the manager";
   }
+}
+
+TEST(BatchMemory, SerializedSizeAllocatesNothing) {
+  // A collector charges every frame by its size; computing it must not
+  // build the frame.
+  cluster::MicroClusterSummarizer summarizer;
+  Rng rng(23);
+  for (std::size_t i = 0; i < 500; ++i) {
+    summarizer.add(client_near(rng, 10.0 * static_cast<double>(i % 7)), i % 5 == 0 ? 2.0 : 1.0);
+  }
+  const std::vector<cluster::MicroCluster>& clusters = summarizer.clusters();
+  ASSERT_GE(clusters.size(), 2u);
+  const std::vector<cluster::MicroCluster> none;
+  const std::size_t before = g_requested_bytes.load();
+  const std::size_t size = cluster::serialized_size(clusters) + cluster::serialized_size(none);
+  EXPECT_EQ(g_requested_bytes.load(), before) << "serialized_size allocated";
+  ByteWriter writer;
+  cluster::write_clusters(writer, clusters);
+  EXPECT_EQ(size, writer.size() + 1);
 }
 
 // --- The replicated store ------------------------------------------------

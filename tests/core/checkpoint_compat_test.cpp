@@ -1,24 +1,30 @@
-// Checkpoint format compatibility: the v2 manager checkpoint (budget grant
-// flag + priority weight, appended in the fixed header after the degree)
-// and the fleet envelope that aggregates per-group checkpoints.
+// Checkpoint format compatibility: the manager checkpoint's fixed header,
+// its v3 summary frames, the v1 and v2 blobs earlier builds wrote, and the
+// fleet envelope that aggregates per-group checkpoints.
 //
-// v2 layout, fixed header (little-endian):
+// Fixed header (little-endian), the same in v2 and v3:
 //   [0,4)   magic "GRMC"
-//   [4,8)   version (2)
+//   [4,8)   version
 //   [8,16)  epoch_index u64
 //   [16,24) epoch_accesses u64
 //   [24,32) degree u64
 //   [32,36) budget_granted u32        <- added in v2
 //   [36,44) budget_weight f64         <- added in v2
-//   ...     placement / summarizer state (unchanged from v1)
+//   ...     placement (u32 count, u32 ids), one summary per replica, warm
+//           centroids (u32 count, each a u32 length and its doubles)
 // A v1 blob is the same stream without bytes [32,44); restore() accepts it
-// and fills the documented defaults (granted = false, weight = 1).
+// and fills the documented defaults (granted = false, weight = 1). v1 and v2
+// store each replica's summary in the fixed-width layout; v3 stores one
+// summary frame (cluster/summary_frame.h) per replica.
 #include <gtest/gtest.h>
 
 #include <cstring>
 #include <limits>
+#include <string>
+#include <string_view>
 #include <vector>
 
+#include "cluster/summary_frame.h"
 #include "common/random.h"
 #include "core/fleet_manager.h"
 #include "core/replication_manager.h"
@@ -27,7 +33,7 @@ namespace geored::core {
 namespace {
 
 constexpr std::size_t kBudgetFieldsOffset = 32;  // after magic/version/epoch/accesses/degree
-constexpr std::size_t kBudgetFieldsSize = sizeof(std::uint32_t) + sizeof(double);
+constexpr std::size_t kHeaderSize = 44;
 
 std::vector<place::CandidateInfo> line_candidates(std::size_t count = 8) {
   std::vector<place::CandidateInfo> candidates;
@@ -46,16 +52,113 @@ ManagerConfig small_config(std::size_t k = 2) {
   return config;
 }
 
-/// Rewrites a v2 blob into the v1 wire form: version field patched, the two
-/// budget fields cut out. Cheaper and more honest than hand-crafting the
-/// summarizer tail — the remainder of the stream is bit-identical between
-/// versions.
-std::vector<std::uint8_t> downgrade_to_v1(std::vector<std::uint8_t> bytes) {
-  const std::uint32_t v1 = 1;
-  std::memcpy(bytes.data() + sizeof(std::uint32_t), &v1, sizeof v1);
-  bytes.erase(bytes.begin() + kBudgetFieldsOffset,
-              bytes.begin() + kBudgetFieldsOffset + kBudgetFieldsSize);
+std::vector<std::uint8_t> from_hex(std::string_view hex) {
+  std::vector<std::uint8_t> bytes;
+  for (std::size_t i = 0; i + 1 < hex.size(); i += 2) {
+    const std::string pair(hex.substr(i, 2));
+    bytes.push_back(static_cast<std::uint8_t>(std::stoul(pair, nullptr, 16)));
+  }
   return bytes;
+}
+
+std::vector<std::uint8_t> checkpoint_of(const ReplicationManager& manager) {
+  ByteWriter writer;
+  manager.save(writer);
+  return writer.bytes();
+}
+
+/// The manager the blobs below hold: 8 candidates, k = 2, m = 4, seed 7;
+/// 300 accesses around x = 300 (every third of weight 2.5), one epoch, 200
+/// unit-weight accesses around x = 500, then a granted degree of 3 and a
+/// budget weight of 2.5.
+ReplicationManager compat_primary() {
+  ReplicationManager primary(line_candidates(), small_config(2), 7);
+  Rng rng(5);
+  for (int i = 0; i < 300; ++i) {
+    primary.serve(Point{rng.normal(300.0, 80.0)}, i % 3 == 0 ? 2.5 : 1.0);
+  }
+  primary.run_epoch();
+  for (int i = 0; i < 200; ++i) primary.serve(Point{rng.normal(500.0, 60.0)});
+  primary.set_degree(3);
+  primary.set_budget_weight(2.5);
+  return primary;
+}
+
+// compat_primary() as saved by the build before checkpoint v3 (v2), and the
+// same blob in the v1 form (version 1, budget fields cut).
+constexpr const char* kCompatV2 =
+    "434d5247020000000100000000000000c8000000000000000300000000000000"
+    "01000000000000000000044002000000040000000200000004000000b9000000"
+    "000000000000000000a0704001000000c6b74a96c313f04001000000f47af01a"
+    "e1b076416b000000000000000000000000805b40010000005c3b45d6af06e940"
+    "010000009ab1b9652d7a77414100000000000000000000000040504001000000"
+    "5cebe74af384e14001000000c4126d991eeb7241070000000000000000000000"
+    "00001c400100000020a089300581b140010000005030b76ed8f1454103000000"
+    "2b0000000000000000000000008051400100000016944d0bb3d9be4001000000"
+    "e8799104ce6c364155000000000000000000000000e05d40010000006b5161b2"
+    "6602d54001000000a24f9668cee4544108000000000000000000000000002940"
+    "01000000922da73411098c4001000000c44ceed94b7df9400200000001000000"
+    "6104087da81e764001000000c1e190a465db6b40";
+constexpr const char* kCompatV1 =
+    "434d5247010000000100000000000000c8000000000000000300000000000000"
+    "02000000040000000200000004000000b9000000000000000000000000a07040"
+    "01000000c6b74a96c313f04001000000f47af01ae1b076416b00000000000000"
+    "0000000000805b40010000005c3b45d6af06e940010000009ab1b9652d7a7741"
+    "41000000000000000000000000405040010000005cebe74af384e14001000000"
+    "c4126d991eeb724107000000000000000000000000001c400100000020a08930"
+    "0581b140010000005030b76ed8f14541030000002b0000000000000000000000"
+    "008051400100000016944d0bb3d9be4001000000e8799104ce6c364155000000"
+    "000000000000000000e05d40010000006b5161b26602d54001000000a24f9668"
+    "cee454410800000000000000000000000000294001000000922da73411098c40"
+    "01000000c44ceed94b7df94002000000010000006104087da81e764001000000"
+    "c1e190a465db6b40";
+
+/// What the build before checkpoint v3 read back from kCompatV2 and kCompatV1.
+struct ExpectedCluster {
+  topo::NodeId node;
+  std::uint64_t count;
+  double weight;
+  double sum;
+  double sum2;
+};
+constexpr ExpectedCluster kCompatClusters[] = {
+    {4, 185, 0x1.0ap+8, 0x1.013c3964ab7c6p+16, 0x1.6b0e11af07af4p+24},
+    {4, 107, 0x1.b8p+6, 0x1.906afd6453b5cp+15, 0x1.77a2d65b9b19ap+24},
+    {4, 65, 0x1.04p+6, 0x1.184f34ae7eb5cp+15, 0x1.2eb1e996d12c4p+24},
+    {4, 7, 0x1.cp+2, 0x1.181053089a02p+12, 0x1.5f1d86eb7305p+21},
+    {2, 43, 0x1.18p+6, 0x1.ed9b30b4d9416p+12, 0x1.66cce049179e8p+20},
+    {2, 85, 0x1.dep+6, 0x1.50266b261516bp+14, 0x1.4e4ce68964fa2p+22},
+    {2, 8, 0x1.9p+3, 0x1.c091134a72d92p+9, 0x1.97d4bd9ee4cc4p+16},
+};
+
+/// Restores `hex` into a fresh manager and checks the placement, counters
+/// and every summary against what the build before v3 restored.
+ReplicationManager expect_parent_state(std::string_view hex) {
+  ReplicationManager standby(line_candidates(), small_config(2), 7);
+  const std::vector<std::uint8_t> blob = from_hex(hex);
+  ByteReader reader(blob);
+  standby.restore(reader);
+  EXPECT_TRUE(reader.exhausted());
+  EXPECT_EQ(standby.placement(), (place::Placement{4, 2}));
+  EXPECT_EQ(standby.degree(), 3u);
+  EXPECT_EQ(standby.epoch_accesses(), 200u);
+  std::size_t next = 0;
+  for (const auto node : standby.placement()) {
+    for (const auto& micro : standby.summary_of(node)) {
+      if (next == std::size(kCompatClusters)) {
+        ADD_FAILURE() << "more clusters than the parent restored";
+        return standby;
+      }
+      const ExpectedCluster& expected = kCompatClusters[next++];
+      EXPECT_EQ(node, expected.node);
+      EXPECT_EQ(micro.count(), expected.count);
+      EXPECT_EQ(micro.weight(), expected.weight);
+      EXPECT_EQ(micro.sum()[0], expected.sum);
+      EXPECT_EQ(micro.sum2()[0], expected.sum2);
+    }
+  }
+  EXPECT_EQ(next, std::size(kCompatClusters));
+  return standby;
 }
 
 TEST(CheckpointV2, BudgetStateRoundTrips) {
@@ -79,27 +182,68 @@ TEST(CheckpointV2, BudgetStateRoundTrips) {
 }
 
 TEST(CheckpointV2, V1BlobRestoresWithDocumentedDefaults) {
-  ReplicationManager primary(line_candidates(), small_config(2), 7);
-  Rng rng(5);
-  for (int i = 0; i < 300; ++i) primary.serve(Point{rng.normal(300.0, 80.0)});
-  primary.set_degree(3);
-  primary.set_budget_weight(2.5);
-
-  ByteWriter writer;
-  primary.save(writer);
-  const auto v1_bytes = downgrade_to_v1(writer.bytes());
-
-  ReplicationManager standby(line_candidates(), small_config(2), 7);
-  ByteReader reader(v1_bytes);
-  standby.restore(reader);
-  EXPECT_TRUE(reader.exhausted());
+  const ReplicationManager standby = expect_parent_state(kCompatV1);
   // v1 predates budget state: the defaults, not the primary's values.
   EXPECT_FALSE(standby.budget_granted());
   EXPECT_DOUBLE_EQ(standby.budget_weight(), 1.0);
-  // Everything v1 did carry still lands.
-  EXPECT_EQ(standby.degree(), 3u);
-  EXPECT_EQ(standby.placement(), primary.placement());
-  EXPECT_EQ(standby.epoch_accesses(), primary.epoch_accesses());
+}
+
+TEST(CheckpointV2, ParentBlobRestoresTheParentsState) {
+  ReplicationManager standby = expect_parent_state(kCompatV2);
+  EXPECT_TRUE(standby.budget_granted());
+  EXPECT_EQ(standby.budget_weight(), 2.5);
+  // The same state as a manager built the same way in this build: its v3
+  // checkpoint is byte-identical, and the next epoch decides as the
+  // parent's did.
+  ReplicationManager primary = compat_primary();
+  EXPECT_EQ(checkpoint_of(standby), checkpoint_of(primary));
+  const EpochReport report = standby.run_epoch();
+  EXPECT_EQ(report.adopted_placement, (place::Placement{4, 5, 2}));
+  EXPECT_EQ(report.new_estimated_delay_ms, 0x1.4ac76064b6029p+5);
+  EXPECT_EQ(report.new_estimated_delay_ms, primary.run_epoch().new_estimated_delay_ms);
+}
+
+TEST(CheckpointV3, SmallerThanV2OfTheSameState) {
+  const std::vector<std::uint8_t> v2 = from_hex(kCompatV2);
+  const std::vector<std::uint8_t> v3 = checkpoint_of(compat_primary());
+  EXPECT_LT(v3.size(), v2.size());
+  // Only the summaries changed layout: the header (but for its version)
+  // and the placement are the same bytes.
+  const std::size_t placement_end = kHeaderSize + 4 + 2 * 4;
+  ASSERT_GT(v3.size(), placement_end);
+  EXPECT_EQ(std::vector<std::uint8_t>(v3.begin() + 8, v3.begin() + placement_end),
+            std::vector<std::uint8_t>(v2.begin() + 8, v2.begin() + placement_end));
+}
+
+TEST(CheckpointV3, SummariesAreOneFramePerReplica) {
+  const ReplicationManager primary = compat_primary();
+  const std::vector<std::uint8_t> blob = checkpoint_of(primary);
+  ByteReader reader(blob);
+  EXPECT_EQ(reader.read_u32(), kCheckpointMagic);
+  EXPECT_EQ(reader.read_u32(), 3u);
+  for (int field = 0; field < 3; ++field) reader.read_u64();
+  reader.read_u32();
+  reader.read_f64();
+  const std::uint32_t replicas = reader.read_u32();
+  ASSERT_EQ(replicas, primary.placement().size());
+  std::vector<topo::NodeId> placement;
+  for (std::uint32_t i = 0; i < replicas; ++i) placement.push_back(reader.read_u32());
+  for (const auto node : placement) {
+    const auto& held = primary.summary_of(node);
+    const std::size_t start = blob.size() - reader.remaining();
+    const std::vector<cluster::MicroCluster> frame = cluster::read_clusters(reader);
+    EXPECT_EQ(blob.size() - reader.remaining() - start, cluster::serialized_size(held));
+    ASSERT_EQ(frame.size(), held.size());
+    for (std::size_t c = 0; c < held.size(); ++c) {
+      EXPECT_EQ(frame[c].count(), held[c].count());
+      EXPECT_EQ(frame[c].weight(), held[c].weight());
+      EXPECT_EQ(frame[c].sum(), held[c].sum());
+      EXPECT_EQ(frame[c].sum2(), held[c].sum2());
+    }
+  }
+  const std::uint32_t centroids = reader.read_u32();
+  for (std::uint32_t i = 0; i < centroids; ++i) reader.read_f64_vector();
+  EXPECT_TRUE(reader.exhausted());
 }
 
 TEST(CheckpointV2, RejectsNonFiniteBudgetWeight) {

@@ -1,0 +1,316 @@
+// Seeded mutation fuzzing of the manager and fleet checkpoint decoders: bit
+// flips, truncations and insertions of valid v3 blobs. Every mutated blob is
+// either rejected with std::invalid_argument (WireFormatError included),
+// leaving the target's save() bytes unchanged, or accepted, in which case
+// each summary frame it held re-encodes to the bytes it was read from. A
+// decode never allocates more than a small multiple of the blob's size.
+// GEORED_FUZZ_ITERS sets the budget (rounds of mutations per subject).
+// Global operator new is replaced with a counting version, which is why this
+// suite is its own test binary.
+#include <atomic>
+#include <cstddef>
+#include <cstdint>
+#include <cstdlib>
+#include <exception>
+#include <functional>
+#include <limits>
+#include <new>
+#include <string>
+#include <typeinfo>
+#include <vector>
+
+#include <gtest/gtest.h>
+
+#include "cluster/summary_frame.h"
+#include "common/random.h"
+#include "common/serialize.h"
+#include "core/fleet_manager.h"
+#include "core/replication_manager.h"
+
+namespace {
+std::atomic<std::size_t> g_requested_bytes{0};
+}  // namespace
+
+// Neither operator new nor delete is inlined: GCC's -Wmismatched-new-delete
+// otherwise sees the malloc() inside operator new, or the free() inside
+// operator delete, at the inlined call sites and calls them a mismatch.
+[[gnu::noinline]] void* operator new(std::size_t size) {
+  g_requested_bytes.fetch_add(size, std::memory_order_relaxed);
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+// The array and nothrow forms route through the counting one, so a
+// sanitizer runtime's own nothrow form never hands out a block that the
+// free() below would release.
+[[gnu::noinline]] void* operator new[](std::size_t size) { return operator new(size); }
+[[gnu::noinline]] void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  try {
+    return operator new(size);
+  } catch (const std::bad_alloc&) {
+    return nullptr;
+  }
+}
+[[gnu::noinline]] void* operator new[](std::size_t size, const std::nothrow_t& tag) noexcept {
+  return operator new(size, tag);
+}
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p, const std::nothrow_t&) noexcept {
+  std::free(p);
+}
+
+namespace geored::core {
+namespace {
+
+/// Bytes a decode may request per byte of blob, plus an allowance for the
+/// error message of a blob too short to hold a header. A valid blob of the
+/// subjects below requests about 9.5 bytes per byte: the decoded clusters
+/// and the summarizers they are merged into.
+constexpr std::size_t kAllocPerByte = 16;
+constexpr std::size_t kAllocSlack = 1024;
+
+using Blob = std::vector<std::uint8_t>;
+
+/// 12 data centers on a 4 x 3 grid in the plane, 100 units apart.
+std::vector<place::CandidateInfo> grid_candidates() {
+  std::vector<place::CandidateInfo> candidates;
+  for (std::size_t i = 0; i < 12; ++i) {
+    candidates.push_back({static_cast<topo::NodeId>(i),
+                          Point{100.0 * static_cast<double>(i % 4),
+                                100.0 * static_cast<double>(i / 4)},
+                          std::numeric_limits<double>::infinity()});
+  }
+  return candidates;
+}
+
+ManagerConfig manager_config() {
+  ManagerConfig config;
+  config.replication_degree = 3;
+  config.summarizer.max_clusters = 4;
+  config.summarizer.min_absorb_radius = 10.0;
+  return config;
+}
+
+/// Accesses around three populations, every fourth of weight 2.5, so the
+/// frames hold both elided and explicit weights.
+void feed(ReplicationManager& manager, Rng& rng, int accesses) {
+  for (int i = 0; i < accesses; ++i) {
+    const double x = 50.0 + 100.0 * static_cast<double>(i % 3);
+    manager.serve(Point{rng.normal(x, 25.0), rng.normal(120.0, 25.0)}, i % 4 == 0 ? 2.5 : 1.0);
+  }
+}
+
+Blob manager_blob() {
+  ReplicationManager manager(grid_candidates(), manager_config(), 7);
+  Rng rng(3);
+  for (int epoch = 0; epoch < 2; ++epoch) {
+    feed(manager, rng, 400);
+    manager.run_epoch();
+  }
+  feed(manager, rng, 150);
+  ByteWriter writer;
+  manager.save(writer);
+  return writer.bytes();
+}
+
+FleetConfig fleet_config() {
+  FleetConfig config;
+  config.groups = 3;
+  config.manager = manager_config();
+  config.replica_budget = 8;
+  config.min_degree = 1;
+  config.max_degree = 4;
+  return config;
+}
+
+Blob fleet_blob() {
+  FleetManager fleet(grid_candidates(), fleet_config(), 11);
+  Rng rng(5);
+  for (int epoch = 0; epoch < 2; ++epoch) {
+    for (std::size_t g = 0; g < fleet.group_count(); ++g) feed(fleet.group(g), rng, 150);
+    fleet.run_epochs();
+  }
+  ByteWriter writer;
+  fleet.save(writer);
+  return writer.bytes();
+}
+
+/// One mutation of `blob`: flips of one to three bits, a truncation, or an
+/// insertion of one to eight random bytes.
+Blob mutate(const Blob& blob, Rng& rng) {
+  Blob out = blob;
+  switch (rng.below(3)) {
+    case 0: {
+      const std::uint64_t flips = 1 + rng.below(3);
+      for (std::uint64_t f = 0; f < flips; ++f) {
+        const std::size_t byte = rng.below(out.size());
+        out[byte] = static_cast<std::uint8_t>(out[byte] ^ (1u << rng.below(8)));
+      }
+      break;
+    }
+    case 1:
+      out.resize(rng.below(out.size()));
+      break;
+    default: {
+      const auto at = static_cast<std::ptrdiff_t>(rng.below(out.size() + 1));
+      Blob inserted(1 + rng.below(8));
+      for (auto& b : inserted) b = static_cast<std::uint8_t>(rng.below(256));
+      out.insert(out.begin() + at, inserted.begin(), inserted.end());
+      break;
+    }
+  }
+  return out;
+}
+
+/// Walks one v3 manager checkpoint that restore() accepted, checking that
+/// every summary frame re-encodes to the bytes it was read from.
+void expect_manager_frames_reencode(ByteReader& reader, const Blob& blob) {
+  reader.read_u32();  // magic
+  ASSERT_EQ(reader.read_u32(), kCheckpointVersion);
+  for (int field = 0; field < 3; ++field) reader.read_u64();
+  reader.read_u32();
+  reader.read_f64();
+  const std::uint32_t replicas = reader.read_u32();
+  for (std::uint32_t i = 0; i < replicas; ++i) reader.read_u32();
+  for (std::uint32_t i = 0; i < replicas; ++i) {
+    const std::size_t start = blob.size() - reader.remaining();
+    const auto clusters = cluster::read_clusters(reader);
+    const std::size_t end = blob.size() - reader.remaining();
+    ByteWriter again;
+    cluster::write_clusters(again, clusters);
+    EXPECT_EQ(again.bytes(), Blob(blob.begin() + static_cast<std::ptrdiff_t>(start),
+                                  blob.begin() + static_cast<std::ptrdiff_t>(end)))
+        << "an accepted summary frame re-encodes differently";
+  }
+  const std::uint32_t centroids = reader.read_u32();
+  for (std::uint32_t i = 0; i < centroids; ++i) reader.read_f64_vector();
+}
+
+/// A checkpoint decoder under test: restores into a fixed target and
+/// reports its save() bytes.
+struct Subject {
+  std::function<void(ByteReader&)> restore;
+  std::function<Blob()> save;
+  std::function<void(ByteReader&, const Blob&)> walk_frames;
+};
+
+struct Outcome {
+  std::size_t accepted = 0;
+  std::size_t rejected = 0;
+};
+
+/// Restores `blob` into `subject` and checks the contract above.
+void check_one(Subject& subject, const Blob& blob, Outcome& outcome) {
+  const Blob before = subject.save();
+  const std::size_t requested_before = g_requested_bytes.load();
+  bool accepted = false;
+  try {
+    ByteReader reader(blob);
+    subject.restore(reader);
+    accepted = true;
+  } catch (const std::invalid_argument&) {
+    // WireFormatError derives from it; both are the typed rejections.
+  } catch (const std::exception& error) {
+    ADD_FAILURE() << "untyped rejection " << typeid(error).name() << ": " << error.what();
+    return;
+  }
+  const std::size_t requested = g_requested_bytes.load() - requested_before;
+  EXPECT_LE(requested, kAllocPerByte * blob.size() + kAllocSlack)
+      << "a " << blob.size() << "-byte checkpoint requested " << requested << " bytes";
+  if (!accepted) {
+    ++outcome.rejected;
+    EXPECT_EQ(subject.save(), before) << "a rejected restore changed the target";
+    return;
+  }
+  ++outcome.accepted;
+  ByteReader reader(blob);
+  subject.walk_frames(reader, blob);
+}
+
+std::uint64_t fuzz_rounds() {
+  std::uint64_t rounds = 5;
+  if (const char* env = std::getenv("GEORED_FUZZ_ITERS")) rounds = std::strtoull(env, nullptr, 10);
+  return rounds;
+}
+
+/// `rounds` rounds of 100 mutations of `valid`, seeded by `seed`.
+Outcome fuzz(Subject& subject, const Blob& valid, std::uint64_t seed) {
+  Outcome outcome;
+  Rng rng(seed);
+  const std::uint64_t rounds = fuzz_rounds();
+  for (std::uint64_t round = 0; round < rounds; ++round) {
+    for (int i = 0; i < 100; ++i) {
+      check_one(subject, mutate(valid, rng), outcome);
+      if (::testing::Test::HasFailure()) return outcome;
+    }
+  }
+  return outcome;
+}
+
+TEST(CheckpointMutation, ValidBlobsRestoreWithinTheAllocationBound) {
+  ReplicationManager manager(grid_candidates(), manager_config(), 29);
+  FleetManager fleet(grid_candidates(), fleet_config(), 31);
+  for (const bool is_fleet : {false, true}) {
+    const Blob blob = is_fleet ? fleet_blob() : manager_blob();
+    const std::size_t before = g_requested_bytes.load();
+    ByteReader reader(blob);
+    if (is_fleet) {
+      fleet.restore(reader);
+    } else {
+      manager.restore(reader);
+    }
+    EXPECT_TRUE(reader.exhausted());
+    const std::size_t requested = g_requested_bytes.load() - before;
+    EXPECT_LE(requested, kAllocPerByte * blob.size() + kAllocSlack)
+        << (is_fleet ? "fleet" : "manager") << " blob of " << blob.size() << " bytes";
+  }
+  ByteWriter saved;
+  manager.save(saved);
+  EXPECT_EQ(saved.bytes(), manager_blob());
+  ByteWriter fleet_saved;
+  fleet.save(fleet_saved);
+  EXPECT_EQ(fleet_saved.bytes(), fleet_blob());
+}
+
+TEST(CheckpointMutation, ManagerBlobsRestoreOrRejectTyped) {
+  ReplicationManager target(grid_candidates(), manager_config(), 29);
+  Rng rng(41);
+  feed(target, rng, 120);  // a state a rejected restore must leave alone
+  Subject subject{
+      [&](ByteReader& reader) { target.restore(reader); },
+      [&] {
+        ByteWriter writer;
+        target.save(writer);
+        return writer.bytes();
+      },
+      [](ByteReader& reader, const Blob& blob) { expect_manager_frames_reencode(reader, blob); }};
+  const Outcome outcome = fuzz(subject, manager_blob(), 101);
+  EXPECT_GT(outcome.rejected, 0u);
+}
+
+TEST(CheckpointMutation, FleetBlobsRestoreOrRejectTyped) {
+  FleetManager target(grid_candidates(), fleet_config(), 31);
+  Rng rng(43);
+  for (std::size_t g = 0; g < target.group_count(); ++g) feed(target.group(g), rng, 60);
+  Subject subject{
+      [&](ByteReader& reader) { target.restore(reader); },
+      [&] {
+        ByteWriter writer;
+        target.save(writer);
+        return writer.bytes();
+      },
+      [&](ByteReader& reader, const Blob& blob) {
+        reader.read_u32();  // magic
+        reader.read_u32();  // version
+        const std::uint32_t groups = reader.read_u32();
+        for (std::uint32_t g = 0; g < groups; ++g) expect_manager_frames_reencode(reader, blob);
+      }};
+  const Outcome outcome = fuzz(subject, fleet_blob(), 202);
+  EXPECT_GT(outcome.rejected, 0u);
+}
+
+}  // namespace
+}  // namespace geored::core

@@ -3,7 +3,7 @@
 // bit-reproducible even when the network injects per-message jitter —
 // message timing may wobble, but what arrives (and what is decided) cannot
 // depend on the wobble's realization beyond the seeded stream itself.
-#include "core/epoch_pipeline.h"
+#include "core/collector.h"
 
 #include <gtest/gtest.h>
 

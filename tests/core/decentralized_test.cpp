@@ -5,7 +5,9 @@
 #include <limits>
 #include <memory>
 
+#include "cluster/summary_frame.h"
 #include "common/random.h"
+#include "common/serialize.h"
 #include "placement/strategy.h"
 #include "placement/evaluate.h"
 #include "topology/topology.h"
@@ -110,6 +112,25 @@ TEST(Decentralized, ExchangesKSquaredSummaries) {
     }
   }
   EXPECT_NEAR(result.completion_ms, worst, 1e-9);
+}
+
+TEST(Decentralized, SummaryTrafficIsTheFramesSent) {
+  // Every holder sends its one summary frame to each of its peers.
+  DecWorld world(12, 4, 5);
+  sim::Simulator simulator;
+  sim::Network network(simulator, world.topology);
+  const auto strategy = place::make_strategy("online");
+  const auto result = run_decentralized_epoch(simulator, network, world.candidates,
+                                              world.summaries, 3, 1, *strategy);
+  std::uint64_t expected = 0;
+  for (const auto& [node, clusters] : world.summaries) {
+    ByteWriter writer;
+    cluster::write_clusters(writer, clusters);
+    expected += writer.size() * (world.summaries.size() - 1);
+  }
+  EXPECT_EQ(result.summary_bytes, expected);
+  EXPECT_EQ(network.stats().bytes[static_cast<std::size_t>(sim::TrafficClass::kSummary)],
+            expected);
 }
 
 TEST(Decentralized, SingleReplicaDecidesAlone) {

@@ -9,6 +9,8 @@
 #include <cstring>
 #include <limits>
 #include <set>
+#include <string>
+#include <string_view>
 #include <thread>
 #include <type_traits>
 #include <utility>
@@ -551,6 +553,65 @@ TEST(Manager, RestoreRejectsEmptyPlacement) {
   EXPECT_NO_THROW(manager.serve(Point{250.0}));
 }
 
+/// The manager RestoreRejectsMomentsAnEpochCannotUse builds, saved in the
+/// v2 layout (fixed-width summaries) by the build before checkpoint v3.
+constexpr const char* kMomentsSourceV2 =
+    "434d524702000000020000000000000000000000000000000300000000000000"
+    "00000000000000000000f03f0300000005000000020000000400000003000000"
+    "d3000000000000000000000000606a4001000000a3e29e74eebff94001000000"
+    "81577341504389415e000000000000000000000000805740010000003d44b981"
+    "b19beb4001000000143865c7ad44804108000000000000000000000000002040"
+    "01000000ea7d1d6124d4b540010000005d511eefd6d84d410200000024000000"
+    "000000000000000000004240010000009a430a17702cb6400100000028330514"
+    "029f2c41dc000000000000000000000000806b40010000005708155fee47ec40"
+    "01000000f9a96d17cfcf6d410400000007000000000000000000000000001c40"
+    "010000003904f62a9ecba24001000000cbef5a0d9f3c29410300000000000000"
+    "0000000000000840010000003673b0a977828e4001000000e46a572b14651341"
+    "04000000000000000000000000001040010000008c538675a1eb924001000000"
+    "a8c5767e09631641d9000000000000000000000000206b40010000009623e0b3"
+    "4552f44001000000ffbb1e759fb37e41030000000100000008bdcf5144d97740"
+    "01000000ad65c2a1b8bb804001000000a2b0748b38286f40";
+
+std::vector<std::uint8_t> from_hex(std::string_view hex) {
+  std::vector<std::uint8_t> bytes;
+  for (std::size_t i = 0; i + 1 < hex.size(); i += 2) {
+    const std::string pair(hex.substr(i, 2));
+    bytes.push_back(static_cast<std::uint8_t>(std::stoul(pair, nullptr, 16)));
+  }
+  return bytes;
+}
+
+/// Flips exponent bit 9 of the first stored cluster's sum[0] (at
+/// `sum_offset`) and exponent bit 10 of its sum2[0] (at `sum2_offset`), one
+/// at a time, and checks that `target` rejects both blobs.
+void expect_exponent_flips_rejected(ReplicationManager& target,
+                                    const std::vector<std::uint8_t>& valid,
+                                    std::size_t sum_offset, std::size_t sum2_offset,
+                                    const cluster::MicroCluster& first) {
+  double sum = 0.0;
+  std::memcpy(&sum, valid.data() + sum_offset, sizeof sum);
+  ASSERT_EQ(sum, first.sum()[0]);
+  double sum2 = 0.0;
+  std::memcpy(&sum2, valid.data() + sum2_offset, sizeof sum2);
+  ASSERT_EQ(sum2, first.sum2()[0]);
+  // Exponent bit 9 of sum[0]: the centroid moves 2^512 times further out,
+  // every squared distance overflows, and the next epoch used to throw
+  // InternalError "ran out of candidates before reaching k".
+  std::vector<std::uint8_t> far = valid;
+  far[sum_offset + 7] ^= 0x20;
+  std::memcpy(&sum, far.data() + sum_offset, sizeof sum);
+  ASSERT_TRUE(std::isfinite(sum));
+  ASSERT_FALSE(std::isfinite(sum * sum));
+  // Exponent bit 10 of sum2[0]: sum2 shrinks by 2^1024, count·sum2 < sum²
+  // describes no set of points, and a build with debug checks used to throw
+  // InternalError from the moment check next epoch.
+  std::vector<std::uint8_t> unrealizable = valid;
+  ASSERT_NE(unrealizable[sum2_offset + 7] & 0x40, 0);
+  unrealizable[sum2_offset + 7] ^= 0x40;
+  expect_rejected(target, far);
+  expect_rejected(target, unrealizable);
+}
+
 TEST(Manager, RestoreRejectsMomentsAnEpochCannotUse) {
   // Checkpoints that differ from a valid one in one exponent bit of the
   // first stored cluster. Each moment stays finite, so the wire decoder
@@ -561,34 +622,36 @@ TEST(Manager, RestoreRejectsMomentsAnEpochCannotUse) {
     for (int i = 0; i < 400; ++i) source.serve(Point{rng.normal(300.0 + 200.0 * epoch, 80.0)});
     source.run_epoch();
   }
-  std::vector<std::uint8_t> blob = checkpoint_of(source);
-  // save()'s layout: a 44-byte header, the placement (u32 count, u32 ids),
-  // then the first replica's cluster count, and its first cluster's count,
-  // weight and sum (u32 length, then the components).
   const std::size_t replicas = source.placement().size();
-  const std::size_t sum_offset = 44 + 4 + 4 * replicas + 4 + 8 + 8 + 4;
-  double sum = 0.0;
-  std::memcpy(&sum, blob.data() + sum_offset, sizeof sum);
-  ASSERT_EQ(sum, source.summary_of(source.placement().front()).front().sum()[0]);
-  const std::vector<std::uint8_t> valid = blob;
-  // Exponent bit 9 of sum[0]: the centroid moves 2^512 times further out,
-  // every squared distance overflows, and the next epoch used to throw
-  // InternalError "ran out of candidates before reaching k".
-  blob[sum_offset + 7] ^= 0x20;
-  std::memcpy(&sum, blob.data() + sum_offset, sizeof sum);
-  ASSERT_TRUE(std::isfinite(sum));
-  ASSERT_FALSE(std::isfinite(sum * sum));
-  // Exponent bit 10 of sum2[0], which follows sum: sum2 shrinks by 2^1024,
-  // count·sum2 < sum² describes no set of points, and a build with debug
-  // checks used to throw InternalError from the moment check next epoch.
-  std::vector<std::uint8_t> unrealizable = valid;
-  const std::size_t sum2_offset = sum_offset + sizeof(double) + 4;
-  ASSERT_NE(unrealizable[sum2_offset + 7] & 0x40, 0);
-  unrealizable[sum2_offset + 7] ^= 0x40;
-
+  const cluster::MicroCluster& first = source.summary_of(source.placement().front()).front();
   ReplicationManager target(line_candidates(12), small_config(3), 7);
-  expect_rejected(target, blob);
-  expect_rejected(target, unrealizable);
+
+  // v3: a 44-byte header, the placement (u32 count, u32 ids), then the first
+  // replica's summary frame: varint cluster count and dimension (one byte
+  // each here), the first cluster's varint (count << 1) | w, its weight
+  // unless w = 1, then sum[d] and sum2[d].
+  const bool weight_elided = first.weight() == static_cast<double>(first.count());
+  const std::size_t header_bytes =
+      varint_size((first.count() << 1) | (weight_elided ? 1u : 0u));
+  const std::size_t sum_offset =
+      44 + 4 + 4 * replicas + 1 + 1 + header_bytes + (weight_elided ? 0 : sizeof(double));
+  expect_exponent_flips_rejected(target, checkpoint_of(source), sum_offset,
+                                 sum_offset + sizeof(double), first);
+
+  // v2, as the build before checkpoint v3 saved the same manager: the first
+  // replica's u32 cluster count, then the first cluster's u64 count, f64
+  // weight, and sum and sum2 each behind a u32 length.
+  const std::vector<std::uint8_t> v2 = from_hex(kMomentsSourceV2);
+  {
+    ReplicationManager restored(line_candidates(12), small_config(3), 7);
+    ByteReader reader(v2);
+    restored.restore(reader);
+    EXPECT_EQ(checkpoint_of(restored), checkpoint_of(source));
+  }
+  const std::size_t v2_sum_offset = 44 + 4 + 4 * replicas + 4 + 8 + 8 + 4;
+  expect_exponent_flips_rejected(target, v2, v2_sum_offset, v2_sum_offset + sizeof(double) + 4,
+                                 first);
+
   for (int i = 0; i < 100; ++i) target.serve(Point{rng.normal(300.0, 80.0)});
   EXPECT_EQ(target.run_epoch().epoch_accesses, 100u);
 }

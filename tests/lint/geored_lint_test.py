@@ -115,7 +115,7 @@ FIXTURE = {
         'bool has() { return __builtin_cpu_supports("avx2"); }',
     ],
     "src/placement/online.cpp": ["auto p = new OnlineClusteringPlacement(config);"],
-    "src/core/epoch_pipeline.cpp": ["OnlineClusteringPlacement strategy(config);"],
+    "src/core/collector.cpp": ["OnlineClusteringPlacement strategy(config);"],
     "src/core/replication_manager.cpp": ["OnlineClusteringPlacement(strategy).place(input);"],
     "src/reference/kmeans_scalar.cpp": ['#include "reference/scalar.h"'],
     "bench/micro_perf.cpp": ['#include "reference/scalar.h"'],

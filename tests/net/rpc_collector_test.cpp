@@ -148,6 +148,21 @@ TEST(RpcCollector, ZeroFaultsIsByteIdenticalToDirect) {
   EXPECT_EQ(rpc.last_stats().retries, 0u);
 }
 
+TEST(RpcCollector, SummaryBytesAreThePayloadBytes) {
+  // Direct charges each source by serialized_size; rpc counts the payloads
+  // that crossed the socket. Both are the sources' summary frames.
+  const auto sources = make_sources(5, 13);
+  const auto candidates = line_candidates();
+  const CollectionContext context{candidates, 3, 7};
+  std::size_t frame_bytes = 0;
+  for (const auto& source : sources) frame_bytes += fingerprint(source.clusters).size();
+
+  RpcCollector rpc(fast_config(), std::make_shared<VirtualClock>());
+  EXPECT_EQ(rpc.collect(sources, context).summary_bytes, frame_bytes);
+  core::DirectCollector direct;
+  EXPECT_EQ(direct.collect(sources, context).summary_bytes, frame_bytes);
+}
+
 TEST(RpcCollector, EmptySourcesCompleteTrivially) {
   RpcCollector rpc(fast_config(), std::make_shared<VirtualClock>());
   const auto candidates = line_candidates();

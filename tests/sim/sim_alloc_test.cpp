@@ -22,13 +22,14 @@ namespace {
 std::atomic<std::size_t> g_allocations{0};
 }  // namespace
 
-void* operator new(std::size_t size) {
+// Neither operator new nor delete is inlined: GCC's -Wmismatched-new-delete
+// otherwise sees the malloc() inside operator new, or the free() inside
+// operator delete, at the inlined call sites and calls them a mismatch.
+[[gnu::noinline]] void* operator new(std::size_t size) {
   g_allocations.fetch_add(1, std::memory_order_relaxed);
   if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
   throw std::bad_alloc();
 }
-// Not inlined: GCC's -Wmismatched-new-delete otherwise sees the free() of
-// operator new's memory at every inlined delete site.
 [[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
 [[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 

@@ -2,14 +2,24 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <limits>
 #include <optional>
+#include <string>
 
 #include "common/random.h"
 #include "topology/topology.h"
 
 namespace geored::store {
 namespace {
+
+/// The value "v<n>", built by appending: GCC 12 at -O3 reports a false
+/// -Wrestrict overlap inside libstdc++ for "v" + std::to_string(n).
+std::string value_for(std::uint64_t n) {
+  std::string value = "v";
+  value += std::to_string(n);
+  return value;
+}
 
 /// Deterministic world: explicit 1-D positions, RTT = |distance| (min 0.1).
 struct StoreWorld {
@@ -131,10 +141,10 @@ TEST(KvStore, QuorumIntersectionGivesReadYourWrites) {
                           7);
   for (ObjectId id = 0; id < 20; ++id) {
     bool done = false;
-    store.put(4, world.positions[4], id, "v" + std::to_string(id), [&](const PutResult&) {
+    store.put(4, world.positions[4], id, value_for(id), [&](const PutResult&) {
       // Issue the read the instant the write commits.
       store.get(5, world.positions[5], id, [&, id](const GetResult& r) {
-        EXPECT_EQ(r.value.data, "v" + std::to_string(id));
+        EXPECT_EQ(r.value.data, value_for(id));
         EXPECT_FALSE(r.stale);
         done = true;
       });

@@ -30,7 +30,7 @@ Rules:
   registry-only    No direct OnlineClusteringPlacement construction outside
                    the placement layer, the epoch loop's proposal
                    (src/core/replication_manager.cpp) and the decentralized
-                   collector's default rule (src/core/epoch_pipeline.cpp):
+                   collector's default rule (src/core/collector.cpp):
                    callers go through place::make_strategy("online") or
                    make_collector so every decision rule stays
                    registry-addressable.
@@ -163,7 +163,7 @@ HOT_ALLOC_FILES = (
     "src/netcoord/rnp.cpp",
     "src/netcoord/vivaldi.cpp",
     "src/placement/evaluate.cpp",
-    "src/core/epoch_pipeline.cpp",
+    "src/core/collector.cpp",
     "src/core/epoch_trace.h",
     "src/serve/request_router.cpp",
     "src/serve/latency_histogram.h",
@@ -350,7 +350,7 @@ RULES = (
     ),
     Rule(
         "registry-only", DIRECT_CONSTRUCTION, LIBRARY + DRIVERS,
-        ("src/placement/", "src/core/replication_manager.cpp", "src/core/epoch_pipeline.cpp"),
+        ("src/placement/", "src/core/replication_manager.cpp", "src/core/collector.cpp"),
         None,
         "construct OnlineClusteringPlacement through place::make_strategy(\"online\") or "
         "make_collector, not directly",
