@@ -5,7 +5,9 @@
 // holder compute the identical proposal locally — no central server, no
 // single point of failure, at the cost of k*(k-1) instead of k summary
 // messages. This harness verifies agreement and quantifies the traffic and
-// latency difference across k.
+// latency difference across k. Both paths decide on centroid frames (phase 1
+// of cluster/summary_frame.h); the moment frames an adopting epoch adds
+// scale the same way and are left out.
 #include <cstdio>
 
 #include "bench_util.h"
@@ -58,7 +60,7 @@ int main() {
     double central_ms = 0.0;
     for (const auto& [node, clusters] : summaries) {
       if (node != 0) {
-        central_bytes += cluster::serialized_size(clusters);
+        central_bytes += cluster::centroid_frame_size(clusters);
         central_ms = std::max(central_ms, topology.rtt_ms(node, 0) / 2.0);
       }
     }

@@ -741,7 +741,7 @@ std::vector<CaseResult> run_scale(const Scale& scale, std::size_t repeats,
         summarizer.add(access_points[i], access_weights[i]);
       }
       ByteWriter writer;
-      summarizer.serialize(writer);
+      cluster::write_clusters(writer, summarizer.clusters());
       scalar_bytes = writer.bytes();
       g_sink += static_cast<double>(scalar_bytes.size());
     });
@@ -749,7 +749,7 @@ std::vector<CaseResult> run_scale(const Scale& scale, std::size_t repeats,
       cluster::MicroClusterSummarizer summarizer(sconfig);
       summarizer.add_batch(access_batch, access_weights);
       ByteWriter writer;
-      summarizer.serialize(writer);
+      cluster::write_clusters(writer, summarizer.clusters());
       fast_bytes = writer.bytes();
       g_sink += static_cast<double>(fast_bytes.size());
     });
@@ -942,17 +942,18 @@ std::vector<CaseResult> run_scale(const Scale& scale, std::size_t repeats,
           summarizers.at(access_replica[i]).add(access_points[i], access_weights[i]);
         }
       }
-      // (2) Direct collection from every replica in node order.
+      // (2) Direct collection from every replica in node order (phase 1).
       core::CollectedSummaries collected;
+      std::vector<core::SummarySource> sources;
+      core::DirectCollector collector;
+      const core::CollectionContext context{world.candidates, scale.k, derived_seed};
       {
         const core::StageTimer timer(tr.collect_ms);
-        std::vector<core::SummarySource> sources;
         sources.reserve(summarizers.size());
         for (const auto& [node, summarizer] : summarizers) {
           sources.push_back({node, summarizer.clusters()});
         }
-        core::DirectCollector collector;
-        collected = collector.collect(sources, {world.candidates, scale.k, derived_seed});
+        collected = collector.collect(sources, context);
       }
       // (3) Macro-clustering proposal through the frozen scalar solver
       // pair (no warm start, exactly like the manager's own epoch 0).
@@ -981,12 +982,18 @@ std::vector<CaseResult> run_scale(const Scale& scale, std::size_t repeats,
         }
         decision = core::decide_migration(mconfig.migration, old_delay, new_delay, moved);
       }
-      // (5) Adopt via the frozen scalar redistribution, or retain (decay).
+      // (5) Adopt via the frozen scalar redistribution after phase 2, or
+      // retain (decay).
       Placement adopted_placement = routed;
       ByteWriter writer;
+      const bool adopt = decision.migrate || proposed.size() != routed.size();
+      if (adopt) {
+        const core::StageTimer timer(tr.collect_ms);
+        collector.collect_moments(sources, context, collected);
+      }
       {
         const core::StageTimer timer(tr.adopt_ms);
-        if (decision.migrate || proposed.size() != routed.size()) {
+        if (adopt) {
           adopted_placement = proposed;
           const std::map<topo::NodeId, cluster::MicroClusterSummarizer> adopted =
               core::redistribute_to_nearest_scalar(proposed, collected.summaries,

@@ -6,9 +6,10 @@
 //
 // Measured concretely here:
 //   * bandwidth  — bytes that must reach the central server per placement:
-//     one summary frame of m micro-clusters per replica, k frames in all
-//     (online), vs n serialized client coordinate records (offline), for
-//     growing access counts n;
+//     per replica, one centroid frame of m micro-clusters every epoch and
+//     the moment frame completing it when the epoch adopts a placement
+//     (online, the two phases of cluster/summary_frame.h), vs n serialized
+//     client coordinate records (offline), for growing access counts n;
 //   * computation — google-benchmark timings of the macro-clustering step
 //     on k*m pseudo-points (online) vs k-means over all n client
 //     coordinates (offline), plus the per-access summarizer cost that the
@@ -99,24 +100,31 @@ void print_bandwidth_table() {
   std::printf("Table II (measured): bytes shipped to the central server per placement\n");
   std::printf("k = %zu replicas; online ships k*m micro-clusters, offline ships\n",
               kReplicas);
-  std::printf("one coordinate record per access (%zu-dim coordinates)\n", kDim);
+  std::printf("one coordinate record per access (%zu-dim coordinates). Online\n", kDim);
+  std::printf("ships centroid frames every epoch, and moment frames only when the\n");
+  std::printf("epoch adopts a placement; the ratio is against an adopting epoch.\n");
   std::printf("==============================================================\n");
-  std::printf("%-14s %-10s %18s %18s %10s\n", "accesses (n)", "m", "online bytes",
-              "offline bytes", "ratio");
+  std::printf("%-14s %-6s %18s %18s %16s %10s\n", "accesses (n)", "m", "centroid B/epoch",
+              "moment B/adoption", "offline bytes", "ratio");
 
   // Offline record: client id (4) + access count (8) + coords (4 + dim*8).
   const std::size_t offline_record = 4 + 8 + 4 + kDim * 8;
   bool online_always_smaller_beyond_1k = true;
   for (const std::size_t n : {1000ul, 10000ul, 100000ul, 1000000ul}) {
     for (const std::size_t m : {4ul, 100ul}) {
-      // What the replicas ship: one summary frame each.
-      ByteWriter writer;
+      // What the replicas ship: one centroid frame each, then one moment
+      // frame each when the epoch adopts.
+      ByteWriter centroids;
+      ByteWriter moments;
       for (std::size_t r = 0; r < kReplicas; ++r) {
-        cluster::write_clusters(writer, build_summary(m, n / kReplicas, r + 17));
+        const auto summary = build_summary(m, n / kReplicas, r + 17);
+        cluster::write_centroid_frame(centroids, summary);
+        cluster::write_moment_frame(moments, summary);
       }
-      const std::size_t online_bytes = writer.size();
+      const std::size_t online_bytes = centroids.size() + moments.size();
       const std::size_t offline_bytes = n * offline_record;
-      std::printf("%-14zu %-10zu %18zu %18zu %9.1fx\n", n, m, online_bytes, offline_bytes,
+      std::printf("%-14zu %-6zu %18zu %18zu %16zu %9.1fx\n", n, m, centroids.size(),
+                  moments.size(), offline_bytes,
                   static_cast<double>(offline_bytes) / static_cast<double>(online_bytes));
       if (n >= 1000 && online_bytes >= offline_bytes) {
         online_always_smaller_beyond_1k = false;
@@ -126,16 +134,22 @@ void print_bandwidth_table() {
   std::printf("\npaper-shape checks:\n");
   std::printf("  [%s] online bandwidth O(km), not O(n); offline grows linearly\n",
               online_always_smaller_beyond_1k ? "PASS" : "FAIL");
-  // Bytes per cluster, read from one replica's frame (its two header
-  // varints shared among the clusters).
+  // Bytes per cluster, read from one replica's two frames (the header
+  // varints of each shared among the clusters).
   const auto summary = build_summary(100, 10000, 3);
-  ByteWriter frame;
-  cluster::write_clusters(frame, summary);
-  const double per_cluster =
-      static_cast<double>(frame.size()) / static_cast<double>(summary.size());
-  std::printf("  [%s] each micro-cluster under 1 KB on the wire (paper: <1KB): %.1f B "
-              "(a %zu-cluster frame of %zu B)\n",
-              per_cluster < 1024.0 ? "PASS" : "FAIL", per_cluster, summary.size(), frame.size());
+  ByteWriter centroid_frame;
+  cluster::write_centroid_frame(centroid_frame, summary);
+  ByteWriter moment_frame;
+  cluster::write_moment_frame(moment_frame, summary);
+  const auto clusters = static_cast<double>(summary.size());
+  const double centroid_per_cluster = static_cast<double>(centroid_frame.size()) / clusters;
+  const double moment_per_cluster = static_cast<double>(moment_frame.size()) / clusters;
+  std::printf("  [%s] each micro-cluster under 1 KB on the wire (paper: <1KB): %.1f B in "
+              "its centroid frame + %.1f B in its moment frame (%zu-cluster frames of %zu + "
+              "%zu B)\n",
+              centroid_per_cluster + moment_per_cluster < 1024.0 ? "PASS" : "FAIL",
+              centroid_per_cluster, moment_per_cluster, summary.size(), centroid_frame.size(),
+              moment_frame.size());
 }
 
 }  // namespace

@@ -115,8 +115,4 @@ void MicroClusterSummarizer::clear() {
   total_count_ = 0;
 }
 
-void MicroClusterSummarizer::serialize(ByteWriter& writer) const {
-  write_clusters(writer, clusters());
-}
-
 }  // namespace geored::cluster

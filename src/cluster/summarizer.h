@@ -12,7 +12,7 @@
 // the per-access hot path is one fused nearest+radius kernel with no
 // allocation. Results are bit-identical to the frozen scalar reference
 // (reference/summarizer_scalar.h, test-only); the IngestEquivalence suite
-// compares serialized bytes.
+// compares their clusters' summary frames (cluster/summary_frame.h).
 #pragma once
 
 #include <cstdint>
@@ -24,7 +24,6 @@
 #include "cluster/summary_frame.h"
 #include "common/point.h"
 #include "common/point_set.h"
-#include "common/serialize.h"
 
 namespace geored::cluster {
 
@@ -81,10 +80,6 @@ class MicroClusterSummarizer {
   void decay();
 
   void clear();
-
-  /// Writes all clusters as one summary frame (cluster/summary_frame.h):
-  /// the per-replica message of Algorithm 1.
-  void serialize(ByteWriter& writer) const;
 
   /// The underlying flat moment store — exposed so tests can pin the radius
   /// cache invalidation contract.

@@ -2,7 +2,9 @@
 
 #include <bit>
 #include <cmath>
+#include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <utility>
 
@@ -23,6 +25,10 @@ struct FrameAccess {
     cluster.sum2_ = Point(std::move(sum2));
     return cluster;
   }
+
+  static void set_sum2(MicroCluster& cluster, std::vector<double> sum2) {
+    cluster.sum2_ = Point(std::move(sum2));
+  }
 };
 
 }  // namespace detail
@@ -31,6 +37,12 @@ namespace {
 
 /// Counts whose (count << 1) | w header still fits 64 bits.
 constexpr std::uint64_t kCountLimit = std::uint64_t{1} << 63;
+
+/// Which moments a frame carries per cluster: the full frame both, the
+/// centroid frame (phase 1) the first alone.
+enum class Moments { kSumOnly, kBoth };
+
+std::size_t moments_per_dim(Moments moments) { return moments == Moments::kBoth ? 2 : 1; }
 
 /// The frame's w flag: the weight carries nothing the count does not.
 bool weight_is_count(std::uint64_t count, double weight) {
@@ -47,25 +59,38 @@ std::uint64_t cluster_header(const MicroCluster& cluster) {
   throw WireFormatError("corrupt summary frame: " + what);
 }
 
-/// The per-moment checks every decoder applies: what no encoder could emit
-/// from a summarizer's clusters.
-void check_moments(double weight, const std::vector<double>& sum,
-                   const std::vector<double>& sum2) {
+std::size_t dimension_of(const std::vector<MicroCluster>& clusters) {
+  return clusters.empty() ? 0 : clusters.front().sum().dim();
+}
+
+// The per-value checks every decoder applies: what no encoder could emit
+// from a summarizer's clusters.
+
+void check_weight(double weight) {
   if (!std::isfinite(weight) || weight < 0.0) reject("non-finite or negative weight");
-  for (std::size_t d = 0; d < sum.size(); ++d) {
-    if (!std::isfinite(sum[d]) || !std::isfinite(sum2[d])) reject("non-finite moments");
-    if (sum2[d] < 0.0) reject("negative second moment in dimension " + std::to_string(d));
+}
+
+void check_sums(std::span<const double> sum) {
+  for (const double value : sum) {
+    if (!std::isfinite(value)) reject("non-finite moments");
   }
 }
 
-}  // namespace
+void check_second_moments(std::span<const double> sum2) {
+  for (const double value : sum2) {
+    if (!std::isfinite(value)) reject("non-finite moments");
+    if (value < 0.0) reject("negative second moment");
+  }
+}
 
-void write_clusters(ByteWriter& writer, const std::vector<MicroCluster>& clusters) {
-  const std::size_t dim = clusters.empty() ? 0 : clusters.front().sum().dim();
+void write_frame(ByteWriter& writer, const std::vector<MicroCluster>& clusters,
+                 Moments moments) {
+  const std::size_t dim = dimension_of(clusters);
   for (const auto& cluster : clusters) {
     GEORED_ENSURE(cluster.count() > 0 && cluster.count() < kCountLimit,
                   "a summary frame carries cluster counts in [1, 2^63)");
-    GEORED_ENSURE(dim > 0 && cluster.sum().dim() == dim && cluster.sum2().dim() == dim,
+    GEORED_ENSURE(dim > 0 && cluster.sum().dim() == dim &&
+                      (moments == Moments::kSumOnly || cluster.sum2().dim() == dim),
                   "the clusters of a summary frame share one positive dimension");
   }
   writer.write_varint(clusters.size());
@@ -76,38 +101,39 @@ void write_clusters(ByteWriter& writer, const std::vector<MicroCluster>& cluster
     writer.write_varint(header);
     if ((header & 1) == 0) writer.write_f64(cluster.weight());
     writer.write_f64s(cluster.sum().values());
-    writer.write_f64s(cluster.sum2().values());
+    if (moments == Moments::kBoth) writer.write_f64s(cluster.sum2().values());
   }
 }
 
-std::size_t serialized_size(const std::vector<MicroCluster>& clusters) noexcept {
+std::size_t frame_size(const std::vector<MicroCluster>& clusters, Moments moments) noexcept {
   std::size_t bytes = varint_size(clusters.size());
   if (clusters.empty()) return bytes;
-  const std::size_t dim = clusters.front().sum().dim();
+  const std::size_t dim = dimension_of(clusters);
   bytes += varint_size(dim);
   for (const auto& cluster : clusters) {
     const std::uint64_t header = cluster_header(cluster);
     bytes += varint_size(header) + ((header & 1) == 0 ? sizeof(double) : 0) +
-             2 * dim * sizeof(double);
+             moments_per_dim(moments) * dim * sizeof(double);
   }
   return bytes;
 }
 
-std::vector<MicroCluster> read_clusters(ByteReader& reader) {
+std::vector<MicroCluster> read_frame(ByteReader& reader, Moments moments) {
   std::vector<MicroCluster> clusters;
   const std::uint64_t n = reader.read_varint();
   if (n == 0) return clusters;
   const std::uint64_t dim = reader.read_varint();
   if (dim == 0) reject("dimension 0 with " + std::to_string(n) + " clusters");
   // Both header fields are bounded by the bytes left before anything is
-  // sized from them: a cluster takes at least a one-byte header and 2·d
-  // doubles.
+  // sized from them: a cluster takes at least a one-byte header and its
+  // moments' doubles.
   const std::size_t left = reader.remaining();
-  if (dim > left / (2 * sizeof(double))) {
+  const std::size_t doubles_per_dim = moments_per_dim(moments);
+  if (dim > left / (doubles_per_dim * sizeof(double))) {
     reject("dimension " + std::to_string(dim) + " cannot fit in the " + std::to_string(left) +
            " bytes remaining");
   }
-  const std::size_t min_cluster_bytes = 1 + 2 * sizeof(double) * dim;
+  const std::size_t min_cluster_bytes = 1 + doubles_per_dim * sizeof(double) * dim;
   if (n > left / min_cluster_bytes) {
     reject("cluster count " + std::to_string(n) + " cannot fit in the " +
            std::to_string(left) + " bytes remaining");
@@ -123,13 +149,92 @@ std::vector<MicroCluster> read_clusters(ByteReader& reader) {
       if (weight_is_count(count, weight)) reject("explicit weight equal to the count");
     }
     std::vector<double> sum(dim);
-    std::vector<double> sum2(dim);
     reader.read_f64s(sum);
-    reader.read_f64s(sum2);
-    check_moments(weight, sum, sum2);
+    std::vector<double> sum2;
+    if (moments == Moments::kBoth) {
+      sum2.resize(dim);
+      reader.read_f64s(sum2);
+    }
+    check_weight(weight);
+    check_sums(sum);
+    check_second_moments(sum2);
     clusters.push_back(detail::FrameAccess::make(count, weight, std::move(sum), std::move(sum2)));
   }
   return clusters;
+}
+
+}  // namespace
+
+void write_clusters(ByteWriter& writer, const std::vector<MicroCluster>& clusters) {
+  write_frame(writer, clusters, Moments::kBoth);
+}
+
+std::size_t serialized_size(const std::vector<MicroCluster>& clusters) noexcept {
+  return frame_size(clusters, Moments::kBoth);
+}
+
+std::vector<MicroCluster> read_clusters(ByteReader& reader) {
+  return read_frame(reader, Moments::kBoth);
+}
+
+void write_centroid_frame(ByteWriter& writer, const std::vector<MicroCluster>& clusters) {
+  write_frame(writer, clusters, Moments::kSumOnly);
+}
+
+std::size_t centroid_frame_size(const std::vector<MicroCluster>& clusters) noexcept {
+  return frame_size(clusters, Moments::kSumOnly);
+}
+
+std::vector<MicroCluster> read_centroid_frame(ByteReader& reader) {
+  return read_frame(reader, Moments::kSumOnly);
+}
+
+void write_moment_frame(ByteWriter& writer, const std::vector<MicroCluster>& clusters) {
+  const std::size_t dim = dimension_of(clusters);
+  for (const auto& cluster : clusters) {
+    GEORED_ENSURE(dim > 0 && cluster.sum().dim() == dim && cluster.sum2().dim() == dim,
+                  "the clusters of a moment frame share one positive dimension");
+  }
+  writer.write_varint(clusters.size());
+  if (clusters.empty()) return;
+  writer.write_varint(dim);
+  for (const auto& cluster : clusters) writer.write_f64s(cluster.sum2().values());
+}
+
+std::size_t moment_frame_size(const std::vector<MicroCluster>& clusters) noexcept {
+  if (clusters.empty()) return varint_size(0);
+  const std::size_t dim = dimension_of(clusters);
+  return varint_size(clusters.size()) + varint_size(dim) +
+         clusters.size() * dim * sizeof(double);
+}
+
+void read_moment_frame(ByteReader& reader, std::span<MicroCluster> clusters) {
+  const std::uint64_t n = reader.read_varint();
+  if (n != clusters.size()) {
+    reject("moment frame of " + std::to_string(n) +
+           " clusters completes a centroid frame of " + std::to_string(clusters.size()));
+  }
+  if (n == 0) return;
+  const std::uint64_t dim = reader.read_varint();
+  const std::size_t expected_dim = clusters.front().sum().dim();
+  if (dim != expected_dim) {
+    reject("moment frame of dimension " + std::to_string(dim) +
+           " completes a centroid frame of dimension " + std::to_string(expected_dim));
+  }
+  // n and d match clusters the caller holds, so n·d cannot overflow; the
+  // bytes left bound it before the scratch is sized.
+  if (n * dim > reader.remaining() / sizeof(double)) {
+    reject(std::to_string(n * dim) + " second moments cannot fit in the " +
+           std::to_string(reader.remaining()) + " bytes remaining");
+  }
+  std::vector<double> sum2(n * dim);
+  reader.read_f64s(sum2);
+  check_second_moments(sum2);
+  for (std::size_t i = 0; i < clusters.size(); ++i) {
+    const auto first = sum2.begin() + static_cast<std::ptrdiff_t>(i * dim);
+    detail::FrameAccess::set_sum2(
+        clusters[i], std::vector<double>(first, first + static_cast<std::ptrdiff_t>(dim)));
+  }
 }
 
 std::vector<MicroCluster> read_fixed_width_clusters(ByteReader& reader) {
@@ -148,7 +253,9 @@ std::vector<MicroCluster> read_fixed_width_clusters(ByteReader& reader) {
     std::vector<double> sum = reader.read_f64_vector();
     std::vector<double> sum2 = reader.read_f64_vector();
     if (sum.size() != sum2.size()) reject("moment dimension mismatch");
-    check_moments(weight, sum, sum2);
+    check_weight(weight);
+    check_sums(sum);
+    check_second_moments(sum2);
     clusters.push_back(detail::FrameAccess::make(count, weight, std::move(sum), std::move(sum2)));
   }
   return clusters;

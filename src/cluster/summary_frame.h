@@ -1,11 +1,14 @@
-// The summary frame: the one wire encoding of a replica's micro-clusters.
+// The summary frames: the wire encodings of a replica's micro-clusters.
 //
-// Every path that ships or stores summaries uses it: the four collectors
-// (direct, hierarchical, decentralized, rpc) and the manager checkpoint. Its
-// size is the unit of the Table II bandwidth accounting
+// Every path that ships or stores summaries uses them: the four collectors
+// (direct, hierarchical, decentralized, rpc) and the manager checkpoint.
+// Their sizes are the unit of the Table II bandwidth accounting
 // (EpochReport::summary_bytes, sim::TrafficClass::kSummary).
 //
-// One frame, with LEB128 varints and little-endian IEEE doubles:
+// All three frames use LEB128 varints and little-endian IEEE doubles.
+//
+// The full frame (checkpoint v3, and the hierarchical source -> aggregator
+// hop, where aggregators merge clusters):
 //
 //   varint  n                      cluster count
 //   varint  d                      dimension; present only when n > 0
@@ -15,14 +18,27 @@
 //     f64     sum[d]
 //     f64     sum2[d]
 //
+// A collection round ships it in two phases, because propose and gate read
+// only each cluster's count, weight and sum (Algorithm 1 clusters the
+// micro-cluster centroids), and only the hand-off of an adopting epoch
+// (core::redistribute_to_nearest) needs the second moments:
+//
+//   centroid frame (phase 1, every epoch): the full frame without sum2;
+//   moment frame (phase 2, only when the epoch adopts):
+//     varint  n                    must equal its centroid frame's
+//     varint  d                    must equal its centroid frame's; present
+//                                  only when n > 0
+//     f64     sum2[n·d]            cluster by cluster
+//
 // w = 1 exactly when the weight's bits equal those of double(count), as they
 // do for unit-weight traffic; the decoder then takes the weight from the
 // count, so every double round-trips bit for bit. At d = 5 a cluster of
-// 64 to 8,191 accesses takes 82 bytes with its weight elided and 90 with it;
-// the fixed-width layout this replaced took 104 whatever the count.
+// 64 to 8,191 accesses takes 82 bytes in the full frame with its weight
+// elided (90 with it), 42 in the centroid frame and 40 in the moment frame.
 #pragma once
 
 #include <cstddef>
+#include <span>
 #include <vector>
 
 #include "cluster/microcluster.h"
@@ -30,17 +46,17 @@
 
 namespace geored::cluster {
 
-/// Appends the frame of `clusters`: the per-source message of Algorithm 1.
-/// Throws std::invalid_argument, writing nothing, unless every cluster has a
-/// count in [1, 2^63) and all share one positive dimension.
+/// Appends the full frame of `clusters`. Throws std::invalid_argument,
+/// writing nothing, unless every cluster has a count in [1, 2^63) and all
+/// share one positive dimension in both moments.
 void write_clusters(ByteWriter& writer, const std::vector<MicroCluster>& clusters);
 
 /// Bytes write_clusters(clusters) appends, computed without writing them.
 /// Allocates nothing.
 std::size_t serialized_size(const std::vector<MicroCluster>& clusters) noexcept;
 
-/// Decodes one frame. Hardened against hostile bytes: truncated input; a
-/// varint longer than 10 bytes, past 64 bits or not canonical; a cluster
+/// Decodes one full frame. Hardened against hostile bytes: truncated input;
+/// a varint longer than 10 bytes, past 64 bits or not canonical; a cluster
 /// count the bytes left cannot hold at 1 + 16·d bytes per cluster; d = 0
 /// with clusters; a cluster count of 0 (one of 2^63 or more cannot be
 /// written: its header would overflow the varint); an explicit weight equal
@@ -49,6 +65,41 @@ std::size_t serialized_size(const std::vector<MicroCluster>& clusters) noexcept;
 /// moment all throw geored::WireFormatError before anything is sized from
 /// them. Every frame it accepts re-encodes to the same bytes.
 std::vector<MicroCluster> read_clusters(ByteReader& reader);
+
+/// Appends the centroid frame of `clusters` (phase 1): the full frame
+/// without the second moments. Throws std::invalid_argument, writing
+/// nothing, unless every count is in [1, 2^63) and every sum shares one
+/// positive dimension; the second moments are not read.
+void write_centroid_frame(ByteWriter& writer, const std::vector<MicroCluster>& clusters);
+
+/// Bytes write_centroid_frame(clusters) appends. Allocates nothing.
+std::size_t centroid_frame_size(const std::vector<MicroCluster>& clusters) noexcept;
+
+/// Decodes one centroid frame, with read_clusters' checks at 1 + 8·d bytes
+/// per cluster. The clusters carry count, weight and sum; their sum2 is
+/// empty (dimension 0) until read_moment_frame completes them, so only what
+/// propose and gate read is meaningful. Every frame it accepts re-encodes to
+/// the same bytes.
+std::vector<MicroCluster> read_centroid_frame(ByteReader& reader);
+
+/// Appends the moment frame of `clusters` (phase 2): the second moments
+/// their centroid frame left out. Throws std::invalid_argument, writing
+/// nothing, unless the clusters share one positive dimension in both
+/// moments.
+void write_moment_frame(ByteWriter& writer, const std::vector<MicroCluster>& clusters);
+
+/// Bytes write_moment_frame(clusters) appends: it depends only on their
+/// count and dimension. Allocates nothing.
+std::size_t moment_frame_size(const std::vector<MicroCluster>& clusters) noexcept;
+
+/// Decodes the moment frame that completes `clusters`, the clusters decoded
+/// from its centroid frame, and sets their second moments. Throws
+/// geored::WireFormatError, changing no cluster, on truncated input, a
+/// malformed varint, an n or d that differs from the clusters', an n·d the
+/// bytes left cannot hold (checked before anything is sized), and a second
+/// moment that is negative or not finite. Every frame it accepts
+/// re-encodes to the same bytes.
+void read_moment_frame(ByteReader& reader, std::span<MicroCluster> clusters);
 
 /// Decodes the fixed-width layout that checkpoint versions 1 and 2 stored
 /// per replica (u32 cluster count; per cluster a u64 count, an f64 weight,

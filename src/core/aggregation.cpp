@@ -124,15 +124,18 @@ AggregationResult run_aggregation(sim::Simulator& simulator, sim::Network& netwo
   GEORED_CHECK(*pending_root > 0, "no aggregator has any source");
 
   auto merged = std::make_shared<std::vector<cluster::MicroCluster>>();
+  auto forwarded = std::make_shared<std::vector<SummarySource>>();
   auto root_bytes = std::make_shared<std::uint64_t>(0);
   auto completion = std::make_shared<double>(0.0);
 
-  // Phase 2 sender: an aggregator finished -> forward its bounded merge.
-  const auto forward_to_root = [&simulator, &network, states, pending_root, merged,
+  // Second hop: an aggregator finished -> forward the centroid frame of its
+  // bounded merge.
+  const auto forward_to_root = [&simulator, &network, states, pending_root, merged, forwarded,
                                 root_bytes, completion, root](topo::NodeId aggregator) {
     auto& state = states->at(aggregator);
     const auto clusters = state.merger.clusters();
-    const std::size_t bytes = cluster::serialized_size(clusters);
+    forwarded->push_back({aggregator, clusters});
+    const std::size_t bytes = cluster::centroid_frame_size(clusters);
     *root_bytes += bytes;
     network.send(aggregator, root, bytes, sim::TrafficClass::kSummary,
                  [states, pending_root, merged, completion, clusters, &simulator] {
@@ -141,7 +144,7 @@ AggregationResult run_aggregation(sim::Simulator& simulator, sim::Network& netwo
                  });
   };
 
-  // Phase 1: every source ships its summary to its aggregator.
+  // First hop: every source ships its full frame to its aggregator.
   for (const auto& source : sources) {
     const topo::NodeId aggregator = plan.parent.at(source.node);
     const std::size_t bytes = cluster::serialized_size(source.clusters);
@@ -156,6 +159,7 @@ AggregationResult run_aggregation(sim::Simulator& simulator, sim::Network& netwo
 
   simulator.run();
   result.merged = *merged;
+  result.forwarded = std::move(*forwarded);
   result.bytes_into_root = *root_bytes;
   result.bytes_total =
       network.stats().bytes[static_cast<std::size_t>(sim::TrafficClass::kSummary)] -
@@ -176,7 +180,7 @@ AggregationResult run_flat_collection(sim::Simulator& simulator, sim::Network& n
   auto completion = std::make_shared<double>(0.0);
   std::uint64_t root_bytes = 0;
   for (const auto& source : sources) {
-    const std::size_t bytes = cluster::serialized_size(source.clusters);
+    const std::size_t bytes = cluster::centroid_frame_size(source.clusters);
     root_bytes += bytes;
     const auto clusters = source.clusters;
     network.send(source.node, root, bytes, sim::TrafficClass::kSummary,
@@ -187,12 +191,27 @@ AggregationResult run_flat_collection(sim::Simulator& simulator, sim::Network& n
   }
   simulator.run();
   result.merged = *merged;
+  result.forwarded = sources;
   result.bytes_into_root = root_bytes;
   result.bytes_total =
       network.stats().bytes[static_cast<std::size_t>(sim::TrafficClass::kSummary)] -
       base_summary_bytes;
   result.completion_ms = *completion;
   return result;
+}
+
+std::uint64_t run_moment_upload(sim::Simulator& simulator, sim::Network& network,
+                                const std::vector<SummarySource>& forwarded,
+                                topo::NodeId root) {
+  GEORED_ENSURE(!forwarded.empty(), "phase 2 completes the frames a collection forwarded");
+  std::uint64_t bytes = 0;
+  for (const auto& sender : forwarded) {
+    const std::size_t size = cluster::moment_frame_size(sender.clusters);
+    bytes += size;
+    network.send(sender.node, root, size, sim::TrafficClass::kSummary, [] {});
+  }
+  simulator.run();
+  return bytes;
 }
 
 }  // namespace geored::core

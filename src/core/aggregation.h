@@ -10,6 +10,11 @@
 // *bounded* micro-cluster set (the same CluStream merge the summarizers
 // use), and only the bounded merges travel to the root. Root inbound
 // bandwidth becomes O(aggregators * m̂) instead of O(sources * m).
+//
+// Sources send full frames, because an aggregator's merge reads the second
+// moments. Aggregators forward centroid frames (phase 1), and the moment
+// frames that complete them only when the epoch adopts (phase 2,
+// run_moment_upload); see cluster/summary_frame.h.
 #pragma once
 
 #include <cstdint>
@@ -54,23 +59,35 @@ AggregationPlan plan_aggregation(const std::vector<place::CandidateInfo>& candid
 struct AggregationResult {
   /// The root's merged view of every source's population.
   std::vector<cluster::MicroCluster> merged;
+  /// Every centroid frame the root received, as its sender and clusters, in
+  /// the order they were sent: what phase 2 completes.
+  std::vector<SummarySource> forwarded;
   std::uint64_t bytes_into_root = 0;   ///< summary bytes the root received
   std::uint64_t bytes_total = 0;       ///< summary bytes on all links
   double completion_ms = 0.0;          ///< virtual time until the root had everything
 };
 
-/// Runs the collection over the simulated network: sources -> aggregators
-/// -> root, with every message charged as summary traffic. The simulator is
-/// run to completion.
+/// Runs phase 1 of the collection over the simulated network: full frames
+/// from sources to aggregators, centroid frames from aggregators to the
+/// root, every message charged as summary traffic. The simulator is run to
+/// completion.
 AggregationResult run_aggregation(sim::Simulator& simulator, sim::Network& network,
                                   const AggregationPlan& plan,
                                   const std::vector<SummarySource>& sources,
                                   topo::NodeId root, const AggregationConfig& config);
 
-/// Reference flat collection (every source straight to the root), for the
-/// bandwidth comparison.
+/// Reference flat collection (every source's centroid frame straight to the
+/// root), for the bandwidth comparison.
 AggregationResult run_flat_collection(sim::Simulator& simulator, sim::Network& network,
                                       const std::vector<SummarySource>& sources,
                                       topo::NodeId root);
+
+/// Phase 2, when the epoch adopts: every sender in `forwarded` ships the
+/// root the moment frame that completes its centroid frame, charged as
+/// summary traffic. Runs the simulator to completion and returns the bytes
+/// the root received.
+std::uint64_t run_moment_upload(sim::Simulator& simulator, sim::Network& network,
+                                const std::vector<SummarySource>& forwarded,
+                                topo::NodeId root);
 
 }  // namespace geored::core

@@ -13,15 +13,45 @@
 
 namespace geored::core {
 
+namespace {
+
+/// The sources' clusters grouped by node, in node order: each replica's
+/// message in the decentralized exchange.
+std::map<topo::NodeId, std::vector<cluster::MicroCluster>>  // lint: alloc-ok
+group_by_node(const std::vector<SummarySource>& sources) {
+  // Once-per-epoch summary regrouping (~max_clusters x replicas entries),
+  // not a per-access path.
+  std::map<topo::NodeId, std::vector<cluster::MicroCluster>>  // lint: alloc-ok
+      replica_summaries;
+  for (const auto& source : sources) {
+    auto& clusters = replica_summaries[source.node];
+    clusters.insert(clusters.end(), source.clusters.begin(), source.clusters.end());
+  }
+  return replica_summaries;
+}
+
+}  // namespace
+
 CollectedSummaries DirectCollector::collect(const std::vector<SummarySource>& sources,
                                             const CollectionContext& context) {
   (void)context;
   CollectedSummaries collected;
   for (const auto& source : sources) {
-    collected.summary_bytes += cluster::serialized_size(source.clusters);
+    collected.summary_bytes += cluster::centroid_frame_size(source.clusters);
     for (const auto& micro : source.clusters) collected.summaries.push_back(micro);
   }
   return collected;
+}
+
+void DirectCollector::collect_moments(const std::vector<SummarySource>& sources,
+                                      const CollectionContext& context,
+                                      CollectedSummaries& collected) {
+  (void)context;
+  // The in-process copies already carry their second moments; only the
+  // frames that would have shipped them are counted.
+  for (const auto& source : sources) {
+    collected.summary_bytes += cluster::moment_frame_size(source.clusters);
+  }
 }
 
 HierarchicalCollector::HierarchicalCollector(sim::Simulator& simulator, sim::Network& network,
@@ -39,10 +69,22 @@ CollectedSummaries HierarchicalCollector::collect(const std::vector<SummarySourc
   const AggregationPlan plan =
       plan_aggregation(context.candidates, sources, config_, context.epoch_seed);
   AggregationResult result = run_aggregation(simulator_, network_, plan, sources, root_, config_);
+  forwarded_ = std::move(result.forwarded);
   CollectedSummaries collected;
   collected.summaries = std::move(result.merged);
   collected.summary_bytes = static_cast<std::size_t>(result.bytes_into_root);
   return collected;
+}
+
+void HierarchicalCollector::collect_moments(const std::vector<SummarySource>& sources,
+                                            const CollectionContext& context,
+                                            CollectedSummaries& collected) {
+  (void)sources;
+  (void)context;
+  // The root's merged clusters were built in-process with their moments;
+  // the aggregators' moment frames are what the root pays for them.
+  collected.summary_bytes +=
+      static_cast<std::size_t>(run_moment_upload(simulator_, network_, forwarded_, root_));
 }
 
 DecentralizedCollector::DecentralizedCollector(
@@ -55,14 +97,7 @@ DecentralizedCollector::DecentralizedCollector(
 CollectedSummaries DecentralizedCollector::collect(const std::vector<SummarySource>& sources,
                                                    const CollectionContext& context) {
   GEORED_ENSURE(!sources.empty(), "decentralized collection needs at least one source");
-  // Once-per-epoch summary regrouping (~max_clusters x replicas entries),
-  // not a per-access path.
-  std::map<topo::NodeId, std::vector<cluster::MicroCluster>>  // lint: alloc-ok
-      replica_summaries;
-  for (const auto& source : sources) {
-    auto& clusters = replica_summaries[source.node];
-    clusters.insert(clusters.end(), source.clusters.begin(), source.clusters.end());
-  }
+  const auto replica_summaries = group_by_node(sources);
   const DecentralizedEpochResult result =
       run_decentralized_epoch(simulator_, network_, context.candidates, replica_summaries,
                               context.k, context.epoch_seed, *strategy_);
@@ -76,6 +111,14 @@ CollectedSummaries DecentralizedCollector::collect(const std::vector<SummarySour
   collected.summary_bytes = static_cast<std::size_t>(result.summary_bytes);
   collected.agreed_proposal = result.proposal;
   return collected;
+}
+
+void DecentralizedCollector::collect_moments(const std::vector<SummarySource>& sources,
+                                             const CollectionContext& context,
+                                             CollectedSummaries& collected) {
+  (void)context;
+  collected.summary_bytes += static_cast<std::size_t>(
+      exchange_moment_frames(simulator_, network_, group_by_node(sources)));
 }
 
 namespace {

@@ -11,11 +11,18 @@
 //                      all-to-all decentralized agreement, or real sockets
 //                      ("rpc", net/rpc_collector.h)
 //
-// ReplicationManager::run_epoch runs the fixed steps after it: propose
-// (online clustering with the warm-start centroid cache), gate
-// (decide_migration, §III-C), and adopt (redistribute_to_nearest below) or
-// age the kept summaries. A collector that already agreed on a proposal
-// in-protocol (decentralized) returns it, and the propose step is skipped.
+// Collection runs in two phases (cluster/summary_frame.h). Phase 1
+// (collect) ships every source's centroid frame: the counts, weights and
+// sums that propose and gate read. Phase 2 (collect_moments) ships the
+// second moments, which only the hand-off of an adopting epoch reads, and
+// runs only when the gate adopts.
+//
+// ReplicationManager::run_epoch runs the fixed steps around them: collect,
+// propose (online clustering with the warm-start centroid cache), gate
+// (decide_migration, §III-C), and then either collect_moments and adopt
+// (redistribute_to_nearest below) or age the kept summaries. A collector
+// that already agreed on a proposal in-protocol (decentralized) returns it,
+// and the propose step is skipped.
 #pragma once
 
 #include <cstdint>
@@ -45,9 +52,12 @@ struct CollectionContext {
 
 /// What a collection round produced.
 struct CollectedSummaries {
-  /// Every collected micro-cluster, flattened in source order.
+  /// Every collected micro-cluster, flattened in source order. After phase 1
+  /// only count, weight and sum are guaranteed ("rpc" ships no second
+  /// moments until phase 2); after phase 2 every cluster carries them.
   std::vector<cluster::MicroCluster> summaries;
-  /// Wire bytes the decision point received (the O(km) cost of Table II).
+  /// Wire bytes the decision point received in both phases (the O(km) cost
+  /// of Table II).
   std::size_t summary_bytes = 0;
   /// Set when the collection protocol itself already agreed on a proposal
   /// (the decentralized collector); run_epoch then skips its propose step.
@@ -58,6 +68,11 @@ struct CollectedSummaries {
   /// Sources that contributed nothing: collection failed and no cached
   /// summary existed. The epoch still completes on what did arrive.
   std::vector<topo::NodeId> lost_sources;
+  /// Sources whose clusters phase 2 removed from `summaries`, so the adopted
+  /// placement does not inherit them: their second moments could not be
+  /// collected ("rpc": the phase-2 fetch ran out of retries, or phase 1
+  /// served the source a stale fallback).
+  std::vector<topo::NodeId> handoff_lost_sources;
 };
 
 /// The epoch's one pluggable stage: ships per-replica summaries to the
@@ -69,27 +84,45 @@ class SummaryCollector {
   /// Registry name of this collector ("direct", "hierarchical", ...).
   virtual std::string name() const = 0;
 
-  /// Collects `sources` (one entry per reporting replica, in source order)
-  /// into one flattened summary set. Must be deterministic in the sources
-  /// and `context.epoch_seed`.
+  /// Phase 1: collects `sources` (one entry per reporting replica, in
+  /// source order) into one flattened summary set, shipping each source's
+  /// centroid frame. Must be deterministic in the sources and
+  /// `context.epoch_seed`.
   virtual CollectedSummaries collect(const std::vector<SummarySource>& sources,
                                      const CollectionContext& context) = 0;
+
+  /// Phase 2, run only when the epoch adopts a placement: completes
+  /// `collected`, what collect() just returned for the same `sources` and
+  /// `context`, for the hand-off. Afterwards every cluster left in
+  /// collected.summaries carries its second moments, the clusters whose
+  /// moments could not be collected are removed (their sources appended to
+  /// handoff_lost_sources), and summary_bytes has grown by the moment frames
+  /// received. Must be deterministic like collect().
+  virtual void collect_moments(const std::vector<SummarySource>& sources,
+                               const CollectionContext& context,
+                               CollectedSummaries& collected) = 0;
 };
 
 /// In-process collection: summaries are concatenated locally, and the wire
-/// size is the sum of the summary frames (cluster/summary_frame.h) the
-/// sources would send straight to the coordinator, computed without
-/// writing them.
+/// size is the sum of the frames (cluster/summary_frame.h) the sources would
+/// send straight to the coordinator, computed without writing them: their
+/// centroid frames in phase 1 and their moment frames in phase 2.
 class DirectCollector final : public SummaryCollector {
  public:
   std::string name() const override { return "direct"; }
   CollectedSummaries collect(const std::vector<SummarySource>& sources,
                              const CollectionContext& context) override;
+  void collect_moments(const std::vector<SummarySource>& sources,
+                       const CollectionContext& context,
+                       CollectedSummaries& collected) override;
 };
 
 /// Two-level aggregation tree over the simulated network (core/aggregation):
-/// sources -> nearest regional aggregator -> root. The reported wire size is
-/// the root's inbound bytes — the bandwidth the tree exists to bound.
+/// sources -> nearest regional aggregator -> root. Sources send their
+/// aggregator full frames, because aggregators merge clusters; aggregators
+/// send the root centroid frames in phase 1 and moment frames in phase 2.
+/// The reported wire size is the root's inbound bytes — the bandwidth the
+/// tree exists to bound.
 class HierarchicalCollector final : public SummaryCollector {
  public:
   /// The collector plans a fresh tree per epoch (sources move) and runs it
@@ -100,18 +133,25 @@ class HierarchicalCollector final : public SummaryCollector {
   std::string name() const override { return "hierarchical"; }
   CollectedSummaries collect(const std::vector<SummarySource>& sources,
                              const CollectionContext& context) override;
+  void collect_moments(const std::vector<SummarySource>& sources,
+                       const CollectionContext& context,
+                       CollectedSummaries& collected) override;
 
  private:
   sim::Simulator& simulator_;
   sim::Network& network_;
   topo::NodeId root_;
   AggregationConfig config_;
+  /// The latest collect()'s aggregator -> root frames, which phase 2
+  /// completes.
+  std::vector<SummarySource> forwarded_;
 };
 
 /// All-to-all decentralized agreement (core/decentralized): every replica
-/// receives every summary, computes the placement locally with the shared
-/// epoch seed, and the agreed proposal is returned — run_epoch's propose
-/// step is skipped. `strategy` is the per-replica decision rule.
+/// receives every centroid frame, computes the placement locally with the
+/// shared epoch seed, and the agreed proposal is returned — run_epoch's
+/// propose step is skipped. Phase 2 exchanges the moment frames all-to-all.
+/// `strategy` is the per-replica decision rule.
 class DecentralizedCollector final : public SummaryCollector {
  public:
   DecentralizedCollector(sim::Simulator& simulator, sim::Network& network,
@@ -120,6 +160,9 @@ class DecentralizedCollector final : public SummaryCollector {
   std::string name() const override { return "decentralized"; }
   CollectedSummaries collect(const std::vector<SummarySource>& sources,
                              const CollectionContext& context) override;
+  void collect_moments(const std::vector<SummarySource>& sources,
+                       const CollectionContext& context,
+                       CollectedSummaries& collected) override;
 
  private:
   sim::Simulator& simulator_;

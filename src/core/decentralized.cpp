@@ -49,9 +49,9 @@ DecentralizedEpochResult run_decentralized_epoch(
     if (--*pending == 0) *completion = simulator.now();
   };
 
-  // Broadcast every replica's summary to its peers.
+  // Broadcast every replica's centroid frame to its peers.
   for (const auto& [from, clusters] : replica_summaries) {
-    const std::size_t bytes = cluster::serialized_size(clusters);
+    const std::size_t bytes = cluster::centroid_frame_size(clusters);
     for (const auto& [to, unused] : replica_summaries) {
       if (to == from) continue;
       const auto payload = clusters;
@@ -86,6 +86,22 @@ DecentralizedEpochResult run_decentralized_epoch(
   }
   result.proposal = states->begin()->second.decision;
   return result;
+}
+
+std::uint64_t exchange_moment_frames(
+    sim::Simulator& simulator, sim::Network& network,
+    const std::map<topo::NodeId, std::vector<cluster::MicroCluster>>& replica_summaries) {
+  std::uint64_t bytes = 0;
+  for (const auto& [from, clusters] : replica_summaries) {
+    const std::size_t size = cluster::moment_frame_size(clusters);
+    for (const auto& [to, unused] : replica_summaries) {
+      if (to == from) continue;
+      bytes += size;
+      network.send(from, to, size, sim::TrafficClass::kSummary, [] {});
+    }
+  }
+  simulator.run();
+  return bytes;
 }
 
 }  // namespace geored::core

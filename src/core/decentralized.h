@@ -28,7 +28,7 @@ struct DecentralizedEpochResult {
   /// What each participating replica computed, in source-id order.
   std::vector<place::Placement> per_replica;
   bool agreement = false;
-  std::uint64_t summary_bytes = 0;  ///< total summary traffic exchanged
+  std::uint64_t summary_bytes = 0;  ///< total centroid-frame traffic exchanged
   double completion_ms = 0.0;       ///< when the last replica decided
 };
 
@@ -43,5 +43,13 @@ DecentralizedEpochResult run_decentralized_epoch(
     const std::vector<place::CandidateInfo>& candidates,
     const std::map<topo::NodeId, std::vector<cluster::MicroCluster>>& replica_summaries,
     std::size_t k, std::uint64_t epoch_seed, const place::PlacementStrategy& strategy);
+
+/// Phase 2 of a decentralized epoch that adopts: every replica sends each of
+/// its peers the moment frame that completes the centroid frame it sent in
+/// run_decentralized_epoch. Runs the simulator to completion and returns the
+/// summary bytes exchanged.
+std::uint64_t exchange_moment_frames(
+    sim::Simulator& simulator, sim::Network& network,
+    const std::map<topo::NodeId, std::vector<cluster::MicroCluster>>& replica_summaries);
 
 }  // namespace geored::core

@@ -278,7 +278,7 @@ void ReplicationManager::save(ByteWriter& writer) const {
   for (const auto node : placement_) writer.write_u32(node);
   // v3: one summary frame per replica.
   for (const auto node : placement_) {
-    summarizers_.at(node).serialize(writer);
+    cluster::write_clusters(writer, summarizers_.at(node).clusters());
   }
   writer.write_u32(static_cast<std::uint32_t>(warm_centroids_.size()));
   for (const auto& centroid : warm_centroids_) {
@@ -302,7 +302,14 @@ ReplicationManager::Checkpoint ReplicationManager::parse_checkpoint(ByteReader& 
   checkpoint.epoch_index = reader.read_u64();
   checkpoint.epoch_accesses = reader.read_u64();
   checkpoint.degree = static_cast<std::size_t>(reader.read_u64());
-  GEORED_ENSURE(checkpoint.degree >= 1, "corrupt checkpoint: zero degree");
+  // Every path that sets the degree keeps it within the configured bounds;
+  // one outside them would have the next epoch place more replicas than
+  // this manager may hold, or more than there are candidates.
+  GEORED_ENSURE(
+      checkpoint.degree >= config_.min_degree && checkpoint.degree <= config_.max_degree,
+      "corrupt checkpoint: degree " + std::to_string(checkpoint.degree) +
+          " is outside this manager's bounds [" + std::to_string(config_.min_degree) + ", " +
+          std::to_string(config_.max_degree) + "]");
   // v1 predates external budget state; restore the documented defaults
   // (no grant recorded, neutral weight).
   if (version >= 2) {
@@ -397,11 +404,12 @@ EpochReport ReplicationManager::run_epoch(const std::set<topo::NodeId>& excluded
   maybe_adjust_degree(report.epoch_accesses);
   report.degree = degree_;
 
-  // 2. Collect summaries from every replica (and account their wire size —
-  //    this is the O(km) bandwidth of Table II). A replica on an excluded
-  //    (failed) data center cannot report: its summary is skipped and the
-  //    source accounted as lost, exactly like a collection-protocol loss —
-  //    the epoch proceeds on what the live replicas know.
+  // 2. Collect the replicas' centroid frames (phase 1) and account their
+  //    wire size — with phase 2 below, the O(km) bandwidth of Table II. A
+  //    replica on an excluded (failed) data center cannot report: its
+  //    summary is skipped and the source accounted as lost, exactly like a
+  //    collection-protocol loss — the epoch proceeds on what the live
+  //    replicas know.
   std::vector<SummarySource> sources;
   sources.reserve(summarizers_.size());
   std::size_t excluded_sources = 0;
@@ -413,11 +421,11 @@ EpochReport ReplicationManager::run_epoch(const std::set<topo::NodeId>& excluded
     sources.push_back({node, summarizer.clusters()});
   }
   const std::uint64_t epoch_seed = seed_ ^ (0x9e3779b97f4a7c15ULL + epoch_index_);
+  const CollectionContext context{usable, degree_, epoch_seed};
   CollectedSummaries collected = [&] {
     const StageTimer timer(report.stages.collect_ms);
-    return collector_->collect(sources, {usable, degree_, epoch_seed});
+    return collector_->collect(sources, context);
   }();
-  report.summary_bytes = collected.summary_bytes;
   report.stale_sources = collected.stale_sources.size();
   report.lost_sources = collected.lost_sources.size() + excluded_sources;
 
@@ -431,7 +439,8 @@ EpochReport ReplicationManager::run_epoch(const std::set<topo::NodeId>& excluded
   } else {
     const StageTimer timer(report.stages.propose_ms);
     place::PlacementInput input;
-    input.candidates = std::move(usable);  // collection, its one other reader, is done
+    // Lent to the proposal and handed back for phase 2's context.
+    input.candidates = std::move(usable);
     input.k = degree_;
     input.summaries = collected.summaries;
     input.seed = epoch_seed;
@@ -439,6 +448,7 @@ EpochReport ReplicationManager::run_epoch(const std::set<topo::NodeId>& excluded
     if (config_.warm_start_macro_clusters) strategy.warm_start_centroids = warm_centroids_;
     place::OnlineClusteringDetails details =
         place::OnlineClusteringPlacement(strategy).place_detailed(input);
+    usable = std::move(input.candidates);
     warm_centroids_ = std::move(details.macro_centroids);
     report.proposed_placement = std::move(details.placement);
   }
@@ -463,11 +473,20 @@ EpochReport ReplicationManager::run_epoch(const std::set<topo::NodeId>& excluded
   // anyway (capacity change dominates cost considerations here, as in the
   // paper's discussion). Likewise when a current replica sits on an
   // excluded (failed) data center: availability overrides the cost gate.
-  // Retained summaries age instead, so stale populations fade (recency).
+  // An adopting epoch first collects the second moments the hand-off needs
+  // (phase 2); propose and gate never read them. Retained summaries age
+  // instead, so stale populations fade (recency).
   const bool degree_changed = report.proposed_placement.size() != placement_.size();
+  const bool adopt = report.decision.migrate || degree_changed || current_placement_impaired;
+  if (adopt) {
+    const StageTimer timer(report.stages.collect_ms);
+    collector_->collect_moments(sources, context, collected);
+  }
+  report.summary_bytes = collected.summary_bytes;
+  report.handoff_lost_sources = collected.handoff_lost_sources.size();
   {
     const StageTimer timer(report.stages.adopt_ms);
-    if (report.decision.migrate || degree_changed || current_placement_impaired) {
+    if (adopt) {
       placement_ = report.proposed_placement;
       summarizers_ = redistribute_to_nearest(placement_, collected.summaries, *candidates_,
                                              config_.summarizer);

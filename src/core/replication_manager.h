@@ -109,11 +109,12 @@ struct EpochReport {
   double new_estimated_delay_ms = 0.0;
   MigrationDecision decision;
   std::size_t replicas_moved = 0;      ///< sites added by the proposal
-  std::size_t summary_bytes = 0;       ///< wire size of shipped summaries
+  std::size_t summary_bytes = 0;       ///< wire size of both phases' frames
   std::uint64_t epoch_accesses = 0;    ///< accesses summarized this epoch
   std::size_t degree = 0;              ///< k in force after the epoch
   std::size_t stale_sources = 0;       ///< sources served from a collector cache
   std::size_t lost_sources = 0;        ///< sources that contributed nothing
+  std::size_t handoff_lost_sources = 0; ///< sources the adopted placement did not inherit
   /// Per-stage wall time of this epoch (observational only; see
   /// core/epoch_trace.h — no retained value or decision depends on it).
   EpochStageTrace stages;

@@ -150,6 +150,8 @@ class SummaryServer {
 struct FetchResult {
   bool ok = false;
   std::vector<std::uint8_t> payload;
+  /// Phase 1: the decoded centroid frame. Phase 2: the source's clusters
+  /// from phase 1, which the moment frame completes.
   std::vector<cluster::MicroCluster> clusters;
   std::size_t requests_sent = 0;
   std::size_t faults_hit = 0;
@@ -165,9 +167,12 @@ std::uint64_t backoff_for_attempt(const RpcCollectorConfig& config, std::size_t 
   return std::min(backoff, config.backoff_cap_ms);
 }
 
-FetchResult fetch_source(std::uint16_t port, std::uint32_t source,
-                         const RpcCollectorConfig& config, Clock& clock) {
-  FetchResult result;
+/// Fetches source `source`'s frame into `result` under the retry budget.
+/// `decode(reader, result)` reads one frame and throws WireFormatError on
+/// anything a zero-fault server could not have sent.
+template <typename Decode>
+void fetch_source(std::uint16_t port, std::uint32_t source, const RpcCollectorConfig& config,
+                  Clock& clock, FetchResult& result, const Decode& decode) {
   const int timeout_ms = static_cast<int>(
       std::min<std::uint64_t>(config.timeout_ms, std::numeric_limits<int>::max()));
   for (std::size_t attempt = 0; attempt < config.max_attempts; ++attempt) {
@@ -189,14 +194,13 @@ FetchResult fetch_source(std::uint16_t port, std::uint32_t source,
         // Hardened decode: anything a zero-fault server could not have sent
         // throws WireFormatError and burns this attempt like any other fault.
         ByteReader reader(response);
-        std::vector<cluster::MicroCluster> clusters = cluster::read_clusters(reader);
+        decode(reader, result);
         if (!reader.exhausted()) {
           throw WireFormatError("summary response carries trailing bytes");
         }
-        result.clusters = std::move(clusters);
         result.payload = std::move(response);
         result.ok = true;
-        return result;
+        return;
       }
       // kClosed: the server disconnected without answering.
       // kTimeout: the server is holding the response (drop); give up and
@@ -210,7 +214,28 @@ FetchResult fetch_source(std::uint16_t port, std::uint32_t source,
     }
     ++result.faults_hit;
   }
-  return result;
+}
+
+/// Serves `payloads` under `salt` and fetches every source that `wanted`
+/// selects, in parallel; returns when the server and every fetch have
+/// joined.
+template <typename Wanted, typename Decode>
+void fetch_round(std::vector<std::vector<std::uint8_t>> payloads, std::uint64_t salt,
+                 const FaultInjector& injector, const RpcCollectorConfig& config, Clock& clock,
+                 std::vector<FetchResult>& results, const Wanted& wanted,
+                 const Decode& decode) {
+  const int request_timeout_ms = static_cast<int>(
+      std::min<std::uint64_t>(config.timeout_ms, std::numeric_limits<int>::max()));
+  SummaryServer server(std::move(payloads), injector, salt, clock, request_timeout_ms);
+  const std::uint16_t port = server.port();
+  parallel_for(results.size(), [&](std::size_t begin, std::size_t end) {
+    for (std::size_t i = begin; i < end; ++i) {
+      if (wanted(i)) {
+        fetch_source(port, static_cast<std::uint32_t>(i), config, clock, results[i], decode);
+      }
+    }
+  });
+  // Server (and every handler thread) joins here, before results are read.
 }
 
 }  // namespace
@@ -236,38 +261,32 @@ core::CollectedSummaries RpcCollector::collect(const std::vector<core::SummarySo
   {
     const MutexLock lock(mutex_);
     stats_ = RpcStats{};
+    round_.assign(sources.size(), SourceRound{});
   }
   core::CollectedSummaries collected;
   if (sources.empty()) return collected;
 
-  // Serialize every source with the shared wire format: the payloads the
-  // server answers with, and — concatenated in source order — exactly the
-  // bytes DirectCollector would have accounted.
+  // Encode every source's centroid frame: the payloads the server answers
+  // with, and — in source order — exactly the bytes DirectCollector would
+  // have accounted.
   std::vector<std::vector<std::uint8_t>> payloads(sources.size());
   for (std::size_t i = 0; i < sources.size(); ++i) {
     ByteWriter writer;
-    cluster::write_clusters(writer, sources[i].clusters);
+    cluster::write_centroid_frame(writer, sources[i].clusters);
     payloads[i] = writer.bytes();
   }
 
   std::vector<FetchResult> results(sources.size());
-  {
-    const int request_timeout_ms = static_cast<int>(
-        std::min<std::uint64_t>(config_.timeout_ms, std::numeric_limits<int>::max()));
-    SummaryServer server(std::move(payloads), injector_, context.epoch_seed, *clock_,
-                         request_timeout_ms);
-    const std::uint16_t port = server.port();
-    parallel_for(sources.size(), [&](std::size_t begin, std::size_t end) {
-      for (std::size_t i = begin; i < end; ++i) {
-        results[i] = fetch_source(port, static_cast<std::uint32_t>(i), config_, *clock_);
-      }
-    });
-    // Server (and every handler thread) joins here, before results are read.
-  }
+  fetch_round(
+      std::move(payloads), context.epoch_seed, injector_, config_, *clock_, results,
+      [](std::size_t) { return true; },
+      [](ByteReader& reader, FetchResult& result) {
+        result.clusters = cluster::read_centroid_frame(reader);
+      });
 
-  // Accounting pass: every fetch thread has joined (the server's scope
-  // ended), so the per-source slots are quiescent; the collector-lifetime
-  // stats and stale-payload cache are updated under their mutex.
+  // Accounting pass: every fetch thread has joined, so the per-source slots
+  // are quiescent; the collector-lifetime stats, stale-payload cache and
+  // round record are updated under their mutex.
   const MutexLock lock(mutex_);
   for (std::size_t i = 0; i < sources.size(); ++i) {
     FetchResult& result = results[i];
@@ -275,8 +294,12 @@ core::CollectedSummaries RpcCollector::collect(const std::vector<core::SummarySo
     stats_.faults_hit += result.faults_hit;
     stats_.retries += result.retries;
     stats_.backoff_ms_total += result.backoff_ms;
+    SourceRound& round = round_[i];
+    round.first = collected.summaries.size();
     if (result.ok) {
       ++stats_.responses_ok;
+      round.served = Served::kFresh;
+      round.clusters = result.clusters.size();
       collected.summary_bytes += result.payload.size();
       for (auto& micro : result.clusters) collected.summaries.push_back(std::move(micro));
       last_good_[sources[i].node] = std::move(result.payload);
@@ -284,13 +307,15 @@ core::CollectedSummaries RpcCollector::collect(const std::vector<core::SummarySo
     }
     const auto cached = last_good_.find(sources[i].node);
     if (cached != last_good_.end()) {
-      // Stale fallback: replay the replica's last good payload. It parsed
-      // when it was cached, so this decode cannot fail. The bytes are not
-      // added to summary_bytes — nothing crossed the wire this round.
+      // Stale fallback: replay the replica's last good centroid frame. It
+      // parsed when it was cached, so this decode cannot fail. The bytes are
+      // not added to summary_bytes — nothing crossed the wire this round.
       ByteReader reader(cached->second);
-      for (auto& micro : cluster::read_clusters(reader)) {
+      for (auto& micro : cluster::read_centroid_frame(reader)) {
         collected.summaries.push_back(std::move(micro));
       }
+      round.served = Served::kStale;
+      round.clusters = collected.summaries.size() - round.first;
       collected.stale_sources.push_back(sources[i].node);
       ++stats_.stale_fallbacks;
     } else {
@@ -299,6 +324,63 @@ core::CollectedSummaries RpcCollector::collect(const std::vector<core::SummarySo
     }
   }
   return collected;
+}
+
+void RpcCollector::collect_moments(const std::vector<core::SummarySource>& sources,
+                                   const core::CollectionContext& context,
+                                   core::CollectedSummaries& collected) {
+  std::vector<SourceRound> rounds;
+  {
+    const MutexLock lock(mutex_);
+    rounds = round_;
+  }
+  GEORED_ENSURE(rounds.size() == sources.size(),
+                "collect_moments completes the latest collect() of the same sources");
+  if (sources.empty()) return;
+
+  // Only the sources phase 1 fetched fresh are asked for their moments; a
+  // stale fallback's moments would not match the frame it replayed.
+  const auto fresh = [&rounds](std::size_t i) { return rounds[i].served == Served::kFresh; };
+  std::vector<std::vector<std::uint8_t>> payloads(sources.size());
+  std::vector<FetchResult> results(sources.size());
+  for (std::size_t i = 0; i < sources.size(); ++i) {
+    if (!fresh(i)) continue;
+    ByteWriter writer;
+    cluster::write_moment_frame(writer, sources[i].clusters);
+    payloads[i] = writer.bytes();
+    GEORED_ENSURE(rounds[i].first + rounds[i].clusters <= collected.summaries.size(),
+                  "collect_moments completes the summaries the latest collect() returned");
+    const auto first =
+        collected.summaries.begin() + static_cast<std::ptrdiff_t>(rounds[i].first);
+    results[i].clusters.assign(first, first + static_cast<std::ptrdiff_t>(rounds[i].clusters));
+  }
+  fetch_round(std::move(payloads), context.epoch_seed ^ kMomentPhaseSalt, injector_, config_,
+              *clock_, results, fresh, [](ByteReader& reader, FetchResult& result) {
+                cluster::read_moment_frame(reader, result.clusters);
+              });
+
+  // Accounting pass: the completed sources' clusters, copied out before the
+  // fetch, are written back in source order over the dropped ones.
+  const MutexLock lock(mutex_);
+  std::size_t kept = 0;
+  for (std::size_t i = 0; i < sources.size(); ++i) {
+    FetchResult& result = results[i];
+    stats_.requests_sent += result.requests_sent;
+    stats_.faults_hit += result.faults_hit;
+    stats_.retries += result.retries;
+    stats_.backoff_ms_total += result.backoff_ms;
+    if (rounds[i].served == Served::kLost) continue;  // contributed nothing
+    if (!result.ok) {
+      collected.handoff_lost_sources.push_back(sources[i].node);
+      continue;
+    }
+    ++stats_.responses_ok;
+    collected.summary_bytes += result.payload.size();
+    std::move(result.clusters.begin(), result.clusters.end(),
+              collected.summaries.begin() + static_cast<std::ptrdiff_t>(kept));
+    kept += result.clusters.size();
+  }
+  collected.summaries.resize(kept);
 }
 
 }  // namespace geored::net

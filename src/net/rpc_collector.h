@@ -3,18 +3,24 @@
 // RpcCollector is the fourth SummaryCollector (registry name "rpc"). Where
 // DirectCollector concatenates summaries in-process and the protocol
 // collectors run over the *simulated* network, this one actually ships
-// bytes: collect() serializes each source with the shared write_clusters
-// wire format, stands up a summary server on an ephemeral 127.0.0.1 port,
-// and fetches every source's frame back through the socket layer — with a
-// per-source timeout, capped exponential backoff retries, and a seeded
-// FaultInjector deciding which attempts the server sabotages.
+// bytes. Each phase (cluster/summary_frame.h) encodes every source's frame —
+// centroid frames in collect(), moment frames in collect_moments() — stands
+// up a summary server on an ephemeral 127.0.0.1 port, and fetches the frames
+// back through the socket layer, with a per-source timeout, capped
+// exponential backoff retries, and a seeded FaultInjector deciding which
+// attempts the server sabotages. The phases draw their faults under
+// different salts.
 //
 // Degradation contract: an epoch always completes. A source that exhausts
-// its retry budget is served from that replica's last successfully collected
-// payload (flagged in CollectedSummaries::stale_sources); a source with no
-// cached payload is dropped and flagged in lost_sources. With faults
-// disabled the collected summaries and the reported summary_bytes are
-// byte-identical to DirectCollector on the same sources — pinned by the
+// its retry budget in phase 1 is served from that replica's last
+// successfully collected centroid frame (flagged in
+// CollectedSummaries::stale_sources); a source with no cached frame is
+// dropped and flagged in lost_sources. A source hands no clusters to an
+// adopted placement, and is flagged in handoff_lost_sources, when its phase-1
+// summary was a stale fallback (its moments would not match it) or its
+// phase-2 fetch exhausts the retry budget. With faults disabled the collected
+// summaries and the reported summary_bytes are byte-identical to
+// DirectCollector on the same sources after either phase — pinned by the
 // RpcEquivalence test suite.
 #pragma once
 
@@ -31,6 +37,10 @@
 
 namespace geored::net {
 
+/// Phase 2's fault salt is context.epoch_seed ^ kMomentPhaseSalt; phase 1's
+/// is the epoch seed itself.
+inline constexpr std::uint64_t kMomentPhaseSalt = 0x6d6f6d656e747321ULL;  // "moments!"
+
 class RpcCollector final : public core::SummaryCollector {
  public:
   /// `clock` is the transport's only source of time (backoff sleeps and
@@ -40,19 +50,30 @@ class RpcCollector final : public core::SummaryCollector {
 
   std::string name() const override { return "rpc"; }
 
-  /// Runs one collection round. Deterministic in the sources and
+  /// Runs phase 1 of a collection round. Deterministic in the sources and
   /// context.epoch_seed: fault plans are pure functions of
-  /// (config.faults.seed, epoch_seed, source, attempt), so which attempts
-  /// fail — and therefore which sources go stale — replays exactly.
-  /// summary_bytes counts only bytes that crossed the wire this round;
-  /// stale fallbacks reuse bytes paid for in an earlier epoch.
+  /// (config.faults.seed, salt, source, attempt), so which attempts fail —
+  /// and therefore which sources go stale — replays exactly. summary_bytes
+  /// counts only bytes that crossed the wire this round; stale fallbacks
+  /// reuse bytes paid for in an earlier epoch. The clusters carry no second
+  /// moments.
   core::CollectedSummaries collect(const std::vector<core::SummarySource>& sources,
                                    const core::CollectionContext& context) override
       GEORED_EXCLUDES(mutex_);
 
-  /// Counters from the most recent collect() round (a snapshot: the stats
-  /// and the stale-fallback cache are mutex-guarded, so observing them from
-  /// another thread mid-collect returns the last consistent state).
+  /// Runs phase 2: fetches the moment frames of the sources the latest
+  /// collect() fetched fresh, and completes or drops their clusters as
+  /// SummaryCollector::collect_moments describes. Deterministic like
+  /// collect(). Throws std::invalid_argument unless `sources` has the size
+  /// that collect() saw.
+  void collect_moments(const std::vector<core::SummarySource>& sources,
+                       const core::CollectionContext& context,
+                       core::CollectedSummaries& collected) override GEORED_EXCLUDES(mutex_);
+
+  /// Counters from the most recent collection round, both phases (a
+  /// snapshot: the stats and the stale-fallback cache are mutex-guarded, so
+  /// observing them from another thread mid-collect returns the last
+  /// consistent state).
   RpcStats last_stats() const GEORED_EXCLUDES(mutex_) {
     const MutexLock lock(mutex_);
     return stats_;
@@ -71,10 +92,20 @@ class RpcCollector final : public core::SummaryCollector {
   /// server has joined.
   mutable Mutex mutex_;
   RpcStats stats_ GEORED_GUARDED_BY(mutex_);
-  /// Per-replica last successfully collected payload — the stale-fallback
-  /// store. Keyed by node id so it survives placement changes; if two
-  /// sources ever share a node the later one wins.
+  /// Per-replica last successfully collected centroid frame — the
+  /// stale-fallback store. Keyed by node id so it survives placement
+  /// changes; if two sources ever share a node the later one wins.
   std::map<topo::NodeId, std::vector<std::uint8_t>> last_good_ GEORED_GUARDED_BY(mutex_);
+
+  /// How the latest collect() served one source, and where its clusters sit
+  /// in the summaries it returned: what collect_moments completes.
+  enum class Served { kFresh, kStale, kLost };
+  struct SourceRound {
+    Served served = Served::kLost;
+    std::size_t first = 0;
+    std::size_t clusters = 0;
+  };
+  std::vector<SourceRound> round_ GEORED_GUARDED_BY(mutex_);
 };
 
 }  // namespace geored::net

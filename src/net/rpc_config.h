@@ -20,9 +20,10 @@ struct RpcCollectorConfig {
   /// Injected failure schedule; all-zero probabilities means a clean wire.
   FaultConfig faults;
 
-  /// Total tries per source per epoch (first attempt + retries); must be
+  /// Total tries per source per phase (first attempt + retries); must be
   /// at least 1. A source still failing after the last attempt falls back
-  /// to its cached last-epoch summary.
+  /// to its cached last-epoch summary in phase 1, and hands no clusters to
+  /// the adopted placement in phase 2.
   std::size_t max_attempts = 4;
 
   /// Client-side bound on waiting for one response frame. Must exceed

@@ -102,8 +102,4 @@ void ScalarMicroClusterSummarizer::rebuild_centroids() {
   for (const auto& cluster : clusters_) centroids_.push_back(cluster.centroid());
 }
 
-void ScalarMicroClusterSummarizer::serialize(ByteWriter& writer) const {
-  write_clusters(writer, clusters_);
-}
-
 }  // namespace geored::cluster

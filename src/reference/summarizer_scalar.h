@@ -19,7 +19,6 @@
 #include "cluster/summarizer.h"
 #include "common/point.h"
 #include "common/point_set.h"
-#include "common/serialize.h"
 
 namespace geored::cluster {
 
@@ -47,9 +46,6 @@ class ScalarMicroClusterSummarizer {
   void decay();
 
   void clear();
-
-  /// Serializes all clusters (the per-replica message of Algorithm 1).
-  void serialize(ByteWriter& writer) const;
 
  private:
   std::size_t nearest_cluster(const Point& coords, double* dist_sq = nullptr) const;

@@ -29,13 +29,13 @@ namespace {
 
 std::vector<std::uint8_t> summary_bytes(const MicroClusterSummarizer& summarizer) {
   ByteWriter writer;
-  summarizer.serialize(writer);
+  write_clusters(writer, summarizer.clusters());
   return writer.bytes();
 }
 
 std::vector<std::uint8_t> summary_bytes(const ScalarMicroClusterSummarizer& summarizer) {
   ByteWriter writer;
-  summarizer.serialize(writer);
+  write_clusters(writer, summarizer.clusters());
   return writer.bytes();
 }
 

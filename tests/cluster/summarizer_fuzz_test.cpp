@@ -8,8 +8,9 @@
 //     describe a realizable point multiset),
 //   * centroid and rms_stddev are finite,
 //   * the summarizer's total access count matches the adds it received,
-//   * the wire encoding round-trips bitwise and serialized_size() predicts
-//     exactly the bytes write_clusters() emits.
+//   * the wire encodings round-trip bitwise and their size functions
+//     predict exactly the bytes their writers emit: the full frame, and the
+//     centroid frame completed by the moment frame.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -42,6 +43,32 @@ void expect_roundtrip(const MicroClusterSummarizer& summarizer, std::uint64_t se
   write_clusters(again, decoded);
   ASSERT_EQ(again.bytes(), writer.bytes())
       << "decoded frame re-encodes differently at seed " << seed << " step " << step;
+  // The two phases: a centroid frame, then the moment frame completing it,
+  // rebuild the same full frame, and each re-encodes to the bytes read.
+  ByteWriter centroids;
+  write_centroid_frame(centroids, clusters);
+  ASSERT_EQ(centroids.size(), centroid_frame_size(clusters))
+      << "centroid-frame size prediction diverged at seed " << seed << " step " << step;
+  ByteWriter moments;
+  write_moment_frame(moments, clusters);
+  ASSERT_EQ(moments.size(), moment_frame_size(clusters))
+      << "moment-frame size prediction diverged at seed " << seed << " step " << step;
+  ByteReader centroid_reader(centroids.bytes());
+  std::vector<MicroCluster> completed = read_centroid_frame(centroid_reader);
+  ASSERT_TRUE(centroid_reader.exhausted()) << "seed " << seed << " step " << step;
+  ByteWriter centroids_again;
+  write_centroid_frame(centroids_again, completed);
+  ASSERT_EQ(centroids_again.bytes(), centroids.bytes()) << "seed " << seed << " step " << step;
+  ByteReader moment_reader(moments.bytes());
+  read_moment_frame(moment_reader, completed);
+  ASSERT_TRUE(moment_reader.exhausted()) << "seed " << seed << " step " << step;
+  ByteWriter moments_again;
+  write_moment_frame(moments_again, completed);
+  ASSERT_EQ(moments_again.bytes(), moments.bytes()) << "seed " << seed << " step " << step;
+  ByteWriter completed_frame;
+  write_clusters(completed_frame, completed);
+  ASSERT_EQ(completed_frame.bytes(), writer.bytes())
+      << "two phases rebuild a different frame at seed " << seed << " step " << step;
   for (std::size_t i = 0; i < clusters.size(); ++i) {
     ASSERT_EQ(decoded[i].count(), clusters[i].count());
     ASSERT_EQ(decoded[i].weight(), clusters[i].weight());

@@ -183,7 +183,7 @@ TEST(Summarizer, SerializationRoundTrip) {
     summarizer.add(Point{rng.uniform(0, 400), rng.uniform(0, 400)}, rng.uniform(0.5, 2.0));
   }
   ByteWriter writer;
-  summarizer.serialize(writer);
+  write_clusters(writer, summarizer.clusters());
   ByteReader reader(writer.bytes());
   const auto clusters = read_clusters(reader);
   EXPECT_TRUE(reader.exhausted());

@@ -1,10 +1,10 @@
-// Negative and fuzz coverage for the hardened summary frame decode: a real
+// Negative and fuzz coverage for the hardened summary frame decoders: a real
 // transport (src/net/) can deliver truncated, oversized-count, or bit-flipped
-// frames, and read_clusters must answer every such frame with a typed
-// WireFormatError — never undefined behavior, a gigabyte allocation, or
-// silently corrupt clusters — and every frame it accepts must re-encode to
-// the bytes it read. The randomized sweeps honor GEORED_FUZZ_ITERS like the
-// other fuzz budgets.
+// frames, and read_clusters, read_centroid_frame and read_moment_frame must
+// answer every such frame with a typed WireFormatError — never undefined
+// behavior, a gigabyte allocation, or silently corrupt clusters — and every
+// frame they accept must re-encode to the bytes they read. The randomized
+// sweeps honor GEORED_FUZZ_ITERS like the other fuzz budgets.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -23,7 +23,7 @@ namespace {
 /// A well-formed frame to mutate: a few clusters of a 2-D population with
 /// explicit weights. Its first cluster (at most 50 accesses) has a one-byte
 /// header, so the offsets below are fixed.
-std::vector<std::uint8_t> good_frame(std::uint64_t seed) {
+std::vector<MicroCluster> good_clusters(std::uint64_t seed) {
   Rng rng(seed);
   SummarizerConfig config;
   config.max_clusters = 4;
@@ -31,8 +31,12 @@ std::vector<std::uint8_t> good_frame(std::uint64_t seed) {
   for (int i = 0; i < 50; ++i) {
     summarizer.add(Point{rng.normal(0.0, 20.0), rng.normal(100.0, 20.0)}, rng.uniform(0.0, 5.0));
   }
+  return summarizer.clusters();
+}
+
+std::vector<std::uint8_t> good_frame(std::uint64_t seed) {
   ByteWriter writer;
-  write_clusters(writer, summarizer.clusters());
+  write_clusters(writer, good_clusters(seed));
   return writer.bytes();
 }
 
@@ -231,30 +235,278 @@ TEST(WireNegative, ExplicitWeightEqualToCountThrows) {
   EXPECT_THROW(decode(one_cluster_frame(5u << 1, &five, 10.0, 30.0)), WireFormatError);
 }
 
+// --- The two phases: centroid frames and moment frames -------------------
+
+std::vector<std::uint8_t> good_centroid_frame(std::uint64_t seed) {
+  ByteWriter writer;
+  write_centroid_frame(writer, good_clusters(seed));
+  return writer.bytes();
+}
+
+std::vector<std::uint8_t> good_moment_frame(std::uint64_t seed) {
+  ByteWriter writer;
+  write_moment_frame(writer, good_clusters(seed));
+  return writer.bytes();
+}
+
+// good_centroid_frame's layout: n, d = 2, then the first cluster's header,
+// weight and sum[2].
+constexpr std::size_t kCentroidSumOffset = kWeightOffset + 8;
+// good_moment_frame's layout: n, d = 2, then sum2[2] cluster by cluster.
+constexpr std::size_t kMomentValuesOffset = 2;
+
+std::vector<MicroCluster> decode_centroids(const std::vector<std::uint8_t>& bytes) {
+  ByteReader reader(bytes);
+  return read_centroid_frame(reader);
+}
+
+/// Decodes `bytes` as the moment frame completing the centroid frame of
+/// good_clusters(seed), and returns the completed clusters.
+std::vector<MicroCluster> complete(std::uint64_t seed,
+                                   const std::vector<std::uint8_t>& bytes) {
+  std::vector<MicroCluster> clusters = decode_centroids(good_centroid_frame(seed));
+  ByteReader reader(bytes);
+  read_moment_frame(reader, clusters);
+  return clusters;
+}
+
+/// Decodes `bytes` as a centroid frame. When it is accepted, the clusters
+/// must re-encode to exactly the bytes read, and centroid_frame_size must
+/// count them.
+void decode_centroids_or_throw_typed(const std::vector<std::uint8_t>& bytes) {
+  ByteReader reader(bytes);
+  std::vector<MicroCluster> clusters;
+  try {
+    clusters = read_centroid_frame(reader);
+  } catch (const WireFormatError&) {
+    return;
+  }
+  const std::size_t consumed = bytes.size() - reader.remaining();
+  const std::vector<std::uint8_t> read(bytes.begin(),
+                                       bytes.begin() + static_cast<std::ptrdiff_t>(consumed));
+  ByteWriter again;
+  write_centroid_frame(again, clusters);
+  EXPECT_EQ(again.bytes(), read) << "an accepted centroid frame re-encodes differently";
+  EXPECT_EQ(centroid_frame_size(clusters), consumed);
+}
+
+/// Decodes `bytes` as the moment frame completing the centroid frame of
+/// good_clusters(seed). When it is accepted, the completed clusters must
+/// re-encode to exactly the bytes read, and moment_frame_size must count
+/// them; when it is rejected, no cluster may have changed.
+void decode_moments_or_throw_typed(std::uint64_t seed,
+                                   const std::vector<std::uint8_t>& bytes) {
+  std::vector<MicroCluster> clusters = decode_centroids(good_centroid_frame(seed));
+  ByteReader reader(bytes);
+  try {
+    read_moment_frame(reader, clusters);
+  } catch (const WireFormatError&) {
+    for (const auto& cluster : clusters) EXPECT_EQ(cluster.sum2().dim(), 0u);
+    return;
+  }
+  const std::size_t consumed = bytes.size() - reader.remaining();
+  const std::vector<std::uint8_t> read(bytes.begin(),
+                                       bytes.begin() + static_cast<std::ptrdiff_t>(consumed));
+  ByteWriter again;
+  write_moment_frame(again, clusters);
+  EXPECT_EQ(again.bytes(), read) << "an accepted moment frame re-encodes differently";
+  EXPECT_EQ(moment_frame_size(clusters), consumed);
+}
+
+TEST(WireNegative, TwoPhasesCompleteTheFullFrame) {
+  const auto clusters = good_clusters(21);
+  const auto centroids = good_centroid_frame(21);
+  const auto moments = good_moment_frame(21);
+  EXPECT_EQ(centroids.size(), centroid_frame_size(clusters));
+  EXPECT_EQ(moments.size(), moment_frame_size(clusters));
+  EXPECT_EQ(moments.size(), 2 + clusters.size() * 2 * sizeof(double));
+  // Each phase repeats the header (n and d); everything else is shipped once.
+  EXPECT_EQ(centroids.size() + moments.size(), good_frame(21).size() + 2);
+  const auto phase_one = decode_centroids(centroids);
+  for (const auto& cluster : phase_one) EXPECT_EQ(cluster.sum2().dim(), 0u);
+  ByteWriter full;
+  write_clusters(full, complete(21, moments));
+  EXPECT_EQ(full.bytes(), good_frame(21));
+  // An empty source ships one byte in each phase.
+  EXPECT_TRUE(decode_centroids(varint(0)).empty());
+  EXPECT_EQ(moment_frame_size({}), 1u);
+  std::vector<MicroCluster> none;
+  const std::vector<std::uint8_t> empty = varint(0);
+  ByteReader reader(empty);
+  read_moment_frame(reader, none);
+  EXPECT_TRUE(reader.exhausted());
+}
+
+TEST(WireNegative, EveryCentroidFrameTruncationThrowsTyped) {
+  const auto frame = good_centroid_frame(22);
+  for (std::size_t keep = 0; keep < frame.size(); ++keep) {
+    const std::vector<std::uint8_t> cut(frame.begin(),
+                                        frame.begin() + static_cast<std::ptrdiff_t>(keep));
+    EXPECT_THROW(decode_centroids(cut), WireFormatError) << "kept " << keep << " bytes";
+  }
+}
+
+TEST(WireNegative, EveryMomentFrameTruncationThrowsTyped) {
+  const auto frame = good_moment_frame(23);
+  for (std::size_t keep = 0; keep < frame.size(); ++keep) {
+    const std::vector<std::uint8_t> cut(frame.begin(),
+                                        frame.begin() + static_cast<std::ptrdiff_t>(keep));
+    EXPECT_THROW(complete(23, cut), WireFormatError) << "kept " << keep << " bytes";
+  }
+}
+
+/// `frame` with the one-byte varint at `offset` re-encoded with a redundant
+/// zero group: the same value, but not the encoding the writer emits.
+std::vector<std::uint8_t> pad_varint_at(const std::vector<std::uint8_t>& frame,
+                                        std::size_t offset) {
+  std::vector<std::uint8_t> padded;
+  for (std::size_t i = 0; i < frame.size(); ++i) {
+    if (i != offset) {
+      padded.push_back(frame[i]);
+      continue;
+    }
+    padded.push_back(static_cast<std::uint8_t>(frame[i] | 0x80u));
+    padded.push_back(0x00);
+  }
+  return padded;
+}
+
+TEST(WireNegative, CentroidFrameVarintsMustBeCanonicalAndShort) {
+  const auto frame = good_centroid_frame(24);
+  std::vector<std::uint8_t> eleven(10, 0x80);
+  eleven.push_back(0x00);
+  EXPECT_THROW(decode_centroids(eleven), WireFormatError);
+  EXPECT_THROW(decode_centroids(pad_varint_at(frame, 0)), WireFormatError);
+  EXPECT_THROW(decode_centroids(pad_varint_at(frame, kDimOffset)), WireFormatError);
+}
+
+TEST(WireNegative, MomentFrameVarintsMustBeCanonicalAndShort) {
+  const auto frame = good_moment_frame(25);
+  std::vector<std::uint8_t> eleven(10, 0x80);
+  eleven.push_back(0x00);
+  EXPECT_THROW(complete(25, eleven), WireFormatError);
+  EXPECT_THROW(complete(25, pad_varint_at(frame, 0)), WireFormatError);
+  EXPECT_THROW(complete(25, pad_varint_at(frame, kDimOffset)), WireFormatError);
+}
+
+TEST(WireNegative, CentroidFrameCountOrDimensionPastTheBytesLeftThrows) {
+  const auto frame = good_centroid_frame(26);
+  const std::vector<std::uint8_t> after_n(frame.begin() + kDimOffset, frame.end());
+  EXPECT_THROW(decode_centroids(concat(varint(0xfffffffe), after_n)), WireFormatError);
+  const std::vector<std::uint8_t> after_d(frame.begin() + kHeaderOffset, frame.end());
+  EXPECT_THROW(decode_centroids(concat(concat({frame[0]}, varint(500'000'000)), after_d)),
+               WireFormatError);
+  // 2^32 clusters with 3 bytes left: a cluster takes at least 1 + 8·d bytes.
+  EXPECT_THROW(decode_centroids(concat(concat(varint(std::uint64_t{1} << 32), varint(1)),
+                                       {0x03, 0x00, 0x00})),
+               WireFormatError);
+  EXPECT_THROW(decode_centroids(concat(varint(1), varint(0))), WireFormatError);
+}
+
+TEST(WireNegative, MomentFrameValuesPastTheBytesLeftThrow) {
+  // n and d match the centroid frame, but 3 bytes cannot hold n·d doubles.
+  const auto frame = good_moment_frame(27);
+  const std::vector<std::uint8_t> header(frame.begin(), frame.begin() + kMomentValuesOffset);
+  EXPECT_THROW(complete(27, concat(header, {0x00, 0x00, 0x00})), WireFormatError);
+}
+
+TEST(WireNegative, MomentFrameMustMatchItsCentroidFrame) {
+  const auto frame = good_moment_frame(28);
+  const std::vector<std::uint8_t> after_n(frame.begin() + 1, frame.end());
+  const std::vector<std::uint8_t> after_d(frame.begin() + kMomentValuesOffset, frame.end());
+  // One cluster more, one fewer, and none at all.
+  EXPECT_THROW(complete(28, concat(varint(frame[0] + 1u), after_n)), WireFormatError);
+  EXPECT_THROW(complete(28, concat(varint(frame[0] - 1u), after_n)), WireFormatError);
+  EXPECT_THROW(complete(28, varint(0)), WireFormatError);
+  // Another dimension, even with the bytes for it.
+  std::vector<std::uint8_t> three_d = concat({frame[0]}, varint(3));
+  three_d.insert(three_d.end(), after_d.begin(), after_d.end());
+  three_d.resize(three_d.size() + 8u * frame[0], 0);
+  EXPECT_THROW(complete(28, three_d), WireFormatError);
+  EXPECT_THROW(complete(28, concat(concat({frame[0]}, varint(1)), after_d)), WireFormatError);
+  // A huge claimed count is a mismatch before it sizes anything.
+  EXPECT_THROW(complete(28, concat(varint(0xfffffffe), after_n)), WireFormatError);
+}
+
+TEST(WireNegative, NegativeOrNonFiniteSecondMomentInAMomentFrameThrows) {
+  const double bad_values[] = {-4.0, std::numeric_limits<double>::quiet_NaN(),
+                               std::numeric_limits<double>::infinity()};
+  for (const double bad : bad_values) {
+    for (const std::size_t value : {std::size_t{0}, std::size_t{3}}) {
+      auto frame = good_moment_frame(29);
+      std::memcpy(frame.data() + kMomentValuesOffset + 8 * value, &bad, sizeof bad);
+      EXPECT_THROW(complete(29, frame), WireFormatError) << bad << " at value " << value;
+      // A rejected frame leaves every cluster as phase 1 decoded it.
+      decode_moments_or_throw_typed(29, frame);
+    }
+  }
+}
+
+TEST(WireNegative, CentroidFrameRejectsWhatNoEncoderEmits) {
+  // An explicit weight equal to the count, a zero count, a negative or
+  // non-finite weight, and a non-finite sum.
+  const auto one_cluster = [](std::uint64_t header, const double* weight, double sum) {
+    ByteWriter writer;
+    writer.write_varint(1);
+    writer.write_varint(1);
+    writer.write_varint(header);
+    if (weight != nullptr) writer.write_f64(*weight);
+    writer.write_f64(sum);
+    return writer.bytes();
+  };
+  const double five = 5.0;
+  const double weight = 2.5;
+  EXPECT_EQ(decode_centroids(one_cluster(5u << 1, &weight, 10.0)).size(), 1u);
+  EXPECT_EQ(decode_centroids(one_cluster((5u << 1) | 1u, nullptr, 10.0)).size(), 1u);
+  EXPECT_THROW(decode_centroids(one_cluster(5u << 1, &five, 10.0)), WireFormatError);
+  EXPECT_THROW(decode_centroids(one_cluster(0x01, nullptr, 10.0)), WireFormatError);
+  const double negative = -1.0;
+  EXPECT_THROW(decode_centroids(one_cluster(5u << 1, &negative, 10.0)), WireFormatError);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(decode_centroids(one_cluster(5u << 1, &nan, 10.0)), WireFormatError);
+  EXPECT_THROW(decode_centroids(one_cluster((5u << 1) | 1u, nullptr, nan)), WireFormatError);
+  auto frame = good_centroid_frame(30);
+  std::memcpy(frame.data() + kCentroidSumOffset, &nan, sizeof nan);
+  EXPECT_THROW(decode_centroids(frame), WireFormatError);
+}
+
 /// Randomized bit-flip sweep: flipping any single bit of a good frame must
 /// either decode (the flip hit a benign mantissa/count bit) and re-encode to
 /// the bytes read, or throw WireFormatError — nothing else. Under asan/ubsan
 /// this doubles as a memory-safety proof for hostile frames.
 void run_bitflip_fuzz(std::uint64_t seed) {
   const auto frame = good_frame(seed);
+  const auto centroids = good_centroid_frame(seed);
+  const auto moments = good_moment_frame(seed);
   Rng rng(seed * 31 + 7);
-  for (int trial = 0; trial < 200; ++trial) {
-    auto mutated = frame;
-    const std::size_t byte = rng.below(mutated.size());
+  const auto flip = [&rng](std::vector<std::uint8_t> bytes) {
+    const std::size_t byte = rng.below(bytes.size());
     const int bit = static_cast<int>(rng.below(8));
-    mutated[byte] = static_cast<std::uint8_t>(mutated[byte] ^ (1u << bit));
-    decode_or_throw_typed(mutated);
+    bytes[byte] = static_cast<std::uint8_t>(bytes[byte] ^ (1u << bit));
+    return bytes;
+  };
+  for (int trial = 0; trial < 200; ++trial) {
+    decode_or_throw_typed(flip(frame));
+    decode_centroids_or_throw_typed(flip(centroids));
+    decode_moments_or_throw_typed(seed, flip(moments));
   }
 }
 
 /// Random-garbage sweep: arbitrary byte strings must decode or throw typed,
-/// and the empty buffer in particular must throw (no count to read).
+/// and the empty buffer in particular must throw (no count to read). Moment
+/// frames get their true header, so the garbage reaches the values.
 void run_garbage_fuzz(std::uint64_t seed) {
   Rng rng(seed * 131 + 17);
+  const auto moments = good_moment_frame(seed);
+  const std::vector<std::uint8_t> header(moments.begin(),
+                                         moments.begin() + kMomentValuesOffset);
   for (int trial = 0; trial < 100; ++trial) {
     std::vector<std::uint8_t> garbage(rng.below(300));
     for (auto& b : garbage) b = static_cast<std::uint8_t>(rng.below(256));
     decode_or_throw_typed(garbage);
+    decode_centroids_or_throw_typed(garbage);
+    decode_moments_or_throw_typed(seed, garbage);
+    decode_moments_or_throw_typed(seed, concat(header, garbage));
   }
 }
 

@@ -133,27 +133,52 @@ TEST(Aggregation, RootBandwidthIsBoundedUnlikeFlat) {
   EXPECT_EQ(tree_count, flat_count);
 }
 
-/// Bytes of the summary frame that carries `clusters`.
+/// Bytes of the full frame that carries `clusters`.
 std::uint64_t frame_bytes(const std::vector<cluster::MicroCluster>& clusters) {
   ByteWriter writer;
   cluster::write_clusters(writer, clusters);
   return writer.size();
 }
 
+/// Bytes of the centroid frame (phase 1) that carries `clusters`.
+std::uint64_t centroid_bytes(const std::vector<cluster::MicroCluster>& clusters) {
+  ByteWriter writer;
+  cluster::write_centroid_frame(writer, clusters);
+  return writer.size();
+}
+
+/// Bytes of the moment frame (phase 2) that completes `clusters`.
+std::uint64_t moment_bytes(const std::vector<cluster::MicroCluster>& clusters) {
+  ByteWriter writer;
+  cluster::write_moment_frame(writer, clusters);
+  return writer.size();
+}
+
 TEST(Aggregation, SummaryTrafficIsTheFramesSent) {
   const AggWorld world(6, 12, 9);
   std::uint64_t source_frames = 0;
-  for (const auto& source : world.sources) source_frames += frame_bytes(source.clusters);
+  std::uint64_t source_centroid_frames = 0;
+  std::uint64_t source_moment_frames = 0;
+  for (const auto& source : world.sources) {
+    source_frames += frame_bytes(source.clusters);
+    source_centroid_frames += centroid_bytes(source.clusters);
+    source_moment_frames += moment_bytes(source.clusters);
+  }
 
-  // Flat: every source's frame goes straight to the root.
+  // Flat: every source's centroid frame goes straight to the root, and its
+  // moment frame in phase 2.
   sim::Simulator flat_sim;
   sim::Network flat_net(flat_sim, world.topology);
   const auto flat = run_flat_collection(flat_sim, flat_net, world.sources, 0);
-  EXPECT_EQ(flat.bytes_into_root, source_frames);
-  EXPECT_EQ(flat.bytes_total, source_frames);
+  EXPECT_EQ(flat.bytes_into_root, source_centroid_frames);
+  EXPECT_EQ(flat.bytes_total, source_centroid_frames);
+  EXPECT_EQ(run_moment_upload(flat_sim, flat_net, flat.forwarded, 0), source_moment_frames);
+  EXPECT_EQ(flat_net.stats().bytes[static_cast<std::size_t>(sim::TrafficClass::kSummary)],
+            source_centroid_frames + source_moment_frames);
 
-  // A one-aggregator tree: the sources' frames, then the aggregator's one
-  // frame of its merged summary to the root.
+  // A one-aggregator tree: the sources' full frames, then the centroid frame
+  // of the aggregator's merged summary to the root, and its moment frame in
+  // phase 2.
   AggregationConfig config;
   config.aggregator_count = 1;
   config.max_clusters_per_aggregator = 8;
@@ -162,10 +187,17 @@ TEST(Aggregation, SummaryTrafficIsTheFramesSent) {
   const auto plan = plan_aggregation(world.candidates, world.sources, config, 7);
   ASSERT_EQ(plan.aggregators.size(), 1u);
   const auto tree = run_aggregation(tree_sim, tree_net, plan, world.sources, 0, config);
-  EXPECT_EQ(tree.bytes_into_root, frame_bytes(tree.merged));
+  ASSERT_EQ(tree.forwarded.size(), 1u);
+  EXPECT_EQ(tree.forwarded.front().node, plan.aggregators.front());
+  EXPECT_EQ(frame_bytes(tree.forwarded.front().clusters), frame_bytes(tree.merged));
+  EXPECT_EQ(tree.bytes_into_root, centroid_bytes(tree.merged));
   EXPECT_EQ(tree.bytes_total, source_frames + tree.bytes_into_root);
   EXPECT_EQ(tree_net.stats().bytes[static_cast<std::size_t>(sim::TrafficClass::kSummary)],
             tree.bytes_total);
+  EXPECT_EQ(run_moment_upload(tree_sim, tree_net, tree.forwarded, 0),
+            moment_bytes(tree.merged));
+  EXPECT_EQ(tree_net.stats().bytes[static_cast<std::size_t>(sim::TrafficClass::kSummary)],
+            tree.bytes_total + moment_bytes(tree.merged));
 }
 
 TEST(Aggregation, MergedSummaryPreservesPopulationGeometry) {

@@ -2,11 +2,14 @@
 // flips, truncations and insertions of valid v3 blobs. Every mutated blob is
 // either rejected with std::invalid_argument (WireFormatError included),
 // leaving the target's save() bytes unchanged, or accepted, in which case
-// each summary frame it held re-encodes to the bytes it was read from. A
-// decode never allocates more than a small multiple of the blob's size.
+// each summary frame it held re-encodes to the bytes it was read from, and a
+// fresh target restored from it runs two more epochs without throwing and
+// ends on a valid placement. A decode never allocates more than a small
+// multiple of the blob's size.
 // GEORED_FUZZ_ITERS sets the budget (rounds of mutations per subject).
 // Global operator new is replaced with a counting version, which is why this
 // suite is its own test binary.
+#include <algorithm>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
@@ -189,12 +192,69 @@ void expect_manager_frames_reencode(ByteReader& reader, const Blob& blob) {
   for (std::uint32_t i = 0; i < centroids; ++i) reader.read_f64_vector();
 }
 
+/// The placement a manager ends an epoch on must be servable: as many
+/// distinct candidates as its degree, which its configured bounds hold (the
+/// grid has more candidates than any degree they allow).
+void expect_valid_placement(const ReplicationManager& manager, const EpochReport& report,
+                            std::size_t min_degree, std::size_t max_degree,
+                            std::size_t candidates) {
+  const place::Placement& placement = manager.placement();
+  EXPECT_EQ(placement, report.adopted_placement);
+  EXPECT_GE(report.degree, min_degree);
+  EXPECT_LE(report.degree, max_degree);
+  EXPECT_EQ(placement.size(), report.degree);
+  std::vector<topo::NodeId> sorted = placement;
+  std::sort(sorted.begin(), sorted.end());
+  EXPECT_TRUE(std::adjacent_find(sorted.begin(), sorted.end()) == sorted.end())
+      << "the placement repeats a data center";
+  for (const auto node : placement) EXPECT_LT(node, candidates);
+}
+
+/// Restores `blob` into a fresh manager, then runs two more epochs on fresh
+/// accesses.
+void continue_manager(const Blob& blob) {
+  ReplicationManager manager(grid_candidates(), manager_config(), 29);
+  ByteReader reader(blob);
+  manager.restore(reader);
+  Rng rng(47);
+  for (int epoch = 0; epoch < 2; ++epoch) {
+    feed(manager, rng, 120);
+    expect_valid_placement(manager, manager.run_epoch(), manager_config().min_degree,
+                           manager_config().max_degree, grid_candidates().size());
+  }
+}
+
+/// Restores `blob` into a fresh fleet, then runs two more fleet epochs on
+/// fresh accesses: every group ends on a valid placement, and the budget's
+/// grants stay within it.
+void continue_fleet(const Blob& blob) {
+  const FleetConfig config = fleet_config();
+  FleetManager fleet(grid_candidates(), config, 31);
+  ByteReader reader(blob);
+  fleet.restore(reader);
+  Rng rng(53);
+  for (int epoch = 0; epoch < 2; ++epoch) {
+    for (std::size_t g = 0; g < fleet.group_count(); ++g) feed(fleet.group(g), rng, 60);
+    const FleetEpochReport report = fleet.run_epochs();
+    for (std::size_t g = 0; g < fleet.group_count(); ++g) {
+      expect_valid_placement(fleet.group(g), report.group_reports[g], config.min_degree,
+                             config.max_degree, grid_candidates().size());
+    }
+    ASSERT_TRUE(report.allocation.has_value());
+    std::size_t granted = 0;
+    for (const std::size_t degree : report.allocation->degree_per_group) granted += degree;
+    EXPECT_LE(granted, config.replica_budget);
+  }
+}
+
 /// A checkpoint decoder under test: restores into a fixed target and
 /// reports its save() bytes.
 struct Subject {
   std::function<void(ByteReader&)> restore;
   std::function<Blob()> save;
   std::function<void(ByteReader&, const Blob&)> walk_frames;
+  /// Restores an accepted blob into a fresh target and runs it onward.
+  std::function<void(const Blob&)> continue_epochs;
 };
 
 struct Outcome {
@@ -228,6 +288,12 @@ void check_one(Subject& subject, const Blob& blob, Outcome& outcome) {
   ++outcome.accepted;
   ByteReader reader(blob);
   subject.walk_frames(reader, blob);
+  try {
+    subject.continue_epochs(blob);
+  } catch (const std::exception& error) {
+    ADD_FAILURE() << "an accepted checkpoint failed a later epoch: " << typeid(error).name()
+                  << ": " << error.what();
+  }
 }
 
 std::uint64_t fuzz_rounds() {
@@ -248,6 +314,11 @@ Outcome fuzz(Subject& subject, const Blob& valid, std::uint64_t seed) {
     }
   }
   return outcome;
+}
+
+TEST(CheckpointMutation, ValidBlobsRunOnward) {
+  continue_manager(manager_blob());
+  continue_fleet(fleet_blob());
 }
 
 TEST(CheckpointMutation, ValidBlobsRestoreWithinTheAllocationBound) {
@@ -286,7 +357,10 @@ TEST(CheckpointMutation, ManagerBlobsRestoreOrRejectTyped) {
         target.save(writer);
         return writer.bytes();
       },
-      [](ByteReader& reader, const Blob& blob) { expect_manager_frames_reencode(reader, blob); }};
+      [](ByteReader& reader, const Blob& blob) {
+        expect_manager_frames_reencode(reader, blob);
+      },
+      continue_manager};
   const Outcome outcome = fuzz(subject, manager_blob(), 101);
   EXPECT_GT(outcome.rejected, 0u);
 }
@@ -307,7 +381,8 @@ TEST(CheckpointMutation, FleetBlobsRestoreOrRejectTyped) {
         reader.read_u32();  // version
         const std::uint32_t groups = reader.read_u32();
         for (std::uint32_t g = 0; g < groups; ++g) expect_manager_frames_reencode(reader, blob);
-      }};
+      },
+      continue_fleet};
   const Outcome outcome = fuzz(subject, fleet_blob(), 202);
   EXPECT_GT(outcome.rejected, 0u);
 }

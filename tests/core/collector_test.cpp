@@ -75,28 +75,31 @@ std::string format_report(const EpochReport& r) {
 // from the pre-refactor build (same scenario: k=3, seed 7, three client
 // populations at x = 0 / 430 / 900, 900 accesses each per epoch, 6 epochs).
 // The bytes= fields were re-pinned when summaries moved to the compact
-// summary frame (332 and 492 B in the fixed-width layout); every other field
-// is as captured.
+// summary frame (332 and 492 B in the fixed-width layout, then 145 and
+// 218/217 B as one full frame per replica), and again when collection split
+// into two phases: epoch 0 adopts and ships centroid and moment frames
+// (150 B), the others keep their placement and ship centroid frames alone
+// (122/121 B). Every other field is as captured.
 const char* const kGoldenDefaultScenario[] = {
     "old=[7,3,8] proposed=[0,9,4] adopted=[0,9,4] old_delay=0x1.615a3e3074a26p+7 "
     "new_delay=0x1.c3f6bc12401cp+3 migrate=1 gain=0x1.451ad26f50a0ap+7 "
-    "rel=0x1.d711d49b7cd5fp-1 cost=0x1.3333333333334p-2 moved=3 bytes=145 accesses=2700 "
+    "rel=0x1.d711d49b7cd5fp-1 cost=0x1.3333333333334p-2 moved=3 bytes=150 accesses=2700 "
     "degree=3",
     "old=[0,9,4] proposed=[0,9,4] adopted=[0,9,4] old_delay=0x1.fc2bd242e094cp+3 "
     "new_delay=0x1.fc2bd242e094cp+3 migrate=0 gain=0x0p+0 rel=0x0p+0 cost=0x0p+0 moved=0 "
-    "bytes=218 accesses=2700 degree=3",
+    "bytes=122 accesses=2700 degree=3",
     "old=[0,9,4] proposed=[9,4,0] adopted=[0,9,4] old_delay=0x1.07e9ab510c792p+4 "
     "new_delay=0x1.07e9ab510c792p+4 migrate=0 gain=0x0p+0 rel=0x0p+0 cost=0x0p+0 moved=0 "
-    "bytes=217 accesses=2700 degree=3",
+    "bytes=121 accesses=2700 degree=3",
     "old=[0,9,4] proposed=[9,0,4] adopted=[0,9,4] old_delay=0x1.123e7149fed67p+4 "
     "new_delay=0x1.123e7149fed67p+4 migrate=0 gain=0x0p+0 rel=0x0p+0 cost=0x0p+0 moved=0 "
-    "bytes=218 accesses=2700 degree=3",
+    "bytes=122 accesses=2700 degree=3",
     "old=[0,9,4] proposed=[0,9,4] adopted=[0,9,4] old_delay=0x1.1606b0bb1d29dp+4 "
     "new_delay=0x1.1606b0bb1d29dp+4 migrate=0 gain=0x0p+0 rel=0x0p+0 cost=0x0p+0 moved=0 "
-    "bytes=217 accesses=2700 degree=3",
+    "bytes=121 accesses=2700 degree=3",
     "old=[0,9,4] proposed=[0,9,4] adopted=[0,9,4] old_delay=0x1.1a62427729da4p+4 "
     "new_delay=0x1.1a62427729da4p+4 migrate=0 gain=0x0p+0 rel=0x0p+0 cost=0x0p+0 moved=0 "
-    "bytes=217 accesses=2700 degree=3",
+    "bytes=121 accesses=2700 degree=3",
 };
 
 ManagerConfig golden_config() {
@@ -189,7 +192,7 @@ std::vector<std::pair<topo::NodeId, std::vector<std::uint8_t>>> serialized_summa
   std::vector<std::pair<topo::NodeId, std::vector<std::uint8_t>>> out;
   for (const auto& [node, summarizer] : summarizers) {
     ByteWriter writer;
-    summarizer.serialize(writer);
+    cluster::write_clusters(writer, summarizer.clusters());
     out.emplace_back(node, writer.bytes());
   }
   return out;
@@ -252,6 +255,11 @@ struct RecordingCollector final : SummaryCollector {
     agreed = collected.agreed_proposal;
     return collected;
   }
+  void collect_moments(const std::vector<SummarySource>& sources,
+                       const CollectionContext& context,
+                       CollectedSummaries& collected) override {
+    inner->collect_moments(sources, context, collected);
+  }
   std::unique_ptr<SummaryCollector> inner;
   std::optional<place::Placement>& agreed;
 };
@@ -300,6 +308,127 @@ TEST(EpochPipeline, EveryRegistryCollectorDrivesAManager) {
         EXPECT_EQ(report.proposed_placement, *agreed);
       }
     }
+  }
+}
+
+/// Passes both phases through and records what each was handed and
+/// reported.
+struct PhaseRecorder final : SummaryCollector {
+  explicit PhaseRecorder(std::unique_ptr<SummaryCollector> wrapped)
+      : inner(std::move(wrapped)) {}
+  std::string name() const override { return inner->name(); }
+  CollectedSummaries collect(const std::vector<SummarySource>& phase_sources,
+                             const CollectionContext& context) override {
+    sources = phase_sources;
+    candidates = context.candidates;
+    epoch_seed = context.epoch_seed;
+    moments_collected = false;
+    CollectedSummaries collected = inner->collect(phase_sources, context);
+    phase_one_bytes = collected.summary_bytes;
+    return collected;
+  }
+  void collect_moments(const std::vector<SummarySource>& phase_sources,
+                       const CollectionContext& context,
+                       CollectedSummaries& collected) override {
+    moments_collected = true;
+    inner->collect_moments(phase_sources, context, collected);
+  }
+  std::unique_ptr<SummaryCollector> inner;
+  std::vector<SummarySource> sources;
+  std::vector<place::CandidateInfo> candidates;
+  std::uint64_t epoch_seed = 0;
+  std::size_t phase_one_bytes = 0;
+  bool moments_collected = false;
+};
+
+/// The frames each phase of `name` sends to its decision point for the
+/// recorded round, computed from the frame codec and the collection
+/// substrate rather than read from the collector: {centroid, moment} bytes.
+std::pair<std::size_t, std::size_t> frames_sent(const std::string& name,
+                                                const PhaseRecorder& round,
+                                                const topo::Topology& topology) {
+  const auto frame_bytes = [](const std::vector<cluster::MicroCluster>& clusters) {
+    ByteWriter centroids;
+    cluster::write_centroid_frame(centroids, clusters);
+    ByteWriter moments;
+    cluster::write_moment_frame(moments, clusters);
+    return std::make_pair(centroids.size(), moments.size());
+  };
+  std::pair<std::size_t, std::size_t> bytes{0, 0};
+  const auto add = [&](const std::vector<cluster::MicroCluster>& clusters,
+                       std::size_t copies) {
+    const auto [centroids, moments] = frame_bytes(clusters);
+    bytes.first += copies * centroids;
+    bytes.second += copies * moments;
+  };
+  if (name == "direct" || name == "rpc") {
+    // Every source straight to the coordinator.
+    for (const auto& source : round.sources) add(source.clusters, 1);
+  } else if (name == "decentralized") {
+    // Every replica to each of its peers.
+    std::map<topo::NodeId, std::vector<cluster::MicroCluster>> by_node;
+    for (const auto& source : round.sources) {
+      auto& clusters = by_node[source.node];
+      clusters.insert(clusters.end(), source.clusters.begin(), source.clusters.end());
+    }
+    for (const auto& [node, clusters] : by_node) add(clusters, by_node.size() - 1);
+  } else {
+    // The aggregators' merges to the root, replayed on a scratch network.
+    sim::Simulator simulator;
+    sim::Network network(simulator, topology);
+    const AggregationPlan plan = plan_aggregation(round.candidates, round.sources,
+                                                  AggregationConfig{}, round.epoch_seed);
+    const AggregationResult result =
+        run_aggregation(simulator, network, plan, round.sources, 0, AggregationConfig{});
+    for (const auto& forwarded : result.forwarded) add(forwarded.clusters, 1);
+  }
+  return bytes;
+}
+
+// Counted bytes are the frames sent: for every registry collector, an epoch
+// that keeps its placement reports its centroid frames, and an epoch that
+// adopts (a migration, or a failed data center in the placement) reports
+// its centroid frames plus its moment frames — and only it runs phase 2.
+TEST(EpochPipeline, SummaryBytesAreTheFramesEachPhaseSent) {
+  const auto candidates = line_candidates();
+  SymMatrix rtt(candidates.size());
+  for (std::size_t i = 0; i < candidates.size(); ++i) {
+    for (std::size_t j = i + 1; j < candidates.size(); ++j) {
+      rtt.set(i, j, 100.0 * static_cast<double>(j - i));
+    }
+  }
+  const topo::Topology topology(std::vector<topo::NodeInfo>(candidates.size()), rtt, {});
+  for (const auto& name : collector_names()) {
+    sim::Simulator simulator;
+    sim::Network network(simulator, topology);
+    CollectorConfig config;
+    config.simulator = &simulator;
+    config.network = &network;
+    config.rpc_clock = std::make_shared<net::VirtualClock>();
+    auto recorder = std::make_unique<PhaseRecorder>(make_collector(name, config));
+    const PhaseRecorder& round = *recorder;
+    ReplicationManager manager(candidates, golden_config(), 7, std::move(recorder));
+    Rng rng(5);
+    std::size_t adopting = 0;
+    std::size_t keeping = 0;
+    for (int epoch = 0; epoch < 6; ++epoch) {
+      SCOPED_TRACE(name + " epoch " + std::to_string(epoch));
+      std::set<topo::NodeId> excluded;
+      if (epoch == 3) excluded.insert(manager.placement().front());
+      feed_golden_epoch(manager, rng);
+      const EpochReport report = manager.run_epoch(excluded);
+      const bool impaired = !excluded.empty();
+      const bool adopts = report.decision.migrate || impaired ||
+                          report.proposed_placement.size() != report.old_placement.size();
+      const auto [centroid_bytes, moment_bytes] = frames_sent(name, round, topology);
+      EXPECT_EQ(round.moments_collected, adopts);
+      EXPECT_EQ(round.phase_one_bytes, centroid_bytes);
+      EXPECT_EQ(report.summary_bytes, centroid_bytes + (adopts ? moment_bytes : 0));
+      EXPECT_EQ(report.handoff_lost_sources, 0u);
+      ++(adopts ? adopting : keeping);
+    }
+    EXPECT_GT(adopting, 0u) << name;
+    EXPECT_GT(keeping, 0u) << name;
   }
 }
 

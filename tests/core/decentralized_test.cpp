@@ -115,7 +115,8 @@ TEST(Decentralized, ExchangesKSquaredSummaries) {
 }
 
 TEST(Decentralized, SummaryTrafficIsTheFramesSent) {
-  // Every holder sends its one summary frame to each of its peers.
+  // Every holder sends its centroid frame to each of its peers, and in
+  // phase 2 its moment frame.
   DecWorld world(12, 4, 5);
   sim::Simulator simulator;
   sim::Network network(simulator, world.topology);
@@ -123,14 +124,21 @@ TEST(Decentralized, SummaryTrafficIsTheFramesSent) {
   const auto result = run_decentralized_epoch(simulator, network, world.candidates,
                                               world.summaries, 3, 1, *strategy);
   std::uint64_t expected = 0;
+  std::uint64_t expected_moments = 0;
   for (const auto& [node, clusters] : world.summaries) {
-    ByteWriter writer;
-    cluster::write_clusters(writer, clusters);
-    expected += writer.size() * (world.summaries.size() - 1);
+    ByteWriter centroids;
+    cluster::write_centroid_frame(centroids, clusters);
+    expected += centroids.size() * (world.summaries.size() - 1);
+    ByteWriter moments;
+    cluster::write_moment_frame(moments, clusters);
+    expected_moments += moments.size() * (world.summaries.size() - 1);
   }
   EXPECT_EQ(result.summary_bytes, expected);
   EXPECT_EQ(network.stats().bytes[static_cast<std::size_t>(sim::TrafficClass::kSummary)],
             expected);
+  EXPECT_EQ(exchange_moment_frames(simulator, network, world.summaries), expected_moments);
+  EXPECT_EQ(network.stats().bytes[static_cast<std::size_t>(sim::TrafficClass::kSummary)],
+            expected + expected_moments);
 }
 
 TEST(Decentralized, SingleReplicaDecidesAlone) {

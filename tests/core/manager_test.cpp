@@ -553,6 +553,31 @@ TEST(Manager, RestoreRejectsEmptyPlacement) {
   EXPECT_NO_THROW(manager.serve(Point{250.0}));
 }
 
+TEST(Manager, RestoreRejectsADegreeOutsideItsBounds) {
+  // Every path that sets the degree keeps it in [min_degree, max_degree]. A
+  // checkpoint past them (a high bit flipped in the u64 degree, as
+  // CheckpointMutation found) would have the next epoch place every
+  // candidate while reporting a degree no placement can have.
+  constexpr std::size_t kDegreeOffset = 4 + 4 + 8 + 8;  // magic, version, epoch, accesses
+  const ManagerConfig config = small_config(3);
+  ReplicationManager manager(line_candidates(), config, 7);
+  const auto with_degree = [&](std::uint64_t degree) {
+    std::vector<std::uint8_t> blob = handmade_checkpoint({0, 4, 8}, {});
+    std::memcpy(blob.data() + kDegreeOffset, &degree, sizeof degree);
+    return blob;
+  };
+  for (const std::uint64_t degree :
+       {std::uint64_t{0}, std::uint64_t{config.max_degree + 1}, std::uint64_t{1} << 56}) {
+    expect_rejected(manager, with_degree(degree));
+  }
+  for (const std::uint64_t degree : {std::uint64_t{config.min_degree},
+                                     std::uint64_t{config.max_degree}}) {
+    const std::vector<std::uint8_t> blob = with_degree(degree);
+    ByteReader reader(blob);
+    EXPECT_NO_THROW(manager.restore(reader)) << "degree " << degree;
+  }
+}
+
 /// The manager RestoreRejectsMomentsAnEpochCannotUse builds, saved in the
 /// v2 layout (fixed-width summaries) by the build before checkpoint v3.
 constexpr const char* kMomentsSourceV2 =

@@ -2,13 +2,16 @@
 //
 // Three pillars, mirroring the collector's guarantees:
 //   1. Byte parity — with faults disabled, collected summaries and the
-//      reported summary_bytes are identical to DirectCollector, all the way
-//      up to bit-identical ReplicationManager epoch reports.
+//      reported summary_bytes are identical to DirectCollector after either
+//      phase (centroid frames, then moment frames), all the way up to
+//      bit-identical ReplicationManager epoch reports.
 //   2. Determinism under faults — the FaultInjector is a pure function of
 //      (seed, salt, source, attempt), so the test re-derives the oracle's
 //      verdict per source and asserts the collector behaved exactly as
 //      planned: recoverable schedules converge to the direct bytes, fatal
-//      schedules fall back to the cache (stale) or drop out (lost).
+//      schedules fall back to the cache (stale) or drop out (lost), and a
+//      source that is stale in phase 1 or runs out of retries in phase 2
+//      hands no clusters to the adopted placement.
 //   3. Graceful degradation — an epoch always completes, whatever fails.
 //
 // Everything runs on a VirtualClock, so retries and injected delays cost no
@@ -66,12 +69,31 @@ std::vector<SummarySource> make_sources(std::size_t count, std::uint64_t seed) {
   return sources;
 }
 
-/// Bit-exact fingerprint of a collected summary set: the shared wire format
-/// over the flattened clusters.
+/// Bit-exact fingerprint of a completed summary set (after phase 2): the
+/// full frame over the flattened clusters.
 std::vector<std::uint8_t> fingerprint(const std::vector<cluster::MicroCluster>& summaries) {
   ByteWriter writer;
   cluster::write_clusters(writer, summaries);
   return writer.bytes();
+}
+
+/// Bit-exact fingerprint of what phase 1 collects: the centroid frame over
+/// the flattened clusters.
+std::vector<std::uint8_t> centroid_fingerprint(
+    const std::vector<cluster::MicroCluster>& summaries) {
+  ByteWriter writer;
+  cluster::write_centroid_frame(writer, summaries);
+  return writer.bytes();
+}
+
+std::size_t centroid_frame_bytes(const std::vector<cluster::MicroCluster>& clusters) {
+  return centroid_fingerprint(clusters).size();
+}
+
+std::size_t moment_frame_bytes(const std::vector<cluster::MicroCluster>& clusters) {
+  ByteWriter writer;
+  cluster::write_moment_frame(writer, clusters);
+  return writer.size();
 }
 
 /// Recoverable = the client accepts the response on that attempt. Delayed
@@ -133,12 +155,14 @@ TEST(RpcCollector, ZeroFaultsIsByteIdenticalToDirect) {
   const CollectionContext context{candidates, 3, 99};
 
   core::DirectCollector direct;
-  const CollectedSummaries expected = direct.collect(sources, context);
+  CollectedSummaries expected = direct.collect(sources, context);
 
   RpcCollector rpc(fast_config(), std::make_shared<VirtualClock>());
-  const CollectedSummaries actual = rpc.collect(sources, context);
+  CollectedSummaries actual = rpc.collect(sources, context);
 
-  EXPECT_EQ(fingerprint(actual.summaries), fingerprint(expected.summaries));
+  // Phase 1 ships no second moments: only what propose and gate read.
+  for (const auto& micro : actual.summaries) EXPECT_EQ(micro.sum2().dim(), 0u);
+  EXPECT_EQ(centroid_fingerprint(actual.summaries), centroid_fingerprint(expected.summaries));
   EXPECT_EQ(actual.summary_bytes, expected.summary_bytes);
   EXPECT_TRUE(actual.stale_sources.empty());
   EXPECT_TRUE(actual.lost_sources.empty());
@@ -146,21 +170,42 @@ TEST(RpcCollector, ZeroFaultsIsByteIdenticalToDirect) {
   EXPECT_EQ(rpc.last_stats().requests_sent, sources.size());
   EXPECT_EQ(rpc.last_stats().faults_hit, 0u);
   EXPECT_EQ(rpc.last_stats().retries, 0u);
+
+  // Phase 2 completes every cluster, bit for bit.
+  direct.collect_moments(sources, context, expected);
+  rpc.collect_moments(sources, context, actual);
+  EXPECT_EQ(fingerprint(actual.summaries), fingerprint(expected.summaries));
+  EXPECT_EQ(actual.summary_bytes, expected.summary_bytes);
+  EXPECT_TRUE(actual.handoff_lost_sources.empty());
+  EXPECT_EQ(rpc.last_stats().responses_ok, 2 * sources.size());
+  EXPECT_EQ(rpc.last_stats().requests_sent, 2 * sources.size());
+  EXPECT_EQ(rpc.last_stats().faults_hit, 0u);
 }
 
 TEST(RpcCollector, SummaryBytesAreThePayloadBytes) {
-  // Direct charges each source by serialized_size; rpc counts the payloads
-  // that crossed the socket. Both are the sources' summary frames.
+  // Direct sizes each source's frames; rpc counts the payloads that crossed
+  // the socket. Both are the sources' centroid frames after phase 1, plus
+  // their moment frames after phase 2.
   const auto sources = make_sources(5, 13);
   const auto candidates = line_candidates();
   const CollectionContext context{candidates, 3, 7};
-  std::size_t frame_bytes = 0;
-  for (const auto& source : sources) frame_bytes += fingerprint(source.clusters).size();
+  std::size_t centroid_bytes = 0;
+  std::size_t moment_bytes = 0;
+  for (const auto& source : sources) {
+    centroid_bytes += centroid_frame_bytes(source.clusters);
+    moment_bytes += moment_frame_bytes(source.clusters);
+  }
 
   RpcCollector rpc(fast_config(), std::make_shared<VirtualClock>());
-  EXPECT_EQ(rpc.collect(sources, context).summary_bytes, frame_bytes);
+  CollectedSummaries by_rpc = rpc.collect(sources, context);
+  EXPECT_EQ(by_rpc.summary_bytes, centroid_bytes);
+  rpc.collect_moments(sources, context, by_rpc);
+  EXPECT_EQ(by_rpc.summary_bytes, centroid_bytes + moment_bytes);
   core::DirectCollector direct;
-  EXPECT_EQ(direct.collect(sources, context).summary_bytes, frame_bytes);
+  CollectedSummaries by_direct = direct.collect(sources, context);
+  EXPECT_EQ(by_direct.summary_bytes, centroid_bytes);
+  direct.collect_moments(sources, context, by_direct);
+  EXPECT_EQ(by_direct.summary_bytes, centroid_bytes + moment_bytes);
 }
 
 TEST(RpcCollector, EmptySourcesCompleteTrivially) {
@@ -220,16 +265,15 @@ TEST(RpcCollector, FaultMatrixMatchesTheOracleAcrossRetryBudgets) {
       std::size_t expected_bytes = 0;
       for (std::size_t s = 0; s < sources.size(); ++s) {
         if (source_recovers(oracle, salt, s, budget)) {
-          ByteWriter writer;
-          cluster::write_clusters(writer, sources[s].clusters);
-          expected_bytes += writer.size();
+          expected_bytes += centroid_frame_bytes(sources[s].clusters);
           for (const auto& micro : sources[s].clusters) expected_summaries.push_back(micro);
         } else {
           expected_lost.push_back(sources[s].node);  // first round: no cache
         }
       }
 
-      EXPECT_EQ(fingerprint(collected.summaries), fingerprint(expected_summaries))
+      EXPECT_EQ(centroid_fingerprint(collected.summaries),
+                centroid_fingerprint(expected_summaries))
           << test_case.label << " budget=" << budget;
       EXPECT_EQ(collected.summary_bytes, expected_bytes)
           << test_case.label << " budget=" << budget;
@@ -242,7 +286,8 @@ TEST(RpcCollector, FaultMatrixMatchesTheOracleAcrossRetryBudgets) {
       if (std::string(test_case.label) == "delay" ||
           std::string(test_case.label) == "duplicate") {
         const CollectedSummaries reference = direct.collect(sources, context);
-        EXPECT_EQ(fingerprint(collected.summaries), fingerprint(reference.summaries))
+        EXPECT_EQ(centroid_fingerprint(collected.summaries),
+                  centroid_fingerprint(reference.summaries))
             << test_case.label << " budget=" << budget;
         EXPECT_EQ(collected.summary_bytes, reference.summary_bytes);
       }
@@ -264,7 +309,7 @@ TEST(RpcCollector, FaultRunsAreDeterministicGivenTheSeed) {
   auto run = [&] {
     RpcCollector rpc(config, std::make_shared<VirtualClock>());
     CollectedSummaries collected = rpc.collect(sources, context);
-    return std::make_pair(fingerprint(collected.summaries), collected.lost_sources);
+    return std::make_pair(centroid_fingerprint(collected.summaries), collected.lost_sources);
   };
   const auto first = run();
   const auto second = run();
@@ -297,9 +342,7 @@ TEST(RpcCollector, ExhaustedRetriesFallBackToTheCachedEpoch) {
   std::size_t expected_fresh_bytes = 0;
   for (std::size_t s = 0; s < sources.size(); ++s) {
     if (source_recovers(oracle, failing_salt, s, config.max_attempts)) {
-      ByteWriter writer;
-      cluster::write_clusters(writer, sources[s].clusters);
-      expected_fresh_bytes += writer.size();
+      expected_fresh_bytes += centroid_frame_bytes(sources[s].clusters);
     } else {
       expected_stale.push_back(sources[s].node);
     }
@@ -312,7 +355,153 @@ TEST(RpcCollector, ExhaustedRetriesFallBackToTheCachedEpoch) {
   // The cache replays the same sources, so the collected set is unchanged.
   const CollectedSummaries reference =
       core::DirectCollector().collect(sources, {candidates, 3, failing_salt});
-  EXPECT_EQ(fingerprint(degraded.summaries), fingerprint(reference.summaries));
+  EXPECT_EQ(centroid_fingerprint(degraded.summaries),
+            centroid_fingerprint(reference.summaries));
+}
+
+/// A salt under which every source recovers in phase 1 but at least one
+/// runs out of retries in phase 2.
+std::uint64_t find_phase_two_failing_salt(const FaultInjector& injector, std::size_t sources,
+                                          std::size_t max_attempts) {
+  for (std::uint64_t salt = 0; salt < 10000; ++salt) {
+    bool phase_one_clean = true;
+    bool phase_two_fails = false;
+    for (std::uint64_t s = 0; s < sources; ++s) {
+      phase_one_clean = phase_one_clean && source_recovers(injector, salt, s, max_attempts);
+      phase_two_fails = phase_two_fails ||
+                        !source_recovers(injector, salt ^ kMomentPhaseSalt, s, max_attempts);
+    }
+    if (phase_one_clean && phase_two_fails) return salt;
+  }
+  ADD_FAILURE() << "no salt that fails only phase 2";
+  return 0;
+}
+
+/// What a two-phase round handed off, for replay comparisons.
+struct HandOff {
+  std::vector<std::uint8_t> clusters;  ///< full frame of the handed-off clusters
+  std::size_t summary_bytes = 0;
+  std::vector<topo::NodeId> stale;
+  std::vector<topo::NodeId> handoff_lost;
+  bool operator==(const HandOff&) const = default;
+};
+
+HandOff hand_off(const CollectedSummaries& collected) {
+  return {fingerprint(collected.summaries), collected.summary_bytes, collected.stale_sources,
+          collected.handoff_lost_sources};
+}
+
+TEST(RpcCollector, PhaseTwoRetriesRunningOutDropTheSourceFromTheHandOff) {
+  const auto sources = make_sources(4, 61);
+  const auto candidates = line_candidates();
+  RpcCollectorConfig config = fast_config();
+  config.faults.disconnect = 0.5;  // fail-fast fault: no real-time waiting
+  config.faults.seed = 19;
+  config.max_attempts = 2;
+  const FaultInjector oracle(config.faults);
+  const std::uint64_t salt =
+      find_phase_two_failing_salt(oracle, sources.size(), config.max_attempts);
+  const CollectionContext context{candidates, 3, salt};
+
+  // The oracle's hand-off: every source is fresh in phase 1, and the ones
+  // whose phase-2 fetch recovers keep their clusters, moments and all.
+  std::vector<cluster::MicroCluster> expected_clusters;
+  std::vector<topo::NodeId> expected_lost;
+  std::size_t expected_bytes = 0;
+  for (std::size_t s = 0; s < sources.size(); ++s) {
+    expected_bytes += centroid_frame_bytes(sources[s].clusters);
+    if (source_recovers(oracle, salt ^ kMomentPhaseSalt, s, config.max_attempts)) {
+      expected_bytes += moment_frame_bytes(sources[s].clusters);
+      for (const auto& micro : sources[s].clusters) expected_clusters.push_back(micro);
+    } else {
+      expected_lost.push_back(sources[s].node);
+    }
+  }
+  ASSERT_FALSE(expected_lost.empty());
+
+  const auto run = [&] {
+    RpcCollector rpc(config, std::make_shared<VirtualClock>());
+    CollectedSummaries collected = rpc.collect(sources, context);
+    EXPECT_TRUE(collected.stale_sources.empty());
+    EXPECT_TRUE(collected.lost_sources.empty());
+    rpc.collect_moments(sources, context, collected);
+    return hand_off(collected);
+  };
+  const HandOff first = run();
+  EXPECT_EQ(first.clusters, fingerprint(expected_clusters));
+  EXPECT_EQ(first.summary_bytes, expected_bytes);
+  EXPECT_EQ(first.handoff_lost, expected_lost);
+  EXPECT_EQ(run(), first) << "phase 2 must replay identically given the seed";
+}
+
+TEST(RpcCollector, StaleSourceHandsNoClustersToTheAdoptedPlacement) {
+  const auto sources = make_sources(3, 67);
+  const auto candidates = line_candidates();
+  RpcCollectorConfig config = fast_config();
+  config.faults.disconnect = 0.5;
+  config.faults.seed = 23;
+  config.max_attempts = 2;
+  const FaultInjector oracle(config.faults);
+  const std::uint64_t clean_salt =
+      find_clean_salt(oracle, sources.size(), config.max_attempts);
+  // Some source goes stale in phase 1, and every fresh one completes phase 2,
+  // so the only hand-off losses are the stale fallbacks.
+  std::uint64_t salt = clean_salt + 1;
+  for (;; ++salt) {
+    ASSERT_LT(salt, clean_salt + 10000) << "no salt with a stale source and a clean phase 2";
+    bool stale = false;
+    bool phase_two_clean = true;
+    for (std::uint64_t s = 0; s < sources.size(); ++s) {
+      if (!source_recovers(oracle, salt, s, config.max_attempts)) {
+        stale = true;
+      } else if (!source_recovers(oracle, salt ^ kMomentPhaseSalt, s, config.max_attempts)) {
+        phase_two_clean = false;
+      }
+    }
+    if (stale && phase_two_clean) break;
+  }
+  const CollectionContext context{candidates, 3, salt};
+
+  std::vector<cluster::MicroCluster> expected_clusters;
+  std::vector<topo::NodeId> expected_stale;
+  std::size_t expected_bytes = 0;
+  std::size_t stale_clusters = 0;
+  for (std::size_t s = 0; s < sources.size(); ++s) {
+    if (source_recovers(oracle, salt, s, config.max_attempts)) {
+      expected_bytes +=
+          centroid_frame_bytes(sources[s].clusters) + moment_frame_bytes(sources[s].clusters);
+      for (const auto& micro : sources[s].clusters) expected_clusters.push_back(micro);
+    } else {
+      expected_stale.push_back(sources[s].node);
+      stale_clusters += sources[s].clusters.size();
+    }
+  }
+
+  const auto run = [&] {
+    RpcCollector rpc(config, std::make_shared<VirtualClock>());
+    rpc.collect(sources, {candidates, 3, clean_salt});  // primes every node's cache
+    CollectedSummaries collected = rpc.collect(sources, context);
+    EXPECT_EQ(collected.summaries.size(), expected_clusters.size() + stale_clusters)
+        << "phase 1 serves the stale sources from the cache";
+    rpc.collect_moments(sources, context, collected);
+    return hand_off(collected);
+  };
+  const HandOff first = run();
+  EXPECT_EQ(first.stale, expected_stale);
+  EXPECT_EQ(first.handoff_lost, expected_stale);
+  EXPECT_EQ(first.clusters, fingerprint(expected_clusters));
+  EXPECT_EQ(first.summary_bytes, expected_bytes);
+  EXPECT_EQ(run(), first) << "a stale hand-off must replay identically given the seed";
+}
+
+TEST(RpcCollector, PhaseTwoRejectsAForeignRound) {
+  const auto sources = make_sources(3, 71);
+  const auto candidates = line_candidates();
+  const CollectionContext context{candidates, 3, 5};
+  RpcCollector rpc(fast_config(), std::make_shared<VirtualClock>());
+  CollectedSummaries collected = rpc.collect(sources, context);
+  const std::vector<SummarySource> fewer(sources.begin(), sources.end() - 1);
+  EXPECT_THROW(rpc.collect_moments(fewer, context, collected), std::invalid_argument);
 }
 
 TEST(RpcCollector, AllSourcesLostStillCompletesTheEpoch) {
@@ -392,11 +581,11 @@ std::string format_report(const core::EpochReport& r) {
   char buffer[256];
   std::snprintf(buffer, sizeof buffer,
                 " old=%a new=%a migrate=%d moved=%zu bytes=%zu accesses=%llu degree=%zu "
-                "stale=%zu lost=%zu",
+                "stale=%zu lost=%zu handoff_lost=%zu",
                 r.old_estimated_delay_ms, r.new_estimated_delay_ms,
                 r.decision.migrate ? 1 : 0, r.replicas_moved, r.summary_bytes,
                 static_cast<unsigned long long>(r.epoch_accesses), r.degree, r.stale_sources,
-                r.lost_sources);
+                r.lost_sources, r.handoff_lost_sources);
   out += buffer;
   return out;
 }
@@ -416,10 +605,38 @@ std::unique_ptr<core::SummaryCollector> rpc_collector() {
   return core::make_collector("rpc", collector_config);
 }
 
+/// Passes a collector through, checking that every cluster of its phase 1,
+/// what propose and gate read, carries no second moments.
+struct NoMomentsInPhaseOne final : core::SummaryCollector {
+  NoMomentsInPhaseOne(std::unique_ptr<core::SummaryCollector> wrapped, std::size_t& checked)
+      : inner(std::move(wrapped)), clusters_checked(checked) {}
+  std::string name() const override { return inner->name(); }
+  CollectedSummaries collect(const std::vector<SummarySource>& sources,
+                             const CollectionContext& context) override {
+    CollectedSummaries collected = inner->collect(sources, context);
+    for (const auto& micro : collected.summaries) EXPECT_EQ(micro.sum2().dim(), 0u);
+    clusters_checked += collected.summaries.size();
+    return collected;
+  }
+  void collect_moments(const std::vector<SummarySource>& sources,
+                       const CollectionContext& context,
+                       CollectedSummaries& collected) override {
+    inner->collect_moments(sources, context, collected);
+  }
+  std::unique_ptr<core::SummaryCollector> inner;
+  std::size_t& clusters_checked;
+};
+
 TEST(RpcEquivalence, ManagerEpochReportsMatchDirectBitForBit) {
+  // The rpc manager proposes and gates on phase-1 clusters that carry no
+  // second moments, and still decides exactly as the direct manager does:
+  // propose and gate never read them.
   const core::ManagerConfig config = golden_config();
   core::ReplicationManager direct(line_candidates(), config, 7);
-  core::ReplicationManager rpc(line_candidates(), config, 7, rpc_collector());
+  std::size_t clusters_checked = 0;
+  core::ReplicationManager rpc(
+      line_candidates(), config, 7,
+      std::make_unique<NoMomentsInPhaseOne>(rpc_collector(), clusters_checked));
 
   Rng direct_rng(5);
   Rng rpc_rng(5);
@@ -435,6 +652,7 @@ TEST(RpcEquivalence, ManagerEpochReportsMatchDirectBitForBit) {
     EXPECT_EQ(format_report(rpc.run_epoch()), format_report(direct.run_epoch()))
         << "epoch " << epoch;
   }
+  EXPECT_GT(clusters_checked, 0u);
 }
 
 TEST(RpcEquivalence, FaultyEpochsAreReproducibleGivenTheSeed) {
