@@ -45,6 +45,8 @@ int main() {
     // Synthesize sources: each sits at a data center and summarizes a
     // population near it (4 micro-clusters of 25 accesses).
     Rng rng(source_count);
+    // The sources view their clusters in place, so these outlive them.
+    std::vector<std::vector<cluster::MicroCluster>> populations(source_count);
     std::vector<core::SummarySource> sources;
     for (std::size_t s = 0; s < source_count; ++s) {
       core::SummarySource source;
@@ -59,9 +61,10 @@ int main() {
           }
           micro.absorb(jittered, 1.0);
         }
-        source.clusters.push_back(micro);
+        populations[s].push_back(micro);
       }
-      sources.push_back(std::move(source));
+      source.clusters = populations[s];
+      sources.push_back(source);
     }
 
     core::AggregationConfig config;

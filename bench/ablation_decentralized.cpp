@@ -3,11 +3,12 @@
 // Algorithm 1 collects summaries at one node. The decentralized variant
 // exchanges them all-to-all among the k replica holders and lets every
 // holder compute the identical proposal locally — no central server, no
-// single point of failure, at the cost of k*(k-1) instead of k summary
-// messages. This harness verifies agreement and quantifies the traffic and
-// latency difference across k. Both paths decide on centroid frames (phase 1
-// of cluster/summary_frame.h); the moment frames an adopting epoch adds
-// scale the same way and are left out.
+// single point of failure, at the cost of k*(k-1) summary frames instead of
+// the k-1 the other holders ship to a central one: k times the bytes. This
+// harness verifies agreement and quantifies the traffic and latency
+// difference across k. Both paths decide on centroid frames (phase 1 of
+// cluster/summary_frame.h); the moment frames an adopting epoch adds scale
+// the same way and are left out.
 #include <cstdio>
 
 #include "bench_util.h"
@@ -81,7 +82,8 @@ int main() {
   std::printf("\npaper-shape checks:\n");
   bench::print_check("all replicas agree on the proposal without coordination", all_agree);
   std::printf(
-      "  note: decentralized costs (k-1)x the summary bytes — hundreds of KB at\n"
-      "  most — and removes the central collection point entirely.\n");
+      "  note: decentralized ships k*(k-1) summary frames against central's k-1,\n"
+      "  k times the bytes — hundreds of KB at most — and removes the central\n"
+      "  collection point entirely.\n");
   return 0;
 }

@@ -185,6 +185,28 @@ std::size_t nearest_centroid_scalar(const Point& p, const std::vector<Point>& ce
   return best;
 }
 
+/// Flat weighted points back as one WeightedPoint each: the input form of
+/// the frozen scalar k-means solvers.
+std::vector<cluster::WeightedPoint> to_weighted_points(const cluster::WeightedPoints& points) {
+  std::vector<cluster::WeightedPoint> weighted;
+  weighted.reserve(points.weights.size());
+  for (std::size_t i = 0; i < points.weights.size(); ++i) {
+    weighted.push_back({points.positions.point(i), points.weights[i]});
+  }
+  return weighted;
+}
+
+/// The frozen scalar solver pair over the flat points the proposal builds.
+constexpr place::detail::KMeansSolvers kScalarSolvers{
+    [](const cluster::WeightedPoints& points, const cluster::KMeansConfig& config, Rng& rng) {
+      return cluster::weighted_kmeans_scalar(to_weighted_points(points), config, rng);
+    },
+    [](const cluster::WeightedPoints& points, std::vector<Point> initial,
+       const cluster::KMeansConfig& config) {
+      return cluster::weighted_kmeans_from_scalar(to_weighted_points(points),
+                                                  std::move(initial), config);
+    }};
+
 double scalar_lloyd_objective(const std::vector<cluster::WeightedPoint>& points,
                               std::vector<Point> centroids,
                               const cluster::KMeansConfig& config) {
@@ -560,6 +582,20 @@ std::vector<CaseResult> run_scale(const Scale& scale, std::size_t repeats,
       const auto& candidate = world.candidates[(r * 7) % scale.n_candidates];
       replicas.push_back({candidate.node, candidate.coords});
     }
+    // Both arms complete a request with the same RTT proxy: the coordinate
+    // distance from the client to its serving replica.
+    topo::NodeId max_node = 0;
+    for (const auto& replica : replicas) max_node = std::max(max_node, replica.node);
+    PointSet replica_set(kDim);
+    std::vector<std::size_t> row_of(max_node + 1, 0);
+    for (const auto& replica : replicas) {
+      row_of[replica.node] = replica_set.size();
+      replica_set.push_back(replica.coords);
+    }
+    const auto rtt_of = [&](const serve::RouteDecision& decision, std::size_t i) {
+      const std::size_t row = row_of[decision.replica];
+      return std::sqrt(replica_set.distance_squared(row, client_set.row(i)));
+    };
     const std::size_t n_requests = world.client_points.size();
     std::vector<double> nows(n_requests);
     for (std::size_t i = 0; i < n_requests; ++i) {
@@ -579,12 +615,10 @@ std::vector<CaseResult> run_scale(const Scale& scale, std::size_t repeats,
         match = match && decisions[i].outcome == want_decision.outcome &&
                 (!decisions[i].admitted() ||
                  (decisions[i].replica == want_decision.replica &&
-                  decisions[i].wait_ms == want_decision.wait_ms &&
-                  decisions[i].dist_sq == want_decision.dist_sq));
+                  decisions[i].wait_ms == want_decision.wait_ms));
         if (decisions[i].admitted()) {
-          match = match && router.complete(decisions[i], std::sqrt(decisions[i].dist_sq)) ==
-                               reference.complete(want_decision,
-                                                  std::sqrt(want_decision.dist_sq));
+          match = match && router.complete(decisions[i], rtt_of(decisions[i], i)) ==
+                               reference.complete(want_decision, rtt_of(want_decision, i));
         }
       }
       match = match && router.stats().admitted == reference.stats().admitted &&
@@ -602,7 +636,7 @@ std::vector<CaseResult> run_scale(const Scale& scale, std::size_t repeats,
       for (std::size_t i = 0; i < n_requests; ++i) {
         const auto decision = reference.route(world.client_points[i], nows[i]);
         if (decision.admitted()) {
-          reference.complete(decision, std::sqrt(decision.dist_sq));
+          reference.complete(decision, rtt_of(decision, i));
         }
       }
       scalar_acc = static_cast<double>(reference.stats().admitted) +
@@ -615,7 +649,7 @@ std::vector<CaseResult> run_scale(const Scale& scale, std::size_t repeats,
       router.route_batch(client_set, nullptr, n_requests, nows.data(), decisions.data());
       for (std::size_t i = 0; i < n_requests; ++i) {
         if (decisions[i].admitted()) {
-          router.complete(decisions[i], std::sqrt(decisions[i].dist_sq));
+          router.complete(decisions[i], rtt_of(decisions[i], i));
         }
       }
       fast_acc = static_cast<double>(router.stats().admitted) +
@@ -960,22 +994,19 @@ std::vector<CaseResult> run_scale(const Scale& scale, std::size_t repeats,
       Placement proposed;
       {
         const core::StageTimer timer(tr.propose_ms);
-        place::PlacementInput input;
-        input.candidates = world.candidates;
-        input.k = scale.k;
-        input.summaries = collected.summaries;
-        input.seed = derived_seed;
-        const place::detail::KMeansSolvers scalar{&cluster::weighted_kmeans_scalar,
-                                                  &cluster::weighted_kmeans_from_scalar};
-        proposed = place::detail::place_online_with(mconfig.strategy, input, scalar).placement;
+        proposed =
+            place::detail::place_online_with(mconfig.strategy, world.candidates, scale.k,
+                                             collected.summaries, derived_seed, kScalarSolvers)
+                .placement;
       }
       // (4) Migration gate on the scalar delay estimates.
       core::MigrationDecision decision;
       double new_delay = 0.0;
       {
         const core::StageTimer timer(tr.gate_ms);
-        const double old_delay = estimate_delay_scalar(routed, collected.summaries);
-        new_delay = estimate_delay_scalar(proposed, collected.summaries);
+        const std::vector<cluster::MicroCluster> summaries = collected.summaries.view();
+        const double old_delay = estimate_delay_scalar(routed, summaries);
+        new_delay = estimate_delay_scalar(proposed, summaries);
         std::size_t moved = 0;
         for (const auto node : proposed) {
           if (std::find(routed.begin(), routed.end(), node) == routed.end()) ++moved;
@@ -996,7 +1027,7 @@ std::vector<CaseResult> run_scale(const Scale& scale, std::size_t repeats,
         if (adopt) {
           adopted_placement = proposed;
           const std::map<topo::NodeId, cluster::MicroClusterSummarizer> adopted =
-              core::redistribute_to_nearest_scalar(proposed, collected.summaries,
+              core::redistribute_to_nearest_scalar(proposed, collected.summaries.view(),
                                                    world.candidates, mconfig.summarizer);
           for (const auto node : adopted_placement) {
             cluster::write_clusters(writer, adopted.at(node).clusters());

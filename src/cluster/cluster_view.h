@@ -1,0 +1,174 @@
+// Micro-clusters read in place.
+//
+// A placement epoch reads every replica's micro-clusters several times:
+// collection sizes their frames, the proposal clusters their centroids, the
+// gate scores two placements on them, and an adopting epoch hands them to
+// the new replicas. Two types carry them, so none of those steps copies a
+// cluster into a heap-allocated MicroCluster:
+//
+//   ClusterView    read-only rows of count, weight, sum and sum2, over a
+//                  summarizer's flat moment store, a ClusterBuffer, or a
+//                  vector of MicroCluster objects, without copying them;
+//   ClusterBuffer  the one owning flat form: an epoch's collected clusters
+//                  in source order, each row with its centroid. Its clear()
+//                  keeps the storage.
+//
+// Every moment is read or copied bit for bit, and a ClusterBuffer centroid
+// is sum[d] / count, the division MicroCluster::centroid performs, so a
+// computation over either type matches the same computation over the
+// MicroCluster objects.
+#pragma once
+
+#include <cstddef>
+#include <cstdint>
+#include <iterator>
+#include <span>
+#include <vector>
+
+#include "cluster/microcluster.h"
+#include "common/point_set.h"
+
+namespace geored::cluster {
+
+class ClusterView {
+ public:
+  ClusterView() = default;
+
+  /// Views cluster objects in place. Implicit, so every API that reads a
+  /// view also takes a vector of clusters.
+  // NOLINTNEXTLINE(google-explicit-constructor)
+  ClusterView(const std::vector<MicroCluster>& clusters) noexcept
+      : ClusterView(std::span<const MicroCluster>(clusters)) {}
+  explicit ClusterView(std::span<const MicroCluster> clusters) noexcept
+      : objects_(clusters.data()),
+        size_(clusters.size()),
+        dim_(clusters.empty() ? 0 : clusters.front().sum().dim()) {}
+
+  /// Views `size` flat rows of `dim` values: row i's sum at sums[i * dim]
+  /// and its second moments at sum2s[i * dim], or none when sum2s is null
+  /// (the rows of centroid frames).
+  ClusterView(std::size_t size, std::size_t dim, const std::uint64_t* counts,
+              const double* weights, const double* sums, const double* sum2s) noexcept
+      : counts_(counts),
+        weights_(weights),
+        sums_(sums),
+        sum2s_(sum2s),
+        size_(size),
+        dim_(dim) {}
+
+  std::size_t size() const { return size_; }
+  bool empty() const { return size_ == 0; }
+  /// The first row's dimension (0 for an empty view).
+  std::size_t dim() const { return dim_; }
+
+  std::uint64_t count(std::size_t i) const {
+    return objects_ != nullptr ? objects_[i].count() : counts_[i];
+  }
+  double weight(std::size_t i) const {
+    return objects_ != nullptr ? objects_[i].weight() : weights_[i];
+  }
+  std::span<const double> sum(std::size_t i) const {
+    if (objects_ != nullptr) return objects_[i].sum().values();
+    return {sums_ + i * dim_, dim_};
+  }
+  /// Empty when the row carries no second moments.
+  std::span<const double> sum2(std::size_t i) const {
+    if (objects_ != nullptr) return objects_[i].sum2().values();
+    if (sum2s_ == nullptr) return {};
+    return {sum2s_ + i * dim_, dim_};
+  }
+
+  /// Rows [first, first + count).
+  ClusterView subview(std::size_t first, std::size_t count) const;
+
+  /// Row i copied out as a MicroCluster (for callers that keep clusters;
+  /// the epoch reads the accessors above instead).
+  MicroCluster operator[](std::size_t i) const;
+  MicroCluster front() const { return (*this)[0]; }
+
+  /// Every row copied out. Implicit, so a view assigns to the vectors of
+  /// clusters that placement inputs and tests keep.
+  // NOLINTNEXTLINE(google-explicit-constructor)
+  operator std::vector<MicroCluster>() const;
+
+  /// Walks the rows as copied-out MicroClusters.
+  class Iterator {
+   public:
+    using iterator_category = std::input_iterator_tag;
+    using value_type = MicroCluster;
+    using difference_type = std::ptrdiff_t;
+    using pointer = void;
+    using reference = MicroCluster;
+    Iterator(const ClusterView* view, std::size_t i) : view_(view), i_(i) {}
+    MicroCluster operator*() const { return (*view_)[i_]; }
+    Iterator& operator++() {
+      ++i_;
+      return *this;
+    }
+    Iterator operator++(int) {
+      Iterator before = *this;
+      ++i_;
+      return before;
+    }
+    bool operator==(const Iterator& other) const { return i_ == other.i_; }
+
+   private:
+    const ClusterView* view_;
+    std::size_t i_;
+  };
+  Iterator begin() const { return {this, 0}; }
+  Iterator end() const { return {this, size_}; }
+
+ private:
+  const MicroCluster* objects_ = nullptr;
+  const std::uint64_t* counts_ = nullptr;
+  const double* weights_ = nullptr;
+  const double* sums_ = nullptr;
+  const double* sum2s_ = nullptr;
+  std::size_t size_ = 0;
+  std::size_t dim_ = 0;
+};
+
+class ClusterBuffer {
+ public:
+  ClusterBuffer() = default;
+  explicit ClusterBuffer(ClusterView clusters) { append(clusters); }
+
+  /// Drops every row and the dimension; the storage is kept.
+  void clear();
+  /// Makes room for `rows` rows in all, so appending them allocates once
+  /// per field.
+  void reserve(std::size_t rows);
+
+  /// Appends every row of `clusters` with a positive count, computing each
+  /// centroid; a row of count 0 is skipped, as every reader of the epoch
+  /// skips such a MicroCluster. Rows must share one dimension, which the
+  /// first row appended to an empty buffer sets. The buffer holds second
+  /// moments while every row appended since the last clear() carried them.
+  void append(ClusterView clusters);
+
+  std::size_t size() const { return counts_.size(); }
+  bool empty() const { return counts_.empty(); }
+  std::size_t dim() const { return sums_.dim(); }
+
+  std::uint64_t count(std::size_t i) const { return counts_[i]; }
+  double weight(std::size_t i) const { return weights_[i]; }
+  const double* centroid(std::size_t i) const { return centroids_.row(i); }
+  /// Whether every row carries its second moments.
+  bool has_moments() const { return has_moments_; }
+
+  ClusterView view() const {
+    return {size(), dim(), counts_.data(), weights_.data(), sums_.row(0),
+            has_moments_ ? sum2s_.row(0) : nullptr};
+  }
+
+ private:
+  std::vector<std::uint64_t> counts_;
+  std::vector<double> weights_;
+  PointSet sums_;
+  PointSet sum2s_;
+  PointSet centroids_;
+  bool has_moments_ = true;
+};
+
+}  // namespace geored::cluster

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <limits>
 #include <utility>
 
@@ -42,16 +43,15 @@ FlatPoints flatten(const std::vector<WeightedPoint>& points) {
 double objective_of(const FlatPoints& points, const PointSet& centroids, double* best_dist_sq,
                     std::size_t* assignment) {
   const std::size_t n = points.positions.size();
-  parallel_for(
-      n,
-      [&](std::size_t begin, std::size_t end) {
-        for (std::size_t i = begin; i < end; ++i) {
-          const std::size_t nearest =
-              centroids.nearest_of(points.positions.row(i), &best_dist_sq[i]);
-          if (assignment != nullptr) assignment[i] = nearest;
-        }
-      },
-      kMinParallelPoints);
+  const auto assign = [&](std::size_t begin, std::size_t end) {
+    for (std::size_t i = begin; i < end; ++i) {
+      const std::size_t nearest =
+          centroids.nearest_of(points.positions.row(i), &best_dist_sq[i]);
+      if (assignment != nullptr) assignment[i] = nearest;
+    }
+  };
+  // By reference, so the call allocates nothing (common/thread_pool.h).
+  parallel_for(n, std::ref(assign), kMinParallelPoints);
   double total = 0.0;
   for (std::size_t i = 0; i < n; ++i) total += points.weights[i] * best_dist_sq[i];
   return total;
@@ -61,7 +61,8 @@ PointSet kmeanspp_seed(const FlatPoints& points, std::size_t k, Rng& rng) {  // 
   const std::size_t n = points.positions.size();
   PointSet centroids(points.positions.dim());
   centroids.reserve(k);
-  centroids.push_back(points.positions.point(rng.weighted_index(points.weights)));
+  const std::size_t dim = points.positions.dim();
+  centroids.push_back_row(points.positions.row(rng.weighted_index(points.weights)), dim);
 
   // Seeding scratch lives on the thread's epoch arena: taken once per call,
   // reused across the chosen-centroid loop, returned wholesale at scope exit.
@@ -71,21 +72,19 @@ PointSet kmeanspp_seed(const FlatPoints& points, std::size_t k, Rng& rng) {  // 
   double* probs = scope.span<double>(n);
   while (centroids.size() < k) {
     const double* last = centroids.row(centroids.size() - 1);
-    parallel_for(
-        n,
-        [&](std::size_t begin, std::size_t end) {
-          for (std::size_t i = begin; i < end; ++i) {
-            dist_sq[i] = std::min(dist_sq[i], points.positions.distance_squared(i, last));
-          }
-        },
-        kMinParallelPoints);
+    const auto nearer = [&](std::size_t begin, std::size_t end) {
+      for (std::size_t i = begin; i < end; ++i) {
+        dist_sq[i] = std::min(dist_sq[i], points.positions.distance_squared(i, last));
+      }
+    };
+    parallel_for(n, std::ref(nearer), kMinParallelPoints);
     double total = 0.0;
     for (std::size_t i = 0; i < n; ++i) {
       probs[i] = points.weights[i] * dist_sq[i];
       total += probs[i];
     }
     if (total <= 0.0) break;  // all remaining mass sits on chosen centroids
-    centroids.push_back(points.positions.point(rng.weighted_index(probs, n)));
+    centroids.push_back_row(points.positions.row(rng.weighted_index(probs, n)), dim);
   }
   return centroids;
 }
@@ -169,41 +168,39 @@ double objective_bounded(const FlatPoints& points, const PointSet& centroids,
   const double* base = points.positions.row(0);
   const double* cen = centroids.row(0);
   const simd::Level level = simd::active_level();
-  parallel_for(
-      n,
-      [&](std::size_t begin, std::size_t end) {
-        const std::size_t chunk = end - begin;
-        // Phase 1: exact d_own^2 for the whole chunk, written straight into
-        // best_dist_sq (skipped points keep it; survivors get overwritten by
-        // the rescan with the identical bits the full scan computes).
-        simd::assigned_distance_batch(base + begin * dim, dim, nullptr, chunk, cen,
-                                      assignment + begin, best_dist_sq + begin, level);
-        // Phase 2: batched skip tests (the squared-space predicate
-        // d_own^2 < guard(z^2) with z = max(decayed Hamerly bound, Elkan
-        // radius) — see hamerly_skip_batch for the full derivation, which
-        // this kernel replays op for op). Skipped lanes get their lower
-        // bound refreshed in place; survivor indices (absolute, via
-        // base_index = begin) go to the arena.
-        ArenaScope scope;
-        std::size_t* survivors = scope.span<std::size_t>(chunk);
-        const std::size_t pending = simd::hamerly_skip_batch(
-            chunk, assignment + begin, best_dist_sq + begin, lower + begin, s_half,
-            delta_max, delta_second, moved_most, kGuardScale, kGuardShift, begin, survivors,
-            level);
-        // Phase 3: batched full rescan of the survivors.
-        std::size_t* out_assign = scope.span<std::size_t>(pending);
-        double* out_best = scope.span<double>(pending);
-        double* out_second = scope.span<double>(pending);
-        simd::nearest2_batch(base, dim, survivors, pending, cen, k, out_assign, out_best,
-                             out_second, level);
-        for (std::size_t j = 0; j < pending; ++j) {
-          const std::size_t i = survivors[j];
-          assignment[i] = out_assign[j];
-          best_dist_sq[i] = out_best[j];
-          lower[i] = guard_down(std::sqrt(out_second[j]));
-        }
-      },
-      kMinParallelPoints);
+  const auto bounded_pass = [&](std::size_t begin, std::size_t end) {
+    const std::size_t chunk = end - begin;
+    // Phase 1: exact d_own^2 for the whole chunk, written straight into
+    // best_dist_sq (skipped points keep it; survivors get overwritten by
+    // the rescan with the identical bits the full scan computes).
+    simd::assigned_distance_batch(base + begin * dim, dim, nullptr, chunk, cen,
+                                  assignment + begin, best_dist_sq + begin, level);
+    // Phase 2: batched skip tests (the squared-space predicate
+    // d_own^2 < guard(z^2) with z = max(decayed Hamerly bound, Elkan
+    // radius) — see hamerly_skip_batch for the full derivation, which
+    // this kernel replays op for op). Skipped lanes get their lower
+    // bound refreshed in place; survivor indices (absolute, via
+    // base_index = begin) go to the arena.
+    ArenaScope scope;
+    std::size_t* survivors = scope.span<std::size_t>(chunk);
+    const std::size_t pending = simd::hamerly_skip_batch(
+        chunk, assignment + begin, best_dist_sq + begin, lower + begin, s_half,
+        delta_max, delta_second, moved_most, kGuardScale, kGuardShift, begin, survivors,
+        level);
+    // Phase 3: batched full rescan of the survivors.
+    std::size_t* out_assign = scope.span<std::size_t>(pending);
+    double* out_best = scope.span<double>(pending);
+    double* out_second = scope.span<double>(pending);
+    simd::nearest2_batch(base, dim, survivors, pending, cen, k, out_assign, out_best,
+                         out_second, level);
+    for (std::size_t j = 0; j < pending; ++j) {
+      const std::size_t i = survivors[j];
+      assignment[i] = out_assign[j];
+      best_dist_sq[i] = out_best[j];
+      lower[i] = guard_down(std::sqrt(out_second[j]));
+    }
+  };
+  parallel_for(n, std::ref(bounded_pass), kMinParallelPoints);
   double total = 0.0;
   for (std::size_t i = 0; i < n; ++i) total += points.weights[i] * best_dist_sq[i];
   return total;
@@ -338,20 +335,18 @@ KMeansResult lloyd(const FlatPoints& points, PointSet centroids, const KMeansCon
     if (!assignment_current) {
       const double* base = points.positions.row(0);
       const double* cen = centroids.row(0);
-      parallel_for(
-          n,
-          [&](std::size_t begin, std::size_t end) {
-            const std::size_t chunk = end - begin;
-            ArenaScope chunk_scope;
-            double* second_sq = chunk_scope.span<double>(chunk);
-            simd::nearest2_batch(base + begin * dim, dim, nullptr, chunk, cen, k,
-                                 assignment.data() + begin, best_dist_sq + begin, second_sq,
-                                 level);
-            for (std::size_t j = 0; j < chunk; ++j) {
-              lower[begin + j] = guard_down(std::sqrt(second_sq[j]));
-            }
-          },
-          kMinParallelPoints);
+      const auto full_scan = [&](std::size_t begin, std::size_t end) {
+        const std::size_t chunk = end - begin;
+        ArenaScope chunk_scope;
+        double* second_sq = chunk_scope.span<double>(chunk);
+        simd::nearest2_batch(base + begin * dim, dim, nullptr, chunk, cen, k,
+                             assignment.data() + begin, best_dist_sq + begin, second_sq,
+                             level);
+        for (std::size_t j = 0; j < chunk; ++j) {
+          lower[begin + j] = guard_down(std::sqrt(second_sq[j]));
+        }
+      };
+      parallel_for(n, std::ref(full_scan), kMinParallelPoints);
     }
     // Update step: per-cluster accumulation in ascending member order — the
     // exact FP sequence of the lloyd_scalar loop, sequential or counting-
@@ -453,44 +448,60 @@ double kmeans_objective(const std::vector<WeightedPoint>& points,
 
 namespace detail {
 
-KMeansResult weighted_kmeans_impl(const std::vector<WeightedPoint>& points,
-                                  const KMeansConfig& config, Rng& rng, LloydFn solve) {
-  GEORED_ENSURE(!points.empty(), "k-means requires at least one point");
+KMeansResult weighted_kmeans_impl(const FlatPoints& points, const KMeansConfig& config,
+                                  Rng& rng, LloydFn solve) {
+  GEORED_ENSURE(!points.positions.empty(), "k-means requires at least one point");
+  GEORED_ENSURE(points.weights.size() == points.positions.size(),
+                "k-means needs one weight per point");
   GEORED_ENSURE(config.k >= 1, "k-means requires k >= 1");
   double total_weight = 0.0;
-  for (const auto& wp : points) {
-    GEORED_ENSURE(std::isfinite(wp.weight) && wp.weight >= 0.0,
+  for (const double weight : points.weights) {
+    GEORED_ENSURE(std::isfinite(weight) && weight >= 0.0,
                   "point weights must be finite and non-negative");
-    total_weight += wp.weight;
+    total_weight += weight;
   }
   GEORED_ENSURE(total_weight > 0.0, "k-means requires positive total weight");
 
-  const FlatPoints flat = flatten(points);
   KMeansResult best_result;
   best_result.objective = std::numeric_limits<double>::infinity();
 
   const std::size_t restarts = std::max<std::size_t>(1, config.restarts);
   for (std::size_t restart = 0; restart < restarts; ++restart) {
-    KMeansResult result = solve(flat, kmeanspp_seed(flat, config.k, rng), config);
+    KMeansResult result = solve(points, kmeanspp_seed(points, config.k, rng), config);
     if (result.objective < best_result.objective) best_result = std::move(result);
   }
   return best_result;
+}
+
+KMeansResult weighted_kmeans_impl(const std::vector<WeightedPoint>& points,
+                                  const KMeansConfig& config, Rng& rng, LloydFn solve) {
+  GEORED_ENSURE(!points.empty(), "k-means requires at least one point");
+  return weighted_kmeans_impl(flatten(points), config, rng, solve);
+}
+
+KMeansResult weighted_kmeans_from_impl(const FlatPoints& points,
+                                       std::vector<Point> initial_centroids,
+                                       const KMeansConfig& config, LloydFn solve) {
+  GEORED_ENSURE(!points.positions.empty(), "k-means requires at least one point");
+  GEORED_ENSURE(points.weights.size() == points.positions.size(),
+                "k-means needs one weight per point");
+  GEORED_ENSURE(!initial_centroids.empty(), "warm start requires initial centroids");
+  for (const auto& centroid : initial_centroids) {
+    GEORED_ENSURE(centroid.dim() == points.positions.dim(), "centroid dimension mismatch");
+  }
+  for (const double weight : points.weights) {
+    GEORED_ENSURE(std::isfinite(weight) && weight >= 0.0,
+                  "point weights must be finite and non-negative");
+  }
+  return solve(points, PointSet::from_points(initial_centroids), config);
 }
 
 KMeansResult weighted_kmeans_from_impl(const std::vector<WeightedPoint>& points,
                                        std::vector<Point> initial_centroids,
                                        const KMeansConfig& config, LloydFn solve) {
   GEORED_ENSURE(!points.empty(), "k-means requires at least one point");
-  GEORED_ENSURE(!initial_centroids.empty(), "warm start requires initial centroids");
-  for (const auto& centroid : initial_centroids) {
-    GEORED_ENSURE(centroid.dim() == points.front().position.dim(),
-                  "centroid dimension mismatch");
-  }
-  for (const auto& wp : points) {
-    GEORED_ENSURE(std::isfinite(wp.weight) && wp.weight >= 0.0,
-                  "point weights must be finite and non-negative");
-  }
-  return solve(flatten(points), PointSet::from_points(initial_centroids), config);
+  return weighted_kmeans_from_impl(flatten(points), std::move(initial_centroids), config,
+                                   solve);
 }
 
 }  // namespace detail
@@ -500,9 +511,21 @@ KMeansResult weighted_kmeans(const std::vector<WeightedPoint>& points,
   return detail::weighted_kmeans_impl(points, config, rng, &lloyd);
 }
 
+KMeansResult weighted_kmeans_flat(const WeightedPoints& points, const KMeansConfig& config,
+                                  Rng& rng) {
+  return detail::weighted_kmeans_impl(points, config, rng, &lloyd);
+}
+
 KMeansResult weighted_kmeans_from(const std::vector<WeightedPoint>& points,
                                   std::vector<Point> initial_centroids,
                                   const KMeansConfig& config) {
+  return detail::weighted_kmeans_from_impl(points, std::move(initial_centroids), config,
+                                           &lloyd);
+}
+
+KMeansResult weighted_kmeans_flat_from(const WeightedPoints& points,
+                                       std::vector<Point> initial_centroids,
+                                       const KMeansConfig& config) {
   return detail::weighted_kmeans_from_impl(points, std::move(initial_centroids), config,
                                            &lloyd);
 }

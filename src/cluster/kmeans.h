@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "common/point.h"
+#include "common/point_set.h"
 #include "common/random.h"
 
 namespace geored::cluster {
@@ -16,6 +17,14 @@ namespace geored::cluster {
 struct WeightedPoint {
   Point position;
   double weight = 1.0;
+};
+
+/// Weighted points in flat form: row i of `positions` weighs weights[i].
+/// The solvers run on this form; the placement epoch builds it straight
+/// from its summaries, without a Point per pseudo-point.
+struct WeightedPoints {
+  PointSet positions;
+  std::vector<double> weights;
 };
 
 struct KMeansConfig {
@@ -43,6 +52,9 @@ struct KMeansResult {
 /// frozen scalar reference weighted_kmeans_scalar (reference/scalar.h).
 KMeansResult weighted_kmeans(const std::vector<WeightedPoint>& points,
                              const KMeansConfig& config, Rng& rng);
+/// weighted_kmeans on flat points; bit-identical to it on the same points.
+KMeansResult weighted_kmeans_flat(const WeightedPoints& points, const KMeansConfig& config,
+                                  Rng& rng);
 
 /// Unweighted convenience wrapper (all weights 1).
 KMeansResult kmeans(const std::vector<Point>& points, const KMeansConfig& config, Rng& rng);
@@ -54,6 +66,11 @@ KMeansResult kmeans(const std::vector<Point>& points, const KMeansConfig& config
 KMeansResult weighted_kmeans_from(const std::vector<WeightedPoint>& points,
                                   std::vector<Point> initial_centroids,
                                   const KMeansConfig& config);
+/// weighted_kmeans_from on flat points; bit-identical to it on the same
+/// points.
+KMeansResult weighted_kmeans_flat_from(const WeightedPoints& points,
+                                       std::vector<Point> initial_centroids,
+                                       const KMeansConfig& config);
 
 /// Weighted sum of squared distances from each point to its nearest centroid
 /// (the k-means objective; exposed for tests and monotonicity checks).

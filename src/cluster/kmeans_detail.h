@@ -22,12 +22,9 @@ namespace geored::cluster::detail {
 /// thread count — the threshold is purely a performance gate.
 inline constexpr std::size_t kMinParallelPoints = 2048;
 
-/// Contiguous (structure-of-arrays) view of the weighted input, built once
-/// per solve so the hot loops never chase per-Point heap allocations.
-struct FlatPoints {
-  PointSet positions;
-  std::vector<double> weights;
-};
+/// Contiguous (structure-of-arrays) form of the weighted input, so the hot
+/// loops never chase per-Point heap allocations.
+using FlatPoints = WeightedPoints;
 
 FlatPoints flatten(const std::vector<WeightedPoint>& points);
 
@@ -49,13 +46,19 @@ PointSet kmeanspp_seed(const FlatPoints& points, std::size_t k, Rng& rng);
 /// so validation and restart logic cannot drift between them.
 using LloydFn = KMeansResult (*)(const FlatPoints&, PointSet, const KMeansConfig&);
 
-/// Validates, flattens, then runs `config.restarts` k-means++-seeded solves
-/// and keeps the best objective (weighted_kmeans with its Lloyd kernel).
+/// Validates, then runs `config.restarts` k-means++-seeded solves and keeps
+/// the best objective (weighted_kmeans with its Lloyd kernel). The vector
+/// form flattens its points first.
+KMeansResult weighted_kmeans_impl(const FlatPoints& points, const KMeansConfig& config,
+                                  Rng& rng, LloydFn solve);
 KMeansResult weighted_kmeans_impl(const std::vector<WeightedPoint>& points,
                                   const KMeansConfig& config, Rng& rng, LloydFn solve);
 
-/// Validates, flattens, then runs one solve from `initial_centroids`
+/// Validates, then runs one solve from `initial_centroids`
 /// (weighted_kmeans_from with its Lloyd kernel).
+KMeansResult weighted_kmeans_from_impl(const FlatPoints& points,
+                                       std::vector<Point> initial_centroids,
+                                       const KMeansConfig& config, LloydFn solve);
 KMeansResult weighted_kmeans_from_impl(const std::vector<WeightedPoint>& points,
                                        std::vector<Point> initial_centroids,
                                        const KMeansConfig& config, LloydFn solve);

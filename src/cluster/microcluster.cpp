@@ -36,20 +36,6 @@ MicroCluster::MicroCluster(const Point& coords, double weight)
                 "access weight must be finite and non-negative");
 }
 
-MicroCluster MicroCluster::from_moments(std::uint64_t count, double weight, Point sum,
-                                        Point sum2) {
-  GEORED_ENSURE(count > 0, "from_moments requires a positive count");
-  GEORED_ENSURE(sum.dim() == sum2.dim(), "moment dimension mismatch in from_moments");
-  MicroCluster cluster;
-  cluster.count_ = count;
-  cluster.weight_ = weight;
-  cluster.sum_ = std::move(sum);
-  cluster.sum2_ = std::move(sum2);
-  GEORED_DCHECK(moments_consistent(cluster.count_, cluster.weight_, cluster.sum_, cluster.sum2_),
-                "from_moments given inconsistent moments");
-  return cluster;
-}
-
 void MicroCluster::absorb(const Point& coords, double weight) {
   GEORED_ENSURE(std::isfinite(weight) && weight >= 0.0,
                 "access weight must be finite and non-negative");

@@ -19,6 +19,7 @@ namespace geored::cluster {
 namespace detail {
 struct FrameAccess;
 }  // namespace detail
+class ClusterView;
 
 class MicroCluster {
  public:
@@ -27,12 +28,6 @@ class MicroCluster {
   /// Creates a singleton cluster from one access at `coords` with data
   /// volume `weight`.
   MicroCluster(const Point& coords, double weight);
-
-  /// Rebuilds a cluster from explicit moments — how the flat moment store
-  /// (cluster/moment_store.h) materializes its rows back into the wire/API
-  /// representation. `count` must be positive and the moment vectors must
-  /// share one dimension.
-  static MicroCluster from_moments(std::uint64_t count, double weight, Point sum, Point sum2);
 
   /// Absorbs one access into the cluster.
   void absorb(const Point& coords, double weight);
@@ -64,6 +59,8 @@ class MicroCluster {
   /// one. Whether the moments together describe a set of points is left to
   /// the caller that keeps them (ReplicationManager::restore checks it).
   friend struct detail::FrameAccess;
+  /// Copies rows out as they are, second moments or none.
+  friend class ClusterView;
 
   std::uint64_t count_ = 0;
   double weight_ = 0.0;

@@ -50,10 +50,11 @@ void MomentStore::reserve(std::size_t clusters) {
 void MomentStore::clear() {
   counts_.clear();
   weights_.clear();
-  // Fresh sets so a new stream may change dimension (scalar clear semantics).
-  sums_ = PointSet();
-  sum2s_ = PointSet();
-  centroids_ = PointSet();
+  // Dimensionless again, so a new stream may change dimension (scalar clear
+  // semantics).
+  sums_.reset();
+  sum2s_.reset();
+  centroids_.reset();
   radii_.clear();
   centroids_t_.clear();
   t_stride_ = 0;
@@ -83,13 +84,23 @@ void MomentStore::append_singleton(const double* coords, std::size_t dim, double
                 "moment row inconsistent after append_singleton");
 }
 
-void MomentStore::append_moments(const MicroCluster& cluster) {
-  GEORED_ENSURE(cluster.count() > 0, "append_moments requires a non-empty cluster");
-  counts_.push_back(cluster.count());
-  weights_.push_back(cluster.weight());
-  sums_.push_back(cluster.sum());
-  sum2s_.push_back(cluster.sum2());
-  centroids_.push_back(cluster.centroid());
+void MomentStore::append_moments(const ClusterView& clusters, std::size_t i) {
+  const std::uint64_t count = clusters.count(i);
+  GEORED_ENSURE(count > 0, "append_moments requires a non-empty cluster");
+  const std::span<const double> sum = clusters.sum(i);
+  const std::span<const double> sum2 = clusters.sum2(i);
+  const std::size_t d_n = sum.size();
+  GEORED_ENSURE(sum2.size() == d_n && (empty() || d_n == dim()),
+                "appended moments must share the store's dimension");
+  counts_.push_back(count);
+  weights_.push_back(clusters.weight(i));
+  sums_.push_back_row(sum.data(), d_n);
+  sum2s_.push_back_row(sum2.data(), d_n);
+  // MicroCluster::centroid's sum / count, component by component.
+  double* scratch = sum2_scratch(d_n);
+  const auto n = static_cast<double>(count);
+  for (std::size_t d = 0; d < d_n; ++d) scratch[d] = sum[d] / n;
+  centroids_.push_back_row(scratch, d_n);
   radii_.push_back(-1.0);
   ensure_transposed(size());
 }
@@ -153,11 +164,6 @@ void MomentStore::scale_all(double factor) {
   sum2s_.truncate(out);
   centroids_.truncate(out);
   radii_.assign(out, -1.0);
-}
-
-MicroCluster MomentStore::cluster(std::size_t i) const {
-  GEORED_CHECK(i < size(), "cluster row out of range");
-  return MicroCluster::from_moments(counts_[i], weights_[i], sums_.point(i), sum2s_.point(i));
 }
 
 }  // namespace geored::cluster

@@ -29,6 +29,7 @@
 #include <utility>
 #include <vector>
 
+#include "cluster/cluster_view.h"
 #include "cluster/microcluster.h"
 #include "common/ensure.h"
 #include "common/point_set.h"
@@ -72,16 +73,23 @@ class MomentStore {
   /// then sized for exactly that many columns when its first row arrives,
   /// and grows past them only if the rows do.
   void reserve(std::size_t clusters);
-  /// Full reset, including the adopted dimension; the reserved row count is
-  /// kept.
+  /// Full reset, including the adopted dimension; the reserved row count
+  /// and the storage are kept, so refilling a cleared store allocates
+  /// nothing until it outgrows what it held.
   void clear();
 
   /// Appends a singleton cluster (count 1) from one access at `coords`.
   void append_singleton(const double* coords, std::size_t dim, double weight);
 
-  /// Appends a row from an existing cluster's moments (merge_cluster /
-  /// checkpoint restore). Requires cluster.count() > 0.
-  void append_moments(const MicroCluster& cluster);
+  /// Appends row i of `clusters` (merge_cluster / checkpoint restore).
+  /// Requires a positive count and both moments of the store's dimension
+  /// (any dimension when the store is empty).
+  void append_moments(const ClusterView& clusters, std::size_t i);
+
+  /// The rows in place: no copy, no allocation.
+  ClusterView view() const {
+    return {size(), dim(), counts_.data(), weights_.data(), sums_.row(0), sum2s_.row(0)};
+  }
 
   /// The fused absorb kernel: nearest centroid by squared distance (the
   /// nearest_of scan: strict `<`, first winner), then the paper's
@@ -198,10 +206,6 @@ class MomentStore {
     if (dist_sq != nullptr) *dist_sq = best_dist;
     return best;
   }
-
-  /// Materializes row i back into the wire/API representation; moments are
-  /// copied bit for bit.
-  MicroCluster cluster(std::size_t i) const;
 
  private:
   /// MicroCluster::absorb on the flat rows — the shared tail of both

@@ -15,7 +15,6 @@ MicroClusterSummarizer::MicroClusterSummarizer(const SummarizerConfig& config)
   GEORED_ENSURE(config.epoch_decay > 0.0 && config.epoch_decay <= 1.0,
                 "epoch_decay must be in (0,1]");
   store_.reserve(config.max_clusters + 1);
-  clusters_cache_.reserve(config.max_clusters + 1);
 }
 
 void MicroClusterSummarizer::add(const Point& coords, double weight) {
@@ -36,7 +35,6 @@ void MicroClusterSummarizer::add_batch(const PointSet& coords, std::span<const d
   }
   const std::size_t dim = coords.dim();
   GEORED_ENSURE(store_.empty() || dim == store_.dim(), "dimension mismatch in add");
-  cache_valid_ = false;
   total_count_ += n;
   std::size_t i = 0;
   if (store_.empty()) {
@@ -61,7 +59,6 @@ void MicroClusterSummarizer::add_row(const double* coords, std::size_t dim, doub
   GEORED_ENSURE(std::isfinite(weight) && weight >= 0.0,
                 "access weight must be finite and non-negative");
   GEORED_ENSURE(store_.empty() || dim == store_.dim(), "dimension mismatch in add");
-  cache_valid_ = false;
   ++total_count_;
   if (store_.empty()) {
     store_.append_singleton(coords, dim, weight);
@@ -81,10 +78,14 @@ void MicroClusterSummarizer::spawn_row(const double* coords, std::size_t dim, do
 }
 
 void MicroClusterSummarizer::merge_cluster(const MicroCluster& cluster) {
-  if (cluster.count() == 0) return;
-  cache_valid_ = false;
-  total_count_ += cluster.count();
-  store_.append_moments(cluster);
+  merge_cluster(ClusterView(std::span<const MicroCluster>(&cluster, 1)), 0);
+}
+
+void MicroClusterSummarizer::merge_cluster(const ClusterView& clusters, std::size_t i) {
+  const std::uint64_t count = clusters.count(i);
+  if (count == 0) return;
+  store_.append_moments(clusters, i);
+  total_count_ += count;
   if (store_.size() > config_.max_clusters) {
     const auto [best_a, best_b] = store_.closest_pair();
     store_.merge_rows(best_a, best_b);
@@ -93,25 +94,10 @@ void MicroClusterSummarizer::merge_cluster(const MicroCluster& cluster) {
                 "summarizer exceeded its micro-cluster budget after merge_cluster");
 }
 
-const std::vector<MicroCluster>& MicroClusterSummarizer::clusters() const {
-  if (!cache_valid_) {
-    clusters_cache_.clear();
-    const std::size_t n = store_.size();
-    for (std::size_t i = 0; i < n; ++i) clusters_cache_.push_back(store_.cluster(i));
-    cache_valid_ = true;
-  }
-  return clusters_cache_;
-}
-
-void MicroClusterSummarizer::decay() {
-  cache_valid_ = false;
-  store_.scale_all(config_.epoch_decay);
-}
+void MicroClusterSummarizer::decay() { store_.scale_all(config_.epoch_decay); }
 
 void MicroClusterSummarizer::clear() {
   store_.clear();
-  clusters_cache_.clear();
-  cache_valid_ = false;
   total_count_ = 0;
 }
 

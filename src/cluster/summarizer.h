@@ -10,15 +10,18 @@
 // Storage is the flat MomentStore (cluster/moment_store.h): moments live in
 // contiguous per-field buffers with a cached absorb radius per cluster, so
 // the per-access hot path is one fused nearest+radius kernel with no
-// allocation. Results are bit-identical to the frozen scalar reference
-// (reference/summarizer_scalar.h, test-only); the IngestEquivalence suite
-// compares their clusters' summary frames (cluster/summary_frame.h).
+// allocation. The clusters are read in place through a ClusterView
+// (cluster/cluster_view.h); no second copy of the store is kept. Results are
+// bit-identical to the frozen scalar reference (reference/summarizer_scalar.h,
+// test-only); the IngestEquivalence suite compares their clusters' summary
+// frames (cluster/summary_frame.h).
 #pragma once
 
 #include <cstdint>
 #include <span>
 #include <vector>
 
+#include "cluster/cluster_view.h"
 #include "cluster/microcluster.h"
 #include "cluster/moment_store.h"
 #include "cluster/summary_frame.h"
@@ -64,12 +67,15 @@ class MicroClusterSummarizer {
 
   /// Inserts a whole micro-cluster (e.g. one inherited from a replica that
   /// is being retired). The cluster is kept intact; if the budget m is
-  /// exceeded the two closest clusters are merged, as in add().
+  /// exceeded the two closest clusters are merged, as in add(). A cluster
+  /// of count 0 is ignored.
   void merge_cluster(const MicroCluster& cluster);
+  /// merge_cluster of row i of `clusters`, read in place.
+  void merge_cluster(const ClusterView& clusters, std::size_t i);
 
-  /// Materialized view of the current micro-clusters. Rebuilt lazily from
-  /// the flat store after mutations; moments are copied bit for bit.
-  const std::vector<MicroCluster>& clusters() const;
+  /// The current micro-clusters, read in place from the flat store: no
+  /// copy and no allocation. The view is valid until the next mutation.
+  ClusterView clusters() const { return store_.view(); }
 
   /// Total accesses summarized since construction or the last clear().
   std::uint64_t total_count() const { return total_count_; }
@@ -79,6 +85,7 @@ class MicroClusterSummarizer {
   /// dropped. Called at placement-epoch boundaries so old populations fade.
   void decay();
 
+  /// Drops every cluster and the dimension, keeping the storage.
   void clear();
 
   /// The underlying flat moment store — exposed so tests can pin the radius
@@ -94,9 +101,6 @@ class MicroClusterSummarizer {
 
   SummarizerConfig config_;
   MomentStore store_;
-  /// Lazily materialized clusters() view; invalidated by every mutation.
-  mutable std::vector<MicroCluster> clusters_cache_;
-  mutable bool cache_valid_ = false;
   std::uint64_t total_count_ = 0;
 };
 

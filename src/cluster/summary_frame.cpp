@@ -50,17 +50,13 @@ bool weight_is_count(std::uint64_t count, double weight) {
          std::bit_cast<std::uint64_t>(static_cast<double>(count));
 }
 
-std::uint64_t cluster_header(const MicroCluster& cluster) {
-  return (cluster.count() << 1) |
-         static_cast<std::uint64_t>(weight_is_count(cluster.count(), cluster.weight()));
+std::uint64_t cluster_header(const ClusterView& clusters, std::size_t i) {
+  return (clusters.count(i) << 1) |
+         static_cast<std::uint64_t>(weight_is_count(clusters.count(i), clusters.weight(i)));
 }
 
 [[noreturn]] void reject(const std::string& what) {
   throw WireFormatError("corrupt summary frame: " + what);
-}
-
-std::size_t dimension_of(const std::vector<MicroCluster>& clusters) {
-  return clusters.empty() ? 0 : clusters.front().sum().dim();
 }
 
 // The per-value checks every decoder applies: what no encoder could emit
@@ -83,35 +79,36 @@ void check_second_moments(std::span<const double> sum2) {
   }
 }
 
-void write_frame(ByteWriter& writer, const std::vector<MicroCluster>& clusters,
-                 Moments moments) {
-  const std::size_t dim = dimension_of(clusters);
-  for (const auto& cluster : clusters) {
-    GEORED_ENSURE(cluster.count() > 0 && cluster.count() < kCountLimit,
+void write_frame(ByteWriter& writer, const ClusterView& clusters, Moments moments) {
+  const std::size_t dim = clusters.dim();
+  const std::size_t n = clusters.size();
+  for (std::size_t i = 0; i < n; ++i) {
+    GEORED_ENSURE(clusters.count(i) > 0 && clusters.count(i) < kCountLimit,
                   "a summary frame carries cluster counts in [1, 2^63)");
-    GEORED_ENSURE(dim > 0 && cluster.sum().dim() == dim &&
-                      (moments == Moments::kSumOnly || cluster.sum2().dim() == dim),
+    GEORED_ENSURE(dim > 0 && clusters.sum(i).size() == dim &&
+                      (moments == Moments::kSumOnly || clusters.sum2(i).size() == dim),
                   "the clusters of a summary frame share one positive dimension");
   }
-  writer.write_varint(clusters.size());
-  if (clusters.empty()) return;
+  writer.write_varint(n);
+  if (n == 0) return;
   writer.write_varint(dim);
-  for (const auto& cluster : clusters) {
-    const std::uint64_t header = cluster_header(cluster);
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::uint64_t header = cluster_header(clusters, i);
     writer.write_varint(header);
-    if ((header & 1) == 0) writer.write_f64(cluster.weight());
-    writer.write_f64s(cluster.sum().values());
-    if (moments == Moments::kBoth) writer.write_f64s(cluster.sum2().values());
+    if ((header & 1) == 0) writer.write_f64(clusters.weight(i));
+    writer.write_f64s(clusters.sum(i));
+    if (moments == Moments::kBoth) writer.write_f64s(clusters.sum2(i));
   }
 }
 
-std::size_t frame_size(const std::vector<MicroCluster>& clusters, Moments moments) noexcept {
-  std::size_t bytes = varint_size(clusters.size());
-  if (clusters.empty()) return bytes;
-  const std::size_t dim = dimension_of(clusters);
+std::size_t frame_size(const ClusterView& clusters, Moments moments) noexcept {
+  const std::size_t n = clusters.size();
+  std::size_t bytes = varint_size(n);
+  if (n == 0) return bytes;
+  const std::size_t dim = clusters.dim();
   bytes += varint_size(dim);
-  for (const auto& cluster : clusters) {
-    const std::uint64_t header = cluster_header(cluster);
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::uint64_t header = cluster_header(clusters, i);
     bytes += varint_size(header) + ((header & 1) == 0 ? sizeof(double) : 0) +
              moments_per_dim(moments) * dim * sizeof(double);
   }
@@ -165,11 +162,11 @@ std::vector<MicroCluster> read_frame(ByteReader& reader, Moments moments) {
 
 }  // namespace
 
-void write_clusters(ByteWriter& writer, const std::vector<MicroCluster>& clusters) {
+void write_clusters(ByteWriter& writer, ClusterView clusters) {
   write_frame(writer, clusters, Moments::kBoth);
 }
 
-std::size_t serialized_size(const std::vector<MicroCluster>& clusters) noexcept {
+std::size_t serialized_size(ClusterView clusters) noexcept {
   return frame_size(clusters, Moments::kBoth);
 }
 
@@ -177,11 +174,11 @@ std::vector<MicroCluster> read_clusters(ByteReader& reader) {
   return read_frame(reader, Moments::kBoth);
 }
 
-void write_centroid_frame(ByteWriter& writer, const std::vector<MicroCluster>& clusters) {
+void write_centroid_frame(ByteWriter& writer, ClusterView clusters) {
   write_frame(writer, clusters, Moments::kSumOnly);
 }
 
-std::size_t centroid_frame_size(const std::vector<MicroCluster>& clusters) noexcept {
+std::size_t centroid_frame_size(ClusterView clusters) noexcept {
   return frame_size(clusters, Moments::kSumOnly);
 }
 
@@ -189,23 +186,23 @@ std::vector<MicroCluster> read_centroid_frame(ByteReader& reader) {
   return read_frame(reader, Moments::kSumOnly);
 }
 
-void write_moment_frame(ByteWriter& writer, const std::vector<MicroCluster>& clusters) {
-  const std::size_t dim = dimension_of(clusters);
-  for (const auto& cluster : clusters) {
-    GEORED_ENSURE(dim > 0 && cluster.sum().dim() == dim && cluster.sum2().dim() == dim,
+void write_moment_frame(ByteWriter& writer, ClusterView clusters) {
+  const std::size_t dim = clusters.dim();
+  const std::size_t n = clusters.size();
+  for (std::size_t i = 0; i < n; ++i) {
+    GEORED_ENSURE(dim > 0 && clusters.sum(i).size() == dim && clusters.sum2(i).size() == dim,
                   "the clusters of a moment frame share one positive dimension");
   }
-  writer.write_varint(clusters.size());
-  if (clusters.empty()) return;
+  writer.write_varint(n);
+  if (n == 0) return;
   writer.write_varint(dim);
-  for (const auto& cluster : clusters) writer.write_f64s(cluster.sum2().values());
+  for (std::size_t i = 0; i < n; ++i) writer.write_f64s(clusters.sum2(i));
 }
 
-std::size_t moment_frame_size(const std::vector<MicroCluster>& clusters) noexcept {
+std::size_t moment_frame_size(ClusterView clusters) noexcept {
   if (clusters.empty()) return varint_size(0);
-  const std::size_t dim = dimension_of(clusters);
-  return varint_size(clusters.size()) + varint_size(dim) +
-         clusters.size() * dim * sizeof(double);
+  return varint_size(clusters.size()) + varint_size(clusters.dim()) +
+         clusters.size() * clusters.dim() * sizeof(double);
 }
 
 void read_moment_frame(ByteReader& reader, std::span<MicroCluster> clusters) {

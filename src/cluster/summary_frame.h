@@ -35,12 +35,16 @@
 // count, so every double round-trips bit for bit. At d = 5 a cluster of
 // 64 to 8,191 accesses takes 82 bytes in the full frame with its weight
 // elided (90 with it), 42 in the centroid frame and 40 in the moment frame.
+//
+// The writers and sizes read a ClusterView (cluster/cluster_view.h): a
+// summarizer's rows in place, a ClusterBuffer, or a vector of clusters.
 #pragma once
 
 #include <cstddef>
 #include <span>
 #include <vector>
 
+#include "cluster/cluster_view.h"
 #include "cluster/microcluster.h"
 #include "common/serialize.h"
 
@@ -49,11 +53,11 @@ namespace geored::cluster {
 /// Appends the full frame of `clusters`. Throws std::invalid_argument,
 /// writing nothing, unless every cluster has a count in [1, 2^63) and all
 /// share one positive dimension in both moments.
-void write_clusters(ByteWriter& writer, const std::vector<MicroCluster>& clusters);
+void write_clusters(ByteWriter& writer, ClusterView clusters);
 
 /// Bytes write_clusters(clusters) appends, computed without writing them.
 /// Allocates nothing.
-std::size_t serialized_size(const std::vector<MicroCluster>& clusters) noexcept;
+std::size_t serialized_size(ClusterView clusters) noexcept;
 
 /// Decodes one full frame. Hardened against hostile bytes: truncated input;
 /// a varint longer than 10 bytes, past 64 bits or not canonical; a cluster
@@ -70,10 +74,10 @@ std::vector<MicroCluster> read_clusters(ByteReader& reader);
 /// without the second moments. Throws std::invalid_argument, writing
 /// nothing, unless every count is in [1, 2^63) and every sum shares one
 /// positive dimension; the second moments are not read.
-void write_centroid_frame(ByteWriter& writer, const std::vector<MicroCluster>& clusters);
+void write_centroid_frame(ByteWriter& writer, ClusterView clusters);
 
 /// Bytes write_centroid_frame(clusters) appends. Allocates nothing.
-std::size_t centroid_frame_size(const std::vector<MicroCluster>& clusters) noexcept;
+std::size_t centroid_frame_size(ClusterView clusters) noexcept;
 
 /// Decodes one centroid frame, with read_clusters' checks at 1 + 8·d bytes
 /// per cluster. The clusters carry count, weight and sum; their sum2 is
@@ -86,11 +90,11 @@ std::vector<MicroCluster> read_centroid_frame(ByteReader& reader);
 /// their centroid frame left out. Throws std::invalid_argument, writing
 /// nothing, unless the clusters share one positive dimension in both
 /// moments.
-void write_moment_frame(ByteWriter& writer, const std::vector<MicroCluster>& clusters);
+void write_moment_frame(ByteWriter& writer, ClusterView clusters);
 
 /// Bytes write_moment_frame(clusters) appends: it depends only on their
 /// count and dimension. Allocates nothing.
-std::size_t moment_frame_size(const std::vector<MicroCluster>& clusters) noexcept;
+std::size_t moment_frame_size(ClusterView clusters) noexcept;
 
 /// Decodes the moment frame that completes `clusters`, the clusters decoded
 /// from its centroid frame, and sets their second moments. Throws

@@ -58,6 +58,12 @@ class PointSet {
     data_.clear();
     n_ = 0;
   }
+  /// Drops every row and the dimension, keeping the storage: the next row
+  /// pushed adopts its dimension, as in a default-constructed set.
+  void reset() {
+    clear();
+    dim_ = 0;
+  }
 
   /// Appends a point. An empty set with unspecified dimension (default
   /// construction) adopts the dimension of the first point.

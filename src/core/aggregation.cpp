@@ -124,7 +124,7 @@ AggregationResult run_aggregation(sim::Simulator& simulator, sim::Network& netwo
   GEORED_CHECK(*pending_root > 0, "no aggregator has any source");
 
   auto merged = std::make_shared<std::vector<cluster::MicroCluster>>();
-  auto forwarded = std::make_shared<std::vector<SummarySource>>();
+  auto forwarded = std::make_shared<std::vector<SentSummary>>();
   auto root_bytes = std::make_shared<std::uint64_t>(0);
   auto completion = std::make_shared<double>(0.0);
 
@@ -133,7 +133,7 @@ AggregationResult run_aggregation(sim::Simulator& simulator, sim::Network& netwo
   const auto forward_to_root = [&simulator, &network, states, pending_root, merged, forwarded,
                                 root_bytes, completion, root](topo::NodeId aggregator) {
     auto& state = states->at(aggregator);
-    const auto clusters = state.merger.clusters();
+    const std::vector<cluster::MicroCluster> clusters = state.merger.clusters();
     forwarded->push_back({aggregator, clusters});
     const std::size_t bytes = cluster::centroid_frame_size(clusters);
     *root_bytes += bytes;
@@ -148,7 +148,7 @@ AggregationResult run_aggregation(sim::Simulator& simulator, sim::Network& netwo
   for (const auto& source : sources) {
     const topo::NodeId aggregator = plan.parent.at(source.node);
     const std::size_t bytes = cluster::serialized_size(source.clusters);
-    const auto clusters = source.clusters;
+    const std::vector<cluster::MicroCluster> clusters = source.clusters;
     network.send(source.node, aggregator, bytes, sim::TrafficClass::kSummary,
                  [states, aggregator, clusters, forward_to_root] {
                    auto& state = states->at(aggregator);
@@ -182,7 +182,7 @@ AggregationResult run_flat_collection(sim::Simulator& simulator, sim::Network& n
   for (const auto& source : sources) {
     const std::size_t bytes = cluster::centroid_frame_size(source.clusters);
     root_bytes += bytes;
-    const auto clusters = source.clusters;
+    const std::vector<cluster::MicroCluster> clusters = source.clusters;
     network.send(source.node, root, bytes, sim::TrafficClass::kSummary,
                  [merged, pending, completion, clusters, &simulator] {
                    for (const auto& micro : clusters) merged->push_back(micro);
@@ -191,7 +191,9 @@ AggregationResult run_flat_collection(sim::Simulator& simulator, sim::Network& n
   }
   simulator.run();
   result.merged = *merged;
-  result.forwarded = sources;
+  for (const auto& source : sources) {
+    result.forwarded.push_back({source.node, source.clusters});
+  }
   result.bytes_into_root = root_bytes;
   result.bytes_total =
       network.stats().bytes[static_cast<std::size_t>(sim::TrafficClass::kSummary)] -
@@ -201,7 +203,7 @@ AggregationResult run_flat_collection(sim::Simulator& simulator, sim::Network& n
 }
 
 std::uint64_t run_moment_upload(sim::Simulator& simulator, sim::Network& network,
-                                const std::vector<SummarySource>& forwarded,
+                                const std::vector<SentSummary>& forwarded,
                                 topo::NodeId root) {
   GEORED_ENSURE(!forwarded.empty(), "phase 2 completes the frames a collection forwarded");
   std::uint64_t bytes = 0;

@@ -21,6 +21,7 @@
 #include <map>
 #include <vector>
 
+#include "cluster/cluster_view.h"
 #include "cluster/summarizer.h"
 #include "placement/types.h"
 #include "sim/network.h"
@@ -43,8 +44,16 @@ struct AggregationPlan {
   std::map<topo::NodeId, topo::NodeId> parent;
 };
 
-/// One summary source: a node holding micro-clusters to report.
+/// One summary source: a node holding micro-clusters to report, read in
+/// place (a replica's summarizer, or clusters the caller keeps alive while
+/// the collection runs).
 struct SummarySource {
+  topo::NodeId node = 0;
+  cluster::ClusterView clusters;
+};
+
+/// A summary frame a node sent, with the clusters it carried.
+struct SentSummary {
   topo::NodeId node = 0;
   std::vector<cluster::MicroCluster> clusters;
 };
@@ -61,7 +70,7 @@ struct AggregationResult {
   std::vector<cluster::MicroCluster> merged;
   /// Every centroid frame the root received, as its sender and clusters, in
   /// the order they were sent: what phase 2 completes.
-  std::vector<SummarySource> forwarded;
+  std::vector<SentSummary> forwarded;
   std::uint64_t bytes_into_root = 0;   ///< summary bytes the root received
   std::uint64_t bytes_total = 0;       ///< summary bytes on all links
   double completion_ms = 0.0;          ///< virtual time until the root had everything
@@ -87,7 +96,7 @@ AggregationResult run_flat_collection(sim::Simulator& simulator, sim::Network& n
 /// summary traffic. Runs the simulator to completion and returns the bytes
 /// the root received.
 std::uint64_t run_moment_upload(sim::Simulator& simulator, sim::Network& network,
-                                const std::vector<SummarySource>& forwarded,
+                                const std::vector<SentSummary>& forwarded,
                                 topo::NodeId root);
 
 }  // namespace geored::core

@@ -1,6 +1,7 @@
 #include "core/collector.h"
 
 #include <algorithm>
+#include <functional>
 #include <utility>
 
 #include "common/arena.h"
@@ -25,7 +26,9 @@ group_by_node(const std::vector<SummarySource>& sources) {
       replica_summaries;
   for (const auto& source : sources) {
     auto& clusters = replica_summaries[source.node];
-    clusters.insert(clusters.end(), source.clusters.begin(), source.clusters.end());
+    for (std::size_t i = 0; i < source.clusters.size(); ++i) {
+      clusters.push_back(source.clusters[i]);
+    }
   }
   return replica_summaries;
 }
@@ -36,9 +39,12 @@ CollectedSummaries DirectCollector::collect(const std::vector<SummarySource>& so
                                             const CollectionContext& context) {
   (void)context;
   CollectedSummaries collected;
+  std::size_t rows = 0;
+  for (const auto& source : sources) rows += source.clusters.size();
+  collected.summaries.reserve(rows);
   for (const auto& source : sources) {
     collected.summary_bytes += cluster::centroid_frame_size(source.clusters);
-    for (const auto& micro : source.clusters) collected.summaries.push_back(micro);
+    collected.summaries.append(source.clusters);
   }
   return collected;
 }
@@ -47,8 +53,8 @@ void DirectCollector::collect_moments(const std::vector<SummarySource>& sources,
                                       const CollectionContext& context,
                                       CollectedSummaries& collected) {
   (void)context;
-  // The in-process copies already carry their second moments; only the
-  // frames that would have shipped them are counted.
+  // The collected buffer already carries the sources' second moments; only
+  // the frames that would have shipped them are counted.
   for (const auto& source : sources) {
     collected.summary_bytes += cluster::moment_frame_size(source.clusters);
   }
@@ -71,7 +77,7 @@ CollectedSummaries HierarchicalCollector::collect(const std::vector<SummarySourc
   AggregationResult result = run_aggregation(simulator_, network_, plan, sources, root_, config_);
   forwarded_ = std::move(result.forwarded);
   CollectedSummaries collected;
-  collected.summaries = std::move(result.merged);
+  collected.summaries.append(result.merged);
   collected.summary_bytes = static_cast<std::size_t>(result.bytes_into_root);
   return collected;
 }
@@ -106,7 +112,7 @@ CollectedSummaries DecentralizedCollector::collect(const std::vector<SummarySour
   CollectedSummaries collected;
   // Flatten in source-id order — the exact input every replica decided on.
   for (const auto& [source, clusters] : replica_summaries) {
-    for (const auto& micro : clusters) collected.summaries.push_back(micro);
+    collected.summaries.append(clusters);
   }
   collected.summary_bytes = static_cast<std::size_t>(result.summary_bytes);
   collected.agreed_proposal = result.proposal;
@@ -132,19 +138,29 @@ constexpr std::size_t kMinParallelSummaries = 2048;
 
 }  // namespace
 
-std::map<topo::NodeId, cluster::MicroClusterSummarizer> redistribute_to_nearest(
-    const place::Placement& next, const std::vector<cluster::MicroCluster>& summaries,
-    const place::CandidateTable& candidates, const cluster::SummarizerConfig& summarizer_config) {
+void redistribute_to_nearest(
+    const place::Placement& next, const cluster::ClusterBuffer& summaries,
+    const place::CandidateTable& candidates,
+    const cluster::SummarizerConfig& summarizer_config,
+    std::map<topo::NodeId, cluster::MicroClusterSummarizer>& summarizers) {
   GEORED_ENSURE(!next.empty(), "cannot adopt an empty placement");
-  // Rebuild the per-replica summarizers, handing each existing micro-cluster
-  // to the new replica closest to its centroid so usage knowledge survives
-  // the move.
-  std::map<topo::NodeId, cluster::MicroClusterSummarizer> summarizers;
+  GEORED_ENSURE(summaries.empty() || summaries.has_moments(),
+                "the hand-off needs the summaries' second moments");
+  // One empty summarizer per replica of `next`, reusing the storage of the
+  // nodes that keep their replica.
+  for (auto it = summarizers.begin(); it != summarizers.end();) {
+    if (std::find(next.begin(), next.end(), it->first) == next.end()) {
+      it = summarizers.erase(it);
+    } else {
+      it->second.clear();
+      ++it;
+    }
+  }
   for (const auto node : next) {
-    summarizers.emplace(node, cluster::MicroClusterSummarizer(summarizer_config));
+    summarizers.try_emplace(node, summarizer_config);
   }
   const std::size_t n = summaries.size();
-  if (n == 0) return summarizers;
+  if (n == 0) return;
   // Resolve each placement node's coordinates once — the historical loop
   // re-ran a linear candidate scan per (summary x node) pair — and stage
   // them as a PointSet so each centroid resolves via one nearest_of scan
@@ -161,24 +177,19 @@ std::map<topo::NodeId, cluster::MicroClusterSummarizer> redistribute_to_nearest(
   }
   ArenaScope scope;
   std::size_t* nearest = scope.span<std::size_t>(n);
-  parallel_for(
-      n,
-      [&](std::size_t begin, std::size_t end) {
-        for (std::size_t i = begin; i < end; ++i) {
-          if (summaries[i].count() == 0) continue;
-          const Point centroid = summaries[i].centroid();
-          nearest[i] = placement_coords.nearest_of(centroid);
-        }
-      },
-      kMinParallelSummaries);
+  const auto resolve = [&](std::size_t begin, std::size_t end) {
+    for (std::size_t i = begin; i < end; ++i) {
+      nearest[i] = placement_coords.nearest_of(summaries.centroid(i));
+    }
+  };
+  parallel_for(n, std::ref(resolve), kMinParallelSummaries);
   // Merges stay sequential in summary order: each summarizer's absorb/merge
   // history is order-sensitive, and this is the exact order the historical
   // loop produced.
+  const cluster::ClusterView rows = summaries.view();
   for (std::size_t i = 0; i < n; ++i) {
-    if (summaries[i].count() == 0) continue;
-    summarizers.at(next[nearest[i]]).merge_cluster(summaries[i]);
+    summarizers.at(next[nearest[i]]).merge_cluster(rows, i);
   }
-  return summarizers;
 }
 
 std::unique_ptr<SummaryCollector> make_collector(const std::string& name,

@@ -17,6 +17,10 @@
 // second moments, which only the hand-off of an adopting epoch reads, and
 // runs only when the gate adopts.
 //
+// Sources are read in place (a SummarySource views its replica's
+// summarizer), and collection builds the epoch's clusters once, into one
+// flat buffer (cluster::ClusterBuffer) that propose, gate and adopt read.
+//
 // ReplicationManager::run_epoch runs the fixed steps around them: collect,
 // propose (online clustering with the warm-start centroid cache), gate
 // (decide_migration, §III-C), and then either collect_moments and adopt
@@ -55,7 +59,7 @@ struct CollectedSummaries {
   /// Every collected micro-cluster, flattened in source order. After phase 1
   /// only count, weight and sum are guaranteed ("rpc" ships no second
   /// moments until phase 2); after phase 2 every cluster carries them.
-  std::vector<cluster::MicroCluster> summaries;
+  cluster::ClusterBuffer summaries;
   /// Wire bytes the decision point received in both phases (the O(km) cost
   /// of Table II).
   std::size_t summary_bytes = 0;
@@ -144,7 +148,7 @@ class HierarchicalCollector final : public SummaryCollector {
   AggregationConfig config_;
   /// The latest collect()'s aggregator -> root frames, which phase 2
   /// completes.
-  std::vector<SummarySource> forwarded_;
+  std::vector<SentSummary> forwarded_;
 };
 
 /// All-to-all decentralized agreement (core/decentralized): every replica
@@ -170,17 +174,24 @@ class DecentralizedCollector final : public SummaryCollector {
   std::shared_ptr<const place::PlacementStrategy> strategy_;
 };
 
-/// The adopt step of run_epoch: fresh summarizers for the replicas of
-/// `next`, with each collected micro-cluster handed to the new replica
-/// nearest its centroid so usage knowledge survives the move. The
-/// nearest-replica resolution is kernelized — placement coordinates staged
-/// once as a PointSet, per-summary nearest_of scans parallelized over the
-/// pool with arena scratch — and byte-identical to the frozen scalar
-/// reference redistribute_to_nearest_scalar (reference/scalar.h), pinned by
+/// The adopt step of run_epoch: `summarizers` becomes one summarizer per
+/// replica of `next`, holding the collected micro-clusters, each handed to
+/// the new replica nearest its centroid so usage knowledge survives the
+/// move. The map is refilled in place: the summarizer of a node that keeps
+/// its replica is cleared and reused, those of dropped nodes are erased, and
+/// new nodes get fresh ones built with `summarizer_config` (which the kept
+/// ones must share), so the result equals fresh summarizers fed the same
+/// merges in the same order. The nearest-replica resolution is
+/// kernelized — placement coordinates staged once as a PointSet, per-summary
+/// nearest_of scans parallelized over the pool with arena scratch — and
+/// byte-identical to the frozen scalar reference
+/// redistribute_to_nearest_scalar (reference/scalar.h), pinned by
 /// EpochPipeline.AdopterMatchesScalar.
-std::map<topo::NodeId, cluster::MicroClusterSummarizer> redistribute_to_nearest(
-    const place::Placement& next, const std::vector<cluster::MicroCluster>& summaries,
-    const place::CandidateTable& candidates, const cluster::SummarizerConfig& summarizer_config);
+void redistribute_to_nearest(
+    const place::Placement& next, const cluster::ClusterBuffer& summaries,
+    const place::CandidateTable& candidates,
+    const cluster::SummarizerConfig& summarizer_config,
+    std::map<topo::NodeId, cluster::MicroClusterSummarizer>& summarizers);
 
 /// Dependencies a collector implementation may need. "direct" needs none;
 /// the protocol collectors run over the simulated network.

@@ -154,7 +154,7 @@ std::vector<double> run_once(const Environment& env, const ExperimentConfig& con
   }
   std::vector<cluster::MicroCluster> summaries;
   if (config.collector == "direct") {
-    summaries = DirectCollector().collect(sources, {candidates, k, seed}).summaries;
+    summaries = DirectCollector().collect(sources, {candidates, k, seed}).summaries.view();
   } else if (config.collector == "rpc") {
     // Real sockets, no simulator. Each run stands up its own ephemeral-port
     // server, so concurrent runs do not collide. Sources that exhaust their
@@ -162,8 +162,9 @@ std::vector<double> run_once(const Environment& env, const ExperimentConfig& con
     // so under heavy fault injection some sources simply contribute nothing.
     CollectorConfig collector_config;
     collector_config.rpc = config.rpc;
-    summaries =
-        make_collector("rpc", collector_config)->collect(sources, {candidates, k, seed}).summaries;
+    summaries = make_collector("rpc", collector_config)
+                    ->collect(sources, {candidates, k, seed})
+                    .summaries.view();
   } else {
     sim::Simulator simulator;
     sim::Network network(simulator, topology);
@@ -173,7 +174,7 @@ std::vector<double> run_once(const Environment& env, const ExperimentConfig& con
     collector_config.aggregation_root = initial_placement.front();
     summaries = make_collector(config.collector, collector_config)
                     ->collect(sources, {candidates, k, seed})
-                    .summaries;
+                    .summaries.view();
   }
 
   // 4. Every strategy proposes from the information it may see; proposals

@@ -171,31 +171,28 @@ std::uint64_t ReplicationManager::epoch_accesses() const {
   return ingest_->accesses;
 }
 
-const std::vector<cluster::MicroCluster>& ReplicationManager::summary_of(
-    topo::NodeId replica) const {
+cluster::ClusterView ReplicationManager::summary_of(topo::NodeId replica) const {
   const auto it = summarizers_.find(replica);
   GEORED_ENSURE(it != summarizers_.end(), "node does not currently hold a replica");
   return it->second.clusters();
 }
 
 double ReplicationManager::estimate_average_delay(
-    const place::Placement& placement,
-    const std::vector<cluster::MicroCluster>& summaries) const {
+    const place::Placement& placement, const cluster::ClusterBuffer& summaries) const {
   // Per-access delay estimated from the summaries themselves: each
   // micro-cluster's population is assumed to sit at its centroid and read
   // from the nearest replica (in coordinate space).
   double total = 0.0, accesses = 0.0;
-  for (const auto& micro : summaries) {
-    if (micro.count() == 0) continue;
-    const Point centroid = micro.centroid();
+  for (std::size_t i = 0; i < summaries.size(); ++i) {
+    const double* centroid = summaries.centroid(i);
     double best = std::numeric_limits<double>::infinity();
     for (const auto node : placement) {
       // Point::distance_to's sqrt of the squared distance (see route).
-      best = std::min(best,
-                      std::sqrt(candidates_->distance_squared(node, centroid.values().data())));
+      best = std::min(best, std::sqrt(candidates_->distance_squared(node, centroid)));
     }
-    total += best * static_cast<double>(micro.count());
-    accesses += static_cast<double>(micro.count());
+    const auto count = static_cast<double>(summaries.count(i));
+    total += best * count;
+    accesses += count;
   }
   return accesses > 0.0 ? total / accesses : 0.0;
 }
@@ -229,30 +226,30 @@ std::vector<double> ReplicationManager::delay_by_degree_curve(std::size_t min_de
                                                               std::size_t max_degree) const {
   GEORED_ENSURE(min_degree >= 1 && min_degree <= max_degree,
                 "degree bounds must satisfy 1 <= min <= max");
-  // One input for every level: place() reads it by const reference and the
-  // seed does not depend on the level, so only k changes between probes.
-  place::PlacementInput input;
-  input.candidates = candidates_->candidates();
+  // Every level reads the same summaries, gathered once in node order, and
+  // the candidates by reference; only k changes between probes.
+  cluster::ClusterBuffer summaries;
+  std::size_t rows = 0;
+  for (const auto& [node, summarizer] : summarizers_) rows += summarizer.clusters().size();
+  summaries.reserve(rows);
+  for (const auto& [node, summarizer] : summarizers_) summaries.append(summarizer.clusters());
+  double weight = 0.0;
+  for (std::size_t i = 0; i < summaries.size(); ++i) {
+    weight += static_cast<double>(summaries.count(i));
+  }
   // A seed stream distinct from the epoch proposals', so the probe and the
   // next run_epoch never correlate.
-  input.seed = seed_ ^ (0xd1b54a32d192ed03ULL + epoch_index_);
-  std::vector<cluster::MicroCluster>& summaries = input.summaries;
-  double weight = 0.0;
-  for (const auto& [node, summarizer] : summarizers_) {
-    for (const auto& micro : summarizer.clusters()) {
-      summaries.push_back(micro);
-      weight += static_cast<double>(micro.count());
-    }
-  }
+  const std::uint64_t seed = seed_ ^ (0xd1b54a32d192ed03ULL + epoch_index_);
   // A cold-start probe of the registry's online-clustering strategy; the
   // warm-start centroids are left untouched so probing cannot perturb them.
-  const auto probe = place::make_strategy("online");
+  const place::OnlineClusteringPlacement probe;
   std::vector<double> curve;
   curve.reserve(max_degree - min_degree + 1);
   double best = std::numeric_limits<double>::infinity();
   for (std::size_t k = min_degree; k <= max_degree; ++k) {
-    input.k = k;
-    const double per_access = estimate_average_delay(probe->place(input), summaries);
+    const place::Placement placement =
+        probe.place_detailed(candidates_->candidates(), k, summaries, seed).placement;
+    const double per_access = estimate_average_delay(placement, summaries);
     // More replicas can only help; clustering noise may say otherwise, so
     // each level is floored by its predecessors — the allocator requires a
     // non-increasing curve.
@@ -385,12 +382,19 @@ EpochReport ReplicationManager::run_epoch(const std::set<topo::NodeId>& excluded
   report.old_placement = placement_;
   report.epoch_accesses = epoch_accesses();
 
-  // Candidates usable this epoch.
-  std::vector<place::CandidateInfo> usable;
-  usable.reserve(candidates_->size());
-  for (const auto& candidate : candidates_->candidates()) {
-    if (!excluded.contains(candidate.node)) usable.push_back(candidate);
+  // Candidates usable this epoch: all of them, read in place, unless a
+  // failed data center must be left out.
+  const std::vector<place::CandidateInfo>& all = candidates_->candidates();
+  const bool any_excluded = std::any_of(all.begin(), all.end(), [&](const auto& candidate) {
+    return excluded.contains(candidate.node);
+  });
+  std::vector<place::CandidateInfo> filtered;
+  if (any_excluded) {
+    for (const auto& candidate : all) {
+      if (!excluded.contains(candidate.node)) filtered.push_back(candidate);
+    }
   }
+  const std::vector<place::CandidateInfo>& usable = any_excluded ? filtered : all;
   GEORED_ENSURE(!usable.empty(), "every candidate data center is excluded");
   bool current_placement_impaired = false;
   for (const auto node : placement_) {
@@ -438,17 +442,11 @@ EpochReport ReplicationManager::run_epoch(const std::set<topo::NodeId>& excluded
     report.proposed_placement = std::move(*collected.agreed_proposal);
   } else {
     const StageTimer timer(report.stages.propose_ms);
-    place::PlacementInput input;
-    // Lent to the proposal and handed back for phase 2's context.
-    input.candidates = std::move(usable);
-    input.k = degree_;
-    input.summaries = collected.summaries;
-    input.seed = epoch_seed;
     place::OnlineClusteringConfig strategy = config_.strategy;
     if (config_.warm_start_macro_clusters) strategy.warm_start_centroids = warm_centroids_;
     place::OnlineClusteringDetails details =
-        place::OnlineClusteringPlacement(strategy).place_detailed(input);
-    usable = std::move(input.candidates);
+        place::OnlineClusteringPlacement(std::move(strategy))
+            .place_detailed(usable, degree_, collected.summaries, epoch_seed);
     warm_centroids_ = std::move(details.macro_centroids);
     report.proposed_placement = std::move(details.placement);
   }
@@ -488,8 +486,8 @@ EpochReport ReplicationManager::run_epoch(const std::set<topo::NodeId>& excluded
     const StageTimer timer(report.stages.adopt_ms);
     if (adopt) {
       placement_ = report.proposed_placement;
-      summarizers_ = redistribute_to_nearest(placement_, collected.summaries, *candidates_,
-                                             config_.summarizer);
+      redistribute_to_nearest(placement_, collected.summaries, *candidates_,
+                              config_.summarizer, summarizers_);
     } else {
       for (auto& [node, summarizer] : summarizers_) summarizer.decay();
     }

@@ -184,8 +184,10 @@ class ReplicationManager {
   /// arrives, so there is nothing to flush.
   void flush_ingest() const {}
 
-  /// Micro-clusters currently held for `replica` (observability / tests).
-  const std::vector<cluster::MicroCluster>& summary_of(topo::NodeId replica) const;
+  /// Micro-clusters currently held for `replica`, read in place
+  /// (observability / tests); valid until the replica's next record or
+  /// epoch.
+  cluster::ClusterView summary_of(topo::NodeId replica) const;
 
   /// Runs one placement epoch: collect summaries through the collector,
   /// propose a placement by online clustering (warm-started from the last
@@ -282,7 +284,7 @@ class ReplicationManager {
   };
 
   double estimate_average_delay(const place::Placement& placement,
-                                const std::vector<cluster::MicroCluster>& summaries) const;
+                                const cluster::ClusterBuffer& summaries) const;
   void maybe_adjust_degree(std::uint64_t epoch_accesses);
 
   /// Immutable and possibly shared with the other groups of a fleet.

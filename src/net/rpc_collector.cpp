@@ -301,7 +301,7 @@ core::CollectedSummaries RpcCollector::collect(const std::vector<core::SummarySo
       round.served = Served::kFresh;
       round.clusters = result.clusters.size();
       collected.summary_bytes += result.payload.size();
-      for (auto& micro : result.clusters) collected.summaries.push_back(std::move(micro));
+      collected.summaries.append(result.clusters);
       last_good_[sources[i].node] = std::move(result.payload);
       continue;
     }
@@ -311,9 +311,7 @@ core::CollectedSummaries RpcCollector::collect(const std::vector<core::SummarySo
       // parsed when it was cached, so this decode cannot fail. The bytes are
       // not added to summary_bytes — nothing crossed the wire this round.
       ByteReader reader(cached->second);
-      for (auto& micro : cluster::read_centroid_frame(reader)) {
-        collected.summaries.push_back(std::move(micro));
-      }
+      collected.summaries.append(cluster::read_centroid_frame(reader));
       round.served = Served::kStale;
       round.clusters = collected.summaries.size() - round.first;
       collected.stale_sources.push_back(sources[i].node);
@@ -350,9 +348,8 @@ void RpcCollector::collect_moments(const std::vector<core::SummarySource>& sourc
     payloads[i] = writer.bytes();
     GEORED_ENSURE(rounds[i].first + rounds[i].clusters <= collected.summaries.size(),
                   "collect_moments completes the summaries the latest collect() returned");
-    const auto first =
-        collected.summaries.begin() + static_cast<std::ptrdiff_t>(rounds[i].first);
-    results[i].clusters.assign(first, first + static_cast<std::ptrdiff_t>(rounds[i].clusters));
+    results[i].clusters =
+        collected.summaries.view().subview(rounds[i].first, rounds[i].clusters);
   }
   fetch_round(std::move(payloads), context.epoch_seed ^ kMomentPhaseSalt, injector_, config_,
               *clock_, results, fresh, [](ByteReader& reader, FetchResult& result) {
@@ -360,9 +357,9 @@ void RpcCollector::collect_moments(const std::vector<core::SummarySource>& sourc
               });
 
   // Accounting pass: the completed sources' clusters, copied out before the
-  // fetch, are written back in source order over the dropped ones.
+  // fetch, replace the collected ones in source order, without the dropped.
   const MutexLock lock(mutex_);
-  std::size_t kept = 0;
+  collected.summaries.clear();
   for (std::size_t i = 0; i < sources.size(); ++i) {
     FetchResult& result = results[i];
     stats_.requests_sent += result.requests_sent;
@@ -376,11 +373,8 @@ void RpcCollector::collect_moments(const std::vector<core::SummarySource>& sourc
     }
     ++stats_.responses_ok;
     collected.summary_bytes += result.payload.size();
-    std::move(result.clusters.begin(), result.clusters.end(),
-              collected.summaries.begin() + static_cast<std::ptrdiff_t>(kept));
-    kept += result.clusters.size();
+    collected.summaries.append(result.clusters);
   }
-  collected.summaries.resize(kept);
 }
 
 }  // namespace geored::net

@@ -7,10 +7,16 @@
 // them into k macro-clusters, and each macro centroid is mapped to the
 // nearest distinct candidate data center. Bandwidth and compute are
 // independent of the number of clients (Table II). ReplicationManager::
-// run_epoch runs this as its fixed propose step, feeding each epoch's macro
-// centroids back as the next epoch's warm start.
+// run_epoch runs this as its fixed propose step, over its collected
+// summaries in one flat buffer (cluster/cluster_view.h), feeding each
+// epoch's macro centroids back as the next epoch's warm start.
 #pragma once
 
+#include <cstdint>
+#include <utility>
+#include <vector>
+
+#include "cluster/cluster_view.h"
 #include "cluster/kmeans.h"
 #include "placement/strategy.h"
 
@@ -45,13 +51,23 @@ struct OnlineClusteringDetails {
 
 class OnlineClusteringPlacement final : public PlacementStrategy {
  public:
-  explicit OnlineClusteringPlacement(OnlineClusteringConfig config = {}) : config_(config) {}
+  explicit OnlineClusteringPlacement(OnlineClusteringConfig config = {})
+      : config_(std::move(config)) {}
 
   std::string name() const override { return "online clustering"; }
   Placement place(const PlacementInput& input) const override;
 
   /// As place(), also returning the winning macro-cluster centroids.
   OnlineClusteringDetails place_detailed(const PlacementInput& input) const;
+
+  /// As place_detailed(input), over summaries collected into one flat
+  /// buffer and candidates read by reference: the placement epoch's form.
+  /// Bit-identical to place_detailed on an input holding the same
+  /// candidates, k, summaries and seed.
+  OnlineClusteringDetails place_detailed(const std::vector<CandidateInfo>& candidates,
+                                         std::size_t k,
+                                         const cluster::ClusterBuffer& summaries,
+                                         std::uint64_t seed) const;
 
  private:
   OnlineClusteringConfig config_;
@@ -62,18 +78,21 @@ namespace detail {
 /// The k-means solver pair behind one macro-clustering: the seeded cold
 /// solve and the warm start from given centroids.
 struct KMeansSolvers {
-  cluster::KMeansResult (*cold)(const std::vector<cluster::WeightedPoint>&,
-                                const cluster::KMeansConfig&, Rng&);
-  cluster::KMeansResult (*warm)(const std::vector<cluster::WeightedPoint>&,
-                                std::vector<Point>, const cluster::KMeansConfig&);
+  cluster::KMeansResult (*cold)(const cluster::WeightedPoints&, const cluster::KMeansConfig&,
+                                Rng&);
+  cluster::KMeansResult (*warm)(const cluster::WeightedPoints&, std::vector<Point>,
+                                const cluster::KMeansConfig&);
 };
 
 /// place_detailed over an explicit solver pair. place_detailed passes
-/// {weighted_kmeans, weighted_kmeans_from}; bench/micro_perf's epoch
+/// {weighted_kmeans_flat, weighted_kmeans_flat_from}; bench/micro_perf's epoch
 /// baseline passes the frozen scalar pair (reference/scalar.h), which is
 /// bit-identical by contract, so the pair changes wall time only.
 OnlineClusteringDetails place_online_with(const OnlineClusteringConfig& online,
-                                          const PlacementInput& input, KMeansSolvers solvers);
+                                          const std::vector<CandidateInfo>& candidates,
+                                          std::size_t k,
+                                          const cluster::ClusterBuffer& summaries,
+                                          std::uint64_t seed, KMeansSolvers solvers);
 
 }  // namespace detail
 

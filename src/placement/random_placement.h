@@ -7,6 +7,12 @@
 
 namespace geored::place {
 
+/// k of `candidates` (fewer when there are fewer), drawn without
+/// replacement from Rng(seed): RandomPlacement's rule over candidates read
+/// by reference.
+Placement random_placement(const std::vector<CandidateInfo>& candidates, std::size_t k,
+                           std::uint64_t seed);
+
 class RandomPlacement final : public PlacementStrategy {
  public:
   std::string name() const override { return "random"; }

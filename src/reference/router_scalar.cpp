@@ -86,7 +86,6 @@ RouteDecision ScalarRouter::route(const Point& query, double now_ms) {
     decision.outcome = RouteDecision::Outcome::kAdmitted;
     decision.replica = primary.node;
     decision.wait_ms = enqueue(primary, now_ms);
-    decision.dist_sq = best_dist;
     ++stats_.admitted;
     return decision;
   }
@@ -108,7 +107,6 @@ RouteDecision ScalarRouter::route(const Point& query, double now_ms) {
         decision.outcome = RouteDecision::Outcome::kSpilled;
         decision.replica = target.node;
         decision.wait_ms = enqueue(target, now_ms);
-        decision.dist_sq = spill_dist;
         ++stats_.admitted;
         ++stats_.spilled;
         return decision;

@@ -1,6 +1,7 @@
 #include "serve/request_router.h"
 
 #include <algorithm>
+#include <limits>
 
 #include "common/ensure.h"
 #include "common/point_set_simd.h"
@@ -91,14 +92,13 @@ double RequestRouter::enqueue(Replica& replica, double now_ms) {
   return wait_ms;
 }
 
-void RequestRouter::admit(std::size_t primary_row, double primary_dist_sq,
-                          const double* query, double now_ms, RouteDecision& out) {
+void RequestRouter::admit(std::size_t primary_row, const double* query, double now_ms,
+                          RouteDecision& out) {
   Replica& primary = replicas_[up_slots_[primary_row]];
   if (prune(primary.queue, now_ms) < config_.queue_cap) {
     out.outcome = RouteDecision::Outcome::kAdmitted;
     out.replica = primary.node;
     out.wait_ms = enqueue(primary, now_ms);
-    out.dist_sq = primary_dist_sq;
     ++stats_.admitted;
     return;
   }
@@ -123,7 +123,6 @@ void RequestRouter::admit(std::size_t primary_row, double primary_dist_sq,
       out.outcome = RouteDecision::Outcome::kSpilled;
       out.replica = spill.node;
       out.wait_ms = enqueue(spill, now_ms);
-      out.dist_sq = spill_dist;
       ++stats_.admitted;
       ++stats_.spilled;
       return;
@@ -140,9 +139,8 @@ RouteDecision RequestRouter::route(const double* query, double now_ms) {
     ++stats_.lost;
     return decision;
   }
-  double best_sq = 0.0;
-  const std::size_t row = up_panel_.nearest2_of(query, &best_sq, nullptr);
-  admit(row, best_sq, query, now_ms, decision);
+  const std::size_t row = up_panel_.nearest2_of(query, nullptr, nullptr);
+  admit(row, query, now_ms, decision);
   return decision;
 }
 
@@ -182,7 +180,7 @@ void RequestRouter::route_batch(const PointSet& points, const std::size_t* indic
       const double* query = points.row(indices != nullptr ? indices[j] : j);
       ++stats_.requests;
       out[j] = RouteDecision{};
-      admit(assign_[t], best_sq_[t], query, nows_ms[j], out[j]);
+      admit(assign_[t], query, nows_ms[j], out[j]);
     }
   }
 }

@@ -35,7 +35,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <limits>
 #include <set>
 #include <vector>
 
@@ -66,7 +65,9 @@ struct ReplicaSpec {
   Point coords;
 };
 
-/// What the router decided for one request.
+/// What the router decided for one request: 16 bytes, written once per
+/// request on the serving hot path. A caller that wants the coordinate-
+/// space RTT proxy computes it from the serving replica's coordinates.
 struct RouteDecision {
   enum class Outcome : std::uint8_t {
     kLost,      ///< no up replica exists
@@ -78,14 +79,14 @@ struct RouteDecision {
   Outcome outcome = Outcome::kLost;
   topo::NodeId replica = 0;  ///< serving replica (admitted/spilled only)
   double wait_ms = 0.0;      ///< queue wait at the serving replica
-  /// Squared coordinate distance to the serving replica — the coordinate-
-  /// space RTT proxy callers without a topology (bench) feed to complete().
-  double dist_sq = std::numeric_limits<double>::infinity();
 
   bool admitted() const {
     return outcome == Outcome::kAdmitted || outcome == Outcome::kSpilled;
   }
 };
+
+static_assert(sizeof(RouteDecision) == 16,
+              "a route decision is an outcome, a node and a wait");
 
 class RequestRouter {
  public:
@@ -172,8 +173,7 @@ class RequestRouter {
   /// Prunes departures at or before now; returns resident count.
   std::size_t prune(Queue& queue, double now_ms) const;
   /// Admission at panel row `primary` (spilling per policy); fills `out`.
-  void admit(std::size_t primary_row, double primary_dist_sq, const double* query,
-             double now_ms, RouteDecision& out);
+  void admit(std::size_t primary_row, const double* query, double now_ms, RouteDecision& out);
   /// Pushes a request into `replica`'s queue; returns the queue wait.
   double enqueue(Replica& replica, double now_ms);
 

@@ -8,6 +8,7 @@
 #include "common/random.h"
 #include "common/sym_matrix.h"
 #include "common/thread_pool.h"
+#include "topology/geo.h"
 
 namespace geored::topo {
 
@@ -100,9 +101,13 @@ Topology generate_planetlab_like(const PlanetLabModelConfig& config, std::uint64
   }
 
   // Pass 2, parallel: the geometry of each pair from its draws, in the same
-  // expression as ever. Rows shrink with i, so the work splits over flat
-  // pair indices, not rows; a chunk reads the shared per-node arrays and
-  // rewrites only its own slots.
+  // expression as ever; each node's haversine terms are computed once, not
+  // once per pair. Rows shrink with i, so the work splits over flat pair
+  // indices, not rows; a chunk reads the shared per-node arrays and rewrites
+  // only its own slots.
+  std::vector<HaversinePoint> points;
+  points.reserve(n);
+  for (const auto& node : nodes) points.push_back(haversine_point(node.location));
   const auto fill_pairs = [&](std::size_t begin, std::size_t end) {
     std::size_t i = 0;
     std::size_t row_begin = 0;
@@ -112,7 +117,7 @@ Topology generate_planetlab_like(const PlanetLabModelConfig& config, std::uint64
     }
     std::size_t j = i + 1 + (begin - row_begin);
     for (std::size_t pair = begin; pair < end; ++pair) {
-      const double floor_ms = geodesic_rtt_floor_ms(nodes[i].location, nodes[j].location);
+      const double floor_ms = geodesic_rtt_floor_ms(points[i], points[j]);
       double inflation = node_inflation[i] * node_inflation[j];
       if (tiv[pair]) inflation *= config.tiv_extra_inflation;
       const double access = 2.0 * (nodes[i].access_ms + nodes[j].access_ms);

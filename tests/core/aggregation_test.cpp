@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <deque>
 #include <limits>
 #include <set>
 
@@ -18,6 +19,8 @@ namespace {
 struct AggWorld {
   topo::Topology topology;
   std::vector<place::CandidateInfo> candidates;
+  /// What the sources view, one population each.
+  std::deque<std::vector<cluster::MicroCluster>> populations;
   std::vector<SummarySource> sources;
 
   explicit AggWorld(std::size_t dc_count, std::size_t source_count, std::uint64_t seed)
@@ -42,14 +45,16 @@ struct AggWorld {
       SummarySource source;
       source.node = static_cast<topo::NodeId>(s % dc_count);
       const double center = 100.0 * static_cast<double>(s % dc_count);
+      auto& population = populations.emplace_back();
       for (int c = 0; c < 4; ++c) {
         cluster::MicroCluster micro;
         for (int p = 0; p < 25; ++p) {
           micro.absorb(Point{center + rng.normal(0.0, 10.0)}, 1.0);
         }
-        source.clusters.push_back(micro);
+        population.push_back(micro);
       }
-      sources.push_back(std::move(source));
+      source.clusters = population;
+      sources.push_back(source);
     }
   }
 

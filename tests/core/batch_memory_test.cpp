@@ -6,10 +6,12 @@
 // checked against the bytes left, and a fleet pays for its candidates once,
 // not once per group. On the replicated store (KvMemory): a stored object
 // costs a bounded number of bytes, and the simulator and the store's op
-// slabs give a burst's memory back once it drains. Global operator new is
-// replaced with a version that counts the bytes requested, the largest
-// single request and the bytes still live, which is why this suite is its
-// own test binary.
+// slabs give a burst's memory back once it drains. A warm group epoch and a
+// demand-curve probe make a bounded number of allocations, and reading a
+// summarizer's clusters makes none. Global operator new is replaced with a
+// version that counts the calls, the bytes requested, the largest single
+// request and the bytes still live, which is why this suite is its own test
+// binary.
 #include <algorithm>
 #include <atomic>
 #include <cstddef>
@@ -50,12 +52,14 @@ constexpr std::size_t kHeader = alignof(std::max_align_t);
 constexpr std::size_t kRefuseAbove = std::size_t{1} << 30;
 
 std::atomic<std::size_t> g_requested_bytes{0};
+std::atomic<std::size_t> g_new_calls{0};
 std::atomic<std::size_t> g_largest_request{0};
 std::atomic<std::size_t> g_live_bytes{0};
 }  // namespace
 
 void* operator new(std::size_t size) {
   g_requested_bytes.fetch_add(size, std::memory_order_relaxed);
+  g_new_calls.fetch_add(1, std::memory_order_relaxed);
   std::size_t largest = g_largest_request.load(std::memory_order_relaxed);
   while (size > largest && !g_largest_request.compare_exchange_weak(largest, size)) {
   }
@@ -138,6 +142,14 @@ std::size_t bytes_requested(Fn&& fn) {
   const std::size_t before = g_requested_bytes.load();
   fn();
   return g_requested_bytes.load() - before;
+}
+
+/// Calls to operator new while `fn` runs.
+template <typename Fn>
+std::size_t allocations(Fn&& fn) {
+  const std::size_t before = g_new_calls.load();
+  fn();
+  return g_new_calls.load() - before;
 }
 
 core::ManagerConfig manager_config() {
@@ -471,6 +483,101 @@ TEST(BatchMemory, SerializedSizeAllocatesNothing) {
   ByteWriter writer;
   cluster::write_clusters(writer, clusters);
   EXPECT_EQ(size, writer.size() + 1);
+}
+
+// --- The placement epoch ------------------------------------------------
+
+/// A group the size of a fleet_budget group: 100 candidates in 5-D, degree
+/// 4, the default m = 4, and 200 accesses an epoch from three sites, warmed
+/// by six epochs and holding a seventh epoch's accesses.
+class WarmGroup {
+ public:
+  WarmGroup() : manager_(line_candidates(100), config(), 29) {
+    for (std::size_t epoch = 0; epoch < 6; ++epoch) {
+      record_epoch();
+      manager_.run_epoch();
+    }
+    record_epoch();
+  }
+
+  core::ReplicationManager& manager() { return manager_; }
+
+ private:
+  static core::ManagerConfig config() {
+    core::ManagerConfig config;
+    config.replication_degree = 4;
+    config.min_degree = 1;
+    config.max_degree = 8;
+    return config;
+  }
+  void record_epoch() {
+    for (std::size_t i = 0; i < 200; ++i) {
+      const double site = i % 10 < 5 ? 200.0 : i % 10 < 8 ? 500.0 : 800.0;
+      manager_.serve(client_near(rng_, site));
+    }
+  }
+
+  core::ReplicationManager manager_;
+  Rng rng_{31};
+};
+
+// Calls to operator new in one warm group epoch and one demand-curve probe.
+// An epoch reads its replicas' summaries in place: one flat buffer of the
+// group's clusters, candidates by reference, and an adoption that refills
+// the group's summarizers instead of rebuilding them. Each bound is the
+// count measured with GCC 12 and libstdc++ plus 16: no room for a copy of
+// the candidates (100 calls here) or of the clusters (two calls a cluster,
+// 32 here).
+constexpr std::size_t kKeptEpochCalls = 63 + 16;
+constexpr std::size_t kAdoptingEpochCalls = 75 + 16;
+constexpr std::size_t kCurveProbeCalls = 310 + 16;
+
+TEST(BatchMemory, KeptEpochAllocatesLittle) {
+  WarmGroup group;
+  core::EpochReport report;
+  const std::size_t calls = allocations([&] { report = group.manager().run_epoch(); });
+  ASSERT_EQ(report.adopted_placement, report.old_placement) << "the epoch must keep";
+  EXPECT_LE(calls, kKeptEpochCalls);
+}
+
+TEST(BatchMemory, AdoptingEpochAllocatesLittle) {
+  WarmGroup group;
+  group.manager().set_degree(5);
+  core::EpochReport report;
+  const std::size_t calls = allocations([&] { report = group.manager().run_epoch(); });
+  ASSERT_EQ(report.adopted_placement.size(), 5u) << "the epoch must adopt";
+  EXPECT_LE(calls, kAdoptingEpochCalls);
+}
+
+TEST(BatchMemory, DemandCurveProbeAllocatesLittle) {
+  WarmGroup group;
+  group.manager().run_epoch();
+  std::vector<double> curve;
+  const std::size_t calls =
+      allocations([&] { curve = group.manager().delay_by_degree_curve(1, 8); });
+  ASSERT_EQ(curve.size(), 8u);
+  EXPECT_LE(calls, kCurveProbeCalls);
+}
+
+TEST(BatchMemory, ReadingWarmClustersAllocatesNothing) {
+  // A summarizer keeps one copy of its clusters, the flat store, and hands
+  // out views of it; so does the manager for each replica.
+  WarmGroup group;
+  const core::ReplicationManager& manager = group.manager();
+  const topo::NodeId replica = manager.placement().front();
+  std::uint64_t accesses = 0;
+  double moments = 0.0;
+  const std::size_t calls = allocations([&] {
+    const cluster::ClusterView clusters = manager.summary_of(replica);
+    for (std::size_t i = 0; i < clusters.size(); ++i) {
+      accesses += clusters.count(i);
+      moments += clusters.weight(i) + clusters.sum(i)[0] + clusters.sum2(i)[0];
+    }
+    accesses += cluster::serialized_size(clusters);
+  });
+  EXPECT_EQ(calls, 0u);
+  EXPECT_GT(accesses, 0u);
+  EXPECT_TRUE(std::isfinite(moments));
 }
 
 // --- The replicated store ------------------------------------------------

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <deque>
 #include <limits>
 #include <string>
 #include <vector>
@@ -26,6 +27,8 @@ namespace {
 struct JitterWorld {
   topo::Topology topology;
   std::vector<place::CandidateInfo> candidates;
+  /// What the sources view, one population each.
+  std::deque<std::vector<cluster::MicroCluster>> populations;
   std::vector<SummarySource> sources;
 
   JitterWorld(std::size_t dc_count, std::size_t source_count, std::uint64_t seed)
@@ -55,15 +58,15 @@ struct JitterWorld {
       cluster::MicroClusterSummarizer summarizer(config);
       const double center = 100.0 * static_cast<double>(s % dc_count);
       for (int i = 0; i < 40; ++i) summarizer.add(Point{rng.normal(center, 10.0)});
-      source.clusters = summarizer.clusters();
-      sources.push_back(std::move(source));
+      source.clusters = populations.emplace_back(summarizer.clusters());
+      sources.push_back(source);
     }
   }
 };
 
 std::vector<std::uint8_t> fingerprint(const CollectedSummaries& collected) {
   ByteWriter writer;
-  cluster::write_clusters(writer, collected.summaries);
+  cluster::write_clusters(writer, collected.summaries.view());
   writer.write_u64(collected.summary_bytes);
   return writer.bytes();
 }

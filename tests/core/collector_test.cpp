@@ -224,10 +224,21 @@ TEST(EpochPipeline, AdopterMatchesScalar) {
       summaries.push_back(micro);
     }
 
-    const auto fast =
-        redistribute_to_nearest(next, summaries, place::CandidateTable(candidates), config);
+    const place::CandidateTable table(candidates);
+    const cluster::ClusterBuffer collected(summaries);
+    std::map<topo::NodeId, cluster::MicroClusterSummarizer> fast;
+    redistribute_to_nearest(next, collected, table, config, fast);
     const auto scalar = redistribute_to_nearest_scalar(next, summaries, candidates, config);
     EXPECT_EQ(serialized_summarizers(fast), serialized_summarizers(scalar)) << label;
+    // Refilled in place: summarizers already holding clusters, for a node
+    // of `next` and for one that leaves, end exactly like fresh ones.
+    std::map<topo::NodeId, cluster::MicroClusterSummarizer> refilled;
+    for (const topo::NodeId node : {next.front(), topo::NodeId{99}}) {
+      auto& held = refilled.try_emplace(node, config).first->second;
+      for (int a = 0; a < 20; ++a) held.add(Point{rng.normal(400.0, 200.0)}, 2.0);
+    }
+    redistribute_to_nearest(next, collected, table, config, refilled);
+    EXPECT_EQ(serialized_summarizers(refilled), serialized_summarizers(scalar)) << label;
   };
 
   const auto candidates = line_candidates();
@@ -312,14 +323,18 @@ TEST(EpochPipeline, EveryRegistryCollectorDrivesAManager) {
 }
 
 /// Passes both phases through and records what each was handed and
-/// reported.
+/// reported. The sources view replicas the epoch then ages or replaces, so
+/// the recorder keeps copies of their clusters.
 struct PhaseRecorder final : SummaryCollector {
   explicit PhaseRecorder(std::unique_ptr<SummaryCollector> wrapped)
       : inner(std::move(wrapped)) {}
   std::string name() const override { return inner->name(); }
   CollectedSummaries collect(const std::vector<SummarySource>& phase_sources,
                              const CollectionContext& context) override {
+    kept.clear();
+    for (const auto& source : phase_sources) kept.push_back({source.node, source.clusters});
     sources = phase_sources;
+    for (std::size_t i = 0; i < sources.size(); ++i) sources[i].clusters = kept[i].clusters;
     candidates = context.candidates;
     epoch_seed = context.epoch_seed;
     moments_collected = false;
@@ -334,6 +349,7 @@ struct PhaseRecorder final : SummaryCollector {
     inner->collect_moments(phase_sources, context, collected);
   }
   std::unique_ptr<SummaryCollector> inner;
+  std::vector<SentSummary> kept;
   std::vector<SummarySource> sources;
   std::vector<place::CandidateInfo> candidates;
   std::uint64_t epoch_seed = 0;
@@ -436,17 +452,19 @@ TEST(EpochPipeline, DirectCollectorFlattensInSourceOrder) {
   std::vector<SummarySource> sources(2);
   sources[0].node = 4;
   sources[1].node = 9;
+  std::vector<cluster::MicroCluster> populations[2];
   for (int s = 0; s < 2; ++s) {
     cluster::MicroCluster micro;
     micro.absorb(Point{100.0 * s}, 1.0);
-    sources[s].clusters.push_back(micro);
+    populations[s].push_back(micro);
+    sources[s].clusters = populations[s];
   }
   const auto candidates = line_candidates();
   DirectCollector collector;
   const auto collected = collector.collect(sources, {candidates, 2, 0});
   ASSERT_EQ(collected.summaries.size(), 2u);
-  EXPECT_EQ(collected.summaries[0].centroid()[0], 0.0);
-  EXPECT_EQ(collected.summaries[1].centroid()[0], 100.0);
+  EXPECT_EQ(collected.summaries.view()[0].centroid()[0], 0.0);
+  EXPECT_EQ(collected.summaries.view()[1].centroid()[0], 100.0);
   EXPECT_FALSE(collected.agreed_proposal.has_value());
   EXPECT_GT(collected.summary_bytes, 0u);
 }

@@ -22,6 +22,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <deque>
 #include <limits>
 #include <memory>
 #include <set>
@@ -52,8 +53,10 @@ std::vector<place::CandidateInfo> line_candidates(std::size_t count = 10) {
 }
 
 /// Synthetic sources: each node summarizes a population near its own
-/// location, exactly what a replica would report.
+/// location, exactly what a replica would report. A source views its
+/// clusters in place, so they are kept for the life of the test binary.
 std::vector<SummarySource> make_sources(std::size_t count, std::uint64_t seed) {
+  static std::deque<std::vector<cluster::MicroCluster>> kept;
   Rng rng(seed);
   std::vector<SummarySource> sources(count);
   for (std::size_t s = 0; s < count; ++s) {
@@ -64,7 +67,7 @@ std::vector<SummarySource> make_sources(std::size_t count, std::uint64_t seed) {
     cluster::MicroClusterSummarizer summarizer(config);
     const double center = 100.0 * static_cast<double>(s);
     for (int i = 0; i < 60; ++i) summarizer.add(Point{rng.normal(center, 12.0)});
-    sources[s].clusters = summarizer.clusters();
+    sources[s].clusters = kept.emplace_back(summarizer.clusters());
   }
   return sources;
 }
@@ -161,8 +164,9 @@ TEST(RpcCollector, ZeroFaultsIsByteIdenticalToDirect) {
   CollectedSummaries actual = rpc.collect(sources, context);
 
   // Phase 1 ships no second moments: only what propose and gate read.
-  for (const auto& micro : actual.summaries) EXPECT_EQ(micro.sum2().dim(), 0u);
-  EXPECT_EQ(centroid_fingerprint(actual.summaries), centroid_fingerprint(expected.summaries));
+  for (const auto& micro : actual.summaries.view()) EXPECT_EQ(micro.sum2().dim(), 0u);
+  EXPECT_EQ(centroid_fingerprint(actual.summaries.view()),
+            centroid_fingerprint(expected.summaries.view()));
   EXPECT_EQ(actual.summary_bytes, expected.summary_bytes);
   EXPECT_TRUE(actual.stale_sources.empty());
   EXPECT_TRUE(actual.lost_sources.empty());
@@ -174,7 +178,7 @@ TEST(RpcCollector, ZeroFaultsIsByteIdenticalToDirect) {
   // Phase 2 completes every cluster, bit for bit.
   direct.collect_moments(sources, context, expected);
   rpc.collect_moments(sources, context, actual);
-  EXPECT_EQ(fingerprint(actual.summaries), fingerprint(expected.summaries));
+  EXPECT_EQ(fingerprint(actual.summaries.view()), fingerprint(expected.summaries.view()));
   EXPECT_EQ(actual.summary_bytes, expected.summary_bytes);
   EXPECT_TRUE(actual.handoff_lost_sources.empty());
   EXPECT_EQ(rpc.last_stats().responses_ok, 2 * sources.size());
@@ -272,7 +276,7 @@ TEST(RpcCollector, FaultMatrixMatchesTheOracleAcrossRetryBudgets) {
         }
       }
 
-      EXPECT_EQ(centroid_fingerprint(collected.summaries),
+      EXPECT_EQ(centroid_fingerprint(collected.summaries.view()),
                 centroid_fingerprint(expected_summaries))
           << test_case.label << " budget=" << budget;
       EXPECT_EQ(collected.summary_bytes, expected_bytes)
@@ -286,8 +290,8 @@ TEST(RpcCollector, FaultMatrixMatchesTheOracleAcrossRetryBudgets) {
       if (std::string(test_case.label) == "delay" ||
           std::string(test_case.label) == "duplicate") {
         const CollectedSummaries reference = direct.collect(sources, context);
-        EXPECT_EQ(centroid_fingerprint(collected.summaries),
-                  centroid_fingerprint(reference.summaries))
+        EXPECT_EQ(centroid_fingerprint(collected.summaries.view()),
+                  centroid_fingerprint(reference.summaries.view()))
             << test_case.label << " budget=" << budget;
         EXPECT_EQ(collected.summary_bytes, reference.summary_bytes);
       }
@@ -309,7 +313,8 @@ TEST(RpcCollector, FaultRunsAreDeterministicGivenTheSeed) {
   auto run = [&] {
     RpcCollector rpc(config, std::make_shared<VirtualClock>());
     CollectedSummaries collected = rpc.collect(sources, context);
-    return std::make_pair(centroid_fingerprint(collected.summaries), collected.lost_sources);
+    return std::make_pair(centroid_fingerprint(collected.summaries.view()),
+                          collected.lost_sources);
   };
   const auto first = run();
   const auto second = run();
@@ -355,8 +360,8 @@ TEST(RpcCollector, ExhaustedRetriesFallBackToTheCachedEpoch) {
   // The cache replays the same sources, so the collected set is unchanged.
   const CollectedSummaries reference =
       core::DirectCollector().collect(sources, {candidates, 3, failing_salt});
-  EXPECT_EQ(centroid_fingerprint(degraded.summaries),
-            centroid_fingerprint(reference.summaries));
+  EXPECT_EQ(centroid_fingerprint(degraded.summaries.view()),
+            centroid_fingerprint(reference.summaries.view()));
 }
 
 /// A salt under which every source recovers in phase 1 but at least one
@@ -387,8 +392,8 @@ struct HandOff {
 };
 
 HandOff hand_off(const CollectedSummaries& collected) {
-  return {fingerprint(collected.summaries), collected.summary_bytes, collected.stale_sources,
-          collected.handoff_lost_sources};
+  return {fingerprint(collected.summaries.view()), collected.summary_bytes,
+          collected.stale_sources, collected.handoff_lost_sources};
 }
 
 TEST(RpcCollector, PhaseTwoRetriesRunningOutDropTheSourceFromTheHandOff) {
@@ -614,7 +619,7 @@ struct NoMomentsInPhaseOne final : core::SummaryCollector {
   CollectedSummaries collect(const std::vector<SummarySource>& sources,
                              const CollectionContext& context) override {
     CollectedSummaries collected = inner->collect(sources, context);
-    for (const auto& micro : collected.summaries) EXPECT_EQ(micro.sum2().dim(), 0u);
+    for (const auto& micro : collected.summaries.view()) EXPECT_EQ(micro.sum2().dim(), 0u);
     clusters_checked += collected.summaries.size();
     return collected;
   }
