@@ -7,8 +7,9 @@
 // the k-1 the other holders ship to a central one: k times the bytes. This
 // harness verifies agreement and quantifies the traffic and latency
 // difference across k. Both paths decide on centroid frames (phase 1 of
-// cluster/summary_frame.h); the moment frames an adopting epoch adds scale
-// the same way and are left out.
+// cluster/summary_frame.h). An adopting epoch then ships each departing
+// cluster's second moments once in either (to the coordinator, or to its
+// destination), so phase 2 is left out.
 #include <cstdio>
 
 #include "bench_util.h"

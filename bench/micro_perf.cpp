@@ -36,6 +36,7 @@
 #include "core/replication_manager.h"
 #include "netcoord/embedding.h"
 #include "netcoord/rnp.h"
+#include "placement/candidate_table.h"
 #include "placement/evaluate.h"
 #include "placement/greedy.h"
 #include "placement/local_search.h"
@@ -952,6 +953,7 @@ std::vector<CaseResult> run_scale(const Scale& scale, std::size_t repeats,
           return accesses > 0.0 ? total / accesses : 0.0;
         };
 
+    const place::CandidateTable candidate_table(world.candidates);
     std::vector<std::uint8_t> base_blob, fast_blob;
     Placement base_adopted;
     double base_new_delay = 0.0;
@@ -1014,11 +1016,17 @@ std::vector<CaseResult> run_scale(const Scale& scale, std::size_t repeats,
         decision = core::decide_migration(mconfig.migration, old_delay, new_delay, moved);
       }
       // (5) Adopt via the frozen scalar redistribution after phase 2, or
-      // retain (decay).
+      // retain (decay). Phase 2 runs on the hand-off plan, so its bytes are
+      // the departing clusters' masks and moment frames; the scalar
+      // redistribution reads every cluster's moments from the replicas.
       Placement adopted_placement = routed;
       ByteWriter writer;
       const bool adopt = decision.migrate || proposed.size() != routed.size();
       if (adopt) {
+        {
+          const core::StageTimer timer(tr.adopt_ms);
+          core::plan_handoff(proposed, candidate_table, collected.summaries);
+        }
         const core::StageTimer timer(tr.collect_ms);
         collector.collect_moments(sources, context, collected);
       }
@@ -1026,9 +1034,14 @@ std::vector<CaseResult> run_scale(const Scale& scale, std::size_t repeats,
         const core::StageTimer timer(tr.adopt_ms);
         if (adopt) {
           adopted_placement = proposed;
+          std::vector<cluster::MicroCluster> held;
+          for (const auto& [node, summarizer] : summarizers) {
+            const std::vector<cluster::MicroCluster>& clusters = summarizer.clusters();
+            held.insert(held.end(), clusters.begin(), clusters.end());
+          }
           const std::map<topo::NodeId, cluster::MicroClusterSummarizer> adopted =
-              core::redistribute_to_nearest_scalar(proposed, collected.summaries.view(),
-                                                   world.candidates, mconfig.summarizer);
+              core::redistribute_to_nearest_scalar(proposed, held, world.candidates,
+                                                   mconfig.summarizer);
           for (const auto node : adopted_placement) {
             cluster::write_clusters(writer, adopted.at(node).clusters());
           }

@@ -10,8 +10,10 @@
 //                  summarizer's flat moment store, a ClusterBuffer, or a
 //                  vector of MicroCluster objects, without copying them;
 //   ClusterBuffer  the one owning flat form: an epoch's collected clusters
-//                  in source order, each row with its centroid. Its clear()
-//                  keeps the storage.
+//                  in source order, each row with its centroid, the node
+//                  that reported it, and, once an adopting epoch plans its
+//                  hand-off, the replica it is handed to. Its clear() keeps
+//                  the storage.
 //
 // Every moment is read or copied bit for bit, and a ClusterBuffer centroid
 // is sum[d] / count, the division MicroCluster::centroid performs, so a
@@ -19,9 +21,11 @@
 // MicroCluster objects.
 #pragma once
 
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <iterator>
+#include <limits>
 #include <span>
 #include <vector>
 
@@ -129,23 +133,33 @@ class ClusterView {
   std::size_t dim_ = 0;
 };
 
+/// The origin of a row that no single replica reported: an aggregator merged
+/// it (core/aggregation.h).
+inline constexpr std::uint32_t kNoOrigin = std::numeric_limits<std::uint32_t>::max();
+
 class ClusterBuffer {
  public:
   ClusterBuffer() = default;
   explicit ClusterBuffer(ClusterView clusters) { append(clusters); }
 
-  /// Drops every row and the dimension; the storage is kept.
+  /// Drops every row, the dimension and the plan; the storage is kept.
   void clear();
   /// Makes room for `rows` rows in all, so appending them allocates once
-  /// per field.
+  /// per field. Second moments are not reserved: phase 1 carries none.
   void reserve(std::size_t rows);
 
   /// Appends every row of `clusters` with a positive count, computing each
   /// centroid; a row of count 0 is skipped, as every reader of the epoch
   /// skips such a MicroCluster. Rows must share one dimension, which the
-  /// first row appended to an empty buffer sets. The buffer holds second
-  /// moments while every row appended since the last clear() carried them.
-  void append(ClusterView clusters);
+  /// first row appended to an empty buffer sets, and are appended before the
+  /// hand-off is planned. A row's second moments are kept when it carries
+  /// them. `origin` is the node that reported `clusters`: each row appended
+  /// remembers it and the row's index in `clusters`; kNoOrigin marks rows an
+  /// aggregator merged.
+  void append(ClusterView clusters, std::uint32_t origin = kNoOrigin);
+  /// append() of each row's count, weight and sum alone: the rows of a
+  /// centroid frame, whose second moments the hand-off fills in.
+  void append_centroids(ClusterView clusters, std::uint32_t origin = kNoOrigin);
 
   std::size_t size() const { return counts_.size(); }
   bool empty() const { return counts_.empty(); }
@@ -154,21 +168,68 @@ class ClusterBuffer {
   std::uint64_t count(std::size_t i) const { return counts_[i]; }
   double weight(std::size_t i) const { return weights_[i]; }
   const double* centroid(std::size_t i) const { return centroids_.row(i); }
-  /// Whether every row carries its second moments.
-  bool has_moments() const { return has_moments_; }
+  /// The node that reported row i, or kNoOrigin.
+  std::uint32_t origin(std::size_t i) const {
+    return rows_.empty() ? kNoOrigin : rows_[i].origin;
+  }
+  /// Row i's index in the clusters its origin reported.
+  std::size_t origin_row(std::size_t i) const {
+    return rows_.empty() ? 0 : rows_[i].origin_row;
+  }
 
+  /// The hand-off plan of an adopting epoch: `destinations[i]` is the node
+  /// row i is handed to. Rows removed later take their destination with
+  /// them.
+  void set_destinations(std::span<const std::uint32_t> destinations);
+  bool planned() const { return planned_; }
+  std::uint32_t destination(std::size_t i) const { return rows_[i].destination; }
+  /// Whether planned row i leaves the replica holding it: its destination
+  /// is not its origin. A row an aggregator merged always departs.
+  bool departs(std::size_t i) const {
+    return rows_[i].origin == kNoOrigin || rows_[i].destination != rows_[i].origin;
+  }
+
+  /// Whether row i carries its second moments.
+  bool has_moments(std::size_t i) const {
+    return sum2s_.size() == size() && !empty() && !std::isnan(sum2s_.row(i)[0]);
+  }
+  /// Sets row i's second moments: dim() finite values.
+  void set_moments(std::size_t i, std::span<const double> sum2);
+
+  /// Keeps the rows i with keep[i] (one flag per row) in order, with their
+  /// plan and moments, and drops the others.
+  void retain_rows(const std::vector<bool>& keep);
+
+  /// The rows in place. Second moments are visible once any row carries
+  /// them; a row still without them then reads quiet NaNs, which no
+  /// summarizer produces and no decoder accepts.
   ClusterView view() const {
     return {size(), dim(), counts_.data(), weights_.data(), sums_.row(0),
-            has_moments_ ? sum2s_.row(0) : nullptr};
+            sum2s_.size() == size() && !empty() ? sum2s_.row(0) : nullptr};
   }
 
  private:
+  /// Where a row came from and where the plan sends it.
+  struct Row {
+    std::uint32_t origin = kNoOrigin;
+    std::uint32_t origin_row = 0;
+    std::uint32_t destination = kNoOrigin;
+  };
+
+  void append_rows(ClusterView clusters, std::uint32_t origin, bool moments);
+  /// Gives every row a slot in sum2s_, NaN until its moments are set.
+  void store_moments();
+
   std::vector<std::uint64_t> counts_;
   std::vector<double> weights_;
   PointSet sums_;
+  /// Empty, or one row per buffer row (NaN for a row without moments).
   PointSet sum2s_;
   PointSet centroids_;
-  bool has_moments_ = true;
+  /// Empty while no row has an origin and no plan is set, else one per row.
+  std::vector<Row> rows_;
+  std::size_t reserved_rows_ = 0;
+  bool planned_ = false;
 };
 
 }  // namespace geored::cluster

@@ -291,7 +291,8 @@ void accumulate_clusters_parallel(const FlatPoints& points, const std::size_t* a
 /// *whether* a scan can be skipped, never what any retained value is, so
 /// centroids, assignment, objective, and iteration count are bit-identical
 /// (the KMeansEquivalence suite pins this).
-KMeansResult lloyd(const FlatPoints& points, PointSet centroids, const KMeansConfig& config) {
+detail::LloydResult lloyd(const FlatPoints& points, PointSet centroids,
+                          const KMeansConfig& config) {
   const std::size_t n = points.positions.size();
   const std::size_t dim = points.positions.dim();
   const std::size_t k = centroids.size();
@@ -420,16 +421,10 @@ KMeansResult lloyd(const FlatPoints& points, PointSet centroids, const KMeansCon
     }
     prev_objective = objective;
   }
-  KMeansResult result;
   if (!assignment_current) {  // max_iterations == 0: no pass has run yet
     prev_objective = objective_of(points, centroids, best_dist_sq, assignment.data());
   }
-  result.objective = prev_objective;
-  result.assignment = std::move(assignment);
-  result.iterations = iterations;
-  result.centroids.reserve(k);
-  for (std::size_t c = 0; c < k; ++c) result.centroids.push_back(centroids.point(c));
-  return result;
+  return {std::move(centroids), std::move(assignment), prev_objective, iterations};
 }
 
 }  // namespace
@@ -448,6 +443,18 @@ double kmeans_objective(const std::vector<WeightedPoint>& points,
 
 namespace detail {
 
+KMeansResult to_kmeans_result(LloydResult solved) {
+  KMeansResult result;
+  result.centroids.reserve(solved.centroids.size());
+  for (std::size_t c = 0; c < solved.centroids.size(); ++c) {
+    result.centroids.push_back(solved.centroids.point(c));
+  }
+  result.assignment = std::move(solved.assignment);
+  result.objective = solved.objective;
+  result.iterations = solved.iterations;
+  return result;
+}
+
 KMeansResult weighted_kmeans_impl(const FlatPoints& points, const KMeansConfig& config,
                                   Rng& rng, LloydFn solve) {
   GEORED_ENSURE(!points.positions.empty(), "k-means requires at least one point");
@@ -462,15 +469,15 @@ KMeansResult weighted_kmeans_impl(const FlatPoints& points, const KMeansConfig& 
   }
   GEORED_ENSURE(total_weight > 0.0, "k-means requires positive total weight");
 
-  KMeansResult best_result;
+  LloydResult best_result;
   best_result.objective = std::numeric_limits<double>::infinity();
 
   const std::size_t restarts = std::max<std::size_t>(1, config.restarts);
   for (std::size_t restart = 0; restart < restarts; ++restart) {
-    KMeansResult result = solve(points, kmeanspp_seed(points, config.k, rng), config);
+    LloydResult result = solve(points, kmeanspp_seed(points, config.k, rng), config);
     if (result.objective < best_result.objective) best_result = std::move(result);
   }
-  return best_result;
+  return to_kmeans_result(std::move(best_result));
 }
 
 KMeansResult weighted_kmeans_impl(const std::vector<WeightedPoint>& points,
@@ -493,7 +500,7 @@ KMeansResult weighted_kmeans_from_impl(const FlatPoints& points,
     GEORED_ENSURE(std::isfinite(weight) && weight >= 0.0,
                   "point weights must be finite and non-negative");
   }
-  return solve(points, PointSet::from_points(initial_centroids), config);
+  return to_kmeans_result(solve(points, PointSet::from_points(initial_centroids), config));
 }
 
 KMeansResult weighted_kmeans_from_impl(const std::vector<WeightedPoint>& points,

@@ -42,13 +42,26 @@ double objective_of(const FlatPoints& points, const PointSet& centroids, double*
 /// weight * D^2 (distance to the nearest already-chosen centroid).
 PointSet kmeanspp_seed(const FlatPoints& points, std::size_t k, Rng& rng);
 
+/// One Lloyd solve, its centroids kept as the PointSet it iterated on: a
+/// restart that loses to another never builds a Point.
+struct LloydResult {
+  PointSet centroids;
+  std::vector<std::size_t> assignment;
+  double objective = 0.0;
+  std::size_t iterations = 0;
+};
+
+/// The KMeansResult of a solve: its centroids built as Points, once.
+KMeansResult to_kmeans_result(LloydResult solved);
+
 /// Lloyd variant selector shared by the accelerated and scalar entry points
 /// so validation and restart logic cannot drift between them.
-using LloydFn = KMeansResult (*)(const FlatPoints&, PointSet, const KMeansConfig&);
+using LloydFn = LloydResult (*)(const FlatPoints&, PointSet, const KMeansConfig&);
 
 /// Validates, then runs `config.restarts` k-means++-seeded solves and keeps
-/// the best objective (weighted_kmeans with its Lloyd kernel). The vector
-/// form flattens its points first.
+/// the best objective (weighted_kmeans with its Lloyd kernel); only the
+/// winner's centroids become Points. The vector form flattens its points
+/// first.
 KMeansResult weighted_kmeans_impl(const FlatPoints& points, const KMeansConfig& config,
                                   Rng& rng, LloydFn solve);
 KMeansResult weighted_kmeans_impl(const std::vector<WeightedPoint>& points,

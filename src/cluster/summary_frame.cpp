@@ -186,52 +186,122 @@ std::vector<MicroCluster> read_centroid_frame(ByteReader& reader) {
   return read_frame(reader, Moments::kSumOnly);
 }
 
+namespace {
+
+/// The mask marking every one of `clusters` clusters: a moment frame is the
+/// departing moment frame in which every cluster departs.
+DepartureMask every_cluster(std::size_t clusters) {
+  DepartureMask mask(clusters);
+  for (std::size_t i = 0; i < clusters; ++i) mask.set(i);
+  return mask;
+}
+
+}  // namespace
+
 void write_moment_frame(ByteWriter& writer, ClusterView clusters) {
-  const std::size_t dim = clusters.dim();
-  const std::size_t n = clusters.size();
-  for (std::size_t i = 0; i < n; ++i) {
-    GEORED_ENSURE(dim > 0 && clusters.sum(i).size() == dim && clusters.sum2(i).size() == dim,
-                  "the clusters of a moment frame share one positive dimension");
+  if (clusters.empty()) {
+    writer.write_varint(0);
+    return;
   }
-  writer.write_varint(n);
-  if (n == 0) return;
-  writer.write_varint(dim);
-  for (std::size_t i = 0; i < n; ++i) writer.write_f64s(clusters.sum2(i));
+  write_departing_moment_frame(writer, clusters, every_cluster(clusters.size()));
 }
 
 std::size_t moment_frame_size(ClusterView clusters) noexcept {
   if (clusters.empty()) return varint_size(0);
-  return varint_size(clusters.size()) + varint_size(clusters.dim()) +
-         clusters.size() * clusters.dim() * sizeof(double);
+  return departing_moment_frame_size(clusters.size(), clusters.dim());
 }
 
 void read_moment_frame(ByteReader& reader, std::span<MicroCluster> clusters) {
-  const std::uint64_t n = reader.read_varint();
-  if (n != clusters.size()) {
-    reject("moment frame of " + std::to_string(n) +
-           " clusters completes a centroid frame of " + std::to_string(clusters.size()));
+  if (clusters.empty()) {
+    const std::uint64_t n = reader.read_varint();
+    if (n != 0) reject("moment frame of " + std::to_string(n) + " clusters completes none");
+    return;
   }
-  if (n == 0) return;
-  const std::uint64_t dim = reader.read_varint();
-  const std::size_t expected_dim = clusters.front().sum().dim();
-  if (dim != expected_dim) {
-    reject("moment frame of dimension " + std::to_string(dim) +
-           " completes a centroid frame of dimension " + std::to_string(expected_dim));
-  }
-  // n and d match clusters the caller holds, so n·d cannot overflow; the
-  // bytes left bound it before the scratch is sized.
-  if (n * dim > reader.remaining() / sizeof(double)) {
-    reject(std::to_string(n * dim) + " second moments cannot fit in the " +
-           std::to_string(reader.remaining()) + " bytes remaining");
-  }
-  std::vector<double> sum2(n * dim);
-  reader.read_f64s(sum2);
-  check_second_moments(sum2);
+  const std::vector<double> sum2 = read_departing_moment_frame(
+      reader, every_cluster(clusters.size()), clusters.front().sum().dim());
+  const std::size_t dim = clusters.front().sum().dim();
   for (std::size_t i = 0; i < clusters.size(); ++i) {
     const auto first = sum2.begin() + static_cast<std::ptrdiff_t>(i * dim);
     detail::FrameAccess::set_sum2(
         clusters[i], std::vector<double>(first, first + static_cast<std::ptrdiff_t>(dim)));
   }
+}
+
+DepartureMask::DepartureMask(std::size_t clusters)
+    : clusters_(clusters), bytes_(departure_mask_size(clusters), 0) {}
+
+void DepartureMask::set(std::size_t i) {
+  GEORED_ENSURE(i < clusters_, "departure mask bit past its clusters");
+  bytes_[i / 8] = static_cast<std::uint8_t>(bytes_[i / 8] | (1U << (i % 8)));
+}
+
+std::size_t DepartureMask::departing() const {
+  std::size_t marked = 0;
+  for (const std::uint8_t byte : bytes_) {
+    marked += static_cast<std::size_t>(std::popcount(byte));
+  }
+  return marked;
+}
+
+DepartureMask read_departure_mask(std::span<const std::uint8_t> bytes, std::size_t clusters) {
+  if (bytes.size() != departure_mask_size(clusters)) {
+    reject("departure mask of " + std::to_string(bytes.size()) + " bytes over " +
+           std::to_string(clusters) + " clusters");
+  }
+  // Bits past the last cluster sit in the top of the final byte.
+  if (clusters % 8 != 0 && (bytes.back() >> (clusters % 8)) != 0) {
+    reject("departure mask marks a cluster past the " + std::to_string(clusters) +
+           " it covers");
+  }
+  DepartureMask mask(clusters);
+  for (std::size_t i = 0; i < clusters; ++i) {
+    if (((bytes[i / 8] >> (i % 8)) & 1U) != 0) mask.set(i);
+  }
+  if (mask.departing() == 0) reject("departure mask marks no cluster");
+  return mask;
+}
+
+void write_departing_moment_frame(ByteWriter& writer, ClusterView clusters,
+                                  const DepartureMask& mask) {
+  GEORED_ENSURE(mask.clusters() == clusters.size(),
+                "a departure mask covers its source's clusters");
+  const std::size_t departing = mask.departing();
+  GEORED_ENSURE(departing > 0, "a departing moment frame carries at least one cluster");
+  const std::size_t dim = clusters.dim();
+  for (std::size_t i = 0; i < clusters.size(); ++i) {
+    if (!mask.departs(i)) continue;
+    GEORED_ENSURE(dim > 0 && clusters.sum(i).size() == dim && clusters.sum2(i).size() == dim,
+                  "the clusters of a moment frame share one positive dimension");
+  }
+  writer.write_varint(departing);
+  writer.write_varint(dim);
+  for (std::size_t i = 0; i < clusters.size(); ++i) {
+    if (mask.departs(i)) writer.write_f64s(clusters.sum2(i));
+  }
+}
+
+std::vector<double> read_departing_moment_frame(  // lint: no-ensure (rejects, typed)
+    ByteReader& reader, const DepartureMask& mask, std::size_t dim) {
+  const std::uint64_t departing = reader.read_varint();
+  if (departing != mask.departing()) {
+    reject("moment frame of " + std::to_string(departing) + " clusters where " +
+           std::to_string(mask.departing()) + " are expected");
+  }
+  const std::uint64_t frame_dim = reader.read_varint();
+  if (frame_dim != dim) {
+    reject("moment frame of dimension " + std::to_string(frame_dim) +
+           " completes a centroid frame of dimension " + std::to_string(dim));
+  }
+  // n′ and d match what the caller holds, so n′·d cannot overflow; the bytes
+  // left bound it before the result is sized.
+  if (departing * dim > reader.remaining() / sizeof(double)) {
+    reject(std::to_string(departing * dim) + " second moments cannot fit in the " +
+           std::to_string(reader.remaining()) + " bytes remaining");
+  }
+  std::vector<double> sum2(departing * dim);
+  reader.read_f64s(sum2);
+  check_second_moments(sum2);
+  return sum2;
 }
 
 std::vector<MicroCluster> read_fixed_width_clusters(ByteReader& reader) {

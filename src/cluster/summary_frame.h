@@ -21,10 +21,24 @@
 // A collection round ships it in two phases, because propose and gate read
 // only each cluster's count, weight and sum (Algorithm 1 clusters the
 // micro-cluster centroids), and only the hand-off of an adopting epoch
-// (core::redistribute_to_nearest) needs the second moments:
+// (core::redistribute_to_nearest) needs the second moments — and of those,
+// only the moments of a cluster handed to a replica other than the one that
+// reported it. A staying cluster's moments never leave its replica.
 //
 //   centroid frame (phase 1, every epoch): the full frame without sum2;
-//   moment frame (phase 2, only when the epoch adopts):
+//   departure mask (phase 2, coordinator -> source, only when the epoch
+//   adopts and the source has a departing cluster):
+//     u8      bits[⌈n/8⌉]          bit i (byte i/8, bit i%8, least
+//                                  significant first) marks cluster i of
+//                                  the source's centroid frame; at least one
+//                                  bit is set and none past n
+//   departing moment frame (phase 2, the source's reply):
+//     varint  n′                   the mask's popcount, at least 1
+//     varint  d                    must equal the centroid frame's
+//     f64     sum2[n′·d]           the marked clusters', in cluster order
+//   moment frame (phase 2 of the hierarchical tree, whose merged clusters
+//   all depart): the departing moment frame of a mask that marks every
+//   cluster, or varint 0 for a source with none
 //     varint  n                    must equal its centroid frame's
 //     varint  d                    must equal its centroid frame's; present
 //                                  only when n > 0
@@ -34,13 +48,14 @@
 // do for unit-weight traffic; the decoder then takes the weight from the
 // count, so every double round-trips bit for bit. At d = 5 a cluster of
 // 64 to 8,191 accesses takes 82 bytes in the full frame with its weight
-// elided (90 with it), 42 in the centroid frame and 40 in the moment frame.
+// elided (90 with it), 42 in the centroid frame and 40 in a moment frame.
 //
 // The writers and sizes read a ClusterView (cluster/cluster_view.h): a
 // summarizer's rows in place, a ClusterBuffer, or a vector of clusters.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -104,6 +119,61 @@ std::size_t moment_frame_size(ClusterView clusters) noexcept;
 /// moment that is negative or not finite. Every frame it accepts
 /// re-encodes to the same bytes.
 void read_moment_frame(ByteReader& reader, std::span<MicroCluster> clusters);
+
+/// Which clusters of a source's centroid frame leave the source in an
+/// adopting epoch's hand-off: the departure mask of the frame format above.
+class DepartureMask {
+ public:
+  DepartureMask() = default;
+  /// A mask over `clusters` clusters with no bit set.
+  explicit DepartureMask(std::size_t clusters);
+
+  std::size_t clusters() const { return clusters_; }
+  void set(std::size_t i);
+  bool departs(std::size_t i) const { return ((bytes_[i / 8] >> (i % 8)) & 1U) != 0; }
+  /// The marked clusters (the departing frame's n′).
+  std::size_t departing() const;
+  /// The encoded mask: ⌈clusters/8⌉ bytes.
+  std::span<const std::uint8_t> bytes() const { return bytes_; }
+
+ private:
+  std::size_t clusters_ = 0;
+  std::vector<std::uint8_t> bytes_;
+};
+
+/// Bytes of the departure mask over `clusters` clusters: ⌈clusters/8⌉.
+constexpr std::size_t departure_mask_size(std::size_t clusters) noexcept {
+  return (clusters + 7) / 8;
+}
+
+/// Decodes the departure mask over a centroid frame of `clusters` clusters
+/// from `bytes`, the whole mask. Throws geored::WireFormatError on a mask of
+/// the wrong length, a bit set past `clusters`, and a mask with no bit set.
+DepartureMask read_departure_mask(std::span<const std::uint8_t> bytes, std::size_t clusters);
+
+/// Appends the departing moment frame: the second moments of the clusters
+/// `mask` marks. Throws std::invalid_argument, writing nothing, unless the
+/// mask covers exactly `clusters`, marks at least one of them, and the
+/// marked clusters share one positive dimension in both moments.
+void write_departing_moment_frame(ByteWriter& writer, ClusterView clusters,
+                                  const DepartureMask& mask);
+
+/// Bytes of a departing moment frame of `departing` clusters in dimension
+/// `dim`. Allocates nothing.
+constexpr std::size_t departing_moment_frame_size(std::size_t departing,
+                                                  std::size_t dim) noexcept {
+  return varint_size(departing) + varint_size(dim) + departing * dim * sizeof(double);
+}
+
+/// Decodes the departing moment frame answering `mask` over a centroid frame
+/// of dimension `dim`: returns the marked clusters' second moments, n′·d
+/// values in cluster order. Throws geored::WireFormatError, returning
+/// nothing, on truncated input, a malformed varint, an n′ other than the
+/// mask's popcount, a d other than `dim`, an n′·d the bytes left cannot hold
+/// (checked before anything is sized), and a second moment that is negative
+/// or not finite. Every frame it accepts re-encodes to the same bytes.
+std::vector<double> read_departing_moment_frame(ByteReader& reader, const DepartureMask& mask,
+                                                std::size_t dim);
 
 /// Decodes the fixed-width layout that checkpoint versions 1 and 2 stored
 /// per replica (u32 cluster count; per cluster a u64 count, an f64 weight,

@@ -4,9 +4,12 @@
 #include <cmath>
 #include <limits>
 #include <memory>
+#include <span>
 
 #include "cluster/kmeans.h"
+#include "common/arena.h"
 #include "common/ensure.h"
+#include "common/point_set.h"
 #include "common/random.h"
 #include "placement/assign.h"
 
@@ -38,32 +41,49 @@ AggregationPlan plan_aggregation(const std::vector<place::CandidateInfo>& candid
   aggregator_count = std::min(aggregator_count, candidates.size());
 
   // Aggregators sit where the sources are: weighted k-means over source
-  // coordinates (weight = cluster mass), mapped to distinct data centers.
-  std::vector<cluster::WeightedPoint> points;
+  // coordinates (weight = cluster mass), mapped to distinct data centers. A
+  // source's coordinates are its clusters' mass-weighted mean, read from its
+  // view in place: per component, each centroid (sum / count) scaled back by
+  // its count is accumulated from zero and divided by the mass — the
+  // arithmetic of the Point expression it replaces, so the plan is the same.
+  const std::size_t dim = candidates.front().coords.dim();
+  cluster::WeightedPoints points;
+  points.positions = PointSet(dim);
+  points.positions.reserve(sources.size());
+  points.weights.reserve(sources.size());
+  ArenaScope scope;
+  double* position = scope.span<double>(dim);
   for (const auto& source : sources) {
+    const cluster::ClusterView clusters = source.clusters;
     double mass = 0.0;
-    Point sum;
-    for (const auto& micro : source.clusters) {
-      if (micro.count() == 0) continue;
-      if (sum.empty()) sum = Point(micro.centroid().dim());
-      sum += micro.centroid() * static_cast<double>(micro.count());
-      mass += static_cast<double>(micro.count());
+    std::fill_n(position, dim, 0.0);
+    for (std::size_t i = 0; i < clusters.size(); ++i) {
+      const std::uint64_t count = clusters.count(i);
+      if (count == 0) continue;
+      const std::span<const double> sum = clusters.sum(i);
+      GEORED_ENSURE(sum.size() == dim, "source clusters must have the candidates' dimension");
+      const auto n = static_cast<double>(count);
+      for (std::size_t d = 0; d < dim; ++d) position[d] += (sum[d] / n) * n;
+      mass += n;
     }
     if (mass > 0.0) {
-      points.push_back({sum / mass, mass});
+      for (std::size_t d = 0; d < dim; ++d) position[d] /= mass;
+      points.positions.push_back_row(position, dim);
+      points.weights.push_back(mass);
     } else {
       // A source with no usage still needs an aggregator; use its location.
-      points.push_back({info_of(candidates, source.node).coords, 1.0});
+      points.positions.push_back(info_of(candidates, source.node).coords);
+      points.weights.push_back(1.0);
     }
   }
 
   cluster::KMeansConfig kmeans_config;
   kmeans_config.k = aggregator_count;
   Rng rng(seed);
-  const auto result = cluster::weighted_kmeans(points, kmeans_config, rng);
+  const auto result = cluster::weighted_kmeans_flat(points, kmeans_config, rng);
   std::vector<double> mass(result.centroids.size(), 0.0);
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    mass[result.assignment[i]] += points[i].weight;
+  for (std::size_t i = 0; i < points.weights.size(); ++i) {
+    mass[result.assignment[i]] += points.weights[i];
   }
   AggregationPlan plan;
   plan.aggregators = place::assign_centroids_to_candidates(

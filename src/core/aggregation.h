@@ -14,7 +14,9 @@
 // Sources send full frames, because an aggregator's merge reads the second
 // moments. Aggregators forward centroid frames (phase 1), and the moment
 // frames that complete them only when the epoch adopts (phase 2,
-// run_moment_upload); see cluster/summary_frame.h.
+// run_moment_upload); see cluster/summary_frame.h. A merged cluster has no
+// single origin, so in an adopting epoch's hand-off every one departs: the
+// moment frames ship whole, whatever the plan.
 #pragma once
 
 #include <cstdint>

@@ -16,6 +16,22 @@ namespace geored::core {
 
 namespace {
 
+/// Index in `sources` of the source that reported a row of `origin`. Rows
+/// arrive in source order, so the search starts at `hint`, the previous
+/// row's source, and is O(1) per row along a buffer.
+std::size_t source_of(const std::vector<SummarySource>& sources, std::uint32_t origin,
+                      std::size_t& hint) {
+  GEORED_ENSURE(!sources.empty(), "a collected cluster's origin is not among the sources");
+  std::size_t s = hint % sources.size();
+  for (std::size_t step = 1; step < sources.size() && sources[s].node != origin; ++step) {
+    s = (s + 1) % sources.size();
+  }
+  GEORED_ENSURE(sources[s].node == origin,
+                "a collected cluster's origin is not among the sources");
+  hint = s;
+  return s;
+}
+
 /// The sources' clusters grouped by node, in node order: each replica's
 /// message in the decentralized exchange.
 std::map<topo::NodeId, std::vector<cluster::MicroCluster>>  // lint: alloc-ok
@@ -44,7 +60,7 @@ CollectedSummaries DirectCollector::collect(const std::vector<SummarySource>& so
   collected.summaries.reserve(rows);
   for (const auto& source : sources) {
     collected.summary_bytes += cluster::centroid_frame_size(source.clusters);
-    collected.summaries.append(source.clusters);
+    collected.summaries.append_centroids(source.clusters, source.node);
   }
   return collected;
 }
@@ -53,10 +69,27 @@ void DirectCollector::collect_moments(const std::vector<SummarySource>& sources,
                                       const CollectionContext& context,
                                       CollectedSummaries& collected) {
   (void)context;
-  // The collected buffer already carries the sources' second moments; only
-  // the frames that would have shipped them are counted.
-  for (const auto& source : sources) {
-    collected.summary_bytes += cluster::moment_frame_size(source.clusters);
+  cluster::ClusterBuffer& rows = collected.summaries;
+  GEORED_ENSURE(rows.empty() || rows.planned(), "phase 2 follows the hand-off plan");
+  if (rows.empty()) return;
+  // Each departing row's moments, read from its source in place; the
+  // sources each count their departing clusters for the bytes below.
+  ArenaScope scope;
+  std::size_t* departing = scope.span<std::size_t>(sources.size());
+  std::fill_n(departing, sources.size(), std::size_t{0});
+  std::size_t hint = 0;
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    if (!rows.departs(i)) continue;
+    const std::size_t s = source_of(sources, rows.origin(i), hint);
+    rows.set_moments(i, sources[s].clusters.sum2(rows.origin_row(i)));
+    ++departing[s];
+  }
+  // What an asked source and the coordinator would send each other: the
+  // departure mask over its centroid frame, and the departing moment frame.
+  for (std::size_t s = 0; s < sources.size(); ++s) {
+    if (departing[s] == 0) continue;
+    collected.summary_bytes += cluster::departure_mask_size(sources[s].clusters.size()) +
+                               cluster::departing_moment_frame_size(departing[s], rows.dim());
   }
 }
 
@@ -111,8 +144,9 @@ CollectedSummaries DecentralizedCollector::collect(const std::vector<SummarySour
                "deterministic replicas diverged on identical summaries and seed");
   CollectedSummaries collected;
   // Flatten in source-id order — the exact input every replica decided on.
+  // The in-process rows keep the moments the phase-2 exchange accounts for.
   for (const auto& [source, clusters] : replica_summaries) {
-    collected.summaries.append(clusters);
+    collected.summaries.append(clusters, source);
   }
   collected.summary_bytes = static_cast<std::size_t>(result.summary_bytes);
   collected.agreed_proposal = result.proposal;
@@ -122,9 +156,10 @@ CollectedSummaries DecentralizedCollector::collect(const std::vector<SummarySour
 void DecentralizedCollector::collect_moments(const std::vector<SummarySource>& sources,
                                              const CollectionContext& context,
                                              CollectedSummaries& collected) {
+  (void)sources;
   (void)context;
   collected.summary_bytes += static_cast<std::size_t>(
-      exchange_moment_frames(simulator_, network_, group_by_node(sources)));
+      exchange_departing_frames(simulator_, network_, collected.summaries));
 }
 
 namespace {
@@ -138,29 +173,14 @@ constexpr std::size_t kMinParallelSummaries = 2048;
 
 }  // namespace
 
-void redistribute_to_nearest(
-    const place::Placement& next, const cluster::ClusterBuffer& summaries,
-    const place::CandidateTable& candidates,
-    const cluster::SummarizerConfig& summarizer_config,
-    std::map<topo::NodeId, cluster::MicroClusterSummarizer>& summarizers) {
-  GEORED_ENSURE(!next.empty(), "cannot adopt an empty placement");
-  GEORED_ENSURE(summaries.empty() || summaries.has_moments(),
-                "the hand-off needs the summaries' second moments");
-  // One empty summarizer per replica of `next`, reusing the storage of the
-  // nodes that keep their replica.
-  for (auto it = summarizers.begin(); it != summarizers.end();) {
-    if (std::find(next.begin(), next.end(), it->first) == next.end()) {
-      it = summarizers.erase(it);
-    } else {
-      it->second.clear();
-      ++it;
-    }
-  }
-  for (const auto node : next) {
-    summarizers.try_emplace(node, summarizer_config);
-  }
+void plan_handoff(const place::Placement& next, const place::CandidateTable& candidates,
+                  cluster::ClusterBuffer& summaries) {
+  GEORED_ENSURE(!next.empty(), "cannot plan a hand-off to an empty placement");
   const std::size_t n = summaries.size();
-  if (n == 0) return;
+  if (n == 0) {
+    summaries.set_destinations({});
+    return;
+  }
   // Resolve each placement node's coordinates once — the historical loop
   // re-ran a linear candidate scan per (summary x node) pair — and stage
   // them as a PointSet so each centroid resolves via one nearest_of scan
@@ -176,19 +196,62 @@ void redistribute_to_nearest(
                                    candidates.dim());
   }
   ArenaScope scope;
-  std::size_t* nearest = scope.span<std::size_t>(n);
+  std::uint32_t* destinations = scope.span<std::uint32_t>(n);
   const auto resolve = [&](std::size_t begin, std::size_t end) {
     for (std::size_t i = begin; i < end; ++i) {
-      nearest[i] = placement_coords.nearest_of(summaries.centroid(i));
+      destinations[i] = next[placement_coords.nearest_of(summaries.centroid(i))];
     }
   };
   parallel_for(n, std::ref(resolve), kMinParallelSummaries);
+  summaries.set_destinations({destinations, n});
+}
+
+void redistribute_to_nearest(
+    const place::Placement& next, cluster::ClusterBuffer& summaries,
+    const cluster::SummarizerConfig& summarizer_config,
+    std::map<topo::NodeId, cluster::MicroClusterSummarizer>& summarizers) {
+  GEORED_ENSURE(!next.empty(), "cannot adopt an empty placement");
+  GEORED_ENSURE(summaries.empty() || summaries.planned(),
+                "the hand-off follows its plan (plan_handoff)");
+  const std::size_t n = summaries.size();
+  // A staying cluster's second moments are its replica's own: read them in
+  // place before that replica's summarizer is cleared below.
+  for (std::size_t i = 0; i < n; ++i) {
+    if (summaries.departs(i)) {
+      GEORED_ENSURE(summaries.has_moments(i), "a departing cluster needs its second moments");
+      continue;
+    }
+    const auto held = summarizers.find(summaries.origin(i));
+    GEORED_ENSURE(held != summarizers.end(), "a staying cluster's replica holds a summarizer");
+    const cluster::ClusterView own = held->second.clusters();
+    const std::size_t row = summaries.origin_row(i);
+    GEORED_ENSURE(row < own.size() && own.count(row) == summaries.count(i),
+                  "a staying cluster is one its replica holds");
+    GEORED_DCHECK(own.weight(row) == summaries.weight(i) &&
+                      std::equal(own.sum(row).begin(), own.sum(row).end(),
+                                 summaries.view().sum(i).begin()),
+                  "a staying cluster is one its replica holds");
+    summaries.set_moments(i, own.sum2(row));
+  }
+  // One empty summarizer per replica of `next`, reusing the storage of the
+  // nodes that keep their replica.
+  for (auto it = summarizers.begin(); it != summarizers.end();) {
+    if (std::find(next.begin(), next.end(), it->first) == next.end()) {
+      it = summarizers.erase(it);
+    } else {
+      it->second.clear();
+      ++it;
+    }
+  }
+  for (const auto node : next) {
+    summarizers.try_emplace(node, summarizer_config);
+  }
   // Merges stay sequential in summary order: each summarizer's absorb/merge
   // history is order-sensitive, and this is the exact order the historical
   // loop produced.
   const cluster::ClusterView rows = summaries.view();
   for (std::size_t i = 0; i < n; ++i) {
-    summarizers.at(next[nearest[i]]).merge_cluster(rows, i);
+    summarizers.at(summaries.destination(i)).merge_cluster(rows, i);
   }
 }
 

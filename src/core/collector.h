@@ -13,20 +13,26 @@
 //
 // Collection runs in two phases (cluster/summary_frame.h). Phase 1
 // (collect) ships every source's centroid frame: the counts, weights and
-// sums that propose and gate read. Phase 2 (collect_moments) ships the
-// second moments, which only the hand-off of an adopting epoch reads, and
-// runs only when the gate adopts.
+// sums that propose and gate read. Phase 2 (collect_moments) runs only when
+// the gate adopts, and only for the clusters that change replica. Before
+// it, plan_handoff sends each collected cluster to the adopted replica
+// nearest its centroid; a cluster whose destination is the replica that
+// reported it stays, and its second moments never leave that replica. Phase
+// 2 ships the moments of the departing clusters alone, and a source with
+// none departing takes no part.
 //
 // Sources are read in place (a SummarySource views its replica's
 // summarizer), and collection builds the epoch's clusters once, into one
 // flat buffer (cluster::ClusterBuffer) that propose, gate and adopt read.
+// Each row remembers the node that reported it, and the plan travels with
+// the rows.
 //
 // ReplicationManager::run_epoch runs the fixed steps around them: collect,
 // propose (online clustering with the warm-start centroid cache), gate
-// (decide_migration, §III-C), and then either collect_moments and adopt
-// (redistribute_to_nearest below) or age the kept summaries. A collector
-// that already agreed on a proposal in-protocol (decentralized) returns it,
-// and the propose step is skipped.
+// (decide_migration, §III-C), and then either plan_handoff, collect_moments
+// and adopt (redistribute_to_nearest below) or age the kept summaries. A
+// collector that already agreed on a proposal in-protocol (decentralized)
+// returns it, and the propose step is skipped.
 #pragma once
 
 #include <cstdint>
@@ -56,12 +62,14 @@ struct CollectionContext {
 
 /// What a collection round produced.
 struct CollectedSummaries {
-  /// Every collected micro-cluster, flattened in source order. After phase 1
-  /// only count, weight and sum are guaranteed ("rpc" ships no second
-  /// moments until phase 2); after phase 2 every cluster carries them.
+  /// Every collected micro-cluster, flattened in source order, each row with
+  /// the node that reported it ("hierarchical": none, an aggregator merged
+  /// it). After phase 1 only count, weight and sum are guaranteed; after
+  /// phase 2 every departing cluster of the hand-off plan carries its second
+  /// moments, and a staying one is read from its replica at adoption.
   cluster::ClusterBuffer summaries;
-  /// Wire bytes the decision point received in both phases (the O(km) cost
-  /// of Table II).
+  /// Wire bytes of both phases (the O(km) cost of Table II): the centroid
+  /// frames, then the departure masks and departing moment frames.
   std::size_t summary_bytes = 0;
   /// Set when the collection protocol itself already agreed on a proposal
   /// (the decentralized collector); run_epoch then skips its propose step.
@@ -74,8 +82,9 @@ struct CollectedSummaries {
   std::vector<topo::NodeId> lost_sources;
   /// Sources whose clusters phase 2 removed from `summaries`, so the adopted
   /// placement does not inherit them: their second moments could not be
-  /// collected ("rpc": the phase-2 fetch ran out of retries, or phase 1
-  /// served the source a stale fallback).
+  /// collected ("rpc": the phase-2 fetch ran out of retries, which loses the
+  /// source's departing clusters, or phase 1 served the source a stale
+  /// fallback, which loses all of them).
   std::vector<topo::NodeId> handoff_lost_sources;
 };
 
@@ -97,20 +106,24 @@ class SummaryCollector {
 
   /// Phase 2, run only when the epoch adopts a placement: completes
   /// `collected`, what collect() just returned for the same `sources` and
-  /// `context`, for the hand-off. Afterwards every cluster left in
+  /// `context` with the hand-off planned on it (plan_handoff), for the
+  /// hand-off. Afterwards every departing cluster left in
   /// collected.summaries carries its second moments, the clusters whose
-  /// moments could not be collected are removed (their sources appended to
-  /// handoff_lost_sources), and summary_bytes has grown by the moment frames
-  /// received. Must be deterministic like collect().
+  /// moments could not be collected are removed with their destinations
+  /// (their sources appended to handoff_lost_sources), and summary_bytes has
+  /// grown by what phase 2 sent. Must be deterministic like collect().
   virtual void collect_moments(const std::vector<SummarySource>& sources,
                                const CollectionContext& context,
                                CollectedSummaries& collected) = 0;
 };
 
 /// In-process collection: summaries are concatenated locally, and the wire
-/// size is the sum of the frames (cluster/summary_frame.h) the sources would
-/// send straight to the coordinator, computed without writing them: their
-/// centroid frames in phase 1 and their moment frames in phase 2.
+/// size is the sum of the frames (cluster/summary_frame.h) the sources and
+/// the coordinator would send each other, computed without writing them:
+/// the sources' centroid frames in phase 1; in phase 2, for each source with
+/// a departing cluster, its departure mask (coordinator -> source) and its
+/// departing moment frame. Phase 1 buffers centroid rows only, and phase 2
+/// fills in the departing rows' moments from the sources.
 class DirectCollector final : public SummaryCollector {
  public:
   std::string name() const override { return "direct"; }
@@ -125,8 +138,10 @@ class DirectCollector final : public SummaryCollector {
 /// sources -> nearest regional aggregator -> root. Sources send their
 /// aggregator full frames, because aggregators merge clusters; aggregators
 /// send the root centroid frames in phase 1 and moment frames in phase 2.
-/// The reported wire size is the root's inbound bytes — the bandwidth the
-/// tree exists to bound.
+/// A merged cluster has no single origin, so every one departs in the
+/// hand-off: phase 2 ignores the plan and ships every moment frame. The
+/// reported wire size is the root's inbound bytes — the bandwidth the tree
+/// exists to bound.
 class HierarchicalCollector final : public SummaryCollector {
  public:
   /// The collector plans a fresh tree per epoch (sources move) and runs it
@@ -154,7 +169,9 @@ class HierarchicalCollector final : public SummaryCollector {
 /// All-to-all decentralized agreement (core/decentralized): every replica
 /// receives every centroid frame, computes the placement locally with the
 /// shared epoch seed, and the agreed proposal is returned — run_epoch's
-/// propose step is skipped. Phase 2 exchanges the moment frames all-to-all.
+/// propose step is skipped. Every replica derives the hand-off plan from the
+/// agreed proposal, so phase 2 sends no mask: each source sends each
+/// destination one departing moment frame with the clusters bound for it.
 /// `strategy` is the per-replica decision rule.
 class DecentralizedCollector final : public SummaryCollector {
  public:
@@ -174,22 +191,32 @@ class DecentralizedCollector final : public SummaryCollector {
   std::shared_ptr<const place::PlacementStrategy> strategy_;
 };
 
+/// The hand-off plan of an adopting epoch: sets each collected cluster's
+/// destination to the replica of `next` nearest its centroid. The placement
+/// coordinates are staged once as a PointSet, and each centroid resolves by
+/// one nearest_of scan (strict `<`, first winner), in parallel over the
+/// pool above 2,048 clusters; per-row results are independent, so the plan
+/// is the same at any thread count.
+void plan_handoff(const place::Placement& next, const place::CandidateTable& candidates,
+                  cluster::ClusterBuffer& summaries);
+
 /// The adopt step of run_epoch: `summarizers` becomes one summarizer per
 /// replica of `next`, holding the collected micro-clusters, each handed to
-/// the new replica nearest its centroid so usage knowledge survives the
-/// move. The map is refilled in place: the summarizer of a node that keeps
-/// its replica is cleared and reused, those of dropped nodes are erased, and
-/// new nodes get fresh ones built with `summarizer_config` (which the kept
-/// ones must share), so the result equals fresh summarizers fed the same
-/// merges in the same order. The nearest-replica resolution is
-/// kernelized — placement coordinates staged once as a PointSet, per-summary
-/// nearest_of scans parallelized over the pool with arena scratch — and
-/// byte-identical to the frozen scalar reference
-/// redistribute_to_nearest_scalar (reference/scalar.h), pinned by
-/// EpochPipeline.AdopterMatchesScalar.
+/// the destination its plan (plan_handoff) names, so usage knowledge
+/// survives the move. A departing cluster brings its second moments in
+/// `summaries`; a staying one's are read in place from its own replica's
+/// summarizer (the one `summaries` was collected from) before that
+/// summarizer is cleared, and copied into `summaries`. The map is refilled
+/// in place: the summarizer of a node that keeps its replica is cleared and
+/// reused, those of dropped nodes are erased, and new nodes get fresh ones
+/// built with `summarizer_config` (which the kept ones must share). Merges
+/// run in summary order, so the result equals fresh summarizers fed the
+/// same merges in the same order — byte-identical to the frozen scalar
+/// reference redistribute_to_nearest_scalar (reference/scalar.h) fed every
+/// cluster's moments, pinned by EpochPipeline.AdopterMatchesScalar and
+/// EpochPipeline.HandOffPlanMatchesScalar.
 void redistribute_to_nearest(
-    const place::Placement& next, const cluster::ClusterBuffer& summaries,
-    const place::CandidateTable& candidates,
+    const place::Placement& next, cluster::ClusterBuffer& summaries,
     const cluster::SummarizerConfig& summarizer_config,
     std::map<topo::NodeId, cluster::MicroClusterSummarizer>& summarizers);
 

@@ -1,6 +1,8 @@
 #include "core/decentralized.h"
 
+#include <map>
 #include <memory>
+#include <utility>
 
 #include "cluster/summarizer.h"
 #include "common/ensure.h"
@@ -88,17 +90,22 @@ DecentralizedEpochResult run_decentralized_epoch(
   return result;
 }
 
-std::uint64_t exchange_moment_frames(
-    sim::Simulator& simulator, sim::Network& network,
-    const std::map<topo::NodeId, std::vector<cluster::MicroCluster>>& replica_summaries) {
+std::uint64_t exchange_departing_frames(sim::Simulator& simulator, sim::Network& network,
+                                        const cluster::ClusterBuffer& planned) {
+  GEORED_ENSURE(planned.empty() || planned.planned(), "phase 2 follows the hand-off plan");
+  // Departing clusters per (source, destination), in that order.
+  std::map<std::pair<topo::NodeId, topo::NodeId>, std::size_t> departing;
+  for (std::size_t i = 0; i < planned.size(); ++i) {
+    if (!planned.departs(i)) continue;
+    GEORED_ENSURE(planned.origin(i) != cluster::kNoOrigin,
+                  "every decentralized cluster has the replica that reported it");
+    ++departing[{planned.origin(i), planned.destination(i)}];
+  }
   std::uint64_t bytes = 0;
-  for (const auto& [from, clusters] : replica_summaries) {
-    const std::size_t size = cluster::moment_frame_size(clusters);
-    for (const auto& [to, unused] : replica_summaries) {
-      if (to == from) continue;
-      bytes += size;
-      network.send(from, to, size, sim::TrafficClass::kSummary, [] {});
-    }
+  for (const auto& [route, clusters] : departing) {
+    const std::size_t size = cluster::departing_moment_frame_size(clusters, planned.dim());
+    bytes += size;
+    network.send(route.first, route.second, size, sim::TrafficClass::kSummary, [] {});
   }
   simulator.run();
   return bytes;

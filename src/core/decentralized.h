@@ -6,15 +6,17 @@
 // replicas can instead exchange their summaries all-to-all and *each*
 // compute the placement locally: with identical inputs — summaries ordered
 // by source id — and an identical seed, every replica arrives at the same
-// proposal without any coordination round. Cost: k*(k-1) summary messages
+// proposal without any coordination round. Cost: k*(k-1) centroid frames
 // instead of k, still O(k^2 * m) bytes total — negligible for the paper's
-// k <= 7.
+// k <= 7. An adopting epoch then sends each departing cluster's second
+// moments once, to its destination.
 #pragma once
 
 #include <cstdint>
 #include <map>
 #include <vector>
 
+#include "cluster/cluster_view.h"
 #include "cluster/microcluster.h"
 #include "placement/strategy.h"
 #include "sim/network.h"
@@ -44,12 +46,13 @@ DecentralizedEpochResult run_decentralized_epoch(
     const std::map<topo::NodeId, std::vector<cluster::MicroCluster>>& replica_summaries,
     std::size_t k, std::uint64_t epoch_seed, const place::PlacementStrategy& strategy);
 
-/// Phase 2 of a decentralized epoch that adopts: every replica sends each of
-/// its peers the moment frame that completes the centroid frame it sent in
-/// run_decentralized_epoch. Runs the simulator to completion and returns the
-/// summary bytes exchanged.
-std::uint64_t exchange_moment_frames(
-    sim::Simulator& simulator, sim::Network& network,
-    const std::map<topo::NodeId, std::vector<cluster::MicroCluster>>& replica_summaries);
+/// Phase 2 of a decentralized epoch that adopts. Every replica derives the
+/// hand-off plan of `planned` (core::plan_handoff) from the agreed proposal,
+/// so no departure mask travels: each source sends each destination one
+/// departing moment frame holding the clusters bound for it, and a cluster
+/// that stays on its replica is not sent. Runs the simulator to completion
+/// and returns the summary bytes exchanged.
+std::uint64_t exchange_departing_frames(sim::Simulator& simulator, sim::Network& network,
+                                        const cluster::ClusterBuffer& planned);
 
 }  // namespace geored::core

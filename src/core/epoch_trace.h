@@ -32,7 +32,7 @@ struct EpochStageTrace {
   double collect_ms = 0.0;       ///< SummaryCollector::collect
   double propose_ms = 0.0;       ///< online clustering (0 on an agreed proposal)
   double gate_ms = 0.0;          ///< delay estimates + decide_migration
-  double adopt_ms = 0.0;         ///< redistribute_to_nearest, or aging kept summaries
+  double adopt_ms = 0.0;         ///< plan_handoff and redistribute_to_nearest, or aging
 
   double total_ms() const {
     return ingest_flush_ms + collect_ms + propose_ms + gate_ms + adopt_ms;

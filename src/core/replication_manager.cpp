@@ -232,7 +232,9 @@ std::vector<double> ReplicationManager::delay_by_degree_curve(std::size_t min_de
   std::size_t rows = 0;
   for (const auto& [node, summarizer] : summarizers_) rows += summarizer.clusters().size();
   summaries.reserve(rows);
-  for (const auto& [node, summarizer] : summarizers_) summaries.append(summarizer.clusters());
+  for (const auto& [node, summarizer] : summarizers_) {
+    summaries.append_centroids(summarizer.clusters());
+  }
   double weight = 0.0;
   for (std::size_t i = 0; i < summaries.size(); ++i) {
     weight += static_cast<double>(summaries.count(i));
@@ -471,12 +473,17 @@ EpochReport ReplicationManager::run_epoch(const std::set<topo::NodeId>& excluded
   // anyway (capacity change dominates cost considerations here, as in the
   // paper's discussion). Likewise when a current replica sits on an
   // excluded (failed) data center: availability overrides the cost gate.
-  // An adopting epoch first collects the second moments the hand-off needs
-  // (phase 2); propose and gate never read them. Retained summaries age
-  // instead, so stale populations fade (recency).
+  // An adopting epoch first plans the hand-off (each cluster's destination)
+  // and then collects the second moments of the clusters that change
+  // replica (phase 2); propose and gate never read them. Retained summaries
+  // age instead, so stale populations fade (recency).
   const bool degree_changed = report.proposed_placement.size() != placement_.size();
   const bool adopt = report.decision.migrate || degree_changed || current_placement_impaired;
   if (adopt) {
+    {
+      const StageTimer timer(report.stages.adopt_ms);
+      plan_handoff(report.proposed_placement, *candidates_, collected.summaries);
+    }
     const StageTimer timer(report.stages.collect_ms);
     collector_->collect_moments(sources, context, collected);
   }
@@ -486,8 +493,8 @@ EpochReport ReplicationManager::run_epoch(const std::set<topo::NodeId>& excluded
     const StageTimer timer(report.stages.adopt_ms);
     if (adopt) {
       placement_ = report.proposed_placement;
-      redistribute_to_nearest(placement_, collected.summaries, *candidates_,
-                              config_.summarizer, summarizers_);
+      redistribute_to_nearest(placement_, collected.summaries, config_.summarizer,
+                              summarizers_);
     } else {
       for (auto& [node, summarizer] : summarizers_) summarizer.decay();
     }

@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <atomic>
 #include <cstring>
+#include <functional>
 #include <limits>
+#include <span>
 #include <string>
 #include <thread>
 #include <utility>
@@ -19,9 +21,10 @@ namespace geored::net {
 
 namespace {
 
-/// Request payload: which source's summary, and which attempt this is. The
+/// Request header: which source's summary, and which attempt this is. The
 /// attempt number travels in the request so the fault injector can give
 /// retries a fresh verdict without the server tracking any client state.
+/// A phase-2 request carries the source's departure mask after it.
 constexpr std::size_t kRequestBytes = 2 * sizeof(std::uint32_t);
 
 /// Accept-loop poll tick: how often the server checks its stop flag. Pure
@@ -42,14 +45,21 @@ std::uint32_t get_u32(const std::uint8_t* in) {
   return value;
 }
 
-/// Serves the epoch's per-source payloads, sabotaging attempts as the fault
+/// Builds the reply to one request: the source's index and the request's
+/// body (the bytes after the header). Returns false, replying nothing, when
+/// the request is not one a client of this round sends. Called from the
+/// handler threads at once, so it only reads.
+using Responder = std::function<bool(std::uint32_t source, std::span<const std::uint8_t> body,
+                                     std::vector<std::uint8_t>& reply)>;
+
+/// Serves the epoch's per-source replies, sabotaging attempts as the fault
 /// injector directs. One accept-loop thread plus one short-lived thread per
 /// connection, all joined by the destructor before collect() returns.
 class SummaryServer {
  public:
-  SummaryServer(std::vector<std::vector<std::uint8_t>> payloads, const FaultInjector& injector,
-                std::uint64_t salt, Clock& clock, int request_timeout_ms)
-      : payloads_(std::move(payloads)),
+  SummaryServer(Responder respond, const FaultInjector& injector, std::uint64_t salt,
+                Clock& clock, int request_timeout_ms)
+      : respond_(std::move(respond)),
         injector_(injector),
         salt_(salt),
         clock_(clock),
@@ -92,11 +102,14 @@ class SummaryServer {
     try {
       std::vector<std::uint8_t> request;
       if (read_frame(conn, request, request_timeout_ms_) != IoStatus::kOk) return;
-      if (request.size() != kRequestBytes) return;
+      if (request.size() < kRequestBytes) return;
       const std::uint32_t source = get_u32(request.data());
       const std::uint32_t attempt = get_u32(request.data() + sizeof(std::uint32_t));
-      if (source >= payloads_.size()) return;
-      const std::vector<std::uint8_t>& payload = payloads_[source];
+      std::vector<std::uint8_t> payload;
+      if (!respond_(source, std::span<const std::uint8_t>(request).subspan(kRequestBytes),
+                    payload)) {
+        return;
+      }
       const FaultPlan plan = injector_.plan(salt_, source, attempt);
       switch (plan.action) {
         case FaultAction::kNone:
@@ -130,7 +143,7 @@ class SummaryServer {
   }
 
   Listener listener_;
-  std::vector<std::vector<std::uint8_t>> payloads_;
+  Responder respond_;
   FaultInjector injector_;
   std::uint64_t salt_;
   Clock& clock_;
@@ -149,10 +162,14 @@ class SummaryServer {
 /// synchronization.
 struct FetchResult {
   bool ok = false;
+  /// Phase 2: the source's departure mask, sent after the request header
+  /// (phase 1 sends none).
+  cluster::DepartureMask mask;
   std::vector<std::uint8_t> payload;
-  /// Phase 1: the decoded centroid frame. Phase 2: the source's clusters
-  /// from phase 1, which the moment frame completes.
+  /// Phase 1: the decoded centroid frame.
   std::vector<cluster::MicroCluster> clusters;
+  /// Phase 2: the departing clusters' second moments, in cluster order.
+  std::vector<double> moments;
   std::size_t requests_sent = 0;
   std::size_t faults_hit = 0;
   std::size_t retries = 0;
@@ -184,9 +201,11 @@ void fetch_source(std::uint16_t port, std::uint32_t source, const RpcCollectorCo
     }
     try {
       Socket socket = connect_local(port, timeout_ms);
-      std::uint8_t request[kRequestBytes];
-      put_u32(request, source);
-      put_u32(request + sizeof(std::uint32_t), static_cast<std::uint32_t>(attempt));
+      const std::span<const std::uint8_t> body = result.mask.bytes();
+      std::vector<std::uint8_t> request(kRequestBytes + body.size());
+      put_u32(request.data(), source);
+      put_u32(request.data() + sizeof(std::uint32_t), static_cast<std::uint32_t>(attempt));
+      std::copy(body.begin(), body.end(), request.begin() + kRequestBytes);
       write_frame(socket, request);
       ++result.requests_sent;
       std::vector<std::uint8_t> response;
@@ -216,17 +235,17 @@ void fetch_source(std::uint16_t port, std::uint32_t source, const RpcCollectorCo
   }
 }
 
-/// Serves `payloads` under `salt` and fetches every source that `wanted`
+/// Serves `respond` under `salt` and fetches every source that `wanted`
 /// selects, in parallel; returns when the server and every fetch have
 /// joined.
 template <typename Wanted, typename Decode>
-void fetch_round(std::vector<std::vector<std::uint8_t>> payloads, std::uint64_t salt,
-                 const FaultInjector& injector, const RpcCollectorConfig& config, Clock& clock,
+void fetch_round(Responder respond, std::uint64_t salt, const FaultInjector& injector,
+                 const RpcCollectorConfig& config, Clock& clock,
                  std::vector<FetchResult>& results, const Wanted& wanted,
                  const Decode& decode) {
   const int request_timeout_ms = static_cast<int>(
       std::min<std::uint64_t>(config.timeout_ms, std::numeric_limits<int>::max()));
-  SummaryServer server(std::move(payloads), injector, salt, clock, request_timeout_ms);
+  SummaryServer server(std::move(respond), injector, salt, clock, request_timeout_ms);
   const std::uint16_t port = server.port();
   parallel_for(results.size(), [&](std::size_t begin, std::size_t end) {
     for (std::size_t i = begin; i < end; ++i) {
@@ -278,7 +297,13 @@ core::CollectedSummaries RpcCollector::collect(const std::vector<core::SummarySo
 
   std::vector<FetchResult> results(sources.size());
   fetch_round(
-      std::move(payloads), context.epoch_seed, injector_, config_, *clock_, results,
+      [&payloads](std::uint32_t source, std::span<const std::uint8_t> body,
+                  std::vector<std::uint8_t>& reply) {
+        if (source >= payloads.size() || !body.empty()) return false;
+        reply = payloads[source];
+        return true;
+      },
+      context.epoch_seed, injector_, config_, *clock_, results,
       [](std::size_t) { return true; },
       [](ByteReader& reader, FetchResult& result) {
         result.clusters = cluster::read_centroid_frame(reader);
@@ -301,7 +326,7 @@ core::CollectedSummaries RpcCollector::collect(const std::vector<core::SummarySo
       round.served = Served::kFresh;
       round.clusters = result.clusters.size();
       collected.summary_bytes += result.payload.size();
-      collected.summaries.append(result.clusters);
+      collected.summaries.append(result.clusters, sources[i].node);
       last_good_[sources[i].node] = std::move(result.payload);
       continue;
     }
@@ -311,7 +336,7 @@ core::CollectedSummaries RpcCollector::collect(const std::vector<core::SummarySo
       // parsed when it was cached, so this decode cannot fail. The bytes are
       // not added to summary_bytes — nothing crossed the wire this round.
       ByteReader reader(cached->second);
-      collected.summaries.append(cluster::read_centroid_frame(reader));
+      collected.summaries.append(cluster::read_centroid_frame(reader), sources[i].node);
       round.served = Served::kStale;
       round.clusters = collected.summaries.size() - round.first;
       collected.stale_sources.push_back(sources[i].node);
@@ -334,47 +359,89 @@ void RpcCollector::collect_moments(const std::vector<core::SummarySource>& sourc
   }
   GEORED_ENSURE(rounds.size() == sources.size(),
                 "collect_moments completes the latest collect() of the same sources");
+  cluster::ClusterBuffer& rows = collected.summaries;
+  GEORED_ENSURE(rows.empty() || rows.planned(), "phase 2 follows the hand-off plan");
   if (sources.empty()) return;
 
-  // Only the sources phase 1 fetched fresh are asked for their moments; a
-  // stale fallback's moments would not match the frame it replayed.
-  const auto fresh = [&rounds](std::size_t i) { return rounds[i].served == Served::kFresh; };
-  std::vector<std::vector<std::uint8_t>> payloads(sources.size());
+  // Each fresh source's departure mask over its centroid frame, from the
+  // plan. A source is asked only when a cluster of its departs. A stale
+  // fallback is never asked: its moments would not match the frame it
+  // replayed.
   std::vector<FetchResult> results(sources.size());
-  for (std::size_t i = 0; i < sources.size(); ++i) {
-    if (!fresh(i)) continue;
-    ByteWriter writer;
-    cluster::write_moment_frame(writer, sources[i].clusters);
-    payloads[i] = writer.bytes();
-    GEORED_ENSURE(rounds[i].first + rounds[i].clusters <= collected.summaries.size(),
+  for (std::size_t s = 0; s < sources.size(); ++s) {
+    const SourceRound& round = rounds[s];
+    GEORED_ENSURE(round.first + round.clusters <= rows.size(),
                   "collect_moments completes the summaries the latest collect() returned");
-    results[i].clusters =
-        collected.summaries.view().subview(rounds[i].first, rounds[i].clusters);
+    if (round.served != Served::kFresh) continue;
+    results[s].mask = cluster::DepartureMask(round.clusters);
+    for (std::size_t i = 0; i < round.clusters; ++i) {
+      if (rows.departs(round.first + i)) results[s].mask.set(i);
+    }
   }
-  fetch_round(std::move(payloads), context.epoch_seed ^ kMomentPhaseSalt, injector_, config_,
-              *clock_, results, fresh, [](ByteReader& reader, FetchResult& result) {
-                cluster::read_moment_frame(reader, result.clusters);
-              });
+  const auto asked = [&](std::size_t s) {
+    return rounds[s].served == Served::kFresh && results[s].mask.departing() > 0;
+  };
+  const std::size_t dim = rows.dim();
+  fetch_round(
+      [&sources](std::uint32_t source, std::span<const std::uint8_t> body,
+                 std::vector<std::uint8_t>& reply) {
+        if (source >= sources.size()) return false;
+        const cluster::ClusterView clusters = sources[source].clusters;
+        cluster::DepartureMask mask;
+        try {
+          mask = cluster::read_departure_mask(body, clusters.size());
+        } catch (const WireFormatError&) {
+          return false;  // no coordinator of this round sends that mask
+        }
+        ByteWriter writer;
+        cluster::write_departing_moment_frame(writer, clusters, mask);
+        reply = writer.bytes();
+        return true;
+      },
+      context.epoch_seed ^ kMomentPhaseSalt, injector_, config_, *clock_, results, asked,
+      [dim](ByteReader& reader, FetchResult& result) {
+        result.moments = cluster::read_departing_moment_frame(reader, result.mask, dim);
+      });
 
-  // Accounting pass: the completed sources' clusters, copied out before the
-  // fetch, replace the collected ones in source order, without the dropped.
+  // Accounting pass: an answered source's departing clusters get their
+  // moments; a source that ran out of retries loses its departing clusters
+  // (its staying ones never left its replica), and a stale fallback all of
+  // its clusters.
+  std::vector<bool> keep(rows.size(), true);
   const MutexLock lock(mutex_);
-  collected.summaries.clear();
-  for (std::size_t i = 0; i < sources.size(); ++i) {
-    FetchResult& result = results[i];
+  for (std::size_t s = 0; s < sources.size(); ++s) {
+    const FetchResult& result = results[s];
+    const SourceRound& round = rounds[s];
     stats_.requests_sent += result.requests_sent;
     stats_.faults_hit += result.faults_hit;
     stats_.retries += result.retries;
     stats_.backoff_ms_total += result.backoff_ms;
-    if (rounds[i].served == Served::kLost) continue;  // contributed nothing
+    if (round.served == Served::kLost) continue;  // contributed nothing
+    if (round.served == Served::kStale) {
+      std::fill_n(keep.begin() + static_cast<std::ptrdiff_t>(round.first), round.clusters,
+                  false);
+      collected.handoff_lost_sources.push_back(sources[s].node);
+      continue;
+    }
+    if (!asked(s)) continue;  // every cluster stays
     if (!result.ok) {
-      collected.handoff_lost_sources.push_back(sources[i].node);
+      for (std::size_t i = 0; i < round.clusters; ++i) {
+        if (result.mask.departs(i)) keep[round.first + i] = false;
+      }
+      collected.handoff_lost_sources.push_back(sources[s].node);
       continue;
     }
     ++stats_.responses_ok;
-    collected.summary_bytes += result.payload.size();
-    collected.summaries.append(result.clusters);
+    collected.summary_bytes += result.mask.bytes().size() + result.payload.size();
+    std::size_t next = 0;
+    for (std::size_t i = 0; i < round.clusters; ++i) {
+      if (!result.mask.departs(i)) continue;
+      rows.set_moments(round.first + i,
+                       std::span<const double>(result.moments).subspan(next * dim, dim));
+      ++next;
+    }
   }
+  rows.retain_rows(keep);
 }
 
 }  // namespace geored::net

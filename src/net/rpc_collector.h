@@ -3,23 +3,27 @@
 // RpcCollector is the fourth SummaryCollector (registry name "rpc"). Where
 // DirectCollector concatenates summaries in-process and the protocol
 // collectors run over the *simulated* network, this one actually ships
-// bytes. Each phase (cluster/summary_frame.h) encodes every source's frame —
-// centroid frames in collect(), moment frames in collect_moments() — stands
-// up a summary server on an ephemeral 127.0.0.1 port, and fetches the frames
-// back through the socket layer, with a per-source timeout, capped
-// exponential backoff retries, and a seeded FaultInjector deciding which
-// attempts the server sabotages. The phases draw their faults under
-// different salts.
+// bytes. Each phase (cluster/summary_frame.h) stands up a summary server on
+// an ephemeral 127.0.0.1 port and fetches every asked source's frame back
+// through the socket layer, with a per-source timeout, capped exponential
+// backoff retries, and a seeded FaultInjector deciding which attempts the
+// server sabotages. In collect() every source is asked for its centroid
+// frame. In collect_moments() only a source with a cluster that the hand-off
+// plan moves to another replica is asked: the request carries its departure
+// mask, and the server replies with the departing moment frame. The phases
+// draw their faults under different salts.
 //
 // Degradation contract: an epoch always completes. A source that exhausts
 // its retry budget in phase 1 is served from that replica's last
 // successfully collected centroid frame (flagged in
 // CollectedSummaries::stale_sources); a source with no cached frame is
-// dropped and flagged in lost_sources. A source hands no clusters to an
-// adopted placement, and is flagged in handoff_lost_sources, when its phase-1
-// summary was a stale fallback (its moments would not match it) or its
-// phase-2 fetch exhausts the retry budget. With faults disabled the collected
-// summaries and the reported summary_bytes are byte-identical to
+// dropped and flagged in lost_sources. A source whose phase-1 summary was a
+// stale fallback hands no clusters to an adopted placement (its moments
+// would not match it). A fresh source whose phase-2 fetch exhausts the retry
+// budget loses only its departing clusters: its staying clusters never left
+// its replica, so they stay. Both are flagged in handoff_lost_sources. With
+// faults disabled the collected summaries and the reported summary_bytes
+// (masks and reply payloads in phase 2) are byte-identical to
 // DirectCollector on the same sources after either phase — pinned by the
 // RpcEquivalence test suite.
 #pragma once
@@ -61,11 +65,13 @@ class RpcCollector final : public core::SummaryCollector {
                                    const core::CollectionContext& context) override
       GEORED_EXCLUDES(mutex_);
 
-  /// Runs phase 2: fetches the moment frames of the sources the latest
-  /// collect() fetched fresh, and completes or drops their clusters as
-  /// SummaryCollector::collect_moments describes. Deterministic like
-  /// collect(). Throws std::invalid_argument unless `sources` has the size
-  /// that collect() saw.
+  /// Runs phase 2: sends each source that the latest collect() fetched fresh
+  /// and that has a departing cluster its departure mask, fetches the
+  /// departing moment frame, and completes or drops clusters as
+  /// SummaryCollector::collect_moments and the degradation contract above
+  /// describe. summary_bytes grows by each answered source's mask and reply.
+  /// Deterministic like collect(). Throws std::invalid_argument unless
+  /// `sources` has the size that collect() saw and the hand-off is planned.
   void collect_moments(const std::vector<core::SummarySource>& sources,
                        const core::CollectionContext& context,
                        core::CollectedSummaries& collected) override GEORED_EXCLUDES(mutex_);

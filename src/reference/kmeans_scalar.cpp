@@ -113,18 +113,26 @@ KMeansResult lloyd_scalar(const FlatPoints& points, PointSet centroids,
   return result;
 }
 
+/// lloyd_scalar through the LloydFn seam: its centroids back in flat form.
+detail::LloydResult lloyd_scalar_flat(const FlatPoints& points, PointSet centroids,
+                                      const KMeansConfig& config) {
+  KMeansResult solved = lloyd_scalar(points, std::move(centroids), config);
+  return {PointSet::from_points(solved.centroids), std::move(solved.assignment),
+          solved.objective, solved.iterations};
+}
+
 }  // namespace
 
 KMeansResult weighted_kmeans_scalar(const std::vector<WeightedPoint>& points,
                                     const KMeansConfig& config, Rng& rng) {
-  return detail::weighted_kmeans_impl(points, config, rng, &lloyd_scalar);
+  return detail::weighted_kmeans_impl(points, config, rng, &lloyd_scalar_flat);
 }
 
 KMeansResult weighted_kmeans_from_scalar(const std::vector<WeightedPoint>& points,
                                          std::vector<Point> initial_centroids,
                                          const KMeansConfig& config) {
   return detail::weighted_kmeans_from_impl(points, std::move(initial_centroids), config,
-                                           &lloyd_scalar);
+                                           &lloyd_scalar_flat);
 }
 
 }  // namespace geored::cluster

@@ -1,18 +1,22 @@
 // Negative and fuzz coverage for the hardened summary frame decoders: a real
 // transport (src/net/) can deliver truncated, oversized-count, or bit-flipped
-// frames, and read_clusters, read_centroid_frame and read_moment_frame must
-// answer every such frame with a typed WireFormatError — never undefined
-// behavior, a gigabyte allocation, or silently corrupt clusters — and every
-// frame they accept must re-encode to the bytes they read. The randomized
-// sweeps honor GEORED_FUZZ_ITERS like the other fuzz budgets.
+// frames, and read_clusters, read_centroid_frame, read_moment_frame,
+// read_departure_mask and read_departing_moment_frame must answer every such
+// frame with a typed WireFormatError — never undefined behavior, a gigabyte
+// allocation, or silently corrupt clusters — and every frame they accept
+// must re-encode to the bytes they read. The randomized sweeps honor
+// GEORED_FUZZ_ITERS like the other fuzz budgets.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
 #include <limits>
+#include <span>
 #include <vector>
 
+#include "cluster/cluster_view.h"
 #include "cluster/summarizer.h"
 #include "common/random.h"
 #include "common/serialize.h"
@@ -470,6 +474,242 @@ TEST(WireNegative, CentroidFrameRejectsWhatNoEncoderEmits) {
   EXPECT_THROW(decode_centroids(frame), WireFormatError);
 }
 
+// --- Phase 2 on the hand-off plan: departure masks and departing frames --
+
+/// good_clusters(seed)'s departure mask: every other cluster departs.
+DepartureMask good_mask(std::uint64_t seed) {
+  const auto clusters = good_clusters(seed);
+  DepartureMask mask(clusters.size());
+  for (std::size_t i = 0; i < clusters.size(); i += 2) mask.set(i);
+  return mask;
+}
+
+std::vector<std::uint8_t> good_mask_bytes(std::uint64_t seed) {
+  const DepartureMask mask = good_mask(seed);
+  return {mask.bytes().begin(), mask.bytes().end()};
+}
+
+std::vector<std::uint8_t> good_departing_frame(std::uint64_t seed) {
+  ByteWriter writer;
+  write_departing_moment_frame(writer, good_clusters(seed), good_mask(seed));
+  return writer.bytes();
+}
+
+// good_departing_frame's layout: n′, d = 2, then sum2[2] cluster by cluster.
+constexpr std::size_t kDepartingValuesOffset = 2;
+
+/// The rows phase 1 of good_clusters(seed) leaves at the coordinator.
+ClusterBuffer phase_one_rows(std::uint64_t seed) {
+  ClusterBuffer rows;
+  rows.append_centroids(decode_centroids(good_centroid_frame(seed)), 0);
+  return rows;
+}
+
+/// Phase 2 over the rows of good_clusters(seed): the replica decodes
+/// `mask_bytes`, and the coordinator decodes `frame` against the mask it
+/// sent (good_mask) and fills in the departing rows' moments.
+ClusterBuffer hand_off(std::uint64_t seed, const std::vector<std::uint8_t>& mask_bytes,
+                       const std::vector<std::uint8_t>& frame) {
+  ClusterBuffer rows = phase_one_rows(seed);
+  read_departure_mask(mask_bytes, rows.size());
+  const DepartureMask mask = good_mask(seed);
+  ByteReader reader(frame);
+  const std::vector<double> sum2 = read_departing_moment_frame(reader, mask, rows.dim());
+  std::size_t next = 0;
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    if (!mask.departs(i)) continue;
+    rows.set_moments(i, std::span<const double>(sum2).subspan(next * rows.dim(), rows.dim()));
+    ++next;
+  }
+  return rows;
+}
+
+/// Decodes `mask_bytes` over good_clusters(seed). When it is accepted, it
+/// re-encodes to the same bytes and marks at least one cluster.
+void decode_mask_or_throw_typed(std::uint64_t seed,
+                                const std::vector<std::uint8_t>& mask_bytes) {
+  const std::size_t clusters = good_clusters(seed).size();
+  DepartureMask mask;
+  try {
+    mask = read_departure_mask(mask_bytes, clusters);
+  } catch (const WireFormatError&) {
+    return;
+  }
+  EXPECT_EQ(std::vector<std::uint8_t>(mask.bytes().begin(), mask.bytes().end()), mask_bytes);
+  EXPECT_GT(mask.departing(), 0u);
+}
+
+/// Decodes `frame` as the departing moment frame answering good_mask(seed)
+/// and fills in the phase-1 rows. When it is accepted, the rows re-encode
+/// to exactly the bytes read; when it is rejected, every row is as phase 1
+/// decoded it.
+void decode_departing_or_throw_typed(std::uint64_t seed,
+                                     const std::vector<std::uint8_t>& frame) {
+  ClusterBuffer rows = phase_one_rows(seed);
+  const DepartureMask mask = good_mask(seed);
+  ByteReader reader(frame);
+  std::vector<double> sum2;
+  try {
+    sum2 = read_departing_moment_frame(reader, mask, rows.dim());
+  } catch (const WireFormatError&) {
+    for (std::size_t i = 0; i < rows.size(); ++i) EXPECT_FALSE(rows.has_moments(i));
+    ByteWriter centroids;
+    write_centroid_frame(centroids, rows.view());
+    EXPECT_EQ(centroids.bytes(), good_centroid_frame(seed));
+    return;
+  }
+  std::size_t next = 0;
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    if (!mask.departs(i)) continue;
+    rows.set_moments(i, std::span<const double>(sum2).subspan(next * rows.dim(), rows.dim()));
+    ++next;
+  }
+  const std::size_t consumed = frame.size() - reader.remaining();
+  const std::vector<std::uint8_t> read(frame.begin(),
+                                       frame.begin() + static_cast<std::ptrdiff_t>(consumed));
+  ByteWriter again;
+  write_departing_moment_frame(again, rows.view(), mask);
+  EXPECT_EQ(again.bytes(), read) << "an accepted departing frame re-encodes differently";
+  EXPECT_EQ(departing_moment_frame_size(mask.departing(), rows.dim()), consumed);
+}
+
+TEST(WireNegative, DepartingFramesShipOnlyTheMarkedMoments) {
+  const auto clusters = good_clusters(41);
+  ASSERT_GE(clusters.size(), 3u);
+  const DepartureMask mask = good_mask(41);
+  const auto frame = good_departing_frame(41);
+  EXPECT_EQ(mask.bytes().size(), departure_mask_size(clusters.size()));
+  EXPECT_EQ(mask.bytes().size(), 1u);
+  EXPECT_EQ(frame.size(), departing_moment_frame_size(mask.departing(), 2));
+  EXPECT_EQ(frame.size(), 2 + mask.departing() * 2 * sizeof(double));
+  // The marked rows get their moments bit for bit; the others stay without.
+  const ClusterBuffer rows = hand_off(41, good_mask_bytes(41), frame);
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    EXPECT_EQ(rows.has_moments(i), mask.departs(i)) << i;
+    if (!mask.departs(i)) continue;
+    const auto sum2 = rows.view().sum2(i);
+    const auto want = clusters[i].sum2().values();
+    EXPECT_TRUE(std::equal(sum2.begin(), sum2.end(), want.begin(), want.end())) << i;
+  }
+  // Every cluster departing costs one mask byte more than the moment frame.
+  DepartureMask all(clusters.size());
+  for (std::size_t i = 0; i < clusters.size(); ++i) all.set(i);
+  ByteWriter every;
+  write_departing_moment_frame(every, clusters, all);
+  EXPECT_EQ(every.bytes(), good_moment_frame(41));
+  // No mask marks nothing, and no departing frame is empty.
+  ByteWriter none;
+  EXPECT_THROW(write_departing_moment_frame(none, clusters, DepartureMask(clusters.size())),
+               std::invalid_argument);
+  EXPECT_EQ(none.size(), 0u);
+}
+
+TEST(WireNegative, DepartureMasksRoundTripAtEveryLength) {
+  for (std::size_t n = 1; n <= 24; ++n) {
+    DepartureMask mask(n);
+    for (std::size_t i = n - 1;; i -= 3) {
+      mask.set(i);
+      if (i < 3) break;
+    }
+    ASSERT_EQ(mask.bytes().size(), (n + 7) / 8);
+    const DepartureMask read = read_departure_mask(mask.bytes(), n);
+    EXPECT_TRUE(std::equal(read.bytes().begin(), read.bytes().end(), mask.bytes().begin(),
+                           mask.bytes().end()))
+        << n;
+    EXPECT_EQ(read.departing(), mask.departing());
+  }
+}
+
+TEST(WireNegative, DepartureMaskOfTheWrongLengthThrows) {
+  const auto bytes = good_mask_bytes(42);
+  const std::size_t clusters = good_clusters(42).size();
+  EXPECT_NO_THROW(read_departure_mask(bytes, clusters));
+  EXPECT_THROW(read_departure_mask({}, clusters), WireFormatError);
+  EXPECT_THROW(read_departure_mask(concat(bytes, {0x00}), clusters), WireFormatError);
+  EXPECT_THROW(read_departure_mask(concat(bytes, bytes), clusters), WireFormatError);
+  // Nine clusters take two bytes; one byte is a mask of the wrong length.
+  EXPECT_THROW(read_departure_mask(std::vector<std::uint8_t>{0x01}, 9), WireFormatError);
+  EXPECT_NO_THROW(read_departure_mask(std::vector<std::uint8_t>{0x01, 0x00}, 9));
+}
+
+TEST(WireNegative, DepartureMaskBitsPastItsClustersThrow) {
+  EXPECT_THROW(read_departure_mask(std::vector<std::uint8_t>{0x08}, 3), WireFormatError);
+  EXPECT_THROW(read_departure_mask(std::vector<std::uint8_t>{0x81}, 7), WireFormatError);
+  EXPECT_NO_THROW(read_departure_mask(std::vector<std::uint8_t>{0xff}, 8));
+  EXPECT_THROW(read_departure_mask(std::vector<std::uint8_t>{0x01, 0x02}, 9), WireFormatError);
+  EXPECT_NO_THROW(read_departure_mask(std::vector<std::uint8_t>{0x00, 0x01}, 9));
+}
+
+TEST(WireNegative, AllZeroDepartureMaskThrows) {
+  EXPECT_THROW(read_departure_mask(std::vector<std::uint8_t>{0x00}, 4), WireFormatError);
+  EXPECT_THROW(read_departure_mask(std::vector<std::uint8_t>{0x00, 0x00}, 16),
+               WireFormatError);
+  // A source of no clusters has no mask to send: it is never asked.
+  EXPECT_THROW(read_departure_mask({}, 0), WireFormatError);
+}
+
+TEST(WireNegative, EveryDepartingFrameTruncationThrowsTyped) {
+  const auto frame = good_departing_frame(43);
+  for (std::size_t keep = 0; keep < frame.size(); ++keep) {
+    const std::vector<std::uint8_t> cut(frame.begin(),
+                                        frame.begin() + static_cast<std::ptrdiff_t>(keep));
+    EXPECT_THROW(hand_off(43, good_mask_bytes(43), cut), WireFormatError)
+        << "kept " << keep << " bytes";
+    decode_departing_or_throw_typed(43, cut);
+  }
+}
+
+TEST(WireNegative, DepartingFrameVarintsMustBeCanonicalAndShort) {
+  const auto frame = good_departing_frame(44);
+  std::vector<std::uint8_t> eleven(10, 0x80);
+  eleven.push_back(0x00);
+  EXPECT_THROW(hand_off(44, good_mask_bytes(44), eleven), WireFormatError);
+  EXPECT_THROW(hand_off(44, good_mask_bytes(44), pad_varint_at(frame, 0)), WireFormatError);
+  EXPECT_THROW(hand_off(44, good_mask_bytes(44), pad_varint_at(frame, kDimOffset)),
+               WireFormatError);
+}
+
+TEST(WireNegative, DepartingFrameMustAnswerItsMask) {
+  const auto frame = good_departing_frame(45);
+  const std::vector<std::uint8_t> after_n(frame.begin() + 1, frame.end());
+  const std::vector<std::uint8_t> after_d(frame.begin() + kDepartingValuesOffset, frame.end());
+  const auto mask = good_mask_bytes(45);
+  EXPECT_NO_THROW(hand_off(45, mask, frame));
+  // n′ one more or one fewer than the mask's popcount, or none at all.
+  EXPECT_THROW(hand_off(45, mask, concat(varint(frame[0] + 1u), after_n)), WireFormatError);
+  EXPECT_THROW(hand_off(45, mask, concat(varint(frame[0] - 1u), after_n)), WireFormatError);
+  EXPECT_THROW(hand_off(45, mask, varint(0)), WireFormatError);
+  // Another dimension, even with the bytes for it.
+  std::vector<std::uint8_t> three_d = concat({frame[0]}, varint(3));
+  three_d.insert(three_d.end(), after_d.begin(), after_d.end());
+  three_d.resize(three_d.size() + 8u * frame[0], 0);
+  EXPECT_THROW(hand_off(45, mask, three_d), WireFormatError);
+  // A huge claimed count is a mismatch before it sizes anything, and the
+  // right count with 3 bytes left cannot hold its values.
+  EXPECT_THROW(hand_off(45, mask, concat(varint(0xfffffffe), after_n)), WireFormatError);
+  const std::vector<std::uint8_t> header(frame.begin(),
+                                         frame.begin() + kDepartingValuesOffset);
+  EXPECT_THROW(hand_off(45, mask, concat(header, {0x00, 0x00, 0x00})), WireFormatError);
+  // The replica rejects a mask that marks nothing before it answers.
+  EXPECT_THROW(hand_off(45, std::vector<std::uint8_t>(mask.size(), 0), frame),
+               WireFormatError);
+}
+
+TEST(WireNegative, NegativeOrNonFiniteSecondMomentInADepartingFrameThrows) {
+  const double bad_values[] = {-4.0, std::numeric_limits<double>::quiet_NaN(),
+                               std::numeric_limits<double>::infinity()};
+  for (const double bad : bad_values) {
+    for (const std::size_t value : {std::size_t{0}, std::size_t{3}}) {
+      auto frame = good_departing_frame(46);
+      std::memcpy(frame.data() + kDepartingValuesOffset + 8 * value, &bad, sizeof bad);
+      EXPECT_THROW(hand_off(46, good_mask_bytes(46), frame), WireFormatError)
+          << bad << " at value " << value;
+      // A rejected frame leaves every cluster as phase 1 decoded it.
+      decode_departing_or_throw_typed(46, frame);
+    }
+  }
+}
+
 /// Randomized bit-flip sweep: flipping any single bit of a good frame must
 /// either decode (the flip hit a benign mantissa/count bit) and re-encode to
 /// the bytes read, or throw WireFormatError — nothing else. Under asan/ubsan
@@ -478,6 +718,8 @@ void run_bitflip_fuzz(std::uint64_t seed) {
   const auto frame = good_frame(seed);
   const auto centroids = good_centroid_frame(seed);
   const auto moments = good_moment_frame(seed);
+  const auto mask = good_mask_bytes(seed);
+  const auto departing = good_departing_frame(seed);
   Rng rng(seed * 31 + 7);
   const auto flip = [&rng](std::vector<std::uint8_t> bytes) {
     const std::size_t byte = rng.below(bytes.size());
@@ -489,17 +731,24 @@ void run_bitflip_fuzz(std::uint64_t seed) {
     decode_or_throw_typed(flip(frame));
     decode_centroids_or_throw_typed(flip(centroids));
     decode_moments_or_throw_typed(seed, flip(moments));
+    decode_mask_or_throw_typed(seed, flip(mask));
+    decode_departing_or_throw_typed(seed, flip(departing));
   }
 }
 
 /// Random-garbage sweep: arbitrary byte strings must decode or throw typed,
 /// and the empty buffer in particular must throw (no count to read). Moment
-/// frames get their true header, so the garbage reaches the values.
+/// and departing frames get their true header, so the garbage reaches the
+/// values; masks get garbage of their own length too.
 void run_garbage_fuzz(std::uint64_t seed) {
   Rng rng(seed * 131 + 17);
   const auto moments = good_moment_frame(seed);
   const std::vector<std::uint8_t> header(moments.begin(),
                                          moments.begin() + kMomentValuesOffset);
+  const auto departing = good_departing_frame(seed);
+  const std::vector<std::uint8_t> departing_header(
+      departing.begin(), departing.begin() + kDepartingValuesOffset);
+  const std::size_t mask_size = good_mask_bytes(seed).size();
   for (int trial = 0; trial < 100; ++trial) {
     std::vector<std::uint8_t> garbage(rng.below(300));
     for (auto& b : garbage) b = static_cast<std::uint8_t>(rng.below(256));
@@ -507,6 +756,13 @@ void run_garbage_fuzz(std::uint64_t seed) {
     decode_centroids_or_throw_typed(garbage);
     decode_moments_or_throw_typed(seed, garbage);
     decode_moments_or_throw_typed(seed, concat(header, garbage));
+    decode_mask_or_throw_typed(seed, garbage);
+    decode_mask_or_throw_typed(
+        seed, std::vector<std::uint8_t>(garbage.begin(),
+                                        garbage.begin() + static_cast<std::ptrdiff_t>(std::min(
+                                                              mask_size, garbage.size()))));
+    decode_departing_or_throw_typed(seed, garbage);
+    decode_departing_or_throw_typed(seed, concat(departing_header, garbage));
   }
 }
 

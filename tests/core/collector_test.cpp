@@ -20,6 +20,7 @@
 #include "common/sym_matrix.h"
 #include "core/replication_manager.h"
 #include "net/clock.h"
+#include "net/rpc_collector.h"
 #include "placement/strategy.h"
 #include "reference/scalar.h"
 #include "sim/network.h"
@@ -76,14 +77,17 @@ std::string format_report(const EpochReport& r) {
 // populations at x = 0 / 430 / 900, 900 accesses each per epoch, 6 epochs).
 // The bytes= fields were re-pinned when summaries moved to the compact
 // summary frame (332 and 492 B in the fixed-width layout, then 145 and
-// 218/217 B as one full frame per replica), and again when collection split
-// into two phases: epoch 0 adopts and ships centroid and moment frames
-// (150 B), the others keep their placement and ship centroid frames alone
-// (122/121 B). Every other field is as captured.
+// 218/217 B as one full frame per replica), again when collection split
+// into two phases (epoch 0 adopts and shipped centroid and moment frames,
+// 150 B; the others keep their placement and ship centroid frames alone,
+// 122/121 B), and once more when phase 2 began to follow the hand-off plan:
+// epoch 0 moves every cluster, so the two sources that hold clusters each
+// add a 1-byte departure mask, and the empty one, no longer asked, drops its
+// 1-byte moment frame (151 B). Every other field is as captured.
 const char* const kGoldenDefaultScenario[] = {
     "old=[7,3,8] proposed=[0,9,4] adopted=[0,9,4] old_delay=0x1.615a3e3074a26p+7 "
     "new_delay=0x1.c3f6bc12401cp+3 migrate=1 gain=0x1.451ad26f50a0ap+7 "
-    "rel=0x1.d711d49b7cd5fp-1 cost=0x1.3333333333334p-2 moved=3 bytes=150 accesses=2700 "
+    "rel=0x1.d711d49b7cd5fp-1 cost=0x1.3333333333334p-2 moved=3 bytes=151 accesses=2700 "
     "degree=3",
     "old=[0,9,4] proposed=[0,9,4] adopted=[0,9,4] old_delay=0x1.fc2bd242e094cp+3 "
     "new_delay=0x1.fc2bd242e094cp+3 migrate=0 gain=0x0p+0 rel=0x0p+0 cost=0x0p+0 moved=0 "
@@ -225,9 +229,10 @@ TEST(EpochPipeline, AdopterMatchesScalar) {
     }
 
     const place::CandidateTable table(candidates);
-    const cluster::ClusterBuffer collected(summaries);
+    cluster::ClusterBuffer collected(summaries);
+    plan_handoff(next, table, collected);
     std::map<topo::NodeId, cluster::MicroClusterSummarizer> fast;
-    redistribute_to_nearest(next, collected, table, config, fast);
+    redistribute_to_nearest(next, collected, config, fast);
     const auto scalar = redistribute_to_nearest_scalar(next, summaries, candidates, config);
     EXPECT_EQ(serialized_summarizers(fast), serialized_summarizers(scalar)) << label;
     // Refilled in place: summarizers already holding clusters, for a node
@@ -237,7 +242,7 @@ TEST(EpochPipeline, AdopterMatchesScalar) {
       auto& held = refilled.try_emplace(node, config).first->second;
       for (int a = 0; a < 20; ++a) held.add(Point{rng.normal(400.0, 200.0)}, 2.0);
     }
-    redistribute_to_nearest(next, collected, table, config, refilled);
+    redistribute_to_nearest(next, collected, config, refilled);
     EXPECT_EQ(serialized_summarizers(refilled), serialized_summarizers(scalar)) << label;
   };
 
@@ -252,6 +257,120 @@ TEST(EpochPipeline, AdopterMatchesScalar) {
   auto coincident = line_candidates(6);
   for (auto& c : coincident) c.coords = Point{250.0};
   run_case(coincident, {3, 1, 5}, 150, 0x77, "coincident");
+}
+
+// The hand-off follows its plan: a departing cluster's moments travel in
+// phase 2 and a staying cluster's are read from its own replica, and the
+// summarizers that result equal, as full frames, the frozen scalar
+// redistribution fed every cluster's moments. Seeded cases over the
+// collectors whose rows are their sources' own: current replicas that keep
+// their replica, are dropped or are joined by new ones, degree changes both
+// ways, and a current replica on an excluded data center, which reports
+// nothing and leaves the placement.
+TEST(EpochPipeline, HandOffPlanMatchesScalar) {
+  cluster::SummarizerConfig config;
+  config.max_clusters = 5;
+  config.min_absorb_radius = 10.0;
+  const auto candidates = line_candidates();
+  const place::CandidateTable table(candidates);
+  SymMatrix rtt(candidates.size());
+  for (std::size_t i = 0; i < candidates.size(); ++i) {
+    for (std::size_t j = i + 1; j < candidates.size(); ++j) {
+      rtt.set(i, j, 100.0 * static_cast<double>(j - i));
+    }
+  }
+  const topo::Topology topology(std::vector<topo::NodeInfo>(candidates.size()), rtt, {});
+  const auto pick = [&](Rng& rng, std::size_t count, const std::set<topo::NodeId>& avoid) {
+    std::vector<topo::NodeId> pool;
+    for (topo::NodeId node = 0; node < candidates.size(); ++node) {
+      if (!avoid.contains(node)) pool.push_back(node);
+    }
+    place::Placement chosen;
+    while (chosen.size() < count && !pool.empty()) {
+      const std::size_t at = rng.below(pool.size());
+      chosen.push_back(pool[at]);
+      pool.erase(pool.begin() + static_cast<std::ptrdiff_t>(at));
+    }
+    return chosen;
+  };
+  std::size_t staying = 0;
+  std::size_t departing = 0;
+  // How many cases had each shape, so the seeds provably cover them.
+  std::size_t kept = 0, dropped = 0, added = 0, grew = 0, shrank = 0, impaired = 0;
+  for (const std::string name : {"direct", "rpc", "decentralized"}) {
+    for (std::uint64_t seed = 1; seed <= 24; ++seed) {
+      SCOPED_TRACE(name + " seed " + std::to_string(seed));
+      Rng rng(seed * 7919);
+      // Current replicas, each summarizing clients around a few centers on
+      // the line, so clusters land near every candidate.
+      const place::Placement current = pick(rng, 2 + rng.below(4), {});
+      std::map<topo::NodeId, cluster::MicroClusterSummarizer> summarizers;
+      for (const auto node : current) {
+        auto& summarizer = summarizers.try_emplace(node, config).first->second;
+        const double home = 100.0 * static_cast<double>(node);
+        for (int a = 0; a < 120; ++a) {
+          const double center = rng.below(3) == 0 ? rng.uniform(-50.0, 950.0) : home;
+          summarizer.add(Point{rng.normal(center, 12.0)}, 1.0 + static_cast<double>(a % 3));
+        }
+      }
+      std::set<topo::NodeId> excluded;
+      if (seed % 4 == 0) excluded.insert(current[rng.below(current.size())]);
+      // The next placement: some current replicas kept, new ones added,
+      // with a degree of its own.
+      const place::Placement next = pick(rng, 1 + rng.below(5), excluded);
+      const auto in_next = [&](topo::NodeId node) {
+        return std::find(next.begin(), next.end(), node) != next.end();
+      };
+      const auto in_current = [&](topo::NodeId node) {
+        return std::find(current.begin(), current.end(), node) != current.end();
+      };
+      kept += std::any_of(current.begin(), current.end(), in_next) ? 1 : 0;
+      dropped += std::any_of(current.begin(), current.end(),
+                             [&](topo::NodeId node) { return !in_next(node); })
+                     ? 1
+                     : 0;
+      added += std::any_of(next.begin(), next.end(),
+                           [&](topo::NodeId node) { return !in_current(node); })
+                   ? 1
+                   : 0;
+      grew += next.size() > current.size() ? 1 : 0;
+      shrank += next.size() < current.size() ? 1 : 0;
+      impaired += excluded.empty() ? 0 : 1;
+
+      std::vector<SummarySource> sources;
+      std::vector<cluster::MicroCluster> full;
+      for (const auto& [node, summarizer] : summarizers) {
+        if (excluded.contains(node)) continue;
+        sources.push_back({node, summarizer.clusters()});
+        const std::vector<cluster::MicroCluster> copied = summarizer.clusters();
+        full.insert(full.end(), copied.begin(), copied.end());
+      }
+      const auto scalar = redistribute_to_nearest_scalar(next, full, candidates, config);
+
+      sim::Simulator simulator;
+      sim::Network network(simulator, topology);
+      CollectorConfig collector_config;
+      collector_config.simulator = &simulator;
+      collector_config.network = &network;
+      collector_config.rpc_clock = std::make_shared<net::VirtualClock>();
+      const auto collector = make_collector(name, collector_config);
+      const CollectionContext context{candidates, next.size(), seed};
+      CollectedSummaries collected = collector->collect(sources, context);
+      plan_handoff(next, table, collected.summaries);
+      for (std::size_t i = 0; i < collected.summaries.size(); ++i) {
+        ++(collected.summaries.departs(i) ? departing : staying);
+      }
+      collector->collect_moments(sources, context, collected);
+      EXPECT_TRUE(collected.handoff_lost_sources.empty());
+      redistribute_to_nearest(next, collected.summaries, config, summarizers);
+      EXPECT_EQ(serialized_summarizers(summarizers), serialized_summarizers(scalar));
+    }
+  }
+  EXPECT_GT(staying, 0u);
+  EXPECT_GT(departing, 0u);
+  for (const std::size_t cases : {kept, dropped, added, grew, shrank, impaired}) {
+    EXPECT_GT(cases, 0u);
+  }
 }
 
 /// Passes collection through and keeps the proposal the collector agreed.
@@ -324,10 +443,11 @@ TEST(EpochPipeline, EveryRegistryCollectorDrivesAManager) {
 
 /// Passes both phases through and records what each was handed and
 /// reported. The sources view replicas the epoch then ages or replaces, so
-/// the recorder keeps copies of their clusters.
+/// the recorder keeps copies of their clusters. With a network, it also
+/// records the summary traffic phase 2 put on it.
 struct PhaseRecorder final : SummaryCollector {
-  explicit PhaseRecorder(std::unique_ptr<SummaryCollector> wrapped)
-      : inner(std::move(wrapped)) {}
+  PhaseRecorder(std::unique_ptr<SummaryCollector> wrapped, const sim::Network* traffic)
+      : inner(std::move(wrapped)), network(traffic) {}
   std::string name() const override { return inner->name(); }
   CollectedSummaries collect(const std::vector<SummarySource>& phase_sources,
                              const CollectionContext& context) override {
@@ -338,6 +458,8 @@ struct PhaseRecorder final : SummaryCollector {
     candidates = context.candidates;
     epoch_seed = context.epoch_seed;
     moments_collected = false;
+    phase_two_bytes = 0;
+    phase_two_messages = 0;
     CollectedSummaries collected = inner->collect(phase_sources, context);
     phase_one_bytes = collected.summary_bytes;
     return collected;
@@ -346,65 +468,135 @@ struct PhaseRecorder final : SummaryCollector {
                        const CollectionContext& context,
                        CollectedSummaries& collected) override {
     moments_collected = true;
+    const auto summary = static_cast<std::size_t>(sim::TrafficClass::kSummary);
+    const sim::TrafficStats before = network->stats();
     inner->collect_moments(phase_sources, context, collected);
+    phase_two_bytes = network->stats().bytes[summary] - before.bytes[summary];
+    phase_two_messages = network->stats().messages[summary] - before.messages[summary];
   }
   std::unique_ptr<SummaryCollector> inner;
+  const sim::Network* network;
   std::vector<SentSummary> kept;
   std::vector<SummarySource> sources;
   std::vector<place::CandidateInfo> candidates;
   std::uint64_t epoch_seed = 0;
   std::size_t phase_one_bytes = 0;
+  std::uint64_t phase_two_bytes = 0;
+  std::uint64_t phase_two_messages = 0;
   bool moments_collected = false;
 };
 
-/// The frames each phase of `name` sends to its decision point for the
-/// recorded round, computed from the frame codec and the collection
-/// substrate rather than read from the collector: {centroid, moment} bytes.
-std::pair<std::size_t, std::size_t> frames_sent(const std::string& name,
-                                                const PhaseRecorder& round,
-                                                const topo::Topology& topology) {
-  const auto frame_bytes = [](const std::vector<cluster::MicroCluster>& clusters) {
-    ByteWriter centroids;
-    cluster::write_centroid_frame(centroids, clusters);
-    ByteWriter moments;
-    cluster::write_moment_frame(moments, clusters);
-    return std::make_pair(centroids.size(), moments.size());
+/// The replica of `placement` nearest `micro`'s centroid: the hand-off
+/// plan's rule (strict `<`, first winner), restated on Points.
+topo::NodeId destination_of(const cluster::MicroCluster& micro,
+                            const place::Placement& placement,
+                            const std::vector<place::CandidateInfo>& candidates) {
+  const Point centroid = micro.centroid();
+  topo::NodeId best = placement.front();
+  double best_dist = std::numeric_limits<double>::infinity();
+  for (const auto node : placement) {
+    const auto candidate =
+        std::find_if(candidates.begin(), candidates.end(),
+                     [node](const place::CandidateInfo& info) { return info.node == node; });
+    const double dist = centroid.distance_squared_to(candidate->coords);
+    if (dist < best_dist) {
+      best_dist = dist;
+      best = node;
+    }
+  }
+  return best;
+}
+
+/// What each phase of `name` sends for the recorded round, computed from the
+/// frame codec and the collection substrate rather than read from the
+/// collector.
+struct PhaseFrames {
+  std::size_t centroids = 0;  ///< phase 1: centroid frames
+  std::size_t moments = 0;    ///< phase 2: masks and departing (or moment) frames
+  std::size_t asked = 0;      ///< sources phase 2 asks ("direct", "rpc")
+  std::size_t silent = 0;     ///< sources with nothing departing ("direct", "rpc")
+  std::size_t frames = 0;     ///< phase-2 messages ("decentralized")
+};
+
+PhaseFrames frames_sent(const std::string& name, const PhaseRecorder& round,
+                        const place::Placement& adopted, const topo::Topology& topology) {
+  const auto centroid_bytes = [](const std::vector<cluster::MicroCluster>& clusters) {
+    ByteWriter writer;
+    cluster::write_centroid_frame(writer, clusters);
+    return writer.size();
   };
-  std::pair<std::size_t, std::size_t> bytes{0, 0};
-  const auto add = [&](const std::vector<cluster::MicroCluster>& clusters,
-                       std::size_t copies) {
-    const auto [centroids, moments] = frame_bytes(clusters);
-    bytes.first += copies * centroids;
-    bytes.second += copies * moments;
+  // The departing moment frame of the clusters `bound` selects, 0 if none.
+  const auto departing_bytes = [](const std::vector<cluster::MicroCluster>& clusters,
+                                  const auto& bound) {
+    cluster::DepartureMask mask(clusters.size());
+    for (std::size_t i = 0; i < clusters.size(); ++i) {
+      if (bound(clusters[i])) mask.set(i);
+    }
+    if (mask.departing() == 0) return std::pair<std::size_t, std::size_t>{0, 0};
+    ByteWriter writer;
+    cluster::write_departing_moment_frame(writer, clusters, mask);
+    return std::pair<std::size_t, std::size_t>{mask.bytes().size(), writer.size()};
   };
+  PhaseFrames frames;
   if (name == "direct" || name == "rpc") {
-    // Every source straight to the coordinator.
-    for (const auto& source : round.sources) add(source.clusters, 1);
+    // Every source straight to the coordinator; in phase 2, a source with a
+    // departing cluster is sent its mask and replies with its moments.
+    for (const auto& source : round.sources) {
+      const std::vector<cluster::MicroCluster> clusters = source.clusters;
+      frames.centroids += centroid_bytes(clusters);
+      const auto [mask, reply] = departing_bytes(clusters, [&](const auto& micro) {
+        return destination_of(micro, adopted, round.candidates) != source.node;
+      });
+      frames.moments += mask + reply;
+      ++(reply > 0 ? frames.asked : frames.silent);
+    }
   } else if (name == "decentralized") {
-    // Every replica to each of its peers.
+    // Every replica to each of its peers; in phase 2, one departing frame
+    // per (replica, destination), and no mask.
     std::map<topo::NodeId, std::vector<cluster::MicroCluster>> by_node;
     for (const auto& source : round.sources) {
       auto& clusters = by_node[source.node];
       clusters.insert(clusters.end(), source.clusters.begin(), source.clusters.end());
     }
-    for (const auto& [node, clusters] : by_node) add(clusters, by_node.size() - 1);
+    for (const auto& [node, clusters] : by_node) {
+      frames.centroids += (by_node.size() - 1) * centroid_bytes(clusters);
+      for (const auto destination : adopted) {
+        if (destination == node) continue;
+        const auto [mask, reply] = departing_bytes(clusters, [&](const auto& micro) {
+          return destination_of(micro, adopted, round.candidates) == destination;
+        });
+        frames.moments += reply;
+        frames.frames += reply > 0 ? 1 : 0;
+      }
+    }
   } else {
-    // The aggregators' merges to the root, replayed on a scratch network.
+    // The aggregators' merges to the root, replayed on a scratch network;
+    // merged clusters have no single origin, so every moment frame ships.
     sim::Simulator simulator;
     sim::Network network(simulator, topology);
     const AggregationPlan plan = plan_aggregation(round.candidates, round.sources,
                                                   AggregationConfig{}, round.epoch_seed);
     const AggregationResult result =
         run_aggregation(simulator, network, plan, round.sources, 0, AggregationConfig{});
-    for (const auto& forwarded : result.forwarded) add(forwarded.clusters, 1);
+    for (const auto& forwarded : result.forwarded) {
+      frames.centroids += centroid_bytes(forwarded.clusters);
+      ByteWriter moments;
+      cluster::write_moment_frame(moments, forwarded.clusters);
+      frames.moments += moments.size();
+    }
   }
-  return bytes;
+  return frames;
 }
 
 // Counted bytes are the frames sent: for every registry collector, an epoch
 // that keeps its placement reports its centroid frames, and an epoch that
 // adopts (a migration, or a failed data center in the placement) reports
-// its centroid frames plus its moment frames — and only it runs phase 2.
+// its centroid frames plus phase 2 — and only it runs phase 2. Phase 2 is,
+// per source with a cluster that changes replica, its departure mask and
+// departing moment frame ("direct", "rpc"; rpc never asks a source with
+// nothing departing), one departing frame per (source, destination)
+// ("decentralized": each departing cluster's moments once, to its
+// destination), or every aggregator's moment frame ("hierarchical").
 TEST(EpochPipeline, SummaryBytesAreTheFramesEachPhaseSent) {
   const auto candidates = line_candidates();
   SymMatrix rtt(candidates.size());
@@ -421,12 +613,15 @@ TEST(EpochPipeline, SummaryBytesAreTheFramesEachPhaseSent) {
     config.simulator = &simulator;
     config.network = &network;
     config.rpc_clock = std::make_shared<net::VirtualClock>();
-    auto recorder = std::make_unique<PhaseRecorder>(make_collector(name, config));
+    auto recorder = std::make_unique<PhaseRecorder>(make_collector(name, config), &network);
     const PhaseRecorder& round = *recorder;
+    const auto* rpc = dynamic_cast<const net::RpcCollector*>(round.inner.get());
     ReplicationManager manager(candidates, golden_config(), 7, std::move(recorder));
     Rng rng(5);
     std::size_t adopting = 0;
     std::size_t keeping = 0;
+    std::size_t asked = 0;
+    std::size_t silent = 0;
     for (int epoch = 0; epoch < 6; ++epoch) {
       SCOPED_TRACE(name + " epoch " + std::to_string(epoch));
       std::set<topo::NodeId> excluded;
@@ -436,15 +631,32 @@ TEST(EpochPipeline, SummaryBytesAreTheFramesEachPhaseSent) {
       const bool impaired = !excluded.empty();
       const bool adopts = report.decision.migrate || impaired ||
                           report.proposed_placement.size() != report.old_placement.size();
-      const auto [centroid_bytes, moment_bytes] = frames_sent(name, round, topology);
+      const PhaseFrames frames = frames_sent(name, round, report.adopted_placement, topology);
       EXPECT_EQ(round.moments_collected, adopts);
-      EXPECT_EQ(round.phase_one_bytes, centroid_bytes);
-      EXPECT_EQ(report.summary_bytes, centroid_bytes + (adopts ? moment_bytes : 0));
+      EXPECT_EQ(round.phase_one_bytes, frames.centroids);
+      EXPECT_EQ(report.summary_bytes, frames.centroids + (adopts ? frames.moments : 0));
       EXPECT_EQ(report.handoff_lost_sources, 0u);
+      if (adopts && rpc != nullptr) {
+        // Zero faults: one request per source in phase 1, and one per source
+        // with a departing cluster in phase 2.
+        EXPECT_EQ(rpc->last_stats().requests_sent, round.sources.size() + frames.asked);
+      }
+      if (adopts && name == "decentralized") {
+        EXPECT_EQ(round.phase_two_bytes, frames.moments);
+        EXPECT_EQ(round.phase_two_messages, frames.frames);
+      }
+      if (adopts) {
+        asked += frames.asked;
+        silent += frames.silent;
+      }
       ++(adopts ? adopting : keeping);
     }
     EXPECT_GT(adopting, 0u) << name;
     EXPECT_GT(keeping, 0u) << name;
+    if (name == "direct" || name == "rpc") {
+      EXPECT_GT(asked, 0u) << name;
+      EXPECT_GT(silent, 0u) << name;
+    }
   }
 }
 

@@ -5,9 +5,12 @@
 #include <limits>
 #include <memory>
 
+#include "cluster/cluster_view.h"
 #include "cluster/summary_frame.h"
 #include "common/random.h"
 #include "common/serialize.h"
+#include "core/collector.h"
+#include "placement/candidate_table.h"
 #include "placement/strategy.h"
 #include "placement/evaluate.h"
 #include "topology/topology.h"
@@ -115,8 +118,10 @@ TEST(Decentralized, ExchangesKSquaredSummaries) {
 }
 
 TEST(Decentralized, SummaryTrafficIsTheFramesSent) {
-  // Every holder sends its centroid frame to each of its peers, and in
-  // phase 2 its moment frame.
+  // Every holder sends its centroid frame to each of its peers. In phase 2
+  // every replica derives the hand-off plan from the agreed proposal, so no
+  // mask travels: each holder sends each destination of its departing
+  // clusters one departing moment frame, and a staying cluster is not sent.
   DecWorld world(12, 4, 5);
   sim::Simulator simulator;
   sim::Network network(simulator, world.topology);
@@ -124,21 +129,46 @@ TEST(Decentralized, SummaryTrafficIsTheFramesSent) {
   const auto result = run_decentralized_epoch(simulator, network, world.candidates,
                                               world.summaries, 3, 1, *strategy);
   std::uint64_t expected = 0;
-  std::uint64_t expected_moments = 0;
   for (const auto& [node, clusters] : world.summaries) {
     ByteWriter centroids;
     cluster::write_centroid_frame(centroids, clusters);
     expected += centroids.size() * (world.summaries.size() - 1);
-    ByteWriter moments;
-    cluster::write_moment_frame(moments, clusters);
-    expected_moments += moments.size() * (world.summaries.size() - 1);
   }
   EXPECT_EQ(result.summary_bytes, expected);
-  EXPECT_EQ(network.stats().bytes[static_cast<std::size_t>(sim::TrafficClass::kSummary)],
-            expected);
-  EXPECT_EQ(exchange_moment_frames(simulator, network, world.summaries), expected_moments);
-  EXPECT_EQ(network.stats().bytes[static_cast<std::size_t>(sim::TrafficClass::kSummary)],
-            expected + expected_moments);
+  const auto summary = static_cast<std::size_t>(sim::TrafficClass::kSummary);
+  EXPECT_EQ(network.stats().bytes[summary], expected);
+
+  cluster::ClusterBuffer planned;
+  for (const auto& [node, clusters] : world.summaries) {
+    planned.append_centroids(clusters, node);
+  }
+  const place::CandidateTable table(world.candidates);
+  plan_handoff(result.proposal, table, planned);
+  // The frames from the codec: per (holder, destination), a mask over the
+  // holder's clusters marking the ones bound there.
+  std::uint64_t expected_moments = 0;
+  std::uint64_t frames = 0;
+  std::size_t row = 0;
+  for (const auto& [node, clusters] : world.summaries) {
+    for (const auto destination : result.proposal) {
+      if (destination == node) continue;
+      cluster::DepartureMask mask(clusters.size());
+      for (std::size_t i = 0; i < clusters.size(); ++i) {
+        if (planned.destination(row + i) == destination) mask.set(i);
+      }
+      if (mask.departing() == 0) continue;
+      ByteWriter moments;
+      cluster::write_departing_moment_frame(moments, clusters, mask);
+      expected_moments += moments.size();
+      ++frames;
+    }
+    row += clusters.size();
+  }
+  ASSERT_GT(frames, 0u);
+  const std::uint64_t messages_before = network.stats().messages[summary];
+  EXPECT_EQ(exchange_departing_frames(simulator, network, planned), expected_moments);
+  EXPECT_EQ(network.stats().bytes[summary], expected + expected_moments);
+  EXPECT_EQ(network.stats().messages[summary], messages_before + frames);
 }
 
 TEST(Decentralized, SingleReplicaDecidesAlone) {

@@ -3,15 +3,17 @@
 // Three pillars, mirroring the collector's guarantees:
 //   1. Byte parity — with faults disabled, collected summaries and the
 //      reported summary_bytes are identical to DirectCollector after either
-//      phase (centroid frames, then moment frames), all the way up to
-//      bit-identical ReplicationManager epoch reports.
+//      phase (centroid frames, then departure masks and departing moment
+//      frames on the hand-off plan), all the way up to bit-identical
+//      ReplicationManager epoch reports.
 //   2. Determinism under faults — the FaultInjector is a pure function of
 //      (seed, salt, source, attempt), so the test re-derives the oracle's
 //      verdict per source and asserts the collector behaved exactly as
 //      planned: recoverable schedules converge to the direct bytes, fatal
-//      schedules fall back to the cache (stale) or drop out (lost), and a
-//      source that is stale in phase 1 or runs out of retries in phase 2
-//      hands no clusters to the adopted placement.
+//      schedules fall back to the cache (stale) or drop out (lost), a
+//      source that is stale in phase 1 hands no clusters to the adopted
+//      placement, and one that runs out of retries in phase 2 loses only
+//      the clusters that were to change replica.
 //   3. Graceful degradation — an epoch always completes, whatever fails.
 //
 // Everything runs on a VirtualClock, so retries and injected delays cost no
@@ -33,6 +35,7 @@
 #include "common/random.h"
 #include "common/serialize.h"
 #include "core/replication_manager.h"
+#include "placement/candidate_table.h"
 
 namespace geored::net {
 namespace {
@@ -72,12 +75,73 @@ std::vector<SummarySource> make_sources(std::size_t count, std::uint64_t seed) {
   return sources;
 }
 
-/// Bit-exact fingerprint of a completed summary set (after phase 2): the
-/// full frame over the flattened clusters.
-std::vector<std::uint8_t> fingerprint(const std::vector<cluster::MicroCluster>& summaries) {
+/// Synthetic sources whose replicas serve two populations: one at their own
+/// location and one five candidates along, so a placement holding both
+/// keeps some of each source's clusters and moves the others.
+std::vector<SummarySource> make_split_sources(std::size_t count, std::uint64_t seed) {
+  static std::deque<std::vector<cluster::MicroCluster>> kept;
+  Rng rng(seed);
+  std::vector<SummarySource> sources(count);
+  for (std::size_t s = 0; s < count; ++s) {
+    sources[s].node = static_cast<topo::NodeId>(s);
+    cluster::SummarizerConfig config;
+    config.max_clusters = 4;
+    config.min_absorb_radius = 10.0;
+    cluster::MicroClusterSummarizer summarizer(config);
+    for (int i = 0; i < 60; ++i) {
+      const double center = 100.0 * static_cast<double>(s + (i % 2 == 0 ? 0 : 5));
+      summarizer.add(Point{rng.normal(center, 12.0)});
+    }
+    sources[s].clusters = kept.emplace_back(summarizer.clusters());
+  }
+  return sources;
+}
+
+/// The placement that keeps each split source's home population where it
+/// is and moves the other one: candidates 0..count-1 and 5..5+count-1.
+place::Placement split_placement(std::size_t count) {
+  place::Placement next;
+  for (std::size_t s = 0; s < count; ++s) next.push_back(static_cast<topo::NodeId>(s));
+  for (std::size_t s = 0; s < count; ++s) next.push_back(static_cast<topo::NodeId>(s + 5));
+  return next;
+}
+
+/// Bit-exact fingerprint of the hand-off a round planned and completed:
+/// per row, its centroid-frame fields, its destination, and its second
+/// moments when it carries them.
+std::vector<std::uint8_t> handoff_fingerprint(const cluster::ClusterBuffer& rows) {
   ByteWriter writer;
-  cluster::write_clusters(writer, summaries);
+  const cluster::ClusterView view = rows.view();
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    writer.write_u64(view.count(i));
+    writer.write_f64(view.weight(i));
+    writer.write_f64s(view.sum(i));
+    writer.write_u32(rows.destination(i));
+    writer.write_u32(rows.has_moments(i) ? 1 : 0);
+    if (rows.has_moments(i)) writer.write_f64s(view.sum2(i));
+  }
   return writer.bytes();
+}
+
+/// What phase 2 of a zero-fault round sends, from the codec: for each source
+/// with a cluster whose plan destination is another replica, its departure
+/// mask and its departing moment frame. `asked` counts those sources.
+std::size_t phase_two_bytes(const std::vector<SummarySource>& sources,
+                            const cluster::ClusterBuffer& planned, std::size_t* asked) {
+  std::size_t bytes = 0;
+  std::size_t row = 0;
+  for (const auto& source : sources) {
+    cluster::DepartureMask mask(source.clusters.size());
+    for (std::size_t i = 0; i < source.clusters.size(); ++i, ++row) {
+      if (planned.destination(row) != source.node) mask.set(i);
+    }
+    if (mask.departing() == 0) continue;
+    ByteWriter writer;
+    cluster::write_departing_moment_frame(writer, source.clusters, mask);
+    bytes += mask.bytes().size() + writer.size();
+    if (asked != nullptr) ++*asked;
+  }
+  return bytes;
 }
 
 /// Bit-exact fingerprint of what phase 1 collects: the centroid frame over
@@ -91,12 +155,6 @@ std::vector<std::uint8_t> centroid_fingerprint(
 
 std::size_t centroid_frame_bytes(const std::vector<cluster::MicroCluster>& clusters) {
   return centroid_fingerprint(clusters).size();
-}
-
-std::size_t moment_frame_bytes(const std::vector<cluster::MicroCluster>& clusters) {
-  ByteWriter writer;
-  cluster::write_moment_frame(writer, clusters);
-  return writer.size();
 }
 
 /// Recoverable = the client accepts the response on that attempt. Delayed
@@ -175,39 +233,47 @@ TEST(RpcCollector, ZeroFaultsIsByteIdenticalToDirect) {
   EXPECT_EQ(rpc.last_stats().faults_hit, 0u);
   EXPECT_EQ(rpc.last_stats().retries, 0u);
 
-  // Phase 2 completes every cluster, bit for bit.
+  // Phase 2 on one hand-off plan completes the same departing clusters, bit
+  // for bit. Sources 0 and 2 keep their replica and every cluster; 1 and 3
+  // hand theirs to another replica, and only they are asked.
+  const place::CandidateTable table(candidates);
+  const place::Placement next{0, 2, 5};
+  core::plan_handoff(next, table, expected.summaries);
+  core::plan_handoff(next, table, actual.summaries);
   direct.collect_moments(sources, context, expected);
   rpc.collect_moments(sources, context, actual);
-  EXPECT_EQ(fingerprint(actual.summaries.view()), fingerprint(expected.summaries.view()));
+  EXPECT_EQ(handoff_fingerprint(actual.summaries), handoff_fingerprint(expected.summaries));
   EXPECT_EQ(actual.summary_bytes, expected.summary_bytes);
   EXPECT_TRUE(actual.handoff_lost_sources.empty());
-  EXPECT_EQ(rpc.last_stats().responses_ok, 2 * sources.size());
-  EXPECT_EQ(rpc.last_stats().requests_sent, 2 * sources.size());
+  EXPECT_EQ(rpc.last_stats().responses_ok, sources.size() + 2);
+  EXPECT_EQ(rpc.last_stats().requests_sent, sources.size() + 2);
   EXPECT_EQ(rpc.last_stats().faults_hit, 0u);
 }
 
 TEST(RpcCollector, SummaryBytesAreThePayloadBytes) {
-  // Direct sizes each source's frames; rpc counts the payloads that crossed
-  // the socket. Both are the sources' centroid frames after phase 1, plus
-  // their moment frames after phase 2.
-  const auto sources = make_sources(5, 13);
+  // Direct sizes each source's frames; rpc counts the bytes that crossed the
+  // socket. Both are the sources' centroid frames after phase 1, plus, after
+  // phase 2, each asked source's departure mask and departing moment frame.
+  const auto sources = make_split_sources(4, 13);
   const auto candidates = line_candidates();
-  const CollectionContext context{candidates, 3, 7};
+  const CollectionContext context{candidates, 8, 7};
+  const place::CandidateTable table(candidates);
   std::size_t centroid_bytes = 0;
-  std::size_t moment_bytes = 0;
-  for (const auto& source : sources) {
-    centroid_bytes += centroid_frame_bytes(source.clusters);
-    moment_bytes += moment_frame_bytes(source.clusters);
-  }
+  for (const auto& source : sources) centroid_bytes += centroid_frame_bytes(source.clusters);
 
   RpcCollector rpc(fast_config(), std::make_shared<VirtualClock>());
   CollectedSummaries by_rpc = rpc.collect(sources, context);
   EXPECT_EQ(by_rpc.summary_bytes, centroid_bytes);
+  core::plan_handoff(split_placement(sources.size()), table, by_rpc.summaries);
+  std::size_t asked = 0;
+  const std::size_t moment_bytes = phase_two_bytes(sources, by_rpc.summaries, &asked);
+  EXPECT_EQ(asked, sources.size());
   rpc.collect_moments(sources, context, by_rpc);
   EXPECT_EQ(by_rpc.summary_bytes, centroid_bytes + moment_bytes);
   core::DirectCollector direct;
   CollectedSummaries by_direct = direct.collect(sources, context);
   EXPECT_EQ(by_direct.summary_bytes, centroid_bytes);
+  core::plan_handoff(split_placement(sources.size()), table, by_direct.summaries);
   direct.collect_moments(sources, context, by_direct);
   EXPECT_EQ(by_direct.summary_bytes, centroid_bytes + moment_bytes);
 }
@@ -384,7 +450,7 @@ std::uint64_t find_phase_two_failing_salt(const FaultInjector& injector, std::si
 
 /// What a two-phase round handed off, for replay comparisons.
 struct HandOff {
-  std::vector<std::uint8_t> clusters;  ///< full frame of the handed-off clusters
+  std::vector<std::uint8_t> clusters;  ///< handoff_fingerprint of the rows left
   std::size_t summary_bytes = 0;
   std::vector<topo::NodeId> stale;
   std::vector<topo::NodeId> handoff_lost;
@@ -392,13 +458,39 @@ struct HandOff {
 };
 
 HandOff hand_off(const CollectedSummaries& collected) {
-  return {fingerprint(collected.summaries.view()), collected.summary_bytes,
+  return {handoff_fingerprint(collected.summaries), collected.summary_bytes,
           collected.stale_sources, collected.handoff_lost_sources};
 }
 
-TEST(RpcCollector, PhaseTwoRetriesRunningOutDropTheSourceFromTheHandOff) {
-  const auto sources = make_sources(4, 61);
+/// The oracle's hand-off over split sources: `sources` collected directly
+/// and planned onto split_placement, keeping of source s every staying
+/// cluster, and its departing clusters (moments and all) when `completes(s)`;
+/// `fresh(s)` false drops all of s's clusters.
+template <typename Fresh, typename Completes>
+cluster::ClusterBuffer expected_hand_off(const std::vector<SummarySource>& sources,
+                                         const std::vector<place::CandidateInfo>& candidates,
+                                         const Fresh& fresh, const Completes& completes) {
+  core::DirectCollector direct;
+  const CollectionContext context{candidates, 8, 0};
+  CollectedSummaries collected = direct.collect(sources, context);
+  core::plan_handoff(split_placement(sources.size()), place::CandidateTable(candidates),
+                     collected.summaries);
+  direct.collect_moments(sources, context, collected);
+  std::vector<bool> keep;
+  for (std::size_t s = 0; s < sources.size(); ++s) {
+    for (std::size_t i = 0; i < sources[s].clusters.size(); ++i) {
+      const bool departs = collected.summaries.departs(keep.size());
+      keep.push_back(fresh(s) && (!departs || completes(s)));
+    }
+  }
+  collected.summaries.retain_rows(keep);
+  return std::move(collected.summaries);
+}
+
+TEST(RpcCollector, PhaseTwoRetriesRunningOutDropOnlyTheDepartingClusters) {
+  const auto sources = make_split_sources(4, 61);
   const auto candidates = line_candidates();
+  const place::CandidateTable table(candidates);
   RpcCollectorConfig config = fast_config();
   config.faults.disconnect = 0.5;  // fail-fast fault: no real-time waiting
   config.faults.seed = 19;
@@ -406,21 +498,23 @@ TEST(RpcCollector, PhaseTwoRetriesRunningOutDropTheSourceFromTheHandOff) {
   const FaultInjector oracle(config.faults);
   const std::uint64_t salt =
       find_phase_two_failing_salt(oracle, sources.size(), config.max_attempts);
-  const CollectionContext context{candidates, 3, salt};
+  const CollectionContext context{candidates, 8, salt};
 
-  // The oracle's hand-off: every source is fresh in phase 1, and the ones
-  // whose phase-2 fetch recovers keep their clusters, moments and all.
-  std::vector<cluster::MicroCluster> expected_clusters;
+  // The oracle's hand-off: every source is fresh in phase 1 and has clusters
+  // that stay and clusters that depart. A source whose phase-2 fetch
+  // recovers keeps all of them, the departing ones with their moments; one
+  // that runs out of retries keeps only the clusters that stay on its
+  // replica.
+  const auto completes = [&](std::size_t s) {
+    return source_recovers(oracle, salt ^ kMomentPhaseSalt, s, config.max_attempts);
+  };
+  const cluster::ClusterBuffer expected = expected_hand_off(
+      sources, candidates, [](std::size_t) { return true; }, completes);
   std::vector<topo::NodeId> expected_lost;
   std::size_t expected_bytes = 0;
   for (std::size_t s = 0; s < sources.size(); ++s) {
     expected_bytes += centroid_frame_bytes(sources[s].clusters);
-    if (source_recovers(oracle, salt ^ kMomentPhaseSalt, s, config.max_attempts)) {
-      expected_bytes += moment_frame_bytes(sources[s].clusters);
-      for (const auto& micro : sources[s].clusters) expected_clusters.push_back(micro);
-    } else {
-      expected_lost.push_back(sources[s].node);
-    }
+    if (!completes(s)) expected_lost.push_back(sources[s].node);
   }
   ASSERT_FALSE(expected_lost.empty());
 
@@ -429,19 +523,31 @@ TEST(RpcCollector, PhaseTwoRetriesRunningOutDropTheSourceFromTheHandOff) {
     CollectedSummaries collected = rpc.collect(sources, context);
     EXPECT_TRUE(collected.stale_sources.empty());
     EXPECT_TRUE(collected.lost_sources.empty());
+    core::plan_handoff(split_placement(sources.size()), table, collected.summaries);
+    std::size_t answered = 0;
+    for (std::size_t s = 0; s < sources.size(); ++s) {
+      if (!completes(s)) continue;
+      std::vector<SummarySource> one{sources[s]};
+      cluster::ClusterBuffer rows;
+      rows.append_centroids(sources[s].clusters, sources[s].node);
+      core::plan_handoff(split_placement(sources.size()), table, rows);
+      answered += phase_two_bytes(one, rows, nullptr);
+    }
     rpc.collect_moments(sources, context, collected);
+    EXPECT_EQ(collected.summary_bytes, expected_bytes + answered);
     return hand_off(collected);
   };
   const HandOff first = run();
-  EXPECT_EQ(first.clusters, fingerprint(expected_clusters));
-  EXPECT_EQ(first.summary_bytes, expected_bytes);
+  EXPECT_EQ(first.clusters, handoff_fingerprint(expected));
   EXPECT_EQ(first.handoff_lost, expected_lost);
+  EXPECT_TRUE(first.stale.empty());
   EXPECT_EQ(run(), first) << "phase 2 must replay identically given the seed";
 }
 
 TEST(RpcCollector, StaleSourceHandsNoClustersToTheAdoptedPlacement) {
-  const auto sources = make_sources(3, 67);
+  const auto sources = make_split_sources(3, 67);
   const auto candidates = line_candidates();
+  const place::CandidateTable table(candidates);
   RpcCollectorConfig config = fast_config();
   config.faults.disconnect = 0.5;
   config.faults.seed = 23;
@@ -465,36 +571,49 @@ TEST(RpcCollector, StaleSourceHandsNoClustersToTheAdoptedPlacement) {
     }
     if (stale && phase_two_clean) break;
   }
-  const CollectionContext context{candidates, 3, salt};
+  const CollectionContext context{candidates, 8, salt};
 
-  std::vector<cluster::MicroCluster> expected_clusters;
+  const auto fresh = [&](std::size_t s) {
+    return source_recovers(oracle, salt, s, config.max_attempts);
+  };
+  const cluster::ClusterBuffer expected =
+      expected_hand_off(sources, candidates, fresh, [](std::size_t) { return true; });
   std::vector<topo::NodeId> expected_stale;
   std::size_t expected_bytes = 0;
   std::size_t stale_clusters = 0;
+  std::vector<SummarySource> fresh_sources;
   for (std::size_t s = 0; s < sources.size(); ++s) {
-    if (source_recovers(oracle, salt, s, config.max_attempts)) {
-      expected_bytes +=
-          centroid_frame_bytes(sources[s].clusters) + moment_frame_bytes(sources[s].clusters);
-      for (const auto& micro : sources[s].clusters) expected_clusters.push_back(micro);
+    if (fresh(s)) {
+      expected_bytes += centroid_frame_bytes(sources[s].clusters);
+      fresh_sources.push_back(sources[s]);
     } else {
       expected_stale.push_back(sources[s].node);
       stale_clusters += sources[s].clusters.size();
     }
   }
+  {
+    cluster::ClusterBuffer rows;
+    for (const auto& source : fresh_sources) {
+      rows.append_centroids(source.clusters, source.node);
+    }
+    core::plan_handoff(split_placement(sources.size()), table, rows);
+    expected_bytes += phase_two_bytes(fresh_sources, rows, nullptr);
+  }
 
   const auto run = [&] {
     RpcCollector rpc(config, std::make_shared<VirtualClock>());
-    rpc.collect(sources, {candidates, 3, clean_salt});  // primes every node's cache
+    rpc.collect(sources, {candidates, 8, clean_salt});  // primes every node's cache
     CollectedSummaries collected = rpc.collect(sources, context);
-    EXPECT_EQ(collected.summaries.size(), expected_clusters.size() + stale_clusters)
+    EXPECT_EQ(collected.summaries.size(), expected.size() + stale_clusters)
         << "phase 1 serves the stale sources from the cache";
+    core::plan_handoff(split_placement(sources.size()), table, collected.summaries);
     rpc.collect_moments(sources, context, collected);
     return hand_off(collected);
   };
   const HandOff first = run();
   EXPECT_EQ(first.stale, expected_stale);
   EXPECT_EQ(first.handoff_lost, expected_stale);
-  EXPECT_EQ(first.clusters, fingerprint(expected_clusters));
+  EXPECT_EQ(first.clusters, handoff_fingerprint(expected));
   EXPECT_EQ(first.summary_bytes, expected_bytes);
   EXPECT_EQ(run(), first) << "a stale hand-off must replay identically given the seed";
 }
