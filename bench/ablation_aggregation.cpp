@@ -14,6 +14,7 @@
 #include <cstdio>
 
 #include "bench_util.h"
+#include "cluster/summarizer.h"
 #include "common/random.h"
 #include "core/aggregation.h"
 #include "netcoord/embedding.h"
@@ -40,30 +41,35 @@ int main() {
               "flat->root B", "tree->root B", "flat tot B", "tree tot B", "flat ms",
               "tree ms");
 
+  // Each micro-cluster summarizes 25 accesses: a summarizer with a budget
+  // of one cluster adds every access's moments into it, in arrival order.
+  cluster::SummarizerConfig one_cluster;
+  one_cluster.max_clusters = 1;
+
   std::uint64_t flat_root_256 = 0, tree_root_256 = 0;
   for (const std::size_t source_count : {16ul, 64ul, 256ul, 1024ul}) {
     // Synthesize sources: each sits at a data center and summarizes a
     // population near it (4 micro-clusters of 25 accesses).
     Rng rng(source_count);
     // The sources view their clusters in place, so these outlive them.
-    std::vector<std::vector<cluster::MicroCluster>> populations(source_count);
+    std::vector<cluster::ClusterBuffer> populations(source_count);
     std::vector<core::SummarySource> sources;
     for (std::size_t s = 0; s < source_count; ++s) {
       core::SummarySource source;
       source.node = static_cast<topo::NodeId>(s % kDcs);
       const Point& home = coords[source.node].position;
       for (int c = 0; c < 4; ++c) {
-        cluster::MicroCluster micro;
+        cluster::MicroClusterSummarizer micro(one_cluster);
         for (int p = 0; p < 25; ++p) {
           Point jittered = home;
           for (std::size_t d = 0; d < jittered.dim(); ++d) {
             jittered[d] += rng.normal(0.0, 8.0);
           }
-          micro.absorb(jittered, 1.0);
+          micro.add(jittered, 1.0);
         }
-        populations[s].push_back(micro);
+        populations[s].append(micro.clusters());
       }
-      source.clusters = populations[s];
+      source.clusters = populations[s].view();
       sources.push_back(source);
     }
 

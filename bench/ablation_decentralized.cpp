@@ -13,6 +13,7 @@
 #include <cstdio>
 
 #include "bench_util.h"
+#include "cluster/summarizer.h"
 #include "cluster/summary_frame.h"
 #include "common/random.h"
 #include "core/decentralized.h"
@@ -39,31 +40,38 @@ int main() {
   std::printf("%-6s %14s %16s %18s %18s %12s\n", "k", "central B", "decentral B",
               "central ms", "decentral ms", "agreement");
 
+  // Each micro-cluster summarizes 25 accesses near its holder: a summarizer
+  // with a budget of one cluster adds every access's moments into it, in
+  // arrival order.
+  cluster::SummarizerConfig one_cluster;
+  one_cluster.max_clusters = 1;
+
   bool all_agree = true;
   for (std::size_t k = 2; k <= 7; ++k) {
     Rng rng(k);
-    std::map<topo::NodeId, std::vector<cluster::MicroCluster>> summaries;
+    // The sources view their clusters in place, so these outlive them.
+    std::vector<cluster::ClusterBuffer> held(k);
+    std::vector<core::SummarySource> sources;
     for (std::size_t r = 0; r < k; ++r) {
-      std::vector<cluster::MicroCluster> clusters;
       for (int c = 0; c < 4; ++c) {
-        cluster::MicroCluster micro;
+        cluster::MicroClusterSummarizer micro(one_cluster);
         for (int p = 0; p < 25; ++p) {
           Point point = coords[r].position;
           for (std::size_t d = 0; d < point.dim(); ++d) point[d] += rng.normal(0.0, 10.0);
-          micro.absorb(point, 1.0);
+          micro.add(point, 1.0);
         }
-        clusters.push_back(micro);
+        held[r].append(micro.clusters());
       }
-      summaries.emplace(static_cast<topo::NodeId>(r), std::move(clusters));
+      sources.push_back({static_cast<topo::NodeId>(r), held[r].view()});
     }
 
     // Central reference: every holder ships to holder 0 (the coordinator).
     std::uint64_t central_bytes = 0;
     double central_ms = 0.0;
-    for (const auto& [node, clusters] : summaries) {
-      if (node != 0) {
-        central_bytes += cluster::centroid_frame_size(clusters);
-        central_ms = std::max(central_ms, topology.rtt_ms(node, 0) / 2.0);
+    for (const auto& source : sources) {
+      if (source.node != 0) {
+        central_bytes += cluster::centroid_frame_size(source.clusters);
+        central_ms = std::max(central_ms, topology.rtt_ms(source.node, 0) / 2.0);
       }
     }
 
@@ -71,7 +79,7 @@ int main() {
     sim::Network network(simulator, topology);
     const auto strategy = place::make_strategy("online");
     const auto result = core::run_decentralized_epoch(simulator, network, candidates,
-                                                      summaries, 3, /*epoch_seed=*/k,
+                                                      sources, 3, /*epoch_seed=*/k,
                                                       *strategy);
     all_agree &= result.agreement;
     std::printf("%-6zu %14llu %16llu %16.1f %18.1f %12s\n", k,

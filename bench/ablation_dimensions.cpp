@@ -67,7 +67,7 @@ int main() {
           summarizer.add(record.coords, 1.0);
         }
       }
-      input.summaries = summarizer.clusters();
+      input.summaries.append(summarizer.clusters());
       online_delay.add(place::true_average_delay(
           topology,
           place::make_strategy(place::StrategyKind::kOnlineClustering)->place(input),

@@ -113,7 +113,7 @@ int main() {
           summarizer.add(record.coords, 1.0);
         }
       }
-      input.summaries = summarizer.clusters();
+      input.summaries.append(summarizer.clusters());
 
       place::SpreadConfig spread_config;
       spread_config.min_spread_ms = spread_ms;

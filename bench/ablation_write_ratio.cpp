@@ -67,7 +67,7 @@ int main() {
           summarizer.add(record.coords, 1.0);
         }
       }
-      input.summaries = summarizer.clusters();
+      input.summaries.append(summarizer.clusters());
 
       const auto read_only = place::make_strategy("online")->place(input);
       place::WriteAwareConfig aware_config;

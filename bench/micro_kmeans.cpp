@@ -1,7 +1,7 @@
 // A4 — Microbenchmarks of the algorithmic primitives.
 //
 // google-benchmark timings for the pieces whose costs the paper's Table II
-// reasons about: the summarizer's absorb path, (weighted) k-means,
+// reasons about: the summarizer's ingest path, (weighted) k-means,
 // micro-cluster serialization, and the exhaustive optimal search.
 #include <benchmark/benchmark.h>
 
@@ -24,28 +24,18 @@ Point random_point(Rng& rng, double span = 200.0) {
   return p;
 }
 
-void BM_MicroClusterAbsorb(benchmark::State& state) {
-  cluster::MicroCluster cluster(Point(kDim), 1.0);
-  Rng rng(1);
-  const Point p = random_point(rng);
-  for (auto _ : state) {
-    cluster.absorb(p, 1.0);
-    benchmark::DoNotOptimize(cluster);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
-}
-BENCHMARK(BM_MicroClusterAbsorb);
-
 void BM_MicroClusterSerialize(benchmark::State& state) {
   // One cluster's summary frame, as a replica holding a single cluster
   // ships it.
-  cluster::MicroCluster cluster(Point(kDim), 1.0);
+  cluster::SummarizerConfig config;
+  config.max_clusters = 1;
+  cluster::MicroClusterSummarizer summarizer(config);
+  summarizer.add(Point(kDim), 1.0);
   Rng rng(2);
-  for (int i = 0; i < 100; ++i) cluster.absorb(random_point(rng), 1.0);
-  const std::vector<cluster::MicroCluster> frame{cluster};
+  for (int i = 0; i < 100; ++i) summarizer.add(random_point(rng), 1.0);
   for (auto _ : state) {
     ByteWriter writer;
-    cluster::write_clusters(writer, frame);
+    cluster::write_clusters(writer, summarizer.clusters());
     benchmark::DoNotOptimize(writer);
   }
 }
@@ -110,7 +100,7 @@ void BM_PlacementStrategy(benchmark::State& state) {
     input.clients.push_back(record);
     summarizer.add(input.clients.back().coords, 1.0);
   }
-  input.summaries = summarizer.clusters();
+  input.summaries.append(summarizer.clusters());
 
   const auto strategy = place::make_strategy(static_cast<place::StrategyKind>(state.range(0)));
   for (auto _ : state) {

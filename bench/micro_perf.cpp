@@ -41,6 +41,7 @@
 #include "placement/greedy.h"
 #include "placement/local_search.h"
 #include "placement/online_clustering.h"
+#include "reference/microcluster.h"
 #include "reference/router_scalar.h"
 #include "reference/scalar.h"
 #include "reference/summarizer_scalar.h"
@@ -776,7 +777,8 @@ std::vector<CaseResult> run_scale(const Scale& scale, std::size_t repeats,
         summarizer.add(access_points[i], access_weights[i]);
       }
       ByteWriter writer;
-      cluster::write_clusters(writer, summarizer.clusters());
+      cluster::write_clusters(writer,
+                              cluster::to_cluster_buffer(summarizer.clusters()).view());
       scalar_bytes = writer.bytes();
       g_sink += static_cast<double>(scalar_bytes.size());
     });
@@ -979,15 +981,20 @@ std::vector<CaseResult> run_scale(const Scale& scale, std::size_t repeats,
         }
       }
       // (2) Direct collection from every replica in node order (phase 1).
+      //     The scalar summarizers hold cluster objects, which the sources
+      //     read as flat copies.
       core::CollectedSummaries collected;
+      std::vector<cluster::ClusterBuffer> held_rows;
       std::vector<core::SummarySource> sources;
       core::DirectCollector collector;
       const core::CollectionContext context{world.candidates, scale.k, derived_seed};
       {
         const core::StageTimer timer(tr.collect_ms);
+        held_rows.reserve(summarizers.size());
         sources.reserve(summarizers.size());
         for (const auto& [node, summarizer] : summarizers) {
-          sources.push_back({node, summarizer.clusters()});
+          held_rows.push_back(cluster::to_cluster_buffer(summarizer.clusters()));
+          sources.push_back({node, held_rows.back().view()});
         }
         collected = collector.collect(sources, context);
       }
@@ -1006,7 +1013,8 @@ std::vector<CaseResult> run_scale(const Scale& scale, std::size_t repeats,
       double new_delay = 0.0;
       {
         const core::StageTimer timer(tr.gate_ms);
-        const std::vector<cluster::MicroCluster> summaries = collected.summaries.view();
+        const std::vector<cluster::MicroCluster> summaries =
+            cluster::to_micro_clusters(collected.summaries.view());
         const double old_delay = estimate_delay_scalar(routed, summaries);
         new_delay = estimate_delay_scalar(proposed, summaries);
         std::size_t moved = 0;
@@ -1048,7 +1056,8 @@ std::vector<CaseResult> run_scale(const Scale& scale, std::size_t repeats,
         } else {
           for (auto& [node, summarizer] : summarizers) summarizer.decay();
           for (const auto node : adopted_placement) {
-            cluster::write_clusters(writer, summarizers.at(node).clusters());
+            cluster::write_clusters(
+                writer, cluster::to_cluster_buffer(summarizers.at(node).clusters()).view());
           }
         }
       }

@@ -37,14 +37,13 @@ Point random_point(Rng& rng) {
 }
 
 /// Micro-clusters a replica would hold after summarizing `accesses` hits.
-std::vector<cluster::MicroCluster> build_summary(std::size_t m, std::size_t accesses,
-                                                 std::uint64_t seed) {
+cluster::ClusterBuffer build_summary(std::size_t m, std::size_t accesses, std::uint64_t seed) {
   cluster::SummarizerConfig config;
   config.max_clusters = m;
   cluster::MicroClusterSummarizer summarizer(config);
   Rng rng(seed);
   for (std::size_t i = 0; i < accesses; ++i) summarizer.add(random_point(rng), 1.0);
-  return summarizer.clusters();
+  return cluster::ClusterBuffer(summarizer.clusters());
 }
 
 void BM_OnlineMacroClustering(benchmark::State& state) {
@@ -52,8 +51,11 @@ void BM_OnlineMacroClustering(benchmark::State& state) {
   // k replicas, each shipping m micro-clusters built from 10k accesses.
   std::vector<cluster::WeightedPoint> pseudo_points;
   for (std::size_t r = 0; r < kReplicas; ++r) {
-    for (const auto& micro : build_summary(m, 10000, r + 1)) {
-      pseudo_points.push_back({micro.centroid(), static_cast<double>(micro.count())});
+    const cluster::ClusterBuffer summary = build_summary(m, 10000, r + 1);
+    for (std::size_t i = 0; i < summary.size(); ++i) {
+      const double* centroid = summary.centroid(i);
+      pseudo_points.push_back({Point(std::vector<double>(centroid, centroid + summary.dim())),
+                               static_cast<double>(summary.count(i))});
     }
   }
   cluster::KMeansConfig config;
@@ -118,8 +120,8 @@ void print_bandwidth_table() {
       ByteWriter moments;
       for (std::size_t r = 0; r < kReplicas; ++r) {
         const auto summary = build_summary(m, n / kReplicas, r + 17);
-        cluster::write_centroid_frame(centroids, summary);
-        cluster::write_moment_frame(moments, summary);
+        cluster::write_centroid_frame(centroids, summary.view());
+        cluster::write_moment_frame(moments, summary.view());
       }
       const std::size_t online_bytes = centroids.size() + moments.size();
       const std::size_t offline_bytes = n * offline_record;
@@ -138,9 +140,9 @@ void print_bandwidth_table() {
   // varints of each shared among the clusters).
   const auto summary = build_summary(100, 10000, 3);
   ByteWriter centroid_frame;
-  cluster::write_centroid_frame(centroid_frame, summary);
+  cluster::write_centroid_frame(centroid_frame, summary.view());
   ByteWriter moment_frame;
-  cluster::write_moment_frame(moment_frame, summary);
+  cluster::write_moment_frame(moment_frame, summary.view());
   const auto clusters = static_cast<double>(summary.size());
   const double centroid_per_cluster = static_cast<double>(centroid_frame.size()) / clusters;
   const double moment_per_cluster = static_cast<double>(moment_frame.size()) / clusters;

@@ -10,37 +10,12 @@ ClusterView ClusterView::subview(std::size_t first, std::size_t count) const {
   GEORED_ENSURE(first <= size_ && count <= size_ - first, "subview past the end of the view");
   ClusterView view = *this;
   view.size_ = count;
-  if (objects_ != nullptr) {
-    view.objects_ = objects_ + first;
-    view.dim_ = count == 0 ? 0 : objects_[first].sum().dim();
-    return view;
-  }
   view.counts_ = counts_ + first;
   view.weights_ = weights_ + first;
   view.sums_ = sums_ + first * dim_;
   if (sum2s_ != nullptr) view.sum2s_ = sum2s_ + first * dim_;
   if (count == 0) view.dim_ = 0;
   return view;
-}
-
-MicroCluster ClusterView::operator[](std::size_t i) const {
-  GEORED_ENSURE(i < size_, "cluster row out of range");
-  if (objects_ != nullptr) return objects_[i];
-  MicroCluster cluster;
-  cluster.count_ = counts_[i];
-  cluster.weight_ = weights_[i];
-  const std::span<const double> s = sum(i);
-  const std::span<const double> s2 = sum2(i);
-  cluster.sum_ = Point(std::vector<double>(s.begin(), s.end()));
-  cluster.sum2_ = Point(std::vector<double>(s2.begin(), s2.end()));
-  return cluster;
-}
-
-ClusterView::operator std::vector<MicroCluster>() const {
-  std::vector<MicroCluster> clusters;  // lint: alloc-ok (copy-out accessor)
-  clusters.reserve(size_);
-  for (std::size_t i = 0; i < size_; ++i) clusters.push_back((*this)[i]);
-  return clusters;
 }
 
 void ClusterBuffer::clear() {
@@ -93,7 +68,7 @@ void ClusterBuffer::append_rows(ClusterView clusters, std::uint32_t origin, bool
     if (!rows_.empty() || origin != kNoOrigin) {
       rows_.push_back({origin, static_cast<std::uint32_t>(i), kNoOrigin});
     }
-    // MicroCluster::centroid's sum / count, component by component.
+    // The centroid: sum / count, component by component.
     const auto divisor = static_cast<double>(count);
     centroids_.push_back_row(sum.data(), dim);
     double* centroid = centroids_.mutable_row(row);

@@ -1,35 +1,32 @@
-// Micro-clusters read in place.
+// Micro-clusters as flat rows: the one form the production libraries use.
 //
-// A placement epoch reads every replica's micro-clusters several times:
-// collection sizes their frames, the proposal clusters their centroids, the
-// gate scores two placements on them, and an adopting epoch hands them to
-// the new replicas. Two types carry them, so none of those steps copies a
-// cluster into a heap-allocated MicroCluster:
+// The paper's micro-cluster is four numbers (§III-B): count, weight, and
+// the per-dimension sum and sum of squares of the absorbed coordinates.
+// Every step of a placement epoch reads them as rows: collection sizes and
+// decodes their frames, the proposal clusters their centroids, the gate
+// scores two placements on them, and an adopting epoch hands them to the
+// new replicas. Two types carry them:
 //
-//   ClusterView    read-only rows of count, weight, sum and sum2, over a
-//                  summarizer's flat moment store, a ClusterBuffer, or a
-//                  vector of MicroCluster objects, without copying them;
-//   ClusterBuffer  the one owning flat form: an epoch's collected clusters
-//                  in source order, each row with its centroid, the node
-//                  that reported it, and, once an adopting epoch plans its
-//                  hand-off, the replica it is handed to. Its clear() keeps
-//                  the storage.
+//   ClusterView    read-only rows of count, weight, sum and sum2 in place,
+//                  over a summarizer's flat moment store or a ClusterBuffer;
+//   ClusterBuffer  the one owning form: what a decoder, a collector or an
+//                  aggregator builds. It keeps its rows in order, each with
+//                  its centroid, the node that reported it, and, once an
+//                  adopting epoch plans its hand-off, the replica it is
+//                  handed to. Its clear() keeps the storage.
 //
 // Every moment is read or copied bit for bit, and a ClusterBuffer centroid
-// is sum[d] / count, the division MicroCluster::centroid performs, so a
-// computation over either type matches the same computation over the
-// MicroCluster objects.
+// is sum[d] / count, component by component, so every reader of either
+// type computes the same bits.
 #pragma once
 
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
-#include <iterator>
 #include <limits>
 #include <span>
 #include <vector>
 
-#include "cluster/microcluster.h"
 #include "common/point_set.h"
 
 namespace geored::cluster {
@@ -37,16 +34,6 @@ namespace geored::cluster {
 class ClusterView {
  public:
   ClusterView() = default;
-
-  /// Views cluster objects in place. Implicit, so every API that reads a
-  /// view also takes a vector of clusters.
-  // NOLINTNEXTLINE(google-explicit-constructor)
-  ClusterView(const std::vector<MicroCluster>& clusters) noexcept
-      : ClusterView(std::span<const MicroCluster>(clusters)) {}
-  explicit ClusterView(std::span<const MicroCluster> clusters) noexcept
-      : objects_(clusters.data()),
-        size_(clusters.size()),
-        dim_(clusters.empty() ? 0 : clusters.front().sum().dim()) {}
 
   /// Views `size` flat rows of `dim` values: row i's sum at sums[i * dim]
   /// and its second moments at sum2s[i * dim], or none when sum2s is null
@@ -62,22 +49,14 @@ class ClusterView {
 
   std::size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
-  /// The first row's dimension (0 for an empty view).
+  /// The rows' dimension.
   std::size_t dim() const { return dim_; }
 
-  std::uint64_t count(std::size_t i) const {
-    return objects_ != nullptr ? objects_[i].count() : counts_[i];
-  }
-  double weight(std::size_t i) const {
-    return objects_ != nullptr ? objects_[i].weight() : weights_[i];
-  }
-  std::span<const double> sum(std::size_t i) const {
-    if (objects_ != nullptr) return objects_[i].sum().values();
-    return {sums_ + i * dim_, dim_};
-  }
+  std::uint64_t count(std::size_t i) const { return counts_[i]; }
+  double weight(std::size_t i) const { return weights_[i]; }
+  std::span<const double> sum(std::size_t i) const { return {sums_ + i * dim_, dim_}; }
   /// Empty when the row carries no second moments.
   std::span<const double> sum2(std::size_t i) const {
-    if (objects_ != nullptr) return objects_[i].sum2().values();
     if (sum2s_ == nullptr) return {};
     return {sum2s_ + i * dim_, dim_};
   }
@@ -85,46 +64,7 @@ class ClusterView {
   /// Rows [first, first + count).
   ClusterView subview(std::size_t first, std::size_t count) const;
 
-  /// Row i copied out as a MicroCluster (for callers that keep clusters;
-  /// the epoch reads the accessors above instead).
-  MicroCluster operator[](std::size_t i) const;
-  MicroCluster front() const { return (*this)[0]; }
-
-  /// Every row copied out. Implicit, so a view assigns to the vectors of
-  /// clusters that placement inputs and tests keep.
-  // NOLINTNEXTLINE(google-explicit-constructor)
-  operator std::vector<MicroCluster>() const;
-
-  /// Walks the rows as copied-out MicroClusters.
-  class Iterator {
-   public:
-    using iterator_category = std::input_iterator_tag;
-    using value_type = MicroCluster;
-    using difference_type = std::ptrdiff_t;
-    using pointer = void;
-    using reference = MicroCluster;
-    Iterator(const ClusterView* view, std::size_t i) : view_(view), i_(i) {}
-    MicroCluster operator*() const { return (*view_)[i_]; }
-    Iterator& operator++() {
-      ++i_;
-      return *this;
-    }
-    Iterator operator++(int) {
-      Iterator before = *this;
-      ++i_;
-      return before;
-    }
-    bool operator==(const Iterator& other) const { return i_ == other.i_; }
-
-   private:
-    const ClusterView* view_;
-    std::size_t i_;
-  };
-  Iterator begin() const { return {this, 0}; }
-  Iterator end() const { return {this, size_}; }
-
  private:
-  const MicroCluster* objects_ = nullptr;
   const std::uint64_t* counts_ = nullptr;
   const double* weights_ = nullptr;
   const double* sums_ = nullptr;
@@ -150,7 +90,7 @@ class ClusterBuffer {
 
   /// Appends every row of `clusters` with a positive count, computing each
   /// centroid; a row of count 0 is skipped, as every reader of the epoch
-  /// skips such a MicroCluster. Rows must share one dimension, which the
+  /// skips such a cluster. Rows must share one dimension, which the
   /// first row appended to an empty buffer sets, and are appended before the
   /// hand-off is planned. A row's second moments are kept when it carries
   /// them. `origin` is the node that reported `clusters`: each row appended

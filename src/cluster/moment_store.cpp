@@ -64,14 +64,14 @@ void MomentStore::append_singleton(const double* coords, std::size_t dim, double
   counts_.push_back(1);
   weights_.push_back(weight);
   sums_.push_back_row(coords, dim);
-  // sum2 of a singleton: component squares, the MicroCluster constructor's
-  // coords.component_squares() per-dimension product.
+  // sum2 of a singleton: component squares, the reference object
+  // constructor's coords.component_squares() per-dimension product.
   {
     double* scratch = sum2_scratch(dim);
     for (std::size_t d = 0; d < dim; ++d) scratch[d] = coords[d] * coords[d];
     sum2s_.push_back_row(scratch, dim);
   }
-  // centroid = sum / 1 — the exact division MicroCluster::centroid performs.
+  // centroid = sum / 1 — the exact division the reference centroid performs.
   {
     double* scratch = sum2_scratch(dim);
     for (std::size_t d = 0; d < dim; ++d) scratch[d] = coords[d] / 1.0;
@@ -96,7 +96,7 @@ void MomentStore::append_moments(const ClusterView& clusters, std::size_t i) {
   weights_.push_back(clusters.weight(i));
   sums_.push_back_row(sum.data(), d_n);
   sum2s_.push_back_row(sum2.data(), d_n);
-  // MicroCluster::centroid's sum / count, component by component.
+  // The reference centroid's sum / count, component by component.
   double* scratch = sum2_scratch(d_n);
   const auto n = static_cast<double>(count);
   for (std::size_t d = 0; d < d_n; ++d) scratch[d] = sum[d] / n;
@@ -137,7 +137,7 @@ void MomentStore::scale_all(double factor) {
   const std::size_t d_n = dim();
   std::size_t out = 0;
   for (std::size_t i = 0; i < size(); ++i) {
-    // MicroCluster::scale: round the count, then scale the moments by the
+    // The reference scale: round the count, then scale the moments by the
     // *realized* ratio so centroid and stddev are exactly preserved.
     const auto new_count =
         static_cast<std::uint64_t>(static_cast<double>(counts_[i]) * factor + 0.5);

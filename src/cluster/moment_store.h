@@ -1,7 +1,8 @@
 // Flat structure-of-arrays storage for micro-cluster moments.
 //
 // The scalar summarizer (reference/summarizer_scalar.h) keeps one
-// MicroCluster object per cluster: every absorb allocates two temporary
+// micro-cluster object per cluster (reference/microcluster.h): every absorb
+// allocates two temporary
 // Points (the component squares and the refreshed centroid) and every absorb
 // test recomputes the rms stddev — two sqrt-free passes over the moments —
 // from scratch. At ingest rates of millions of accesses that is the
@@ -17,8 +18,8 @@
 // decay). The absorb test is then one fused kernel — nearest centroid scan
 // plus a cached-radius compare — with no allocation on the hot path.
 //
-// Every update mirrors the exact floating-point operation sequence of
-// MicroCluster (absorb/merge/scale/centroid/rms_stddev), so a summarizer
+// Every update mirrors the exact floating-point operation sequence of that
+// object's absorb, merge, scale, centroid and rms_stddev, so a summarizer
 // built on this store is bit-identical to the scalar reference; the
 // equivalence suites serialize both and compare bytes.
 #pragma once
@@ -30,7 +31,6 @@
 #include <vector>
 
 #include "cluster/cluster_view.h"
-#include "cluster/microcluster.h"
 #include "common/ensure.h"
 #include "common/point_set.h"
 #include "common/point_set_simd.h"
@@ -39,7 +39,8 @@ namespace geored::cluster {
 
 namespace detail {
 
-/// Debug mirror of the MicroCluster moments_consistent check, over raw rows.
+/// Debug mirror of the reference object's moments_consistent check, over
+/// raw rows.
 inline bool moment_row_consistent(std::uint64_t count, double weight, const double* sum,
                                   const double* sum2, std::size_t dim) {
   if (!std::isfinite(weight) || weight < 0.0) return false;
@@ -94,8 +95,8 @@ class MomentStore {
   /// The fused absorb kernel: nearest centroid by squared distance (the
   /// nearest_of scan: strict `<`, first winner), then the paper's
   /// absorb-or-spawn test against the cached radius. On success the access
-  /// is absorbed into the winning row (exact MicroCluster::absorb operation
-  /// order) and true is returned; on failure the store is untouched.
+  /// is absorbed into the winning row (the exact operation order of the
+  /// reference object's absorb) and true is returned; on failure the store is untouched.
   /// Requires a non-empty store and `dim()` components at `coords`.
   ///
   /// Forced inline so the summarizer's per-access loops make one call per
@@ -147,11 +148,11 @@ class MomentStore {
     return centroids_.pairwise_min_distance();
   }
 
-  /// Merges row `b`'s moments into row `a` (exact MicroCluster::merge order)
+  /// Merges row `b`'s moments into row `a` (the reference object's merge order)
   /// and erases row `b`. Requires a != b.
   void merge_rows(std::size_t a, std::size_t b);
 
-  /// MicroCluster::scale(factor) applied to every row in order, dropping
+  /// The reference object's scale(factor) applied to every row in order, dropping
   /// rows whose count rounds to zero — the decay step. Invalidates every
   /// cached radius.
   void scale_all(double factor);
@@ -162,7 +163,7 @@ class MomentStore {
     GEORED_CHECK(i < size(), "radius row out of range");
     double cached = radii_[i];
     if (cached >= 0.0) return cached;
-    // MicroCluster::rms_stddev on the flat row, then the paper's radius
+    // The reference object's rms_stddev on the flat row, then the paper's radius
     // rule. The centroid row already holds sum[d] / n bit for bit — every
     // mutation path ends in refresh_centroid or writes the same division —
     // so the mean is read back instead of re-divided.
@@ -208,7 +209,7 @@ class MomentStore {
   }
 
  private:
-  /// MicroCluster::absorb on the flat rows — the shared tail of both
+  /// The reference object's absorb on the flat rows — the shared tail of both
   /// try_absorb accept paths. One pass per component: sum += c, sum2 +=
   /// c*c, then refresh_centroid's centroid = sum / n into both layouts.
   /// Components are independent, so fusing the passes changes no result,
@@ -239,7 +240,7 @@ class MomentStore {
   }
 
   /// Rewrites centroid row i as sums[i] / count[i] (the exact division
-  /// sequence of MicroCluster::centroid). Every mutation ends here, which
+  /// sequence of the reference object's centroid). Every mutation ends here, which
   /// is what lets radius() read the mean back out of the centroid row.
   void refresh_centroid(std::size_t i) {
     const auto n = static_cast<double>(counts_[i]);

@@ -77,10 +77,6 @@ void MicroClusterSummarizer::spawn_row(const double* coords, std::size_t dim, do
                 "summarizer exceeded its micro-cluster budget after add");
 }
 
-void MicroClusterSummarizer::merge_cluster(const MicroCluster& cluster) {
-  merge_cluster(ClusterView(std::span<const MicroCluster>(&cluster, 1)), 0);
-}
-
 void MicroClusterSummarizer::merge_cluster(const ClusterView& clusters, std::size_t i) {
   const std::uint64_t count = clusters.count(i);
   if (count == 0) return;
@@ -92,6 +88,10 @@ void MicroClusterSummarizer::merge_cluster(const ClusterView& clusters, std::siz
   }
   GEORED_DCHECK(store_.size() <= config_.max_clusters,
                 "summarizer exceeded its micro-cluster budget after merge_cluster");
+}
+
+void MicroClusterSummarizer::merge_cluster(const ClusterView& clusters) {
+  for (std::size_t i = 0; i < clusters.size(); ++i) merge_cluster(clusters, i);
 }
 
 void MicroClusterSummarizer::decay() { store_.scale_all(config_.epoch_decay); }

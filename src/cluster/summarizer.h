@@ -22,7 +22,6 @@
 #include <vector>
 
 #include "cluster/cluster_view.h"
-#include "cluster/microcluster.h"
 #include "cluster/moment_store.h"
 #include "cluster/summary_frame.h"
 #include "common/point.h"
@@ -65,13 +64,13 @@ class MicroClusterSummarizer {
   /// mismatch rejects the whole batch and leaves the summarizer untouched.
   void add_batch(const PointSet& coords, std::span<const double> weights = {});
 
-  /// Inserts a whole micro-cluster (e.g. one inherited from a replica that
-  /// is being retired). The cluster is kept intact; if the budget m is
-  /// exceeded the two closest clusters are merged, as in add(). A cluster
-  /// of count 0 is ignored.
-  void merge_cluster(const MicroCluster& cluster);
-  /// merge_cluster of row i of `clusters`, read in place.
+  /// Inserts row i of `clusters`, a whole micro-cluster read in place (e.g.
+  /// one inherited from a replica that is being retired). The cluster is
+  /// kept intact; if the budget m is exceeded the two closest clusters are
+  /// merged, as in add(). A row of count 0 is ignored.
   void merge_cluster(const ClusterView& clusters, std::size_t i);
+  /// merge_cluster of every row of `clusters`, in order.
+  void merge_cluster(const ClusterView& clusters);
 
   /// The current micro-clusters, read in place from the flat store: no
   /// copy and no allocation. The view is valid until the next mutation.

@@ -6,32 +6,11 @@
 #include <cstdint>
 #include <span>
 #include <string>
-#include <utility>
+#include <vector>
 
 #include "common/ensure.h"
 
 namespace geored::cluster {
-
-namespace detail {
-
-/// The decoders' way into MicroCluster: moments exactly as decoded.
-struct FrameAccess {
-  static MicroCluster make(std::uint64_t count, double weight, std::vector<double> sum,
-                           std::vector<double> sum2) {
-    MicroCluster cluster;
-    cluster.count_ = count;
-    cluster.weight_ = weight;
-    cluster.sum_ = Point(std::move(sum));
-    cluster.sum2_ = Point(std::move(sum2));
-    return cluster;
-  }
-
-  static void set_sum2(MicroCluster& cluster, std::vector<double> sum2) {
-    cluster.sum2_ = Point(std::move(sum2));
-  }
-};
-
-}  // namespace detail
 
 namespace {
 
@@ -115,8 +94,8 @@ std::size_t frame_size(const ClusterView& clusters, Moments moments) noexcept {
   return bytes;
 }
 
-std::vector<MicroCluster> read_frame(ByteReader& reader, Moments moments) {
-  std::vector<MicroCluster> clusters;
+ClusterBuffer read_frame(ByteReader& reader, Moments moments) {
+  ClusterBuffer clusters;
   const std::uint64_t n = reader.read_varint();
   if (n == 0) return clusters;
   const std::uint64_t dim = reader.read_varint();
@@ -136,6 +115,9 @@ std::vector<MicroCluster> read_frame(ByteReader& reader, Moments moments) {
            std::to_string(left) + " bytes remaining");
   }
   clusters.reserve(n);
+  // One cluster's moments, checked before its row is appended.
+  std::vector<double> sum(dim);
+  std::vector<double> sum2(moments == Moments::kBoth ? dim : 0);
   for (std::uint64_t i = 0; i < n; ++i) {
     const std::uint64_t header = reader.read_varint();
     const std::uint64_t count = header >> 1;
@@ -145,17 +127,13 @@ std::vector<MicroCluster> read_frame(ByteReader& reader, Moments moments) {
       weight = reader.read_f64();
       if (weight_is_count(count, weight)) reject("explicit weight equal to the count");
     }
-    std::vector<double> sum(dim);
     reader.read_f64s(sum);
-    std::vector<double> sum2;
-    if (moments == Moments::kBoth) {
-      sum2.resize(dim);
-      reader.read_f64s(sum2);
-    }
+    reader.read_f64s(sum2);
     check_weight(weight);
     check_sums(sum);
     check_second_moments(sum2);
-    clusters.push_back(detail::FrameAccess::make(count, weight, std::move(sum), std::move(sum2)));
+    clusters.append(ClusterView(1, dim, &count, &weight, sum.data(),
+                                sum2.empty() ? nullptr : sum2.data()));
   }
   return clusters;
 }
@@ -170,7 +148,7 @@ std::size_t serialized_size(ClusterView clusters) noexcept {
   return frame_size(clusters, Moments::kBoth);
 }
 
-std::vector<MicroCluster> read_clusters(ByteReader& reader) {
+ClusterBuffer read_clusters(ByteReader& reader) {
   return read_frame(reader, Moments::kBoth);
 }
 
@@ -182,7 +160,7 @@ std::size_t centroid_frame_size(ClusterView clusters) noexcept {
   return frame_size(clusters, Moments::kSumOnly);
 }
 
-std::vector<MicroCluster> read_centroid_frame(ByteReader& reader) {
+ClusterBuffer read_centroid_frame(ByteReader& reader) {
   return read_frame(reader, Moments::kSumOnly);
 }
 
@@ -211,19 +189,17 @@ std::size_t moment_frame_size(ClusterView clusters) noexcept {
   return departing_moment_frame_size(clusters.size(), clusters.dim());
 }
 
-void read_moment_frame(ByteReader& reader, std::span<MicroCluster> clusters) {
+void read_moment_frame(ByteReader& reader, ClusterBuffer& clusters) {
   if (clusters.empty()) {
     const std::uint64_t n = reader.read_varint();
     if (n != 0) reject("moment frame of " + std::to_string(n) + " clusters completes none");
     return;
   }
-  const std::vector<double> sum2 = read_departing_moment_frame(
-      reader, every_cluster(clusters.size()), clusters.front().sum().dim());
-  const std::size_t dim = clusters.front().sum().dim();
+  const std::size_t dim = clusters.dim();
+  const std::vector<double> sum2 =
+      read_departing_moment_frame(reader, every_cluster(clusters.size()), dim);
   for (std::size_t i = 0; i < clusters.size(); ++i) {
-    const auto first = sum2.begin() + static_cast<std::ptrdiff_t>(i * dim);
-    detail::FrameAccess::set_sum2(
-        clusters[i], std::vector<double>(first, first + static_cast<std::ptrdiff_t>(dim)));
+    clusters.set_moments(i, std::span<const double>(sum2).subspan(i * dim, dim));
   }
 }
 
@@ -304,7 +280,7 @@ std::vector<double> read_departing_moment_frame(  // lint: no-ensure (rejects, t
   return sum2;
 }
 
-std::vector<MicroCluster> read_fixed_width_clusters(ByteReader& reader) {
+ClusterBuffer read_fixed_width_clusters(ByteReader& reader, std::size_t dim) {
   const std::uint32_t n = reader.read_u32();
   // A cluster took at least 24 bytes: count, weight and two empty vectors.
   constexpr std::size_t kMinClusterBytes = 2 * sizeof(std::uint64_t) + 2 * sizeof(std::uint32_t);
@@ -312,19 +288,25 @@ std::vector<MicroCluster> read_fixed_width_clusters(ByteReader& reader) {
     reject("cluster count " + std::to_string(n) + " cannot fit in the " +
            std::to_string(reader.remaining()) + " bytes remaining");
   }
-  std::vector<MicroCluster> clusters;
+  ClusterBuffer clusters;
   clusters.reserve(n);
+  bool foreign = false;
   for (std::uint32_t i = 0; i < n; ++i) {
     const std::uint64_t count = reader.read_u64();
     const double weight = reader.read_f64();
-    std::vector<double> sum = reader.read_f64_vector();
-    std::vector<double> sum2 = reader.read_f64_vector();
+    const std::vector<double> sum = reader.read_f64_vector();
+    const std::vector<double> sum2 = reader.read_f64_vector();
     if (sum.size() != sum2.size()) reject("moment dimension mismatch");
     check_weight(weight);
     check_sums(sum);
     check_second_moments(sum2);
-    clusters.push_back(detail::FrameAccess::make(count, weight, std::move(sum), std::move(sum2)));
+    // Every cluster is checked against the caller's dimension, count 0
+    // included, once the whole frame has decoded.
+    foreign |= sum.size() != dim;
+    if (foreign) continue;
+    clusters.append(ClusterView(1, dim, &count, &weight, sum.data(), sum2.data()));
   }
+  GEORED_ENSURE(!foreign, "checkpoint summaries must have the candidates' dimension");
   return clusters;
 }
 

@@ -51,7 +51,8 @@
 // elided (90 with it), 42 in the centroid frame and 40 in a moment frame.
 //
 // The writers and sizes read a ClusterView (cluster/cluster_view.h): a
-// summarizer's rows in place, a ClusterBuffer, or a vector of clusters.
+// summarizer's rows in place, or a ClusterBuffer's. The decoders return a
+// ClusterBuffer, and read_moment_frame completes one.
 #pragma once
 
 #include <cstddef>
@@ -60,7 +61,6 @@
 #include <vector>
 
 #include "cluster/cluster_view.h"
-#include "cluster/microcluster.h"
 #include "common/serialize.h"
 
 namespace geored::cluster {
@@ -82,8 +82,9 @@ std::size_t serialized_size(ClusterView clusters) noexcept;
 /// to the count, which the encoder would have elided; a weight that is not
 /// finite or is negative; a moment that is not finite; and a negative second
 /// moment all throw geored::WireFormatError before anything is sized from
-/// them. Every frame it accepts re-encodes to the same bytes.
-std::vector<MicroCluster> read_clusters(ByteReader& reader);
+/// them. Every frame it accepts re-encodes to the same bytes: its rows, in
+/// frame order, each with its second moments.
+ClusterBuffer read_clusters(ByteReader& reader);
 
 /// Appends the centroid frame of `clusters` (phase 1): the full frame
 /// without the second moments. Throws std::invalid_argument, writing
@@ -95,11 +96,10 @@ void write_centroid_frame(ByteWriter& writer, ClusterView clusters);
 std::size_t centroid_frame_size(ClusterView clusters) noexcept;
 
 /// Decodes one centroid frame, with read_clusters' checks at 1 + 8·d bytes
-/// per cluster. The clusters carry count, weight and sum; their sum2 is
-/// empty (dimension 0) until read_moment_frame completes them, so only what
-/// propose and gate read is meaningful. Every frame it accepts re-encodes to
-/// the same bytes.
-std::vector<MicroCluster> read_centroid_frame(ByteReader& reader);
+/// per cluster. The rows carry count, weight and sum, what propose and gate
+/// read, and no second moments until read_moment_frame completes them.
+/// Every frame it accepts re-encodes to the same bytes.
+ClusterBuffer read_centroid_frame(ByteReader& reader);
 
 /// Appends the moment frame of `clusters` (phase 2): the second moments
 /// their centroid frame left out. Throws std::invalid_argument, writing
@@ -111,14 +111,14 @@ void write_moment_frame(ByteWriter& writer, ClusterView clusters);
 /// count and dimension. Allocates nothing.
 std::size_t moment_frame_size(ClusterView clusters) noexcept;
 
-/// Decodes the moment frame that completes `clusters`, the clusters decoded
+/// Decodes the moment frame that completes `clusters`, the rows decoded
 /// from its centroid frame, and sets their second moments. Throws
-/// geored::WireFormatError, changing no cluster, on truncated input, a
-/// malformed varint, an n or d that differs from the clusters', an n·d the
+/// geored::WireFormatError, changing no row, on truncated input, a
+/// malformed varint, an n or d that differs from the rows', an n·d the
 /// bytes left cannot hold (checked before anything is sized), and a second
 /// moment that is negative or not finite. Every frame it accepts
 /// re-encodes to the same bytes.
-void read_moment_frame(ByteReader& reader, std::span<MicroCluster> clusters);
+void read_moment_frame(ByteReader& reader, ClusterBuffer& clusters);
 
 /// Which clusters of a source's centroid frame leave the source in an
 /// adopting epoch's hand-off: the departure mask of the frame format above.
@@ -178,7 +178,12 @@ std::vector<double> read_departing_moment_frame(ByteReader& reader, const Depart
 /// Decodes the fixed-width layout that checkpoint versions 1 and 2 stored
 /// per replica (u32 cluster count; per cluster a u64 count, an f64 weight,
 /// and sum and sum2 each as a u32 length and its doubles), with the checks
-/// it always had. Kept for those checkpoints alone: nothing writes it.
-std::vector<MicroCluster> read_fixed_width_clusters(ByteReader& reader);
+/// it always had; they throw geored::WireFormatError. A layout of several
+/// dimensions can hold a cluster of count 0, which no row keeps, so every
+/// cluster's dimension is checked against `dim`, the checkpoint's, once the
+/// whole layout has decoded: another one throws std::invalid_argument. The
+/// clusters of positive count become the rows, in order. Kept for those
+/// checkpoints alone: nothing writes it.
+ClusterBuffer read_fixed_width_clusters(ByteReader& reader, std::size_t dim);
 
 }  // namespace geored::cluster

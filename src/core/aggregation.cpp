@@ -143,42 +143,42 @@ AggregationResult run_aggregation(sim::Simulator& simulator, sim::Network& netwo
   }
   GEORED_CHECK(*pending_root > 0, "no aggregator has any source");
 
-  auto merged = std::make_shared<std::vector<cluster::MicroCluster>>();
+  auto merged = std::make_shared<cluster::ClusterBuffer>();
   auto forwarded = std::make_shared<std::vector<SentSummary>>();
   auto root_bytes = std::make_shared<std::uint64_t>(0);
   auto completion = std::make_shared<double>(0.0);
 
   // Second hop: an aggregator finished -> forward the centroid frame of its
-  // bounded merge.
+  // bounded merge, kept as the frame it sent.
   const auto forward_to_root = [&simulator, &network, states, pending_root, merged, forwarded,
                                 root_bytes, completion, root](topo::NodeId aggregator) {
-    auto& state = states->at(aggregator);
-    const std::vector<cluster::MicroCluster> clusters = state.merger.clusters();
-    forwarded->push_back({aggregator, clusters});
+    const cluster::ClusterView clusters = states->at(aggregator).merger.clusters();
+    forwarded->push_back({aggregator, cluster::ClusterBuffer(clusters)});
+    const std::size_t sent = forwarded->size() - 1;
     const std::size_t bytes = cluster::centroid_frame_size(clusters);
     *root_bytes += bytes;
     network.send(aggregator, root, bytes, sim::TrafficClass::kSummary,
-                 [states, pending_root, merged, completion, clusters, &simulator] {
-                   for (const auto& micro : clusters) merged->push_back(micro);
+                 [pending_root, merged, forwarded, sent, completion, &simulator] {
+                   merged->append((*forwarded)[sent].clusters.view());
                    if (--*pending_root == 0) *completion = simulator.now();
                  });
   };
 
-  // First hop: every source ships its full frame to its aggregator.
+  // First hop: every source ships its full frame to its aggregator, which
+  // merges the source's rows in place on delivery.
   for (const auto& source : sources) {
     const topo::NodeId aggregator = plan.parent.at(source.node);
     const std::size_t bytes = cluster::serialized_size(source.clusters);
-    const std::vector<cluster::MicroCluster> clusters = source.clusters;
     network.send(source.node, aggregator, bytes, sim::TrafficClass::kSummary,
-                 [states, aggregator, clusters, forward_to_root] {
+                 [states, aggregator, clusters = source.clusters, forward_to_root] {
                    auto& state = states->at(aggregator);
-                   for (const auto& micro : clusters) state.merger.merge_cluster(micro);
+                   state.merger.merge_cluster(clusters);
                    if (--state.pending == 0) forward_to_root(aggregator);
                  });
   }
 
   simulator.run();
-  result.merged = *merged;
+  result.merged = std::move(*merged);
   result.forwarded = std::move(*forwarded);
   result.bytes_into_root = *root_bytes;
   result.bytes_total =
@@ -195,24 +195,23 @@ AggregationResult run_flat_collection(sim::Simulator& simulator, sim::Network& n
   AggregationResult result;
   const std::uint64_t base_summary_bytes =
       network.stats().bytes[static_cast<std::size_t>(sim::TrafficClass::kSummary)];
-  auto merged = std::make_shared<std::vector<cluster::MicroCluster>>();
+  auto merged = std::make_shared<cluster::ClusterBuffer>();
   auto pending = std::make_shared<std::size_t>(sources.size());
   auto completion = std::make_shared<double>(0.0);
   std::uint64_t root_bytes = 0;
   for (const auto& source : sources) {
     const std::size_t bytes = cluster::centroid_frame_size(source.clusters);
     root_bytes += bytes;
-    const std::vector<cluster::MicroCluster> clusters = source.clusters;
     network.send(source.node, root, bytes, sim::TrafficClass::kSummary,
-                 [merged, pending, completion, clusters, &simulator] {
-                   for (const auto& micro : clusters) merged->push_back(micro);
+                 [merged, pending, completion, clusters = source.clusters, &simulator] {
+                   merged->append(clusters);
                    if (--*pending == 0) *completion = simulator.now();
                  });
   }
   simulator.run();
-  result.merged = *merged;
+  result.merged = std::move(*merged);
   for (const auto& source : sources) {
-    result.forwarded.push_back({source.node, source.clusters});
+    result.forwarded.push_back({source.node, cluster::ClusterBuffer(source.clusters)});
   }
   result.bytes_into_root = root_bytes;
   result.bytes_total =
@@ -228,7 +227,7 @@ std::uint64_t run_moment_upload(sim::Simulator& simulator, sim::Network& network
   GEORED_ENSURE(!forwarded.empty(), "phase 2 completes the frames a collection forwarded");
   std::uint64_t bytes = 0;
   for (const auto& sender : forwarded) {
-    const std::size_t size = cluster::moment_frame_size(sender.clusters);
+    const std::size_t size = cluster::moment_frame_size(sender.clusters.view());
     bytes += size;
     network.send(sender.node, root, size, sim::TrafficClass::kSummary, [] {});
   }

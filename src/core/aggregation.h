@@ -17,6 +17,10 @@
 // run_moment_upload); see cluster/summary_frame.h. A merged cluster has no
 // single origin, so in an adopting epoch's hand-off every one departs: the
 // moment frames ship whole, whatever the plan.
+//
+// Every hop reads and keeps clusters as flat rows (cluster/cluster_view.h):
+// an aggregator merges a source's rows in place from its view, and what it
+// forwards, like the root's merge, is a ClusterBuffer.
 #pragma once
 
 #include <cstdint>
@@ -54,10 +58,12 @@ struct SummarySource {
   cluster::ClusterView clusters;
 };
 
-/// A summary frame a node sent, with the clusters it carried.
+/// A summary frame a node sent, with the clusters it carried (second
+/// moments included: phase 2 sizes their moment frame, and the root keeps
+/// them).
 struct SentSummary {
   topo::NodeId node = 0;
-  std::vector<cluster::MicroCluster> clusters;
+  cluster::ClusterBuffer clusters;
 };
 
 /// Chooses aggregators among the candidates (weighted k-means over the
@@ -68,8 +74,9 @@ AggregationPlan plan_aggregation(const std::vector<place::CandidateInfo>& candid
                                  const AggregationConfig& config, std::uint64_t seed);
 
 struct AggregationResult {
-  /// The root's merged view of every source's population.
-  std::vector<cluster::MicroCluster> merged;
+  /// The root's merged view of every source's population: the forwarded
+  /// clusters in the order they arrived, with their second moments.
+  cluster::ClusterBuffer merged;
   /// Every centroid frame the root received, as its sender and clusters, in
   /// the order they were sent: what phase 2 completes.
   std::vector<SentSummary> forwarded;

@@ -32,23 +32,6 @@ std::size_t source_of(const std::vector<SummarySource>& sources, std::uint32_t o
   return s;
 }
 
-/// The sources' clusters grouped by node, in node order: each replica's
-/// message in the decentralized exchange.
-std::map<topo::NodeId, std::vector<cluster::MicroCluster>>  // lint: alloc-ok
-group_by_node(const std::vector<SummarySource>& sources) {
-  // Once-per-epoch summary regrouping (~max_clusters x replicas entries),
-  // not a per-access path.
-  std::map<topo::NodeId, std::vector<cluster::MicroCluster>>  // lint: alloc-ok
-      replica_summaries;
-  for (const auto& source : sources) {
-    auto& clusters = replica_summaries[source.node];
-    for (std::size_t i = 0; i < source.clusters.size(); ++i) {
-      clusters.push_back(source.clusters[i]);
-    }
-  }
-  return replica_summaries;
-}
-
 }  // namespace
 
 CollectedSummaries DirectCollector::collect(const std::vector<SummarySource>& sources,
@@ -110,7 +93,7 @@ CollectedSummaries HierarchicalCollector::collect(const std::vector<SummarySourc
   AggregationResult result = run_aggregation(simulator_, network_, plan, sources, root_, config_);
   forwarded_ = std::move(result.forwarded);
   CollectedSummaries collected;
-  collected.summaries.append(result.merged);
+  collected.summaries = std::move(result.merged);
   collected.summary_bytes = static_cast<std::size_t>(result.bytes_into_root);
   return collected;
 }
@@ -136,18 +119,15 @@ DecentralizedCollector::DecentralizedCollector(
 CollectedSummaries DecentralizedCollector::collect(const std::vector<SummarySource>& sources,
                                                    const CollectionContext& context) {
   GEORED_ENSURE(!sources.empty(), "decentralized collection needs at least one source");
-  const auto replica_summaries = group_by_node(sources);
-  const DecentralizedEpochResult result =
-      run_decentralized_epoch(simulator_, network_, context.candidates, replica_summaries,
-                              context.k, context.epoch_seed, *strategy_);
+  DecentralizedEpochResult result =
+      run_decentralized_epoch(simulator_, network_, context.candidates, sources, context.k,
+                              context.epoch_seed, *strategy_);
   GEORED_CHECK(result.agreement,
                "deterministic replicas diverged on identical summaries and seed");
   CollectedSummaries collected;
-  // Flatten in source-id order — the exact input every replica decided on.
-  // The in-process rows keep the moments the phase-2 exchange accounts for.
-  for (const auto& [source, clusters] : replica_summaries) {
-    collected.summaries.append(clusters, source);
-  }
+  // The exact input every replica decided on, in source-id order. The
+  // in-process rows keep the moments the phase-2 exchange accounts for.
+  collected.summaries = std::move(result.summaries);
   collected.summary_bytes = static_cast<std::size_t>(result.summary_bytes);
   collected.agreed_proposal = result.proposal;
   return collected;

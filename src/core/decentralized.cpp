@@ -1,92 +1,108 @@
 #include "core/decentralized.h"
 
+#include <algorithm>
 #include <map>
 #include <memory>
+#include <numeric>
 #include <utility>
 
-#include "cluster/summarizer.h"
+#include "cluster/summary_frame.h"
 #include "common/ensure.h"
 
 namespace geored::core {
 
+namespace {
+
+/// One replica of the exchange: its node and its rows in the flat input.
+struct Replica {
+  topo::NodeId node = 0;
+  std::size_t first = 0;
+  std::size_t rows = 0;
+};
+
+/// What the delivery callbacks record: the frames delivered, and when the
+/// last one arrived.
+struct Deliveries {
+  sim::Simulator* simulator = nullptr;
+  std::size_t frames = 0;
+  double last_ms = 0.0;
+};
+
+}  // namespace
+
 DecentralizedEpochResult run_decentralized_epoch(
     sim::Simulator& simulator, sim::Network& network,
     const std::vector<place::CandidateInfo>& candidates,
-    const std::map<topo::NodeId, std::vector<cluster::MicroCluster>>& replica_summaries,
-    std::size_t k, std::uint64_t epoch_seed, const place::PlacementStrategy& strategy) {
+    const std::vector<SummarySource>& sources, std::size_t k, std::uint64_t epoch_seed,
+    const place::PlacementStrategy& strategy) {
   GEORED_ENSURE(!candidates.empty(), "decentralized epoch needs candidates");
-  GEORED_ENSURE(!replica_summaries.empty(), "decentralized epoch needs replicas");
+  GEORED_ENSURE(!sources.empty(), "decentralized epoch needs replicas");
 
   const std::uint64_t base_summary_bytes =
       network.stats().bytes[static_cast<std::size_t>(sim::TrafficClass::kSummary)];
 
-  // Per-replica inbox: source id -> clusters. Each replica starts with its
-  // own summary and waits for the k-1 others.
-  struct ReplicaState {
-    std::map<topo::NodeId, std::vector<cluster::MicroCluster>> inbox;
-    place::Placement decision;
-    bool decided = false;
-  };
-  auto states = std::make_shared<std::map<topo::NodeId, ReplicaState>>();
-  for (const auto& [node, clusters] : replica_summaries) {
-    (*states)[node].inbox.emplace(node, clusters);
+  // The input every replica assembles from the frames it receives, built
+  // once: the clusters in source-id order, the sources of one node in the
+  // order given.
+  std::vector<std::size_t> order(sources.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::stable_sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+    return sources[a].node < sources[b].node;
+  });
+  place::PlacementInput input;
+  input.candidates = candidates;
+  input.k = k;
+  input.seed = epoch_seed;
+  std::size_t rows = 0;
+  for (const auto& source : sources) rows += source.clusters.size();
+  input.summaries.reserve(rows);
+  std::vector<Replica> replicas;
+  for (const std::size_t s : order) {
+    const SummarySource& source = sources[s];
+    if (replicas.empty() || replicas.back().node != source.node) {
+      Replica& replica = replicas.emplace_back();
+      replica.node = source.node;
+      replica.first = input.summaries.size();
+    }
+    input.summaries.append(source.clusters, source.node);
+    replicas.back().rows = input.summaries.size() - replicas.back().first;
   }
 
-  auto pending = std::make_shared<std::size_t>(replica_summaries.size());
-  auto completion = std::make_shared<double>(0.0);
-  const std::size_t expected = replica_summaries.size();
-
-  const auto decide = [candidates, k, epoch_seed, &strategy, &simulator, pending,
-                       completion](ReplicaState& state) {
-    // Deterministic flatten: summaries in source-id order (std::map order).
-    place::PlacementInput input;
-    input.candidates = candidates;
-    input.k = k;
-    input.seed = epoch_seed;
-    for (const auto& [source, clusters] : state.inbox) {
-      for (const auto& micro : clusters) input.summaries.push_back(micro);
+  // Broadcast every replica's centroid frame to its peers. The last frame
+  // to arrive completes the last replica's input; a lone replica decides at
+  // once.
+  const auto deliveries = std::make_shared<Deliveries>();
+  deliveries->simulator = &simulator;
+  deliveries->last_ms = simulator.now();
+  const cluster::ClusterView flat = input.summaries.view();
+  for (const Replica& from : replicas) {
+    const std::size_t bytes =
+        cluster::centroid_frame_size(flat.subview(from.first, from.rows));
+    for (const Replica& to : replicas) {
+      if (to.node == from.node) continue;
+      network.send(from.node, to.node, bytes, sim::TrafficClass::kSummary, [deliveries] {
+        ++deliveries->frames;
+        deliveries->last_ms = deliveries->simulator->now();
+      });
     }
-    state.decision = strategy.place(input);
-    state.decided = true;
-    if (--*pending == 0) *completion = simulator.now();
-  };
-
-  // Broadcast every replica's centroid frame to its peers.
-  for (const auto& [from, clusters] : replica_summaries) {
-    const std::size_t bytes = cluster::centroid_frame_size(clusters);
-    for (const auto& [to, unused] : replica_summaries) {
-      if (to == from) continue;
-      const auto payload = clusters;
-      const topo::NodeId sender = from;
-      network.send(sender, to, bytes, sim::TrafficClass::kSummary,
-                   [states, to, sender, payload, expected, decide] {
-                     auto& state = states->at(to);
-                     state.inbox.emplace(sender, payload);
-                     if (state.inbox.size() == expected && !state.decided) {
-                       decide(state);
-                     }
-                   });
-    }
-  }
-  // Single-replica degenerate case: it decides alone, immediately.
-  if (expected == 1) {
-    decide(states->begin()->second);
   }
 
   simulator.run();
+  GEORED_CHECK(deliveries->frames == replicas.size() * (replicas.size() - 1),
+               "a replica never received all summaries");
 
   DecentralizedEpochResult result;
   result.summary_bytes =
       network.stats().bytes[static_cast<std::size_t>(sim::TrafficClass::kSummary)] -
       base_summary_bytes;
-  result.completion_ms = *completion;
+  result.completion_ms = deliveries->last_ms;
   result.agreement = true;
-  for (const auto& [node, state] : *states) {
-    GEORED_CHECK(state.decided, "a replica never received all summaries");
-    result.per_replica.push_back(state.decision);
-    if (state.decision != states->begin()->second.decision) result.agreement = false;
+  for (std::size_t r = 0; r < replicas.size(); ++r) {
+    result.per_replica.push_back(strategy.place(input));
+    if (result.per_replica.back() != result.per_replica.front()) result.agreement = false;
   }
-  result.proposal = states->begin()->second.decision;
+  result.proposal = result.per_replica.front();
+  result.summaries = std::move(input.summaries);
   return result;
 }
 

@@ -10,14 +10,17 @@
 // instead of k, still O(k^2 * m) bytes total — negligible for the paper's
 // k <= 7. An adopting epoch then sends each departing cluster's second
 // moments once, to its destination.
+//
+// The sources are read in place (SummarySource views), and the input every
+// replica assembles is built once, as one flat buffer (cluster::
+// ClusterBuffer): the frames carry no copies of the clusters.
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <vector>
 
 #include "cluster/cluster_view.h"
-#include "cluster/microcluster.h"
+#include "core/aggregation.h"
 #include "placement/strategy.h"
 #include "sim/network.h"
 #include "sim/simulator.h"
@@ -32,19 +35,29 @@ struct DecentralizedEpochResult {
   bool agreement = false;
   std::uint64_t summary_bytes = 0;  ///< total centroid-frame traffic exchanged
   double completion_ms = 0.0;       ///< when the last replica decided
+  /// The input every replica decided on: the sources' clusters in source-id
+  /// order (the sources of one node in the order given), each row with the
+  /// node that reported it, its index in that source's clusters, and its
+  /// second moments when the source carries them.
+  cluster::ClusterBuffer summaries;
 };
 
-/// Runs one decentralized epoch over the simulated network.
-/// `replica_summaries` maps each current replica holder to its
-/// micro-clusters; `strategy` is the shared per-replica decision rule
-/// (identical inputs + a deterministic strategy is what makes agreement
-/// work, so the strategy must honor the PlacementStrategy determinism
-/// contract). Deterministic in `epoch_seed`.
+/// Runs one decentralized epoch over the simulated network. `sources` are
+/// the current replica holders and their micro-clusters, read in place; the
+/// sources of one node make one replica, whose centroid frame holds all of
+/// their clusters. Every replica sends its frame to every other one, and
+/// decides once the k-1 others have arrived. A decision takes no simulated
+/// time, so the replicas decide after the exchange has run, each on the same
+/// flat input, and the epoch completes when the last frame arrives.
+/// `strategy` is the shared per-replica decision rule (identical inputs + a
+/// deterministic strategy is what makes agreement work, so the strategy
+/// must honor the PlacementStrategy determinism contract). Deterministic in
+/// `epoch_seed`.
 DecentralizedEpochResult run_decentralized_epoch(
     sim::Simulator& simulator, sim::Network& network,
     const std::vector<place::CandidateInfo>& candidates,
-    const std::map<topo::NodeId, std::vector<cluster::MicroCluster>>& replica_summaries,
-    std::size_t k, std::uint64_t epoch_seed, const place::PlacementStrategy& strategy);
+    const std::vector<SummarySource>& sources, std::size_t k, std::uint64_t epoch_seed,
+    const place::PlacementStrategy& strategy);
 
 /// Phase 2 of a decentralized epoch that adopts. Every replica derives the
 /// hand-off plan of `planned` (core::plan_handoff) from the agreed proposal,

@@ -1,13 +1,13 @@
 #include "core/evaluation.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
+#include <functional>
 #include <limits>
-#include <thread>
 
 #include "common/ensure.h"
 #include "common/random.h"
+#include "common/thread_pool.h"
 #include "core/collector.h"
 #include "placement/evaluate.h"
 #include "sim/network.h"
@@ -137,8 +137,7 @@ std::vector<double> run_once(const Environment& env, const ExperimentConfig& con
   const auto access_stream = wl::interleave_access_stream(access_counts, rng);
   const auto batches = wl::batch_by_server(access_stream, closest_initial, client_points,
                                            initial_placement.size());
-  // Sequential per-replica ingest: run_experiment already parallelizes
-  // across runs with raw threads, so nesting pool work here is off-limits.
+  // Sequential per-replica ingest: run_experiment parallelizes across runs.
   for (std::size_t r = 0; r < batches.size(); ++r) {
     summarizers[r].add_batch(batches[r].coords, batches[r].weights);
   }
@@ -152,9 +151,9 @@ std::vector<double> run_once(const Environment& env, const ExperimentConfig& con
   for (std::size_t r = 0; r < initial_placement.size(); ++r) {
     sources.push_back({initial_placement[r], summarizers[r].clusters()});
   }
-  std::vector<cluster::MicroCluster> summaries;
+  cluster::ClusterBuffer summaries;
   if (config.collector == "direct") {
-    summaries = DirectCollector().collect(sources, {candidates, k, seed}).summaries.view();
+    summaries = DirectCollector().collect(sources, {candidates, k, seed}).summaries;
   } else if (config.collector == "rpc") {
     // Real sockets, no simulator. Each run stands up its own ephemeral-port
     // server, so concurrent runs do not collide. Sources that exhaust their
@@ -164,7 +163,7 @@ std::vector<double> run_once(const Environment& env, const ExperimentConfig& con
     collector_config.rpc = config.rpc;
     summaries = make_collector("rpc", collector_config)
                     ->collect(sources, {candidates, k, seed})
-                    .summaries.view();
+                    .summaries;
   } else {
     sim::Simulator simulator;
     sim::Network network(simulator, topology);
@@ -174,27 +173,27 @@ std::vector<double> run_once(const Environment& env, const ExperimentConfig& con
     collector_config.aggregation_root = initial_placement.front();
     summaries = make_collector(config.collector, collector_config)
                     ->collect(sources, {candidates, k, seed})
-                    .summaries.view();
+                    .summaries;
   }
 
   // 4. Every strategy proposes from the information it may see; proposals
-  //    are scored with the ground truth.
+  //    are scored with the ground truth. Only the seed differs between them.
+  place::PlacementInput input;
+  input.candidates = std::move(candidates);
+  input.k = k;
+  input.clients = std::move(clients);
+  input.summaries = std::move(summaries);
+  input.topology = &topology;
+  input.quorum = config.quorum;
   std::vector<double> delays;
   delays.reserve(config.strategies.size());
   for (std::size_t s = 0; s < config.strategies.size(); ++s) {
-    place::PlacementInput input;
-    input.candidates = candidates;
-    input.k = k;
-    input.clients = clients;
-    input.summaries = summaries;
-    input.topology = &topology;
-    input.quorum = config.quorum;
     input.seed = seed ^ (0xc2b2ae3d27d4eb4fULL * (s + 1));
 
     const auto strategy = place::make_strategy(config.strategies[s]);
     const auto placement = strategy->place(input);
     place::validate_placement(placement, input);
-    delays.push_back(place::true_average_delay(topology, placement, clients,
+    delays.push_back(place::true_average_delay(topology, placement, input.clients,
                                                std::min(config.quorum, placement.size())));
   }
   return delays;
@@ -218,45 +217,16 @@ ExperimentResult run_experiment(const Environment& env, const ExperimentConfig& 
     result.outcomes[s].kind = config.strategies[s];
     result.outcomes[s].name = place::strategy_name(config.strategies[s]);
   }
-  // Per-run results land in a fixed slot, so any thread count produces the
-  // identical outcome.
-  //
-  // Concurrency contract of the fan-out below: this is the library's one
-  // sanctioned raw-std::thread site outside the pool and the RPC server.
-  // Workers share only the atomic run counter and the slot-disjoint per_run
-  // vector, so no capability (common/sync.h) is needed — there is no guarded
-  // state. run_once itself allocates all scratch (summarizers, simulators,
-  // per-run RPC servers) per call, never reusing it across runs, which is
-  // what makes the slots independent. Workers may still reach parallel_for
-  // (e.g. the rpc collector's fetch fan-out); the global pool serializes
-  // whole tasks, so concurrent run_chunks from two workers is rejected by
-  // the pool's busy check rather than silently interleaved — callers that
-  // combine threads > 1 with a pool-using collector must set
-  // GEORED_THREADS=1 (the pool then runs inline on each worker).
+  // The runs fan out over the pool. Each lands in its own slot, and pool
+  // work inside a run (k-means, the rpc collector's fetches) runs inline, so
+  // any thread count produces the identical outcome.
   std::vector<std::vector<double>> per_run(config.runs);
-  std::size_t threads = config.threads == 0
-                            ? std::max(1u, std::thread::hardware_concurrency())
-                            : config.threads;
-  threads = std::min(threads, config.runs);
-  if (threads <= 1) {
-    for (std::size_t r = 0; r < config.runs; ++r) {
+  const auto run = [&](std::size_t begin, std::size_t end) {
+    for (std::size_t r = begin; r < end; ++r) {
       per_run[r] = run_once(env, config, config.base_seed + r);
     }
-  } else {
-    std::atomic<std::size_t> next_run{0};
-    std::vector<std::thread> workers;
-    workers.reserve(threads);
-    for (std::size_t t = 0; t < threads; ++t) {
-      workers.emplace_back([&] {
-        while (true) {
-          const std::size_t r = next_run.fetch_add(1);
-          if (r >= config.runs) break;
-          per_run[r] = run_once(env, config, config.base_seed + r);
-        }
-      });
-    }
-    for (auto& worker : workers) worker.join();
-  }
+  };
+  parallel_for(config.runs, std::ref(run));
   for (std::size_t r = 0; r < config.runs; ++r) {
     for (std::size_t s = 0; s < per_run[r].size(); ++s) {
       result.outcomes[s].per_run_delay_ms.push_back(per_run[r][s]);

@@ -34,9 +34,7 @@ std::string coord_system_name(CoordSystem system);
 
 /// Shared, immutable per-experiment state: ground-truth topology plus the
 /// coordinate embedding every node would carry in the running system.
-/// Building one runs the world build on the global thread pool, so build
-/// it before any raw-thread fan-out (as run_experiment does), never from
-/// several raw threads at once.
+/// Building one runs the world build on the global thread pool.
 class Environment {
  public:
   Environment(const topo::PlanetLabModelConfig& topology_config, std::uint64_t topology_seed,
@@ -88,11 +86,6 @@ struct ExperimentConfig {
   /// retry budget). Defaults give a clean wire.
   net::RpcCollectorConfig rpc;
 
-  /// Worker threads running independent runs concurrently. Results are
-  /// bit-identical for any thread count (run r always uses base_seed + r
-  /// and results are collected by run index). 0 = hardware concurrency.
-  std::size_t threads = 1;
-
   std::vector<place::StrategyKind> strategies = {
       place::StrategyKind::kRandom, place::StrategyKind::kOfflineKMeans,
       place::StrategyKind::kOnlineClustering, place::StrategyKind::kOptimal};
@@ -113,7 +106,10 @@ struct ExperimentResult {
   const StrategyOutcome& outcome_of(place::StrategyKind kind) const;
 };
 
-/// Runs the full multi-run experiment. Deterministic in (env, config).
+/// Runs the full multi-run experiment. Deterministic in (env, config): the
+/// runs fan out over the global thread pool (parallel_for), run r always
+/// uses base_seed + r, and its results land in slot r, so every thread
+/// count gives the same bits. Pool work inside a run runs inline.
 ExperimentResult run_experiment(const Environment& env, const ExperimentConfig& config);
 
 /// Convenience overload that builds a default RNP environment internally.

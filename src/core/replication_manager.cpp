@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <span>
 #include <string>
 #include <utility>
 
@@ -41,31 +42,34 @@ void ensure_count_fits(std::uint32_t count, std::size_t min_bytes, const ByteRea
   }
 }
 
-/// A restored micro-cluster must describe a set of points (per dimension
-/// count·sum2 >= sum², the invariant the moment debug checks assert) and
-/// keep what an epoch derives from it finite: its centroid, its variance,
-/// and its squared distance to every candidate. The wire checks already
-/// hold each stored moment finite, but a sum with a flipped exponent bit
-/// puts the centroid so far out that every squared distance overflows, and
-/// the next epoch runs out of candidates to assign.
-void ensure_moments_usable(const cluster::MicroCluster& micro,
+/// A restored micro-cluster, row i of `clusters`, must describe a set of
+/// points (per dimension count·sum2 >= sum², the invariant the moment debug
+/// checks assert) and keep what an epoch derives from it finite: its
+/// centroid, its variance, and its squared distance to every candidate. The
+/// wire checks already hold each stored moment finite, but a sum with a
+/// flipped exponent bit puts the centroid so far out that every squared
+/// distance overflows, and the next epoch runs out of candidates to assign.
+void ensure_moments_usable(const cluster::ClusterBuffer& clusters, std::size_t i,
                            const place::CandidateTable& candidates) {
-  if (micro.count() == 0) return;  // merge_cluster drops it
-  GEORED_ENSURE(cluster::detail::moment_row_consistent(
-                    micro.count(), micro.weight(), micro.sum().values().data(),
-                    micro.sum2().values().data(), micro.sum().dim()),
+  const cluster::ClusterView rows = clusters.view();
+  const std::span<const double> sum = rows.sum(i);
+  const std::span<const double> sum2 = rows.sum2(i);
+  GEORED_ENSURE(cluster::detail::moment_row_consistent(rows.count(i), rows.weight(i),
+                                                       sum.data(), sum2.data(), sum.size()),
                 "corrupt checkpoint: a summary's moments describe no set of points");
-  const Point centroid = micro.centroid();
-  const auto n = static_cast<double>(micro.count());
+  const double* centroid = clusters.centroid(i);
+  const auto n = static_cast<double>(rows.count(i));
   double variance = 0.0;
-  for (std::size_t d = 0; d < centroid.dim(); ++d) {
-    variance += micro.sum2()[d] / n - centroid[d] * centroid[d];
+  for (std::size_t d = 0; d < sum.size(); ++d) {
+    variance += sum2[d] / n - centroid[d] * centroid[d];
   }
-  GEORED_ENSURE(centroid.is_finite() && std::isfinite(variance),
+  GEORED_ENSURE(std::all_of(centroid, centroid + sum.size(),
+                            [](double v) { return std::isfinite(v); }) &&
+                    std::isfinite(variance),
                 "corrupt checkpoint: a summary's centroid or variance is not finite");
   for (std::size_t c = 0; c < candidates.size(); ++c) {
     GEORED_ENSURE(
-        std::isfinite(candidates.coords().distance_squared(c, centroid.values().data())),
+        std::isfinite(candidates.coords().distance_squared(c, centroid)),
         "corrupt checkpoint: a summary's squared distance to a candidate is not finite");
   }
 }
@@ -98,11 +102,7 @@ ReplicationManager::ReplicationManager(std::shared_ptr<const place::CandidateTab
   GEORED_ENSURE(collector_ != nullptr, "the summary collector must be set");
   degree_ = std::clamp(degree_, config_.min_degree, config_.max_degree);
 
-  place::PlacementInput input;
-  input.candidates = candidates_->candidates();
-  input.k = degree_;
-  input.seed = seed_;
-  placement_ = place::RandomPlacement().place(input);
+  placement_ = place::random_placement(candidates_->candidates(), degree_, seed_);
   for (const auto node : placement_) {
     summarizers_.emplace(node, cluster::MicroClusterSummarizer(config_.summarizer));
   }
@@ -338,17 +338,19 @@ ReplicationManager::Checkpoint ReplicationManager::parse_checkpoint(ByteReader& 
   // Summaries and warm centroids of another dimension, and summaries whose
   // moments overflow, would wedge the next epoch, and a non-finite warm
   // centroid would seed its k-means with a non-finite centroid, so they are
-  // rejected here, before anything is committed.
+  // rejected here, before anything is committed. A fixed-width cluster of
+  // count 0 becomes no row, so its decoder checks its dimension.
   for (const auto node : placement) {
-    cluster::MicroClusterSummarizer summarizer(config_.summarizer);
-    const std::vector<cluster::MicroCluster> clusters =
-        version >= 3 ? cluster::read_clusters(reader) : cluster::read_fixed_width_clusters(reader);
-    for (const auto& micro : clusters) {
-      GEORED_ENSURE(micro.sum().dim() == candidates_->dim(),
-                    "checkpoint summaries must have the candidates' dimension");
-      ensure_moments_usable(micro, *candidates_);
-      summarizer.merge_cluster(micro);
+    const cluster::ClusterBuffer clusters =
+        version >= 3 ? cluster::read_clusters(reader)
+                     : cluster::read_fixed_width_clusters(reader, candidates_->dim());
+    GEORED_ENSURE(clusters.empty() || clusters.dim() == candidates_->dim(),
+                  "checkpoint summaries must have the candidates' dimension");
+    for (std::size_t i = 0; i < clusters.size(); ++i) {
+      ensure_moments_usable(clusters, i, *candidates_);
     }
+    cluster::MicroClusterSummarizer summarizer(config_.summarizer);
+    summarizer.merge_cluster(clusters.view());
     checkpoint.summarizers.emplace(node, std::move(summarizer));
   }
   const std::uint32_t centroid_count = reader.read_u32();

@@ -11,8 +11,8 @@
 // this exists for applications and quick experiments.
 #pragma once
 
+#include "cluster/cluster_view.h"
 #include "cluster/kmeans.h"
-#include "cluster/microcluster.h"
 #include "cluster/summarizer.h"
 #include "cluster/summary_frame.h"
 #include "common/flags.h"

@@ -167,7 +167,7 @@ struct FetchResult {
   cluster::DepartureMask mask;
   std::vector<std::uint8_t> payload;
   /// Phase 1: the decoded centroid frame.
-  std::vector<cluster::MicroCluster> clusters;
+  cluster::ClusterBuffer clusters;
   /// Phase 2: the departing clusters' second moments, in cluster order.
   std::vector<double> moments;
   std::size_t requests_sent = 0;
@@ -326,7 +326,7 @@ core::CollectedSummaries RpcCollector::collect(const std::vector<core::SummarySo
       round.served = Served::kFresh;
       round.clusters = result.clusters.size();
       collected.summary_bytes += result.payload.size();
-      collected.summaries.append(result.clusters, sources[i].node);
+      collected.summaries.append(result.clusters.view(), sources[i].node);
       last_good_[sources[i].node] = std::move(result.payload);
       continue;
     }
@@ -336,7 +336,7 @@ core::CollectedSummaries RpcCollector::collect(const std::vector<core::SummarySo
       // parsed when it was cached, so this decode cannot fail. The bytes are
       // not added to summary_bytes — nothing crossed the wire this round.
       ByteReader reader(cached->second);
-      collected.summaries.append(cluster::read_centroid_frame(reader), sources[i].node);
+      collected.summaries.append(cluster::read_centroid_frame(reader).view(), sources[i].node);
       round.served = Served::kStale;
       round.clusters = collected.summaries.size() - round.first;
       collected.stale_sources.push_back(sources[i].node);

@@ -11,7 +11,7 @@ namespace geored::place {
 
 Placement GreedyPlacement::place(const PlacementInput& input) const {
   GEORED_ENSURE(!input.candidates.empty(), "no candidate data centers");
-  if (input.clients.empty()) return RandomPlacement().place(input);
+  if (input.clients.empty()) return random_placement(input.candidates, input.k, input.seed);
   const std::size_t k = std::min(input.k, input.candidates.size());
 
   // Estimated latency of every (candidate, client) pair, computed once into

@@ -11,7 +11,7 @@ Placement OfflineKMeansPlacement::place(const PlacementInput& input) const {
   GEORED_ENSURE(!input.candidates.empty(), "no candidate data centers");
   if (input.clients.empty()) {
     // No usage information at all: degrade to the information-free baseline.
-    return RandomPlacement().place(input);
+    return random_placement(input.candidates, input.k, input.seed);
   }
 
   std::vector<cluster::WeightedPoint> points;

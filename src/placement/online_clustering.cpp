@@ -16,14 +16,9 @@ constexpr detail::KMeansSolvers kSolvers{&cluster::weighted_kmeans_flat,
 }  // namespace
 
 Placement OnlineClusteringPlacement::place(const PlacementInput& input) const {
-  return place_detailed(input).placement;
-}
-
-OnlineClusteringDetails OnlineClusteringPlacement::place_detailed(
-    const PlacementInput& input) const {
-  const cluster::ClusterBuffer summaries(input.summaries);
-  return detail::place_online_with(config_, input.candidates, input.k, summaries, input.seed,
-                                   kSolvers);
+  return detail::place_online_with(config_, input.candidates, input.k, input.summaries,
+                                   input.seed, kSolvers)
+      .placement;
 }
 
 // place_online_with validates the candidates, and the solvers k.

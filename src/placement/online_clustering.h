@@ -55,14 +55,12 @@ class OnlineClusteringPlacement final : public PlacementStrategy {
       : config_(std::move(config)) {}
 
   std::string name() const override { return "online clustering"; }
+  /// Reads input.summaries in place.
   Placement place(const PlacementInput& input) const override;
 
-  /// As place(), also returning the winning macro-cluster centroids.
-  OnlineClusteringDetails place_detailed(const PlacementInput& input) const;
-
-  /// As place_detailed(input), over summaries collected into one flat
-  /// buffer and candidates read by reference: the placement epoch's form.
-  /// Bit-identical to place_detailed on an input holding the same
+  /// As place(), over the given summaries and candidates read by reference,
+  /// also returning the winning macro-cluster centroids: the placement
+  /// epoch's form. Bit-identical to place() on an input holding the same
   /// candidates, k, summaries and seed.
   OnlineClusteringDetails place_detailed(const std::vector<CandidateInfo>& candidates,
                                          std::size_t k,

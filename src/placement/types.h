@@ -4,7 +4,8 @@
 // at decision time. Different strategies consume different fields — that
 // asymmetry is the point of the paper's comparison:
 //   random            : candidates only
-//   online clustering : micro-cluster summaries + candidate coordinates
+//   online clustering : micro-cluster summaries, as flat rows
+//                       (cluster/cluster_view.h), + candidate coordinates
 //   offline k-means   : every client's coordinates + candidate coordinates
 //   greedy / hotzone  : every client's coordinates (related-work baselines)
 //   optimal           : the ground-truth RTT matrix (impractical oracle)
@@ -14,7 +15,7 @@
 #include <limits>
 #include <vector>
 
-#include "cluster/microcluster.h"
+#include "cluster/cluster_view.h"
 #include "common/point.h"
 #include "topology/topology.h"
 
@@ -52,8 +53,10 @@ struct PlacementInput {
   /// Full per-client records (offline strategies).
   std::vector<ClientRecord> clients;
 
-  /// Micro-cluster summaries collected from replica servers (online strategy).
-  std::vector<cluster::MicroCluster> summaries;
+  /// Micro-cluster summaries collected from replica servers (online
+  /// strategy), as the flat rows a collector builds: the strategy reads
+  /// each row's count, weight and centroid in place.
+  cluster::ClusterBuffer summaries;
 
   /// Ground truth; only the `optimal` oracle may read it.
   const topo::Topology* topology = nullptr;

@@ -12,12 +12,12 @@
 #include <vector>
 
 #include "cluster/kmeans.h"
-#include "cluster/microcluster.h"
 #include "cluster/summarizer.h"
 #include "common/point.h"
 #include "common/random.h"
 #include "netcoord/rnp.h"
 #include "placement/types.h"
+#include "reference/microcluster.h"
 #include "topology/topology.h"
 
 namespace geored::cluster {

@@ -15,10 +15,10 @@
 #include <cstdint>
 #include <vector>
 
-#include "cluster/microcluster.h"
 #include "cluster/summarizer.h"
 #include "common/point.h"
 #include "common/point_set.h"
+#include "reference/microcluster.h"
 
 namespace geored::cluster {
 

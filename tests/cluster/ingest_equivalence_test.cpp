@@ -35,7 +35,7 @@ std::vector<std::uint8_t> summary_bytes(const MicroClusterSummarizer& summarizer
 
 std::vector<std::uint8_t> summary_bytes(const ScalarMicroClusterSummarizer& summarizer) {
   ByteWriter writer;
-  write_clusters(writer, summarizer.clusters());
+  write_clusters(writer, to_cluster_buffer(summarizer.clusters()).view());
   return writer.bytes();
 }
 
@@ -241,22 +241,22 @@ TEST(IngestEquivalence, DecayGoldenSequence) {
   summarizer.add(Point{0.0}, 3.0);
   summarizer.add(Point{4.0}, 1.0);
   ASSERT_EQ(summarizer.clusters().size(), 1u);
-  EXPECT_EQ(summarizer.clusters()[0].count(), 2u);
-  EXPECT_EQ(summarizer.clusters()[0].sum()[0], 4.0);
-  EXPECT_EQ(summarizer.clusters()[0].sum2()[0], 16.0);
-  EXPECT_EQ(summarizer.clusters()[0].weight(), 4.0);
+  EXPECT_EQ(to_micro_clusters(summarizer.clusters())[0].count(), 2u);
+  EXPECT_EQ(to_micro_clusters(summarizer.clusters())[0].sum()[0], 4.0);
+  EXPECT_EQ(to_micro_clusters(summarizer.clusters())[0].sum2()[0], 16.0);
+  EXPECT_EQ(to_micro_clusters(summarizer.clusters())[0].weight(), 4.0);
   EXPECT_EQ(summarizer.store().radius(0), 5.0);
 
   summarizer.decay();
   ASSERT_EQ(summarizer.clusters().size(), 1u);
-  EXPECT_EQ(summarizer.clusters()[0].count(), 1u);
-  EXPECT_EQ(summarizer.clusters()[0].sum()[0], 2.0);
-  EXPECT_EQ(summarizer.clusters()[0].sum2()[0], 8.0);
-  EXPECT_EQ(summarizer.clusters()[0].weight(), 2.0);
+  EXPECT_EQ(to_micro_clusters(summarizer.clusters())[0].count(), 1u);
+  EXPECT_EQ(to_micro_clusters(summarizer.clusters())[0].sum()[0], 2.0);
+  EXPECT_EQ(to_micro_clusters(summarizer.clusters())[0].sum2()[0], 8.0);
+  EXPECT_EQ(to_micro_clusters(summarizer.clusters())[0].weight(), 2.0);
   EXPECT_FALSE(summarizer.store().radius_cached(0));
   EXPECT_EQ(summarizer.store().radius(0), 5.0);
-  EXPECT_EQ(summarizer.clusters()[0].centroid()[0], 2.0);
-  EXPECT_EQ(summarizer.clusters()[0].rms_stddev(), 2.0);
+  EXPECT_EQ(to_micro_clusters(summarizer.clusters())[0].centroid()[0], 2.0);
+  EXPECT_EQ(to_micro_clusters(summarizer.clusters())[0].rms_stddev(), 2.0);
 }
 
 TEST(IngestEquivalence, RejectsNonFiniteAndNegativeWeights) {

@@ -1,4 +1,4 @@
-#include "cluster/microcluster.h"
+#include "reference/microcluster.h"
 
 #include <gtest/gtest.h>
 
@@ -130,11 +130,11 @@ TEST(MicroCluster, SerializationRoundTrip) {
   }
   // A cluster travels in a summary frame: here a frame of one.
   ByteWriter writer;
-  write_clusters(writer, std::vector{cluster});
-  EXPECT_EQ(writer.size(), serialized_size(std::vector{cluster}));
+  write_clusters(writer, cluster);
+  EXPECT_EQ(writer.size(), serialized_size(cluster));
 
   ByteReader reader(writer.bytes());
-  const std::vector<MicroCluster> restored = read_clusters(reader);
+  const std::vector<MicroCluster> restored = to_micro_clusters(read_clusters(reader).view());
   EXPECT_TRUE(reader.exhausted());
   ASSERT_EQ(restored.size(), 1u);
   EXPECT_EQ(restored[0].count(), cluster.count());
@@ -152,10 +152,10 @@ TEST(MicroCluster, SerializedSizeIsSmall) {
   for (int i = 0; i < 99; ++i) weighted.absorb(Point(5), 2.0);
   MicroCluster unit(Point(5), 1.0);
   for (int i = 0; i < 99; ++i) unit.absorb(Point(5), 1.0);
-  EXPECT_EQ(serialized_size(std::vector{weighted}), 1u + 1u + 2u + 8u + 80u);
-  EXPECT_EQ(serialized_size(std::vector{unit}), 1u + 1u + 2u + 80u);
-  EXPECT_EQ(serialized_size(std::vector{weighted, unit}), 1u + 1u + 90u + 82u);
-  EXPECT_LT(serialized_size(std::vector{weighted}), 100u);
+  EXPECT_EQ(serialized_size(weighted), 1u + 1u + 2u + 8u + 80u);
+  EXPECT_EQ(serialized_size(unit), 1u + 1u + 2u + 80u);
+  EXPECT_EQ(serialized_size(to_cluster_buffer({weighted, unit}).view()), 1u + 1u + 90u + 82u);
+  EXPECT_LT(serialized_size(weighted), 100u);
 }
 
 TEST(MicroCluster, AbsorbRejectsNegativeWeight) {

@@ -19,6 +19,7 @@
 #include "cluster/summarizer.h"
 #include "common/random.h"
 #include "common/serialize.h"
+#include "reference/microcluster.h"
 
 namespace geored::cluster {
 namespace {
@@ -30,43 +31,45 @@ namespace {
 /// by budget-overflow merges.
 void expect_roundtrip(const MicroClusterSummarizer& summarizer, std::uint64_t seed,
                       std::size_t step) {
-  const auto& clusters = summarizer.clusters();
+  const ClusterView rows = summarizer.clusters();
   ByteWriter writer;
-  write_clusters(writer, clusters);
-  ASSERT_EQ(writer.size(), serialized_size(clusters))
+  write_clusters(writer, rows);
+  ASSERT_EQ(writer.size(), serialized_size(rows))
       << "wire-size prediction diverged at seed " << seed << " step " << step;
   ByteReader reader(writer.bytes());
-  const auto decoded = read_clusters(reader);
+  const ClusterBuffer decoded_rows = read_clusters(reader);
   ASSERT_TRUE(reader.exhausted()) << "seed " << seed << " step " << step;
+  const auto clusters = to_micro_clusters(rows);
+  const auto decoded = to_micro_clusters(decoded_rows.view());
   ASSERT_EQ(decoded.size(), clusters.size()) << "seed " << seed << " step " << step;
   ByteWriter again;
-  write_clusters(again, decoded);
+  write_clusters(again, decoded_rows.view());
   ASSERT_EQ(again.bytes(), writer.bytes())
       << "decoded frame re-encodes differently at seed " << seed << " step " << step;
   // The two phases: a centroid frame, then the moment frame completing it,
   // rebuild the same full frame, and each re-encodes to the bytes read.
   ByteWriter centroids;
-  write_centroid_frame(centroids, clusters);
-  ASSERT_EQ(centroids.size(), centroid_frame_size(clusters))
+  write_centroid_frame(centroids, rows);
+  ASSERT_EQ(centroids.size(), centroid_frame_size(rows))
       << "centroid-frame size prediction diverged at seed " << seed << " step " << step;
   ByteWriter moments;
-  write_moment_frame(moments, clusters);
-  ASSERT_EQ(moments.size(), moment_frame_size(clusters))
+  write_moment_frame(moments, rows);
+  ASSERT_EQ(moments.size(), moment_frame_size(rows))
       << "moment-frame size prediction diverged at seed " << seed << " step " << step;
   ByteReader centroid_reader(centroids.bytes());
-  std::vector<MicroCluster> completed = read_centroid_frame(centroid_reader);
+  ClusterBuffer completed = read_centroid_frame(centroid_reader);
   ASSERT_TRUE(centroid_reader.exhausted()) << "seed " << seed << " step " << step;
   ByteWriter centroids_again;
-  write_centroid_frame(centroids_again, completed);
+  write_centroid_frame(centroids_again, completed.view());
   ASSERT_EQ(centroids_again.bytes(), centroids.bytes()) << "seed " << seed << " step " << step;
   ByteReader moment_reader(moments.bytes());
   read_moment_frame(moment_reader, completed);
   ASSERT_TRUE(moment_reader.exhausted()) << "seed " << seed << " step " << step;
   ByteWriter moments_again;
-  write_moment_frame(moments_again, completed);
+  write_moment_frame(moments_again, completed.view());
   ASSERT_EQ(moments_again.bytes(), moments.bytes()) << "seed " << seed << " step " << step;
   ByteWriter completed_frame;
-  write_clusters(completed_frame, completed);
+  write_clusters(completed_frame, completed.view());
   ASSERT_EQ(completed_frame.bytes(), writer.bytes())
       << "two phases rebuild a different frame at seed " << seed << " step " << step;
   for (std::size_t i = 0; i < clusters.size(); ++i) {
@@ -85,7 +88,7 @@ void expect_roundtrip(const MicroClusterSummarizer& summarizer, std::uint64_t se
 void expect_invariants(const MicroClusterSummarizer& summarizer,
                        const SummarizerConfig& config, std::uint64_t seed,
                        std::size_t step) {
-  const auto& clusters = summarizer.clusters();
+  const auto clusters = to_micro_clusters(summarizer.clusters());
   ASSERT_LE(clusters.size(), config.max_clusters)
       << "budget exceeded at seed " << seed << " step " << step;
   for (const auto& cluster : clusters) {

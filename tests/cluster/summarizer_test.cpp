@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "common/random.h"
+#include "reference/microcluster.h"
 
 namespace geored::cluster {
 namespace {
@@ -30,7 +31,7 @@ TEST(Summarizer, FirstAccessCreatesCluster) {
   MicroClusterSummarizer summarizer(config_with(4));
   summarizer.add(Point{10.0, 20.0}, 1.0);
   ASSERT_EQ(summarizer.clusters().size(), 1u);
-  EXPECT_EQ(summarizer.clusters()[0].centroid(), (Point{10.0, 20.0}));
+  EXPECT_EQ(to_micro_clusters(summarizer.clusters())[0].centroid(), (Point{10.0, 20.0}));
   EXPECT_EQ(summarizer.total_count(), 1u);
 }
 
@@ -39,8 +40,8 @@ TEST(Summarizer, NearbyAccessIsAbsorbed) {
   summarizer.add(Point{0.0, 0.0});
   summarizer.add(Point{3.0, 4.0});  // distance 5 < radius 10
   ASSERT_EQ(summarizer.clusters().size(), 1u);
-  EXPECT_EQ(summarizer.clusters()[0].count(), 2u);
-  EXPECT_EQ(summarizer.clusters()[0].centroid(), (Point{1.5, 2.0}));
+  EXPECT_EQ(to_micro_clusters(summarizer.clusters())[0].count(), 2u);
+  EXPECT_EQ(to_micro_clusters(summarizer.clusters())[0].centroid(), (Point{1.5, 2.0}));
 }
 
 TEST(Summarizer, FarAccessSpawnsNewCluster) {
@@ -58,7 +59,7 @@ TEST(Summarizer, ClusterBudgetIsEnforcedByMergingClosestPair) {
   ASSERT_EQ(summarizer.clusters().size(), 2u);
   // One cluster should be the merged {0,10} pair at centroid 5.
   bool found_merged = false;
-  for (const auto& cluster : summarizer.clusters()) {
+  for (const auto& cluster : to_micro_clusters(summarizer.clusters())) {
     if (cluster.count() == 2) {
       EXPECT_EQ(cluster.centroid(), (Point{5.0, 0.0}));
       found_merged = true;
@@ -86,7 +87,9 @@ TEST(Summarizer, AccessCountIsConservedAcrossMerges) {
     summarizer.add(Point{rng.uniform(0, 300), rng.uniform(0, 300)});
   }
   std::uint64_t total = 0;
-  for (const auto& cluster : summarizer.clusters()) total += cluster.count();
+  for (const auto& cluster : to_micro_clusters(summarizer.clusters())) {
+    total += cluster.count();
+  }
   EXPECT_EQ(total, kAccesses);
 }
 
@@ -101,7 +104,7 @@ TEST(Summarizer, AdaptiveRadiusAbsorbsIntoSpreadClusters) {
   // All points in one region; the summarizer should not use all 4 clusters
   // for long — most points land inside the dominant cluster's deviation.
   std::uint64_t biggest = 0;
-  for (const auto& cluster : summarizer.clusters()) {
+  for (const auto& cluster : to_micro_clusters(summarizer.clusters())) {
     biggest = std::max(biggest, cluster.count());
   }
   EXPECT_GT(biggest, 100u);
@@ -119,7 +122,7 @@ TEST(Summarizer, TwoPopulationsYieldTwoDominantClusters) {
   }
   // Count mass near each population.
   std::uint64_t near_zero = 0, near_two_hundred = 0;
-  for (const auto& cluster : summarizer.clusters()) {
+  for (const auto& cluster : to_micro_clusters(summarizer.clusters())) {
     if (cluster.centroid()[0] < 100.0) {
       near_zero += cluster.count();
     } else {
@@ -142,13 +145,17 @@ TEST(Summarizer, DecayHalvesCountsAndDropsEmptyClusters) {
   // 100 -> 50; the singleton (1 * 0.5 rounds to 1... rounds to 0 or 1?)
   // scale() rounds half up: 0.5 + 0.5 = 1, so it survives at count 1.
   std::uint64_t total = 0;
-  for (const auto& cluster : summarizer.clusters()) total += cluster.count();
+  for (const auto& cluster : to_micro_clusters(summarizer.clusters())) {
+    total += cluster.count();
+  }
   EXPECT_EQ(total, 51u);
 
   // Decaying repeatedly eventually drops everything.
   for (int i = 0; i < 20; ++i) summarizer.decay();
   std::uint64_t remaining = 0;
-  for (const auto& cluster : summarizer.clusters()) remaining += cluster.count();
+  for (const auto& cluster : to_micro_clusters(summarizer.clusters())) {
+    remaining += cluster.count();
+  }
   EXPECT_LE(remaining, 2u);
 }
 
@@ -166,7 +173,7 @@ TEST(Summarizer, MergeClusterInsertsWholeCluster) {
   for (int i = 0; i < 10; ++i) external.absorb(Point{50.0 + i, 0.0}, 1.0);
   summarizer.merge_cluster(external);
   ASSERT_EQ(summarizer.clusters().size(), 1u);
-  EXPECT_EQ(summarizer.clusters()[0].count(), 10u);
+  EXPECT_EQ(to_micro_clusters(summarizer.clusters())[0].count(), 10u);
   // Budget still enforced through merge_cluster.
   summarizer.merge_cluster(MicroCluster(Point{0.0, 0.0}, 1.0));
   summarizer.merge_cluster(MicroCluster(Point{500.0, 0.0}, 1.0));
@@ -185,12 +192,13 @@ TEST(Summarizer, SerializationRoundTrip) {
   ByteWriter writer;
   write_clusters(writer, summarizer.clusters());
   ByteReader reader(writer.bytes());
-  const auto clusters = read_clusters(reader);
+  const auto clusters = to_micro_clusters(read_clusters(reader).view());
   EXPECT_TRUE(reader.exhausted());
-  ASSERT_EQ(clusters.size(), summarizer.clusters().size());
+  const auto held = to_micro_clusters(summarizer.clusters());
+  ASSERT_EQ(clusters.size(), held.size());
   for (std::size_t i = 0; i < clusters.size(); ++i) {
-    EXPECT_EQ(clusters[i].count(), summarizer.clusters()[i].count());
-    EXPECT_EQ(clusters[i].sum(), summarizer.clusters()[i].sum());
+    EXPECT_EQ(clusters[i].count(), held[i].count());
+    EXPECT_EQ(clusters[i].sum(), held[i].sum());
   }
 }
 
@@ -202,10 +210,12 @@ TEST(Summarizer, DeterministicGivenSameStream) {
     a.add(p);
     b.add(p);
   }
-  ASSERT_EQ(a.clusters().size(), b.clusters().size());
-  for (std::size_t i = 0; i < a.clusters().size(); ++i) {
-    EXPECT_EQ(a.clusters()[i].count(), b.clusters()[i].count());
-    EXPECT_EQ(a.clusters()[i].sum(), b.clusters()[i].sum());
+  const auto a_clusters = to_micro_clusters(a.clusters());
+  const auto b_clusters = to_micro_clusters(b.clusters());
+  ASSERT_EQ(a_clusters.size(), b_clusters.size());
+  for (std::size_t i = 0; i < a_clusters.size(); ++i) {
+    EXPECT_EQ(a_clusters[i].count(), b_clusters[i].count());
+    EXPECT_EQ(a_clusters[i].sum(), b_clusters[i].sum());
   }
 }
 
@@ -225,7 +235,7 @@ TEST_P(SummarizerFidelity, CentroidsTrackPopulations) {
   // Every population centre must have a micro-cluster centroid within 30 ms.
   for (const auto& centre : centres) {
     double best = 1e18;
-    for (const auto& cluster : summarizer.clusters()) {
+    for (const auto& cluster : to_micro_clusters(summarizer.clusters())) {
       best = std::min(best, centre.distance_to(cluster.centroid()));
     }
     EXPECT_LT(best, 30.0) << "m=" << m;

@@ -20,6 +20,7 @@
 #include "cluster/summarizer.h"
 #include "common/random.h"
 #include "common/serialize.h"
+#include "reference/microcluster.h"
 
 namespace geored::cluster {
 namespace {
@@ -27,7 +28,7 @@ namespace {
 /// A well-formed frame to mutate: a few clusters of a 2-D population with
 /// explicit weights. Its first cluster (at most 50 accesses) has a one-byte
 /// header, so the offsets below are fixed.
-std::vector<MicroCluster> good_clusters(std::uint64_t seed) {
+ClusterBuffer good_clusters(std::uint64_t seed) {
   Rng rng(seed);
   SummarizerConfig config;
   config.max_clusters = 4;
@@ -35,12 +36,12 @@ std::vector<MicroCluster> good_clusters(std::uint64_t seed) {
   for (int i = 0; i < 50; ++i) {
     summarizer.add(Point{rng.normal(0.0, 20.0), rng.normal(100.0, 20.0)}, rng.uniform(0.0, 5.0));
   }
-  return summarizer.clusters();
+  return ClusterBuffer(summarizer.clusters());
 }
 
 std::vector<std::uint8_t> good_frame(std::uint64_t seed) {
   ByteWriter writer;
-  write_clusters(writer, good_clusters(seed));
+  write_clusters(writer, good_clusters(seed).view());
   return writer.bytes();
 }
 
@@ -52,7 +53,7 @@ constexpr std::size_t kWeightOffset = 3;
 constexpr std::size_t kSumOffset = kWeightOffset + 8;
 constexpr std::size_t kSum2Offset = kSumOffset + 2 * 8;
 
-std::vector<MicroCluster> decode(const std::vector<std::uint8_t>& bytes) {
+ClusterBuffer decode(const std::vector<std::uint8_t>& bytes) {
   ByteReader reader(bytes);
   return read_clusters(reader);
 }
@@ -61,7 +62,7 @@ std::vector<MicroCluster> decode(const std::vector<std::uint8_t>& bytes) {
 /// re-encode to exactly the bytes read, and serialized_size must count them.
 void decode_or_throw_typed(const std::vector<std::uint8_t>& bytes) {
   ByteReader reader(bytes);
-  std::vector<MicroCluster> clusters;
+  ClusterBuffer clusters;
   try {
     clusters = read_clusters(reader);
   } catch (const WireFormatError&) {
@@ -71,9 +72,9 @@ void decode_or_throw_typed(const std::vector<std::uint8_t>& bytes) {
   const std::vector<std::uint8_t> read(bytes.begin(),
                                        bytes.begin() + static_cast<std::ptrdiff_t>(consumed));
   ByteWriter again;
-  write_clusters(again, clusters);
+  write_clusters(again, clusters.view());
   EXPECT_EQ(again.bytes(), read) << "an accepted frame re-encodes differently";
-  EXPECT_EQ(serialized_size(clusters), consumed);
+  EXPECT_EQ(serialized_size(clusters.view()), consumed);
 }
 
 std::vector<std::uint8_t> concat(const std::vector<std::uint8_t>& head,
@@ -243,13 +244,13 @@ TEST(WireNegative, ExplicitWeightEqualToCountThrows) {
 
 std::vector<std::uint8_t> good_centroid_frame(std::uint64_t seed) {
   ByteWriter writer;
-  write_centroid_frame(writer, good_clusters(seed));
+  write_centroid_frame(writer, good_clusters(seed).view());
   return writer.bytes();
 }
 
 std::vector<std::uint8_t> good_moment_frame(std::uint64_t seed) {
   ByteWriter writer;
-  write_moment_frame(writer, good_clusters(seed));
+  write_moment_frame(writer, good_clusters(seed).view());
   return writer.bytes();
 }
 
@@ -259,16 +260,15 @@ constexpr std::size_t kCentroidSumOffset = kWeightOffset + 8;
 // good_moment_frame's layout: n, d = 2, then sum2[2] cluster by cluster.
 constexpr std::size_t kMomentValuesOffset = 2;
 
-std::vector<MicroCluster> decode_centroids(const std::vector<std::uint8_t>& bytes) {
+ClusterBuffer decode_centroids(const std::vector<std::uint8_t>& bytes) {
   ByteReader reader(bytes);
   return read_centroid_frame(reader);
 }
 
 /// Decodes `bytes` as the moment frame completing the centroid frame of
 /// good_clusters(seed), and returns the completed clusters.
-std::vector<MicroCluster> complete(std::uint64_t seed,
-                                   const std::vector<std::uint8_t>& bytes) {
-  std::vector<MicroCluster> clusters = decode_centroids(good_centroid_frame(seed));
+ClusterBuffer complete(std::uint64_t seed, const std::vector<std::uint8_t>& bytes) {
+  ClusterBuffer clusters = decode_centroids(good_centroid_frame(seed));
   ByteReader reader(bytes);
   read_moment_frame(reader, clusters);
   return clusters;
@@ -279,7 +279,7 @@ std::vector<MicroCluster> complete(std::uint64_t seed,
 /// count them.
 void decode_centroids_or_throw_typed(const std::vector<std::uint8_t>& bytes) {
   ByteReader reader(bytes);
-  std::vector<MicroCluster> clusters;
+  ClusterBuffer clusters;
   try {
     clusters = read_centroid_frame(reader);
   } catch (const WireFormatError&) {
@@ -289,9 +289,9 @@ void decode_centroids_or_throw_typed(const std::vector<std::uint8_t>& bytes) {
   const std::vector<std::uint8_t> read(bytes.begin(),
                                        bytes.begin() + static_cast<std::ptrdiff_t>(consumed));
   ByteWriter again;
-  write_centroid_frame(again, clusters);
+  write_centroid_frame(again, clusters.view());
   EXPECT_EQ(again.bytes(), read) << "an accepted centroid frame re-encodes differently";
-  EXPECT_EQ(centroid_frame_size(clusters), consumed);
+  EXPECT_EQ(centroid_frame_size(clusters.view()), consumed);
 }
 
 /// Decodes `bytes` as the moment frame completing the centroid frame of
@@ -300,41 +300,45 @@ void decode_centroids_or_throw_typed(const std::vector<std::uint8_t>& bytes) {
 /// them; when it is rejected, no cluster may have changed.
 void decode_moments_or_throw_typed(std::uint64_t seed,
                                    const std::vector<std::uint8_t>& bytes) {
-  std::vector<MicroCluster> clusters = decode_centroids(good_centroid_frame(seed));
+  ClusterBuffer clusters = decode_centroids(good_centroid_frame(seed));
   ByteReader reader(bytes);
   try {
     read_moment_frame(reader, clusters);
   } catch (const WireFormatError&) {
-    for (const auto& cluster : clusters) EXPECT_EQ(cluster.sum2().dim(), 0u);
+    for (const auto& cluster : to_micro_clusters(clusters.view())) {
+      EXPECT_EQ(cluster.sum2().dim(), 0u);
+    }
     return;
   }
   const std::size_t consumed = bytes.size() - reader.remaining();
   const std::vector<std::uint8_t> read(bytes.begin(),
                                        bytes.begin() + static_cast<std::ptrdiff_t>(consumed));
   ByteWriter again;
-  write_moment_frame(again, clusters);
+  write_moment_frame(again, clusters.view());
   EXPECT_EQ(again.bytes(), read) << "an accepted moment frame re-encodes differently";
-  EXPECT_EQ(moment_frame_size(clusters), consumed);
+  EXPECT_EQ(moment_frame_size(clusters.view()), consumed);
 }
 
 TEST(WireNegative, TwoPhasesCompleteTheFullFrame) {
   const auto clusters = good_clusters(21);
   const auto centroids = good_centroid_frame(21);
   const auto moments = good_moment_frame(21);
-  EXPECT_EQ(centroids.size(), centroid_frame_size(clusters));
-  EXPECT_EQ(moments.size(), moment_frame_size(clusters));
+  EXPECT_EQ(centroids.size(), centroid_frame_size(clusters.view()));
+  EXPECT_EQ(moments.size(), moment_frame_size(clusters.view()));
   EXPECT_EQ(moments.size(), 2 + clusters.size() * 2 * sizeof(double));
   // Each phase repeats the header (n and d); everything else is shipped once.
   EXPECT_EQ(centroids.size() + moments.size(), good_frame(21).size() + 2);
   const auto phase_one = decode_centroids(centroids);
-  for (const auto& cluster : phase_one) EXPECT_EQ(cluster.sum2().dim(), 0u);
+  for (const auto& cluster : to_micro_clusters(phase_one.view())) {
+    EXPECT_EQ(cluster.sum2().dim(), 0u);
+  }
   ByteWriter full;
-  write_clusters(full, complete(21, moments));
+  write_clusters(full, complete(21, moments).view());
   EXPECT_EQ(full.bytes(), good_frame(21));
   // An empty source ships one byte in each phase.
   EXPECT_TRUE(decode_centroids(varint(0)).empty());
   EXPECT_EQ(moment_frame_size({}), 1u);
-  std::vector<MicroCluster> none;
+  ClusterBuffer none;
   const std::vector<std::uint8_t> empty = varint(0);
   ByteReader reader(empty);
   read_moment_frame(reader, none);
@@ -491,7 +495,7 @@ std::vector<std::uint8_t> good_mask_bytes(std::uint64_t seed) {
 
 std::vector<std::uint8_t> good_departing_frame(std::uint64_t seed) {
   ByteWriter writer;
-  write_departing_moment_frame(writer, good_clusters(seed), good_mask(seed));
+  write_departing_moment_frame(writer, good_clusters(seed).view(), good_mask(seed));
   return writer.bytes();
 }
 
@@ -501,7 +505,7 @@ constexpr std::size_t kDepartingValuesOffset = 2;
 /// The rows phase 1 of good_clusters(seed) leaves at the coordinator.
 ClusterBuffer phase_one_rows(std::uint64_t seed) {
   ClusterBuffer rows;
-  rows.append_centroids(decode_centroids(good_centroid_frame(seed)), 0);
+  rows.append_centroids(decode_centroids(good_centroid_frame(seed)).view(), 0);
   return rows;
 }
 
@@ -588,19 +592,20 @@ TEST(WireNegative, DepartingFramesShipOnlyTheMarkedMoments) {
     EXPECT_EQ(rows.has_moments(i), mask.departs(i)) << i;
     if (!mask.departs(i)) continue;
     const auto sum2 = rows.view().sum2(i);
-    const auto want = clusters[i].sum2().values();
+    const auto want = clusters.view().sum2(i);
     EXPECT_TRUE(std::equal(sum2.begin(), sum2.end(), want.begin(), want.end())) << i;
   }
   // Every cluster departing costs one mask byte more than the moment frame.
   DepartureMask all(clusters.size());
   for (std::size_t i = 0; i < clusters.size(); ++i) all.set(i);
   ByteWriter every;
-  write_departing_moment_frame(every, clusters, all);
+  write_departing_moment_frame(every, clusters.view(), all);
   EXPECT_EQ(every.bytes(), good_moment_frame(41));
   // No mask marks nothing, and no departing frame is empty.
   ByteWriter none;
-  EXPECT_THROW(write_departing_moment_frame(none, clusters, DepartureMask(clusters.size())),
-               std::invalid_argument);
+  EXPECT_THROW(
+      write_departing_moment_frame(none, clusters.view(), DepartureMask(clusters.size())),
+      std::invalid_argument);
   EXPECT_EQ(none.size(), 0u);
 }
 

@@ -9,6 +9,7 @@
 #include "cluster/summary_frame.h"
 #include "common/random.h"
 #include "common/serialize.h"
+#include "reference/microcluster.h"
 #include "topology/topology.h"
 
 namespace geored::core {
@@ -20,7 +21,7 @@ struct AggWorld {
   topo::Topology topology;
   std::vector<place::CandidateInfo> candidates;
   /// What the sources view, one population each.
-  std::deque<std::vector<cluster::MicroCluster>> populations;
+  std::deque<cluster::ClusterBuffer> populations;
   std::vector<SummarySource> sources;
 
   explicit AggWorld(std::size_t dc_count, std::size_t source_count, std::uint64_t seed)
@@ -45,7 +46,7 @@ struct AggWorld {
       SummarySource source;
       source.node = static_cast<topo::NodeId>(s % dc_count);
       const double center = 100.0 * static_cast<double>(s % dc_count);
-      auto& population = populations.emplace_back();
+      std::vector<cluster::MicroCluster> population;
       for (int c = 0; c < 4; ++c) {
         cluster::MicroCluster micro;
         for (int p = 0; p < 25; ++p) {
@@ -53,7 +54,8 @@ struct AggWorld {
         }
         population.push_back(micro);
       }
-      source.clusters = population;
+      source.clusters =
+          populations.emplace_back(cluster::to_cluster_buffer(population)).view();
       sources.push_back(source);
     }
   }
@@ -61,7 +63,9 @@ struct AggWorld {
   std::uint64_t total_count() const {
     std::uint64_t total = 0;
     for (const auto& source : sources) {
-      for (const auto& micro : source.clusters) total += micro.count();
+      for (const auto& micro : cluster::to_micro_clusters(source.clusters)) {
+        total += micro.count();
+      }
     }
     return total;
   }
@@ -109,7 +113,9 @@ TEST(Aggregation, TreeConservesAccessCounts) {
   const auto result =
       run_aggregation(simulator, network, plan, world.sources, /*root=*/0, config);
   std::uint64_t merged_count = 0;
-  for (const auto& micro : result.merged) merged_count += micro.count();
+  for (const auto& micro : cluster::to_micro_clusters(result.merged.view())) {
+    merged_count += micro.count();
+  }
   EXPECT_EQ(merged_count, world.total_count());
   EXPECT_GT(result.completion_ms, 0.0);
   // Root holds at most aggregators * m-hat clusters.
@@ -133,27 +139,31 @@ TEST(Aggregation, RootBandwidthIsBoundedUnlikeFlat) {
   EXPECT_LT(tree.bytes_into_root, flat.bytes_into_root / 2);
   // Both deliver all the mass.
   std::uint64_t tree_count = 0, flat_count = 0;
-  for (const auto& micro : tree.merged) tree_count += micro.count();
-  for (const auto& micro : flat.merged) flat_count += micro.count();
+  for (const auto& micro : cluster::to_micro_clusters(tree.merged.view())) {
+    tree_count += micro.count();
+  }
+  for (const auto& micro : cluster::to_micro_clusters(flat.merged.view())) {
+    flat_count += micro.count();
+  }
   EXPECT_EQ(tree_count, flat_count);
 }
 
 /// Bytes of the full frame that carries `clusters`.
-std::uint64_t frame_bytes(const std::vector<cluster::MicroCluster>& clusters) {
+std::uint64_t frame_bytes(cluster::ClusterView clusters) {
   ByteWriter writer;
   cluster::write_clusters(writer, clusters);
   return writer.size();
 }
 
 /// Bytes of the centroid frame (phase 1) that carries `clusters`.
-std::uint64_t centroid_bytes(const std::vector<cluster::MicroCluster>& clusters) {
+std::uint64_t centroid_bytes(cluster::ClusterView clusters) {
   ByteWriter writer;
   cluster::write_centroid_frame(writer, clusters);
   return writer.size();
 }
 
 /// Bytes of the moment frame (phase 2) that completes `clusters`.
-std::uint64_t moment_bytes(const std::vector<cluster::MicroCluster>& clusters) {
+std::uint64_t moment_bytes(cluster::ClusterView clusters) {
   ByteWriter writer;
   cluster::write_moment_frame(writer, clusters);
   return writer.size();
@@ -194,15 +204,16 @@ TEST(Aggregation, SummaryTrafficIsTheFramesSent) {
   const auto tree = run_aggregation(tree_sim, tree_net, plan, world.sources, 0, config);
   ASSERT_EQ(tree.forwarded.size(), 1u);
   EXPECT_EQ(tree.forwarded.front().node, plan.aggregators.front());
-  EXPECT_EQ(frame_bytes(tree.forwarded.front().clusters), frame_bytes(tree.merged));
-  EXPECT_EQ(tree.bytes_into_root, centroid_bytes(tree.merged));
+  EXPECT_EQ(frame_bytes(tree.forwarded.front().clusters.view()),
+            frame_bytes(tree.merged.view()));
+  EXPECT_EQ(tree.bytes_into_root, centroid_bytes(tree.merged.view()));
   EXPECT_EQ(tree.bytes_total, source_frames + tree.bytes_into_root);
   EXPECT_EQ(tree_net.stats().bytes[static_cast<std::size_t>(sim::TrafficClass::kSummary)],
             tree.bytes_total);
   EXPECT_EQ(run_moment_upload(tree_sim, tree_net, tree.forwarded, 0),
-            moment_bytes(tree.merged));
+            moment_bytes(tree.merged.view()));
   EXPECT_EQ(tree_net.stats().bytes[static_cast<std::size_t>(sim::TrafficClass::kSummary)],
-            tree.bytes_total + moment_bytes(tree.merged));
+            tree.bytes_total + moment_bytes(tree.merged.view()));
 }
 
 TEST(Aggregation, MergedSummaryPreservesPopulationGeometry) {
@@ -218,7 +229,7 @@ TEST(Aggregation, MergedSummaryPreservesPopulationGeometry) {
   for (std::size_t centre = 0; centre < 8; ++centre) {
     const Point target{100.0 * static_cast<double>(centre)};
     double best = 1e18;
-    for (const auto& micro : result.merged) {
+    for (const auto& micro : cluster::to_micro_clusters(result.merged.view())) {
       best = std::min(best, micro.centroid().distance_to(target));
     }
     EXPECT_LT(best, 30.0) << "population " << centre;

@@ -7,8 +7,9 @@
 // not once per group. On the replicated store (KvMemory): a stored object
 // costs a bounded number of bytes, and the simulator and the store's op
 // slabs give a burst's memory back once it drains. A warm group epoch, a
-// demand-curve probe and planning an aggregation tree make a bounded number
-// of allocations, and reading a summarizer's clusters makes none. Global
+// demand-curve probe, planning an aggregation tree and a decentralized
+// epoch make a bounded number of allocations, and reading a summarizer's
+// clusters makes none. Global
 // operator new is replaced with a version that counts the calls, the bytes
 // requested, the largest single request and the bytes still live, which is
 // why this suite is its own test binary.
@@ -34,6 +35,7 @@
 #include "common/serialize.h"
 #include "common/sym_matrix.h"
 #include "core/aggregation.h"
+#include "core/collector.h"
 #include "core/fleet_manager.h"
 #include "core/replication_manager.h"
 #include "placement/candidate_table.h"
@@ -475,9 +477,9 @@ TEST(BatchMemory, SerializedSizeAllocatesNothing) {
   for (std::size_t i = 0; i < 500; ++i) {
     summarizer.add(client_near(rng, 10.0 * static_cast<double>(i % 7)), i % 5 == 0 ? 2.0 : 1.0);
   }
-  const std::vector<cluster::MicroCluster>& clusters = summarizer.clusters();
+  const cluster::ClusterView clusters = summarizer.clusters();
   ASSERT_GE(clusters.size(), 2u);
-  const std::vector<cluster::MicroCluster> none;
+  const cluster::ClusterView none;
   const std::size_t before = g_requested_bytes.load();
   const std::size_t size = cluster::serialized_size(clusters) + cluster::serialized_size(none);
   EXPECT_EQ(g_requested_bytes.load(), before) << "serialized_size allocated";
@@ -599,6 +601,51 @@ TEST(BatchMemory, PlanningA64SourceTreeAllocatesLittle) {
   EXPECT_EQ(plan.aggregators.size(), 8u);
   EXPECT_EQ(plan.parent.size(), 64u);
   EXPECT_LE(calls, kAggregationPlanCalls);
+}
+
+// Calls to operator new while the decentralized collector runs one epoch:
+// k = 4 replicas of m = 4 clusters each exchange their centroid frames over
+// the simulated network, and each decides on 20 candidates. A frame carries
+// no clusters, only its delivery callback (one block each), and the input
+// every replica decides on is built once. The count was 1,546 when every
+// message copied its sender's clusters and the whole decision rule with its
+// own copy of the candidates, and the clusters were regrouped by node once
+// more. The bound is the count measured with GCC 12 and libstdc++ (151) plus
+// 16: no room for one more copy of the candidates (21 calls).
+constexpr std::size_t kDecentralizedEpochCalls = 151 + 16;
+
+TEST(BatchMemory, DecentralizedEpochAllocatesLittle) {
+  const auto candidates = line_candidates(20);
+  SymMatrix rtt(20);
+  for (std::size_t i = 0; i < 20; ++i) {
+    for (std::size_t j = i + 1; j < 20; ++j) rtt.set(i, j, 10.0 * static_cast<double>(j - i));
+  }
+  const topo::Topology topology(std::vector<topo::NodeInfo>(20), std::move(rtt), {});
+  Rng rng(13);
+  std::vector<cluster::MicroClusterSummarizer> summarizers;
+  summarizers.reserve(4);
+  std::vector<core::SummarySource> sources;
+  for (std::size_t r = 0; r < 4; ++r) {
+    // Four sites 30 units apart around the replica's data center.
+    const double home = 50.0 * static_cast<double>(r);
+    summarizers.emplace_back();
+    for (int a = 0; a < 80; ++a) {
+      summarizers.back().add(client_near(rng, home + 30.0 * static_cast<double>(a % 4)));
+    }
+    sources.push_back({static_cast<topo::NodeId>(5 * r), summarizers.back().clusters()});
+    ASSERT_EQ(sources.back().clusters.size(), 4u);
+  }
+  sim::Simulator simulator;
+  sim::Network network(simulator, topology);
+  core::DecentralizedCollector collector(simulator, network, nullptr);
+  const core::CollectionContext context{candidates, 4, 7};
+  core::CollectedSummaries collected;
+  const std::size_t calls =
+      allocations([&] { collected = collector.collect(sources, context); });
+  ASSERT_TRUE(collected.agreed_proposal.has_value());
+  EXPECT_EQ(collected.agreed_proposal->size(), 4u);
+  EXPECT_EQ(collected.summaries.size(), 16u);
+  EXPECT_LE(calls, kDecentralizedEpochCalls);
 }
 
 TEST(BatchMemory, ReadingWarmClustersAllocatesNothing) {

@@ -28,6 +28,7 @@
 #include "common/random.h"
 #include "core/fleet_manager.h"
 #include "core/replication_manager.h"
+#include "reference/microcluster.h"
 
 namespace geored::core {
 namespace {
@@ -144,7 +145,7 @@ ReplicationManager expect_parent_state(std::string_view hex) {
   EXPECT_EQ(standby.epoch_accesses(), 200u);
   std::size_t next = 0;
   for (const auto node : standby.placement()) {
-    for (const auto& micro : standby.summary_of(node)) {
+    for (const auto& micro : cluster::to_micro_clusters(standby.summary_of(node))) {
       if (next == std::size(kCompatClusters)) {
         ADD_FAILURE() << "more clusters than the parent restored";
         return standby;
@@ -229,10 +230,12 @@ TEST(CheckpointV3, SummariesAreOneFramePerReplica) {
   std::vector<topo::NodeId> placement;
   for (std::uint32_t i = 0; i < replicas; ++i) placement.push_back(reader.read_u32());
   for (const auto node : placement) {
-    const auto& held = primary.summary_of(node);
+    const cluster::ClusterView rows = primary.summary_of(node);
+    const std::vector<cluster::MicroCluster> held = cluster::to_micro_clusters(rows);
     const std::size_t start = blob.size() - reader.remaining();
-    const std::vector<cluster::MicroCluster> frame = cluster::read_clusters(reader);
-    EXPECT_EQ(blob.size() - reader.remaining() - start, cluster::serialized_size(held));
+    const std::vector<cluster::MicroCluster> frame =
+        cluster::to_micro_clusters(cluster::read_clusters(reader).view());
+    EXPECT_EQ(blob.size() - reader.remaining() - start, cluster::serialized_size(rows));
     ASSERT_EQ(frame.size(), held.size());
     for (std::size_t c = 0; c < held.size(); ++c) {
       EXPECT_EQ(frame[c].count(), held[c].count());

@@ -183,7 +183,7 @@ void expect_manager_frames_reencode(ByteReader& reader, const Blob& blob) {
     const auto clusters = cluster::read_clusters(reader);
     const std::size_t end = blob.size() - reader.remaining();
     ByteWriter again;
-    cluster::write_clusters(again, clusters);
+    cluster::write_clusters(again, clusters.view());
     EXPECT_EQ(again.bytes(), Blob(blob.begin() + static_cast<std::ptrdiff_t>(start),
                                   blob.begin() + static_cast<std::ptrdiff_t>(end)))
         << "an accepted summary frame re-encodes differently";

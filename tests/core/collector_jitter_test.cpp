@@ -28,7 +28,7 @@ struct JitterWorld {
   topo::Topology topology;
   std::vector<place::CandidateInfo> candidates;
   /// What the sources view, one population each.
-  std::deque<std::vector<cluster::MicroCluster>> populations;
+  std::deque<cluster::ClusterBuffer> populations;
   std::vector<SummarySource> sources;
 
   JitterWorld(std::size_t dc_count, std::size_t source_count, std::uint64_t seed)
@@ -58,7 +58,7 @@ struct JitterWorld {
       cluster::MicroClusterSummarizer summarizer(config);
       const double center = 100.0 * static_cast<double>(s % dc_count);
       for (int i = 0; i < 40; ++i) summarizer.add(Point{rng.normal(center, 10.0)});
-      source.clusters = populations.emplace_back(summarizer.clusters());
+      source.clusters = populations.emplace_back(summarizer.clusters()).view();
       sources.push_back(source);
     }
   }

@@ -22,6 +22,7 @@
 #include "net/clock.h"
 #include "net/rpc_collector.h"
 #include "placement/strategy.h"
+#include "reference/microcluster.h"
 #include "reference/scalar.h"
 #include "sim/network.h"
 #include "sim/simulator.h"
@@ -229,7 +230,7 @@ TEST(EpochPipeline, AdopterMatchesScalar) {
     }
 
     const place::CandidateTable table(candidates);
-    cluster::ClusterBuffer collected(summaries);
+    cluster::ClusterBuffer collected = cluster::to_cluster_buffer(summaries);
     plan_handoff(next, table, collected);
     std::map<topo::NodeId, cluster::MicroClusterSummarizer> fast;
     redistribute_to_nearest(next, collected, config, fast);
@@ -342,7 +343,8 @@ TEST(EpochPipeline, HandOffPlanMatchesScalar) {
       for (const auto& [node, summarizer] : summarizers) {
         if (excluded.contains(node)) continue;
         sources.push_back({node, summarizer.clusters()});
-        const std::vector<cluster::MicroCluster> copied = summarizer.clusters();
+        const std::vector<cluster::MicroCluster> copied =
+            cluster::to_micro_clusters(summarizer.clusters());
         full.insert(full.end(), copied.begin(), copied.end());
       }
       const auto scalar = redistribute_to_nearest_scalar(next, full, candidates, config);
@@ -452,9 +454,13 @@ struct PhaseRecorder final : SummaryCollector {
   CollectedSummaries collect(const std::vector<SummarySource>& phase_sources,
                              const CollectionContext& context) override {
     kept.clear();
-    for (const auto& source : phase_sources) kept.push_back({source.node, source.clusters});
+    for (const auto& source : phase_sources) {
+      kept.push_back({source.node, cluster::ClusterBuffer(source.clusters)});
+    }
     sources = phase_sources;
-    for (std::size_t i = 0; i < sources.size(); ++i) sources[i].clusters = kept[i].clusters;
+    for (std::size_t i = 0; i < sources.size(); ++i) {
+      sources[i].clusters = kept[i].clusters.view();
+    }
     candidates = context.candidates;
     epoch_seed = context.epoch_seed;
     moments_collected = false;
@@ -520,7 +526,7 @@ struct PhaseFrames {
 
 PhaseFrames frames_sent(const std::string& name, const PhaseRecorder& round,
                         const place::Placement& adopted, const topo::Topology& topology) {
-  const auto centroid_bytes = [](const std::vector<cluster::MicroCluster>& clusters) {
+  const auto centroid_bytes = [](cluster::ClusterView clusters) {
     ByteWriter writer;
     cluster::write_centroid_frame(writer, clusters);
     return writer.size();
@@ -534,7 +540,8 @@ PhaseFrames frames_sent(const std::string& name, const PhaseRecorder& round,
     }
     if (mask.departing() == 0) return std::pair<std::size_t, std::size_t>{0, 0};
     ByteWriter writer;
-    cluster::write_departing_moment_frame(writer, clusters, mask);
+    cluster::write_departing_moment_frame(writer, cluster::to_cluster_buffer(clusters).view(),
+                                          mask);
     return std::pair<std::size_t, std::size_t>{mask.bytes().size(), writer.size()};
   };
   PhaseFrames frames;
@@ -542,8 +549,9 @@ PhaseFrames frames_sent(const std::string& name, const PhaseRecorder& round,
     // Every source straight to the coordinator; in phase 2, a source with a
     // departing cluster is sent its mask and replies with its moments.
     for (const auto& source : round.sources) {
-      const std::vector<cluster::MicroCluster> clusters = source.clusters;
-      frames.centroids += centroid_bytes(clusters);
+      const std::vector<cluster::MicroCluster> clusters =
+          cluster::to_micro_clusters(source.clusters);
+      frames.centroids += centroid_bytes(source.clusters);
       const auto [mask, reply] = departing_bytes(clusters, [&](const auto& micro) {
         return destination_of(micro, adopted, round.candidates) != source.node;
       });
@@ -556,10 +564,13 @@ PhaseFrames frames_sent(const std::string& name, const PhaseRecorder& round,
     std::map<topo::NodeId, std::vector<cluster::MicroCluster>> by_node;
     for (const auto& source : round.sources) {
       auto& clusters = by_node[source.node];
-      clusters.insert(clusters.end(), source.clusters.begin(), source.clusters.end());
+      const std::vector<cluster::MicroCluster> copied =
+          cluster::to_micro_clusters(source.clusters);
+      clusters.insert(clusters.end(), copied.begin(), copied.end());
     }
     for (const auto& [node, clusters] : by_node) {
-      frames.centroids += (by_node.size() - 1) * centroid_bytes(clusters);
+      frames.centroids +=
+          (by_node.size() - 1) * centroid_bytes(cluster::to_cluster_buffer(clusters).view());
       for (const auto destination : adopted) {
         if (destination == node) continue;
         const auto [mask, reply] = departing_bytes(clusters, [&](const auto& micro) {
@@ -579,9 +590,9 @@ PhaseFrames frames_sent(const std::string& name, const PhaseRecorder& round,
     const AggregationResult result =
         run_aggregation(simulator, network, plan, round.sources, 0, AggregationConfig{});
     for (const auto& forwarded : result.forwarded) {
-      frames.centroids += centroid_bytes(forwarded.clusters);
+      frames.centroids += centroid_bytes(forwarded.clusters.view());
       ByteWriter moments;
-      cluster::write_moment_frame(moments, forwarded.clusters);
+      cluster::write_moment_frame(moments, forwarded.clusters.view());
       frames.moments += moments.size();
     }
   }
@@ -664,19 +675,19 @@ TEST(EpochPipeline, DirectCollectorFlattensInSourceOrder) {
   std::vector<SummarySource> sources(2);
   sources[0].node = 4;
   sources[1].node = 9;
-  std::vector<cluster::MicroCluster> populations[2];
+  cluster::ClusterBuffer populations[2];
   for (int s = 0; s < 2; ++s) {
     cluster::MicroCluster micro;
     micro.absorb(Point{100.0 * s}, 1.0);
-    populations[s].push_back(micro);
-    sources[s].clusters = populations[s];
+    populations[s] = cluster::to_cluster_buffer({micro});
+    sources[s].clusters = populations[s].view();
   }
   const auto candidates = line_candidates();
   DirectCollector collector;
   const auto collected = collector.collect(sources, {candidates, 2, 0});
   ASSERT_EQ(collected.summaries.size(), 2u);
-  EXPECT_EQ(collected.summaries.view()[0].centroid()[0], 0.0);
-  EXPECT_EQ(collected.summaries.view()[1].centroid()[0], 100.0);
+  EXPECT_EQ(cluster::to_micro_cluster(collected.summaries.view(), 0).centroid()[0], 0.0);
+  EXPECT_EQ(cluster::to_micro_cluster(collected.summaries.view(), 1).centroid()[0], 100.0);
   EXPECT_FALSE(collected.agreed_proposal.has_value());
   EXPECT_GT(collected.summary_bytes, 0u);
 }

@@ -13,6 +13,7 @@
 #include "placement/candidate_table.h"
 #include "placement/strategy.h"
 #include "placement/evaluate.h"
+#include "reference/microcluster.h"
 #include "topology/topology.h"
 
 namespace geored::core {
@@ -21,7 +22,9 @@ namespace {
 struct DecWorld {
   topo::Topology topology;
   std::vector<place::CandidateInfo> candidates;
-  std::map<topo::NodeId, std::vector<cluster::MicroCluster>> summaries;
+  std::map<topo::NodeId, cluster::ClusterBuffer> summaries;
+  /// The holders' summaries, viewed in node order.
+  std::vector<SummarySource> sources;
 
   explicit DecWorld(std::size_t dc_count, std::size_t replicas, std::uint64_t seed)
       : topology(topo::Topology(std::vector<topo::NodeInfo>(0), SymMatrix(0), {})) {
@@ -55,8 +58,9 @@ struct DecWorld {
         }
         clusters.push_back(micro);
       }
-      summaries.emplace(static_cast<topo::NodeId>(r), std::move(clusters));
+      summaries.emplace(static_cast<topo::NodeId>(r), cluster::to_cluster_buffer(clusters));
     }
+    for (const auto& [node, clusters] : summaries) sources.push_back({node, clusters.view()});
   }
 };
 
@@ -67,7 +71,7 @@ TEST(Decentralized, AllReplicasAgreeOnTheProposal) {
     sim::Network network(simulator, world.topology);
     const auto strategy = place::make_strategy("online");
     const auto result = run_decentralized_epoch(simulator, network, world.candidates,
-                                                world.summaries, 3, seed, *strategy);
+                                                world.sources, 3, seed, *strategy);
     EXPECT_TRUE(result.agreement) << "seed " << seed;
     ASSERT_EQ(result.per_replica.size(), 3u);
     for (const auto& decision : result.per_replica) {
@@ -82,7 +86,7 @@ TEST(Decentralized, MatchesTheCentralizedComputation) {
   sim::Network network(simulator, world.topology);
   const auto strategy = place::make_strategy("online");
   const auto result = run_decentralized_epoch(simulator, network, world.candidates,
-                                              world.summaries, 3, 99, *strategy);
+                                              world.sources, 3, 99, *strategy);
 
   // Central reference: identical summaries in source-id order + same seed.
   place::PlacementInput input;
@@ -90,7 +94,7 @@ TEST(Decentralized, MatchesTheCentralizedComputation) {
   input.k = 3;
   input.seed = 99;
   for (const auto& [source, clusters] : world.summaries) {
-    for (const auto& micro : clusters) input.summaries.push_back(micro);
+    input.summaries.append(clusters.view());
   }
   const auto central = place::make_strategy("online")->place(input);
   EXPECT_EQ(result.proposal, central);
@@ -102,7 +106,7 @@ TEST(Decentralized, ExchangesKSquaredSummaries) {
   sim::Network network(simulator, world.topology);
   const auto strategy = place::make_strategy("online");
   const auto result = run_decentralized_epoch(simulator, network, world.candidates,
-                                              world.summaries, 3, 1, *strategy);
+                                              world.sources, 3, 1, *strategy);
   const auto& stats = network.stats();
   EXPECT_EQ(stats.messages[static_cast<std::size_t>(sim::TrafficClass::kSummary)],
             4u * 3u);  // k*(k-1) with k = 4 holders
@@ -127,11 +131,11 @@ TEST(Decentralized, SummaryTrafficIsTheFramesSent) {
   sim::Network network(simulator, world.topology);
   const auto strategy = place::make_strategy("online");
   const auto result = run_decentralized_epoch(simulator, network, world.candidates,
-                                              world.summaries, 3, 1, *strategy);
+                                              world.sources, 3, 1, *strategy);
   std::uint64_t expected = 0;
   for (const auto& [node, clusters] : world.summaries) {
     ByteWriter centroids;
-    cluster::write_centroid_frame(centroids, clusters);
+    cluster::write_centroid_frame(centroids, clusters.view());
     expected += centroids.size() * (world.summaries.size() - 1);
   }
   EXPECT_EQ(result.summary_bytes, expected);
@@ -140,7 +144,7 @@ TEST(Decentralized, SummaryTrafficIsTheFramesSent) {
 
   cluster::ClusterBuffer planned;
   for (const auto& [node, clusters] : world.summaries) {
-    planned.append_centroids(clusters, node);
+    planned.append_centroids(clusters.view(), node);
   }
   const place::CandidateTable table(world.candidates);
   plan_handoff(result.proposal, table, planned);
@@ -158,7 +162,7 @@ TEST(Decentralized, SummaryTrafficIsTheFramesSent) {
       }
       if (mask.departing() == 0) continue;
       ByteWriter moments;
-      cluster::write_departing_moment_frame(moments, clusters, mask);
+      cluster::write_departing_moment_frame(moments, clusters.view(), mask);
       expected_moments += moments.size();
       ++frames;
     }
@@ -177,7 +181,7 @@ TEST(Decentralized, SingleReplicaDecidesAlone) {
   sim::Network network(simulator, world.topology);
   const auto strategy = place::make_strategy("online");
   const auto result = run_decentralized_epoch(simulator, network, world.candidates,
-                                              world.summaries, 2, 5, *strategy);
+                                              world.sources, 2, 5, *strategy);
   EXPECT_TRUE(result.agreement);
   EXPECT_EQ(result.per_replica.size(), 1u);
   EXPECT_EQ(result.proposal.size(), 2u);
@@ -191,7 +195,7 @@ TEST(Decentralized, ValidatesArguments) {
   sim::Network network(simulator, world.topology);
   const auto strategy = place::make_strategy("online");
   EXPECT_THROW(
-      run_decentralized_epoch(simulator, network, {}, world.summaries, 2, 1, *strategy),
+      run_decentralized_epoch(simulator, network, {}, world.sources, 2, 1, *strategy),
       std::invalid_argument);
   EXPECT_THROW(
       run_decentralized_epoch(simulator, network, world.candidates, {}, 2, 1, *strategy),

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "common/thread_pool.h"
+
 namespace geored::core {
 namespace {
 
@@ -142,17 +144,24 @@ TEST(Evaluation, OutcomeLookupByKind) {
 }
 
 TEST(Evaluation, ParallelRunsAreBitIdenticalToSerial) {
-  ExperimentConfig serial = quick_config();
-  serial.runs = 8;
-  serial.threads = 1;
-  ExperimentConfig parallel = serial;
-  parallel.threads = 4;
-  const auto a = run_experiment(shared_env(), serial);
-  const auto b = run_experiment(shared_env(), parallel);
-  ASSERT_EQ(a.outcomes.size(), b.outcomes.size());
-  for (std::size_t s = 0; s < a.outcomes.size(); ++s) {
-    EXPECT_EQ(a.outcomes[s].per_run_delay_ms, b.outcomes[s].per_run_delay_ms)
-        << a.outcomes[s].name;
+  // The runs fan out over the global pool, and pool work inside a run (the
+  // rpc collector's fetches included) runs inline: one thread and four give
+  // the same bits.
+  const Environment& env = shared_env();
+  ExperimentConfig config = quick_config();
+  config.runs = 8;
+  for (const char* collector : {"direct", "rpc"}) {
+    config.collector = collector;
+    ThreadPool::set_global_thread_count(1);
+    const auto a = run_experiment(env, config);
+    ThreadPool::set_global_thread_count(4);
+    const auto b = run_experiment(env, config);
+    ThreadPool::set_global_thread_count(0);
+    ASSERT_EQ(a.outcomes.size(), b.outcomes.size());
+    for (std::size_t s = 0; s < a.outcomes.size(); ++s) {
+      EXPECT_EQ(a.outcomes[s].per_run_delay_ms, b.outcomes[s].per_run_delay_ms)
+          << a.outcomes[s].name << " over " << collector;
+    }
   }
 }
 

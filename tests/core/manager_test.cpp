@@ -18,6 +18,7 @@
 
 #include "common/random.h"
 #include "common/serialize.h"
+#include "reference/microcluster.h"
 
 namespace geored::core {
 namespace {
@@ -277,7 +278,9 @@ TEST(Manager, SummariesSurviveMigrationByRedistribution) {
     // Knowledge of the population was handed to the new replicas.
     std::uint64_t retained = 0;
     for (const auto node : manager.placement()) {
-      for (const auto& micro : manager.summary_of(node)) retained += micro.count();
+      for (const auto& micro : cluster::to_micro_clusters(manager.summary_of(node))) {
+        retained += micro.count();
+      }
     }
     EXPECT_EQ(retained, 1000u);
   }
@@ -542,6 +545,41 @@ TEST(Manager, RestoreRejectsCheckpointOfAnotherDimension) {
   EXPECT_EQ(manager.run_epoch().epoch_accesses, 100u);
 }
 
+TEST(Manager, RestoreRejectsAZeroCountClusterOfAnotherDimension) {
+  // The fixed-width summaries of a v1 or v2 checkpoint can hold a cluster of
+  // count 0, which restore drops; its dimension must still be the
+  // candidates', like every other cluster's.
+  const auto with_empty_cluster = [](std::size_t dim) {
+    ByteWriter writer;
+    writer.write_u32(kCheckpointMagic);
+    writer.write_u32(2);
+    for (const std::uint64_t field : {0, 0, 3}) writer.write_u64(field);
+    writer.write_u32(0);
+    writer.write_f64(1.0);
+    const place::Placement placement{0, 4, 8};
+    writer.write_u32(static_cast<std::uint32_t>(placement.size()));
+    for (const auto node : placement) writer.write_u32(node);
+    // The first replica: one cluster of count 0 and dimension `dim`.
+    writer.write_u32(1);
+    writer.write_u64(0);
+    writer.write_f64(0.0);
+    writer.write_f64_vector(std::vector<double>(dim, 0.0));
+    writer.write_f64_vector(std::vector<double>(dim, 0.0));
+    // The other two replicas hold none, and there are no warm centroids.
+    for (int i = 0; i < 3; ++i) writer.write_u32(0);
+    return writer.bytes();
+  };
+  ReplicationManager manager(line_candidates(), small_config(3), 7);
+  expect_rejected(manager, with_empty_cluster(2));
+  // At the candidates' dimension the blob restores, the empty cluster dropped.
+  const std::vector<std::uint8_t> blob = with_empty_cluster(1);
+  ByteReader reader(blob);
+  manager.restore(reader);
+  EXPECT_TRUE(reader.exhausted());
+  EXPECT_EQ(manager.placement(), (place::Placement{0, 4, 8}));
+  EXPECT_TRUE(manager.summary_of(0).empty());
+}
+
 TEST(Manager, RestoreRejectsPlacementThatRepeatsANode) {
   ReplicationManager manager(line_candidates(), small_config(3), 7);
   expect_rejected(manager, handmade_checkpoint({0, 0, 2}, {}));
@@ -648,7 +686,8 @@ TEST(Manager, RestoreRejectsMomentsAnEpochCannotUse) {
     source.run_epoch();
   }
   const std::size_t replicas = source.placement().size();
-  const cluster::MicroCluster& first = source.summary_of(source.placement().front()).front();
+  const cluster::MicroCluster first =
+      cluster::to_micro_cluster(source.summary_of(source.placement().front()), 0);
   ReplicationManager target(line_candidates(12), small_config(3), 7);
 
   // v3: a 44-byte header, the placement (u32 count, u32 ids), then the first

@@ -36,6 +36,7 @@
 #include "common/serialize.h"
 #include "core/replication_manager.h"
 #include "placement/candidate_table.h"
+#include "reference/microcluster.h"
 
 namespace geored::net {
 namespace {
@@ -59,7 +60,7 @@ std::vector<place::CandidateInfo> line_candidates(std::size_t count = 10) {
 /// location, exactly what a replica would report. A source views its
 /// clusters in place, so they are kept for the life of the test binary.
 std::vector<SummarySource> make_sources(std::size_t count, std::uint64_t seed) {
-  static std::deque<std::vector<cluster::MicroCluster>> kept;
+  static std::deque<cluster::ClusterBuffer> kept;
   Rng rng(seed);
   std::vector<SummarySource> sources(count);
   for (std::size_t s = 0; s < count; ++s) {
@@ -70,7 +71,7 @@ std::vector<SummarySource> make_sources(std::size_t count, std::uint64_t seed) {
     cluster::MicroClusterSummarizer summarizer(config);
     const double center = 100.0 * static_cast<double>(s);
     for (int i = 0; i < 60; ++i) summarizer.add(Point{rng.normal(center, 12.0)});
-    sources[s].clusters = kept.emplace_back(summarizer.clusters());
+    sources[s].clusters = kept.emplace_back(summarizer.clusters()).view();
   }
   return sources;
 }
@@ -79,7 +80,7 @@ std::vector<SummarySource> make_sources(std::size_t count, std::uint64_t seed) {
 /// location and one five candidates along, so a placement holding both
 /// keeps some of each source's clusters and moves the others.
 std::vector<SummarySource> make_split_sources(std::size_t count, std::uint64_t seed) {
-  static std::deque<std::vector<cluster::MicroCluster>> kept;
+  static std::deque<cluster::ClusterBuffer> kept;
   Rng rng(seed);
   std::vector<SummarySource> sources(count);
   for (std::size_t s = 0; s < count; ++s) {
@@ -92,7 +93,7 @@ std::vector<SummarySource> make_split_sources(std::size_t count, std::uint64_t s
       const double center = 100.0 * static_cast<double>(s + (i % 2 == 0 ? 0 : 5));
       summarizer.add(Point{rng.normal(center, 12.0)});
     }
-    sources[s].clusters = kept.emplace_back(summarizer.clusters());
+    sources[s].clusters = kept.emplace_back(summarizer.clusters()).view();
   }
   return sources;
 }
@@ -146,14 +147,13 @@ std::size_t phase_two_bytes(const std::vector<SummarySource>& sources,
 
 /// Bit-exact fingerprint of what phase 1 collects: the centroid frame over
 /// the flattened clusters.
-std::vector<std::uint8_t> centroid_fingerprint(
-    const std::vector<cluster::MicroCluster>& summaries) {
+std::vector<std::uint8_t> centroid_fingerprint(cluster::ClusterView summaries) {
   ByteWriter writer;
   cluster::write_centroid_frame(writer, summaries);
   return writer.bytes();
 }
 
-std::size_t centroid_frame_bytes(const std::vector<cluster::MicroCluster>& clusters) {
+std::size_t centroid_frame_bytes(cluster::ClusterView clusters) {
   return centroid_fingerprint(clusters).size();
 }
 
@@ -222,7 +222,9 @@ TEST(RpcCollector, ZeroFaultsIsByteIdenticalToDirect) {
   CollectedSummaries actual = rpc.collect(sources, context);
 
   // Phase 1 ships no second moments: only what propose and gate read.
-  for (const auto& micro : actual.summaries.view()) EXPECT_EQ(micro.sum2().dim(), 0u);
+  for (const auto& micro : cluster::to_micro_clusters(actual.summaries.view())) {
+    EXPECT_EQ(micro.sum2().dim(), 0u);
+  }
   EXPECT_EQ(centroid_fingerprint(actual.summaries.view()),
             centroid_fingerprint(expected.summaries.view()));
   EXPECT_EQ(actual.summary_bytes, expected.summary_bytes);
@@ -330,20 +332,20 @@ TEST(RpcCollector, FaultMatrixMatchesTheOracleAcrossRetryBudgets) {
       const CollectedSummaries collected = rpc.collect(sources, context);
 
       // Expected composition straight from the oracle.
-      std::vector<cluster::MicroCluster> expected_summaries;
+      cluster::ClusterBuffer expected_summaries;
       std::vector<topo::NodeId> expected_lost;
       std::size_t expected_bytes = 0;
       for (std::size_t s = 0; s < sources.size(); ++s) {
         if (source_recovers(oracle, salt, s, budget)) {
           expected_bytes += centroid_frame_bytes(sources[s].clusters);
-          for (const auto& micro : sources[s].clusters) expected_summaries.push_back(micro);
+          expected_summaries.append(sources[s].clusters);
         } else {
           expected_lost.push_back(sources[s].node);  // first round: no cache
         }
       }
 
       EXPECT_EQ(centroid_fingerprint(collected.summaries.view()),
-                centroid_fingerprint(expected_summaries))
+                centroid_fingerprint(expected_summaries.view()))
           << test_case.label << " budget=" << budget;
       EXPECT_EQ(collected.summary_bytes, expected_bytes)
           << test_case.label << " budget=" << budget;
@@ -738,7 +740,9 @@ struct NoMomentsInPhaseOne final : core::SummaryCollector {
   CollectedSummaries collect(const std::vector<SummarySource>& sources,
                              const CollectionContext& context) override {
     CollectedSummaries collected = inner->collect(sources, context);
-    for (const auto& micro : collected.summaries.view()) EXPECT_EQ(micro.sum2().dim(), 0u);
+    for (const auto& micro : cluster::to_micro_clusters(collected.summaries.view())) {
+      EXPECT_EQ(micro.sum2().dim(), 0u);
+    }
     clusters_checked += collected.summaries.size();
     return collected;
   }

@@ -74,7 +74,7 @@ struct FuzzWorld {
     if (rng.bernoulli(0.15)) {
       input.summaries.clear();  // no usage info at all
     } else {
-      input.summaries = summarizer.clusters();
+      input.summaries = cluster::ClusterBuffer(summarizer.clusters());
     }
     input.k = 1 + rng.below(candidates + 2);  // sometimes > |C|
     input.seed = seed;

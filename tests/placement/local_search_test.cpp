@@ -124,7 +124,7 @@ TEST(LocalSearch, RefinesOnlineClusteringByDefault) {
         summarizer.add(client.coords, 1.0);
       }
     }
-    world.input.summaries = summarizer.clusters();
+    world.input.summaries = cluster::ClusterBuffer(summarizer.clusters());
 
     const auto online = make_strategy(StrategyKind::kOnlineClustering)->place(world.input);
     const auto refined = LocalSearchPlacement().place(world.input);

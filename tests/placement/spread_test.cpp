@@ -8,6 +8,7 @@
 #include "placement/evaluate.h"
 #include "placement/online_clustering.h"
 #include "placement/random_placement.h"
+#include "reference/microcluster.h"
 
 namespace geored::place {
 namespace {
@@ -27,7 +28,7 @@ PlacementInput clustered_input() {
   // One user population at x ~ 0 drives the inner strategy into the cluster.
   cluster::MicroCluster population;
   for (int i = 0; i < 100; ++i) population.absorb(Point{static_cast<double>(i % 7)}, 1.0);
-  input.summaries = {population};
+  input.summaries = cluster::to_cluster_buffer({population});
   return input;
 }
 
@@ -74,7 +75,7 @@ TEST(Spread, KeepsAlreadySpreadPlacements) {
     west.absorb(Point{0.0}, 1.0);
     east.absorb(Point{400.0}, 1.0);
   }
-  input.summaries = {west, east};
+  input.summaries = cluster::to_cluster_buffer({west, east});
   SpreadConfig config;
   config.min_spread_ms = 50.0;
   SpreadConstrainedPlacement constrained(

@@ -79,7 +79,7 @@ struct World {
         summarizer.add(client.coords, 1.0);
       }
     }
-    input.summaries = summarizer.clusters();
+    input.summaries = cluster::ClusterBuffer(summarizer.clusters());
   }
 };
 
