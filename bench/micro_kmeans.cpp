@@ -57,9 +57,10 @@ BENCHMARK(BM_SummarizerAddStream)->Arg(4)->Arg(11)->Arg(100);
 void BM_WeightedKMeans(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   Rng rng(4);
-  std::vector<cluster::WeightedPoint> points;
+  cluster::WeightedPoints points;
   for (std::size_t i = 0; i < n; ++i) {
-    points.push_back({random_point(rng), rng.uniform(1.0, 100.0)});
+    points.positions.push_back(random_point(rng));
+    points.weights.push_back(rng.uniform(1.0, 100.0));
   }
   cluster::KMeansConfig config;
   config.k = 3;

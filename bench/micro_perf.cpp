@@ -187,57 +187,52 @@ std::size_t nearest_centroid_scalar(const Point& p, const std::vector<Point>& ce
   return best;
 }
 
-/// Flat weighted points back as one WeightedPoint each: the input form of
-/// the frozen scalar k-means solvers.
-std::vector<cluster::WeightedPoint> to_weighted_points(const cluster::WeightedPoints& points) {
-  std::vector<cluster::WeightedPoint> weighted;
-  weighted.reserve(points.weights.size());
-  for (std::size_t i = 0; i < points.weights.size(); ++i) {
-    weighted.push_back({points.positions.point(i), points.weights[i]});
+/// The frozen scalar solver pair (reference/scalar.h).
+constexpr place::detail::KMeansSolvers kScalarSolvers{&cluster::weighted_kmeans_scalar,
+                                                      &cluster::weighted_kmeans_from_scalar};
+
+/// Weighted sum of squared distances from each point to its nearest
+/// centroid, one Point at a time.
+double objective_scalar(const std::vector<Point>& points, const std::vector<double>& weights,
+                        const std::vector<Point>& centroids) {
+  double total = 0.0;
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    double best = std::numeric_limits<double>::infinity();
+    for (const auto& c : centroids) best = std::min(best, points[i].distance_squared_to(c));
+    total += weights[i] * best;
   }
-  return weighted;
+  return total;
 }
 
-/// The frozen scalar solver pair over the flat points the proposal builds.
-constexpr place::detail::KMeansSolvers kScalarSolvers{
-    [](const cluster::WeightedPoints& points, const cluster::KMeansConfig& config, Rng& rng) {
-      return cluster::weighted_kmeans_scalar(to_weighted_points(points), config, rng);
-    },
-    [](const cluster::WeightedPoints& points, std::vector<Point> initial,
-       const cluster::KMeansConfig& config) {
-      return cluster::weighted_kmeans_from_scalar(to_weighted_points(points),
-                                                  std::move(initial), config);
-    }};
-
-double scalar_lloyd_objective(const std::vector<cluster::WeightedPoint>& points,
-                              std::vector<Point> centroids,
+double scalar_lloyd_objective(const std::vector<Point>& points,
+                              const std::vector<double>& weights, std::vector<Point> centroids,
                               const cluster::KMeansConfig& config) {
-  const std::size_t dim = points.front().position.dim();
+  const std::size_t dim = points.front().dim();
   std::vector<std::size_t> assignment(points.size(), 0);
   double prev_objective = std::numeric_limits<double>::infinity();
   for (std::size_t iter = 0; iter < config.max_iterations; ++iter) {
     for (std::size_t i = 0; i < points.size(); ++i) {
-      assignment[i] = nearest_centroid_scalar(points[i].position, centroids);
+      assignment[i] = nearest_centroid_scalar(points[i], centroids);
     }
     std::vector<Point> sums(centroids.size(), Point(dim));
     std::vector<double> cluster_weight(centroids.size(), 0.0);
     for (std::size_t i = 0; i < points.size(); ++i) {
-      sums[assignment[i]] += points[i].position * points[i].weight;
-      cluster_weight[assignment[i]] += points[i].weight;
+      sums[assignment[i]] += points[i] * weights[i];
+      cluster_weight[assignment[i]] += weights[i];
     }
     for (std::size_t c = 0; c < centroids.size(); ++c) {
       if (cluster_weight[c] > 0.0) centroids[c] = sums[c] / cluster_weight[c];
     }
-    const double obj = cluster::kmeans_objective(points, centroids);
+    const double obj = objective_scalar(points, weights, centroids);
     if (std::isfinite(prev_objective) &&
         prev_objective - obj <= config.tolerance * std::max(1.0, prev_objective)) {
       break;
     }
     prev_objective = obj;
   }
-  const double objective = cluster::kmeans_objective(points, centroids);
+  const double objective = objective_scalar(points, weights, centroids);
   for (std::size_t i = 0; i < points.size(); ++i) {
-    assignment[i] = nearest_centroid_scalar(points[i].position, centroids);
+    assignment[i] = nearest_centroid_scalar(points[i], centroids);
   }
   g_sink += static_cast<double>(assignment.back());
   return objective;
@@ -667,24 +662,28 @@ std::vector<CaseResult> run_scale(const Scale& scale, std::size_t repeats,
   // temporary — super-linear wall clock in clients — so this case stays at
   // the scales it can finish at; macro_kmeans covers xlarge.
   if (scale.n_clients <= 100000 && want("lloyd_kmeans")) {
-    std::vector<cluster::WeightedPoint> weighted;
-    weighted.reserve(world.clients.size());
+    std::vector<Point> positions;
+    cluster::WeightedPoints weighted;
+    positions.reserve(world.clients.size());
     for (const auto& client : world.clients) {
-      weighted.push_back({client.coords, static_cast<double>(client.access_count)});
+      positions.push_back(client.coords);
+      weighted.positions.push_back(client.coords);
+      weighted.weights.push_back(static_cast<double>(client.access_count));
     }
     std::vector<Point> initial;
     for (std::size_t c = 0; c < scale.k; ++c) {
-      initial.push_back(weighted[(c * weighted.size()) / scale.k].position);
+      initial.push_back(positions[(c * positions.size()) / scale.k]);
     }
+    const PointSet initial_rows = PointSet::from_points(initial);
     cluster::KMeansConfig kconfig;
     kconfig.k = scale.k;
     kconfig.max_iterations = 20;
     ms_base = time_ms(repeats, [&] {
-      scalar_value = scalar_lloyd_objective(weighted, initial, kconfig);
+      scalar_value = scalar_lloyd_objective(positions, weighted.weights, initial, kconfig);
       g_sink += scalar_value;
     });
     ms_opt = time_ms(repeats, [&] {
-      fast_value = cluster::weighted_kmeans_from(weighted, initial, kconfig).objective;
+      fast_value = cluster::weighted_kmeans_from(weighted, initial_rows, kconfig).objective;
       g_sink += fast_value;
     });
     add_case("lloyd_kmeans", ms_base, ms_opt, scalar_value, fast_value,
@@ -804,10 +803,12 @@ std::vector<CaseResult> run_scale(const Scale& scale, std::size_t repeats,
   // solver must reproduce the scalar result exactly — objective, centroids,
   // assignment, and iteration count.
   if (want("macro_kmeans")) {
-    std::vector<cluster::WeightedPoint> clustered;
-    clustered.reserve(scale.n_clients);
+    cluster::WeightedPoints clustered;
+    clustered.positions.reserve(scale.n_clients);
+    clustered.weights.reserve(scale.n_clients);
     for (std::size_t u = 0; u < scale.n_clients; ++u) {
-      clustered.push_back({sample_site_point(), 1.0 + static_cast<double>(pop_rng.below(50))});
+      clustered.positions.push_back(sample_site_point());
+      clustered.weights.push_back(1.0 + static_cast<double>(pop_rng.below(50)));
     }
     // Lightly perturbed site centers as the warm start: the shape
     // warm_start_macro_clusters produces for a stable population — last
@@ -815,7 +816,7 @@ std::vector<CaseResult> run_scale(const Scale& scale, std::size_t repeats,
     // epoch's new accesses. The solvers iterate to re-converge rather than
     // exit immediately, and the centroid movement per iteration is small —
     // the regime the warm-start path lives in.
-    std::vector<Point> initial;
+    PointSet initial(kDim);
     initial.reserve(scale.k);
     for (std::size_t c = 0; c < scale.k; ++c) {
       Point p = site_centers[(c * kSites) / scale.k];
@@ -846,7 +847,7 @@ std::vector<CaseResult> run_scale(const Scale& scale, std::size_t repeats,
                  scalar_result.centroids.size() == fast_result.centroids.size();
     for (std::size_t c = 0; exact && c < scalar_result.centroids.size(); ++c) {
       for (std::size_t d = 0; d < kDim; ++d) {
-        exact = exact && scalar_result.centroids[c][d] == fast_result.centroids[c][d];
+        exact = exact && scalar_result.centroids.row(c)[d] == fast_result.centroids.row(c)[d];
       }
     }
     add_case("macro_kmeans", ms_base, ms_opt, scalar_result.objective,
@@ -1004,8 +1005,8 @@ std::vector<CaseResult> run_scale(const Scale& scale, std::size_t repeats,
       {
         const core::StageTimer timer(tr.propose_ms);
         proposed =
-            place::detail::place_online_with(mconfig.strategy, world.candidates, scale.k,
-                                             collected.summaries, derived_seed, kScalarSolvers)
+            place::detail::place_online_with(world.candidates, scale.k, collected.summaries,
+                                             PointSet(), derived_seed, kScalarSolvers)
                 .placement;
       }
       // (4) Migration gate on the scalar delay estimates.

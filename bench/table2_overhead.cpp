@@ -49,13 +49,12 @@ cluster::ClusterBuffer build_summary(std::size_t m, std::size_t accesses, std::u
 void BM_OnlineMacroClustering(benchmark::State& state) {
   const auto m = static_cast<std::size_t>(state.range(0));
   // k replicas, each shipping m micro-clusters built from 10k accesses.
-  std::vector<cluster::WeightedPoint> pseudo_points;
+  cluster::WeightedPoints pseudo_points;
   for (std::size_t r = 0; r < kReplicas; ++r) {
     const cluster::ClusterBuffer summary = build_summary(m, 10000, r + 1);
     for (std::size_t i = 0; i < summary.size(); ++i) {
-      const double* centroid = summary.centroid(i);
-      pseudo_points.push_back({Point(std::vector<double>(centroid, centroid + summary.dim())),
-                               static_cast<double>(summary.count(i))});
+      pseudo_points.positions.push_back_row(summary.centroid(i), summary.dim());
+      pseudo_points.weights.push_back(static_cast<double>(summary.count(i)));
     }
   }
   cluster::KMeansConfig config;
@@ -64,16 +63,17 @@ void BM_OnlineMacroClustering(benchmark::State& state) {
     Rng rng(42);
     benchmark::DoNotOptimize(cluster::weighted_kmeans(pseudo_points, config, rng));
   }
-  state.SetLabel("k*m = " + std::to_string(pseudo_points.size()) + " pseudo-points");
+  state.SetLabel("k*m = " + std::to_string(pseudo_points.weights.size()) + " pseudo-points");
 }
 BENCHMARK(BM_OnlineMacroClustering)->Arg(4)->Arg(25)->Arg(100);
 
 void BM_OfflineKMeans(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   Rng rng(7);
-  std::vector<cluster::WeightedPoint> points;
-  points.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) points.push_back({random_point(rng), 1.0});
+  cluster::WeightedPoints points;
+  points.positions.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) points.positions.push_back(random_point(rng));
+  points.weights.assign(n, 1.0);
   cluster::KMeansConfig config;
   config.k = kReplicas;
   for (auto _ : state) {

@@ -28,20 +28,8 @@ bool centroids_finite(const PointSet& centroids, std::size_t dim) {  // lint: no
   return true;
 }
 
-FlatPoints flatten(const std::vector<WeightedPoint>& points) {
-  FlatPoints flat;
-  flat.positions = PointSet(points.front().position.dim());
-  flat.positions.reserve(points.size());
-  flat.weights.reserve(points.size());
-  for (const auto& wp : points) {
-    flat.positions.push_back(wp.position);
-    flat.weights.push_back(wp.weight);
-  }
-  return flat;
-}
-
-double objective_of(const FlatPoints& points, const PointSet& centroids, double* best_dist_sq,
-                    std::size_t* assignment) {
+double objective_of(const WeightedPoints& points, const PointSet& centroids,
+                    double* best_dist_sq, std::size_t* assignment) {
   const std::size_t n = points.positions.size();
   const auto assign = [&](std::size_t begin, std::size_t end) {
     for (std::size_t i = begin; i < end; ++i) {
@@ -57,7 +45,8 @@ double objective_of(const FlatPoints& points, const PointSet& centroids, double*
   return total;
 }
 
-PointSet kmeanspp_seed(const FlatPoints& points, std::size_t k, Rng& rng) {  // lint: no-ensure
+PointSet kmeanspp_seed(const WeightedPoints& points, std::size_t k,  // lint: no-ensure
+                       Rng& rng) {
   const std::size_t n = points.positions.size();
   PointSet centroids(points.positions.dim());
   centroids.reserve(k);
@@ -94,7 +83,6 @@ PointSet kmeanspp_seed(const FlatPoints& points, std::size_t k, Rng& rng) {  // 
 namespace {
 
 using detail::centroids_finite;
-using detail::FlatPoints;
 using detail::kMinParallelPoints;
 using detail::objective_of;
 
@@ -158,7 +146,7 @@ void half_separation(const PointSet& centroids, double* s_half) {
 /// always holds the exact squared distance to the assigned centroid — the
 /// sequential weighted objective sum is bit-identical to the scalar
 /// objective_of.
-double objective_bounded(const FlatPoints& points, const PointSet& centroids,
+double objective_bounded(const WeightedPoints& points, const PointSet& centroids,
                          double* best_dist_sq, std::size_t* assignment, double* lower,
                          const double* s_half, double delta_max, double delta_second,
                          std::size_t moved_most) {
@@ -222,7 +210,7 @@ constexpr std::size_t kAccumulateGrain = 65536;
 /// segment in order. Per-cluster adds happen in the identical order at any
 /// thread count, so sums and cluster_weight are bit-identical to the
 /// sequential loop.
-void accumulate_clusters_parallel(const FlatPoints& points, const std::size_t* assignment,
+void accumulate_clusters_parallel(const WeightedPoints& points, const std::size_t* assignment,
                                   std::size_t k, double* sums, double* cluster_weight,
                                   std::size_t* counts, std::size_t* order,
                                   std::size_t* start) {
@@ -291,8 +279,8 @@ void accumulate_clusters_parallel(const FlatPoints& points, const std::size_t* a
 /// *whether* a scan can be skipped, never what any retained value is, so
 /// centroids, assignment, objective, and iteration count are bit-identical
 /// (the KMeansEquivalence suite pins this).
-detail::LloydResult lloyd(const FlatPoints& points, PointSet centroids,
-                          const KMeansConfig& config) {
+KMeansResult lloyd(const WeightedPoints& points, PointSet centroids,
+                   const KMeansConfig& config) {
   const std::size_t n = points.positions.size();
   const std::size_t dim = points.positions.dim();
   const std::size_t k = centroids.size();
@@ -429,33 +417,9 @@ detail::LloydResult lloyd(const FlatPoints& points, PointSet centroids,
 
 }  // namespace
 
-double kmeans_objective(const std::vector<WeightedPoint>& points,
-                        const std::vector<Point>& centroids) {
-  GEORED_ENSURE(!centroids.empty(), "objective needs at least one centroid");
-  double total = 0.0;
-  for (const auto& wp : points) {
-    double best = std::numeric_limits<double>::infinity();
-    for (const auto& c : centroids) best = std::min(best, wp.position.distance_squared_to(c));
-    total += wp.weight * best;
-  }
-  return total;
-}
-
 namespace detail {
 
-KMeansResult to_kmeans_result(LloydResult solved) {
-  KMeansResult result;
-  result.centroids.reserve(solved.centroids.size());
-  for (std::size_t c = 0; c < solved.centroids.size(); ++c) {
-    result.centroids.push_back(solved.centroids.point(c));
-  }
-  result.assignment = std::move(solved.assignment);
-  result.objective = solved.objective;
-  result.iterations = solved.iterations;
-  return result;
-}
-
-KMeansResult weighted_kmeans_impl(const FlatPoints& points, const KMeansConfig& config,
+KMeansResult weighted_kmeans_impl(const WeightedPoints& points, const KMeansConfig& config,
                                   Rng& rng, LloydFn solve) {
   GEORED_ENSURE(!points.positions.empty(), "k-means requires at least one point");
   GEORED_ENSURE(points.weights.size() == points.positions.size(),
@@ -469,79 +433,44 @@ KMeansResult weighted_kmeans_impl(const FlatPoints& points, const KMeansConfig& 
   }
   GEORED_ENSURE(total_weight > 0.0, "k-means requires positive total weight");
 
-  LloydResult best_result;
+  KMeansResult best_result;
   best_result.objective = std::numeric_limits<double>::infinity();
 
   const std::size_t restarts = std::max<std::size_t>(1, config.restarts);
   for (std::size_t restart = 0; restart < restarts; ++restart) {
-    LloydResult result = solve(points, kmeanspp_seed(points, config.k, rng), config);
+    KMeansResult result = solve(points, kmeanspp_seed(points, config.k, rng), config);
     if (result.objective < best_result.objective) best_result = std::move(result);
   }
-  return to_kmeans_result(std::move(best_result));
+  return best_result;
 }
 
-KMeansResult weighted_kmeans_impl(const std::vector<WeightedPoint>& points,
-                                  const KMeansConfig& config, Rng& rng, LloydFn solve) {
-  GEORED_ENSURE(!points.empty(), "k-means requires at least one point");
-  return weighted_kmeans_impl(flatten(points), config, rng, solve);
-}
-
-KMeansResult weighted_kmeans_from_impl(const FlatPoints& points,
-                                       std::vector<Point> initial_centroids,
+KMeansResult weighted_kmeans_from_impl(const WeightedPoints& points,
+                                       PointSet initial_centroids,
                                        const KMeansConfig& config, LloydFn solve) {
   GEORED_ENSURE(!points.positions.empty(), "k-means requires at least one point");
   GEORED_ENSURE(points.weights.size() == points.positions.size(),
                 "k-means needs one weight per point");
   GEORED_ENSURE(!initial_centroids.empty(), "warm start requires initial centroids");
-  for (const auto& centroid : initial_centroids) {
-    GEORED_ENSURE(centroid.dim() == points.positions.dim(), "centroid dimension mismatch");
-  }
+  GEORED_ENSURE(initial_centroids.dim() == points.positions.dim(),
+                "centroid dimension mismatch");
   for (const double weight : points.weights) {
     GEORED_ENSURE(std::isfinite(weight) && weight >= 0.0,
                   "point weights must be finite and non-negative");
   }
-  return to_kmeans_result(solve(points, PointSet::from_points(initial_centroids), config));
-}
-
-KMeansResult weighted_kmeans_from_impl(const std::vector<WeightedPoint>& points,
-                                       std::vector<Point> initial_centroids,
-                                       const KMeansConfig& config, LloydFn solve) {
-  GEORED_ENSURE(!points.empty(), "k-means requires at least one point");
-  return weighted_kmeans_from_impl(flatten(points), std::move(initial_centroids), config,
-                                   solve);
+  return solve(points, std::move(initial_centroids), config);
 }
 
 }  // namespace detail
 
-KMeansResult weighted_kmeans(const std::vector<WeightedPoint>& points,
-                             const KMeansConfig& config, Rng& rng) {
+KMeansResult weighted_kmeans(const WeightedPoints& points, const KMeansConfig& config,
+                             Rng& rng) {
   return detail::weighted_kmeans_impl(points, config, rng, &lloyd);
 }
 
-KMeansResult weighted_kmeans_flat(const WeightedPoints& points, const KMeansConfig& config,
-                                  Rng& rng) {
-  return detail::weighted_kmeans_impl(points, config, rng, &lloyd);
-}
-
-KMeansResult weighted_kmeans_from(const std::vector<WeightedPoint>& points,
-                                  std::vector<Point> initial_centroids,
+KMeansResult weighted_kmeans_from(const WeightedPoints& points, PointSet initial_centroids,
                                   const KMeansConfig& config) {
   return detail::weighted_kmeans_from_impl(points, std::move(initial_centroids), config,
                                            &lloyd);
-}
-
-KMeansResult weighted_kmeans_flat_from(const WeightedPoints& points,
-                                       std::vector<Point> initial_centroids,
-                                       const KMeansConfig& config) {
-  return detail::weighted_kmeans_from_impl(points, std::move(initial_centroids), config,
-                                           &lloyd);
-}
-
-KMeansResult kmeans(const std::vector<Point>& points, const KMeansConfig& config, Rng& rng) {
-  std::vector<WeightedPoint> weighted;  // lint: alloc-ok (one-time input conversion)
-  weighted.reserve(points.size());
-  for (const auto& p : points) weighted.push_back({p, 1.0});
-  return weighted_kmeans(weighted, config, rng);
 }
 
 }  // namespace geored::cluster

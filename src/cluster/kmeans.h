@@ -1,27 +1,21 @@
-// Lloyd's k-means with k-means++ seeding, in plain and weighted forms.
+// Lloyd's k-means with k-means++ seeding over weighted points.
 //
-// The weighted form is Algorithm 1's macro-clustering step: micro-clusters
-// are treated as pseudo-points located at their centroids and weighted by
-// their access counts (Aggarwal et al.'s macro-cluster construction).
+// This is Algorithm 1's macro-clustering step: micro-clusters are treated as
+// pseudo-points located at their centroids and weighted by their access
+// counts (Aggarwal et al.'s macro-cluster construction).
 #pragma once
 
-#include <cstdint>
+#include <cstddef>
 #include <vector>
 
-#include "common/point.h"
 #include "common/point_set.h"
 #include "common/random.h"
 
 namespace geored::cluster {
 
-struct WeightedPoint {
-  Point position;
-  double weight = 1.0;
-};
-
 /// Weighted points in flat form: row i of `positions` weighs weights[i].
-/// The solvers run on this form; the placement epoch builds it straight
-/// from its summaries, without a Point per pseudo-point.
+/// The solvers' only input; the placement epoch builds it straight from its
+/// summaries, without a Point per pseudo-point.
 struct WeightedPoints {
   PointSet positions;
   std::vector<double> weights;
@@ -37,7 +31,8 @@ struct KMeansConfig {
 };
 
 struct KMeansResult {
-  std::vector<Point> centroids;        ///< k centroids (fewer iff fewer inputs)
+  /// k centroid rows (fewer iff fewer inputs): the set Lloyd iterated on.
+  PointSet centroids;
   std::vector<std::size_t> assignment; ///< input index -> centroid index
   double objective = 0.0;              ///< weighted sum of squared distances
   std::size_t iterations = 0;          ///< Lloyd iterations of the winning restart
@@ -50,31 +45,14 @@ struct KMeansResult {
 /// kept their assignment; the acceleration is exact — centroids,
 /// assignments, objective, and iteration counts are bit-identical to the
 /// frozen scalar reference weighted_kmeans_scalar (reference/scalar.h).
-KMeansResult weighted_kmeans(const std::vector<WeightedPoint>& points,
-                             const KMeansConfig& config, Rng& rng);
-/// weighted_kmeans on flat points; bit-identical to it on the same points.
-KMeansResult weighted_kmeans_flat(const WeightedPoints& points, const KMeansConfig& config,
-                                  Rng& rng);
-
-/// Unweighted convenience wrapper (all weights 1).
-KMeansResult kmeans(const std::vector<Point>& points, const KMeansConfig& config, Rng& rng);
+KMeansResult weighted_kmeans(const WeightedPoints& points, const KMeansConfig& config,
+                             Rng& rng);
 
 /// Lloyd iterations from explicit starting centroids — no seeding, no
 /// restarts, fully deterministic. Used to warm-start macro-clustering from
 /// the previous epoch's centroids so stable populations yield stable
 /// placements instead of churning with the seeding randomness.
-KMeansResult weighted_kmeans_from(const std::vector<WeightedPoint>& points,
-                                  std::vector<Point> initial_centroids,
+KMeansResult weighted_kmeans_from(const WeightedPoints& points, PointSet initial_centroids,
                                   const KMeansConfig& config);
-/// weighted_kmeans_from on flat points; bit-identical to it on the same
-/// points.
-KMeansResult weighted_kmeans_flat_from(const WeightedPoints& points,
-                                       std::vector<Point> initial_centroids,
-                                       const KMeansConfig& config);
-
-/// Weighted sum of squared distances from each point to its nearest centroid
-/// (the k-means objective; exposed for tests and monotonicity checks).
-double kmeans_objective(const std::vector<WeightedPoint>& points,
-                        const std::vector<Point>& centroids);
 
 }  // namespace geored::cluster

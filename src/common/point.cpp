@@ -98,19 +98,4 @@ std::ostream& operator<<(std::ostream& os, const Point& p) {
   return os << ')';
 }
 
-Point weighted_mean(const std::vector<Point>& points, const std::vector<double>& weights) {
-  GEORED_ENSURE(!points.empty(), "weighted_mean requires at least one point");
-  GEORED_ENSURE(points.size() == weights.size(),
-                "weighted_mean requires one weight per point");
-  Point total(points.front().dim());
-  double weight_sum = 0.0;
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    GEORED_ENSURE(weights[i] >= 0.0, "weights must be non-negative");
-    total += points[i] * weights[i];
-    weight_sum += weights[i];
-  }
-  GEORED_ENSURE(weight_sum > 0.0, "weighted_mean requires a positive total weight");
-  return total /= weight_sum;
-}
-
 }  // namespace geored

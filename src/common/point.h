@@ -75,8 +75,4 @@ class Point {
 
 std::ostream& operator<<(std::ostream& os, const Point& p);
 
-/// Weighted mean of points; weights must be non-negative with positive sum,
-/// and all points must share one dimension.
-Point weighted_mean(const std::vector<Point>& points, const std::vector<double>& weights);
-
 }  // namespace geored

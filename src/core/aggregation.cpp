@@ -80,7 +80,7 @@ AggregationPlan plan_aggregation(const std::vector<place::CandidateInfo>& candid
   cluster::KMeansConfig kmeans_config;
   kmeans_config.k = aggregator_count;
   Rng rng(seed);
-  const auto result = cluster::weighted_kmeans_flat(points, kmeans_config, rng);
+  const auto result = cluster::weighted_kmeans(points, kmeans_config, rng);
   std::vector<double> mass(result.centroids.size(), 0.0);
   for (std::size_t i = 0; i < points.weights.size(); ++i) {
     mass[result.assignment[i]] += points.weights[i];
@@ -149,17 +149,17 @@ AggregationResult run_aggregation(sim::Simulator& simulator, sim::Network& netwo
   auto completion = std::make_shared<double>(0.0);
 
   // Second hop: an aggregator finished -> forward the centroid frame of its
-  // bounded merge, kept as the frame it sent.
+  // bounded merge. No source reports to it any more, so the root appends
+  // that final merge, read in place, when the frame is delivered.
   const auto forward_to_root = [&simulator, &network, states, pending_root, merged, forwarded,
                                 root_bytes, completion, root](topo::NodeId aggregator) {
     const cluster::ClusterView clusters = states->at(aggregator).merger.clusters();
-    forwarded->push_back({aggregator, cluster::ClusterBuffer(clusters)});
-    const std::size_t sent = forwarded->size() - 1;
+    forwarded->push_back({aggregator, cluster::moment_frame_size(clusters)});
     const std::size_t bytes = cluster::centroid_frame_size(clusters);
     *root_bytes += bytes;
     network.send(aggregator, root, bytes, sim::TrafficClass::kSummary,
-                 [pending_root, merged, forwarded, sent, completion, &simulator] {
-                   merged->append((*forwarded)[sent].clusters.view());
+                 [states, aggregator, pending_root, merged, completion, &simulator] {
+                   merged->append(states->at(aggregator).merger.clusters());
                    if (--*pending_root == 0) *completion = simulator.now();
                  });
   };
@@ -211,7 +211,7 @@ AggregationResult run_flat_collection(sim::Simulator& simulator, sim::Network& n
   simulator.run();
   result.merged = std::move(*merged);
   for (const auto& source : sources) {
-    result.forwarded.push_back({source.node, cluster::ClusterBuffer(source.clusters)});
+    result.forwarded.push_back({source.node, cluster::moment_frame_size(source.clusters)});
   }
   result.bytes_into_root = root_bytes;
   result.bytes_total =
@@ -227,9 +227,8 @@ std::uint64_t run_moment_upload(sim::Simulator& simulator, sim::Network& network
   GEORED_ENSURE(!forwarded.empty(), "phase 2 completes the frames a collection forwarded");
   std::uint64_t bytes = 0;
   for (const auto& sender : forwarded) {
-    const std::size_t size = cluster::moment_frame_size(sender.clusters.view());
-    bytes += size;
-    network.send(sender.node, root, size, sim::TrafficClass::kSummary, [] {});
+    bytes += sender.moment_bytes;
+    network.send(sender.node, root, sender.moment_bytes, sim::TrafficClass::kSummary, [] {});
   }
   simulator.run();
   return bytes;

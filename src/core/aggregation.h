@@ -19,8 +19,9 @@
 // moment frames ship whole, whatever the plan.
 //
 // Every hop reads and keeps clusters as flat rows (cluster/cluster_view.h):
-// an aggregator merges a source's rows in place from its view, and what it
-// forwards, like the root's merge, is a ClusterBuffer.
+// an aggregator merges a source's rows in place from its view, and the root
+// appends each aggregator's final merge, read in place, to its own
+// ClusterBuffer.
 #pragma once
 
 #include <cstdint>
@@ -58,12 +59,11 @@ struct SummarySource {
   cluster::ClusterView clusters;
 };
 
-/// A summary frame a node sent, with the clusters it carried (second
-/// moments included: phase 2 sizes their moment frame, and the root keeps
-/// them).
+/// A centroid frame a node sent the root: its sender, and the size of the
+/// moment frame that completes it in phase 2.
 struct SentSummary {
   topo::NodeId node = 0;
-  cluster::ClusterBuffer clusters;
+  std::size_t moment_bytes = 0;
 };
 
 /// Chooses aggregators among the candidates (weighted k-means over the
@@ -77,8 +77,8 @@ struct AggregationResult {
   /// The root's merged view of every source's population: the forwarded
   /// clusters in the order they arrived, with their second moments.
   cluster::ClusterBuffer merged;
-  /// Every centroid frame the root received, as its sender and clusters, in
-  /// the order they were sent: what phase 2 completes.
+  /// Every centroid frame the root received, in the order they were sent:
+  /// what phase 2 completes.
   std::vector<SentSummary> forwarded;
   std::uint64_t bytes_into_root = 0;   ///< summary bytes the root received
   std::uint64_t bytes_total = 0;       ///< summary bytes on all links

@@ -12,6 +12,7 @@
 #include "common/serialize.h"
 #include "cluster/moment_store.h"
 #include "placement/evaluate.h"
+#include "placement/online_clustering.h"
 #include "placement/random_placement.h"
 
 namespace geored::core {
@@ -244,13 +245,15 @@ std::vector<double> ReplicationManager::delay_by_degree_curve(std::size_t min_de
   const std::uint64_t seed = seed_ ^ (0xd1b54a32d192ed03ULL + epoch_index_);
   // A cold-start probe of the registry's online-clustering strategy; the
   // warm-start centroids are left untouched so probing cannot perturb them.
-  const place::OnlineClusteringPlacement probe;
+  const PointSet cold_start;
   std::vector<double> curve;
   curve.reserve(max_degree - min_degree + 1);
   double best = std::numeric_limits<double>::infinity();
   for (std::size_t k = min_degree; k <= max_degree; ++k) {
     const place::Placement placement =
-        probe.place_detailed(candidates_->candidates(), k, summaries, seed).placement;
+        place::OnlineClusteringPlacement::place_detailed(candidates_->candidates(), k,
+                                                         summaries, cold_start, seed)
+            .placement;
     const double per_access = estimate_average_delay(placement, summaries);
     // More replicas can only help; clustering noise may say otherwise, so
     // each level is floored by its predecessors — the allocator requires a
@@ -280,8 +283,9 @@ void ReplicationManager::save(ByteWriter& writer) const {
     cluster::write_clusters(writer, summarizers_.at(node).clusters());
   }
   writer.write_u32(static_cast<std::uint32_t>(warm_centroids_.size()));
-  for (const auto& centroid : warm_centroids_) {
-    writer.write_f64_vector(centroid.values());
+  for (std::size_t c = 0; c < warm_centroids_.size(); ++c) {
+    writer.write_u32(static_cast<std::uint32_t>(warm_centroids_.dim()));
+    writer.write_f64s({warm_centroids_.row(c), warm_centroids_.dim()});
   }
 }
 
@@ -355,14 +359,16 @@ ReplicationManager::Checkpoint ReplicationManager::parse_checkpoint(ByteReader& 
   }
   const std::uint32_t centroid_count = reader.read_u32();
   ensure_count_fits(centroid_count, sizeof(std::uint32_t), reader, "warm centroid count");
-  std::vector<Point>& centroids = checkpoint.warm_centroids;
+  PointSet& centroids = checkpoint.warm_centroids;
   centroids.reserve(centroid_count);
   for (std::uint32_t i = 0; i < centroid_count; ++i) {
-    centroids.emplace_back(reader.read_f64_vector());
-    GEORED_ENSURE(centroids.back().dim() == candidates_->dim(),
+    const std::vector<double> centroid = reader.read_f64_vector();
+    GEORED_ENSURE(centroid.size() == candidates_->dim(),
                   "checkpoint warm centroids must have the candidates' dimension");
-    GEORED_ENSURE(centroids.back().is_finite(),
+    GEORED_ENSURE(std::all_of(centroid.begin(), centroid.end(),
+                              [](double v) { return std::isfinite(v); }),
                   "corrupt checkpoint: a warm centroid is not finite");
+    centroids.push_back_row(centroid.data(), centroid.size());
   }
   return checkpoint;
 }
@@ -446,11 +452,10 @@ EpochReport ReplicationManager::run_epoch(const std::set<topo::NodeId>& excluded
     report.proposed_placement = std::move(*collected.agreed_proposal);
   } else {
     const StageTimer timer(report.stages.propose_ms);
-    place::OnlineClusteringConfig strategy = config_.strategy;
-    if (config_.warm_start_macro_clusters) strategy.warm_start_centroids = warm_centroids_;
-    place::OnlineClusteringDetails details =
-        place::OnlineClusteringPlacement(std::move(strategy))
-            .place_detailed(usable, degree_, collected.summaries, epoch_seed);
+    const PointSet cold_start;
+    place::OnlineClusteringDetails details = place::OnlineClusteringPlacement::place_detailed(
+        usable, degree_, collected.summaries,
+        config_.warm_start_macro_clusters ? warm_centroids_ : cold_start, epoch_seed);
     warm_centroids_ = std::move(details.macro_centroids);
     report.proposed_placement = std::move(details.placement);
   }

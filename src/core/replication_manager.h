@@ -46,7 +46,6 @@
 #include "core/epoch_trace.h"
 #include "core/migration.h"
 #include "placement/candidate_table.h"
-#include "placement/online_clustering.h"
 #include "placement/types.h"
 
 namespace geored::core {
@@ -76,9 +75,6 @@ struct ManagerConfig {
 
   /// Per-replica summarizer parameters (the paper's m etc.).
   cluster::SummarizerConfig summarizer;
-
-  /// Macro-clustering parameters (Algorithm 1).
-  place::OnlineClusteringConfig strategy;
 
   /// Migration cost/benefit gate.
   MigrationPolicy migration;
@@ -249,7 +245,7 @@ class ReplicationManager {
     double budget_weight = 1.0;
     place::Placement placement;
     std::map<topo::NodeId, cluster::MicroClusterSummarizer> summarizers;
-    std::vector<Point> warm_centroids;
+    PointSet warm_centroids;
   };
 
   /// Restores state saved by save(): commit_checkpoint(parse_checkpoint()).
@@ -305,7 +301,7 @@ class ReplicationManager {
   /// The latest epoch's macro-cluster centroids: the next proposal's warm
   /// start when ManagerConfig::warm_start_macro_clusters is set, and saved
   /// by every checkpoint either way.
-  std::vector<Point> warm_centroids_;
+  PointSet warm_centroids_;
 };
 
 }  // namespace geored::core

@@ -9,16 +9,17 @@
 
 namespace geored::place {
 
-Placement assign_centroids_to_candidates(const std::vector<Point>& centroids,
+Placement assign_centroids_to_candidates(const PointSet& centroids,
                                          const std::vector<double>& priorities,
                                          const std::vector<CandidateInfo>& candidates,
-                                         std::size_t k, std::uint64_t seed,
-                                         const std::vector<double>* demands) {
+                                         std::size_t k, std::uint64_t seed) {
   GEORED_ENSURE(!candidates.empty(), "no candidate data centers");
   GEORED_ENSURE(centroids.size() == priorities.size(),
                 "one priority per centroid required");
-  GEORED_ENSURE(demands == nullptr || demands->size() == centroids.size(),
-                "one demand per centroid required");
+  for (const auto& candidate : candidates) {
+    GEORED_ENSURE(centroids.empty() || candidate.coords.dim() == centroids.dim(),
+                  "centroids and candidates must share one dimension");
+  }
   const std::size_t target = std::min(k, candidates.size());
 
   // Process centroids by descending priority so the heaviest user
@@ -38,8 +39,7 @@ Placement assign_centroids_to_candidates(const std::vector<Point>& centroids,
   placement.reserve(target);
   for (const std::size_t ci : order) {
     if (placement.size() == target) break;
-    const Point& centroid = centroids[ci];
-    const double demand = demands ? (*demands)[ci] : 0.0;
+    const double demand = priorities[ci];
 
     auto pick_nearest = [&](bool respect_capacity) -> std::ptrdiff_t {
       std::ptrdiff_t best = -1;
@@ -47,7 +47,8 @@ Placement assign_centroids_to_candidates(const std::vector<Point>& centroids,
       for (std::size_t c = 0; c < candidates.size(); ++c) {
         if (used[c]) continue;
         if (respect_capacity && remaining_capacity[c] < demand) continue;
-        const double dist = centroid.distance_squared_to(candidates[c].coords);
+        const double dist =
+            centroids.distance_squared(ci, candidates[c].coords.values().data());
         if (dist < best_dist) {
           best_dist = dist;
           best = static_cast<std::ptrdiff_t>(c);
@@ -56,7 +57,7 @@ Placement assign_centroids_to_candidates(const std::vector<Point>& centroids,
       return best;
     };
 
-    std::ptrdiff_t chosen = pick_nearest(demands != nullptr);
+    std::ptrdiff_t chosen = pick_nearest(true);
     if (chosen < 0) chosen = pick_nearest(false);  // nobody has capacity: degrade
     GEORED_CHECK(chosen >= 0, "ran out of candidates before reaching k");
     used[static_cast<std::size_t>(chosen)] = true;
@@ -72,13 +73,14 @@ Placement assign_centroids_to_candidates(const std::vector<Point>& centroids,
   if (placement.size() < target && !centroids.empty()) {
     std::size_t cursor = 0;
     while (placement.size() < target) {
-      const Point& centroid = centroids[order[cursor % order.size()]];
+      const std::size_t ci = order[cursor % order.size()];
       ++cursor;
       std::ptrdiff_t best = -1;
       double best_dist = std::numeric_limits<double>::infinity();
       for (std::size_t c = 0; c < candidates.size(); ++c) {
         if (used[c]) continue;
-        const double dist = centroid.distance_squared_to(candidates[c].coords);
+        const double dist =
+            centroids.distance_squared(ci, candidates[c].coords.values().data());
         if (dist < best_dist) {
           best_dist = dist;
           best = static_cast<std::ptrdiff_t>(c);

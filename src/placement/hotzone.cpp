@@ -7,6 +7,7 @@
 #include <map>
 
 #include "common/ensure.h"
+#include "common/point_set.h"
 #include "placement/assign.h"
 #include "placement/random_placement.h"
 
@@ -63,7 +64,7 @@ Placement HotZonePlacement::place(const PlacementInput& input) const {
             [](const auto& a, const auto& b) { return a.first > b.first; });
   ranked.resize(std::min(ranked.size(), k));
 
-  std::vector<Point> centroids;
+  PointSet centroids(dim);
   std::vector<double> priorities;
   for (const auto& [mass, center] : ranked) {
     centroids.push_back(center);

@@ -1,5 +1,6 @@
 #include "placement/offline_kmeans.h"
 
+#include "cluster/kmeans.h"
 #include "common/ensure.h"
 #include "common/random.h"
 #include "placement/assign.h"
@@ -14,21 +15,23 @@ Placement OfflineKMeansPlacement::place(const PlacementInput& input) const {
     return random_placement(input.candidates, input.k, input.seed);
   }
 
-  std::vector<cluster::WeightedPoint> points;
-  points.reserve(input.clients.size());
+  cluster::WeightedPoints points;
+  points.positions.reserve(input.clients.size());
+  points.weights.reserve(input.clients.size());
   for (const auto& client : input.clients) {
-    points.push_back({client.coords, static_cast<double>(client.access_count)});
+    points.positions.push_back(client.coords);
+    points.weights.push_back(static_cast<double>(client.access_count));
   }
 
-  cluster::KMeansConfig config = kmeans_config_;
+  cluster::KMeansConfig config;
   config.k = std::min(input.k, input.candidates.size());
   Rng rng(input.seed);
   const auto result = cluster::weighted_kmeans(points, config, rng);
 
   // Cluster mass = total accesses assigned to each centroid.
   std::vector<double> mass(result.centroids.size(), 0.0);
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    mass[result.assignment[i]] += points[i].weight;
+  for (std::size_t i = 0; i < points.weights.size(); ++i) {
+    mass[result.assignment[i]] += points.weights[i];
   }
   return assign_centroids_to_candidates(result.centroids, mass, input.candidates, config.k,
                                         input.seed);

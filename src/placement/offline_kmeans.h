@@ -3,21 +3,14 @@
 // be collected centrally (O(n) bandwidth, O(n^k log n) compute; Table II).
 #pragma once
 
-#include "cluster/kmeans.h"
 #include "placement/strategy.h"
 
 namespace geored::place {
 
 class OfflineKMeansPlacement final : public PlacementStrategy {
  public:
-  explicit OfflineKMeansPlacement(cluster::KMeansConfig kmeans_config = {})
-      : kmeans_config_(kmeans_config) {}
-
   std::string name() const override { return "offline k-means"; }
   Placement place(const PlacementInput& input) const override;
-
- private:
-  cluster::KMeansConfig kmeans_config_;
 };
 
 }  // namespace geored::place

@@ -18,14 +18,13 @@ namespace geored::cluster {
 namespace {
 
 using detail::centroids_finite;
-using detail::FlatPoints;
 using detail::kMinParallelPoints;
 using detail::objective_of;
 
 /// Plain Lloyd's algorithm from given centroids: full nearest-centroid scan
 /// for every point in every iteration. The scalar reference for the
 /// bound-accelerated lloyd() in cluster/kmeans.cpp.
-KMeansResult lloyd_scalar(const FlatPoints& points, PointSet centroids,
+KMeansResult lloyd_scalar(const WeightedPoints& points, PointSet centroids,
                           const KMeansConfig& config) {
   const std::size_t n = points.positions.size();
   const std::size_t dim = points.positions.dim();
@@ -108,31 +107,22 @@ KMeansResult lloyd_scalar(const FlatPoints& points, PointSet centroids,
   result.objective = prev_objective;
   result.assignment = std::move(assignment);
   result.iterations = iterations;
-  result.centroids.reserve(k);
-  for (std::size_t c = 0; c < k; ++c) result.centroids.push_back(centroids.point(c));
+  result.centroids = std::move(centroids);
   return result;
-}
-
-/// lloyd_scalar through the LloydFn seam: its centroids back in flat form.
-detail::LloydResult lloyd_scalar_flat(const FlatPoints& points, PointSet centroids,
-                                      const KMeansConfig& config) {
-  KMeansResult solved = lloyd_scalar(points, std::move(centroids), config);
-  return {PointSet::from_points(solved.centroids), std::move(solved.assignment),
-          solved.objective, solved.iterations};
 }
 
 }  // namespace
 
-KMeansResult weighted_kmeans_scalar(const std::vector<WeightedPoint>& points,
-                                    const KMeansConfig& config, Rng& rng) {
-  return detail::weighted_kmeans_impl(points, config, rng, &lloyd_scalar_flat);
+KMeansResult weighted_kmeans_scalar(const WeightedPoints& points, const KMeansConfig& config,
+                                    Rng& rng) {
+  return detail::weighted_kmeans_impl(points, config, rng, &lloyd_scalar);
 }
 
-KMeansResult weighted_kmeans_from_scalar(const std::vector<WeightedPoint>& points,
-                                         std::vector<Point> initial_centroids,
+KMeansResult weighted_kmeans_from_scalar(const WeightedPoints& points,
+                                         PointSet initial_centroids,
                                          const KMeansConfig& config) {
   return detail::weighted_kmeans_from_impl(points, std::move(initial_centroids), config,
-                                           &lloyd_scalar_flat);
+                                           &lloyd_scalar);
 }
 
 }  // namespace geored::cluster

@@ -24,12 +24,12 @@ namespace geored::cluster {
 
 /// Scalar reference solver for weighted_kmeans: identical validation and
 /// seeding (same rng consumption) and plain full-scan Lloyd iterations.
-KMeansResult weighted_kmeans_scalar(const std::vector<WeightedPoint>& points,
-                                    const KMeansConfig& config, Rng& rng);
+KMeansResult weighted_kmeans_scalar(const WeightedPoints& points, const KMeansConfig& config,
+                                    Rng& rng);
 
 /// Scalar reference warm-start solver for weighted_kmeans_from.
-KMeansResult weighted_kmeans_from_scalar(const std::vector<WeightedPoint>& points,
-                                         std::vector<Point> initial_centroids,
+KMeansResult weighted_kmeans_from_scalar(const WeightedPoints& points,
+                                         PointSet initial_centroids,
                                          const KMeansConfig& config);
 
 }  // namespace geored::cluster

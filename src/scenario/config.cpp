@@ -59,6 +59,11 @@ struct Json {
   }
 };
 
+/// Deepest nesting of arrays and objects a document may have. The shipped
+/// scenarios nest 3 levels; the bound keeps the recursive descent's stack
+/// small whatever the input.
+constexpr std::size_t kMaxJsonDepth = 64;
+
 class JsonParser {
  public:
   explicit JsonParser(const std::string& text) : text_(text) {}
@@ -115,8 +120,16 @@ class JsonParser {
   Json parse_value() {
     skip_whitespace();
     const char c = peek();
-    if (c == '{') return parse_object();
-    if (c == '[') return parse_array();
+    if (c == '{' || c == '[') {
+      if (depth_ == kMaxJsonDepth) {
+        fail("arrays and objects nested deeper than " + std::to_string(kMaxJsonDepth) +
+             " levels");
+      }
+      ++depth_;
+      Json value = c == '{' ? parse_object() : parse_array();
+      --depth_;
+      return value;
+    }
     if (c == '"') {
       Json value;
       value.type = Json::Type::kString;
@@ -285,6 +298,7 @@ class JsonParser {
 
   const std::string& text_;
   std::size_t pos_ = 0;
+  std::size_t depth_ = 0;  ///< arrays and objects open at pos_
 };
 
 // ---------------------------------------------------------------------------

@@ -453,16 +453,7 @@ class Engine {
         return;
       }
       if (!decision.admitted()) return;
-      manager.record_access(decision.replica, coords_[client_node].position);
-      const double rtt = topology_.rtt_ms(client_node, decision.replica);
-      router.complete(decision, rtt);
-      ++accesses_;
-      delay_sum_ += rtt;
-      const auto region = topology_.node(client_node).region;
-      if (region < region_accesses_.size()) {
-        ++region_accesses_[region];
-        region_delay_sum_[region] += rtt;
-      }
+      router.complete(decision, accept(manager, client_node, decision.replica));
       return;
     }
 
@@ -484,16 +475,23 @@ class Engine {
       ++lost_accesses_;
       return;
     }
-    manager.record_access(*replica, coords_[client_node].position);
+    accept(manager, client_node, *replica);
+  }
 
-    const double delay = topology_.rtt_ms(client_node, *replica);
+  /// Records an access of `client_node` that `replica` served and accounts
+  /// its round trip, overall and per region; returns the round trip.
+  double accept(core::ReplicationManager& manager, topo::NodeId client_node,
+                topo::NodeId replica) {
+    manager.record_access(replica, coords_[client_node].position);
+    const double rtt = topology_.rtt_ms(client_node, replica);
     ++accesses_;
-    delay_sum_ += delay;
+    delay_sum_ += rtt;
     const auto region = topology_.node(client_node).region;
     if (region < region_accesses_.size()) {
       ++region_accesses_[region];
-      region_delay_sum_[region] += delay;
+      region_delay_sum_[region] += rtt;
     }
+    return rtt;
   }
 
   void tick(std::size_t epoch) {

@@ -309,16 +309,17 @@ TEST(IngestEquivalence, BadBatchWeightRejectsTheWholeBatch) {
 }
 
 TEST(IngestEquivalence, WeightedKMeansRejectsBadWeights) {
-  const std::vector<WeightedPoint> bad = {{Point{0.0, 0.0}, 1.0},
-                                          {Point{1.0, 1.0}, -2.0}};
+  WeightedPoints bad;
+  bad.positions = PointSet::from_points({Point{0.0, 0.0}, Point{1.0, 1.0}});
+  bad.weights = {1.0, -2.0};
+  const PointSet start = PointSet::from_points({Point{0.0, 0.0}});
   KMeansConfig config;
   config.k = 1;
   Rng rng(7);
   EXPECT_THROW(weighted_kmeans(bad, config, rng), std::invalid_argument);
   EXPECT_THROW(weighted_kmeans_scalar(bad, config, rng), std::invalid_argument);
-  EXPECT_THROW(weighted_kmeans_from(bad, {Point{0.0, 0.0}}, config), std::invalid_argument);
-  EXPECT_THROW(weighted_kmeans_from_scalar(bad, {Point{0.0, 0.0}}, config),
-               std::invalid_argument);
+  EXPECT_THROW(weighted_kmeans_from(bad, start, config), std::invalid_argument);
+  EXPECT_THROW(weighted_kmeans_from_scalar(bad, start, config), std::invalid_argument);
 }
 
 /// Restores the global pool (and with it GEORED_THREADS semantics) on exit.

@@ -19,12 +19,12 @@ namespace {
 void expect_identical(const KMeansResult& fast, const KMeansResult& scalar,
                       const char* label) {
   ASSERT_EQ(fast.centroids.size(), scalar.centroids.size()) << label;
+  ASSERT_EQ(fast.centroids.dim(), scalar.centroids.dim()) << label;
   for (std::size_t c = 0; c < fast.centroids.size(); ++c) {
-    ASSERT_EQ(fast.centroids[c].dim(), scalar.centroids[c].dim()) << label;
-    for (std::size_t d = 0; d < fast.centroids[c].dim(); ++d) {
+    for (std::size_t d = 0; d < fast.centroids.dim(); ++d) {
       // EXPECT_EQ, not NEAR: the acceleration only skips provably-unchanged
       // assignments, so every arithmetic result must be the same bits.
-      EXPECT_EQ(fast.centroids[c][d], scalar.centroids[c][d])
+      EXPECT_EQ(fast.centroids.row(c)[d], scalar.centroids.row(c)[d])
           << label << " centroid " << c << " dim " << d;
     }
   }
@@ -33,9 +33,14 @@ void expect_identical(const KMeansResult& fast, const KMeansResult& scalar,
   EXPECT_EQ(fast.iterations, scalar.iterations) << label;
 }
 
-std::vector<WeightedPoint> random_points(Rng& rng, std::size_t n, std::size_t dim,
-                                         double zero_weight_fraction) {
-  std::vector<WeightedPoint> points;
+void add(WeightedPoints& points, const Point& position, double weight) {
+  points.positions.push_back(position);
+  points.weights.push_back(weight);
+}
+
+WeightedPoints random_points(Rng& rng, std::size_t n, std::size_t dim,
+                             double zero_weight_fraction) {
+  WeightedPoints points;
   const std::size_t n_centers = 1 + rng.below(6);
   std::vector<Point> centers;
   for (std::size_t c = 0; c < n_centers; ++c) {
@@ -47,10 +52,11 @@ std::vector<WeightedPoint> random_points(Rng& rng, std::size_t n, std::size_t di
     Point p = centers[rng.below(n_centers)];
     for (std::size_t d = 0; d < dim; ++d) p[d] += rng.normal(0.0, 20.0);
     const double w = rng.bernoulli(zero_weight_fraction) ? 0.0 : rng.uniform(0.1, 10.0);
-    points.push_back({p, w});
+    points.positions.push_back(p);
+    points.weights.push_back(w);
   }
   // Guarantee the positive-weight precondition regardless of the draw.
-  points[0].weight = 1.0;
+  points.weights[0] = 1.0;
   return points;
 }
 
@@ -85,7 +91,7 @@ TEST_P(KMeansEquivalence, WarmStartSolverMatchesScalar) {
   config.max_iterations = 40;
   // Warm starts come from arbitrary previous-epoch centroids, including ones
   // far from any point (their macro-cluster may have emptied).
-  std::vector<Point> initial;
+  PointSet initial(dim);
   for (std::size_t c = 0; c < config.k; ++c) {
     Point p(dim);
     for (std::size_t d = 0; d < dim; ++d) p[d] = setup.uniform(-800.0, 800.0);
@@ -111,10 +117,10 @@ TEST(KMeansEquivalence, SingleClusterMatchesScalar) {
 TEST(KMeansEquivalence, MoreCentersThanDistinctPointsMatchesScalar) {
   // Three distinct positions (one duplicated many times), k = 5: both
   // solvers must degrade to the same reduced centroid set.
-  std::vector<WeightedPoint> points;
-  for (int i = 0; i < 6; ++i) points.push_back({Point{1.0, 1.0}, 2.0});
-  points.push_back({Point{50.0, -3.0}, 1.0});
-  points.push_back({Point{-20.0, 7.0}, 4.0});
+  WeightedPoints points;
+  for (int i = 0; i < 6; ++i) add(points, Point{1.0, 1.0}, 2.0);
+  add(points, Point{50.0, -3.0}, 1.0);
+  add(points, Point{-20.0, 7.0}, 4.0);
   KMeansConfig config;
   config.k = 5;
   Rng a(11), b(11);
@@ -125,7 +131,8 @@ TEST(KMeansEquivalence, MoreCentersThanDistinctPointsMatchesScalar) {
 }
 
 TEST(KMeansEquivalence, SinglePointMatchesScalar) {
-  const std::vector<WeightedPoint> points = {{Point{4.0, -2.0, 9.0}, 3.5}};
+  WeightedPoints points;
+  add(points, Point{4.0, -2.0, 9.0}, 3.5);
   KMeansConfig config;
   config.k = 3;
   Rng a(13), b(13);
@@ -143,7 +150,7 @@ TEST(KMeansEquivalence, CoincidentWarmStartCentroidsMatchScalar) {
   // on centroid 0 until the update separates them.
   Rng setup(31);
   const auto points = random_points(setup, 60, 3, 0.0);
-  std::vector<Point> initial(4, Point{1.0, 2.0, 3.0});
+  const PointSet initial = PointSet::from_points(std::vector<Point>(4, Point{1.0, 2.0, 3.0}));
   KMeansConfig config;
   config.k = 4;
   expect_identical(weighted_kmeans_from(points, initial, config),
@@ -157,8 +164,9 @@ TEST(KMeansEquivalence, DuplicateWarmStartCentroidPairsMatchScalar) {
   // its position bit-for-bit across iterations in both solvers.
   Rng setup(33);
   const auto points = random_points(setup, 80, 2, 0.1);
-  std::vector<Point> initial = {Point{10.0, 10.0}, Point{10.0, 10.0}, Point{-40.0, 5.0},
-                                Point{-40.0, 5.0}, Point{200.0, -200.0}};
+  const PointSet initial =
+      PointSet::from_points({Point{10.0, 10.0}, Point{10.0, 10.0}, Point{-40.0, 5.0},
+                             Point{-40.0, 5.0}, Point{200.0, -200.0}});
   KMeansConfig config;
   config.k = 5;
   expect_identical(weighted_kmeans_from(points, initial, config),
@@ -171,18 +179,18 @@ TEST(KMeansEquivalence, EquidistantTiePointsMatchScalar) {
   // distances compute to identical bits, so the strict-< scan keeps the
   // lower-index centroid. The bounded pass must reproduce that tie-break
   // (its skip test only fires on *strict* closeness).
-  std::vector<WeightedPoint> points;
-  for (int y = -8; y <= 8; ++y) points.push_back({Point{0.0, static_cast<double>(y)}, 1.0});
+  WeightedPoints points;
+  for (int y = -8; y <= 8; ++y) add(points, Point{0.0, static_cast<double>(y)}, 1.0);
   // Off-axis mass keeps both clusters alive so the centroids stay symmetric.
-  points.push_back({Point{-6.0, 0.0}, 3.0});
-  points.push_back({Point{6.0, 0.0}, 3.0});
-  std::vector<Point> initial = {Point{-1.0, 0.0}, Point{1.0, 0.0}};
+  add(points, Point{-6.0, 0.0}, 3.0);
+  add(points, Point{6.0, 0.0}, 3.0);
+  const PointSet initial = PointSet::from_points({Point{-1.0, 0.0}, Point{1.0, 0.0}});
   KMeansConfig config;
   config.k = 2;
   const auto fast = weighted_kmeans_from(points, initial, config);
   const auto scalar = weighted_kmeans_from_scalar(points, initial, config);
   expect_identical(fast, scalar, "equidistant ties");
-  for (std::size_t i = 0; i + 2 < points.size(); ++i) {
+  for (std::size_t i = 0; i + 2 < points.weights.size(); ++i) {
     EXPECT_EQ(fast.assignment[i], 0u) << "bisector point " << i
                                       << " must tie-break to the lower index";
   }
@@ -194,15 +202,15 @@ TEST(KMeansEquivalence, FarWarmStartLeavesEmptyClusterMatchingScalar) {
   // coordinates bit-for-bit in the result.
   Rng setup(35);
   const auto points = random_points(setup, 50, 2, 0.0);
-  std::vector<Point> initial = {Point{0.0, 0.0}, Point{1e6, 1e6}};
+  const PointSet initial = PointSet::from_points({Point{0.0, 0.0}, Point{1e6, 1e6}});
   KMeansConfig config;
   config.k = 2;
   const auto fast = weighted_kmeans_from(points, initial, config);
   const auto scalar = weighted_kmeans_from_scalar(points, initial, config);
   expect_identical(fast, scalar, "empty cluster");
   ASSERT_EQ(fast.centroids.size(), 2u);
-  EXPECT_EQ(fast.centroids[1][0], 1e6);
-  EXPECT_EQ(fast.centroids[1][1], 1e6);
+  EXPECT_EQ(fast.centroids.row(1)[0], 1e6);
+  EXPECT_EQ(fast.centroids.row(1)[1], 1e6);
 }
 
 TEST(KMeansEquivalence, LargeClusteredPopulationMatchesScalar) {
@@ -212,7 +220,7 @@ TEST(KMeansEquivalence, LargeClusteredPopulationMatchesScalar) {
   // deterministic counting-sort update accumulation — all of which must
   // leave every output bit-identical to the sequential scalar reference.
   Rng setup(37);
-  std::vector<WeightedPoint> points;
+  WeightedPoints points;
   std::vector<Point> sites;
   for (int s = 0; s < 12; ++s) {
     sites.push_back(Point{setup.uniform(-300.0, 300.0), setup.uniform(-300.0, 300.0),
@@ -221,7 +229,7 @@ TEST(KMeansEquivalence, LargeClusteredPopulationMatchesScalar) {
   for (std::size_t i = 0; i < 6000; ++i) {
     Point p = sites[setup.below(sites.size())];
     for (std::size_t d = 0; d < 3; ++d) p[d] += setup.normal(0.0, 8.0);
-    points.push_back({p, 1.0 + static_cast<double>(setup.below(50))});
+    add(points, p, 1.0 + static_cast<double>(setup.below(50)));
   }
   KMeansConfig config;
   config.k = 8;
@@ -236,7 +244,7 @@ TEST(KMeansEquivalence, LargeClusteredPopulationMatchesScalar) {
   // Warm-start entry over the same population (the macro-clustering epoch
   // path): perturbed site centers, the near-converged regime where the
   // bounds actually skip scans.
-  std::vector<Point> initial;
+  PointSet initial(3);
   for (std::size_t c = 0; c < config.k; ++c) {
     Point p = sites[c];
     for (std::size_t d = 0; d < 3; ++d) p[d] += setup.normal(0.0, 2.0);
@@ -250,11 +258,11 @@ TEST(KMeansEquivalence, LargeClusteredPopulationMatchesScalar) {
 TEST(KMeansEquivalence, ZeroWeightPointsAmongPositiveMatchScalar) {
   // Zero-weight pseudo-points (fully decayed micro-clusters) still get
   // assignments but must not move centroids; both solvers agree bitwise.
-  std::vector<WeightedPoint> points;
+  WeightedPoints points;
   Rng setup(21);
   for (std::size_t i = 0; i < 30; ++i) {
-    points.push_back({Point{setup.uniform(-100.0, 100.0), setup.uniform(-100.0, 100.0)},
-                      i % 3 == 0 ? 0.0 : 1.0});
+    add(points, Point{setup.uniform(-100.0, 100.0), setup.uniform(-100.0, 100.0)},
+        i % 3 == 0 ? 0.0 : 1.0);
   }
   KMeansConfig config;
   config.k = 4;

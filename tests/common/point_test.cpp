@@ -94,15 +94,5 @@ TEST(Point, StreamOutput) {
   EXPECT_EQ(os.str(), "(1.5, -2)");
 }
 
-TEST(WeightedMean, BasicAndEdgeCases) {
-  const std::vector<Point> points{{0.0, 0.0}, {4.0, 0.0}};
-  EXPECT_EQ(weighted_mean(points, {1.0, 1.0}), (Point{2.0, 0.0}));
-  EXPECT_EQ(weighted_mean(points, {3.0, 1.0}), (Point{1.0, 0.0}));
-  EXPECT_THROW(weighted_mean({}, {}), std::invalid_argument);
-  EXPECT_THROW(weighted_mean(points, {1.0}), std::invalid_argument);
-  EXPECT_THROW(weighted_mean(points, {0.0, 0.0}), std::invalid_argument);
-  EXPECT_THROW(weighted_mean(points, {1.0, -1.0}), std::invalid_argument);
-}
-
 }  // namespace
 }  // namespace geored

@@ -204,8 +204,7 @@ TEST(Aggregation, SummaryTrafficIsTheFramesSent) {
   const auto tree = run_aggregation(tree_sim, tree_net, plan, world.sources, 0, config);
   ASSERT_EQ(tree.forwarded.size(), 1u);
   EXPECT_EQ(tree.forwarded.front().node, plan.aggregators.front());
-  EXPECT_EQ(frame_bytes(tree.forwarded.front().clusters.view()),
-            frame_bytes(tree.merged.view()));
+  EXPECT_EQ(tree.forwarded.front().moment_bytes, moment_bytes(tree.merged.view()));
   EXPECT_EQ(tree.bytes_into_root, centroid_bytes(tree.merged.view()));
   EXPECT_EQ(tree.bytes_total, source_frames + tree.bytes_into_root);
   EXPECT_EQ(tree_net.stats().bytes[static_cast<std::size_t>(sim::TrafficClass::kSummary)],

@@ -454,13 +454,9 @@ struct PhaseRecorder final : SummaryCollector {
   CollectedSummaries collect(const std::vector<SummarySource>& phase_sources,
                              const CollectionContext& context) override {
     kept.clear();
-    for (const auto& source : phase_sources) {
-      kept.push_back({source.node, cluster::ClusterBuffer(source.clusters)});
-    }
+    for (const auto& source : phase_sources) kept.emplace_back(source.clusters);
     sources = phase_sources;
-    for (std::size_t i = 0; i < sources.size(); ++i) {
-      sources[i].clusters = kept[i].clusters.view();
-    }
+    for (std::size_t i = 0; i < sources.size(); ++i) sources[i].clusters = kept[i].view();
     candidates = context.candidates;
     epoch_seed = context.epoch_seed;
     moments_collected = false;
@@ -482,7 +478,7 @@ struct PhaseRecorder final : SummaryCollector {
   }
   std::unique_ptr<SummaryCollector> inner;
   const sim::Network* network;
-  std::vector<SentSummary> kept;
+  std::vector<cluster::ClusterBuffer> kept;
   std::vector<SummarySource> sources;
   std::vector<place::CandidateInfo> candidates;
   std::uint64_t epoch_seed = 0;
@@ -581,20 +577,18 @@ PhaseFrames frames_sent(const std::string& name, const PhaseRecorder& round,
       }
     }
   } else {
-    // The aggregators' merges to the root, replayed on a scratch network;
-    // merged clusters have no single origin, so every moment frame ships.
+    // The aggregators' merges to the root, replayed on a scratch network
+    // (Aggregation.SummaryTrafficIsTheFramesSent pins these sizes against
+    // the encoded frames); merged clusters have no single origin, so every
+    // moment frame ships.
     sim::Simulator simulator;
     sim::Network network(simulator, topology);
     const AggregationPlan plan = plan_aggregation(round.candidates, round.sources,
                                                   AggregationConfig{}, round.epoch_seed);
     const AggregationResult result =
         run_aggregation(simulator, network, plan, round.sources, 0, AggregationConfig{});
-    for (const auto& forwarded : result.forwarded) {
-      frames.centroids += centroid_bytes(forwarded.clusters.view());
-      ByteWriter moments;
-      cluster::write_moment_frame(moments, forwarded.clusters.view());
-      frames.moments += moments.size();
-    }
+    frames.centroids += result.bytes_into_root;
+    for (const auto& forwarded : result.forwarded) frames.moments += forwarded.moment_bytes;
   }
   return frames;
 }

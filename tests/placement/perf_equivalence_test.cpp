@@ -244,12 +244,13 @@ TEST(PerfEquivalence, IncrementalLocalSearchMatchesNaiveReference) {
 TEST(PerfEquivalence, KMeansBitwiseDeterministicAcrossThreadCounts) {
   GlobalPoolGuard guard;
   Rng points_rng(71);
-  std::vector<cluster::WeightedPoint> points;
-  points.reserve(3000);
+  cluster::WeightedPoints points;
+  points.positions = PointSet(kDim);
   for (std::size_t i = 0; i < 3000; ++i) {
     Point p(kDim);
     for (std::size_t d = 0; d < kDim; ++d) p[d] = points_rng.uniform(-200.0, 200.0);
-    points.push_back({p, points_rng.uniform(0.5, 10.0)});
+    points.positions.push_back(p);
+    points.weights.push_back(points_rng.uniform(0.5, 10.0));
   }
   cluster::KMeansConfig config;
   config.k = 8;
@@ -265,10 +266,10 @@ TEST(PerfEquivalence, KMeansBitwiseDeterministicAcrossThreadCounts) {
   EXPECT_EQ(at_four.objective, at_one.objective);  // bitwise
   EXPECT_EQ(at_four.assignment, at_one.assignment);
   ASSERT_EQ(at_four.centroids.size(), at_one.centroids.size());
+  ASSERT_EQ(at_four.centroids.dim(), at_one.centroids.dim());
   for (std::size_t c = 0; c < at_one.centroids.size(); ++c) {
-    ASSERT_EQ(at_four.centroids[c].dim(), at_one.centroids[c].dim());
-    for (std::size_t d = 0; d < at_one.centroids[c].dim(); ++d) {
-      EXPECT_EQ(at_four.centroids[c][d], at_one.centroids[c][d]);
+    for (std::size_t d = 0; d < at_one.centroids.dim(); ++d) {
+      EXPECT_EQ(at_four.centroids.row(c)[d], at_one.centroids.row(c)[d]);
     }
   }
 }

@@ -49,6 +49,27 @@ TEST(ScenarioConfig, MalformedJsonIsSyntaxErrorWithPosition) {
   EXPECT_NE(std::string(error.what()).find("line"), std::string::npos);
 }
 
+TEST(ScenarioConfig, DeepNestingIsASyntaxError) {
+  // A recursive descent without a depth bound overflows its stack long
+  // before 100,000 levels; the parser rejects the first level past its
+  // bound at that level's line and column instead.
+  const std::size_t depth = 100000;
+  const std::string arrays = std::string(depth, '[') + std::string(depth, ']');
+  auto error = expect_error(arrays, ScenarioError::Kind::kSyntax);
+  EXPECT_NE(std::string(error.what()).find("line 1 column 65: arrays and objects nested"),
+            std::string::npos)
+      << error.what();
+  std::string objects;
+  for (std::size_t i = 0; i < depth; ++i) objects += "{\"a\":";
+  objects += "1" + std::string(depth, '}');
+  error = expect_error(objects, ScenarioError::Kind::kSyntax);
+  EXPECT_NE(std::string(error.what()).find("nested deeper than"), std::string::npos)
+      << error.what();
+  // The bound leaves room for any real document: 64 levels parse (and then
+  // fail the schema, not the syntax).
+  expect_error(std::string(64, '[') + std::string(64, ']'), ScenarioError::Kind::kBadValue);
+}
+
 TEST(ScenarioConfig, DuplicateKeyIsSyntaxError) {
   expect_error(R"({"name": "a", "name": "b"})", ScenarioError::Kind::kSyntax);
 }
