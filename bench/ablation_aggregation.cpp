@@ -65,7 +65,7 @@ int main() {
           for (std::size_t d = 0; d < jittered.dim(); ++d) {
             jittered[d] += rng.normal(0.0, 8.0);
           }
-          micro.add(jittered, 1.0);
+          micro.add(jittered);
         }
         populations[s].append(micro.clusters());
       }

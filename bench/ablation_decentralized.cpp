@@ -58,7 +58,7 @@ int main() {
         for (int p = 0; p < 25; ++p) {
           Point point = coords[r].position;
           for (std::size_t d = 0; d < point.dim(); ++d) point[d] += rng.normal(0.0, 10.0);
-          micro.add(point, 1.0);
+          micro.add(point);
         }
         held[r].append(micro.clusters());
       }

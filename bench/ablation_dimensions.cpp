@@ -64,7 +64,7 @@ int main() {
         record.access_count = 1 + rng.below(100);
         input.clients.push_back(record);
         for (std::uint64_t a = 0; a < input.clients.back().access_count; ++a) {
-          summarizer.add(record.coords, 1.0);
+          summarizer.add(record.coords);
         }
       }
       input.summaries.append(summarizer.clusters());

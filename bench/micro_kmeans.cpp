@@ -30,9 +30,9 @@ void BM_MicroClusterSerialize(benchmark::State& state) {
   cluster::SummarizerConfig config;
   config.max_clusters = 1;
   cluster::MicroClusterSummarizer summarizer(config);
-  summarizer.add(Point(kDim), 1.0);
+  summarizer.add(Point(kDim));
   Rng rng(2);
-  for (int i = 0; i < 100; ++i) summarizer.add(random_point(rng), 1.0);
+  for (int i = 0; i < 100; ++i) summarizer.add(random_point(rng));
   for (auto _ : state) {
     ByteWriter writer;
     cluster::write_clusters(writer, summarizer.clusters());
@@ -48,7 +48,7 @@ void BM_SummarizerAddStream(benchmark::State& state) {
   cluster::MicroClusterSummarizer summarizer(config);
   Rng rng(3);
   for (auto _ : state) {
-    summarizer.add(random_point(rng), 1.0);
+    summarizer.add(random_point(rng));
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
@@ -99,7 +99,7 @@ void BM_PlacementStrategy(benchmark::State& state) {
     record.coords = random_point(rng);
     record.access_count = 1 + rng.below(100);
     input.clients.push_back(record);
-    summarizer.add(input.clients.back().coords, 1.0);
+    summarizer.add(input.clients.back().coords);
   }
   input.summaries.append(summarizer.clusters());
 

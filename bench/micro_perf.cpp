@@ -114,7 +114,6 @@ struct World {
       record.client = static_cast<topo::NodeId>(rng.below(scale.n_nodes));
       record.coords = node_points[record.client];
       record.access_count = 1 + rng.below(50);
-      record.data_weight = static_cast<double>(record.access_count);
       clients.push_back(record);
       client_points.push_back(record.coords);
     }
@@ -732,7 +731,7 @@ std::vector<CaseResult> run_scale(const Scale& scale, std::size_t repeats,
   // Each path gets its input in the form the pipeline hands it: the
   // historical per-access path received one Point per access, the batched
   // path receives the contiguous PointSet the workload batching layer
-  // maintains (wl::AccessBatch stages rows as they are recorded). Both
+  // maintains (wl::batch_by_server stages rows as they are recorded). Both
   // representations are built outside the timers; the timers cover
   // summarization plus serialization of the final summary, and bit-identity
   // is checked on the serialized bytes.
@@ -752,7 +751,6 @@ std::vector<CaseResult> run_scale(const Scale& scale, std::size_t repeats,
       ingest_centers.push_back(center);
     }
     std::vector<Point> access_points;
-    std::vector<double> access_weights(n_accesses);
     access_points.reserve(n_accesses);
     PointSet access_batch(kDim);
     access_batch.reserve(n_accesses);
@@ -764,7 +762,6 @@ std::vector<CaseResult> run_scale(const Scale& scale, std::size_t repeats,
       }
       access_points.push_back(p);
       access_batch.push_back(p);
-      access_weights[i] = 0.5 * static_cast<double>(i % 7 + 1);
     }
     cluster::SummarizerConfig sconfig;
     sconfig.max_clusters = 8;
@@ -772,9 +769,7 @@ std::vector<CaseResult> run_scale(const Scale& scale, std::size_t repeats,
     std::vector<std::uint8_t> scalar_bytes, fast_bytes;
     ms_base = time_ms(repeats, [&] {
       cluster::ScalarMicroClusterSummarizer summarizer(sconfig);
-      for (std::size_t i = 0; i < n_accesses; ++i) {
-        summarizer.add(access_points[i], access_weights[i]);
-      }
+      for (std::size_t i = 0; i < n_accesses; ++i) summarizer.add(access_points[i]);
       ByteWriter writer;
       cluster::write_clusters(writer,
                               cluster::to_cluster_buffer(summarizer.clusters()).view());
@@ -783,7 +778,7 @@ std::vector<CaseResult> run_scale(const Scale& scale, std::size_t repeats,
     });
     ms_opt = time_ms(repeats, [&] {
       cluster::MicroClusterSummarizer summarizer(sconfig);
-      summarizer.add_batch(access_batch, access_weights);
+      summarizer.add_batch(access_batch);
       ByteWriter writer;
       cluster::write_clusters(writer, summarizer.clusters());
       fast_bytes = writer.bytes();
@@ -923,19 +918,12 @@ std::vector<CaseResult> run_scale(const Scale& scale, std::size_t repeats,
     std::vector<Point> access_points;
     access_points.reserve(n_accesses);
     std::vector<topo::NodeId> access_replica(n_accesses);
-    std::vector<double> access_weights(n_accesses);
     std::map<topo::NodeId, PointSet> replica_batches;
-    std::map<topo::NodeId, std::vector<double>> replica_weights;
-    for (const auto id : routed) {
-      replica_batches.emplace(id, PointSet(kDim));
-      replica_weights.emplace(id, std::vector<double>());
-    }
+    for (const auto id : routed) replica_batches.emplace(id, PointSet(kDim));
     for (std::size_t i = 0; i < n_accesses; ++i) {
       access_points.push_back(sample_site_point());
       access_replica[i] = routed[placement_set.nearest_of(access_points[i])];
-      access_weights[i] = 0.5 * static_cast<double>(i % 7 + 1);
       replica_batches.at(access_replica[i]).push_back(access_points[i]);
-      replica_weights.at(access_replica[i]).push_back(access_weights[i]);
     }
 
     // ReplicationManager::estimate_average_delay restated on Point loops
@@ -978,7 +966,7 @@ std::vector<CaseResult> run_scale(const Scale& scale, std::size_t repeats,
       {
         const core::StageTimer timer(tr.ingest_flush_ms);
         for (std::size_t i = 0; i < n_accesses; ++i) {
-          summarizers.at(access_replica[i]).add(access_points[i], access_weights[i]);
+          summarizers.at(access_replica[i]).add(access_points[i]);
         }
       }
       // (2) Direct collection from every replica in node order (phase 1).
@@ -1084,7 +1072,7 @@ std::vector<CaseResult> run_scale(const Scale& scale, std::size_t repeats,
         // attributed to the same slot the baseline's per-access loop uses.
         const core::StageTimer timer(tr.ingest_flush_ms);
         for (const auto& [id, batch] : replica_batches) {
-          manager.record_access_batch(id, batch, replica_weights.at(id));
+          manager.record_access_batch(id, batch);
         }
       }
       core::EpochReport report = manager.run_epoch();

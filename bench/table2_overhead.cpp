@@ -42,7 +42,7 @@ cluster::ClusterBuffer build_summary(std::size_t m, std::size_t accesses, std::u
   config.max_clusters = m;
   cluster::MicroClusterSummarizer summarizer(config);
   Rng rng(seed);
-  for (std::size_t i = 0; i < accesses; ++i) summarizer.add(random_point(rng), 1.0);
+  for (std::size_t i = 0; i < accesses; ++i) summarizer.add(random_point(rng));
   return cluster::ClusterBuffer(summarizer.clusters());
 }
 
@@ -91,7 +91,7 @@ void BM_SummarizerPerAccess(benchmark::State& state) {
   cluster::MicroClusterSummarizer summarizer(config);
   Rng rng(13);
   for (auto _ : state) {
-    summarizer.add(random_point(rng), 1.0);
+    summarizer.add(random_point(rng));
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }

@@ -45,7 +45,7 @@ int main() {
   for (int day = 0; day < 3; ++day) {
     for (topo::NodeId client = 20; client < topology.size(); ++client) {
       for (int access = 0; access < 50; ++access) {
-        manager.serve(coords[client].position, /*data_weight=*/1.0);
+        manager.serve(coords[client].position);
       }
     }
     const auto report = manager.run_epoch();

@@ -11,7 +11,6 @@ ClusterView ClusterView::subview(std::size_t first, std::size_t count) const {
   ClusterView view = *this;
   view.size_ = count;
   view.counts_ = counts_ + first;
-  view.weights_ = weights_ + first;
   view.sums_ = sums_ + first * dim_;
   if (sum2s_ != nullptr) view.sum2s_ = sum2s_ + first * dim_;
   if (count == 0) view.dim_ = 0;
@@ -20,7 +19,6 @@ ClusterView ClusterView::subview(std::size_t first, std::size_t count) const {
 
 void ClusterBuffer::clear() {
   counts_.clear();
-  weights_.clear();
   sums_.reset();
   sum2s_.reset();
   centroids_.reset();
@@ -31,7 +29,6 @@ void ClusterBuffer::clear() {
 
 void ClusterBuffer::reserve(std::size_t rows) {
   counts_.reserve(rows);
-  weights_.reserve(rows);
   sums_.reserve(rows);
   centroids_.reserve(rows);
   reserved_rows_ = rows;
@@ -63,7 +60,6 @@ void ClusterBuffer::append_rows(ClusterView clusters, std::uint32_t origin, bool
     GEORED_ENSURE(empty() || dim == this->dim(), "buffered clusters must share one dimension");
     const std::size_t row = size();
     counts_.push_back(count);
-    weights_.push_back(clusters.weight(i));
     sums_.push_back_row(sum.data(), dim);
     if (!rows_.empty() || origin != kNoOrigin) {
       rows_.push_back({origin, static_cast<std::uint32_t>(i), kNoOrigin});
@@ -118,7 +114,6 @@ void ClusterBuffer::retain_rows(const std::vector<bool>& keep) {
     if (!keep[i]) continue;
     if (kept != i) {
       counts_[kept] = counts_[i];
-      weights_[kept] = weights_[i];
       std::copy_n(sums_.row(i), dim, sums_.mutable_row(kept));
       std::copy_n(centroids_.row(i), dim, centroids_.mutable_row(kept));
       if (stored) std::copy_n(sum2s_.row(i), dim, sum2s_.mutable_row(kept));
@@ -127,7 +122,6 @@ void ClusterBuffer::retain_rows(const std::vector<bool>& keep) {
     ++kept;
   }
   counts_.resize(kept);
-  weights_.resize(kept);
   sums_.truncate(kept);
   centroids_.truncate(kept);
   if (stored) sum2s_.truncate(kept);

@@ -1,13 +1,14 @@
 // Micro-clusters as flat rows: the one form the production libraries use.
 //
-// The paper's micro-cluster is four numbers (§III-B): count, weight, and
-// the per-dimension sum and sum of squares of the absorbed coordinates.
-// Every step of a placement epoch reads them as rows: collection sizes and
+// A micro-cluster is three numbers: its count and the per-dimension sum
+// and sum of squares of the absorbed coordinates. (Paper §III-B adds a
+// fourth, the data volume, which no decision reads: Algorithm 1 weighs the
+// pseudo-points by count.) Every step of a placement epoch reads them as rows: collection sizes and
 // decodes their frames, the proposal clusters their centroids, the gate
 // scores two placements on them, and an adopting epoch hands them to the
 // new replicas. Two types carry them:
 //
-//   ClusterView    read-only rows of count, weight, sum and sum2 in place,
+//   ClusterView    read-only rows of count, sum and sum2 in place,
 //                  over a summarizer's flat moment store or a ClusterBuffer;
 //   ClusterBuffer  the one owning form: what a decoder, a collector or an
 //                  aggregator builds. It keeps its rows in order, each with
@@ -39,13 +40,8 @@ class ClusterView {
   /// and its second moments at sum2s[i * dim], or none when sum2s is null
   /// (the rows of centroid frames).
   ClusterView(std::size_t size, std::size_t dim, const std::uint64_t* counts,
-              const double* weights, const double* sums, const double* sum2s) noexcept
-      : counts_(counts),
-        weights_(weights),
-        sums_(sums),
-        sum2s_(sum2s),
-        size_(size),
-        dim_(dim) {}
+              const double* sums, const double* sum2s) noexcept
+      : counts_(counts), sums_(sums), sum2s_(sum2s), size_(size), dim_(dim) {}
 
   std::size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
@@ -53,7 +49,6 @@ class ClusterView {
   std::size_t dim() const { return dim_; }
 
   std::uint64_t count(std::size_t i) const { return counts_[i]; }
-  double weight(std::size_t i) const { return weights_[i]; }
   std::span<const double> sum(std::size_t i) const { return {sums_ + i * dim_, dim_}; }
   /// Empty when the row carries no second moments.
   std::span<const double> sum2(std::size_t i) const {
@@ -66,7 +61,6 @@ class ClusterView {
 
  private:
   const std::uint64_t* counts_ = nullptr;
-  const double* weights_ = nullptr;
   const double* sums_ = nullptr;
   const double* sum2s_ = nullptr;
   std::size_t size_ = 0;
@@ -97,7 +91,7 @@ class ClusterBuffer {
   /// remembers it and the row's index in `clusters`; kNoOrigin marks rows an
   /// aggregator merged.
   void append(ClusterView clusters, std::uint32_t origin = kNoOrigin);
-  /// append() of each row's count, weight and sum alone: the rows of a
+  /// append() of each row's count and sum alone: the rows of a
   /// centroid frame, whose second moments the hand-off fills in.
   void append_centroids(ClusterView clusters, std::uint32_t origin = kNoOrigin);
 
@@ -106,7 +100,6 @@ class ClusterBuffer {
   std::size_t dim() const { return sums_.dim(); }
 
   std::uint64_t count(std::size_t i) const { return counts_[i]; }
-  double weight(std::size_t i) const { return weights_[i]; }
   const double* centroid(std::size_t i) const { return centroids_.row(i); }
   /// The node that reported row i, or kNoOrigin.
   std::uint32_t origin(std::size_t i) const {
@@ -144,7 +137,7 @@ class ClusterBuffer {
   /// them; a row still without them then reads quiet NaNs, which no
   /// summarizer produces and no decoder accepts.
   ClusterView view() const {
-    return {size(), dim(), counts_.data(), weights_.data(), sums_.row(0),
+    return {size(), dim(), counts_.data(), sums_.row(0),
             sum2s_.size() == size() && !empty() ? sum2s_.row(0) : nullptr};
   }
 
@@ -161,7 +154,6 @@ class ClusterBuffer {
   void store_moments();
 
   std::vector<std::uint64_t> counts_;
-  std::vector<double> weights_;
   PointSet sums_;
   /// Empty, or one row per buffer row (NaN for a row without moments).
   PointSet sum2s_;

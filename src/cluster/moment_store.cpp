@@ -40,7 +40,6 @@ MomentStore::MomentStore(double min_absorb_radius, double radius_factor)
 void MomentStore::reserve(std::size_t clusters) {
   reserved_rows_ = std::max(reserved_rows_, clusters);
   counts_.reserve(clusters);
-  weights_.reserve(clusters);
   sums_.reserve(clusters);
   sum2s_.reserve(clusters);
   centroids_.reserve(clusters);
@@ -49,7 +48,6 @@ void MomentStore::reserve(std::size_t clusters) {
 
 void MomentStore::clear() {
   counts_.clear();
-  weights_.clear();
   // Dimensionless again, so a new stream may change dimension (scalar clear
   // semantics).
   sums_.reset();
@@ -60,9 +58,8 @@ void MomentStore::clear() {
   t_stride_ = 0;
 }
 
-void MomentStore::append_singleton(const double* coords, std::size_t dim, double weight) {
+void MomentStore::append_singleton(const double* coords, std::size_t dim) {
   counts_.push_back(1);
-  weights_.push_back(weight);
   sums_.push_back_row(coords, dim);
   // sum2 of a singleton: component squares, the reference object
   // constructor's coords.component_squares() per-dimension product.
@@ -79,8 +76,8 @@ void MomentStore::append_singleton(const double* coords, std::size_t dim, double
   }
   radii_.push_back(-1.0);
   ensure_transposed(size());
-  GEORED_DCHECK(detail::moment_row_consistent(1, weight, sums_.row(size() - 1),
-                                              sum2s_.row(size() - 1), dim),
+  GEORED_DCHECK(detail::moment_row_consistent(1, sums_.row(size() - 1), sum2s_.row(size() - 1),
+                                              dim),
                 "moment row inconsistent after append_singleton");
 }
 
@@ -93,7 +90,6 @@ void MomentStore::append_moments(const ClusterView& clusters, std::size_t i) {
   GEORED_ENSURE(sum2.size() == d_n && (empty() || d_n == dim()),
                 "appended moments must share the store's dimension");
   counts_.push_back(count);
-  weights_.push_back(clusters.weight(i));
   sums_.push_back_row(sum.data(), d_n);
   sum2s_.push_back_row(sum2.data(), d_n);
   // The reference centroid's sum / count, component by component.
@@ -109,7 +105,6 @@ void MomentStore::merge_rows(std::size_t a, std::size_t b) {
   GEORED_CHECK(a < size() && b < size() && a != b, "merge_rows needs two distinct rows");
   const std::size_t d_n = dim();
   counts_[a] += counts_[b];
-  weights_[a] += weights_[b];
   double* sum_a = sums_.mutable_row(a);
   double* sum2_a = sum2s_.mutable_row(a);
   const double* sum_b = sums_.row(b);
@@ -118,12 +113,10 @@ void MomentStore::merge_rows(std::size_t a, std::size_t b) {
   for (std::size_t d = 0; d < d_n; ++d) sum2_a[d] += sum2_b[d];
   refresh_centroid(a);
   radii_[a] = -1.0;
-  GEORED_DCHECK(detail::moment_row_consistent(counts_[a], weights_[a], sums_.row(a),
-                                              sum2s_.row(a), d_n),
+  GEORED_DCHECK(detail::moment_row_consistent(counts_[a], sums_.row(a), sum2s_.row(a), d_n),
                 "moment row inconsistent after merge_rows");
 
   counts_.erase(counts_.begin() + static_cast<std::ptrdiff_t>(b));
-  weights_.erase(weights_.begin() + static_cast<std::ptrdiff_t>(b));
   sums_.erase_row(b);
   sum2s_.erase_row(b);
   centroids_.erase_row(b);
@@ -145,7 +138,6 @@ void MomentStore::scale_all(double factor) {
     const double realized =
         static_cast<double>(new_count) / static_cast<double>(counts_[i]);
     counts_[out] = new_count;
-    weights_[out] = weights_[i] * realized;
     double* sum_out = sums_.mutable_row(out);
     double* sum2_out = sum2s_.mutable_row(out);
     const double* sum_in = sums_.row(i);
@@ -153,13 +145,12 @@ void MomentStore::scale_all(double factor) {
     for (std::size_t d = 0; d < d_n; ++d) sum_out[d] = sum_in[d] * realized;
     for (std::size_t d = 0; d < d_n; ++d) sum2_out[d] = sum2_in[d] * realized;
     refresh_centroid(out);
-    GEORED_DCHECK(detail::moment_row_consistent(counts_[out], weights_[out], sums_.row(out),
-                                                sum2s_.row(out), d_n),
+    GEORED_DCHECK(detail::moment_row_consistent(counts_[out], sums_.row(out), sum2s_.row(out),
+                                                d_n),
                   "moment row inconsistent after scale_all");
     ++out;
   }
   counts_.resize(out);
-  weights_.resize(out);
   sums_.truncate(out);
   sum2s_.truncate(out);
   centroids_.truncate(out);

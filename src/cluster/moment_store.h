@@ -8,8 +8,8 @@
 // from scratch. At ingest rates of millions of accesses that is the
 // dominant cost of the whole pipeline (paper §III-B runs once per access).
 //
-// MomentStore keeps the same four moments in contiguous per-field buffers
-// (counts / weights / sums / sum2s) beside the centroid PointSet, plus a
+// MomentStore keeps the moments a decision reads in contiguous per-field
+// buffers (counts / sums / sum2s) beside the centroid PointSet, plus a
 // cached absorb radius per cluster:
 //
 //   radius(i) = max(min_absorb_radius, radius_factor * rms_stddev(i))
@@ -19,7 +19,8 @@
 // plus a cached-radius compare — with no allocation on the hot path.
 //
 // Every update mirrors the exact floating-point operation sequence of that
-// object's absorb, merge, scale, centroid and rms_stddev, so a summarizer
+// object's absorb, merge, scale, centroid and rms_stddev on count, sum and
+// sum2 (the object's weight has no row here), so a summarizer
 // built on this store is bit-identical to the scalar reference; the
 // equivalence suites serialize both and compare bytes.
 #pragma once
@@ -40,10 +41,9 @@ namespace geored::cluster {
 namespace detail {
 
 /// Debug mirror of the reference object's moments_consistent check, over
-/// raw rows.
-inline bool moment_row_consistent(std::uint64_t count, double weight, const double* sum,
-                                  const double* sum2, std::size_t dim) {
-  if (!std::isfinite(weight) || weight < 0.0) return false;
+/// raw rows: finite moments with count·sum2 >= sum² per dimension.
+inline bool moment_row_consistent(std::uint64_t count, const double* sum, const double* sum2,
+                                  std::size_t dim) {
   const auto n = static_cast<double>(count);
   for (std::size_t d = 0; d < dim; ++d) {
     if (!std::isfinite(sum[d]) || !std::isfinite(sum2[d])) return false;
@@ -67,7 +67,6 @@ class MomentStore {
   std::size_t dim() const { return sums_.dim(); }
 
   std::uint64_t count(std::size_t i) const { return counts_[i]; }
-  double weight(std::size_t i) const { return weights_[i]; }
   const PointSet& centroids() const { return centroids_; }
 
   /// Reserves room for `clusters` rows. The transposed centroid panel is
@@ -80,7 +79,7 @@ class MomentStore {
   void clear();
 
   /// Appends a singleton cluster (count 1) from one access at `coords`.
-  void append_singleton(const double* coords, std::size_t dim, double weight);
+  void append_singleton(const double* coords, std::size_t dim);
 
   /// Appends row i of `clusters` (merge_cluster / checkpoint restore).
   /// Requires a positive count and both moments of the store's dimension
@@ -89,7 +88,7 @@ class MomentStore {
 
   /// The rows in place: no copy, no allocation.
   ClusterView view() const {
-    return {size(), dim(), counts_.data(), weights_.data(), sums_.row(0), sum2s_.row(0)};
+    return {size(), dim(), counts_.data(), sums_.row(0), sum2s_.row(0)};
   }
 
   /// The fused absorb kernel: nearest centroid by squared distance (the
@@ -103,7 +102,7 @@ class MomentStore {
   /// access, into the nearest scan: at -O2 GCC leaves this body out of
   /// line, and the call plus reloading the store's fields costs about 3 ns
   /// of an access's ~50 (ingest_stream, docs/performance.md).
-  [[gnu::always_inline]] bool try_absorb(const double* coords, double weight) {
+  [[gnu::always_inline]] bool try_absorb(const double* coords) {
     GEORED_CHECK(!empty(), "try_absorb on an empty store");
     double dist_sq = 0.0;
     const std::size_t nearest = nearest_centroid(coords, &dist_sq);
@@ -119,7 +118,7 @@ class MomentStore {
     // `sqrt(dist_sq) <= radius` bit for bit.
     const double ff = min_absorb_radius_ * min_absorb_radius_;
     if (dist_sq <= ff * (1.0 - 1e-10) - 1e-12) {
-      absorb_into(nearest, coords, weight);
+      absorb_into(nearest, coords);
       return true;
     }
     const double r = radius(nearest);
@@ -139,7 +138,7 @@ class MomentStore {
       within = std::sqrt(dist_sq) <= r;
     }
     if (!within) return false;
-    absorb_into(nearest, coords, weight);
+    absorb_into(nearest, coords);
     return true;
   }
 
@@ -216,10 +215,9 @@ class MomentStore {
   /// but it matters for speed: the next access's nearest scan reads the new
   /// centroid, so these divisions sit on the per-access dependency chain
   /// and should issue as early as possible.
-  void absorb_into(std::size_t i, const double* coords, double weight) {
+  void absorb_into(std::size_t i, const double* coords) {
     const std::size_t d_n = dim();
     const auto n = static_cast<double>(++counts_[i]);
-    weights_[i] += weight;
     double* sum = sums_.mutable_row(i);
     double* sum2 = sum2s_.mutable_row(i);
     double* centroid = centroids_.mutable_row(i);
@@ -234,8 +232,7 @@ class MomentStore {
       tcol[d * t_stride_] = value;
     }
     radii_[i] = -1.0;
-    GEORED_DCHECK(detail::moment_row_consistent(counts_[i], weights_[i], sums_.row(i),
-                                                sum2s_.row(i), d_n),
+    GEORED_DCHECK(detail::moment_row_consistent(counts_[i], sums_.row(i), sum2s_.row(i), d_n),
                   "moment row inconsistent after absorb");
   }
 
@@ -272,7 +269,6 @@ class MomentStore {
   double min_absorb_radius_;
   double radius_factor_;
   std::vector<std::uint64_t> counts_;
-  std::vector<double> weights_;
   PointSet sums_;
   PointSet sum2s_;
   PointSet centroids_;

@@ -1,8 +1,5 @@
 #include "cluster/summarizer.h"
 
-#include <cmath>
-#include <string>
-
 #include "common/ensure.h"
 
 namespace geored::cluster {
@@ -17,28 +14,19 @@ MicroClusterSummarizer::MicroClusterSummarizer(const SummarizerConfig& config)
   store_.reserve(config.max_clusters + 1);
 }
 
-void MicroClusterSummarizer::add(const Point& coords, double weight) {
-  add_row(coords.values().data(), coords.dim(), weight);
+void MicroClusterSummarizer::add(const Point& coords) {
+  add_row(coords.values().data(), coords.dim());
 }
 
-void MicroClusterSummarizer::add_batch(const PointSet& coords, std::span<const double> weights) {
-  GEORED_ENSURE(weights.empty() || weights.size() == coords.size(),
-                "add_batch weight count must match row count");
+void MicroClusterSummarizer::add_batch(const PointSet& coords) {
   const std::size_t n = coords.size();
   if (n == 0) return;
-  // Weights are validated up front so a bad weight rejects the whole batch
-  // before any row is ingested (the per-access loop would have ingested the
-  // prefix); successful batches are byte-identical either way.
-  for (const double w : weights) {
-    GEORED_ENSURE(std::isfinite(w) && w >= 0.0,
-                  "access weight must be finite and non-negative");
-  }
   const std::size_t dim = coords.dim();
   GEORED_ENSURE(store_.empty() || dim == store_.dim(), "dimension mismatch in add");
   total_count_ += n;
   std::size_t i = 0;
   if (store_.empty()) {
-    store_.append_singleton(coords.row(0), dim, weights.empty() ? 1.0 : weights[0]);
+    store_.append_singleton(coords.row(0), dim);
     i = 1;
   }
   // Batch-only advantage over the per-access API: upcoming rows are known,
@@ -50,25 +38,22 @@ void MicroClusterSummarizer::add_batch(const PointSet& coords, std::span<const d
     if (i + kPrefetchAhead < n) {
       __builtin_prefetch(coords.row(i + kPrefetchAhead));
     }
-    const double weight = weights.empty() ? 1.0 : weights[i];
-    if (!store_.try_absorb(coords.row(i), weight)) spawn_row(coords.row(i), dim, weight);
+    if (!store_.try_absorb(coords.row(i))) spawn_row(coords.row(i), dim);
   }
 }
 
-void MicroClusterSummarizer::add_row(const double* coords, std::size_t dim, double weight) {
-  GEORED_ENSURE(std::isfinite(weight) && weight >= 0.0,
-                "access weight must be finite and non-negative");
+void MicroClusterSummarizer::add_row(const double* coords, std::size_t dim) {
   GEORED_ENSURE(store_.empty() || dim == store_.dim(), "dimension mismatch in add");
   ++total_count_;
   if (store_.empty()) {
-    store_.append_singleton(coords, dim, weight);
+    store_.append_singleton(coords, dim);
     return;
   }
-  if (!store_.try_absorb(coords, weight)) spawn_row(coords, dim, weight);
+  if (!store_.try_absorb(coords)) spawn_row(coords, dim);
 }
 
-void MicroClusterSummarizer::spawn_row(const double* coords, std::size_t dim, double weight) {
-  store_.append_singleton(coords, dim, weight);
+void MicroClusterSummarizer::spawn_row(const double* coords, std::size_t dim) {
+  store_.append_singleton(coords, dim);
   if (store_.size() > config_.max_clusters) {
     const auto [best_a, best_b] = store_.closest_pair();
     store_.merge_rows(best_a, best_b);

@@ -18,7 +18,6 @@
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "cluster/cluster_view.h"
@@ -40,7 +39,7 @@ struct SummarizerConfig {
   /// Multiplier on the cluster stddev for the absorb test (1.0 = the paper's
   /// "within the standard deviation").
   double radius_factor = 1.0;
-  /// Decay applied by decay() to counts and weights, implementing the
+  /// Decay applied by decay() to the counts and moments, implementing the
   /// "recent accesses" emphasis between placement epochs.
   double epoch_decay = 0.5;
 };
@@ -49,20 +48,17 @@ class MicroClusterSummarizer {
  public:
   explicit MicroClusterSummarizer(const SummarizerConfig& config = {});
 
-  /// Records one access by a client at `coords` transferring `weight` units
-  /// of data (e.g. bytes, normalized). Weights must be finite and
-  /// non-negative, and `coords` must match the dimension of the clusters
-  /// already held; a rejected access changes nothing, not even
-  /// total_count().
-  void add(const Point& coords, double weight = 1.0);
+  /// Records one access by a client at `coords`, which must match the
+  /// dimension of the clusters already held; a rejected access changes
+  /// nothing, not even total_count().
+  void add(const Point& coords);
 
-  /// Records a batch of accesses: row i of `coords` with weights[i] (or 1.0
-  /// for every row when `weights` is empty). Equivalent to calling add()
-  /// per row in order — batching only amortizes the call overhead, it never
-  /// changes the result. Weights and the dimension are validated before any
-  /// row is ingested, so a non-finite or negative weight or a dimension
-  /// mismatch rejects the whole batch and leaves the summarizer untouched.
-  void add_batch(const PointSet& coords, std::span<const double> weights = {});
+  /// Records a batch of accesses, one per row of `coords`. Equivalent to
+  /// calling add() per row in order — batching only amortizes the call
+  /// overhead, it never changes the result. The dimension is validated
+  /// before any row is ingested, so a mismatch rejects the whole batch and
+  /// leaves the summarizer untouched.
+  void add_batch(const PointSet& coords);
 
   /// Inserts row i of `clusters`, a whole micro-cluster read in place (e.g.
   /// one inherited from a replica that is being retired). The cluster is
@@ -79,7 +75,7 @@ class MicroClusterSummarizer {
   /// Total accesses summarized since construction or the last clear().
   std::uint64_t total_count() const { return total_count_; }
 
-  /// Exponentially decays all cluster counts/weights (see
+  /// Exponentially decays all cluster counts and moments (see
   /// SummarizerConfig::epoch_decay); clusters decayed below one access are
   /// dropped. Called at placement-epoch boundaries so old populations fade.
   void decay();
@@ -92,11 +88,11 @@ class MicroClusterSummarizer {
   const MomentStore& store() const { return store_; }
 
  private:
-  void add_row(const double* coords, std::size_t dim, double weight);
+  void add_row(const double* coords, std::size_t dim);
   /// The paper's rule for an access that MomentStore::try_absorb rejected:
   /// spawn a singleton cluster, then merge the closest pair over budget.
   /// Shared by add_row and add_batch, which run try_absorb inline first.
-  void spawn_row(const double* coords, std::size_t dim, double weight);
+  void spawn_row(const double* coords, std::size_t dim);
 
   SummarizerConfig config_;
   MomentStore store_;

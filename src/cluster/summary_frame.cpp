@@ -14,7 +14,7 @@ namespace geored::cluster {
 
 namespace {
 
-/// Counts whose (count << 1) | w header still fits 64 bits.
+/// Counts whose (count << 1) | 1 header still fits 64 bits.
 constexpr std::uint64_t kCountLimit = std::uint64_t{1} << 63;
 
 /// Which moments a frame carries per cluster: the full frame both, the
@@ -23,15 +23,18 @@ enum class Moments { kSumOnly, kBoth };
 
 std::size_t moments_per_dim(Moments moments) { return moments == Moments::kBoth ? 2 : 1; }
 
-/// The frame's w flag: the weight carries nothing the count does not.
+/// What a decoder makes of a cluster header with w = 0: only a checkpoint
+/// v3 frame may carry one, followed by the cluster's explicit weight.
+enum class Weights { kRejected, kCheckedAndDropped };
+
+/// A cluster's header: its count, and w = 1.
+std::uint64_t cluster_header(std::uint64_t count) { return (count << 1) | 1; }
+
+/// A checkpoint v3 encoder set w = 1 exactly when the weight's bits equal
+/// those of double(count).
 bool weight_is_count(std::uint64_t count, double weight) {
   return std::bit_cast<std::uint64_t>(weight) ==
          std::bit_cast<std::uint64_t>(static_cast<double>(count));
-}
-
-std::uint64_t cluster_header(const ClusterView& clusters, std::size_t i) {
-  return (clusters.count(i) << 1) |
-         static_cast<std::uint64_t>(weight_is_count(clusters.count(i), clusters.weight(i)));
 }
 
 [[noreturn]] void reject(const std::string& what) {
@@ -39,7 +42,8 @@ std::uint64_t cluster_header(const ClusterView& clusters, std::size_t i) {
 }
 
 // The per-value checks every decoder applies: what no encoder could emit
-// from a summarizer's clusters.
+// from a summarizer's clusters. A weight is checked only in the checkpoint
+// layouts that stored one (v1 to v3), and then dropped.
 
 void check_weight(double weight) {
   if (!std::isfinite(weight) || weight < 0.0) reject("non-finite or negative weight");
@@ -72,9 +76,7 @@ void write_frame(ByteWriter& writer, const ClusterView& clusters, Moments moment
   if (n == 0) return;
   writer.write_varint(dim);
   for (std::size_t i = 0; i < n; ++i) {
-    const std::uint64_t header = cluster_header(clusters, i);
-    writer.write_varint(header);
-    if ((header & 1) == 0) writer.write_f64(clusters.weight(i));
+    writer.write_varint(cluster_header(clusters.count(i)));
     writer.write_f64s(clusters.sum(i));
     if (moments == Moments::kBoth) writer.write_f64s(clusters.sum2(i));
   }
@@ -87,14 +89,13 @@ std::size_t frame_size(const ClusterView& clusters, Moments moments) noexcept {
   const std::size_t dim = clusters.dim();
   bytes += varint_size(dim);
   for (std::size_t i = 0; i < n; ++i) {
-    const std::uint64_t header = cluster_header(clusters, i);
-    bytes += varint_size(header) + ((header & 1) == 0 ? sizeof(double) : 0) +
+    bytes += varint_size(cluster_header(clusters.count(i))) +
              moments_per_dim(moments) * dim * sizeof(double);
   }
   return bytes;
 }
 
-ClusterBuffer read_frame(ByteReader& reader, Moments moments) {
+ClusterBuffer read_frame(ByteReader& reader, Moments moments, Weights weights) {
   ClusterBuffer clusters;
   const std::uint64_t n = reader.read_varint();
   if (n == 0) return clusters;
@@ -122,18 +123,20 @@ ClusterBuffer read_frame(ByteReader& reader, Moments moments) {
     const std::uint64_t header = reader.read_varint();
     const std::uint64_t count = header >> 1;
     if (count == 0) reject("cluster count 0");
-    double weight = static_cast<double>(count);
     if ((header & 1) == 0) {
-      weight = reader.read_f64();
+      if (weights == Weights::kRejected) {
+        reject("a cluster header with w = 0 (only checkpoint v3 stored weights)");
+      }
+      const double weight = reader.read_f64();
       if (weight_is_count(count, weight)) reject("explicit weight equal to the count");
+      check_weight(weight);
     }
     reader.read_f64s(sum);
     reader.read_f64s(sum2);
-    check_weight(weight);
     check_sums(sum);
     check_second_moments(sum2);
-    clusters.append(ClusterView(1, dim, &count, &weight, sum.data(),
-                                sum2.empty() ? nullptr : sum2.data()));
+    clusters.append(
+        ClusterView(1, dim, &count, sum.data(), sum2.empty() ? nullptr : sum2.data()));
   }
   return clusters;
 }
@@ -149,7 +152,11 @@ std::size_t serialized_size(ClusterView clusters) noexcept {
 }
 
 ClusterBuffer read_clusters(ByteReader& reader) {
-  return read_frame(reader, Moments::kBoth);
+  return read_frame(reader, Moments::kBoth, Weights::kRejected);
+}
+
+ClusterBuffer read_v3_clusters(ByteReader& reader) {
+  return read_frame(reader, Moments::kBoth, Weights::kCheckedAndDropped);
 }
 
 void write_centroid_frame(ByteWriter& writer, ClusterView clusters) {
@@ -161,7 +168,7 @@ std::size_t centroid_frame_size(ClusterView clusters) noexcept {
 }
 
 ClusterBuffer read_centroid_frame(ByteReader& reader) {
-  return read_frame(reader, Moments::kSumOnly);
+  return read_frame(reader, Moments::kSumOnly, Weights::kRejected);
 }
 
 namespace {
@@ -304,7 +311,7 @@ ClusterBuffer read_fixed_width_clusters(ByteReader& reader, std::size_t dim) {
     // included, once the whole frame has decoded.
     foreign |= sum.size() != dim;
     if (foreign) continue;
-    clusters.append(ClusterView(1, dim, &count, &weight, sum.data(), sum2.data()));
+    clusters.append(ClusterView(1, dim, &count, sum.data(), sum2.data()));
   }
   GEORED_ENSURE(!foreign, "checkpoint summaries must have the candidates' dimension");
   return clusters;

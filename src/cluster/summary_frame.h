@@ -7,19 +7,18 @@
 //
 // All three frames use LEB128 varints and little-endian IEEE doubles.
 //
-// The full frame (checkpoint v3, and the hierarchical source -> aggregator
+// The full frame (the checkpoint, and the hierarchical source -> aggregator
 // hop, where aggregators merge clusters):
 //
 //   varint  n                      cluster count
 //   varint  d                      dimension; present only when n > 0
 //   n times:
-//     varint  (count << 1) | w
-//     f64     weight               present only when w = 0
+//     varint  (count << 1) | w     w = 1
 //     f64     sum[d]
 //     f64     sum2[d]
 //
 // A collection round ships it in two phases, because propose and gate read
-// only each cluster's count, weight and sum (Algorithm 1 clusters the
+// only each cluster's count and sum (Algorithm 1 clusters the
 // micro-cluster centroids), and only the hand-off of an adopting epoch
 // (core::redistribute_to_nearest) needs the second moments — and of those,
 // only the moments of a cluster handed to a replica other than the one that
@@ -44,11 +43,13 @@
 //                                  only when n > 0
 //     f64     sum2[n·d]            cluster by cluster
 //
-// w = 1 exactly when the weight's bits equal those of double(count), as they
-// do for unit-weight traffic; the decoder then takes the weight from the
-// count, so every double round-trips bit for bit. At d = 5 a cluster of
-// 64 to 8,191 accesses takes 82 bytes in the full frame with its weight
-// elided (90 with it), 42 in the centroid frame and 40 in a moment frame.
+// Every writer sets w = 1, and every decoder but one rejects w = 0. The bit
+// is what is left of a cluster's data-volume weight, which no decision reads:
+// checkpoint v3 frames set w = 0 for a weight whose bits differed from those
+// of double(count) and put it as an f64 after the header. read_v3_clusters
+// still reads such frames, checks each weight as v3 did, and drops it. At
+// d = 5 a cluster of 64 to 8,191 accesses takes 82 bytes in the full frame,
+// 42 in the centroid frame and 40 in a moment frame.
 //
 // The writers and sizes read a ClusterView (cluster/cluster_view.h): a
 // summarizer's rows in place, or a ClusterBuffer's. The decoders return a
@@ -78,13 +79,20 @@ std::size_t serialized_size(ClusterView clusters) noexcept;
 /// a varint longer than 10 bytes, past 64 bits or not canonical; a cluster
 /// count the bytes left cannot hold at 1 + 16·d bytes per cluster; d = 0
 /// with clusters; a cluster count of 0 (one of 2^63 or more cannot be
-/// written: its header would overflow the varint); an explicit weight equal
-/// to the count, which the encoder would have elided; a weight that is not
-/// finite or is negative; a moment that is not finite; and a negative second
-/// moment all throw geored::WireFormatError before anything is sized from
-/// them. Every frame it accepts re-encodes to the same bytes: its rows, in
-/// frame order, each with its second moments.
+/// written: its header would overflow the varint); a header with w = 0; a
+/// moment that is not finite; and a negative second moment all throw
+/// geored::WireFormatError before anything is sized from them. Every frame
+/// it accepts re-encodes to the same bytes: its rows, in frame order, each
+/// with its second moments.
 ClusterBuffer read_clusters(ByteReader& reader);
+
+/// read_clusters for a checkpoint v3 frame, which may hold w = 0 headers,
+/// each followed by an explicit weight. The weight is checked as v3 always
+/// did: one whose bits equal those of double(count), which the encoder
+/// would have elided, and one that is not finite or is negative throw
+/// geored::WireFormatError. It is then dropped, so such a frame re-encodes
+/// without it.
+ClusterBuffer read_v3_clusters(ByteReader& reader);
 
 /// Appends the centroid frame of `clusters` (phase 1): the full frame
 /// without the second moments. Throws std::invalid_argument, writing
@@ -96,7 +104,7 @@ void write_centroid_frame(ByteWriter& writer, ClusterView clusters);
 std::size_t centroid_frame_size(ClusterView clusters) noexcept;
 
 /// Decodes one centroid frame, with read_clusters' checks at 1 + 8·d bytes
-/// per cluster. The rows carry count, weight and sum, what propose and gate
+/// per cluster. The rows carry count and sum, what propose and gate
 /// read, and no second moments until read_moment_frame completes them.
 /// Every frame it accepts re-encodes to the same bytes.
 ClusterBuffer read_centroid_frame(ByteReader& reader);
@@ -178,7 +186,8 @@ std::vector<double> read_departing_moment_frame(ByteReader& reader, const Depart
 /// Decodes the fixed-width layout that checkpoint versions 1 and 2 stored
 /// per replica (u32 cluster count; per cluster a u64 count, an f64 weight,
 /// and sum and sum2 each as a u32 length and its doubles), with the checks
-/// it always had; they throw geored::WireFormatError. A layout of several
+/// it always had; they throw geored::WireFormatError. Each weight is
+/// checked, then dropped, as read_v3_clusters does. A layout of several
 /// dimensions can hold a cluster of count 0, which no row keeps, so every
 /// cluster's dimension is checked against `dim`, the checkpoint's, once the
 /// whole layout has decoded: another one throws std::invalid_argument. The

@@ -12,8 +12,8 @@
 //                      ("rpc", net/rpc_collector.h)
 //
 // Collection runs in two phases (cluster/summary_frame.h). Phase 1
-// (collect) ships every source's centroid frame: the counts, weights and
-// sums that propose and gate read. Phase 2 (collect_moments) runs only when
+// (collect) ships every source's centroid frame: the counts and sums that
+// propose and gate read. Phase 2 (collect_moments) runs only when
 // the gate adopts, and only for the clusters that change replica. Before
 // it, plan_handoff sends each collected cluster to the adopted replica
 // nearest its centroid; a cluster whose destination is the replica that
@@ -64,7 +64,7 @@ struct CollectionContext {
 struct CollectedSummaries {
   /// Every collected micro-cluster, flattened in source order, each row with
   /// the node that reported it ("hierarchical": none, an aggregator merged
-  /// it). After phase 1 only count, weight and sum are guaranteed; after
+  /// it). After phase 1 only count and sum are guaranteed; after
   /// phase 2 every departing cluster of the hand-off plan carries its second
   /// moments, and a staying one is read from its replica at adoption.
   cluster::ClusterBuffer summaries;

@@ -89,7 +89,6 @@ std::vector<double> run_once(const Environment& env, const ExperimentConfig& con
     const double mean = config.mean_accesses_per_client *
                         std::exp(rng.normal(mu_correction, config.access_spread_sigma));
     record.access_count = std::max<std::uint64_t>(1, rng.poisson(mean));
-    record.data_weight = static_cast<double>(record.access_count);
     clients.push_back(std::move(record));
   }
 
@@ -139,7 +138,7 @@ std::vector<double> run_once(const Environment& env, const ExperimentConfig& con
                                            initial_placement.size());
   // Sequential per-replica ingest: run_experiment parallelizes across runs.
   for (std::size_t r = 0; r < batches.size(); ++r) {
-    summarizers[r].add_batch(batches[r].coords, batches[r].weights);
+    summarizers[r].add_batch(batches[r]);
   }
 
   // Collect the per-replica summaries through the configured collection

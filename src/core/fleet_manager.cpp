@@ -54,10 +54,8 @@ const ReplicationManager& FleetManager::group(std::size_t index) const {
   return *groups_[index];
 }
 
-topo::NodeId FleetManager::serve(std::uint64_t object_id, const Point& client_coords,
-                                 double data_weight) {
-  GEORED_ENSURE(data_weight >= 0.0, "data weight must be non-negative");
-  return groups_[group_of(object_id)]->serve(client_coords, data_weight);
+topo::NodeId FleetManager::serve(std::uint64_t object_id, const Point& client_coords) {
+  return groups_[group_of(object_id)]->serve(client_coords);
 }
 
 FleetEpochReport FleetManager::run_epochs(const std::set<topo::NodeId>& excluded) {

@@ -88,8 +88,7 @@ class FleetManager {
   const ReplicationManager& group(std::size_t index) const;
 
   /// Routes one access for `object_id` to its group's nearest replica.
-  topo::NodeId serve(std::uint64_t object_id, const Point& client_coords,
-                     double data_weight = 1.0);
+  topo::NodeId serve(std::uint64_t object_id, const Point& client_coords);
 
   /// Runs one placement epoch for every group, parallelized over the global
   /// ThreadPool (one group per task; nested data-parallel calls inside a

@@ -55,8 +55,8 @@ void ensure_moments_usable(const cluster::ClusterBuffer& clusters, std::size_t i
   const cluster::ClusterView rows = clusters.view();
   const std::span<const double> sum = rows.sum(i);
   const std::span<const double> sum2 = rows.sum2(i);
-  GEORED_ENSURE(cluster::detail::moment_row_consistent(rows.count(i), rows.weight(i),
-                                                       sum.data(), sum2.data(), sum.size()),
+  GEORED_ENSURE(cluster::detail::moment_row_consistent(rows.count(i), sum.data(), sum2.data(),
+                                                       sum.size()),
                 "corrupt checkpoint: a summary's moments describe no set of points");
   const double* centroid = clusters.centroid(i);
   const auto n = static_cast<double>(rows.count(i));
@@ -109,11 +109,11 @@ ReplicationManager::ReplicationManager(std::shared_ptr<const place::CandidateTab
   }
 }
 
-topo::NodeId ReplicationManager::serve(const Point& client_coords, double data_weight) {
+topo::NodeId ReplicationManager::serve(const Point& client_coords) {
   GEORED_CHECK(!placement_.empty(), "manager has no replicas");
   const auto best = route(client_coords);
   GEORED_ENSURE(best.has_value(), "no replica is at a finite distance from the client");
-  record_access(*best, client_coords, data_weight);
+  record_access(*best, client_coords);
   return *best;
 }
 
@@ -136,34 +136,25 @@ std::optional<topo::NodeId> ReplicationManager::route(const Point& client_coords
   return best;
 }
 
-void ReplicationManager::record_access(topo::NodeId replica, const Point& client_coords,
-                                       double data_weight) {
+void ReplicationManager::record_access(topo::NodeId replica, const Point& client_coords) {
   const auto it = summarizers_.find(replica);
   GEORED_ENSURE(it != summarizers_.end(), "node does not currently hold a replica");
-  GEORED_ENSURE(std::isfinite(data_weight) && data_weight >= 0.0,
-                "access weight must be finite and non-negative");
   ensure_client_coords(client_coords.values().data(), 1, client_coords.dim(),
                        candidates_->dim());
   const MutexLock lock(ingest_->mutex);
-  it->second.add(client_coords, data_weight);
+  it->second.add(client_coords);
   ++ingest_->accesses;
 }
 
-void ReplicationManager::record_access_batch(topo::NodeId replica, const PointSet& client_coords,
-                                             std::span<const double> data_weights) {
+void ReplicationManager::record_access_batch(topo::NodeId replica,
+                                             const PointSet& client_coords) {
   const auto it = summarizers_.find(replica);
   GEORED_ENSURE(it != summarizers_.end(), "node does not currently hold a replica");
-  GEORED_ENSURE(data_weights.empty() || data_weights.size() == client_coords.size(),
-                "access weight count must match coordinate row count");
-  for (const double weight : data_weights) {
-    GEORED_ENSURE(std::isfinite(weight) && weight >= 0.0,
-                  "access weight must be finite and non-negative");
-  }
   const std::size_t n = client_coords.size();
   if (n == 0) return;
   ensure_client_coords(client_coords.row(0), n, client_coords.dim(), candidates_->dim());
   const MutexLock lock(ingest_->mutex);
-  it->second.add_batch(client_coords, data_weights);
+  it->second.add_batch(client_coords);
   ingest_->accesses += n;
 }
 
@@ -278,7 +269,7 @@ void ReplicationManager::save(ByteWriter& writer) const {
   writer.write_f64(budget_weight_);
   writer.write_u32(static_cast<std::uint32_t>(placement_.size()));
   for (const auto node : placement_) writer.write_u32(node);
-  // v3: one summary frame per replica.
+  // v3: one summary frame per replica; v4: with no weights.
   for (const auto node : placement_) {
     cluster::write_clusters(writer, summarizers_.at(node).clusters());
   }
@@ -343,11 +334,13 @@ ReplicationManager::Checkpoint ReplicationManager::parse_checkpoint(ByteReader& 
   // moments overflow, would wedge the next epoch, and a non-finite warm
   // centroid would seed its k-means with a non-finite centroid, so they are
   // rejected here, before anything is committed. A fixed-width cluster of
-  // count 0 becomes no row, so its decoder checks its dimension.
+  // count 0 becomes no row, so its decoder checks its dimension. Before v4
+  // the summaries held weights, which their decoders check and drop.
   for (const auto node : placement) {
     const cluster::ClusterBuffer clusters =
-        version >= 3 ? cluster::read_clusters(reader)
-                     : cluster::read_fixed_width_clusters(reader, candidates_->dim());
+        version >= 4   ? cluster::read_clusters(reader)
+        : version == 3 ? cluster::read_v3_clusters(reader)
+                       : cluster::read_fixed_width_clusters(reader, candidates_->dim());
     GEORED_ENSURE(clusters.empty() || clusters.dim() == candidates_->dim(),
                   "checkpoint summaries must have the candidates' dimension");
     for (std::size_t i = 0; i < clusters.size(); ++i) {

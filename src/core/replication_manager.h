@@ -34,7 +34,6 @@
 #include <memory>
 #include <optional>
 #include <set>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -66,8 +65,12 @@ namespace geored::core {
 ///      (cluster/summary_frame.h) instead of the fixed-width per-cluster
 ///      layout; every other field is unchanged. v1 and v2 blobs still load,
 ///      their summaries through cluster::read_fixed_width_clusters.
+///   4  v3 with no micro-cluster weight: every cluster header has w = 1,
+///      and one with w = 0 is rejected. v3 blobs still load, their summaries
+///      through cluster::read_v3_clusters; like the v1 and v2 reader, it
+///      checks each stored weight and drops it.
 inline constexpr std::uint32_t kCheckpointMagic = 0x47524D43;  // "GRMC"
-inline constexpr std::uint32_t kCheckpointVersion = 3;
+inline constexpr std::uint32_t kCheckpointVersion = 4;
 
 struct ManagerConfig {
   /// Target degree of replication (the paper's k).
@@ -151,7 +154,7 @@ class ReplicationManager {
   /// record_access_batch) requires client coordinates of the candidates'
   /// dimension with every component finite, and throws
   /// std::invalid_argument before ingesting or counting anything otherwise.
-  topo::NodeId serve(const Point& client_coords, double data_weight = 1.0);
+  topo::NodeId serve(const Point& client_coords);
 
   /// Pure routing: the replica nearest `client_coords` in coordinate space,
   /// skipping any replica in `down` (e.g. data centers currently failed).
@@ -165,16 +168,13 @@ class ReplicationManager {
   /// replica) for a client at `client_coords`, ingesting it into the
   /// replica's summarizer at once. Use this form when the caller did its
   /// own replica selection (e.g. the event-driven simulator).
-  void record_access(topo::NodeId replica, const Point& client_coords, double data_weight = 1.0);
+  void record_access(topo::NodeId replica, const Point& client_coords);
 
-  /// Records a whole chunk of accesses served by `replica`: row i of
-  /// `client_coords` with data_weights[i] (or 1.0 per row when
-  /// `data_weights` is empty). Equivalent to record_access per row in
-  /// order; the chunk is ingested straight from `client_coords` and
-  /// `data_weights`, with no copy. A bad row rejects the whole chunk before
-  /// anything is ingested or counted.
-  void record_access_batch(topo::NodeId replica, const PointSet& client_coords,
-                           std::span<const double> data_weights = {});
+  /// Records a whole chunk of accesses served by `replica`, one per row of
+  /// `client_coords`. Equivalent to record_access per row in order; the
+  /// chunk is ingested straight from `client_coords`, with no copy. A bad
+  /// row rejects the whole chunk before anything is ingested or counted.
+  void record_access_batch(topo::NodeId replica, const PointSet& client_coords);
 
   /// No-op, kept for existing callers: every record is ingested when it
   /// arrives, so there is nothing to flush.

@@ -29,12 +29,6 @@ struct ClientRecord {
   topo::NodeId client = 0;
   Point coords;                    ///< estimated network coordinates
   std::uint64_t access_count = 0;  ///< accesses in the analyzed period
-
-  /// Data volume this client exchanged per access, normalized so 1.0 is one
-  /// plain access (the unit `serve()`/`record_access()` default to). Callers
-  /// that weight clients by traffic set this to the measured volume; leaving
-  /// it untouched means "an ordinary access", never "no data".
-  double data_weight = 1.0;
 };
 
 /// A candidate data center.
@@ -55,7 +49,7 @@ struct PlacementInput {
 
   /// Micro-cluster summaries collected from replica servers (online
   /// strategy), as the flat rows a collector builds: the strategy reads
-  /// each row's count, weight and centroid in place.
+  /// each row's count and centroid in place.
   cluster::ClusterBuffer summaries;
 
   /// Ground truth; only the `optimal` oracle may read it.

@@ -109,7 +109,7 @@ double MicroCluster::rms_stddev() const {
 
 MicroCluster::operator ClusterView() const noexcept {
   const std::size_t dim = sum_.dim();
-  return {1, dim, &count_, &weight_, sum_.values().data(),
+  return {1, dim, &count_, sum_.values().data(),
           sum2_.dim() == dim && dim > 0 ? sum2_.values().data() : nullptr};
 }
 
@@ -117,7 +117,7 @@ MicroCluster to_micro_cluster(const ClusterView& clusters, std::size_t i) {
   GEORED_ENSURE(i < clusters.size(), "cluster row out of range");
   MicroCluster cluster;
   cluster.count_ = clusters.count(i);
-  cluster.weight_ = clusters.weight(i);
+  cluster.weight_ = static_cast<double>(cluster.count_);
   const std::span<const double> sum = clusters.sum(i);
   const std::span<const double> sum2 = clusters.sum2(i);
   cluster.sum_ = Point(std::vector<double>(sum.begin(), sum.end()));

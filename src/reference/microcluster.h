@@ -10,14 +10,16 @@
 // E[X^2] - E[X]^2, so clusters can be merged by adding their moments — the
 // CluStream (Aggarwal et al., VLDB'03) cluster-feature representation.
 //
-// The production libraries keep these four numbers as flat rows
+// The production libraries keep three of these numbers as flat rows
 // (cluster/cluster_view.h, cluster/moment_store.h), whose every update
-// repeats this class's floating-point operations. The object form is the
+// repeats this class's floating-point operations on them: no decision reads
+// the weight, so the rows leave it out. The object form is the
 // test-only geored_reference library's: the frozen scalar summarizer
 // (reference/summarizer_scalar.h) and redistribution (reference/scalar.h)
 // are written on it, and tests build clusters by hand with it. A cluster
 // reads as a one-row ClusterView in place, and the copy-in and copy-out
-// helpers at the end move clusters between the two forms bit for bit.
+// helpers at the end move count, sum and sum2 between the two forms bit for
+// bit; a copied-out cluster's weight is its count.
 #pragma once
 
 #include <cstdint>
@@ -59,10 +61,11 @@ class MicroCluster {
   /// radius used by the paper's absorb-or-spawn test. Zero for singletons.
   double rms_stddev() const;
 
-  /// This cluster as a one-row view, read in place: valid while the cluster
-  /// lives unchanged. Implicit, so a cluster goes wherever a ClusterView
-  /// does (a summary frame writer, MicroClusterSummarizer::merge_cluster).
-  /// Second moments of dimension 0 read as none.
+  /// This cluster as a one-row view of its count, sum and sum2, read in
+  /// place: valid while the cluster lives unchanged. Implicit, so a cluster
+  /// goes wherever a ClusterView does (a summary frame writer,
+  /// MicroClusterSummarizer::merge_cluster). Second moments of dimension 0
+  /// read as none.
   // NOLINTNEXTLINE(google-explicit-constructor)
   operator ClusterView() const noexcept;
 
@@ -79,7 +82,8 @@ class MicroCluster {
 };
 
 /// Copy-out: row i of `clusters` as a MicroCluster, every moment bit for bit
-/// (second moments of dimension 0 when the row carries none).
+/// (second moments of dimension 0 when the row carries none), with a weight
+/// equal to its count.
 MicroCluster to_micro_cluster(const ClusterView& clusters, std::size_t i);
 
 /// Copy-out of every row, in order.

@@ -3,6 +3,7 @@
 #include <cmath>
 #include <cstdint>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <utility>
 
@@ -513,7 +514,8 @@ FleetSpec read_fleet(const Json& json, const std::string& path) {
   if (spec.min_degree < 1 || spec.min_degree > spec.max_degree) {
     bad_value(path + ".min_degree", "degree bounds must satisfy 1 <= min <= max");
   }
-  if (spec.replica_budget > 0 && spec.replica_budget < spec.groups * spec.min_degree) {
+  // budget < groups * min_degree, without the product (it can wrap).
+  if (spec.replica_budget > 0 && spec.replica_budget / spec.min_degree < spec.groups) {
     bad_value(path + ".replica_budget",
               "budget cannot cover the minimum degree for every group");
   }
@@ -617,7 +619,14 @@ Event read_event(const Json& json, const std::string& path) {
       bad_value(path, "outage needs a region pattern or a node id");
     }
     if (has_node) {
-      event.node = static_cast<topo::NodeId>(reader.unsigned_integer("node", 0));
+      // Range-checked before it narrows to a NodeId: no data center has an
+      // id of 2^32 or more (validate_schedule checks the rest against dcs).
+      const std::uint64_t node = reader.unsigned_integer("node", 0);
+      if (node > std::numeric_limits<topo::NodeId>::max()) {
+        throw ScenarioError(ScenarioError::Kind::kBadReference, path + ".node",
+                            "node " + std::to_string(node) + " is not a data center");
+      }
+      event.node = static_cast<topo::NodeId>(node);
     } else {
       event.region = reader.string("region", "*");
     }

@@ -142,8 +142,7 @@ void ReplicatedKvStore::put(topo::NodeId client, const Point& client_coords, Obj
   // client would naturally be served by.
   const auto& ranked = rank_replicas(placement, client_coords);
   if (!ranked.empty()) {
-    manager.record_access(ranked.front().second, client_coords,
-                          static_cast<double>(data.size()));
+    manager.record_access(ranked.front().second, client_coords);
   }
 
   const std::uint32_t slot = put_ops_.acquire();
@@ -210,7 +209,7 @@ void ReplicatedKvStore::get(topo::NodeId client, const Point& client_coords, Obj
   const auto& ranked = rank_replicas(placement, client_coords);
   GEORED_CHECK(!ranked.empty(), "group has no replicas");
 
-  manager.record_access(ranked.front().second, client_coords, 1.0);
+  manager.record_access(ranked.front().second, client_coords);
 
   const std::uint32_t slot = get_ops_.acquire();
   GetOp& op = get_ops_.ops[slot];

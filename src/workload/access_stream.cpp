@@ -20,16 +20,13 @@ std::vector<std::uint32_t> interleave_access_stream(const std::vector<std::uint6
   return stream;
 }
 
-std::vector<AccessBatch> batch_by_server(const std::vector<std::uint32_t>& stream,
-                                         const std::vector<std::size_t>& server_of_client,
-                                         const std::vector<Point>& client_coords,
-                                         std::size_t server_count,
-                                         std::span<const double> client_weights) {
+std::vector<PointSet> batch_by_server(const std::vector<std::uint32_t>& stream,
+                                      const std::vector<std::size_t>& server_of_client,
+                                      const std::vector<Point>& client_coords,
+                                      std::size_t server_count) {
   GEORED_ENSURE(server_of_client.size() == client_coords.size(),
                 "one server and one coordinate per client required");
-  GEORED_ENSURE(client_weights.empty() || client_weights.size() == client_coords.size(),
-                "one weight per client required when weights are given");
-  std::vector<AccessBatch> batches(server_count);
+  std::vector<PointSet> batches(server_count);
   // Pre-size: one counting pass so the append pass never reallocates.
   std::vector<std::size_t> sizes(server_count, 0);
   for (const auto u : stream) {
@@ -38,15 +35,8 @@ std::vector<AccessBatch> batch_by_server(const std::vector<std::uint32_t>& strea
     GEORED_ENSURE(server < server_count, "client routed to an unknown server");
     ++sizes[server];
   }
-  for (std::size_t r = 0; r < server_count; ++r) {
-    batches[r].coords.reserve(sizes[r]);
-    if (!client_weights.empty()) batches[r].weights.reserve(sizes[r]);
-  }
-  for (const auto u : stream) {
-    AccessBatch& batch = batches[server_of_client[u]];
-    batch.coords.push_back(client_coords[u]);
-    if (!client_weights.empty()) batch.weights.push_back(client_weights[u]);
-  }
+  for (std::size_t r = 0; r < server_count; ++r) batches[r].reserve(sizes[r]);
+  for (const auto u : stream) batches[server_of_client[u]].push_back(client_coords[u]);
   return batches;
 }
 

@@ -12,7 +12,6 @@
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "common/point.h"
@@ -21,13 +20,6 @@
 
 namespace geored::wl {
 
-/// One replica's chunk of the observation stream: row i of `coords` is an
-/// access with weight `weights[i]` (all 1.0 when `weights` is empty).
-struct AccessBatch {
-  PointSet coords;
-  std::vector<double> weights;
-};
-
 /// Expands per-client access counts into one client-index stream and
 /// shuffles it with a seeded Fisher-Yates pass — the exact expansion and
 /// rng consumption of the historical evaluation loop, so existing seeds
@@ -35,15 +27,13 @@ struct AccessBatch {
 std::vector<std::uint32_t> interleave_access_stream(const std::vector<std::uint64_t>& counts,
                                                     Rng& rng);
 
-/// Groups a shuffled access stream into one AccessBatch per server. Access
-/// order *within* each server is stream order — each summarizer sees the
-/// identical subsequence it would have seen from the per-access loop. When
-/// `client_weights` is non-empty it supplies the per-access weight (indexed
-/// by client); otherwise batches carry empty weight vectors (= all 1.0).
-std::vector<AccessBatch> batch_by_server(const std::vector<std::uint32_t>& stream,
-                                         const std::vector<std::size_t>& server_of_client,
-                                         const std::vector<Point>& client_coords,
-                                         std::size_t server_count,
-                                         std::span<const double> client_weights = {});
+/// Groups a shuffled access stream into one batch of client coordinates
+/// per server: row i of a server's batch is its i-th access. Access order
+/// *within* each server is stream order — each summarizer sees the
+/// identical subsequence it would have seen from the per-access loop.
+std::vector<PointSet> batch_by_server(const std::vector<std::uint32_t>& stream,
+                                      const std::vector<std::size_t>& server_of_client,
+                                      const std::vector<Point>& client_coords,
+                                      std::size_t server_count);
 
 }  // namespace geored::wl

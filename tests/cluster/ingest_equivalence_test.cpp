@@ -1,10 +1,10 @@
 // IngestEquivalence: the SoA / batched / parallel ingest fast paths must be
 // bit-identical to the retained scalar reference. Equality is checked on
-// serialized summaries, so every moment (count, weight, sum, sum2) has to
-// match to the last bit — "close" is a failure. The suite also pins the
-// supporting contracts the fast path relies on: the SIMD nearest-centroid
-// scan against PointSet::nearest_of, radius-cache invalidation across
-// absorb / merge / decay, whole-batch weight and dimension validation, and
+// serialized summaries, so every moment (count, sum, sum2) has to match to
+// the last bit — "close" is a failure. The suite also pins the supporting
+// contracts the fast path relies on: the SIMD nearest-centroid scan against
+// PointSet::nearest_of, radius-cache invalidation across absorb / merge /
+// decay, whole-batch dimension validation, and
 // byte-stable ReplicationManager output across thread counts. Runs under
 // release, asan-ubsan, and the tsan preset (see .github/workflows/ci.yml).
 #include <gtest/gtest.h>
@@ -40,13 +40,12 @@ std::vector<std::uint8_t> summary_bytes(const ScalarMicroClusterSummarizer& summ
 }
 
 /// One randomized access stream: geo-clustered sites with occasional
-/// uniform and coincident arrivals, random weights, and random spread both
-/// inside and outside the absorb floor.
+/// uniform and coincident arrivals, and random spread both inside and
+/// outside the absorb floor.
 struct Stream {
   SummarizerConfig config;
   std::size_t dim = 0;
   std::vector<Point> points;
-  std::vector<double> weights;
 
   explicit Stream(std::uint64_t seed, std::size_t n_accesses = 400) {
     Rng rng(seed);
@@ -71,7 +70,9 @@ struct Stream {
         for (std::size_t d = 0; d < dim; ++d) p[d] = rng.uniform(-1e4, 1e4);
       }
       points.push_back(p);
-      weights.push_back(rng.bernoulli(0.1) ? 0.0 : rng.uniform(0.0, 50.0));
+      // The draws that once gave the access a weight, kept so that every
+      // seed's stream stays the one it was.
+      if (!rng.bernoulli(0.1)) rng.uniform(0.0, 50.0);
     }
   }
 };
@@ -84,8 +85,8 @@ TEST_P(IngestEquivalence, PerAccessPathMatchesScalarBytes) {
   MicroClusterSummarizer fast(stream.config);
   Rng ops(GetParam() ^ 0xfeedface);
   for (std::size_t i = 0; i < stream.points.size(); ++i) {
-    scalar.add(stream.points[i], stream.weights[i]);
-    fast.add(stream.points[i], stream.weights[i]);
+    scalar.add(stream.points[i]);
+    fast.add(stream.points[i]);
     // Interleave the other mutation paths so cached radii and the
     // transposed centroid shadow survive merge/decay churn.
     if (ops.bernoulli(0.03)) {
@@ -116,20 +117,16 @@ TEST_P(IngestEquivalence, BatchedPathMatchesScalarBytes) {
     const std::size_t chunk =
         std::min<std::size_t>(1 + chunks.below(40), stream.points.size() - i);
     PointSet batch(stream.dim);
-    std::vector<double> batch_weights;
     for (std::size_t j = 0; j < chunk; ++j) {
       batch.push_back(stream.points[i + j]);
-      batch_weights.push_back(stream.weights[i + j]);
-      scalar.add(stream.points[i + j], stream.weights[i + j]);
+      scalar.add(stream.points[i + j]);
     }
-    // Alternate between explicit weights and the all-1.0 default form.
+    // Some chunks arrive twice, the second time into the store they filled.
     if (chunks.bernoulli(0.2)) {
-      for (std::size_t j = 0; j < chunk; ++j) scalar.add(stream.points[i + j], 1.0);
-      batched.add_batch(batch, batch_weights);
+      for (std::size_t j = 0; j < chunk; ++j) scalar.add(stream.points[i + j]);
       batched.add_batch(batch);
-    } else {
-      batched.add_batch(batch, batch_weights);
     }
+    batched.add_batch(batch);
     ASSERT_EQ(summary_bytes(scalar), summary_bytes(batched))
         << "diverged after batch ending at " << i + chunk << " seed " << GetParam();
     i += chunk;
@@ -153,7 +150,7 @@ TEST(IngestEquivalence, NearestCentroidMatchesPointSetScan) {
     while (summarizer.store().size() < target_rows) {
       Point p(dim);
       for (std::size_t d = 0; d < dim; ++d) p[d] = rng.uniform(-200.0, 200.0);
-      summarizer.add(p, 1.0);
+      summarizer.add(p);
     }
     const MomentStore& store = summarizer.store();
     for (std::size_t q = 0; q < 200; ++q) {
@@ -185,7 +182,7 @@ TEST(IngestEquivalence, TiedDistancesPickTheFirstWinner) {
   config.min_absorb_radius = 0.25;
   MicroClusterSummarizer summarizer(config);
   for (double x : {-10.0, 10.0, -20.0, 20.0, -30.0, 30.0}) {
-    summarizer.add(Point{x, 0.0}, 1.0);
+    summarizer.add(Point{x, 0.0});
   }
   const double origin[2] = {0.0, 0.0};
   double dist = 0.0;
@@ -200,13 +197,13 @@ TEST(IngestEquivalence, AbsorbAndMergeAndDecayInvalidateCachedRadii) {
   config.radius_factor = 1.0;
   config.epoch_decay = 0.5;
   MicroClusterSummarizer summarizer(config);
-  summarizer.add(Point{0.0}, 1.0);
+  summarizer.add(Point{0.0});
   const MomentStore& store = summarizer.store();
   EXPECT_FALSE(store.radius_cached(0));
   EXPECT_EQ(store.radius(0), 5.0);  // singleton: stddev 0, the floor wins
   EXPECT_TRUE(store.radius_cached(0));
 
-  summarizer.add(Point{4.0}, 1.0);  // distance 4 < 5: absorbed into row 0
+  summarizer.add(Point{4.0});  // distance 4 < 5: absorbed into row 0
   EXPECT_EQ(store.size(), 1u);
   EXPECT_FALSE(store.radius_cached(0)) << "absorb must invalidate the cache";
   EXPECT_EQ(store.radius(0), 5.0);  // stddev 2, floor still wins
@@ -216,8 +213,8 @@ TEST(IngestEquivalence, AbsorbAndMergeAndDecayInvalidateCachedRadii) {
   EXPECT_FALSE(store.radius_cached(0)) << "decay must invalidate the cache";
 
   // Over-budget insert forces merge_rows; merged rows must recompute too.
-  summarizer.add(Point{100.0}, 1.0);
-  summarizer.add(Point{200.0}, 1.0);
+  summarizer.add(Point{100.0});
+  summarizer.add(Point{200.0});
   ASSERT_EQ(store.size(), 2u);
   for (std::size_t i = 0; i < store.size(); ++i) {
     EXPECT_FALSE(store.radius_cached(i)) << "row " << i;
@@ -228,8 +225,8 @@ TEST(IngestEquivalence, DecayGoldenSequence) {
   // Golden pin of the decay x radius interaction, derived from the
   // MicroCluster::scale contract (count rounds, moments scale by the
   // realized ratio so centroid and stddev are exactly preserved):
-  //   add x=0 w=3, add x=4 w=1  ->  count 2, sum 4, sum2 16, weight 4
-  //   decay(0.5)                ->  count 1, sum 2, sum2 8,  weight 2
+  //   add x=0, add x=4  ->  count 2, sum 4, sum2 16
+  //   decay(0.5)        ->  count 1, sum 2, sum2 8
   // Variance before: 16/2 - 2^2 = 4. Variance after: 8/1 - 2^2 = 4. The
   // radius is max(5, 1 * sqrt(4)) = 5 both before and after.
   SummarizerConfig config;
@@ -238,13 +235,12 @@ TEST(IngestEquivalence, DecayGoldenSequence) {
   config.radius_factor = 1.0;
   config.epoch_decay = 0.5;
   MicroClusterSummarizer summarizer(config);
-  summarizer.add(Point{0.0}, 3.0);
-  summarizer.add(Point{4.0}, 1.0);
+  summarizer.add(Point{0.0});
+  summarizer.add(Point{4.0});
   ASSERT_EQ(summarizer.clusters().size(), 1u);
   EXPECT_EQ(to_micro_clusters(summarizer.clusters())[0].count(), 2u);
   EXPECT_EQ(to_micro_clusters(summarizer.clusters())[0].sum()[0], 4.0);
   EXPECT_EQ(to_micro_clusters(summarizer.clusters())[0].sum2()[0], 16.0);
-  EXPECT_EQ(to_micro_clusters(summarizer.clusters())[0].weight(), 4.0);
   EXPECT_EQ(summarizer.store().radius(0), 5.0);
 
   summarizer.decay();
@@ -252,52 +248,26 @@ TEST(IngestEquivalence, DecayGoldenSequence) {
   EXPECT_EQ(to_micro_clusters(summarizer.clusters())[0].count(), 1u);
   EXPECT_EQ(to_micro_clusters(summarizer.clusters())[0].sum()[0], 2.0);
   EXPECT_EQ(to_micro_clusters(summarizer.clusters())[0].sum2()[0], 8.0);
-  EXPECT_EQ(to_micro_clusters(summarizer.clusters())[0].weight(), 2.0);
   EXPECT_FALSE(summarizer.store().radius_cached(0));
   EXPECT_EQ(summarizer.store().radius(0), 5.0);
   EXPECT_EQ(to_micro_clusters(summarizer.clusters())[0].centroid()[0], 2.0);
   EXPECT_EQ(to_micro_clusters(summarizer.clusters())[0].rms_stddev(), 2.0);
 }
 
-TEST(IngestEquivalence, RejectsNonFiniteAndNegativeWeights) {
-  const double kBad[] = {std::numeric_limits<double>::quiet_NaN(),
-                         std::numeric_limits<double>::infinity(),
-                         -std::numeric_limits<double>::infinity(), -1.0, -1e-12};
-  for (const double bad : kBad) {
-    MicroClusterSummarizer fast;
-    ScalarMicroClusterSummarizer scalar;
-    fast.add(Point{1.0, 2.0}, 3.0);
-    EXPECT_THROW(fast.add(Point{0.0, 0.0}, bad), std::invalid_argument);
-    EXPECT_THROW(scalar.add(Point{0.0, 0.0}, bad), std::invalid_argument);
-    EXPECT_EQ(fast.total_count(), 1u) << "failed add must not be recorded";
-  }
-  // A dimension mismatch is rejected before any state changes, too.
+TEST(IngestEquivalence, RejectsAForeignDimension) {
+  // A dimension mismatch is rejected before any state changes.
   MicroClusterSummarizer fast;
-  fast.add(Point{1.0, 2.0}, 1.0);
+  fast.add(Point{1.0, 2.0});
   const auto before = summary_bytes(fast);
-  EXPECT_THROW(fast.add(Point{1.0, 2.0, 3.0}, 1.0), std::invalid_argument);
+  EXPECT_THROW(fast.add(Point{1.0, 2.0, 3.0}), std::invalid_argument);
   EXPECT_EQ(fast.total_count(), 1u) << "a rejected 3-D add must not be recorded";
   EXPECT_EQ(summary_bytes(fast), before);
 }
 
-TEST(IngestEquivalence, BadBatchWeightRejectsTheWholeBatch) {
+TEST(IngestEquivalence, ForeignDimensionRejectsTheWholeBatch) {
   MicroClusterSummarizer summarizer;
-  summarizer.add(Point{5.0, 5.0}, 1.0);
+  summarizer.add(Point{5.0, 5.0});
   const auto before = summary_bytes(summarizer);
-
-  PointSet batch(2);
-  batch.push_back(Point{1.0, 1.0});
-  batch.push_back(Point{2.0, 2.0});
-  batch.push_back(Point{3.0, 3.0});
-  const std::vector<double> weights = {1.0, std::numeric_limits<double>::quiet_NaN(), 1.0};
-  EXPECT_THROW(summarizer.add_batch(batch, weights), std::invalid_argument);
-  EXPECT_EQ(summary_bytes(summarizer), before)
-      << "a bad weight anywhere in the batch must leave the summarizer untouched";
-  EXPECT_EQ(summarizer.total_count(), 1u);
-
-  EXPECT_THROW(summarizer.add_batch(batch, {weights.data(), 2}), std::invalid_argument)
-      << "weight count must match row count";
-  EXPECT_EQ(summary_bytes(summarizer), before);
 
   PointSet wrong_dim(3);
   wrong_dim.push_back(Point{1.0, 1.0, 1.0});
@@ -346,8 +316,7 @@ TEST(IngestEquivalence, ManagerBytesAreIdenticalAcrossThreadCounts) {
     const auto& placement = manager.placement();
     for (std::size_t i = 0; i < 600; ++i) {
       const Point client{rng.uniform(0.0, 900.0), rng.uniform(-50.0, 50.0)};
-      manager.record_access(placement[i % placement.size()], client,
-                            rng.uniform(0.0, 4.0));
+      manager.record_access(placement[i % placement.size()], client);
     }
     // A chunked batch on top, then an epoch so collection, placement, and
     // decay all run downstream of the ingest.

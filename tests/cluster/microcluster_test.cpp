@@ -138,23 +138,24 @@ TEST(MicroCluster, SerializationRoundTrip) {
   EXPECT_TRUE(reader.exhausted());
   ASSERT_EQ(restored.size(), 1u);
   EXPECT_EQ(restored[0].count(), cluster.count());
-  EXPECT_EQ(restored[0].weight(), cluster.weight());
+  // No frame carries the weight: a copied-out cluster's weight is its count.
+  EXPECT_EQ(restored[0].weight(), static_cast<double>(cluster.count()));
   EXPECT_EQ(restored[0].sum(), cluster.sum());
   EXPECT_EQ(restored[0].sum2(), cluster.sum2());
 }
 
 TEST(MicroCluster, SerializedSizeIsSmall) {
   // The paper: "the size of each micro-cluster is less than 1KB". In a
-  // 5-dimensional frame a cluster takes a varint header ((count << 1) | w,
-  // two bytes for counts 64..8191), the weight unless it equals the count,
-  // and 10 doubles; the frame adds its cluster count and dimension once.
+  // 5-dimensional frame a cluster takes a varint header ((count << 1) | 1,
+  // two bytes for counts 64..8191) and 10 doubles, whatever the object's
+  // weight; the frame adds its cluster count and dimension once.
   MicroCluster weighted(Point(5), 1.0);
   for (int i = 0; i < 99; ++i) weighted.absorb(Point(5), 2.0);
   MicroCluster unit(Point(5), 1.0);
   for (int i = 0; i < 99; ++i) unit.absorb(Point(5), 1.0);
-  EXPECT_EQ(serialized_size(weighted), 1u + 1u + 2u + 8u + 80u);
+  EXPECT_EQ(serialized_size(weighted), 1u + 1u + 2u + 80u);
   EXPECT_EQ(serialized_size(unit), 1u + 1u + 2u + 80u);
-  EXPECT_EQ(serialized_size(to_cluster_buffer({weighted, unit}).view()), 1u + 1u + 90u + 82u);
+  EXPECT_EQ(serialized_size(to_cluster_buffer({weighted, unit}).view()), 1u + 1u + 82u + 82u);
   EXPECT_LT(serialized_size(weighted), 100u);
 }
 

@@ -29,7 +29,7 @@ TEST(Summarizer, RejectsInvalidConfig) {
 
 TEST(Summarizer, FirstAccessCreatesCluster) {
   MicroClusterSummarizer summarizer(config_with(4));
-  summarizer.add(Point{10.0, 20.0}, 1.0);
+  summarizer.add(Point{10.0, 20.0});
   ASSERT_EQ(summarizer.clusters().size(), 1u);
   EXPECT_EQ(to_micro_clusters(summarizer.clusters())[0].centroid(), (Point{10.0, 20.0}));
   EXPECT_EQ(summarizer.total_count(), 1u);
@@ -187,7 +187,7 @@ TEST(Summarizer, SerializationRoundTrip) {
   MicroClusterSummarizer summarizer(config_with(4, 5.0));
   Rng rng(13);
   for (int i = 0; i < 300; ++i) {
-    summarizer.add(Point{rng.uniform(0, 400), rng.uniform(0, 400)}, rng.uniform(0.5, 2.0));
+    summarizer.add(Point{rng.uniform(0, 400), rng.uniform(0, 400)});
   }
   ByteWriter writer;
   write_clusters(writer, summarizer.clusters());

@@ -4,8 +4,10 @@
 // read_departure_mask and read_departing_moment_frame must answer every such
 // frame with a typed WireFormatError — never undefined behavior, a gigabyte
 // allocation, or silently corrupt clusters — and every frame they accept
-// must re-encode to the bytes they read. The randomized sweeps honor
-// GEORED_FUZZ_ITERS like the other fuzz budgets.
+// must re-encode to the bytes they read. read_v3_clusters, the checkpoint v3
+// reader, also accepts the explicit weights those frames carried, checks
+// them and drops them. The randomized sweeps honor GEORED_FUZZ_ITERS like
+// the other fuzz budgets.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -20,21 +22,22 @@
 #include "cluster/summarizer.h"
 #include "common/random.h"
 #include "common/serialize.h"
+#include "core/replication_manager.h"
 #include "reference/microcluster.h"
 
 namespace geored::cluster {
 namespace {
 
-/// A well-formed frame to mutate: a few clusters of a 2-D population with
-/// explicit weights. Its first cluster (at most 50 accesses) has a one-byte
-/// header, so the offsets below are fixed.
+/// A well-formed frame to mutate: a few clusters of a 2-D population. Its
+/// first cluster (at most 50 accesses) has a one-byte header, so the offsets
+/// below are fixed.
 ClusterBuffer good_clusters(std::uint64_t seed) {
   Rng rng(seed);
   SummarizerConfig config;
   config.max_clusters = 4;
   MicroClusterSummarizer summarizer(config);
   for (int i = 0; i < 50; ++i) {
-    summarizer.add(Point{rng.normal(0.0, 20.0), rng.normal(100.0, 20.0)}, rng.uniform(0.0, 5.0));
+    summarizer.add(Point{rng.normal(0.0, 20.0), rng.normal(100.0, 20.0)});
   }
   return ClusterBuffer(summarizer.clusters());
 }
@@ -45,17 +48,43 @@ std::vector<std::uint8_t> good_frame(std::uint64_t seed) {
   return writer.bytes();
 }
 
-// good_frame's layout: n, d = 2, then the first cluster's header, weight,
-// sum[2] and sum2[2].
+// good_frame's layout: n, d = 2, then the first cluster's header, sum[2]
+// and sum2[2].
 constexpr std::size_t kDimOffset = 1;
 constexpr std::size_t kHeaderOffset = 2;
-constexpr std::size_t kWeightOffset = 3;
-constexpr std::size_t kSumOffset = kWeightOffset + 8;
+constexpr std::size_t kSumOffset = kHeaderOffset + 1;
 constexpr std::size_t kSum2Offset = kSumOffset + 2 * 8;
+
+/// good_clusters(seed) as a checkpoint v3 frame held them: each cluster with
+/// an explicit weight of 1.5 times its count (header w = 0).
+std::vector<std::uint8_t> v3_frame(std::uint64_t seed) {
+  const ClusterBuffer clusters = good_clusters(seed);
+  const ClusterView view = clusters.view();
+  ByteWriter writer;
+  writer.write_varint(view.size());
+  writer.write_varint(view.dim());
+  for (std::size_t i = 0; i < view.size(); ++i) {
+    writer.write_varint(view.count(i) << 1);
+    writer.write_f64(1.5 * static_cast<double>(view.count(i)));
+    writer.write_f64s(view.sum(i));
+    writer.write_f64s(view.sum2(i));
+  }
+  return writer.bytes();
+}
+
+// v3_frame's first cluster: its weight follows the one-byte header.
+constexpr std::size_t kV3WeightOffset = kHeaderOffset + 1;
 
 ClusterBuffer decode(const std::vector<std::uint8_t>& bytes) {
   ByteReader reader(bytes);
   return read_clusters(reader);
+}
+
+ClusterBuffer decode_v3(const std::vector<std::uint8_t>& bytes) {
+  ByteReader reader(bytes);
+  ClusterBuffer clusters = read_v3_clusters(reader);
+  EXPECT_TRUE(reader.exhausted());
+  return clusters;
 }
 
 /// Decodes `bytes` as a frame. When it is accepted, the clusters must
@@ -108,11 +137,18 @@ TEST(WireNegative, GoodFrameDecodes) {
   const auto frame = good_frame(1);
   EXPECT_FALSE(decode(frame).empty());
   ASSERT_EQ(frame[kDimOffset], 2u);
-  ASSERT_EQ(frame[kHeaderOffset] & 1u, 0u) << "the first cluster's weight must be explicit";
+  ASSERT_EQ(frame[kHeaderOffset] & 0x81u, 1u) << "a one-byte header with w = 1";
+  // A checkpoint v3 frame with explicit weights decodes to the same rows,
+  // which re-encode without them.
+  const ClusterBuffer v3 = decode_v3(v3_frame(1));
+  ByteWriter again;
+  write_clusters(again, v3.view());
+  EXPECT_EQ(again.bytes(), frame);
+  EXPECT_EQ(decode_v3(frame).size(), decode(frame).size());
   // The hand-built frames below are well-formed until a field is broken.
   const double weight = 2.5;
   EXPECT_EQ(decode(one_cluster_frame((5u << 1) | 1u, nullptr, 10.0, 30.0)).size(), 1u);
-  EXPECT_EQ(decode(one_cluster_frame(5u << 1, &weight, 10.0, 30.0)).size(), 1u);
+  EXPECT_EQ(decode_v3(one_cluster_frame(5u << 1, &weight, 10.0, 30.0)).size(), 1u);
   EXPECT_TRUE(decode(varint(0)).empty());
 }
 
@@ -142,13 +178,64 @@ TEST(WireNegative, OversizedVectorLengthThrowsBeforeAllocating) {
 }
 
 TEST(WireNegative, NegativeWeightThrows) {
-  auto frame = good_frame(5);
+  // The weights a checkpoint v3 frame carried are checked before they are
+  // dropped.
+  auto frame = v3_frame(5);
   const double negative = -1.0;
-  std::memcpy(frame.data() + kWeightOffset, &negative, sizeof negative);
-  EXPECT_THROW(decode(frame), WireFormatError);
+  std::memcpy(frame.data() + kV3WeightOffset, &negative, sizeof negative);
+  EXPECT_THROW(decode_v3(frame), WireFormatError);
   const double nan = std::numeric_limits<double>::quiet_NaN();
-  std::memcpy(frame.data() + kWeightOffset, &nan, sizeof nan);
-  EXPECT_THROW(decode(frame), WireFormatError);
+  std::memcpy(frame.data() + kV3WeightOffset, &nan, sizeof nan);
+  EXPECT_THROW(decode_v3(frame), WireFormatError);
+}
+
+TEST(WireNegative, WeightFlagZeroThrowsOutsideCheckpointV3) {
+  // w = 0 in a full frame and in a centroid frame, whatever weight follows.
+  EXPECT_THROW(decode(v3_frame(5)), WireFormatError);
+  const double weight = 2.5;
+  ByteWriter centroid;
+  centroid.write_varint(1);
+  centroid.write_varint(1);
+  centroid.write_varint(5u << 1);
+  centroid.write_f64(weight);
+  centroid.write_f64(10.0);
+  ByteReader centroid_reader(centroid.bytes());
+  EXPECT_THROW(read_centroid_frame(centroid_reader), WireFormatError);
+
+  // And in a v4 checkpoint: one replica holding one cluster of count 1,
+  // whose header 0x03 becomes 0x02 followed by an explicit weight. The
+  // same bytes with version 3 restore to the state saved.
+  std::vector<place::CandidateInfo> candidates;
+  for (topo::NodeId node = 0; node < 4; ++node) {
+    candidates.push_back(
+        {node, Point{100.0 * node}, std::numeric_limits<double>::infinity()});
+  }
+  core::ManagerConfig config;
+  config.replication_degree = 1;
+  core::ReplicationManager primary(candidates, config, 7);
+  primary.serve(Point{150.0});
+  ByteWriter saved;
+  primary.save(saved);
+  std::vector<std::uint8_t> blob = saved.bytes();
+  // Header (44 bytes), the placement (a u32 count and one id), then the
+  // frame: n = 1, d = 1, the cluster header.
+  constexpr std::size_t kClusterHeader = 44 + 4 + 4 + 2;
+  ASSERT_EQ(blob[4], core::kCheckpointVersion);
+  ASSERT_EQ(blob[kClusterHeader - 2], 1u);
+  ASSERT_EQ(blob[kClusterHeader], 0x03u);
+  blob[kClusterHeader] = 0x02;
+  std::uint8_t weight_bytes[sizeof weight];
+  std::memcpy(weight_bytes, &weight, sizeof weight);
+  blob.insert(blob.begin() + kClusterHeader + 1, weight_bytes, weight_bytes + sizeof weight);
+  core::ReplicationManager standby(candidates, config, 7);
+  ByteReader v4_reader(blob);
+  EXPECT_THROW(standby.restore(v4_reader), WireFormatError);
+  blob[4] = 3;
+  ByteReader v3_reader(blob);
+  standby.restore(v3_reader);
+  ByteWriter restored;
+  standby.save(restored);
+  EXPECT_EQ(restored.bytes(), saved.bytes());
 }
 
 TEST(WireNegative, NonFiniteMomentThrows) {
@@ -222,22 +309,23 @@ TEST(WireNegative, ClusterCountPastTheBytesLeftThrows) {
 
 TEST(WireNegative, ZeroDimensionWithClustersThrows) {
   std::vector<std::uint8_t> bytes = concat(varint(1), varint(0));
-  bytes.push_back(0x03);  // a header: count 1, weight elided
+  bytes.push_back(0x03);  // a header: count 1, w = 1
   EXPECT_THROW(decode(bytes), WireFormatError);
 }
 
 TEST(WireNegative, ZeroCountThrows) {
-  // Count 0 with the weight elided, and with an explicit weight of 0.
+  // Count 0, and (as a checkpoint v3 held it) count 0 with an explicit
+  // weight of 0.
   EXPECT_THROW(decode(one_cluster_frame(0x01, nullptr, 0.0, 0.0)), WireFormatError);
   const double zero = 0.0;
-  EXPECT_THROW(decode(one_cluster_frame(0x00, &zero, 0.0, 0.0)), WireFormatError);
+  EXPECT_THROW(decode_v3(one_cluster_frame(0x00, &zero, 0.0, 0.0)), WireFormatError);
 }
 
 TEST(WireNegative, ExplicitWeightEqualToCountThrows) {
-  // The encoder elides a weight equal to the count, so an explicit one is
-  // a second encoding of the same cluster.
+  // A checkpoint v3 encoder elided a weight equal to the count, so an
+  // explicit one is a second encoding of the same cluster.
   const double five = 5.0;
-  EXPECT_THROW(decode(one_cluster_frame(5u << 1, &five, 10.0, 30.0)), WireFormatError);
+  EXPECT_THROW(decode_v3(one_cluster_frame(5u << 1, &five, 10.0, 30.0)), WireFormatError);
 }
 
 // --- The two phases: centroid frames and moment frames -------------------
@@ -254,9 +342,9 @@ std::vector<std::uint8_t> good_moment_frame(std::uint64_t seed) {
   return writer.bytes();
 }
 
-// good_centroid_frame's layout: n, d = 2, then the first cluster's header,
-// weight and sum[2].
-constexpr std::size_t kCentroidSumOffset = kWeightOffset + 8;
+// good_centroid_frame's layout: n, d = 2, then the first cluster's header
+// and sum[2].
+constexpr std::size_t kCentroidSumOffset = kHeaderOffset + 1;
 // good_moment_frame's layout: n, d = 2, then sum2[2] cluster by cluster.
 constexpr std::size_t kMomentValuesOffset = 2;
 
@@ -451,8 +539,8 @@ TEST(WireNegative, NegativeOrNonFiniteSecondMomentInAMomentFrameThrows) {
 }
 
 TEST(WireNegative, CentroidFrameRejectsWhatNoEncoderEmits) {
-  // An explicit weight equal to the count, a zero count, a negative or
-  // non-finite weight, and a non-finite sum.
+  // A header with w = 0, whatever weight follows it; a zero count; and a
+  // non-finite sum.
   const auto one_cluster = [](std::uint64_t header, const double* weight, double sum) {
     ByteWriter writer;
     writer.write_varint(1);
@@ -464,7 +552,7 @@ TEST(WireNegative, CentroidFrameRejectsWhatNoEncoderEmits) {
   };
   const double five = 5.0;
   const double weight = 2.5;
-  EXPECT_EQ(decode_centroids(one_cluster(5u << 1, &weight, 10.0)).size(), 1u);
+  EXPECT_THROW(decode_centroids(one_cluster(5u << 1, &weight, 10.0)), WireFormatError);
   EXPECT_EQ(decode_centroids(one_cluster((5u << 1) | 1u, nullptr, 10.0)).size(), 1u);
   EXPECT_THROW(decode_centroids(one_cluster(5u << 1, &five, 10.0)), WireFormatError);
   EXPECT_THROW(decode_centroids(one_cluster(0x01, nullptr, 10.0)), WireFormatError);
@@ -715,12 +803,30 @@ TEST(WireNegative, NegativeOrNonFiniteSecondMomentInADepartingFrameThrows) {
   }
 }
 
+/// Decodes `bytes` as a checkpoint v3 frame. When it is accepted, its rows
+/// (their weights dropped) must make a frame that read_clusters accepts and
+/// that re-encodes to itself.
+void decode_v3_or_throw_typed(const std::vector<std::uint8_t>& bytes) {
+  ByteReader reader(bytes);
+  ClusterBuffer clusters;
+  try {
+    clusters = read_v3_clusters(reader);
+  } catch (const WireFormatError&) {
+    return;
+  }
+  ByteWriter rows;
+  write_clusters(rows, clusters.view());
+  decode_or_throw_typed(rows.bytes());
+  EXPECT_EQ(decode(rows.bytes()).size(), clusters.size());
+}
+
 /// Randomized bit-flip sweep: flipping any single bit of a good frame must
 /// either decode (the flip hit a benign mantissa/count bit) and re-encode to
 /// the bytes read, or throw WireFormatError — nothing else. Under asan/ubsan
 /// this doubles as a memory-safety proof for hostile frames.
 void run_bitflip_fuzz(std::uint64_t seed) {
   const auto frame = good_frame(seed);
+  const auto v3 = v3_frame(seed);
   const auto centroids = good_centroid_frame(seed);
   const auto moments = good_moment_frame(seed);
   const auto mask = good_mask_bytes(seed);
@@ -734,6 +840,7 @@ void run_bitflip_fuzz(std::uint64_t seed) {
   };
   for (int trial = 0; trial < 200; ++trial) {
     decode_or_throw_typed(flip(frame));
+    decode_v3_or_throw_typed(flip(v3));
     decode_centroids_or_throw_typed(flip(centroids));
     decode_moments_or_throw_typed(seed, flip(moments));
     decode_mask_or_throw_typed(seed, flip(mask));
@@ -758,6 +865,7 @@ void run_garbage_fuzz(std::uint64_t seed) {
     std::vector<std::uint8_t> garbage(rng.below(300));
     for (auto& b : garbage) b = static_cast<std::uint8_t>(rng.below(256));
     decode_or_throw_typed(garbage);
+    decode_v3_or_throw_typed(garbage);
     decode_centroids_or_throw_typed(garbage);
     decode_moments_or_throw_typed(seed, garbage);
     decode_moments_or_throw_typed(seed, concat(header, garbage));

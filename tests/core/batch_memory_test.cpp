@@ -1,6 +1,5 @@
 // Memory bounds of the batch data path: a record into a warm replica needs
-// no memory whatever its weight or batch size, a weight costs no memory
-// even in a cold replica, a batched route keeps at most one tile of
+// no memory whatever its batch size, a batched route keeps at most one tile of
 // scratch, a manager's live heap does not grow with the nodes that ever
 // held a replica, a checkpoint count never sizes an allocation before it is
 // checked against the bytes left, and a fleet pays for its candidates once,
@@ -180,7 +179,7 @@ TEST(BatchMemory, RecordsIntoAWarmReplicaAllocateNothing) {
   // Each record is ingested into its replica's m-cluster summarizer when it
   // arrives, so the manager's heap does not grow with the records, and once
   // a summarizer is warm a record needs no memory at all, whatever its
-  // weight or batch size.
+  // batch size.
   core::ReplicationManager manager(line_candidates(20), manager_config(), 7);
   const place::Placement placement = manager.placement();
   ASSERT_EQ(placement.size(), 3u);
@@ -203,85 +202,34 @@ TEST(BatchMemory, RecordsIntoAWarmReplicaAllocateNothing) {
   const topo::NodeId replica = placement.front();
   const Point client = client_near(rng, 0.0);
   const PointSet batch = clients_near(rng, 100.0, kRows);
-  const std::vector<double> weights(kRows, 2.0);
   EXPECT_EQ(bytes_requested([&] { manager.record_access(replica, client); }), 0u);
-  EXPECT_EQ(bytes_requested([&] { manager.record_access(replica, client, 2.0); }), 0u);
   EXPECT_EQ(bytes_requested([&] { manager.record_access_batch(replica, batch); }), 0u);
-  EXPECT_EQ(bytes_requested([&] { manager.record_access_batch(replica, batch, weights); }),
-            0u);
-  EXPECT_EQ(manager.epoch_accesses(), 3 * 1000 + 2 + 2 * kRows);
+  EXPECT_EQ(manager.epoch_accesses(), 3 * 1000 + 1 + kRows);
 }
 
 TEST(BatchMemory, LargeRecordBatchStagesAtMostOneGrain) {
   // A batch is ingested where it lies, so the grain this bound once allowed
-  // has shrunk to nothing: no copy of the rows or the weights is made,
-  // whether or not single records went before.
+  // has shrunk to nothing: no copy of the rows is made, whether or not
+  // single records went before.
   core::ReplicationManager manager(line_candidates(20), manager_config(), 7);
   const topo::NodeId replica = manager.placement().front();
   Rng rng(11);
   for (std::size_t i = 0; i < 1000; ++i) manager.record_access(replica, client_near(rng, 50.0));
 
   const PointSet batch = clients_near(rng, 100.0, kRows);
-  const std::vector<double> weights(kRows, 2.0);
   EXPECT_EQ(bytes_requested([&] { manager.record_access_batch(replica, batch); }), 0u);
-  EXPECT_EQ(bytes_requested([&] { manager.record_access_batch(replica, batch, weights); }),
-            0u);
   for (std::size_t i = 0; i < 10; ++i) manager.record_access(replica, client_near(rng, 0.0));
   EXPECT_EQ(bytes_requested([&] { manager.record_access_batch(replica, batch); }), 0u);
-  EXPECT_EQ(manager.epoch_accesses(), 1000 + 3 * kRows + 10);
+  EXPECT_EQ(manager.epoch_accesses(), 1000 + 2 * kRows + 10);
 }
 
-TEST(BatchMemory, UnitWeightStagingStoresNoWeights) {
-  // Two managers with the same seed and candidates hold the same placement;
-  // one records unit-weight accesses, the other weight 2.0, into cold
-  // replicas, through the per-access form, the batch form, and (unit only)
-  // explicit 1.0 weights. No weight is kept per access, so a weight costs
-  // no memory: each call requests the same bytes in both.
-  const core::ManagerConfig config = manager_config();
-  core::ReplicationManager unit(line_candidates(20), config, 7);
-  core::ReplicationManager weighted(line_candidates(20), config, 7);
-  ASSERT_EQ(unit.placement(), weighted.placement());
-  ASSERT_EQ(unit.placement().size(), 3u);
-  constexpr std::size_t kAccesses = 200;
-  Rng rng(21);
-  std::vector<Point> clients;
-  for (std::size_t i = 0; i < kAccesses; ++i) clients.push_back(client_near(rng, 50.0));
-  const PointSet batch = clients_near(rng, 50.0, kAccesses);
-  const std::vector<double> ones(kAccesses, 1.0);
-  const std::vector<double> twos(kAccesses, 2.0);
-  const topo::NodeId first = unit.placement()[0];
-  const topo::NodeId second = unit.placement()[1];
-  const topo::NodeId third = unit.placement()[2];
-
-  const std::size_t unit_records = bytes_requested([&] {
-    for (const auto& client : clients) unit.record_access(first, client);
-  });
-  const std::size_t weighted_records = bytes_requested([&] {
-    for (const auto& client : clients) weighted.record_access(first, client, 2.0);
-  });
-  const std::size_t unit_batch =
-      bytes_requested([&] { unit.record_access_batch(second, batch); });
-  const std::size_t weighted_batch =
-      bytes_requested([&] { weighted.record_access_batch(second, batch, twos); });
-  const std::size_t explicit_ones =
-      bytes_requested([&] { unit.record_access_batch(third, batch, ones); });
-  EXPECT_EQ(weighted_records, unit_records);
-  EXPECT_EQ(weighted_batch, unit_batch);
-  EXPECT_EQ(explicit_ones, unit_batch);
-  EXPECT_EQ(unit.epoch_accesses(), 3 * kAccesses);
-  EXPECT_EQ(weighted.epoch_accesses(), 2 * kAccesses);
-}
-
-TEST(BatchMemory, WeightSwitchMidStreamMatchesExplicitWeights) {
-  // The same 320 accesses to one replica: unit weights first, then 2.0,
-  // recorded through single records and batches with implicit unit
-  // weights, then explicit ones. They must serialize the bytes of one
-  // record per access and of one weighted batch.
+TEST(BatchMemory, MixedRecordsAndBatchesMatchOneBatch) {
+  // The same 320 accesses to one replica, recorded through single records
+  // and batches in turn. They must serialize the bytes of one record per
+  // access and of one batch.
   const core::ManagerConfig config = manager_config();
   Rng rng(23);
   const PointSet rows = clients_near(rng, 70.0, 320);
-  std::vector<double> weights(rows.size(), 1.0);
-  for (std::size_t i = 100; i < rows.size(); ++i) weights[i] = 2.0;
   const auto slice = [&](std::size_t begin, std::size_t end) {
     PointSet part(kDim);
     for (std::size_t i = begin; i < end; ++i) part.push_back_row(rows.row(i), kDim);
@@ -293,27 +241,26 @@ TEST(BatchMemory, WeightSwitchMidStreamMatchesExplicitWeights) {
     return writer.bytes();
   };
 
-  core::ReplicationManager implicit(line_candidates(20), config, 7);
-  const topo::NodeId replica = implicit.placement().front();
-  for (std::size_t i = 0; i < 60; ++i) implicit.record_access(replica, rows.point(i));
-  implicit.record_access_batch(replica, slice(60, 100));
-  for (std::size_t i = 100; i < 150; ++i) implicit.record_access(replica, rows.point(i), 2.0);
-  implicit.record_access_batch(replica, slice(150, 320),
-                               std::span<const double>(weights).subspan(150));
+  core::ReplicationManager mixed(line_candidates(20), config, 7);
+  const topo::NodeId replica = mixed.placement().front();
+  for (std::size_t i = 0; i < 60; ++i) mixed.record_access(replica, rows.point(i));
+  mixed.record_access_batch(replica, slice(60, 100));
+  for (std::size_t i = 100; i < 150; ++i) mixed.record_access(replica, rows.point(i));
+  mixed.record_access_batch(replica, slice(150, 320));
 
   core::ReplicationManager per_access(line_candidates(20), config, 7);
   for (std::size_t i = 0; i < rows.size(); ++i) {
-    per_access.record_access(replica, rows.point(i), weights[i]);
+    per_access.record_access(replica, rows.point(i));
   }
   core::ReplicationManager one_batch(line_candidates(20), config, 7);
-  one_batch.record_access_batch(replica, rows, weights);
+  one_batch.record_access_batch(replica, rows);
 
   const std::vector<std::uint8_t> expected = checkpoint_of(per_access);
-  EXPECT_EQ(checkpoint_of(implicit), expected);
+  EXPECT_EQ(checkpoint_of(mixed), expected);
   EXPECT_EQ(checkpoint_of(one_batch), expected);
   // The same epoch follows from each.
-  EXPECT_EQ(implicit.run_epoch().adopted_placement, per_access.run_epoch().adopted_placement);
-  EXPECT_EQ(checkpoint_of(implicit), checkpoint_of(per_access));
+  EXPECT_EQ(mixed.run_epoch().adopted_placement, per_access.run_epoch().adopted_placement);
+  EXPECT_EQ(checkpoint_of(mixed), checkpoint_of(per_access));
 }
 
 /// Live bytes a fleet of `groups` groups over `candidates` line candidates
@@ -475,7 +422,7 @@ TEST(BatchMemory, SerializedSizeAllocatesNothing) {
   cluster::MicroClusterSummarizer summarizer;
   Rng rng(23);
   for (std::size_t i = 0; i < 500; ++i) {
-    summarizer.add(client_near(rng, 10.0 * static_cast<double>(i % 7)), i % 5 == 0 ? 2.0 : 1.0);
+    summarizer.add(client_near(rng, 10.0 * static_cast<double>(i % 7)));
   }
   const cluster::ClusterView clusters = summarizer.clusters();
   ASSERT_GE(clusters.size(), 2u);
@@ -663,7 +610,7 @@ TEST(BatchMemory, ReadingWarmClustersAllocatesNothing) {
     const cluster::ClusterView clusters = manager.summary_of(replica);
     for (std::size_t i = 0; i < clusters.size(); ++i) {
       accesses += clusters.count(i);
-      moments += clusters.weight(i) + clusters.sum(i)[0] + clusters.sum2(i)[0];
+      moments += clusters.sum(i)[0] + clusters.sum2(i)[0];
     }
     accesses += cluster::serialized_size(clusters);
   });

@@ -1,8 +1,8 @@
 // Checkpoint format compatibility: the manager checkpoint's fixed header,
-// its v3 summary frames, the v1 and v2 blobs earlier builds wrote, and the
+// its summary frames, the v1, v2 and v3 blobs earlier builds wrote, and the
 // fleet envelope that aggregates per-group checkpoints.
 //
-// Fixed header (little-endian), the same in v2 and v3:
+// Fixed header (little-endian), the same in v2, v3 and v4:
 //   [0,4)   magic "GRMC"
 //   [4,8)   version
 //   [8,16)  epoch_index u64
@@ -14,8 +14,10 @@
 //           centroids (u32 count, each a u32 length and its doubles)
 // A v1 blob is the same stream without bytes [32,44); restore() accepts it
 // and fills the documented defaults (granted = false, weight = 1). v1 and v2
-// store each replica's summary in the fixed-width layout; v3 stores one
-// summary frame (cluster/summary_frame.h) per replica.
+// store each replica's summary in the fixed-width layout; v3 and v4 store
+// one summary frame (cluster/summary_frame.h) per replica. v1 to v3 also
+// stored each micro-cluster's weight, which restore() checks and drops; v4
+// stores none.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -69,15 +71,15 @@ std::vector<std::uint8_t> checkpoint_of(const ReplicationManager& manager) {
 }
 
 /// The manager the blobs below hold: 8 candidates, k = 2, m = 4, seed 7;
-/// 300 accesses around x = 300 (every third of weight 2.5), one epoch, 200
-/// unit-weight accesses around x = 500, then a granted degree of 3 and a
-/// budget weight of 2.5.
+/// 300 accesses around x = 300, one epoch, 200 accesses around x = 500,
+/// then a granted degree of 3 and a budget weight of 2.5. (The builds that
+/// wrote kCompatV2, kCompatV1 and kCompatV3 gave every third of the first
+/// 300 accesses a data-volume weight of 2.5, which their blobs store and no
+/// decision reads.)
 ReplicationManager compat_primary() {
   ReplicationManager primary(line_candidates(), small_config(2), 7);
   Rng rng(5);
-  for (int i = 0; i < 300; ++i) {
-    primary.serve(Point{rng.normal(300.0, 80.0)}, i % 3 == 0 ? 2.5 : 1.0);
-  }
+  for (int i = 0; i < 300; ++i) primary.serve(Point{rng.normal(300.0, 80.0)});
   primary.run_epoch();
   for (int i = 0; i < 200; ++i) primary.serve(Point{rng.normal(500.0, 60.0)});
   primary.set_degree(3);
@@ -114,26 +116,51 @@ constexpr const char* kCompatV1 =
     "01000000c44ceed94b7df94002000000010000006104087da81e764001000000"
     "c1e190a465db6b40";
 
-/// What the build before checkpoint v3 read back from kCompatV2 and kCompatV1.
+// compat_primary() with those weights as saved by the build before
+// checkpoint v4 (v3): five of its seven clusters carry an explicit weight.
+constexpr const char* kCompatV3 =
+    "434d5247030000000100000000000000c8000000000000000300000000000000"
+    "0100000000000000000004400200000004000000020000000401f20200000000"
+    "00a07040c6b74a96c313f040f47af01ae1b07641d6010000000000805b405c3b"
+    "45d6af06e9409ab1b9652d7a774183015cebe74af384e140c4126d991eeb7241"
+    "0f20a089300581b1405030b76ed8f14541030156000000000080514016944d0b"
+    "b3d9be40e8799104ce6c3641aa010000000000e05d406b5161b26602d540a24f"
+    "9668cee45441100000000000002940922da73411098c40c44ceed94b7df94002"
+    "000000010000006104087da81e764001000000c1e190a465db6b40";
+
+// compat_primary() as this build makes it, every access of weight 1, as
+// saved by the build before checkpoint v4: every weight equals its count,
+// so no cluster carries one.
+constexpr const char* kCompatUnitV3 =
+    "434d5247030000000100000000000000c8000000000000000300000000000000"
+    "0100000000000000000004400200000004000000020000000401f302c6b74a96"
+    "c313f040f47af01ae1b07641d7015c3b45d6af06e9409ab1b9652d7a77418301"
+    "5cebe74af384e140c4126d991eeb72410f20a089300581b1405030b76ed8f145"
+    "4103015716944d0bb3d9be40e8799104ce6c3641ab016b5161b26602d540a24f"
+    "9668cee4544111922da73411098c40c44ceed94b7df940020000000100000061"
+    "04087da81e764001000000c1e190a465db6b40";
+
+/// What the build before checkpoint v3 read back from kCompatV2 and
+/// kCompatV1, and the build before v4 from kCompatV3: the same counts and
+/// moments, bit for bit.
 struct ExpectedCluster {
   topo::NodeId node;
   std::uint64_t count;
-  double weight;
   double sum;
   double sum2;
 };
 constexpr ExpectedCluster kCompatClusters[] = {
-    {4, 185, 0x1.0ap+8, 0x1.013c3964ab7c6p+16, 0x1.6b0e11af07af4p+24},
-    {4, 107, 0x1.b8p+6, 0x1.906afd6453b5cp+15, 0x1.77a2d65b9b19ap+24},
-    {4, 65, 0x1.04p+6, 0x1.184f34ae7eb5cp+15, 0x1.2eb1e996d12c4p+24},
-    {4, 7, 0x1.cp+2, 0x1.181053089a02p+12, 0x1.5f1d86eb7305p+21},
-    {2, 43, 0x1.18p+6, 0x1.ed9b30b4d9416p+12, 0x1.66cce049179e8p+20},
-    {2, 85, 0x1.dep+6, 0x1.50266b261516bp+14, 0x1.4e4ce68964fa2p+22},
-    {2, 8, 0x1.9p+3, 0x1.c091134a72d92p+9, 0x1.97d4bd9ee4cc4p+16},
+    {4, 185, 0x1.013c3964ab7c6p+16, 0x1.6b0e11af07af4p+24},
+    {4, 107, 0x1.906afd6453b5cp+15, 0x1.77a2d65b9b19ap+24},
+    {4, 65, 0x1.184f34ae7eb5cp+15, 0x1.2eb1e996d12c4p+24},
+    {4, 7, 0x1.181053089a02p+12, 0x1.5f1d86eb7305p+21},
+    {2, 43, 0x1.ed9b30b4d9416p+12, 0x1.66cce049179e8p+20},
+    {2, 85, 0x1.50266b261516bp+14, 0x1.4e4ce68964fa2p+22},
+    {2, 8, 0x1.c091134a72d92p+9, 0x1.97d4bd9ee4cc4p+16},
 };
 
 /// Restores `hex` into a fresh manager and checks the placement, counters
-/// and every summary against what the build before v3 restored.
+/// and every summary against what the build that wrote it restored.
 ReplicationManager expect_parent_state(std::string_view hex) {
   ReplicationManager standby(line_candidates(), small_config(2), 7);
   const std::vector<std::uint8_t> blob = from_hex(hex);
@@ -145,17 +172,17 @@ ReplicationManager expect_parent_state(std::string_view hex) {
   EXPECT_EQ(standby.epoch_accesses(), 200u);
   std::size_t next = 0;
   for (const auto node : standby.placement()) {
-    for (const auto& micro : cluster::to_micro_clusters(standby.summary_of(node))) {
+    const cluster::ClusterView rows = standby.summary_of(node);
+    for (std::size_t i = 0; i < rows.size(); ++i) {
       if (next == std::size(kCompatClusters)) {
         ADD_FAILURE() << "more clusters than the parent restored";
         return standby;
       }
       const ExpectedCluster& expected = kCompatClusters[next++];
       EXPECT_EQ(node, expected.node);
-      EXPECT_EQ(micro.count(), expected.count);
-      EXPECT_EQ(micro.weight(), expected.weight);
-      EXPECT_EQ(micro.sum()[0], expected.sum);
-      EXPECT_EQ(micro.sum2()[0], expected.sum2);
+      EXPECT_EQ(rows.count(i), expected.count);
+      EXPECT_EQ(rows.sum(i)[0], expected.sum);
+      EXPECT_EQ(rows.sum2(i)[0], expected.sum2);
     }
   }
   EXPECT_EQ(next, std::size(kCompatClusters));
@@ -204,6 +231,36 @@ TEST(CheckpointV2, ParentBlobRestoresTheParentsState) {
   EXPECT_EQ(report.new_estimated_delay_ms, primary.run_epoch().new_estimated_delay_ms);
 }
 
+TEST(CheckpointV3, ParentBlobWithWeightsRestoresTheParentsState) {
+  // The v3 reader checks each explicit weight and drops it: the counts and
+  // moments are the parent's, bit for bit, and so is everything the next
+  // epoch decides.
+  ReplicationManager standby = expect_parent_state(kCompatV3);
+  EXPECT_TRUE(standby.budget_granted());
+  EXPECT_EQ(standby.budget_weight(), 2.5);
+  ReplicationManager primary = compat_primary();
+  EXPECT_EQ(checkpoint_of(standby), checkpoint_of(primary));
+  const EpochReport report = standby.run_epoch();
+  EXPECT_EQ(report.adopted_placement, (place::Placement{4, 5, 2}));
+  EXPECT_EQ(report.new_estimated_delay_ms, 0x1.4ac76064b6029p+5);
+}
+
+TEST(CheckpointV4, UnitWeightStateDiffersFromTheParentsV3OnlyInItsVersion) {
+  // Where every weight equals its count, v3 carried no weight, so v4 is v3
+  // with a new version field; the v3 blob restores to the same state.
+  const std::vector<std::uint8_t> v3 = from_hex(kCompatUnitV3);
+  const std::vector<std::uint8_t> v4 = checkpoint_of(compat_primary());
+  ASSERT_EQ(v4.size(), v3.size());
+  EXPECT_EQ(std::vector<std::uint8_t>(v4.begin(), v4.begin() + 4),
+            std::vector<std::uint8_t>(v3.begin(), v3.begin() + 4));
+  EXPECT_EQ(std::vector<std::uint8_t>(v4.begin() + 8, v4.end()),
+            std::vector<std::uint8_t>(v3.begin() + 8, v3.end()));
+  std::uint32_t version = 0;
+  std::memcpy(&version, v4.data() + 4, sizeof version);
+  EXPECT_EQ(version, 4u);
+  EXPECT_EQ(checkpoint_of(expect_parent_state(kCompatUnitV3)), v4);
+}
+
 TEST(CheckpointV3, SmallerThanV2OfTheSameState) {
   const std::vector<std::uint8_t> v2 = from_hex(kCompatV2);
   const std::vector<std::uint8_t> v3 = checkpoint_of(compat_primary());
@@ -221,7 +278,7 @@ TEST(CheckpointV3, SummariesAreOneFramePerReplica) {
   const std::vector<std::uint8_t> blob = checkpoint_of(primary);
   ByteReader reader(blob);
   EXPECT_EQ(reader.read_u32(), kCheckpointMagic);
-  EXPECT_EQ(reader.read_u32(), 3u);
+  EXPECT_EQ(reader.read_u32(), kCheckpointVersion);
   for (int field = 0; field < 3; ++field) reader.read_u64();
   reader.read_u32();
   reader.read_f64();
@@ -239,7 +296,6 @@ TEST(CheckpointV3, SummariesAreOneFramePerReplica) {
     ASSERT_EQ(frame.size(), held.size());
     for (std::size_t c = 0; c < held.size(); ++c) {
       EXPECT_EQ(frame[c].count(), held[c].count());
-      EXPECT_EQ(frame[c].weight(), held[c].weight());
       EXPECT_EQ(frame[c].sum(), held[c].sum());
       EXPECT_EQ(frame[c].sum2(), held[c].sum2());
     }

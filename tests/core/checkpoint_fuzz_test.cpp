@@ -1,5 +1,7 @@
 // Seeded mutation fuzzing of the manager and fleet checkpoint decoders: bit
-// flips, truncations and insertions of valid v3 blobs. Every mutated blob is
+// flips, truncations and insertions of valid v4 blobs, and of a manager v3
+// blob whose frames carry explicit weights (the one reader that still
+// accepts them). Every mutated blob is
 // either rejected with std::invalid_argument (WireFormatError included),
 // leaving the target's save() bytes unchanged, or accepted, in which case
 // each summary frame it held re-encodes to the bytes it was read from, and a
@@ -97,12 +99,11 @@ ManagerConfig manager_config() {
   return config;
 }
 
-/// Accesses around three populations, every fourth of weight 2.5, so the
-/// frames hold both elided and explicit weights.
+/// Accesses around three populations.
 void feed(ReplicationManager& manager, Rng& rng, int accesses) {
   for (int i = 0; i < accesses; ++i) {
     const double x = 50.0 + 100.0 * static_cast<double>(i % 3);
-    manager.serve(Point{rng.normal(x, 25.0), rng.normal(120.0, 25.0)}, i % 4 == 0 ? 2.5 : 1.0);
+    manager.serve(Point{rng.normal(x, 25.0), rng.normal(120.0, 25.0)});
   }
 }
 
@@ -117,6 +118,42 @@ Blob manager_blob() {
   ByteWriter writer;
   manager.save(writer);
   return writer.bytes();
+}
+
+/// manager_blob()'s state as a checkpoint v3 held it: version 3, and every
+/// other cluster of each frame with an explicit weight of 1.5 times its
+/// count after a w = 0 header.
+Blob manager_v3_blob() {
+  const Blob v4 = manager_blob();
+  ByteReader reader(v4);
+  ByteWriter writer;
+  writer.write_u32(reader.read_u32());  // magic
+  reader.read_u32();
+  writer.write_u32(3);
+  for (int field = 0; field < 3; ++field) writer.write_u64(reader.read_u64());
+  writer.write_u32(reader.read_u32());
+  writer.write_f64(reader.read_f64());
+  const std::uint32_t replicas = reader.read_u32();
+  writer.write_u32(replicas);
+  for (std::uint32_t i = 0; i < replicas; ++i) writer.write_u32(reader.read_u32());
+  for (std::uint32_t i = 0; i < replicas; ++i) {
+    const cluster::ClusterBuffer clusters = cluster::read_clusters(reader);
+    const cluster::ClusterView rows = clusters.view();
+    writer.write_varint(rows.size());
+    if (rows.empty()) continue;
+    writer.write_varint(rows.dim());
+    for (std::size_t c = 0; c < rows.size(); ++c) {
+      const bool weighted = c % 2 == 0;
+      writer.write_varint((rows.count(c) << 1) | (weighted ? 0u : 1u));
+      if (weighted) writer.write_f64(1.5 * static_cast<double>(rows.count(c)));
+      writer.write_f64s(rows.sum(c));
+      writer.write_f64s(rows.sum2(c));
+    }
+  }
+  Blob v3 = writer.bytes();
+  // The warm centroids, as they are.
+  v3.insert(v3.end(), v4.end() - static_cast<std::ptrdiff_t>(reader.remaining()), v4.end());
+  return v3;
 }
 
 FleetConfig fleet_config() {
@@ -168,7 +205,7 @@ Blob mutate(const Blob& blob, Rng& rng) {
   return out;
 }
 
-/// Walks one v3 manager checkpoint that restore() accepted, checking that
+/// Walks one v4 manager checkpoint that restore() accepted, checking that
 /// every summary frame re-encodes to the bytes it was read from.
 void expect_manager_frames_reencode(ByteReader& reader, const Blob& blob) {
   reader.read_u32();  // magic
@@ -190,6 +227,29 @@ void expect_manager_frames_reencode(ByteReader& reader, const Blob& blob) {
   }
   const std::uint32_t centroids = reader.read_u32();
   for (std::uint32_t i = 0; i < centroids; ++i) reader.read_f64_vector();
+}
+
+/// Walks one v3 manager checkpoint that restore() accepted: every summary
+/// frame decodes through the v3 reader, and its rows, their weights
+/// dropped, make a frame that read_clusters accepts and re-encodes to
+/// itself.
+void expect_v3_frames_decode(ByteReader& reader) {
+  reader.read_u32();  // magic
+  ASSERT_EQ(reader.read_u32(), 3u);
+  for (int field = 0; field < 3; ++field) reader.read_u64();
+  reader.read_u32();
+  reader.read_f64();
+  const std::uint32_t replicas = reader.read_u32();
+  for (std::uint32_t i = 0; i < replicas; ++i) reader.read_u32();
+  for (std::uint32_t i = 0; i < replicas; ++i) {
+    const auto clusters = cluster::read_v3_clusters(reader);
+    ByteWriter rows;
+    cluster::write_clusters(rows, clusters.view());
+    ByteReader again(rows.bytes());
+    ByteWriter twice;
+    cluster::write_clusters(twice, cluster::read_clusters(again).view());
+    EXPECT_EQ(twice.bytes(), rows.bytes()) << "a v3 frame's rows re-encode differently";
+  }
 }
 
 /// The placement a manager ends an epoch on must be servable: as many
@@ -363,6 +423,36 @@ TEST(CheckpointMutation, ManagerBlobsRestoreOrRejectTyped) {
       continue_manager};
   const Outcome outcome = fuzz(subject, manager_blob(), 101);
   EXPECT_GT(outcome.rejected, 0u);
+}
+
+TEST(CheckpointMutation, ManagerV3BlobsRestoreOrRejectTyped) {
+  // Unmutated, the v3 blob restores to the state it was made from: its
+  // weights are checked and dropped.
+  const Blob v3 = manager_v3_blob();
+  {
+    ReplicationManager restored(grid_candidates(), manager_config(), 29);
+    ByteReader reader(v3);
+    restored.restore(reader);
+    EXPECT_TRUE(reader.exhausted());
+    ByteWriter saved;
+    restored.save(saved);
+    EXPECT_EQ(saved.bytes(), manager_blob());
+  }
+  ReplicationManager target(grid_candidates(), manager_config(), 29);
+  Rng rng(47);
+  feed(target, rng, 120);  // a state a rejected restore must leave alone
+  Subject subject{
+      [&](ByteReader& reader) { target.restore(reader); },
+      [&] {
+        ByteWriter writer;
+        target.save(writer);
+        return writer.bytes();
+      },
+      [](ByteReader& reader, const Blob&) { expect_v3_frames_decode(reader); },
+      continue_manager};
+  const Outcome outcome = fuzz(subject, v3, 303);
+  EXPECT_GT(outcome.rejected, 0u);
+  EXPECT_GT(outcome.accepted, 0u);
 }
 
 TEST(CheckpointMutation, FleetBlobsRestoreOrRejectTyped) {

@@ -241,7 +241,7 @@ TEST(EpochPipeline, AdopterMatchesScalar) {
     std::map<topo::NodeId, cluster::MicroClusterSummarizer> refilled;
     for (const topo::NodeId node : {next.front(), topo::NodeId{99}}) {
       auto& held = refilled.try_emplace(node, config).first->second;
-      for (int a = 0; a < 20; ++a) held.add(Point{rng.normal(400.0, 200.0)}, 2.0);
+      for (int a = 0; a < 20; ++a) held.add(Point{rng.normal(400.0, 200.0)});
     }
     redistribute_to_nearest(next, collected, config, refilled);
     EXPECT_EQ(serialized_summarizers(refilled), serialized_summarizers(scalar)) << label;
@@ -311,7 +311,7 @@ TEST(EpochPipeline, HandOffPlanMatchesScalar) {
         const double home = 100.0 * static_cast<double>(node);
         for (int a = 0; a < 120; ++a) {
           const double center = rng.below(3) == 0 ? rng.uniform(-50.0, 950.0) : home;
-          summarizer.add(Point{rng.normal(center, 12.0)}, 1.0 + static_cast<double>(a % 3));
+          summarizer.add(Point{rng.normal(center, 12.0)});
         }
       }
       std::set<topo::NodeId> excluded;

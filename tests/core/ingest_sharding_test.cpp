@@ -50,17 +50,14 @@ std::vector<std::uint8_t> drive_epoch(std::size_t threads) {
   const auto placement = manager.placement();
   Rng rng(0x5a4d);
   for (std::size_t i = 0; i < 400; ++i) {
-    manager.record_access(placement[i % placement.size()],
-                          Point{rng.uniform(0.0, 1100.0)}, rng.uniform(0.1, 3.0));
+    manager.record_access(placement[i % placement.size()], Point{rng.uniform(0.0, 1100.0)});
   }
   for (std::size_t r = 0; r < placement.size(); ++r) {
     PointSet batch(1);
-    std::vector<double> weights;
     for (std::size_t i = 0; i < 100 + 17 * r; ++i) {
       batch.push_back(Point{rng.uniform(0.0, 1100.0)});
-      weights.push_back(rng.uniform(0.1, 3.0));
     }
-    manager.record_access_batch(placement[r], batch, weights);
+    manager.record_access_batch(placement[r], batch);
   }
   manager.run_epoch();
   ByteWriter writer;
@@ -79,9 +76,8 @@ TEST(IngestSharding, BytesIdenticalAtThreadCounts1And4) {
 
 /// Drives one access mix through two epochs and returns the serialized
 /// manager state. Per replica, in order: single records, then batches of 3,
-/// 9, 20, 40, 300 and 3000 rows, alternately weighted and unweighted. With
-/// `one_row_per_call`, every batch row goes through its own record_access
-/// instead (weight 1.0 for an unweighted batch).
+/// 9, 20, 40, 300 and 3000 rows. With `one_row_per_call`, every batch row
+/// goes through its own record_access instead.
 std::vector<std::uint8_t> drive_call_mix(bool one_row_per_call) {
   ReplicationManager manager(line_candidates(), ingest_config(5), 41);
   Rng rng(0x6a11);
@@ -93,23 +89,15 @@ std::vector<std::uint8_t> drive_call_mix(bool one_row_per_call) {
     for (std::size_t r = 0; r < placement.size(); ++r) {
       const topo::NodeId replica = placement[r];
       for (std::size_t i = 0; i < 5; ++i) {
-        manager.record_access(replica, Point{rng.uniform(lo, lo + 500.0)},
-                              rng.uniform(0.1, 3.0));
+        manager.record_access(replica, Point{rng.uniform(lo, lo + 500.0)});
       }
       for (const std::size_t rows : {3, 9, 20, 40, 300, 3000}) {
         PointSet batch(1);
-        std::vector<double> weights;
         for (std::size_t i = 0; i < rows; ++i) {
           batch.push_back(Point{rng.uniform(lo, lo + 500.0)});
-          weights.push_back(rng.uniform(0.1, 3.0));
         }
-        const bool weighted = (rows + r) % 2 == 0;
         if (one_row_per_call) {
-          for (std::size_t i = 0; i < rows; ++i) {
-            manager.record_access(replica, batch.point(i), weighted ? weights[i] : 1.0);
-          }
-        } else if (weighted) {
-          manager.record_access_batch(replica, batch, weights);
+          for (std::size_t i = 0; i < rows; ++i) manager.record_access(replica, batch.point(i));
         } else {
           manager.record_access_batch(replica, batch);
         }

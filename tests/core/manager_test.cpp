@@ -690,15 +690,12 @@ TEST(Manager, RestoreRejectsMomentsAnEpochCannotUse) {
       cluster::to_micro_cluster(source.summary_of(source.placement().front()), 0);
   ReplicationManager target(line_candidates(12), small_config(3), 7);
 
-  // v3: a 44-byte header, the placement (u32 count, u32 ids), then the first
+  // v4: a 44-byte header, the placement (u32 count, u32 ids), then the first
   // replica's summary frame: varint cluster count and dimension (one byte
-  // each here), the first cluster's varint (count << 1) | w, its weight
-  // unless w = 1, then sum[d] and sum2[d].
-  const bool weight_elided = first.weight() == static_cast<double>(first.count());
-  const std::size_t header_bytes =
-      varint_size((first.count() << 1) | (weight_elided ? 1u : 0u));
-  const std::size_t sum_offset =
-      44 + 4 + 4 * replicas + 1 + 1 + header_bytes + (weight_elided ? 0 : sizeof(double));
+  // each here), the first cluster's varint (count << 1) | 1, then sum[d] and
+  // sum2[d].
+  const std::size_t header_bytes = varint_size((first.count() << 1) | 1u);
+  const std::size_t sum_offset = 44 + 4 + 4 * replicas + 1 + 1 + header_bytes;
   expect_exponent_flips_rejected(target, checkpoint_of(source), sum_offset,
                                  sum_offset + sizeof(double), first);
 

@@ -115,7 +115,6 @@ std::vector<std::uint8_t> handoff_fingerprint(const cluster::ClusterBuffer& rows
   const cluster::ClusterView view = rows.view();
   for (std::size_t i = 0; i < rows.size(); ++i) {
     writer.write_u64(view.count(i));
-    writer.write_f64(view.weight(i));
     writer.write_f64s(view.sum(i));
     writer.write_u32(rows.destination(i));
     writer.write_u32(rows.has_moments(i) ? 1 : 0);

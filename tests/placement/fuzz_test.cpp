@@ -64,11 +64,10 @@ struct FuzzWorld {
       record.coords = positions[u];
       record.access_count =
           rng.bernoulli(0.1) ? 0 : 1 + rng.below(rng.bernoulli(0.05) ? 100000 : 50);
-      record.data_weight = static_cast<double>(record.access_count);
       input.clients.push_back(record);
       for (std::uint64_t a = 0; a < std::min<std::uint64_t>(record.access_count, 200);
            ++a) {
-        summarizer.add(record.coords, 1.0);
+        summarizer.add(record.coords);
       }
     }
     if (rng.bernoulli(0.15)) {

@@ -121,7 +121,7 @@ TEST(LocalSearch, RefinesOnlineClusteringByDefault) {
     cluster::MicroClusterSummarizer summarizer(config);
     for (const auto& client : world.input.clients) {
       for (std::uint64_t a = 0; a < client.access_count; ++a) {
-        summarizer.add(client.coords, 1.0);
+        summarizer.add(client.coords);
       }
     }
     world.input.summaries = cluster::ClusterBuffer(summarizer.clusters());

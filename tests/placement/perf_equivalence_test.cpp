@@ -70,7 +70,6 @@ struct World {
       record.client = static_cast<topo::NodeId>(rng.below(kNodes));
       record.coords = positions[record.client];
       record.access_count = 1 + rng.below(50);
-      record.data_weight = static_cast<double>(record.access_count);
       clients.push_back(record);
     }
     for (std::size_t r = 0; r < k; ++r) {

@@ -62,7 +62,6 @@ struct World {
       record.client = static_cast<topo::NodeId>(u);
       record.coords = positions[u];
       record.access_count = 1 + rng.below(20);
-      record.data_weight = static_cast<double>(record.access_count);
       input.clients.push_back(record);
     }
     input.topology = &topology;
@@ -76,7 +75,7 @@ struct World {
     cluster::MicroClusterSummarizer summarizer(summarizer_config);
     for (const auto& client : input.clients) {
       for (std::uint64_t a = 0; a < client.access_count; ++a) {
-        summarizer.add(client.coords, 1.0);
+        summarizer.add(client.coords);
       }
     }
     input.summaries = cluster::ClusterBuffer(summarizer.clusters());

@@ -152,6 +152,39 @@ TEST(ScenarioConfig, OutageOfNonDataCenterNodeIsBadReference) {
       ScenarioError::Kind::kBadReference, "events[0].node");
 }
 
+TEST(ScenarioConfig, OutageNodePastTheNodeIdRangeIsBadReference) {
+  // Read as 64 bits and range-checked before it narrows: 2^32 once parsed as
+  // an outage of data center 0.
+  for (const char* node : {"4294967296", "4294967297", "9007199254740992"}) {
+    const std::string text = std::string(R"({"name": "t", "events": [
+           {"kind": "outage", "node": )") +
+                             node + R"(, "start_ms": 0, "end_ms": 1000}]})";
+    const ScenarioError error =
+        expect_error(text, ScenarioError::Kind::kBadReference, "events[0].node");
+    EXPECT_NE(std::string(error.what()).find(node), std::string::npos) << error.what();
+  }
+  // The largest id that fits reaches the data-center check whole.
+  const ScenarioError error = expect_error(
+      R"({"name": "t", "events": [
+           {"kind": "outage", "node": 4294967295, "start_ms": 0, "end_ms": 1000}]})",
+      ScenarioError::Kind::kBadReference, "events[0].node");
+  EXPECT_NE(std::string(error.what()).find("4294967295"), std::string::npos) << error.what();
+}
+
+TEST(ScenarioConfig, FleetBudgetBelowTheMinimumIsBadValueWhereTheProductWraps) {
+  // groups * min_degree is 2^64, which wraps to 0 in 64 bits.
+  expect_error(
+      R"({"name":"t","fleet":{"groups":4294967296,"min_degree":4294967296,)"
+      R"("max_degree":4294967296,"replica_budget":1}})",
+      ScenarioError::Kind::kBadValue, "fleet.replica_budget");
+  // The bound itself: 3 groups of at least 2 replicas need a budget of 6.
+  expect_error(R"({"name": "t", "fleet": {"groups": 3, "min_degree": 2, "replica_budget": 5}})",
+               ScenarioError::Kind::kBadValue, "fleet.replica_budget");
+  const auto config = parse_scenario(
+      R"({"name": "t", "fleet": {"groups": 3, "min_degree": 2, "replica_budget": 6}})");
+  EXPECT_EQ(config.fleet.replica_budget, 6u);
+}
+
 TEST(ScenarioConfig, OutOfOrderEventsAreBadSchedule) {
   expect_error(
       R"({"name": "t", "events": [

@@ -27,14 +27,21 @@ constexpr const char* kSmallWorld = R"(
   "manager": {"replication_degree": 2, "micro_clusters": 6})";
 
 TEST(ScenarioRunner, GoldenTranscriptMatches) {
-  // The shipped CI smoke scenario must reproduce its pinned transcript
-  // byte for byte; CI runs the same comparison through the CLI. A diff here
-  // means the engine's observable behavior changed — regenerate the golden
-  // (geored scenario run scenarios/mini_smoke.json --out ...) only when the
-  // change is intended, and say so in the commit message.
-  const auto config = load_scenario_file(GEORED_SCENARIO_DIR "/mini_smoke.json");
-  const auto result = run_scenario(config);
-  EXPECT_EQ(result.jsonl(), slurp(GEORED_SCENARIO_GOLDEN_DIR "/mini_smoke.jsonl"));
+  // Every shipped scenario must reproduce its pinned transcript byte for
+  // byte; CI runs the same comparison through the CLI. A diff here means the
+  // engine's observable behavior changed — regenerate a golden (geored
+  // scenario run scenarios/<name>.json --out ..., then copy
+  // runs/<name>-seed<N>.jsonl to golden/<name>.jsonl) only when the change
+  // is intended, and say so in the commit message.
+  for (const char* name : {"baseline_diurnal", "flash_crowd", "follow_the_sun", "group_churn",
+                           "mini_smoke", "population_drift", "rolling_outages"}) {
+    SCOPED_TRACE(name);
+    const auto config =
+        load_scenario_file(std::string(GEORED_SCENARIO_DIR "/") + name + ".json");
+    const auto result = run_scenario(config);
+    EXPECT_EQ(result.jsonl(),
+              slurp(std::string(GEORED_SCENARIO_GOLDEN_DIR "/") + name + ".jsonl"));
+  }
 }
 
 TEST(ScenarioRunner, JsonlIsByteIdenticalAcrossThreadCounts) {

@@ -1,19 +1,30 @@
 // The topology and trace loaders never size an allocation from a header
 // count: a hostile header fails with std::invalid_argument on its first
-// missing entry, having allocated only a small fixed reserve. Global operator new is
-// replaced with a version that records the largest request and refuses any
-// request that would take the live total past a cap, which is why this
-// suite is its own test binary.
+// missing entry, having allocated only a small fixed reserve. A seeded
+// mutation suite (TextMutation) extends this to whole files: bit flips,
+// truncations and inserted bytes or digits of a saved topology, RTT matrix
+// and trace either load or throw std::invalid_argument, and no request is
+// larger than a small multiple of the text plus that reserve.
+// GEORED_FUZZ_ITERS sets its budget (rounds of 100 mutations per loader).
+// Global operator new is replaced with a version that records the largest
+// request and refuses any request that would take the live total past a
+// cap, which is why this suite is its own test binary.
 #include <atomic>
 #include <cstddef>
+#include <cstdint>
 #include <cstdlib>
 #include <cstring>
+#include <exception>
 #include <new>
 #include <sstream>
 #include <stdexcept>
+#include <string>
+#include <typeinfo>
 
 #include <gtest/gtest.h>
 
+#include "common/random.h"
+#include "topology/planetlab_model.h"
 #include "topology/topology.h"
 #include "workload/trace.h"
 
@@ -109,6 +120,128 @@ TEST(TopologyIo, HostileMatrixHeaderNeverSizesAnAllocation) {
 TEST(Trace, HostileEventCountNeverSizesAnAllocation) {
   expect_rejected_without_sizing("geored-trace-v1 4000000000\n1 2 3 4 r\n", wl::Trace::load);
   expect_rejected_without_sizing("geored-trace-v1 400000000\n1 2 3 4 r\n", wl::Trace::load);
+}
+
+// --- TextMutation: seeded mutations of whole files ----------------------
+
+/// Bytes one request may take per byte of mutated text, on top of the
+/// header reserve: a parsed entry is at most 32 bytes from two characters
+/// of text, and a growing vector asks for twice what it holds.
+constexpr std::size_t kRequestPerByte = 32;
+
+std::uint64_t fuzz_rounds() {
+  std::uint64_t rounds = 5;
+  if (const char* env = std::getenv("GEORED_FUZZ_ITERS")) rounds = std::strtoull(env, nullptr, 10);
+  return rounds;
+}
+
+/// One mutation of `text`: flips of one to three bits, a truncation, an
+/// insertion of one to eight random bytes, or an insertion of one to six
+/// decimal digits (which stretches a count or a value without breaking the
+/// token).
+std::string mutate(const std::string& text, Rng& rng) {
+  std::string out = text;
+  switch (rng.below(4)) {
+    case 0: {
+      const std::uint64_t flips = 1 + rng.below(3);
+      for (std::uint64_t f = 0; f < flips; ++f) {
+        const std::size_t at = rng.below(out.size());
+        out[at] = static_cast<char>(out[at] ^ static_cast<char>(1u << rng.below(8)));
+      }
+      break;
+    }
+    case 1:
+      out.resize(rng.below(out.size()));
+      break;
+    case 2: {
+      std::string inserted(1 + rng.below(8), '\0');
+      for (auto& c : inserted) c = static_cast<char>(rng.below(256));
+      out.insert(rng.below(out.size() + 1), inserted);
+      break;
+    }
+    default: {
+      std::string digits(1 + rng.below(6), '0');
+      for (auto& c : digits) c = static_cast<char>('0' + rng.below(10));
+      out.insert(rng.below(out.size() + 1), digits);
+      break;
+    }
+  }
+  return out;
+}
+
+/// fuzz_rounds() rounds of 100 mutations of `valid`, each loaded by `load`:
+/// it returns or throws std::invalid_argument, and its largest request
+/// stays within kRequestPerByte per byte of text plus kLargestReserve.
+template <typename Load>
+void expect_mutations_load_or_reject(const std::string& valid, Load load, std::uint64_t seed) {
+  {
+    std::stringstream stream(valid);
+    ASSERT_NO_THROW(load(stream)) << "the unmutated text must load";
+  }
+  Rng rng(seed);
+  std::size_t accepted = 0;
+  std::size_t rejected = 0;
+  const std::uint64_t rounds = fuzz_rounds();
+  for (std::uint64_t round = 0; round < rounds; ++round) {
+    for (int i = 0; i < 100; ++i) {
+      const std::string text = mutate(valid, rng);
+      std::stringstream stream(text);
+      g_largest_request.store(0);
+      try {
+        load(stream);
+        ++accepted;
+      } catch (const std::invalid_argument&) {
+        ++rejected;
+      } catch (const std::exception& error) {
+        ADD_FAILURE() << "untyped rejection " << typeid(error).name() << ": " << error.what()
+                      << "\n" << text;
+        return;
+      }
+      ASSERT_LE(g_largest_request.load(), kRequestPerByte * text.size() + kLargestReserve)
+          << "a " << text.size() << "-byte text requested " << g_largest_request.load()
+          << " bytes at once:\n"
+          << text;
+    }
+  }
+  // Both outcomes are reached, or the sweep tests less than it claims.
+  EXPECT_GT(accepted, 0u);
+  EXPECT_GT(rejected, 0u);
+}
+
+Topology small_topology() {
+  PlanetLabModelConfig config;
+  config.node_count = 12;
+  return generate_planetlab_like(config, 5);
+}
+
+TEST(TextMutation, TopologyLoadsOrRejectsTyped) {
+  std::stringstream saved;
+  small_topology().save(saved);
+  expect_mutations_load_or_reject(saved.str(), Topology::load, 11);
+}
+
+TEST(TextMutation, RttMatrixLoadsOrRejectsTyped) {
+  const Topology topology = small_topology();
+  std::stringstream matrix;
+  matrix << topology.size() << '\n';
+  for (NodeId i = 0; i < topology.size(); ++i) {
+    for (NodeId j = 0; j < topology.size(); ++j) {
+      matrix << topology.rtt_ms(i, j) << (j + 1 == topology.size() ? '\n' : ' ');
+    }
+  }
+  expect_mutations_load_or_reject(matrix.str(), Topology::from_rtt_matrix_stream, 13);
+}
+
+TEST(TextMutation, TraceLoadsOrRejectsTyped) {
+  wl::SessionTraceConfig config;
+  config.clients = 8;
+  config.objects = 20;
+  config.duration_ms = 60'000.0;
+  config.session_rate = 1.0 / 20'000.0;
+  std::stringstream saved;
+  wl::generate_session_trace(config, 17).save(saved);
+  ASSERT_GT(saved.str().size(), 200u);
+  expect_mutations_load_or_reject(saved.str(), wl::Trace::load, 19);
 }
 
 TEST(TopologyIo, CountingAllocatorSeesAllocations) {
