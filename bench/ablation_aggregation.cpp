@@ -73,14 +73,11 @@ int main() {
       sources.push_back(source);
     }
 
-    core::AggregationConfig config;
-    config.max_clusters_per_aggregator = 16;
-    const auto plan = core::plan_aggregation(candidates, sources, config, 7);
+    const auto plan = core::plan_aggregation(candidates, sources, 7);
 
     sim::Simulator tree_sim;
     sim::Network tree_net(tree_sim, topology);
-    const auto tree =
-        core::run_aggregation(tree_sim, tree_net, plan, sources, /*root=*/0, config);
+    const auto tree = core::run_aggregation(tree_sim, tree_net, plan, sources, /*root=*/0);
 
     sim::Simulator flat_sim;
     sim::Network flat_net(flat_sim, topology);

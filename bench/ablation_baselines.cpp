@@ -19,7 +19,7 @@ int main() {
       "226-node topology, 20 data centers, 30 runs per point, RNP coordinates");
 
   core::Environment env(topo::PlanetLabModelConfig{}, /*topology_seed=*/42,
-                        core::CoordSystem::kRnp, coord::GossipConfig{});
+                        coord::CoordSystem::kRnp, coord::GossipConfig{});
   const std::vector<place::StrategyKind> series{
       place::StrategyKind::kRandom,   place::StrategyKind::kHotZone,
       place::StrategyKind::kGreedy,   place::StrategyKind::kOfflineKMeans,

@@ -46,7 +46,7 @@ int main() {
       "226-node topology, 20 DCs, 18 groups over 3 regional populations, Zipf demand");
 
   core::Environment env(topo::PlanetLabModelConfig{}, /*topology_seed=*/42,
-                        core::CoordSystem::kRnp, coord::GossipConfig{});
+                        coord::CoordSystem::kRnp, coord::GossipConfig{});
   const auto& topology = env.topology();
   const auto& coords = env.coordinates();
 

@@ -24,7 +24,7 @@ int main() {
   double rnp_err = 0.0, vivaldi_err = 0.0;
   double rnp_online = 0.0, vivaldi_online = 0.0;
   for (const auto system :
-       {core::CoordSystem::kRnp, core::CoordSystem::kVivaldi, core::CoordSystem::kGnp}) {
+       {coord::CoordSystem::kRnp, coord::CoordSystem::kVivaldi, coord::CoordSystem::kGnp}) {
     core::Environment env(topo::PlanetLabModelConfig{}, /*topology_seed=*/42, system,
                           coord::GossipConfig{});
     const auto quality = env.embedding_quality();
@@ -34,16 +34,16 @@ int main() {
     config.runs = 30;
     const auto result = run_experiment(env, config);
     std::printf("%-10s %11.2fms %13.1f%% %12.2fms %12.2fms %12.2fms\n",
-                core::coord_system_name(system).c_str(), quality.absolute_error_ms.p50,
+                coord::coord_system_name(system).c_str(), quality.absolute_error_ms.p50,
                 100.0 * quality.relative_error.p50,
                 result.mean_of(place::StrategyKind::kOnlineClustering),
                 result.mean_of(place::StrategyKind::kOfflineKMeans),
                 result.mean_of(place::StrategyKind::kOptimal));
-    if (system == core::CoordSystem::kRnp) {
+    if (system == coord::CoordSystem::kRnp) {
       rnp_err = quality.absolute_error_ms.p50;
       rnp_online = result.mean_of(place::StrategyKind::kOnlineClustering);
     }
-    if (system == core::CoordSystem::kVivaldi) {
+    if (system == coord::CoordSystem::kVivaldi) {
       vivaldi_err = quality.absolute_error_ms.p50;
       vivaldi_online = result.mean_of(place::StrategyKind::kOnlineClustering);
     }

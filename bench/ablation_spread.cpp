@@ -67,7 +67,7 @@ int main() {
       "co-locates all replicas there");
 
   core::Environment env(topo::PlanetLabModelConfig{}, /*topology_seed=*/42,
-                        core::CoordSystem::kRnp, coord::GossipConfig{});
+                        coord::CoordSystem::kRnp, coord::GossipConfig{});
   const auto& topology = env.topology();
   const auto& coords = env.coordinates();
   // Region mask: only North-American nodes act as clients.

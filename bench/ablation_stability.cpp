@@ -26,17 +26,17 @@ int main() {
   double vivaldi_drift = 0.0, rnp_drift = 0.0;
   double vivaldi_error = 0.0, rnp_error = 0.0;
   for (const std::size_t rounds : {128ul, 256ul, 512ul}) {
-    for (const auto protocol : {coord::Protocol::kVivaldi, coord::Protocol::kRnp}) {
+    for (const auto system : {coord::CoordSystem::kVivaldi, coord::CoordSystem::kRnp}) {
       coord::StabilityConfig config;
       config.gossip.rounds = rounds;
       config.warmup_rounds = rounds / 2;
-      const auto report = coord::measure_stability(topology, protocol, config, 7);
-      const char* name = protocol == coord::Protocol::kVivaldi ? "vivaldi" : "rnp";
-      std::printf("%-10s %12zu %12.3fms %12.3fms %14.2fms\n", name, rounds,
+      const auto report = coord::measure_stability(topology, system, config, 7);
+      std::printf("%-10s %12zu %12.3fms %12.3fms %14.2fms\n",
+                  coord::coord_system_name(system).c_str(), rounds,
                   report.displacement_per_round_ms.mean,
                   report.displacement_per_round_ms.p90, report.final_abs_error_p50_ms);
       if (rounds == 256) {
-        if (protocol == coord::Protocol::kVivaldi) {
+        if (system == coord::CoordSystem::kVivaldi) {
           vivaldi_drift = report.displacement_per_round_ms.mean;
           vivaldi_error = report.final_abs_error_p50_ms;
         } else {

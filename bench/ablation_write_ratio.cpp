@@ -27,7 +27,7 @@ int main() {
       "226-node topology, 20 DCs, k=3, 30 runs; objective (1-f)*nearest + f*farthest");
 
   core::Environment env(topo::PlanetLabModelConfig{}, /*topology_seed=*/42,
-                        core::CoordSystem::kRnp, coord::GossipConfig{});
+                        coord::CoordSystem::kRnp, coord::GossipConfig{});
   const auto& topology = env.topology();
   const auto& coords = env.coordinates();
 

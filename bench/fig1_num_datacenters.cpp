@@ -21,7 +21,7 @@ int main() {
       "226-node PlanetLab-like topology, k=3, 30 runs per point, RNP coordinates");
 
   core::Environment env(topo::PlanetLabModelConfig{}, /*topology_seed=*/42,
-                        core::CoordSystem::kRnp, coord::GossipConfig{});
+                        coord::CoordSystem::kRnp, coord::GossipConfig{});
   const auto quality = env.embedding_quality();
   std::printf("embedding: median abs err %.1f ms, median rel err %.1f%%\n\n",
               quality.absolute_error_ms.p50, 100.0 * quality.relative_error.p50);

@@ -22,7 +22,7 @@ int main() {
       "226-node PlanetLab-like topology, 20 data centers, 30 runs per point");
 
   core::Environment env(topo::PlanetLabModelConfig{}, /*topology_seed=*/42,
-                        core::CoordSystem::kRnp, coord::GossipConfig{});
+                        coord::CoordSystem::kRnp, coord::GossipConfig{});
   std::vector<place::StrategyKind> series;
   for (const char* name : {"random", "offline_kmeans", "online", "optimal"}) {
     series.push_back(place::strategy_kind(name));

@@ -22,7 +22,7 @@ int main() {
       "226-node PlanetLab-like topology, 20 data centers, online clustering, 30 runs");
 
   core::Environment env(topo::PlanetLabModelConfig{}, /*topology_seed=*/42,
-                        core::CoordSystem::kRnp, coord::GossipConfig{});
+                        coord::CoordSystem::kRnp, coord::GossipConfig{});
   const std::vector<std::size_t> micro_budgets{1, 2, 4, 7, 11};
   std::vector<std::string> series_names;
   for (const auto m : micro_budgets) {

@@ -805,8 +805,8 @@ std::vector<CaseResult> run_scale(const Scale& scale, std::size_t repeats,
       clustered.positions.push_back(sample_site_point());
       clustered.weights.push_back(1.0 + static_cast<double>(pop_rng.below(50)));
     }
-    // Lightly perturbed site centers as the warm start: the shape
-    // warm_start_macro_clusters produces for a stable population — last
+    // Lightly perturbed site centers as the warm start: the shape the
+    // manager's warm start produces for a stable population — last
     // epoch's centroids, already near the optimum, drifted a little by the
     // epoch's new accesses. The solvers iterate to re-converge rather than
     // exit immediately, and the centroid movement per iteration is small —

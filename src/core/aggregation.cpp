@@ -29,16 +29,13 @@ const place::CandidateInfo& info_of(const std::vector<place::CandidateInfo>& can
 
 AggregationPlan plan_aggregation(const std::vector<place::CandidateInfo>& candidates,
                                  const std::vector<SummarySource>& sources,
-                                 const AggregationConfig& config, std::uint64_t seed) {
+                                 std::uint64_t seed) {
   GEORED_ENSURE(!candidates.empty(), "aggregation needs candidate data centers");
   GEORED_ENSURE(!sources.empty(), "aggregation needs at least one source");
 
-  std::size_t aggregator_count = config.aggregator_count;
-  if (aggregator_count == 0) {
-    aggregator_count = static_cast<std::size_t>(
-        std::ceil(std::sqrt(static_cast<double>(sources.size()))));
-  }
-  aggregator_count = std::min(aggregator_count, candidates.size());
+  const auto sqrt_sources = static_cast<std::size_t>(
+      std::ceil(std::sqrt(static_cast<double>(sources.size()))));
+  const std::size_t aggregator_count = std::min(sqrt_sources, candidates.size());
 
   // Aggregators sit where the sources are: weighted k-means over source
   // coordinates (weight = cluster mass), mapped to distinct data centers. A
@@ -108,10 +105,8 @@ AggregationPlan plan_aggregation(const std::vector<place::CandidateInfo>& candid
 AggregationResult run_aggregation(sim::Simulator& simulator, sim::Network& network,
                                   const AggregationPlan& plan,
                                   const std::vector<SummarySource>& sources,
-                                  topo::NodeId root, const AggregationConfig& config) {
+                                  topo::NodeId root) {
   GEORED_ENSURE(!sources.empty(), "aggregation needs at least one source");
-  GEORED_ENSURE(config.max_clusters_per_aggregator >= 1,
-                "aggregators need a positive cluster budget");
 
   AggregationResult result;
   const std::uint64_t base_summary_bytes =
@@ -126,7 +121,7 @@ AggregationResult run_aggregation(sim::Simulator& simulator, sim::Network& netwo
         : merger(config) {}
   };
   cluster::SummarizerConfig merger_config;
-  merger_config.max_clusters = config.max_clusters_per_aggregator;
+  merger_config.max_clusters = kAggregatorClusterBudget;
   auto states = std::make_shared<std::map<topo::NodeId, AggregatorState>>();
   for (const auto aggregator : plan.aggregators) {
     states->emplace(aggregator, AggregatorState(merger_config));

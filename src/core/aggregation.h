@@ -36,13 +36,8 @@
 
 namespace geored::core {
 
-struct AggregationConfig {
-  /// Aggregator count; 0 = ceil(sqrt(#sources)), the bandwidth-balancing
-  /// choice for a two-level tree.
-  std::size_t aggregator_count = 0;
-  /// Micro-cluster budget of each aggregator's merged summary (m̂).
-  std::size_t max_clusters_per_aggregator = 16;
-};
+/// Micro-cluster budget of each aggregator's merged summary (m̂).
+inline constexpr std::size_t kAggregatorClusterBudget = 16;
 
 /// Which data centers aggregate, and who reports to whom.
 struct AggregationPlan {
@@ -66,12 +61,14 @@ struct SentSummary {
   std::size_t moment_bytes = 0;
 };
 
-/// Chooses aggregators among the candidates (weighted k-means over the
-/// sources' coordinates, exactly the machinery of Algorithm 1) and assigns
-/// every source to its nearest aggregator. Deterministic in `seed`.
+/// Chooses ceil(sqrt(#sources)) aggregators, the bandwidth-balancing count
+/// for a two-level tree (at most one per candidate), among the candidates
+/// (weighted k-means over the sources' coordinates, exactly the machinery
+/// of Algorithm 1) and assigns every source to its nearest aggregator.
+/// Deterministic in `seed`.
 AggregationPlan plan_aggregation(const std::vector<place::CandidateInfo>& candidates,
                                  const std::vector<SummarySource>& sources,
-                                 const AggregationConfig& config, std::uint64_t seed);
+                                 std::uint64_t seed);
 
 struct AggregationResult {
   /// The root's merged view of every source's population: the forwarded
@@ -86,13 +83,14 @@ struct AggregationResult {
 };
 
 /// Runs phase 1 of the collection over the simulated network: full frames
-/// from sources to aggregators, centroid frames from aggregators to the
-/// root, every message charged as summary traffic. The simulator is run to
-/// completion.
+/// from sources to aggregators, each merged into at most
+/// kAggregatorClusterBudget clusters, and centroid frames from aggregators
+/// to the root, every message charged as summary traffic. The simulator is
+/// run to completion.
 AggregationResult run_aggregation(sim::Simulator& simulator, sim::Network& network,
                                   const AggregationPlan& plan,
                                   const std::vector<SummarySource>& sources,
-                                  topo::NodeId root, const AggregationConfig& config);
+                                  topo::NodeId root);
 
 /// Reference flat collection (every source's centroid frame straight to the
 /// root), for the bandwidth comparison.

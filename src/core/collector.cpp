@@ -77,11 +77,8 @@ void DirectCollector::collect_moments(const std::vector<SummarySource>& sources,
 }
 
 HierarchicalCollector::HierarchicalCollector(sim::Simulator& simulator, sim::Network& network,
-                                             topo::NodeId root, AggregationConfig config)
-    : simulator_(simulator), network_(network), root_(root), config_(config) {
-  GEORED_ENSURE(config_.max_clusters_per_aggregator >= 1,
-                "aggregators need at least one micro-cluster of budget");
-}
+                                             topo::NodeId root)
+    : simulator_(simulator), network_(network), root_(root) {}
 
 CollectedSummaries HierarchicalCollector::collect(const std::vector<SummarySource>& sources,
                                                   const CollectionContext& context) {
@@ -89,8 +86,8 @@ CollectedSummaries HierarchicalCollector::collect(const std::vector<SummarySourc
   // A fresh tree per epoch: sources move with the placement, so yesterday's
   // aggregator assignment may be arbitrarily bad today.
   const AggregationPlan plan =
-      plan_aggregation(context.candidates, sources, config_, context.epoch_seed);
-  AggregationResult result = run_aggregation(simulator_, network_, plan, sources, root_, config_);
+      plan_aggregation(context.candidates, sources, context.epoch_seed);
+  AggregationResult result = run_aggregation(simulator_, network_, plan, sources, root_);
   forwarded_ = std::move(result.forwarded);
   CollectedSummaries collected;
   collected.summaries = std::move(result.merged);
@@ -109,19 +106,16 @@ void HierarchicalCollector::collect_moments(const std::vector<SummarySource>& so
       static_cast<std::size_t>(run_moment_upload(simulator_, network_, forwarded_, root_));
 }
 
-DecentralizedCollector::DecentralizedCollector(
-    sim::Simulator& simulator, sim::Network& network,
-    std::shared_ptr<const place::PlacementStrategy> strategy)
-    : simulator_(simulator), network_(network), strategy_(std::move(strategy)) {
-  if (!strategy_) strategy_ = std::make_shared<place::OnlineClusteringPlacement>();
-}
+DecentralizedCollector::DecentralizedCollector(sim::Simulator& simulator,
+                                               sim::Network& network)
+    : simulator_(simulator), network_(network) {}
 
 CollectedSummaries DecentralizedCollector::collect(const std::vector<SummarySource>& sources,
                                                    const CollectionContext& context) {
   GEORED_ENSURE(!sources.empty(), "decentralized collection needs at least one source");
   DecentralizedEpochResult result =
       run_decentralized_epoch(simulator_, network_, context.candidates, sources, context.k,
-                              context.epoch_seed, *strategy_);
+                              context.epoch_seed, place::OnlineClusteringPlacement());
   GEORED_CHECK(result.agreement,
                "deterministic replicas diverged on identical summaries and seed");
   CollectedSummaries collected;
@@ -248,10 +242,9 @@ std::unique_ptr<SummaryCollector> make_collector(const std::string& name,
                     "must provide simulator and network");
   if (name == "hierarchical") {
     return std::make_unique<HierarchicalCollector>(*config.simulator, *config.network,
-                                                   config.aggregation_root, config.aggregation);
+                                                   config.aggregation_root);
   }
-  return std::make_unique<DecentralizedCollector>(*config.simulator, *config.network,
-                                                  config.decision_strategy);
+  return std::make_unique<DecentralizedCollector>(*config.simulator, *config.network);
 }
 
 std::vector<std::string> collector_names() {  // lint: alloc-ok (registry)

@@ -47,7 +47,6 @@
 #include "net/clock.h"
 #include "net/rpc_config.h"
 #include "placement/candidate_table.h"
-#include "placement/strategy.h"
 #include "placement/types.h"
 
 namespace geored::core {
@@ -146,8 +145,7 @@ class HierarchicalCollector final : public SummaryCollector {
  public:
   /// The collector plans a fresh tree per epoch (sources move) and runs it
   /// over `simulator`/`network`, with the root at `root`.
-  HierarchicalCollector(sim::Simulator& simulator, sim::Network& network, topo::NodeId root,
-                        AggregationConfig config = {});
+  HierarchicalCollector(sim::Simulator& simulator, sim::Network& network, topo::NodeId root);
 
   std::string name() const override { return "hierarchical"; }
   CollectedSummaries collect(const std::vector<SummarySource>& sources,
@@ -160,23 +158,21 @@ class HierarchicalCollector final : public SummaryCollector {
   sim::Simulator& simulator_;
   sim::Network& network_;
   topo::NodeId root_;
-  AggregationConfig config_;
   /// The latest collect()'s aggregator -> root frames, which phase 2
   /// completes.
   std::vector<SentSummary> forwarded_;
 };
 
 /// All-to-all decentralized agreement (core/decentralized): every replica
-/// receives every centroid frame, computes the placement locally with the
-/// shared epoch seed, and the agreed proposal is returned — run_epoch's
-/// propose step is skipped. Every replica derives the hand-off plan from the
-/// agreed proposal, so phase 2 sends no mask: each source sends each
-/// destination one departing moment frame with the clusters bound for it.
-/// `strategy` is the per-replica decision rule.
+/// receives every centroid frame, computes the placement locally by the
+/// paper's online clustering with the shared epoch seed, and the agreed
+/// proposal is returned — run_epoch's propose step is skipped. Every replica
+/// derives the hand-off plan from the agreed proposal, so phase 2 sends no
+/// mask: each source sends each destination one departing moment frame with
+/// the clusters bound for it.
 class DecentralizedCollector final : public SummaryCollector {
  public:
-  DecentralizedCollector(sim::Simulator& simulator, sim::Network& network,
-                         std::shared_ptr<const place::PlacementStrategy> strategy);
+  DecentralizedCollector(sim::Simulator& simulator, sim::Network& network);
 
   std::string name() const override { return "decentralized"; }
   CollectedSummaries collect(const std::vector<SummarySource>& sources,
@@ -188,7 +184,6 @@ class DecentralizedCollector final : public SummaryCollector {
  private:
   sim::Simulator& simulator_;
   sim::Network& network_;
-  std::shared_ptr<const place::PlacementStrategy> strategy_;
 };
 
 /// The hand-off plan of an adopting epoch: sets each collected cluster's
@@ -227,10 +222,6 @@ struct CollectorConfig {
   sim::Network* network = nullptr;
   /// Root of the two-level tree ("hierarchical").
   topo::NodeId aggregation_root = 0;
-  AggregationConfig aggregation;
-  /// Per-replica decision rule ("decentralized"); defaults to the paper's
-  /// online clustering when null.
-  std::shared_ptr<const place::PlacementStrategy> decision_strategy;
   /// Fault schedule and retry budget ("rpc"); the defaults give a clean
   /// wire, byte-identical to "direct".
   net::RpcCollectorConfig rpc;

@@ -16,35 +16,12 @@
 
 namespace geored::core {
 
-std::string coord_system_name(CoordSystem system) {
-  switch (system) {
-    case CoordSystem::kRnp:
-      return "rnp";
-    case CoordSystem::kVivaldi:
-      return "vivaldi";
-    case CoordSystem::kGnp:
-      return "gnp";
-  }
-  throw InternalError("unknown coordinate system");
-}
-
 Environment::Environment(const topo::PlanetLabModelConfig& topology_config,
-                         std::uint64_t topology_seed, CoordSystem coord_system,
+                         std::uint64_t topology_seed, coord::CoordSystem coord_system,
                          const coord::GossipConfig& gossip, std::uint64_t embedding_seed)
     : topology_(topo::generate_planetlab_like(topology_config, topology_seed)),
-      coord_system_(coord_system) {
-  switch (coord_system) {
-    case CoordSystem::kRnp:
-      coords_ = coord::run_rnp(topology_, coord::RnpConfig{}, gossip, embedding_seed);
-      break;
-    case CoordSystem::kVivaldi:
-      coords_ = coord::run_vivaldi(topology_, coord::VivaldiConfig{}, gossip, embedding_seed);
-      break;
-    case CoordSystem::kGnp:
-      coords_ = coord::run_gnp(topology_, coord::GnpConfig{});
-      break;
-  }
-}
+      coord_system_(coord_system),
+      coords_(coord::embed(topology_, coord_system, gossip, embedding_seed)) {}
 
 coord::EmbeddingQuality Environment::embedding_quality() const {
   return coord::evaluate_embedding(topology_, coords_);
@@ -80,14 +57,14 @@ std::vector<double> run_once(const Environment& env, const ExperimentConfig& con
   //    lognormal-spread per-client mean.
   std::vector<place::ClientRecord> clients;
   clients.reserve(n - candidates.size());
-  const double mu_correction = -0.5 * config.access_spread_sigma * config.access_spread_sigma;
+  const double mu_correction = -0.5 * kAccessSpreadSigma * kAccessSpreadSigma;
   for (std::size_t idx = 0; idx < n; ++idx) {
     if (is_candidate[idx]) continue;
     place::ClientRecord record;
     record.client = static_cast<topo::NodeId>(idx);
     record.coords = coords[idx].position;
-    const double mean = config.mean_accesses_per_client *
-                        std::exp(rng.normal(mu_correction, config.access_spread_sigma));
+    const double mean =
+        kMeanAccessesPerClient * std::exp(rng.normal(mu_correction, kAccessSpreadSigma));
     record.access_count = std::max<std::uint64_t>(1, rng.poisson(mean));
     clients.push_back(std::move(record));
   }
@@ -116,7 +93,7 @@ std::vector<double> run_once(const Environment& env, const ExperimentConfig& con
 
   cluster::SummarizerConfig summarizer_config;
   summarizer_config.max_clusters = config.micro_clusters;
-  summarizer_config.min_absorb_radius = config.summarizer_min_radius_ms;
+  summarizer_config.min_absorb_radius = kSummarizerMinRadiusMs;
   std::vector<cluster::MicroClusterSummarizer> summarizers(
       initial_placement.size(), cluster::MicroClusterSummarizer(summarizer_config));
 
@@ -222,7 +199,7 @@ ExperimentResult run_experiment(const Environment& env, const ExperimentConfig& 
   std::vector<std::vector<double>> per_run(config.runs);
   const auto run = [&](std::size_t begin, std::size_t end) {
     for (std::size_t r = begin; r < end; ++r) {
-      per_run[r] = run_once(env, config, config.base_seed + r);
+      per_run[r] = run_once(env, config, kExperimentBaseSeed + r);
     }
   };
   parallel_for(config.runs, std::ref(run));
@@ -238,8 +215,8 @@ ExperimentResult run_experiment(const Environment& env, const ExperimentConfig& 
 }
 
 ExperimentResult run_experiment(const ExperimentConfig& config) {
-  const Environment env(topo::PlanetLabModelConfig{}, /*topology_seed=*/42, CoordSystem::kRnp,
-                        coord::GossipConfig{});
+  const Environment env(topo::PlanetLabModelConfig{}, /*topology_seed=*/42,
+                        coord::CoordSystem::kRnp, coord::GossipConfig{});
   return run_experiment(env, config);
 }
 

@@ -27,47 +27,44 @@
 
 namespace geored::core {
 
-/// Which decentralized coordinate system assigns node coordinates.
-enum class CoordSystem { kRnp, kVivaldi, kGnp };
-
-std::string coord_system_name(CoordSystem system);
-
 /// Shared, immutable per-experiment state: ground-truth topology plus the
 /// coordinate embedding every node would carry in the running system.
 /// Building one runs the world build on the global thread pool.
 class Environment {
  public:
   Environment(const topo::PlanetLabModelConfig& topology_config, std::uint64_t topology_seed,
-              CoordSystem coord_system, const coord::GossipConfig& gossip,
+              coord::CoordSystem coord_system, const coord::GossipConfig& gossip,
               std::uint64_t embedding_seed = 7);
 
   const topo::Topology& topology() const { return topology_; }
   const std::vector<coord::NetworkCoordinate>& coordinates() const { return coords_; }
-  CoordSystem coord_system() const { return coord_system_; }
+  coord::CoordSystem coord_system() const { return coord_system_; }
 
   /// Prediction quality of the embedding (for reporting).
   coord::EmbeddingQuality embedding_quality() const;
 
  private:
   topo::Topology topology_;
-  CoordSystem coord_system_;
+  coord::CoordSystem coord_system_;
   std::vector<coord::NetworkCoordinate> coords_;
 };
+
+/// Run r of an experiment uses seed kExperimentBaseSeed + r.
+inline constexpr std::uint64_t kExperimentBaseSeed = 1000;
+
+/// Observation-phase workload: per-client access counts are Poisson with a
+/// lognormal-spread mean.
+inline constexpr double kMeanAccessesPerClient = 100.0;
+inline constexpr double kAccessSpreadSigma = 0.5;
+
+/// Absorb-radius floor handed to the per-replica summarizers.
+inline constexpr double kSummarizerMinRadiusMs = 5.0;
 
 struct ExperimentConfig {
   std::size_t num_datacenters = 20;  ///< candidate replica locations
   std::size_t k = 3;                 ///< target degree of replication
   std::size_t micro_clusters = 4;    ///< m, per replica
   std::size_t runs = 30;             ///< independent runs to average over
-  std::uint64_t base_seed = 1000;    ///< run r uses base_seed + r
-
-  /// Observation-phase workload: per-client access counts are Poisson with
-  /// a lognormal-spread mean.
-  double mean_accesses_per_client = 100.0;
-  double access_spread_sigma = 0.5;
-
-  /// Absorb-radius floor handed to the per-replica summarizers.
-  double summarizer_min_radius_ms = 5.0;
 
   /// Number of replicas a client must reach (1 = the paper's model).
   std::size_t quorum = 1;
@@ -108,8 +105,8 @@ struct ExperimentResult {
 
 /// Runs the full multi-run experiment. Deterministic in (env, config): the
 /// runs fan out over the global thread pool (parallel_for), run r always
-/// uses base_seed + r, and its results land in slot r, so every thread
-/// count gives the same bits. Pool work inside a run runs inline.
+/// uses kExperimentBaseSeed + r, and its results land in slot r, so every
+/// thread count gives the same bits. Pool work inside a run runs inline.
 ExperimentResult run_experiment(const Environment& env, const ExperimentConfig& config);
 
 /// Convenience overload that builds a default RNP environment internally.

@@ -437,18 +437,15 @@ EpochReport ReplicationManager::run_epoch(const std::set<topo::NodeId>& excluded
   report.lost_sources = collected.lost_sources.size() + excluded_sources;
 
   // 3. Propose a placement by online clustering (Algorithm 1) over the
-  //    usable candidates — unless the collection protocol already agreed on
-  //    one (decentralized collection decides in-protocol). The macro
-  //    centroids are kept even when warm starts are off, so checkpoints
-  //    capture them either way.
+  //    usable candidates, warm-started from the last epoch's macro
+  //    centroids — unless the collection protocol already agreed on one
+  //    (decentralized collection decides in-protocol).
   if (collected.agreed_proposal.has_value()) {
     report.proposed_placement = std::move(*collected.agreed_proposal);
   } else {
     const StageTimer timer(report.stages.propose_ms);
-    const PointSet cold_start;
     place::OnlineClusteringDetails details = place::OnlineClusteringPlacement::place_detailed(
-        usable, degree_, collected.summaries,
-        config_.warm_start_macro_clusters ? warm_centroids_ : cold_start, epoch_seed);
+        usable, degree_, collected.summaries, warm_centroids_, epoch_seed);
     warm_centroids_ = std::move(details.macro_centroids);
     report.proposed_placement = std::move(details.placement);
   }

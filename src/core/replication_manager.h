@@ -82,11 +82,6 @@ struct ManagerConfig {
   /// Migration cost/benefit gate.
   MigrationPolicy migration;
 
-  /// Feed each epoch's macro-cluster centroids into the next epoch as a
-  /// k-means warm start, so stable populations produce stable proposals
-  /// instead of churning with seeding randomness.
-  bool warm_start_macro_clusters = true;
-
   /// Demand-adaptive degree (paper §III-C: "vary the number of replicas ...
   /// as the demand of an object increases/decreases"). When enabled, the
   /// degree grows by one when the epoch's accesses exceed
@@ -298,9 +293,9 @@ class ReplicationManager {
   std::map<topo::NodeId, cluster::MicroClusterSummarizer> summarizers_;
   std::unique_ptr<IngestState> ingest_ = std::make_unique<IngestState>();
   std::unique_ptr<SummaryCollector> collector_;
-  /// The latest epoch's macro-cluster centroids: the next proposal's warm
-  /// start when ManagerConfig::warm_start_macro_clusters is set, and saved
-  /// by every checkpoint either way.
+  /// The latest epoch's macro-cluster centroids: the next proposal's
+  /// k-means warm start, so stable populations produce stable proposals
+  /// instead of churning with seeding randomness. Saved by every checkpoint.
   PointSet warm_centroids_;
 };
 

@@ -176,12 +176,12 @@ struct FetchResult {
   std::uint64_t backoff_ms = 0;
 };
 
-std::uint64_t backoff_for_attempt(const RpcCollectorConfig& config, std::size_t attempt) {
-  std::uint64_t backoff = config.backoff_initial_ms;
+std::uint64_t backoff_for_attempt(std::size_t attempt) {
+  std::uint64_t backoff = kBackoffInitialMs;
   for (std::size_t step = 1; step < attempt; ++step) {
-    backoff = std::min(backoff * 2, config.backoff_cap_ms);
+    backoff = std::min(backoff * 2, kBackoffCapMs);
   }
-  return std::min(backoff, config.backoff_cap_ms);
+  return std::min(backoff, kBackoffCapMs);
 }
 
 /// Fetches source `source`'s frame into `result` under the retry budget.
@@ -194,7 +194,7 @@ void fetch_source(std::uint16_t port, std::uint32_t source, const RpcCollectorCo
       std::min<std::uint64_t>(config.timeout_ms, std::numeric_limits<int>::max()));
   for (std::size_t attempt = 0; attempt < config.max_attempts; ++attempt) {
     if (attempt > 0) {
-      const std::uint64_t backoff = backoff_for_attempt(config, attempt);
+      const std::uint64_t backoff = backoff_for_attempt(attempt);
       clock.sleep_ms(backoff);
       result.backoff_ms += backoff;
       ++result.retries;

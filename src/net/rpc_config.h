@@ -14,8 +14,14 @@
 
 namespace geored::net {
 
+/// Exponential backoff between attempts: kBackoffInitialMs doubling per
+/// retry, capped at kBackoffCapMs. Spent on the injected Clock, so tests
+/// running on a VirtualClock pay nothing in wall time.
+inline constexpr std::uint64_t kBackoffInitialMs = 1;
+inline constexpr std::uint64_t kBackoffCapMs = 8;
+
 /// Knobs for RpcCollector: the fault schedule, the per-attempt retry
-/// budget, and the timeout/backoff shape of the client state machine.
+/// budget, and the timeout of the client state machine.
 struct RpcCollectorConfig {
   /// Injected failure schedule; all-zero probabilities means a clean wire.
   FaultConfig faults;
@@ -30,12 +36,6 @@ struct RpcCollectorConfig {
   /// faults.delay_ms or injected delays become indistinguishable from
   /// drops. Tests shrink this so drop faults resolve quickly.
   std::uint64_t timeout_ms = 1000;
-
-  /// Exponential backoff between attempts: backoff_initial_ms doubling per
-  /// retry, capped at backoff_cap_ms. Spent on the injected Clock, so tests
-  /// running on a VirtualClock pay nothing in wall time.
-  std::uint64_t backoff_initial_ms = 1;
-  std::uint64_t backoff_cap_ms = 8;
 };
 
 /// What one collection round cost and survived, in the spirit of

@@ -49,6 +49,39 @@ std::vector<NetworkCoordinate> run_rnp(const topo::Topology& topology, const Rnp
   return coords;
 }
 
+std::string coord_system_name(CoordSystem system) {
+  switch (system) {
+    case CoordSystem::kRnp:
+      return "rnp";
+    case CoordSystem::kVivaldi:
+      return "vivaldi";
+    case CoordSystem::kGnp:
+      return "gnp";
+  }
+  throw InternalError("unknown coordinate system");
+}
+
+CoordSystem coord_system_from_name(const std::string& name) {
+  for (const auto system : {CoordSystem::kRnp, CoordSystem::kVivaldi, CoordSystem::kGnp}) {
+    if (name == coord_system_name(system)) return system;
+  }
+  throw std::invalid_argument("unknown coordinate system: " + name +
+                              " (expected rnp|vivaldi|gnp)");
+}
+
+std::vector<NetworkCoordinate> embed(const topo::Topology& topology, CoordSystem system,
+                                     const GossipConfig& gossip, std::uint64_t seed) {
+  switch (system) {
+    case CoordSystem::kRnp:
+      return run_rnp(topology, RnpConfig{}, gossip, seed);
+    case CoordSystem::kVivaldi:
+      return run_vivaldi(topology, VivaldiConfig{}, gossip, seed);
+    case CoordSystem::kGnp:
+      return run_gnp(topology, GnpConfig{});
+  }
+  throw InternalError("unknown coordinate system");
+}
+
 EmbeddingQuality evaluate_embedding(const topo::Topology& topology,
                                     const std::vector<NetworkCoordinate>& coords) {
   GEORED_ENSURE(coords.size() == topology.size(),

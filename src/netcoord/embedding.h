@@ -20,11 +20,17 @@ struct GossipConfig {
   /// 256 rounds bring RNP below 10 ms median absolute error on the default
   /// 226-node topology (the accuracy the paper reports for RNP).
   std::size_t rounds = 256;
-  /// Fraction of a node's samples directed at a fixed random neighbor set
-  /// (Vivaldi works best with mostly-stable neighbors plus some far pokes).
-  std::size_t neighbor_set_size = 16;
-  double far_probe_probability = 0.25;
 };
+
+/// The coordinate systems a node's coordinates can come from.
+enum class CoordSystem { kRnp, kVivaldi, kGnp };
+
+/// "rnp", "vivaldi" or "gnp".
+std::string coord_system_name(CoordSystem system);
+
+/// The system coord_system_name calls `name`; std::invalid_argument for any
+/// other name.
+CoordSystem coord_system_from_name(const std::string& name);
 
 /// Runs Vivaldi for all nodes of the topology; deterministic in `seed`.
 /// Shares run_rnp's gossip driver, but Vivaldi nodes never refit, so every
@@ -42,9 +48,11 @@ std::vector<NetworkCoordinate> run_vivaldi(const topo::Topology& topology,
 std::vector<NetworkCoordinate> run_rnp(const topo::Topology& topology, const RnpConfig& config,
                                        const GossipConfig& gossip, std::uint64_t seed);
 
-/// Oracle embedding: coordinates that reproduce RTTs exactly are impossible
-/// in general, so the oracle instead marks "use the true matrix"; provided
-/// for ablations via PlacementContext rather than as coordinates.
+/// Embeds every node of the topology with `system` at its default
+/// configuration: run_rnp or run_vivaldi over `gossip` from `seed`, or
+/// run_gnp, which is centralized and reads neither.
+std::vector<NetworkCoordinate> embed(const topo::Topology& topology, CoordSystem system,
+                                     const GossipConfig& gossip, std::uint64_t seed);
 
 /// Prediction quality of an embedding against the ground truth.
 struct EmbeddingQuality {

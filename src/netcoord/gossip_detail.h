@@ -1,10 +1,11 @@
 // Shared gossip loop for decentralized coordinate protocols (implementation
 // detail of embedding.cpp and stability.cpp).
 //
-// Each node keeps a fixed random neighbor set and, once per round, probes
-// either a neighbor or (with far_probe_probability) a uniformly random node
-// — Vivaldi's recommended mix of stable nearby contacts and occasional far
-// pokes. `round_hook(round)` runs after every completed round.
+// Each node keeps a fixed random neighbor set of kNeighborSetSize nodes and,
+// once per round, probes either a neighbor or (with kFarProbeProbability) a
+// uniformly random node — Vivaldi's recommended mix of stable nearby
+// contacts and occasional far pokes. `round_hook(round)` runs after every
+// completed round.
 //
 // Rounds in dependency levels. The reference schedule observes node 0, then
 // node 1, ..., so node i sees peer p's coordinate as it stands after p's own
@@ -38,6 +39,12 @@
 
 namespace geored::coord::detail {
 
+/// Size of each node's fixed random neighbor set.
+inline constexpr std::size_t kNeighborSetSize = 16;
+/// Chance that a round's probe skips the neighbor set for a uniformly
+/// random node.
+inline constexpr double kFarProbeProbability = 0.25;
+
 /// True when some node's next observation runs an expensive refit.
 template <typename NodeVector>
 bool any_refit_due(const NodeVector& nodes) {
@@ -56,7 +63,7 @@ void run_gossip(const topo::Topology& topology, NodeVector& nodes,
   GEORED_ENSURE(n >= 2, "gossip needs at least two nodes");
   Rng rng(seed);
 
-  const std::size_t neighbors_per_node = std::min(gossip.neighbor_set_size, n - 1);
+  const std::size_t neighbors_per_node = std::min(kNeighborSetSize, n - 1);
   std::vector<std::vector<topo::NodeId>> neighbor_sets(n);
   for (std::size_t i = 0; i < n; ++i) {
     auto sample = rng.sample_without_replacement(n - 1, neighbors_per_node);
@@ -83,7 +90,7 @@ void run_gossip(const topo::Topology& topology, NodeVector& nodes,
 
   for (std::size_t round = 0; round < gossip.rounds; ++round) {
     for (std::size_t i = 0; i < n; ++i) {
-      if (!neighbor_sets[i].empty() && !rng.bernoulli(gossip.far_probe_probability)) {
+      if (!neighbor_sets[i].empty() && !rng.bernoulli(kFarProbeProbability)) {
         peers[i] = neighbor_sets[i][rng.below(neighbor_sets[i].size())];
       } else {
         std::size_t p = rng.below(n - 1);

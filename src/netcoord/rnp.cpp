@@ -74,10 +74,7 @@ void RnpNode::observe(const NetworkCoordinate& remote, double rtt_ms) {
   // coordinate should not chase individual samples — the retrospective
   // refit makes the considered adjustments. (This is the stability half of
   // RNP's "consume information according to its reliability".)
-  const double base_cc = config_.cc;
-  config_.cc = std::clamp(base_cc * coord_.error, 0.01, base_cc);
-  vivaldi_step(remote, rtt_ms);
-  config_.cc = base_cc;
+  vivaldi_step(remote, rtt_ms, std::clamp(kVivaldiCc * coord_.error, 0.01, kVivaldiCc));
   ++samples_;
 
   if (refit_after_step) rnp_refit(rnp_config_, window(), coord_, simd::active_level());

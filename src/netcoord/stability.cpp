@@ -3,6 +3,8 @@
 #include "common/ensure.h"
 #include "netcoord/embedding.h"
 #include "netcoord/gossip_detail.h"
+#include "netcoord/rnp.h"
+#include "netcoord/vivaldi.h"
 
 namespace geored::coord {
 
@@ -42,24 +44,23 @@ StabilityReport measure(const topo::Topology& topology, NodeVector& nodes,
 
 }  // namespace
 
-StabilityReport measure_stability(const topo::Topology& topology, Protocol protocol,
+StabilityReport measure_stability(const topo::Topology& topology, CoordSystem system,
                                   const StabilityConfig& config, std::uint64_t seed) {
+  GEORED_ENSURE(system != CoordSystem::kGnp, "GNP does not gossip; its coordinates are fixed");
   GEORED_ENSURE(config.warmup_rounds < config.gossip.rounds,
                 "warmup must leave rounds to measure");
-  if (protocol == Protocol::kVivaldi) {
+  if (system == CoordSystem::kVivaldi) {
     std::vector<VivaldiNode> nodes;
     nodes.reserve(topology.size());
     for (std::size_t i = 0; i < topology.size(); ++i) {
-      nodes.emplace_back(config.vivaldi, static_cast<std::uint32_t>(i));
+      nodes.emplace_back(VivaldiConfig{}, static_cast<std::uint32_t>(i));
     }
     return measure(topology, nodes, config, seed);
   }
-  RnpConfig rnp_config = config.rnp;
-  rnp_config.vivaldi = config.vivaldi;
   std::vector<RnpNode> nodes;
   nodes.reserve(topology.size());
   for (std::size_t i = 0; i < topology.size(); ++i) {
-    nodes.emplace_back(rnp_config, static_cast<std::uint32_t>(i));
+    nodes.emplace_back(RnpConfig{}, static_cast<std::uint32_t>(i));
   }
   return measure(topology, nodes, config, seed);
 }

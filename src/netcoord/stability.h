@@ -12,13 +12,9 @@
 
 #include "common/stats.h"
 #include "netcoord/embedding.h"
-#include "netcoord/rnp.h"
-#include "netcoord/vivaldi.h"
 #include "topology/topology.h"
 
 namespace geored::coord {
-
-enum class Protocol { kVivaldi, kRnp };
 
 struct StabilityReport {
   /// Per-node coordinate displacement per round (ms of coordinate space),
@@ -32,16 +28,15 @@ struct StabilityReport {
 struct StabilityConfig {
   GossipConfig gossip;              ///< total rounds (warmup + measured)
   std::size_t warmup_rounds = 64;   ///< displacement ignored before this
-  VivaldiConfig vivaldi;            ///< parameters for both protocols
-  RnpConfig rnp;                    ///< RNP-specific parameters
 };
 
-/// Runs `protocol` over the topology and measures displacement per round.
-/// Deterministic in `seed`; both protocols see identical gossip schedules
-/// for a given seed, so reports are directly comparable. Uses the global
-/// thread pool like run_rnp, with the same bit-identity and threading
-/// contract.
-StabilityReport measure_stability(const topo::Topology& topology, Protocol protocol,
+/// Runs gossip protocol `system` (RNP or Vivaldi, at its default
+/// configuration) over the topology and measures displacement per round;
+/// std::invalid_argument for GNP, which does not gossip. Deterministic in
+/// `seed`; both protocols see identical gossip schedules for a given seed,
+/// so reports are directly comparable. Uses the global thread pool like
+/// run_rnp, with the same bit-identity and threading contract.
+StabilityReport measure_stability(const topo::Topology& topology, CoordSystem system,
                                   const StabilityConfig& config, std::uint64_t seed);
 
 }  // namespace geored::coord

@@ -15,28 +15,21 @@ constexpr double kErrorFloor = 1e-6;
 VivaldiNode::VivaldiNode(const VivaldiConfig& config, std::uint32_t node_id)
     : config_(config), coord_(config.dimensions), node_id_(node_id) {
   GEORED_ENSURE(config.dimensions >= 1, "Vivaldi needs at least one dimension");
-  GEORED_ENSURE(config.ce > 0 && config.ce <= 1, "ce must be in (0,1]");
-  GEORED_ENSURE(config.cc > 0 && config.cc <= 1, "cc must be in (0,1]");
-  GEORED_ENSURE(std::isfinite(config.initial_error), "initial_error must be finite");
   GEORED_ENSURE(std::isfinite(config.max_error) && config.max_error >= kErrorFloor,
                 "max_error must be finite and at least 1e-6");
-  coord_.error = config.initial_error;
-  if (config.use_height) {
-    GEORED_ENSURE(config.initial_height > 0.0,
-                  "initial_height must be positive when the height model is on");
-    coord_.height = config.initial_height;
-  }
+  coord_.error = kVivaldiInitialError;
+  if (config.use_height) coord_.height = kVivaldiInitialHeight;
 }
 
 void VivaldiNode::observe(const NetworkCoordinate& remote, double rtt_ms) {
   GEORED_ENSURE(remote.position.dim() == coord_.position.dim(),
                 "remote coordinate has the wrong dimension");
   if (!(rtt_ms > 0.0)) return;  // drop non-positive / NaN samples
-  vivaldi_step(remote, rtt_ms);
+  vivaldi_step(remote, rtt_ms, kVivaldiCc);
   ++samples_;
 }
 
-void VivaldiNode::vivaldi_step(const NetworkCoordinate& remote, double rtt_ms) {
+void VivaldiNode::vivaldi_step(const NetworkCoordinate& remote, double rtt_ms, double cc) {
   const std::size_t dim = coord_.position.dim();
   double* position = &coord_.position[0];
   const double* remote_position = remote.position.values().data();
@@ -56,11 +49,12 @@ void VivaldiNode::vivaldi_step(const NetworkCoordinate& remote, double rtt_ms) {
 
   // Update the moving relative-error estimate.
   const double sample_error = std::abs(predicted - rtt_ms) / rtt_ms;
-  coord_.error = std::min(config_.max_error,
-                          sample_error * config_.ce * w + coord_.error * (1.0 - config_.ce * w));
+  coord_.error =
+      std::min(config_.max_error,
+               sample_error * kVivaldiCe * w + coord_.error * (1.0 - kVivaldiCe * w));
 
   // Spring force: positive when the prediction is too short (push apart).
-  const double delta = config_.cc * w;
+  const double delta = cc * w;
   const double force = delta * (rtt_ms - predicted);
 
   // Move along the direction away from the remote node; the height axis

@@ -10,21 +10,25 @@
 
 namespace geored::coord {
 
+/// Error-estimate smoothing gain.
+inline constexpr double kVivaldiCe = 0.25;
+/// Coordinate adjustment gain.
+inline constexpr double kVivaldiCc = 0.25;
+/// A new node's error estimate.
+inline constexpr double kVivaldiInitialError = 1.0;
+/// A new node's height (ms) under the height model. Positive: height
+/// updates are proportional to the current combined height, so a node
+/// starting at exactly zero could never acquire one.
+inline constexpr double kVivaldiInitialHeight = 1.0;
+
 struct VivaldiConfig {
   std::size_t dimensions = 5;
-  double ce = 0.25;         ///< error-estimate smoothing gain
-  double cc = 0.25;         ///< coordinate adjustment gain
   /// Model access links as a height component (Vivaldi §5.4). Helps when
   /// per-node access delay dominates prediction error (DSL-heavy client
   /// populations); on WAN matrices whose error is mostly multiplicative
   /// path inflation the heights soak up that noise instead and *hurt*
   /// accuracy, so the model is opt-in.
   bool use_height = false;
-  /// Starting height (ms). Must be positive when use_height is set: height
-  /// updates are proportional to the current combined height, so a node
-  /// starting at exactly zero could never acquire one.
-  double initial_height = 1.0;
-  double initial_error = 1.0;
   double max_error = 1.5;   ///< error estimates are clamped to this ceiling
 };
 
@@ -46,10 +50,11 @@ class VivaldiNode {
   std::uint64_t samples() const { return samples_; }
 
  protected:
-  /// Core spring-relaxation step, shared with the RNP bootstrap phase.
-  /// Allocation-free except when the two positions coincide. `remote` must
-  /// have this node's dimensionality (checked by the observe() callers).
-  void vivaldi_step(const NetworkCoordinate& remote, double rtt_ms);
+  /// Core spring-relaxation step with coordinate gain `cc`, shared with the
+  /// RNP bootstrap phase (which damps the gain). Allocation-free except when
+  /// the two positions coincide. `remote` must have this node's
+  /// dimensionality (checked by the observe() callers).
+  void vivaldi_step(const NetworkCoordinate& remote, double rtt_ms, double cc);
 
   VivaldiConfig config_;
   NetworkCoordinate coord_;

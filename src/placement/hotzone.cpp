@@ -19,21 +19,18 @@ Placement HotZonePlacement::place(const PlacementInput& input) const {
   const std::size_t k = std::min(input.k, input.candidates.size());
   const std::size_t dim = input.clients.front().coords.dim();
 
-  double cell = config_.cell_size_ms;
-  if (cell <= 0.0) {
-    // Auto: an eighth of the widest axis extent of the client cloud.
-    double widest = 0.0;
-    for (std::size_t d = 0; d < dim; ++d) {
-      double lo = std::numeric_limits<double>::infinity();
-      double hi = -std::numeric_limits<double>::infinity();
-      for (const auto& client : input.clients) {
-        lo = std::min(lo, client.coords[d]);
-        hi = std::max(hi, client.coords[d]);
-      }
-      widest = std::max(widest, hi - lo);
+  // The cell edge: an eighth of the widest axis extent of the client cloud.
+  double widest = 0.0;
+  for (std::size_t d = 0; d < dim; ++d) {
+    double lo = std::numeric_limits<double>::infinity();
+    double hi = -std::numeric_limits<double>::infinity();
+    for (const auto& client : input.clients) {
+      lo = std::min(lo, client.coords[d]);
+      hi = std::max(hi, client.coords[d]);
     }
-    cell = widest > 0.0 ? widest / 8.0 : 1.0;
+    widest = std::max(widest, hi - lo);
   }
+  const double cell = widest > 0.0 ? widest / kHotZoneCellsPerAxis : 1.0;
 
   // Bucket clients into cells; track per-cell access mass and center of mass.
   struct Cell {

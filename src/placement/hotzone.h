@@ -9,21 +9,14 @@
 
 namespace geored::place {
 
-struct HotZoneConfig {
-  /// Cell edge length in coordinate-space milliseconds. 0 = auto: one
-  /// eighth of the widest extent of the client bounding box.
-  double cell_size_ms = 0.0;
-};
+/// Cells per axis across the widest extent of the client bounding box: a
+/// cell's edge is that extent over kHotZoneCellsPerAxis.
+inline constexpr double kHotZoneCellsPerAxis = 8.0;
 
 class HotZonePlacement final : public PlacementStrategy {
  public:
-  explicit HotZonePlacement(HotZoneConfig config = {}) : config_(config) {}
-
   std::string name() const override { return "hotzone"; }
   Placement place(const PlacementInput& input) const override;
-
- private:
-  HotZoneConfig config_;
 };
 
 }  // namespace geored::place

@@ -419,13 +419,15 @@ TopologySpec read_topology(const Json& json, const std::string& path) {
 CoordsSpec read_coords(const Json& json, const std::string& path) {
   ObjectReader reader(json, path);
   CoordsSpec spec;
-  spec.system = reader.string("system", spec.system);
+  const std::string system = reader.string("system", "rnp");
   spec.rounds = reader.size_value("rounds", spec.rounds);
   spec.seed = reader.unsigned_integer("seed", spec.seed);
   reader.finish();
-  if (spec.system != "rnp" && spec.system != "vivaldi") {
+  // A scenario gossips its coordinates; GNP is centralized.
+  if (system != "rnp" && system != "vivaldi") {
     bad_value(path + ".system", "expected \"rnp\" or \"vivaldi\"");
   }
+  spec.system = coord::coord_system_from_name(system);
   if (spec.rounds < 1) bad_value(path + ".rounds", "need at least 1 gossip round");
   return spec;
 }
@@ -433,16 +435,17 @@ CoordsSpec read_coords(const Json& json, const std::string& path) {
 WorkloadSpec read_workload(const Json& json, const std::string& path) {
   ObjectReader reader(json, path);
   WorkloadSpec spec;
-  spec.kind = reader.string("kind", spec.kind);
+  const std::string kind = reader.string("kind", "uniform");
   spec.mean_rate = reader.number("mean_rate", spec.mean_rate);
   spec.sigma = reader.number("sigma", spec.sigma);
   spec.total_rate = reader.number("total_rate", spec.total_rate);
   spec.exponent = reader.number("exponent", spec.exponent);
   spec.seed = reader.unsigned_integer("seed", spec.seed);
   reader.finish();
-  if (spec.kind != "uniform" && spec.kind != "zipf") {
+  if (kind != "uniform" && kind != "zipf") {
     bad_value(path + ".kind", "expected \"uniform\" or \"zipf\"");
   }
+  spec.kind = kind == "zipf" ? WorkloadSpec::Kind::kZipf : WorkloadSpec::Kind::kUniform;
   if (spec.mean_rate <= 0.0) bad_value(path + ".mean_rate", "rate must be positive");
   if (spec.sigma < 0.0) bad_value(path + ".sigma", "sigma must be non-negative");
   if (spec.total_rate <= 0.0) bad_value(path + ".total_rate", "rate must be positive");
@@ -467,8 +470,6 @@ void read_manager(const Json& json, const std::string& path, core::ManagerConfig
       reader.number("migration_min_relative_gain", config.migration.min_relative_gain);
   config.migration.min_absolute_gain_ms =
       reader.number("migration_min_absolute_gain_ms", config.migration.min_absolute_gain_ms);
-  config.warm_start_macro_clusters =
-      reader.boolean("warm_start", config.warm_start_macro_clusters);
   reader.finish();
   if (config.replication_degree < 1) {
     bad_value(path + ".replication_degree", "degree must be >= 1");
@@ -551,22 +552,23 @@ void read_rpc(const Json& json, const std::string& path, net::RpcCollectorConfig
   if (rpc.max_attempts < 1) bad_value(path + ".max_attempts", "need at least 1 attempt");
 }
 
-ServeSpec read_serve(const Json& json, const std::string& path) {
+serve::ServeConfig read_serve(const Json& json, const std::string& path) {
   ObjectReader reader(json, path);
-  ServeSpec spec;
-  spec.enabled = true;
-  spec.service_ms = reader.number("service_ms", spec.service_ms);
-  spec.queue_cap = reader.size_value("queue_cap", spec.queue_cap);
-  spec.policy = reader.string("policy", spec.policy);
+  serve::ServeConfig config;
+  config.service_ms = reader.number("service_ms", config.service_ms);
+  config.queue_cap = reader.size_value("queue_cap", config.queue_cap);
+  const std::string policy = reader.string("policy", "spill");
   reader.finish();
-  if (!(spec.service_ms > 0.0)) {
+  if (!(config.service_ms > 0.0)) {
     bad_value(path + ".service_ms", "service time must be positive");
   }
-  if (spec.queue_cap < 1) bad_value(path + ".queue_cap", "need at least 1 queue slot");
-  if (spec.policy != "spill" && spec.policy != "reject") {
+  if (config.queue_cap < 1) bad_value(path + ".queue_cap", "need at least 1 queue slot");
+  if (policy != "spill" && policy != "reject") {
     bad_value(path + ".policy", "expected \"spill\" or \"reject\"");
   }
-  return spec;
+  config.policy = policy == "reject" ? serve::ServeConfig::Policy::kReject
+                                     : serve::ServeConfig::Policy::kSpill;
+  return config;
 }
 
 bool region_pattern_valid(const std::string& pattern) {
@@ -773,11 +775,11 @@ ScenarioConfig parse_scenario(const std::string& text) {
   if (const Json* section = reader.child("fleet")) {
     config.fleet = read_fleet(*section, "fleet");
   }
-  config.collector = reader.string("collector", config.collector);
+  const std::string collector = reader.string("collector", "direct");
   if (const Json* section = reader.child("rpc")) {
     read_rpc(*section, "rpc", config.rpc);
   }
-  config.routing = reader.string("routing", config.routing);
+  const std::string routing = reader.string("routing", "coords");
   if (const Json* section = reader.child("serve")) {
     config.serve = read_serve(*section, "serve");
   }
@@ -797,18 +799,22 @@ ScenarioConfig parse_scenario(const std::string& text) {
   if (config.name.empty()) bad_value("name", "every scenario needs a name");
   if (config.epochs < 1) bad_value("epochs", "need at least 1 epoch");
   if (!(config.epoch_ms > 0.0)) bad_value("epoch_ms", "epoch length must be positive");
-  if (config.collector != "direct" && config.collector != "rpc") {
+  if (collector != "direct" && collector != "rpc") {
     bad_value("collector", "expected \"direct\" or \"rpc\"");
   }
-  if (config.collector == "rpc" && config.fleet.groups != 1) {
+  config.collector = collector == "rpc" ? ScenarioConfig::Collector::kRpc
+                                         : ScenarioConfig::Collector::kDirect;
+  if (config.collector == ScenarioConfig::Collector::kRpc && config.fleet.groups != 1) {
     bad_value("collector",
               "the rpc collector serializes one wire conversation and supports "
               "single-group fleets only");
   }
-  if (config.routing != "coords" && config.routing != "true_rtt") {
+  if (routing != "coords" && routing != "true_rtt") {
     bad_value("routing", "expected \"coords\" or \"true_rtt\"");
   }
-  if (config.serve.enabled && config.routing != "coords") {
+  config.routing = routing == "true_rtt" ? ScenarioConfig::Routing::kTrueRtt
+                                         : ScenarioConfig::Routing::kCoords;
+  if (config.serve && config.routing != ScenarioConfig::Routing::kCoords) {
     bad_value("serve",
               "the serving data plane selects replicas in coordinate space and "
               "requires routing \"coords\"");

@@ -23,6 +23,8 @@
 
 #include "core/replication_manager.h"
 #include "net/rpc_config.h"
+#include "netcoord/embedding.h"
+#include "serve/request_router.h"
 #include "topology/topology.h"
 
 namespace geored::scenario {
@@ -67,14 +69,17 @@ struct TopologySpec {
 /// Network-coordinate embedding used for summary space and (with routing
 /// "coords") replica selection.
 struct CoordsSpec {
-  std::string system = "rnp";  ///< "rnp" | "vivaldi"
-  std::size_t rounds = 256;    ///< gossip rounds
+  /// "rnp" | "vivaldi": a gossip protocol (GNP is rejected).
+  coord::CoordSystem system = coord::CoordSystem::kRnp;
+  std::size_t rounds = 256;  ///< gossip rounds
   std::uint64_t seed = 7;
 };
 
 /// Base (pre-modulation) per-client demand.
 struct WorkloadSpec {
-  std::string kind = "uniform";  ///< "uniform" | "zipf"
+  enum class Kind { kUniform, kZipf };
+
+  Kind kind = Kind::kUniform;    ///< "uniform" | "zipf"
   double mean_rate = 0.0005;     ///< uniform: per-client accesses/ms
   double sigma = 0.0;            ///< uniform: lognormal rate spread
   double total_rate = 0.05;      ///< zipf: fleet-wide accesses/ms
@@ -90,19 +95,6 @@ struct FleetSpec {
   std::size_t max_degree = 7;
   /// Initial per-group traffic weights (empty = all 1). Sized to `groups`.
   std::vector<double> weights;
-};
-
-/// Serving data plane in front of the placement machinery: when present,
-/// accesses route through a serve::RequestRouter (nearest up replica,
-/// bounded per-replica queues, admission control) and every epoch's jsonl
-/// row gains a "serve" record with p50/p99/p999 client-observed latency.
-/// Requires routing == "coords" — replica selection runs in coordinate
-/// space through the SoA nearest-of kernels.
-struct ServeSpec {
-  bool enabled = false;          ///< set when the scenario has a "serve" block
-  double service_ms = 0.05;      ///< per-request virtual service time
-  std::size_t queue_cap = 64;    ///< max resident requests per replica
-  std::string policy = "spill";  ///< "spill" | "reject" on a full queue
 };
 
 /// One scheduled event. Windowed kinds (flash_crowd, outage) carry
@@ -159,12 +151,23 @@ struct ScenarioConfig {
   core::ManagerConfig manager;
   FleetSpec fleet;
 
-  std::string collector = "direct";  ///< "direct" | "rpc"
-  net::RpcCollectorConfig rpc;       ///< consulted when collector == "rpc"
+  enum class Collector { kDirect, kRpc };
+  Collector collector = Collector::kDirect;  ///< "direct" | "rpc"
+  net::RpcCollectorConfig rpc;               ///< consulted when collector is "rpc"
 
-  std::string routing = "coords";  ///< "coords" | "true_rtt"
+  /// Replica selection: "coords" (nearest in coordinate space) | "true_rtt"
+  /// (nearest by the true RTT).
+  enum class Routing { kCoords, kTrueRtt };
+  Routing routing = Routing::kCoords;
 
-  ServeSpec serve;  ///< serving data plane; disabled unless a "serve" block exists
+  /// Serving data plane in front of the placement machinery, present when
+  /// the scenario has a "serve" block ("policy" is "spill" | "reject"):
+  /// accesses route through a serve::RequestRouter (nearest up replica,
+  /// bounded per-replica queues, admission control) and every epoch's jsonl
+  /// row gains a "serve" record with p50/p99/p999 client-observed latency.
+  /// Requires routing "coords" — replica selection runs in coordinate space
+  /// through the SoA nearest-of kernels.
+  std::optional<serve::ServeConfig> serve;
 
   /// Fraction of the client universe active at t=0 (first ceil(fraction*n)
   /// clients in node-id order); population events drift it from there.

@@ -182,10 +182,7 @@ class Engine {
 
     coord::GossipConfig gossip;
     gossip.rounds = config_.coords.rounds;
-    coords_ = config_.coords.system == "vivaldi"
-                  ? coord::run_vivaldi(topology_, coord::VivaldiConfig{}, gossip,
-                                       config_.coords.seed)
-                  : coord::run_rnp(topology_, coord::RnpConfig{}, gossip, config_.coords.seed);
+    coords_ = coord::embed(topology_, config_.coords.system, gossip, config_.coords.seed);
 
     dcs_ = config_.topology.dcs;
     client_count_ = topology_.size() - dcs_;
@@ -277,7 +274,7 @@ class Engine {
 
   void build_workload() {
     std::unique_ptr<wl::Workload> base;
-    if (config_.workload.kind == "zipf") {
+    if (config_.workload.kind == WorkloadSpec::Kind::kZipf) {
       base = wl::make_zipf_workload(client_count_, config_.workload.total_rate,
                                     config_.workload.exponent, config_.workload.seed);
     } else {
@@ -295,7 +292,7 @@ class Engine {
     fleet.replica_budget = config_.fleet.replica_budget;
     fleet.min_degree = config_.fleet.min_degree;
     fleet.max_degree = config_.fleet.max_degree;
-    if (config_.collector == "rpc") {
+    if (config_.collector == ScenarioConfig::Collector::kRpc) {
       // Summaries ship over real localhost sockets with the scenario's
       // fault schedule; retry backoff runs on a virtual clock so injected
       // faults cost no wall time (and no wall-clock nondeterminism).
@@ -329,15 +326,9 @@ class Engine {
   /// of that group's placement. Built once, replica sets re-synced from the
   /// adopted placements at every epoch boundary.
   void build_routers() {
-    if (!config_.serve.enabled) return;
-    serve::ServeConfig serve_config;
-    serve_config.service_ms = config_.serve.service_ms;
-    serve_config.queue_cap = config_.serve.queue_cap;
-    serve_config.policy = config_.serve.policy == "reject"
-                              ? serve::ServeConfig::Policy::kReject
-                              : serve::ServeConfig::Policy::kSpill;
+    if (!config_.serve) return;
     for (std::size_t g = 0; g < config_.fleet.groups; ++g) {
-      routers_.push_back(std::make_unique<serve::RequestRouter>(serve_config));
+      routers_.push_back(std::make_unique<serve::RequestRouter>(*config_.serve));
     }
     sync_routers();
   }
@@ -438,7 +429,7 @@ class Engine {
     const std::set<topo::NodeId> down = down_at(at_ms);
     core::ReplicationManager& manager = fleet_->group(group);
 
-    if (config_.serve.enabled) {
+    if (config_.serve) {
       // The serving data plane: admission-controlled routing to the nearest
       // up replica, with client-observed latency (true RTT + queue wait +
       // service time) accounted in the router's histogram. Rejected
@@ -458,7 +449,7 @@ class Engine {
     }
 
     std::optional<topo::NodeId> replica;
-    if (config_.routing == "true_rtt") {
+    if (config_.routing == ScenarioConfig::Routing::kTrueRtt) {
       double best = std::numeric_limits<double>::infinity();
       for (const auto node : manager.placement()) {
         if (down.contains(node)) continue;
@@ -535,7 +526,7 @@ class Engine {
     row.objective_ms =
         objective_accesses > 0.0 ? objective_weighted / objective_accesses : 0.0;
 
-    if (config_.serve.enabled) {
+    if (config_.serve) {
       // Merge per-group histograms in ascending group order (deterministic)
       // into the epoch histogram; merged quantiles equal a single-pass
       // histogram over all groups' samples by construction.

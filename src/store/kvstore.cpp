@@ -157,7 +157,7 @@ void ReplicatedKvStore::put(topo::NodeId client, const Point& client_coords, Obj
   op.value = {std::move(data), version};
   op.done = std::move(done);
 
-  const std::size_t payload = op.value.data.size() + config_.request_overhead_bytes;
+  const std::size_t payload = op.value.data.size() + kRequestOverheadBytes;
   for (const auto replica : placement) {
     network_.send(client, replica, payload, sim::TrafficClass::kAccess,
                   [this, slot, replica] { deliver_put(slot, replica); });
@@ -170,7 +170,7 @@ void ReplicatedKvStore::deliver_put(  // lint: no-ensure (private)
   storage_of(replica).apply_write(op.group, op.id, op.value);
   --op.outstanding;
   // Ack back to the client.
-  network_.send(replica, op.client, config_.request_overhead_bytes, sim::TrafficClass::kAccess,
+  network_.send(replica, op.client, kRequestOverheadBytes, sim::TrafficClass::kAccess,
                 [this, slot] { ack_put(slot); });
 }
 
@@ -231,7 +231,7 @@ void ReplicatedKvStore::get(topo::NodeId client, const Point& client_coords, Obj
   op.outstanding = 2 * op.targets.size();
 
   for (std::uint32_t i = 0; i < op.targets.size(); ++i) {
-    network_.send(client, op.targets[i], config_.request_overhead_bytes,
+    network_.send(client, op.targets[i], kRequestOverheadBytes,
                   sim::TrafficClass::kAccess, [this, slot, i] { serve_get(slot, i); });
   }
 }
@@ -242,7 +242,7 @@ void ReplicatedKvStore::serve_get(  // lint: no-ensure (private)
   const topo::NodeId replica = op.targets[index];
   op.read[index] = storage_of(replica).read(op.group, op.id);
   --op.outstanding;
-  const std::size_t payload = op.read[index].data.size() + config_.request_overhead_bytes;
+  const std::size_t payload = op.read[index].data.size() + kRequestOverheadBytes;
   network_.send(replica, op.client, payload, sim::TrafficClass::kAccess,
                 [this, slot, index] { reply_get(slot, index); });
 }
@@ -272,7 +272,7 @@ void ReplicatedKvStore::reply_get(  // lint: no-ensure (private)
       if (version >= op.best.version) continue;
       ++read_repairs_;
       ++op.outstanding;
-      const std::size_t repair_bytes = op.best.data.size() + config_.request_overhead_bytes;
+      const std::size_t repair_bytes = op.best.data.size() + kRequestOverheadBytes;
       network_.send(op.client, node, repair_bytes, sim::TrafficClass::kAccess,
                     [this, slot, node = node] { repair(slot, node); });
     }

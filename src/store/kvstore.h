@@ -44,12 +44,14 @@ struct QuorumConfig {
   std::size_t w = 2;  ///< replicas a write must hear from
 };
 
+/// Header bytes on every store message.
+inline constexpr std::size_t kRequestOverheadBytes = 64;
+
 struct StoreConfig {
   QuorumConfig quorum;
   std::size_t groups = 16;            ///< object groups ("virtual objects")
   core::ManagerConfig manager;        ///< per-group placement parameters
                                       ///< (replication_degree is overridden by quorum.n)
-  std::size_t request_overhead_bytes = 64;  ///< headers on every message
 
   /// Read repair (Dynamo's anti-entropy on the read path): when a quorum
   /// read observes replicas with divergent versions, the newest value is

@@ -22,17 +22,15 @@ ReplayReport replay_trace(sim::Simulator& simulator, ReplicatedKvStore& store,
 
   // Seed every object that the trace ever touches so reads can succeed
   // even when they precede the trace's first write of that object.
-  if (config.seed_objects) {
-    std::set<std::uint64_t> objects;
-    for (const auto& event : trace.events()) objects.insert(event.object);
-    std::size_t i = 0;
-    for (const auto object : objects) {
-      const std::size_t c = i++ % client_nodes.size();
-      store.put(client_nodes[c], client_coords[c], object, std::string(128, 's'),
-                [](const PutResult&) {});
-    }
-    simulator.run();
+  std::set<std::uint64_t> objects;
+  for (const auto& event : trace.events()) objects.insert(event.object);
+  std::size_t i = 0;
+  for (const auto object : objects) {
+    const std::size_t c = i++ % client_nodes.size();
+    store.put(client_nodes[c], client_coords[c], object, std::string(128, 's'),
+              [](const PutResult&) {});
   }
+  simulator.run();
 
   // Seeding consumed some virtual time; replay the trace's timeline shifted
   // past it so no event lands in the simulator's past.

@@ -16,8 +16,6 @@ namespace geored::store {
 struct ReplayConfig {
   /// Placement epoch period; 0 disables placement (static replicas).
   double placement_epoch_ms = 60'000.0;
-  /// Written objects are seeded once at t=0 so early reads can hit.
-  bool seed_objects = true;
 };
 
 struct ReplayReport {
@@ -33,9 +31,11 @@ struct ReplayReport {
   std::vector<double> get_mean_by_epoch;
 };
 
-/// Replays `trace` into `store` on `simulator`. Event client index i is
-/// mapped to node client_nodes[i % size] with coordinates client_coords of
-/// the same index. The store must be freshly constructed (metrics at zero).
+/// Replays `trace` into `store` on `simulator`, after writing every object
+/// the trace touches once at t=0 so early reads can hit. Event client index
+/// i is mapped to node client_nodes[i % size] with coordinates
+/// client_coords of the same index. The store must be freshly constructed
+/// (metrics at zero).
 ReplayReport replay_trace(sim::Simulator& simulator, ReplicatedKvStore& store,
                           const wl::Trace& trace,
                           const std::vector<topo::NodeId>& client_nodes,

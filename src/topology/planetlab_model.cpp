@@ -54,36 +54,28 @@ GeoLocation scatter(const GeoLocation& center, double spread_km, Rng& rng) {
 
 Topology generate_planetlab_like(const PlanetLabModelConfig& config, std::uint64_t seed) {
   GEORED_ENSURE(config.node_count >= 2, "topology needs at least two nodes");
-  GEORED_ENSURE(!config.regions.empty(), "topology needs at least one region");
-  GEORED_ENSURE(config.path_inflation_min >= 1.0 &&
-                    config.path_inflation_max >= config.path_inflation_min,
-                "path inflation range must be >= 1 and ordered");
-  GEORED_ENSURE(config.tiv_pair_fraction >= 0.0 && config.tiv_pair_fraction <= 1.0,
-                "tiv_pair_fraction must be a probability");
 
   Rng rng(seed);
+  const std::vector<RegionSpec> regions = default_planetlab_regions();
   std::vector<double> weights;
-  weights.reserve(config.regions.size());
-  for (const auto& region : config.regions) {
-    GEORED_ENSURE(region.weight >= 0.0, "region weights must be non-negative");
-    weights.push_back(region.weight);
-  }
+  weights.reserve(regions.size());
+  for (const auto& region : regions) weights.push_back(region.weight);
 
   std::vector<NodeInfo> nodes;
   nodes.reserve(config.node_count);
   std::vector<std::string> region_names;
-  region_names.reserve(config.regions.size());
-  for (const auto& region : config.regions) region_names.push_back(region.name);
+  region_names.reserve(regions.size());
+  for (const auto& region : regions) region_names.push_back(region.name);
 
   std::vector<double> node_inflation(config.node_count);
-  const double factor_lo = std::sqrt(config.path_inflation_min);
-  const double factor_hi = std::sqrt(config.path_inflation_max);
+  const double factor_lo = std::sqrt(kPathInflationMin);
+  const double factor_hi = std::sqrt(kPathInflationMax);
   for (std::size_t i = 0; i < config.node_count; ++i) {
     const std::size_t r = rng.weighted_index(weights);
     NodeInfo node;
     node.region = static_cast<std::uint32_t>(r);
-    node.location = scatter(config.regions[r].center, config.regions[r].spread_km, rng);
-    node.access_ms = rng.uniform(config.access_ms_min, config.access_ms_max);
+    node.location = scatter(regions[r].center, regions[r].spread_km, rng);
+    node.access_ms = rng.uniform(kAccessMsMin, kAccessMsMax);
     nodes.push_back(node);
     node_inflation[i] = rng.uniform(factor_lo, factor_hi);
   }
@@ -96,8 +88,8 @@ Topology generate_planetlab_like(const PlanetLabModelConfig& config, std::uint64
   std::vector<double>& values = rtt.raw();
   std::vector<bool> tiv(values.size());
   for (std::size_t pair = 0; pair < values.size(); ++pair) {
-    tiv[pair] = rng.bernoulli(config.tiv_pair_fraction);
-    values[pair] = rng.normal(0.0, config.lognormal_jitter_sigma);
+    tiv[pair] = rng.bernoulli(kTivPairFraction);
+    values[pair] = rng.normal(0.0, kLognormalJitterSigma);
   }
 
   // Pass 2, parallel: the geometry of each pair from its draws, in the same
@@ -119,11 +111,11 @@ Topology generate_planetlab_like(const PlanetLabModelConfig& config, std::uint64
     for (std::size_t pair = begin; pair < end; ++pair) {
       const double floor_ms = geodesic_rtt_floor_ms(points[i], points[j]);
       double inflation = node_inflation[i] * node_inflation[j];
-      if (tiv[pair]) inflation *= config.tiv_extra_inflation;
+      if (tiv[pair]) inflation *= kTivExtraInflation;
       const double access = 2.0 * (nodes[i].access_ms + nodes[j].access_ms);
       double value = floor_ms * inflation + access;
       value *= std::exp(values[pair]);
-      values[pair] = std::max(config.min_rtt_ms, value);
+      values[pair] = std::max(kMinRttMs, value);
       if (++j == n) {
         ++i;
         j = i + 1;

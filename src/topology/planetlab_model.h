@@ -34,36 +34,35 @@ struct RegionSpec {
   double weight = 1.0;       ///< share of nodes drawn from this region
 };
 
-/// The default region mix, approximating PlanetLab's 2009-2011 footprint.
+/// The region mix, approximating PlanetLab's 2009-2011 footprint.
 std::vector<RegionSpec> default_planetlab_regions();
+
+/// Path inflation: measured internet paths are typically 1.3-2.5x longer
+/// than the geodesic. Inflation correlates with the endpoints (access ISPs,
+/// regional peering), so it is modelled as the product of per-node factors:
+/// each node draws a factor uniform in [sqrt(min), sqrt(max)], and a pair's
+/// inflation is the product of its endpoints' factors — the product then
+/// spans [min, max].
+inline constexpr double kPathInflationMin = 1.3;
+inline constexpr double kPathInflationMax = 2.2;
+
+/// One-way access-link latency per node, uniform in [min, max] ms.
+inline constexpr double kAccessMsMin = 0.5;
+inline constexpr double kAccessMsMax = 6.0;
+
+/// Fraction of pairs whose route is pathologically inflated (TIV source)
+/// and the extra multiplier applied to them.
+inline constexpr double kTivPairFraction = 0.04;
+inline constexpr double kTivExtraInflation = 2.5;
+
+/// Multiplicative noise applied to every pair: rtt *= exp(N(0, sigma)).
+inline constexpr double kLognormalJitterSigma = 0.05;
+
+/// Floor for any pair's RTT, ms.
+inline constexpr double kMinRttMs = 0.2;
 
 struct PlanetLabModelConfig {
   std::size_t node_count = 226;
-  std::vector<RegionSpec> regions = default_planetlab_regions();
-
-  /// Path inflation: measured internet paths are typically 1.3-2.5x longer
-  /// than the geodesic. Inflation correlates with the endpoints (access
-  /// ISPs, regional peering), so it is modelled as the product of per-node
-  /// factors: each node draws a factor uniform in [sqrt(min), sqrt(max)],
-  /// and a pair's inflation is the product of its endpoints' factors — the
-  /// product then spans [min, max].
-  double path_inflation_min = 1.3;
-  double path_inflation_max = 2.2;
-
-  /// One-way access-link latency per node, uniform in [min, max] ms.
-  double access_ms_min = 0.5;
-  double access_ms_max = 6.0;
-
-  /// Fraction of pairs whose route is pathologically inflated (TIV source)
-  /// and the extra multiplier applied to them.
-  double tiv_pair_fraction = 0.04;
-  double tiv_extra_inflation = 2.5;
-
-  /// Multiplicative noise applied to every pair: rtt *= exp(N(0, sigma)).
-  double lognormal_jitter_sigma = 0.05;
-
-  /// Floor for any pair's RTT, ms.
-  double min_rtt_ms = 0.2;
 };
 
 /// Generates a topology; the result is a pure function of (config, seed).

@@ -72,11 +72,9 @@ struct AggWorld {
 };
 
 TEST(Aggregation, PlanAssignsEverySourceToNearestAggregator) {
-  const AggWorld world(10, 20, 1);
-  AggregationConfig config;
-  config.aggregator_count = 3;
-  const auto plan = plan_aggregation(world.candidates, world.sources, config, 7);
-  ASSERT_EQ(plan.aggregators.size(), 3u);
+  const AggWorld world(10, 9, 1);
+  const auto plan = plan_aggregation(world.candidates, world.sources, 7);
+  ASSERT_EQ(plan.aggregators.size(), 3u);  // ceil(sqrt(9))
   std::set<topo::NodeId> unique(plan.aggregators.begin(), plan.aggregators.end());
   EXPECT_EQ(unique.size(), 3u);
   for (const auto& source : world.sources) {
@@ -93,25 +91,22 @@ TEST(Aggregation, PlanAssignsEverySourceToNearestAggregator) {
 
 TEST(Aggregation, DefaultAggregatorCountIsSqrtOfSources) {
   const AggWorld world(10, 9, 1);
-  const auto plan = plan_aggregation(world.candidates, world.sources, {}, 7);
+  const auto plan = plan_aggregation(world.candidates, world.sources, 7);
   EXPECT_EQ(plan.aggregators.size(), 3u);  // ceil(sqrt(9))
 }
 
 TEST(Aggregation, PlanValidation) {
   const AggWorld world(4, 4, 1);
-  EXPECT_THROW(plan_aggregation({}, world.sources, {}, 7), std::invalid_argument);
-  EXPECT_THROW(plan_aggregation(world.candidates, {}, {}, 7), std::invalid_argument);
+  EXPECT_THROW(plan_aggregation({}, world.sources, 7), std::invalid_argument);
+  EXPECT_THROW(plan_aggregation(world.candidates, {}, 7), std::invalid_argument);
 }
 
 TEST(Aggregation, TreeConservesAccessCounts) {
   const AggWorld world(8, 24, 3);
   sim::Simulator simulator;
   sim::Network network(simulator, world.topology);
-  AggregationConfig config;
-  config.max_clusters_per_aggregator = 16;
-  const auto plan = plan_aggregation(world.candidates, world.sources, config, 7);
-  const auto result =
-      run_aggregation(simulator, network, plan, world.sources, /*root=*/0, config);
+  const auto plan = plan_aggregation(world.candidates, world.sources, 7);
+  const auto result = run_aggregation(simulator, network, plan, world.sources, /*root=*/0);
   std::uint64_t merged_count = 0;
   for (const auto& micro : cluster::to_micro_clusters(result.merged.view())) {
     merged_count += micro.count();
@@ -119,18 +114,16 @@ TEST(Aggregation, TreeConservesAccessCounts) {
   EXPECT_EQ(merged_count, world.total_count());
   EXPECT_GT(result.completion_ms, 0.0);
   // Root holds at most aggregators * m-hat clusters.
-  EXPECT_LE(result.merged.size(), plan.aggregators.size() * 16);
+  EXPECT_LE(result.merged.size(), plan.aggregators.size() * kAggregatorClusterBudget);
 }
 
 TEST(Aggregation, RootBandwidthIsBoundedUnlikeFlat) {
   const AggWorld world(10, 100, 5);
-  AggregationConfig config;
-  config.max_clusters_per_aggregator = 16;
 
   sim::Simulator tree_sim;
   sim::Network tree_net(tree_sim, world.topology);
-  const auto plan = plan_aggregation(world.candidates, world.sources, config, 7);
-  const auto tree = run_aggregation(tree_sim, tree_net, plan, world.sources, 0, config);
+  const auto plan = plan_aggregation(world.candidates, world.sources, 7);
+  const auto tree = run_aggregation(tree_sim, tree_net, plan, world.sources, 0);
 
   sim::Simulator flat_sim;
   sim::Network flat_net(flat_sim, world.topology);
@@ -170,7 +163,8 @@ std::uint64_t moment_bytes(cluster::ClusterView clusters) {
 }
 
 TEST(Aggregation, SummaryTrafficIsTheFramesSent) {
-  const AggWorld world(6, 12, 9);
+  // One source, so the tree has ceil(sqrt(1)) = 1 aggregator.
+  const AggWorld world(6, 1, 9);
   std::uint64_t source_frames = 0;
   std::uint64_t source_centroid_frames = 0;
   std::uint64_t source_moment_frames = 0;
@@ -194,14 +188,11 @@ TEST(Aggregation, SummaryTrafficIsTheFramesSent) {
   // A one-aggregator tree: the sources' full frames, then the centroid frame
   // of the aggregator's merged summary to the root, and its moment frame in
   // phase 2.
-  AggregationConfig config;
-  config.aggregator_count = 1;
-  config.max_clusters_per_aggregator = 8;
   sim::Simulator tree_sim;
   sim::Network tree_net(tree_sim, world.topology);
-  const auto plan = plan_aggregation(world.candidates, world.sources, config, 7);
+  const auto plan = plan_aggregation(world.candidates, world.sources, 7);
   ASSERT_EQ(plan.aggregators.size(), 1u);
-  const auto tree = run_aggregation(tree_sim, tree_net, plan, world.sources, 0, config);
+  const auto tree = run_aggregation(tree_sim, tree_net, plan, world.sources, 0);
   ASSERT_EQ(tree.forwarded.size(), 1u);
   EXPECT_EQ(tree.forwarded.front().node, plan.aggregators.front());
   EXPECT_EQ(tree.forwarded.front().moment_bytes, moment_bytes(tree.merged.view()));
@@ -221,10 +212,8 @@ TEST(Aggregation, MergedSummaryPreservesPopulationGeometry) {
   const AggWorld world(8, 32, 9);
   sim::Simulator simulator;
   sim::Network network(simulator, world.topology);
-  AggregationConfig config;
-  config.max_clusters_per_aggregator = 12;
-  const auto plan = plan_aggregation(world.candidates, world.sources, config, 7);
-  const auto result = run_aggregation(simulator, network, plan, world.sources, 0, config);
+  const auto plan = plan_aggregation(world.candidates, world.sources, 7);
+  const auto result = run_aggregation(simulator, network, plan, world.sources, 0);
   for (std::size_t centre = 0; centre < 8; ++centre) {
     const Point target{100.0 * static_cast<double>(centre)};
     double best = 1e18;
@@ -237,12 +226,11 @@ TEST(Aggregation, MergedSummaryPreservesPopulationGeometry) {
 
 TEST(Aggregation, TwoHopCollectionTakesLongerThanFlat) {
   const AggWorld world(10, 40, 11);
-  AggregationConfig config;
-  const auto plan = plan_aggregation(world.candidates, world.sources, config, 7);
+  const auto plan = plan_aggregation(world.candidates, world.sources, 7);
 
   sim::Simulator tree_sim;
   sim::Network tree_net(tree_sim, world.topology);
-  const auto tree = run_aggregation(tree_sim, tree_net, plan, world.sources, 0, config);
+  const auto tree = run_aggregation(tree_sim, tree_net, plan, world.sources, 0);
 
   sim::Simulator flat_sim;
   sim::Network flat_net(flat_sim, world.topology);

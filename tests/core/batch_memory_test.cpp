@@ -545,7 +545,7 @@ TEST(BatchMemory, PlanningA64SourceTreeAllocatesLittle) {
   ASSERT_EQ(clusters, 64u * 6u);
   core::AggregationPlan plan;
   const std::size_t calls = allocations([&] {
-    plan = core::plan_aggregation(candidates, sources, core::AggregationConfig{}, 11);
+    plan = core::plan_aggregation(candidates, sources, 11);
   });
   EXPECT_EQ(plan.aggregators.size(), 8u);
   EXPECT_EQ(plan.parent.size(), 64u);
@@ -587,7 +587,7 @@ TEST(BatchMemory, DecentralizedEpochAllocatesLittle) {
   }
   sim::Simulator simulator;
   sim::Network network(simulator, topology);
-  core::DecentralizedCollector collector(simulator, network, nullptr);
+  core::DecentralizedCollector collector(simulator, network);
   const core::CollectionContext context{candidates, 4, 7};
   core::CollectedSummaries collected;
   const std::size_t calls =

@@ -82,9 +82,7 @@ TEST(CollectorJitter, HierarchicalIsBitReproducibleUnderJitter) {
   auto run = [&] {
     sim::Simulator simulator;
     sim::Network network(simulator, world.topology, jittery());
-    AggregationConfig config;
-    config.aggregator_count = 3;
-    HierarchicalCollector collector(simulator, network, world.candidates.front().node, config);
+    HierarchicalCollector collector(simulator, network, world.candidates.front().node);
     return fingerprint(collector.collect(world.sources, {world.candidates, 3, 17}));
   };
   EXPECT_EQ(run(), run());
@@ -95,7 +93,7 @@ TEST(CollectorJitter, DecentralizedIsBitReproducibleUnderJitter) {
   auto run = [&] {
     sim::Simulator simulator;
     sim::Network network(simulator, world.topology, jittery());
-    DecentralizedCollector collector(simulator, network, nullptr);
+    DecentralizedCollector collector(simulator, network);
     const CollectedSummaries collected =
         collector.collect(world.sources, {world.candidates, 3, 29});
     EXPECT_TRUE(collected.agreed_proposal.has_value());
@@ -120,7 +118,7 @@ TEST(CollectorJitter, DecentralizedAgreementSurvivesJitter) {
     const JitterWorld world(8, 4, seed);
     sim::Simulator simulator;
     sim::Network network(simulator, world.topology, jittery());
-    DecentralizedCollector collector(simulator, network, nullptr);
+    DecentralizedCollector collector(simulator, network);
     const CollectedSummaries collected =
         collector.collect(world.sources, {world.candidates, 3, seed * 101});
     EXPECT_TRUE(collected.agreed_proposal.has_value()) << "seed " << seed;

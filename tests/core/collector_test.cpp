@@ -583,10 +583,10 @@ PhaseFrames frames_sent(const std::string& name, const PhaseRecorder& round,
     // moment frame ships.
     sim::Simulator simulator;
     sim::Network network(simulator, topology);
-    const AggregationPlan plan = plan_aggregation(round.candidates, round.sources,
-                                                  AggregationConfig{}, round.epoch_seed);
+    const AggregationPlan plan =
+        plan_aggregation(round.candidates, round.sources, round.epoch_seed);
     const AggregationResult result =
-        run_aggregation(simulator, network, plan, round.sources, 0, AggregationConfig{});
+        run_aggregation(simulator, network, plan, round.sources, 0);
     frames.centroids += result.bytes_into_root;
     for (const auto& forwarded : result.forwarded) frames.moments += forwarded.moment_bytes;
   }

@@ -13,7 +13,7 @@ const Environment& shared_env() {
   static const Environment env = [] {
     topo::PlanetLabModelConfig config;
     config.node_count = 140;  // smaller than the paper's 226 to keep tests quick
-    return Environment(config, /*topology_seed=*/42, CoordSystem::kRnp,
+    return Environment(config, /*topology_seed=*/42, coord::CoordSystem::kRnp,
                        coord::GossipConfig{});
   }();
   return env;
@@ -24,7 +24,6 @@ ExperimentConfig quick_config() {
   config.num_datacenters = 15;
   config.k = 3;
   config.runs = 8;
-  config.mean_accesses_per_client = 60.0;
   return config;
 }
 
@@ -170,7 +169,7 @@ TEST(Evaluation, AllCoordinateSystemsDriveTheHarness) {
   // qualitative ordering (ordering vs random is the robust property).
   topo::PlanetLabModelConfig topo_config;
   topo_config.node_count = 100;
-  for (const auto system : {CoordSystem::kVivaldi, CoordSystem::kGnp}) {
+  for (const auto system : {coord::CoordSystem::kVivaldi, coord::CoordSystem::kGnp}) {
     coord::GossipConfig gossip;
     gossip.rounds = 128;
     const Environment env(topo_config, 42, system, gossip);
@@ -182,7 +181,7 @@ TEST(Evaluation, AllCoordinateSystemsDriveTheHarness) {
     const auto result = run_experiment(env, config);
     EXPECT_LT(result.mean_of(place::StrategyKind::kOnlineClustering),
               result.mean_of(place::StrategyKind::kRandom))
-        << coord_system_name(system);
+        << coord::coord_system_name(system);
   }
 }
 
@@ -193,9 +192,14 @@ TEST(Evaluation, EmbeddingQualityIsReportedPerEnvironment) {
 }
 
 TEST(Evaluation, CoordSystemNames) {
-  EXPECT_EQ(coord_system_name(CoordSystem::kRnp), "rnp");
-  EXPECT_EQ(coord_system_name(CoordSystem::kVivaldi), "vivaldi");
-  EXPECT_EQ(coord_system_name(CoordSystem::kGnp), "gnp");
+  using coord::CoordSystem;
+  for (const auto& [system, name] : {std::pair{CoordSystem::kRnp, "rnp"},
+                                     std::pair{CoordSystem::kVivaldi, "vivaldi"},
+                                     std::pair{CoordSystem::kGnp, "gnp"}}) {
+    EXPECT_EQ(coord::coord_system_name(system), name);
+    EXPECT_EQ(coord::coord_system_from_name(name), system);
+  }
+  EXPECT_THROW(coord::coord_system_from_name("oracle"), std::invalid_argument);
 }
 
 }  // namespace

@@ -363,9 +363,7 @@ TEST(Manager, AllCandidatesExcludedThrows) {
 TEST(Manager, WarmStartKeepsProposalsStableAcrossEpochSeeds) {
   // Same three-population workload every epoch: proposals must not churn
   // even though each epoch's k-means uses a fresh seed.
-  ManagerConfig config = small_config(3);
-  config.warm_start_macro_clusters = true;
-  ReplicationManager manager(line_candidates(), config, 7);
+  ReplicationManager manager(line_candidates(), small_config(3), 7);
   Rng rng(5);
   const auto feed = [&] {
     for (int i = 0; i < 900; ++i) {

@@ -652,14 +652,12 @@ TEST(RpcCollector, BackoffIsSpentOnTheInjectedClock) {
   const auto candidates = line_candidates();
   RpcCollectorConfig config = fast_config();
   config.faults.disconnect = 1.0;
-  config.max_attempts = 5;
-  config.backoff_initial_ms = 1;
-  config.backoff_cap_ms = 4;
+  config.max_attempts = 6;
   auto clock = std::make_shared<VirtualClock>();
   RpcCollector rpc(config, clock);
   rpc.collect(sources, {candidates, 3, 1});
-  // Retries 1..4 back off 1, 2, 4, 4 (capped) virtual ms.
-  EXPECT_EQ(rpc.last_stats().backoff_ms_total, 1u + 2u + 4u + 4u);
+  // Retries 1..5 back off 1, 2, 4, 8, 8 (capped) virtual ms.
+  EXPECT_EQ(rpc.last_stats().backoff_ms_total, 1u + 2u + 4u + 8u + 8u);
   EXPECT_GE(clock->elapsed_ms(), rpc.last_stats().backoff_ms_total);
 }
 

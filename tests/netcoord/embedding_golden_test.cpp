@@ -154,9 +154,9 @@ void expect_stability_of_both_protocols() {
   StabilityConfig config;
   config.gossip.rounds = 160;
   config.warmup_rounds = 64;
-  EXPECT_DIGEST(digest(measure_stability(topology, Protocol::kVivaldi, config, 9)),
+  EXPECT_DIGEST(digest(measure_stability(topology, CoordSystem::kVivaldi, config, 9)),
                 0xdcca8adfa44c9dffULL);
-  EXPECT_DIGEST(digest(measure_stability(topology, Protocol::kRnp, config, 9)),
+  EXPECT_DIGEST(digest(measure_stability(topology, CoordSystem::kRnp, config, 9)),
                 0x5698f447fdbf935dULL);
 }
 TEST(EmbeddingGolden, StabilityOfBothProtocols) { expect_stability_of_both_protocols(); }

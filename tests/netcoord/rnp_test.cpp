@@ -36,9 +36,6 @@ TEST(Rnp, RejectsInvalidConfig) {
     EXPECT_THROW(RnpNode(config, 0), std::invalid_argument) << "max_error " << bad_max;
   }
   config = {};
-  config.vivaldi.initial_error = std::numeric_limits<double>::quiet_NaN();
-  EXPECT_THROW(RnpNode(config, 0), std::invalid_argument);
-  config = {};
   config.vivaldi.max_error = 0.05;
   EXPECT_NO_THROW(RnpNode(config, 0));
 }

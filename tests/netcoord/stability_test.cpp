@@ -24,13 +24,18 @@ TEST(Stability, RejectsWarmupBeyondRounds) {
   StabilityConfig config;
   config.gossip.rounds = 10;
   config.warmup_rounds = 10;
-  EXPECT_THROW(measure_stability(test_topology(), Protocol::kVivaldi, config, 1),
+  EXPECT_THROW(measure_stability(test_topology(), CoordSystem::kVivaldi, config, 1),
+               std::invalid_argument);
+}
+
+TEST(Stability, RejectsGnp) {
+  EXPECT_THROW(measure_stability(test_topology(), CoordSystem::kGnp, quick_config(), 1),
                std::invalid_argument);
 }
 
 TEST(Stability, MeasuresDisplacementsAfterWarmup) {
   const auto topology = test_topology();
-  const auto report = measure_stability(topology, Protocol::kVivaldi, quick_config(), 1);
+  const auto report = measure_stability(topology, CoordSystem::kVivaldi, quick_config(), 1);
   // (rounds - warmup) * nodes displacement samples.
   EXPECT_EQ(report.displacement_per_round_ms.count, (192 - 96) * topology.size());
   EXPECT_GT(report.displacement_per_round_ms.mean, 0.0);
@@ -39,8 +44,8 @@ TEST(Stability, MeasuresDisplacementsAfterWarmup) {
 
 TEST(Stability, DeterministicInSeed) {
   const auto topology = test_topology();
-  const auto a = measure_stability(topology, Protocol::kRnp, quick_config(), 9);
-  const auto b = measure_stability(topology, Protocol::kRnp, quick_config(), 9);
+  const auto a = measure_stability(topology, CoordSystem::kRnp, quick_config(), 9);
+  const auto b = measure_stability(topology, CoordSystem::kRnp, quick_config(), 9);
   EXPECT_EQ(a.displacement_per_round_ms.mean, b.displacement_per_round_ms.mean);
   EXPECT_EQ(a.final_abs_error_p50_ms, b.final_abs_error_p50_ms);
 }
@@ -52,8 +57,8 @@ class RnpIsMoreStable : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(RnpIsMoreStable, LowerDisplacementAndNoWorseAccuracy) {
   const auto topology = test_topology(GetParam());
-  const auto vivaldi = measure_stability(topology, Protocol::kVivaldi, quick_config(), 7);
-  const auto rnp = measure_stability(topology, Protocol::kRnp, quick_config(), 7);
+  const auto vivaldi = measure_stability(topology, CoordSystem::kVivaldi, quick_config(), 7);
+  const auto rnp = measure_stability(topology, CoordSystem::kRnp, quick_config(), 7);
   EXPECT_LT(rnp.displacement_per_round_ms.mean,
             vivaldi.displacement_per_round_ms.mean)
       << "vivaldi drift " << vivaldi.displacement_per_round_ms.mean << " rnp drift "

@@ -7,7 +7,6 @@
 #include "cluster/summarizer.h"
 #include "common/random.h"
 #include "placement/evaluate.h"
-#include "placement/hotzone.h"
 #include "placement/strategy.h"
 #include "topology/topology.h"
 
@@ -268,31 +267,6 @@ TEST(Strategies, OnlineClusteringFindsThePopulationCentres) {
     for (const auto& centre : centres) nearest = std::min(nearest, pos.distance_to(centre));
     EXPECT_LT(nearest, 120.0);
   }
-}
-
-TEST(Strategies, HotZoneExplicitCellSize) {
-  const World world(23);
-  // A cell as wide as the whole map degrades HotZone to a single crowded
-  // cell; tiny cells make every client its own cell. Both must stay valid.
-  for (const double cell : {1.0, 50.0, 10'000.0}) {
-    HotZoneConfig config;
-    config.cell_size_ms = cell;
-    const auto placement = HotZonePlacement(config).place(world.input);
-    EXPECT_NO_THROW(validate_placement(placement, world.input)) << "cell " << cell;
-  }
-  // Giant cells lose the population structure and should not beat the
-  // auto-sized variant on average.
-  double auto_total = 0.0, giant_total = 0.0;
-  for (std::uint64_t s = 0; s < 8; ++s) {
-    const World w(4200 + s);
-    HotZoneConfig giant;
-    giant.cell_size_ms = 10'000.0;
-    auto_total += true_total_delay(w.topology, HotZonePlacement().place(w.input),
-                                   w.input.clients);
-    giant_total += true_total_delay(w.topology, HotZonePlacement(giant).place(w.input),
-                                    w.input.clients);
-  }
-  EXPECT_LE(auto_total, giant_total * 1.02);
 }
 
 TEST(Strategies, QuorumObjectiveChangesOptimalChoice) {

@@ -35,10 +35,11 @@ TEST(ScenarioConfig, MinimalScenarioParsesWithDefaults) {
   EXPECT_DOUBLE_EQ(config.epoch_ms, 30'000.0);
   EXPECT_EQ(config.topology.nodes, 100u);
   EXPECT_EQ(config.topology.dcs, 12u);
-  EXPECT_EQ(config.workload.kind, "uniform");
+  EXPECT_EQ(config.coords.system, coord::CoordSystem::kRnp);
+  EXPECT_EQ(config.workload.kind, WorkloadSpec::Kind::kUniform);
   EXPECT_EQ(config.fleet.groups, 1u);
-  EXPECT_EQ(config.collector, "direct");
-  EXPECT_EQ(config.routing, "coords");
+  EXPECT_EQ(config.collector, ScenarioConfig::Collector::kDirect);
+  EXPECT_EQ(config.routing, ScenarioConfig::Routing::kCoords);
   EXPECT_DOUBLE_EQ(config.initial_active_fraction, 1.0);
   EXPECT_TRUE(config.events.empty());
 }
@@ -86,6 +87,9 @@ TEST(ScenarioConfig, UnknownTopLevelKeyIsRejectedWithPath) {
 TEST(ScenarioConfig, UnknownNestedKeyIsRejectedWithPath) {
   expect_error(R"({"name": "t", "manager": {"degree": 3}})",
                ScenarioError::Kind::kUnknownKey, "manager.degree");
+  // The manager always warm-starts its proposals; there is no switch.
+  expect_error(R"({"name": "t", "manager": {"warm_start": false}})",
+               ScenarioError::Kind::kUnknownKey, "manager.warm_start");
 }
 
 TEST(ScenarioConfig, UnknownEventKeyIsRejectedWithPath) {
@@ -119,6 +123,25 @@ TEST(ScenarioConfig, NodesAboveTheCapAreBadValue) {
 TEST(ScenarioConfig, UnknownCollectorIsBadValue) {
   expect_error(R"({"name": "t", "collector": "carrier-pigeon"})",
                ScenarioError::Kind::kBadValue, "collector");
+}
+
+TEST(ScenarioConfig, ClosedChoicesParseToTheirEnums) {
+  const auto config = parse_scenario(
+      R"({"name": "t", "coords": {"system": "vivaldi"}, "workload": {"kind": "zipf"},
+          "collector": "rpc", "routing": "true_rtt"})");
+  EXPECT_EQ(config.coords.system, coord::CoordSystem::kVivaldi);
+  EXPECT_EQ(config.workload.kind, WorkloadSpec::Kind::kZipf);
+  EXPECT_EQ(config.collector, ScenarioConfig::Collector::kRpc);
+  EXPECT_EQ(config.routing, ScenarioConfig::Routing::kTrueRtt);
+}
+
+TEST(ScenarioConfig, GnpCoordinatesAreBadValue) {
+  // GNP is a coordinate system, but a centralized one: scenarios gossip.
+  const auto error = expect_error(R"({"name": "t", "coords": {"system": "gnp"}})",
+                                  ScenarioError::Kind::kBadValue, "coords.system");
+  EXPECT_NE(std::string(error.what()).find("expected \"rnp\" or \"vivaldi\""),
+            std::string::npos)
+      << error.what();
 }
 
 TEST(ScenarioConfig, RpcCollectorRequiresSingleGroup) {
@@ -245,15 +268,17 @@ TEST(ScenarioConfig, OutageNeedsExactlyOneTarget) {
 }
 
 TEST(ScenarioConfig, ServeBlockParsesAndDefaultsOff) {
-  EXPECT_FALSE(parse_scenario(kMinimal).serve.enabled);
+  EXPECT_FALSE(parse_scenario(kMinimal).serve.has_value());
   const auto config = parse_scenario(
       R"({"name": "t", "serve": {"service_ms": 2.0, "queue_cap": 4, "policy": "reject"}})");
-  EXPECT_TRUE(config.serve.enabled);
-  EXPECT_DOUBLE_EQ(config.serve.service_ms, 2.0);
-  EXPECT_EQ(config.serve.queue_cap, 4u);
-  EXPECT_EQ(config.serve.policy, "reject");
+  ASSERT_TRUE(config.serve.has_value());
+  EXPECT_DOUBLE_EQ(config.serve->service_ms, 2.0);
+  EXPECT_EQ(config.serve->queue_cap, 4u);
+  EXPECT_EQ(config.serve->policy, serve::ServeConfig::Policy::kReject);
   // An empty block enables serving with the defaults.
-  EXPECT_TRUE(parse_scenario(R"({"name": "t", "serve": {}})").serve.enabled);
+  const auto defaults = parse_scenario(R"({"name": "t", "serve": {}})");
+  ASSERT_TRUE(defaults.serve.has_value());
+  EXPECT_EQ(defaults.serve->policy, serve::ServeConfig::Policy::kSpill);
 }
 
 TEST(ScenarioConfig, UnknownServeKeyIsRejectedWithPath) {

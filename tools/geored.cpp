@@ -54,14 +54,6 @@ topo::Topology topology_from_flags(const FlagParser& parser) {
                                        static_cast<std::uint64_t>(parser.get_int("topology-seed")));
 }
 
-core::CoordSystem coord_system_from_name(const std::string& name) {
-  if (name == "rnp") return core::CoordSystem::kRnp;
-  if (name == "vivaldi") return core::CoordSystem::kVivaldi;
-  if (name == "gnp") return core::CoordSystem::kGnp;
-  throw std::invalid_argument("unknown coordinate system: " + name +
-                              " (expected rnp|vivaldi|gnp)");
-}
-
 std::vector<std::string> split_csv(const std::string& text) {
   std::vector<std::string> parts;
   std::stringstream stream(text);
@@ -126,18 +118,8 @@ int cmd_embed(const std::vector<std::string>& args) {
   const auto seed = static_cast<std::uint64_t>(parser.get_int("seed"));
   coord::GossipConfig gossip;
   gossip.rounds = static_cast<std::size_t>(parser.get_int("rounds"));
-  std::vector<coord::NetworkCoordinate> coords;
-  switch (coord_system_from_name(parser.get_string("system"))) {
-    case core::CoordSystem::kRnp:
-      coords = coord::run_rnp(topology, coord::RnpConfig{}, gossip, seed);
-      break;
-    case core::CoordSystem::kVivaldi:
-      coords = coord::run_vivaldi(topology, coord::VivaldiConfig{}, gossip, seed);
-      break;
-    case core::CoordSystem::kGnp:
-      coords = coord::run_gnp(topology, coord::GnpConfig{});
-      break;
-  }
+  const auto coords = coord::embed(
+      topology, coord::coord_system_from_name(parser.get_string("system")), gossip, seed);
   std::printf("%s over %zu nodes:\n%s\n", parser.get_string("system").c_str(),
               topology.size(), coord::evaluate_embedding(topology, coords).to_string().c_str());
   return 0;
@@ -165,7 +147,7 @@ int cmd_experiment(const std::vector<std::string>& args) {
   topo_config.node_count = static_cast<std::size_t>(parser.get_int("nodes"));
   const core::Environment env(topo_config,
                               static_cast<std::uint64_t>(parser.get_int("topology-seed")),
-                              coord_system_from_name(parser.get_string("system")),
+                              coord::coord_system_from_name(parser.get_string("system")),
                               coord::GossipConfig{});
 
   core::ExperimentConfig config;
@@ -328,10 +310,10 @@ int cmd_stability(const std::vector<std::string>& args) {
 
   std::printf("%-10s %14s %14s %16s\n", "protocol", "drift mean", "drift p90",
               "final abs p50");
-  for (const auto protocol : {coord::Protocol::kVivaldi, coord::Protocol::kRnp}) {
-    const auto report = coord::measure_stability(topology, protocol, config, seed);
+  for (const auto system : {coord::CoordSystem::kVivaldi, coord::CoordSystem::kRnp}) {
+    const auto report = coord::measure_stability(topology, system, config, seed);
     std::printf("%-10s %12.3fms %12.3fms %14.2fms\n",
-                protocol == coord::Protocol::kVivaldi ? "vivaldi" : "rnp",
+                coord::coord_system_name(system).c_str(),
                 report.displacement_per_round_ms.mean,
                 report.displacement_per_round_ms.p90, report.final_abs_error_p50_ms);
   }
@@ -348,7 +330,7 @@ int cmd_verify(const std::vector<std::string>& args) {
 
   topo::PlanetLabModelConfig topo_config;
   topo_config.node_count = 140;
-  const core::Environment env(topo_config, 42, core::CoordSystem::kRnp,
+  const core::Environment env(topo_config, 42, coord::CoordSystem::kRnp,
                               coord::GossipConfig{});
   core::ExperimentConfig config;
   config.num_datacenters = 15;
