@@ -9,9 +9,10 @@
 // (BENCH_perf.json by default; see docs/performance.md). The world_setup
 // case instead times the end-to-end benchmark's world build at one thread
 // against the run's thread count, and the rnp_refit case times one refit
-// round of that world's RNP embedding. The frozen references come from the
-// test-only geored_reference library (reference/), which this is the only
-// driver to link.
+// round of that world's RNP embedding; the pool_handoff case times how long
+// a parallel_for takes to reach the pool's threads after an idle gap. The
+// frozen references come from the test-only geored_reference library
+// (reference/), which this is the only driver to link.
 #include <algorithm>
 #include <bit>
 #include <chrono>
@@ -23,6 +24,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "cluster/kmeans.h"
@@ -144,6 +146,10 @@ struct CaseResult {
   bool has_world_split = false;
   double generate_ms_baseline = 0.0, generate_ms_optimized = 0.0;
   double embed_ms_baseline = 0.0, embed_ms_optimized = 0.0;
+  /// Median time of an empty parallel_for after an idle gap (pool_handoff
+  /// only), microseconds.
+  bool has_handoff = false;
+  double empty_handoff_us = 0.0;
 
   double speedup() const {
     return ms_optimized > 0.0 ? ms_baseline / ms_optimized : 0.0;
@@ -1180,6 +1186,62 @@ std::vector<CaseResult> run_scale(const Scale& scale, std::size_t repeats,
         "      split (ms, 1 -> %zu threads): generate %.2f -> %.2f, embed %.2f -> %.2f\n",
         threads, base.generate_ms, fast.generate_ms, base.embed_ms, fast.embed_ms);
   }
+
+  // --- Pool hand-off: a parallel_for reaching every pool thread -----------
+  // Each timed call follows an idle gap, long enough for the pool's workers
+  // to block on their condition variable, so it pays their wake-up. The
+  // baseline arm runs four 500 us busy chunks back to back on the caller,
+  // the optimized arm runs them as one parallel_for at the run's thread
+  // count (ideally 500 us at four threads); beside them, an empty
+  // parallel_for (one empty chunk per thread) times the hand-off alone.
+  // Medians of the repeats, since the wake-up, not the best case, is what
+  // is measured. match: every chunk ran once per repeat.
+  if (want("pool_handoff")) {
+    constexpr std::size_t kBusyChunks = 4;
+    constexpr auto kBusy = std::chrono::microseconds(500);
+    constexpr auto kIdleGap = std::chrono::milliseconds(20);
+    const std::size_t threads = ThreadPool::global().thread_count();
+    const auto busy = [&] {
+      const auto until = std::chrono::steady_clock::now() + kBusy;
+      while (std::chrono::steady_clock::now() < until) {
+      }
+    };
+    const auto median_after_gap_ms = [&](const auto& fn) {
+      std::vector<double> times;
+      for (std::size_t rep = 0; rep < repeats; ++rep) {
+        std::this_thread::sleep_for(kIdleGap);
+        const auto start = std::chrono::steady_clock::now();
+        fn();
+        const auto stop = std::chrono::steady_clock::now();
+        times.push_back(std::chrono::duration<double, std::milli>(stop - start).count());
+      }
+      std::sort(times.begin(), times.end());
+      return times[times.size() / 2];
+    };
+    std::vector<std::size_t> ran(kBusyChunks, 0);
+    ms_base = median_after_gap_ms([&] {
+      for (std::size_t c = 0; c < kBusyChunks; ++c) busy();
+    });
+    ms_opt = median_after_gap_ms([&] {
+      parallel_for(kBusyChunks, [&](std::size_t begin, std::size_t end) {
+        for (std::size_t c = begin; c < end; ++c) {
+          busy();
+          ++ran[c];
+        }
+      });
+    });
+    const double empty_ms =
+        median_after_gap_ms([&] { parallel_for(threads, [](std::size_t, std::size_t) {}); });
+    const bool every_chunk_once = std::all_of(
+        ran.begin(), ran.end(), [&](std::size_t count) { return count == repeats; });
+    add_case("pool_handoff", ms_base, ms_opt, static_cast<double>(kBusyChunks),
+             static_cast<double>(kBusyChunks), every_chunk_once);
+    CaseResult& row = results.back();
+    row.has_handoff = true;
+    row.empty_handoff_us = empty_ms * 1000.0;
+    std::printf("      empty parallel_for after a %lld ms gap at %zu threads: %.1f us\n",
+                static_cast<long long>(kIdleGap.count()), threads, row.empty_handoff_us);
+  }
   return results;
 }
 
@@ -1215,6 +1277,7 @@ void write_json(const std::string& path, std::size_t threads,
           << ", \"embed_ms_baseline\": " << r.embed_ms_baseline
           << ", \"embed_ms_optimized\": " << r.embed_ms_optimized;
     }
+    if (r.has_handoff) out << ", \"empty_handoff_us\": " << r.empty_handoff_us;
     out << "}" << (i + 1 < results.size() ? "," : "") << "\n";
   }
   out << "  ]\n}\n";

@@ -27,7 +27,8 @@ struct NelderMeadResult {
 
 /// Minimizes `objective` starting from `start`. The objective must accept a
 /// vector of the same dimension as `start` and return a finite value.
-NelderMeadResult nelder_mead(const std::function<double(const std::vector<double>&)>& objective,
-                             std::vector<double> start, const NelderMeadOptions& options = {});
+NelderMeadResult nelder_mead(
+    const std::function<double(const std::vector<double>&)>& objective,
+    std::vector<double> start, const NelderMeadOptions& options = {});
 
 }  // namespace geored

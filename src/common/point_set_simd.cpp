@@ -300,8 +300,10 @@ __attribute__((target("avx512f"))) std::size_t nearest_avx512(const double* data
     const __m512i off1 = _mm512_add_epi64(off0, _mm512_set1_epi64(8 * d1));
     for (std::size_t d = 0; d < dim; ++d) {
       const __m512i dd = _mm512_set1_epi64(static_cast<long long>(d));
-      const __m512d c0 = _mm512_mask_i64gather_pd(zero, kFull, _mm512_add_epi64(off0, dd), data, 8);
-      const __m512d c1 = _mm512_mask_i64gather_pd(zero, kFull, _mm512_add_epi64(off1, dd), data, 8);
+      const __m512d c0 =
+          _mm512_mask_i64gather_pd(zero, kFull, _mm512_add_epi64(off0, dd), data, 8);
+      const __m512d c1 =
+          _mm512_mask_i64gather_pd(zero, kFull, _mm512_add_epi64(off1, dd), data, 8);
       const __m512d qd = _mm512_set1_pd(query[d]);
       const __m512d f0 = _mm512_sub_pd(c0, qd);
       const __m512d f1 = _mm512_sub_pd(c1, qd);
@@ -406,8 +408,10 @@ __attribute__((target("avx512f"))) void distances_avx512(const double* data, std
     const __m512i off1 = _mm512_add_epi64(off0, _mm512_set1_epi64(8 * d1));
     for (std::size_t d = 0; d < dim; ++d) {
       const __m512i dd = _mm512_set1_epi64(static_cast<long long>(d));
-      const __m512d c0 = _mm512_mask_i64gather_pd(zero, kFull, _mm512_add_epi64(off0, dd), data, 8);
-      const __m512d c1 = _mm512_mask_i64gather_pd(zero, kFull, _mm512_add_epi64(off1, dd), data, 8);
+      const __m512d c0 =
+          _mm512_mask_i64gather_pd(zero, kFull, _mm512_add_epi64(off0, dd), data, 8);
+      const __m512d c1 =
+          _mm512_mask_i64gather_pd(zero, kFull, _mm512_add_epi64(off1, dd), data, 8);
       const __m512d qd = _mm512_set1_pd(query[d]);
       const __m512d f0 = _mm512_sub_pd(c0, qd);
       const __m512d f1 = _mm512_sub_pd(c1, qd);

@@ -9,17 +9,6 @@
 
 namespace geored::coord {
 
-namespace {
-
-/// Gossip with no per-round instrumentation.
-template <typename NodeVector>
-void run_gossip(const topo::Topology& topology, NodeVector& nodes,
-                const GossipConfig& gossip, std::uint64_t seed) {
-  detail::run_gossip(topology, nodes, gossip, seed, [](std::size_t) {});
-}
-
-}  // namespace
-
 std::vector<NetworkCoordinate> run_vivaldi(const topo::Topology& topology,
                                            const VivaldiConfig& config,
                                            const GossipConfig& gossip, std::uint64_t seed) {
@@ -28,7 +17,7 @@ std::vector<NetworkCoordinate> run_vivaldi(const topo::Topology& topology,
   for (std::size_t i = 0; i < topology.size(); ++i) {
     nodes.emplace_back(config, static_cast<std::uint32_t>(i));
   }
-  run_gossip(topology, nodes, gossip, seed);
+  detail::run_gossip(topology, nodes, gossip, seed);
   std::vector<NetworkCoordinate> coords;
   coords.reserve(nodes.size());
   for (const auto& node : nodes) coords.push_back(node.coordinate());
@@ -42,7 +31,7 @@ std::vector<NetworkCoordinate> run_rnp(const topo::Topology& topology, const Rnp
   for (std::size_t i = 0; i < topology.size(); ++i) {
     nodes.emplace_back(config, static_cast<std::uint32_t>(i));
   }
-  run_gossip(topology, nodes, gossip, seed);
+  detail::run_gossip(topology, nodes, gossip, seed);
   std::vector<NetworkCoordinate> coords;
   coords.reserve(nodes.size());
   for (const auto& node : nodes) coords.push_back(node.coordinate());

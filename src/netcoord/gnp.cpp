@@ -42,7 +42,8 @@ double relative_error_sq(double predicted, double actual) {
 
 }  // namespace
 
-std::vector<NetworkCoordinate> run_gnp(const topo::Topology& topology, const GnpConfig& config) {
+std::vector<NetworkCoordinate> run_gnp(const topo::Topology& topology,
+                                       const GnpConfig& config) {
   GEORED_ENSURE(config.dimensions >= 1, "GNP needs at least one dimension");
   const std::size_t d = config.dimensions;
   const auto landmarks = select_landmarks(topology, config.landmark_count);
@@ -86,7 +87,8 @@ std::vector<NetworkCoordinate> run_gnp(const topo::Topology& topology, const Gnp
     Point p(d);
     for (std::size_t k = 0; k < d; ++k) p[k] = landmark_fit.argmin[i * d + k];
     coords[landmarks[i]].position = p;
-    coords[landmarks[i]].error = std::sqrt(landmark_fit.min_value / static_cast<double>(L * (L - 1) / 2));
+    coords[landmarks[i]].error =
+        std::sqrt(landmark_fit.min_value / static_cast<double>(L * (L - 1) / 2));
     is_landmark[landmarks[i]] = true;
   }
 
@@ -114,7 +116,8 @@ std::vector<NetworkCoordinate> run_gnp(const topo::Topology& topology, const Gnp
     for (const auto landmark : landmarks) {
       if (topology.rtt_ms(id, landmark) < topology.rtt_ms(id, closest)) closest = landmark;
     }
-    const auto fit = nelder_mead(node_objective, coords[closest].position.values(), node_options);
+    const auto fit =
+        nelder_mead(node_objective, coords[closest].position.values(), node_options);
     Point p(d);
     for (std::size_t k = 0; k < d; ++k) p[k] = fit.argmin[k];
     coords[node].position = p;

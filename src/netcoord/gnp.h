@@ -29,6 +29,7 @@ std::vector<topo::NodeId> select_landmarks(const topo::Topology& topology, std::
 
 /// Embeds every node of the topology. Coordinates of landmarks come from the
 /// joint fit; all other nodes are fitted against the landmarks.
-std::vector<NetworkCoordinate> run_gnp(const topo::Topology& topology, const GnpConfig& config);
+std::vector<NetworkCoordinate> run_gnp(const topo::Topology& topology,
+                                       const GnpConfig& config);
 
 }  // namespace geored::coord

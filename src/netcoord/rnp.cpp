@@ -56,7 +56,11 @@ void RnpNode::observe(const NetworkCoordinate& remote, double rtt_ms) {
   const std::size_t dim = window_positions_.dim();
   GEORED_ENSURE(remote.position.dim() == dim, "remote coordinate has the wrong dimension");
   if (!(rtt_ms > 0.0)) return;
-  const bool refit_after_step = refit_due();
+  // Every refit_every-th sample refits, once the window holds at least four
+  // samples (counting the one about to be stored).
+  const bool refit_after_step =
+      (observation_count_ + 1) % rnp_config_.refit_every == 0 &&
+      std::min(window_positions_.size() + 1, rnp_config_.window_size) >= 4;
   const double* remote_position = remote.position.values().data();
   if (window_positions_.size() < rnp_config_.window_size) {
     window_positions_.push_back_row(remote_position, dim);  // within the reserve
@@ -78,13 +82,6 @@ void RnpNode::observe(const NetworkCoordinate& remote, double rtt_ms) {
   ++samples_;
 
   if (refit_after_step) rnp_refit(rnp_config_, window(), coord_, simd::active_level());
-}
-
-bool RnpNode::refit_due() const {
-  // Every refit_every-th sample, once the window holds at least four
-  // samples (counting the one about to be stored).
-  return (observation_count_ + 1) % rnp_config_.refit_every == 0 &&
-         std::min(window_positions_.size() + 1, rnp_config_.window_size) >= 4;
 }
 
 RnpWindow RnpNode::window() const {

@@ -39,7 +39,8 @@ void VivaldiNode::vivaldi_step(const NetworkCoordinate& remote, double rtt_ms, d
     squared += d * d;
   }
   const double spatial_dist = std::sqrt(squared);
-  const double predicted = spatial_dist + (config_.use_height ? coord_.height + remote.height : 0.0);
+  const double predicted =
+      spatial_dist + (config_.use_height ? coord_.height + remote.height : 0.0);
 
   // Confidence weight: how much of the blame for the prediction error this
   // node takes, based on the two error estimates.

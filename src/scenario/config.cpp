@@ -429,6 +429,10 @@ CoordsSpec read_coords(const Json& json, const std::string& path) {
   }
   spec.system = coord::coord_system_from_name(system);
   if (spec.rounds < 1) bad_value(path + ".rounds", "need at least 1 gossip round");
+  if (spec.rounds > CoordsSpec::kMaxRounds) {
+    bad_value(path + ".rounds", "at most " + std::to_string(CoordsSpec::kMaxRounds) +
+                                    " gossip rounds are supported");
+  }
   return spec;
 }
 

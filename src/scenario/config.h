@@ -69,6 +69,12 @@ struct TopologySpec {
 /// Network-coordinate embedding used for summary space and (with routing
 /// "coords") replica selection.
 struct CoordsSpec {
+  /// Largest accepted `rounds`, 16 times the default: every round observes
+  /// once per node and every 16th refits every node, so the embedding's
+  /// time grows with rounds times nodes; the shipped scenarios use at most
+  /// 256 rounds.
+  static constexpr std::size_t kMaxRounds = 4096;
+
   /// "rnp" | "vivaldi": a gossip protocol (GNP is rejected).
   coord::CoordSystem system = coord::CoordSystem::kRnp;
   std::size_t rounds = 256;  ///< gossip rounds

@@ -1,13 +1,14 @@
 #include "topology/planetlab_model.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
-#include <functional>
+#include <cstdint>
 
+#include "common/dataflow.h"
 #include "common/ensure.h"
 #include "common/random.h"
 #include "common/sym_matrix.h"
-#include "common/thread_pool.h"
 #include "topology/geo.h"
 
 namespace geored::topo {
@@ -32,8 +33,15 @@ std::vector<RegionSpec> default_planetlab_regions() {
 
 namespace {
 
-/// Below this many pairs the geometry pass runs inline on the caller.
+/// Below this many pairs the draws and the geometry run inline on the
+/// caller.
 constexpr std::size_t kMinParallelPairs = 4096;
+
+/// Pairs per block of the draw and geometry pipeline: the pairs of a
+/// 128-node topology, and a multiple of 64, so that every word of TIV flag
+/// bits belongs to one block and only its drawing writes it.
+constexpr std::size_t kPairBlock = 8128;
+static_assert(kPairBlock % 64 == 0);
 
 /// Scatters a node around a region centre with a Gaussian spread expressed in
 /// kilometres, converted to degrees at the centre's latitude.
@@ -80,27 +88,36 @@ Topology generate_planetlab_like(const PlanetLabModelConfig& config, std::uint64
     node_inflation[i] = rng.uniform(factor_lo, factor_hi);
   }
 
-  // Pass 1, sequential: every pair's random draws, in the (i, j > i) order
-  // of the upper triangle. A pair's jitter exponent waits in the matrix slot
-  // the pair will own (the triangle is stored row-major in the same order).
+  // The pairs in the (i, j > i) order of the upper triangle, which is also
+  // the row-major order the triangle is stored in, split into blocks. Lane 0
+  // makes every pair's draws, block after block, and publishes how many
+  // blocks are drawn; a pair's jitter exponent waits in the matrix slot the
+  // pair will own and its TIV flag in one bit. Every lane claims the next
+  // block and computes its geometry once it is drawn, in the same
+  // expression as ever; lane 0 joins in when its draws are done. Each
+  // node's haversine terms are computed once, not once per pair.
   const std::size_t n = config.node_count;
   SymMatrix rtt(n);
   std::vector<double>& values = rtt.raw();
-  std::vector<bool> tiv(values.size());
-  for (std::size_t pair = 0; pair < values.size(); ++pair) {
-    tiv[pair] = rng.bernoulli(kTivPairFraction);
-    values[pair] = rng.normal(0.0, kLognormalJitterSigma);
-  }
-
-  // Pass 2, parallel: the geometry of each pair from its draws, in the same
-  // expression as ever; each node's haversine terms are computed once, not
-  // once per pair. Rows shrink with i, so the work splits over flat pair
-  // indices, not rows; a chunk reads the shared per-node arrays and rewrites
-  // only its own slots.
+  const std::size_t pairs = values.size();
+  const std::size_t blocks = (pairs + kPairBlock - 1) / kPairBlock;
+  std::vector<std::uint64_t> tiv_bits((pairs + 63) / 64);
   std::vector<HaversinePoint> points;
   points.reserve(n);
   for (const auto& node : nodes) points.push_back(haversine_point(node.location));
-  const auto fill_pairs = [&](std::size_t begin, std::size_t end) {
+
+  const auto draw_block = [&](std::size_t block) {
+    const std::size_t end = std::min(pairs, (block + 1) * kPairBlock);
+    for (std::size_t pair = block * kPairBlock; pair < end; ++pair) {
+      if (rng.bernoulli(kTivPairFraction)) {
+        tiv_bits[pair / 64] |= std::uint64_t{1} << (pair % 64);
+      }
+      values[pair] = rng.normal(0.0, kLognormalJitterSigma);
+    }
+  };
+  const auto fill_block = [&](std::size_t block) {
+    const std::size_t begin = block * kPairBlock;
+    const std::size_t end = std::min(pairs, begin + kPairBlock);
     std::size_t i = 0;
     std::size_t row_begin = 0;
     while (row_begin + (n - 1 - i) <= begin) {
@@ -111,7 +128,7 @@ Topology generate_planetlab_like(const PlanetLabModelConfig& config, std::uint64
     for (std::size_t pair = begin; pair < end; ++pair) {
       const double floor_ms = geodesic_rtt_floor_ms(points[i], points[j]);
       double inflation = node_inflation[i] * node_inflation[j];
-      if (tiv[pair]) inflation *= kTivExtraInflation;
+      if ((tiv_bits[pair / 64] >> (pair % 64)) & 1U) inflation *= kTivExtraInflation;
       const double access = 2.0 * (nodes[i].access_ms + nodes[j].access_ms);
       double value = floor_ms * inflation + access;
       value *= std::exp(values[pair]);
@@ -122,7 +139,29 @@ Topology generate_planetlab_like(const PlanetLabModelConfig& config, std::uint64
       }
     }
   };
-  parallel_for(values.size(), std::ref(fill_pairs), kMinParallelPairs);
+
+  // No deadlock: lane 0 never waits, and the others wait only for its draws.
+  PaddedCounter drawn;       // blocks drawn
+  PaddedCounter next_block;  // blocks claimed for their geometry
+  std::atomic<bool> stop{false};
+  const auto run_lane = [&](std::size_t lane) {
+    if (lane == 0) {
+      for (std::size_t block = 0; block < blocks; ++block) {
+        draw_block(block);
+        drawn.value.store(block + 1, std::memory_order_release);
+      }
+    }
+    for (;;) {
+      const std::size_t block = next_block.value.fetch_add(1, std::memory_order_relaxed);
+      if (block >= blocks) return;
+      const auto block_drawn = [&] {
+        return drawn.value.load(std::memory_order_acquire) > block;
+      };
+      if (!spin_until(stop, block_drawn)) return;
+      fill_block(block);
+    }
+  };
+  run_lanes(pairs < kMinParallelPairs ? 1 : region_lanes(blocks), stop, run_lane);
 
   return Topology(std::move(nodes), std::move(rtt), std::move(region_names));
 }

@@ -22,7 +22,9 @@ std::size_t triangle_reserve(std::size_t n) {
 
 Topology::Topology(std::vector<NodeInfo> nodes, SymMatrix rtt_ms,
                    std::vector<std::string> region_names)
-    : nodes_(std::move(nodes)), rtt_(std::move(rtt_ms)), region_names_(std::move(region_names)) {
+    : nodes_(std::move(nodes)),
+      rtt_(std::move(rtt_ms)),
+      region_names_(std::move(region_names)) {
   GEORED_ENSURE(nodes_.size() == rtt_.size(),
                 "node list and RTT matrix must have the same size");
 }

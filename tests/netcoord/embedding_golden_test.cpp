@@ -9,7 +9,9 @@
 #include <bit>
 #include <cstdint>
 #include <ios>
+#include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -231,9 +233,9 @@ TEST_F(WorldBuildThreads, GoldensHoldNestedInsideParallelChunks) {
 }
 
 TEST_F(WorldBuildThreads, RoundHookSeesEveryRoundInOrder) {
-  // Refits every third observation, so a third of the rounds take the level
-  // path. After each round the hook must see every node's observation of
-  // that round, with the same coordinates at every pool size.
+  // Refits every third observation. After each round the hook must see
+  // every node's observation of that round, with the same coordinates at
+  // every pool size.
   const auto topology = planetlab(120, 5);
   RnpConfig config;
   config.refit_every = 3;
@@ -262,6 +264,132 @@ TEST_F(WorldBuildThreads, RoundHookSeesEveryRoundInOrder) {
   for (const std::size_t threads : {2, 4}) {
     EXPECT_EQ(per_round_digests(threads), sequential) << "pool size " << threads;
   }
+}
+
+
+// Edge cases of the gossip region and the topology's draw pipeline. Every
+// digest below was captured from the level-scheduled gossip driver and the
+// two-pass generator that they replaced, which are bit-identical at every
+// pool size.
+
+std::uint64_t rnp_digest(const topo::Topology& topology, const RnpConfig& config,
+                         std::size_t rounds, std::uint64_t seed) {
+  GossipConfig gossip;
+  gossip.rounds = rounds;
+  return digest(run_rnp(topology, config, gossip, seed));
+}
+
+TEST_F(WorldBuildThreads, LaneCountThatDoesNotDivideTheNodes) {
+  // 13 nodes over 2 and 3 lanes: the lanes own 7/6 and 5/4/4 nodes.
+  const auto topology = planetlab(13, 3);
+  for (const std::size_t threads : {2, 3}) {
+    ThreadPool::set_global_thread_count(threads);
+    SCOPED_TRACE("pool size " + std::to_string(threads));
+    EXPECT_DIGEST(rnp_digest(topology, RnpConfig{}, 48, 5), 0xdec6733c1b2a0731ULL);
+  }
+}
+
+TEST_F(WorldBuildThreads, TwoAndThreeNodeWorldsAtFourThreads) {
+  // Fewer nodes than pool threads: one lane per node.
+  ThreadPool::set_global_thread_count(4);
+  RnpConfig config;
+  config.refit_every = 4;
+  GossipConfig gossip;
+  gossip.rounds = 40;
+  const auto two = planetlab(2, 8);
+  EXPECT_DIGEST(rnp_digest(two, config, 40, 6), 0x10b6c04192a39071ULL);
+  EXPECT_DIGEST(digest(run_vivaldi(two, VivaldiConfig{}, gossip, 6)), 0xdc4b2550d89ebca5ULL);
+  const auto three = planetlab(3, 8);
+  EXPECT_DIGEST(rnp_digest(three, config, 40, 6), 0x1fe79000d491a949ULL);
+  EXPECT_DIGEST(digest(run_vivaldi(three, VivaldiConfig{}, gossip, 6)),
+                0xe252b4a4fb449353ULL);
+}
+
+TEST_F(WorldBuildThreads, EveryRoundRefits) {
+  const auto topology = planetlab(60, 4);
+  RnpConfig config;
+  config.refit_every = 1;
+  for (const std::size_t threads : {1, 2, 3, 4}) {
+    ThreadPool::set_global_thread_count(threads);
+    SCOPED_TRACE("pool size " + std::to_string(threads));
+    EXPECT_DIGEST(rnp_digest(topology, config, 20, 8), 0xfeb0ad6b184185d1ULL);
+  }
+}
+
+TEST_F(WorldBuildThreads, RoundCountsAroundTheRingsDepths) {
+  // Below, at and past the coordinate ring's depth (4 rounds), a block of
+  // peer draws (8 rounds) and the peer ring (3 blocks).
+  static_assert(detail::kRingDepth == 4 && detail::kPeerBlockRounds == 8);
+  const auto topology = planetlab(50, 6);
+  RnpConfig config;
+  config.refit_every = 3;
+  const std::vector<std::pair<std::size_t, std::uint64_t>> goldens = {
+      {1, 0x7e917407c398fa68ULL},  {2, 0x9394d9d301399eb7ULL},  {3, 0xb6d6d453710044d9ULL},
+      {4, 0x747d8bdbff63875cULL},  {5, 0x98a0eb11d127862eULL},  {8, 0x767109fcb3d0c12fULL},
+      {9, 0xc122128fc8783358ULL},  {17, 0xf322b0d6e38991dcULL}, {24, 0x629f2ce44b3ba83bULL},
+      {25, 0x176ccfa4e31cd009ULL}, {49, 0xb852df8aba575ceaULL}};
+  for (const std::size_t threads : {1, 2, 3, 4}) {
+    ThreadPool::set_global_thread_count(threads);
+    for (const auto& [rounds, golden] : goldens) {
+      SCOPED_TRACE(std::to_string(rounds) + " rounds at pool size " + std::to_string(threads));
+      EXPECT_DIGEST(rnp_digest(topology, config, rounds, 10), golden);
+    }
+  }
+}
+
+TEST_F(WorldBuildThreads, VivaldiAndStabilityMatchAtOneAndFourThreads) {
+  const auto world = planetlab(300, 9);
+  VivaldiConfig with_height;
+  with_height.use_height = true;
+  const auto stability_world = planetlab(150, 2);
+  StabilityConfig stability;
+  stability.gossip.rounds = 96;
+  stability.warmup_rounds = 32;
+  for (const std::size_t threads : {1, 4}) {
+    ThreadPool::set_global_thread_count(threads);
+    SCOPED_TRACE("pool size " + std::to_string(threads));
+    EXPECT_DIGEST(digest(run_vivaldi(world, VivaldiConfig{}, GossipConfig{}, 4)),
+                  0x0bbc73d21e85ffbaULL);
+    EXPECT_DIGEST(digest(run_vivaldi(world, with_height, GossipConfig{}, 4)),
+                  0x142b7df5cff4e692ULL);
+    EXPECT_DIGEST(
+        digest(measure_stability(stability_world, CoordSystem::kVivaldi, stability, 3)),
+        0x181da1336c266143ULL);
+    EXPECT_DIGEST(digest(measure_stability(stability_world, CoordSystem::kRnp, stability, 3)),
+                  0xd8ceb521aba4a282ULL);
+  }
+}
+
+TEST_F(WorldBuildThreads, TopologyAroundOnePairBlock) {
+  // 127 nodes have 8,001 pairs, under one 8,128-pair block; 128 nodes
+  // exactly one block; 129 nodes one block and 128 pairs.
+  for (const std::size_t threads : {1, 2, 3, 4}) {
+    ThreadPool::set_global_thread_count(threads);
+    SCOPED_TRACE("pool size " + std::to_string(threads));
+    EXPECT_DIGEST(digest(planetlab(127, 17)), 0xb1d8518a697d00e5ULL);
+    EXPECT_DIGEST(digest(planetlab(128, 17)), 0xa5efd44a212d9b75ULL);
+    EXPECT_DIGEST(digest(planetlab(129, 17)), 0x43f47c8b3df7af8eULL);
+  }
+}
+
+TEST_F(WorldBuildThreads, ThrowingRoundHookStopsEveryLane) {
+  // The hook runs on one lane while the others wait for it; when it throws,
+  // they must return and the exception must reach the caller.
+  ThreadPool::set_global_thread_count(4);
+  const auto topology = planetlab(40, 3);
+  std::vector<RnpNode> nodes;
+  for (std::size_t i = 0; i < topology.size(); ++i) {
+    nodes.emplace_back(RnpConfig{}, static_cast<std::uint32_t>(i));
+  }
+  GossipConfig gossip;
+  gossip.rounds = 32;
+  const auto throw_in_round_five = [](std::size_t round) {
+    if (round == 5) throw std::runtime_error("hook failed");
+  };
+  EXPECT_THROW(detail::run_gossip(topology, nodes, gossip, 3, throw_in_round_five),
+               std::runtime_error);
+  // The pool is usable afterwards.
+  EXPECT_DIGEST(digest(planetlab(226, 42)), 0x5331f9a043092af6ULL);
 }
 
 }  // namespace

@@ -120,6 +120,17 @@ TEST(ScenarioConfig, NodesAboveTheCapAreBadValue) {
   EXPECT_EQ(config.topology.nodes, TopologySpec::kMaxNodes);
 }
 
+TEST(ScenarioConfig, RoundsAboveTheCapAreBadValue) {
+  // The embedding would run this many gossip rounds over every node.
+  for (const char* rounds : {"4097", "4000000000", "9007199254740992"}) {
+    const std::string text =
+        std::string(R"({"name": "t", "coords": {"rounds": )") + rounds + "}}";
+    expect_error(text, ScenarioError::Kind::kBadValue, "coords.rounds");
+  }
+  const auto config = parse_scenario(R"({"name": "t", "coords": {"rounds": 4096}})");
+  EXPECT_EQ(config.coords.rounds, CoordsSpec::kMaxRounds);
+}
+
 TEST(ScenarioConfig, UnknownCollectorIsBadValue) {
   expect_error(R"({"name": "t", "collector": "carrier-pigeon"})",
                ScenarioError::Kind::kBadValue, "collector");
