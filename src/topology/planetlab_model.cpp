@@ -33,13 +33,10 @@ std::vector<RegionSpec> default_planetlab_regions() {
 
 namespace {
 
-/// Below this many pairs the draws and the geometry run inline on the
-/// caller.
-constexpr std::size_t kMinParallelPairs = 4096;
-
 /// Pairs per block of the draw and geometry pipeline: the pairs of a
 /// 128-node topology, and a multiple of 64, so that every word of TIV flag
-/// bits belongs to one block and only its drawing writes it.
+/// bits belongs to one block and only its drawing writes it. A topology of
+/// one block runs inline on the caller.
 constexpr std::size_t kPairBlock = 8128;
 static_assert(kPairBlock % 64 == 0);
 
@@ -161,7 +158,7 @@ Topology generate_planetlab_like(const PlanetLabModelConfig& config, std::uint64
       fill_block(block);
     }
   };
-  run_lanes(pairs < kMinParallelPairs ? 1 : region_lanes(blocks), stop, run_lane);
+  run_lanes(region_lanes(blocks), stop, run_lane);
 
   return Topology(std::move(nodes), std::move(rtt), std::move(region_names));
 }

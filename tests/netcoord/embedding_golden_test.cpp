@@ -266,7 +266,6 @@ TEST_F(WorldBuildThreads, RoundHookSeesEveryRoundInOrder) {
   }
 }
 
-
 // Edge cases of the gossip region and the topology's draw pipeline. Every
 // digest below was captured from the level-scheduled gossip driver and the
 // two-pass generator that they replaced, which are bit-identical at every
